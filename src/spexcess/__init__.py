@@ -1,8 +1,9 @@
 """Spectral-excess machinery for finite connected graphs.
 
-Computes the spectrum, idempotents, local spectra, predistance polynomial
-families and Perron-weighted distance statistics of a connected graph, and
-evaluates the inequality/equality characterizations connecting them
+Computes the spectrum (LAPACK eigendecomposition), local spectra read from
+the eigenvectors, predistance polynomial families and Perron-weighted
+distance statistics of a connected graph, and evaluates the
+inequality/equality characterizations connecting them
 (pseudo-distance-regularity, partial distance-regularity, the
 distance-polynomial property), cross-validated against independent
 combinatorial oracles.
@@ -40,13 +41,10 @@ from .poly import (
     predistance_polynomials,
 )
 from .spectral import (
-    Idempotents,
     LocalSpectrum,
     PerronWeights,
     Spectrum,
     eigendecompose,
-    idempotents,
-    jacobi_eigh,
     local_spectra,
     local_spectrum,
     perron_weights,
@@ -72,7 +70,6 @@ __all__ = [
     "ExcessStats",
     "Graph",
     "GraphAnalysis",
-    "Idempotents",
     "InnerProductContext",
     "LocalSpectrum",
     "PerronWeights",
@@ -101,12 +98,10 @@ __all__ = [
     "global_context",
     "graph6_bytes",
     "hoffman_polynomial",
-    "idempotents",
     "inner_product",
     "is_distance_polynomial",
     "is_distance_regular",
     "is_pseudo_dr_around",
-    "jacobi_eigh",
     "load_graph",
     "local_context",
     "local_prehoffman",

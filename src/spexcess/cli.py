@@ -7,11 +7,12 @@ Commands:
                              -- one TheoremReport JSON (with witnesses)
 * ``spexcess fixtures --out DIR`` -- write the bundled fixture graphs
 
-Exit codes: 0 success, 2 input error, 3 numerical failure, 4 internal
-invariant violated.  Tolerance flags (--tol, --group-tol, --presence-tol,
---eq-tol) are mirrored by the environment variables SPEXCESS_TOL_EIGEN,
-SPEXCESS_TOL_GROUP, SPEXCESS_TOL_PRESENCE and SPEXCESS_TOL_EQ; a flag wins
-over its variable.
+Exit codes: 0 success, 2 input error, 3 numerical failure (including a
+LAPACK eigensolver failure), 4 internal invariant violated (an inequality
+violation, an oracle disagreement, or a NaN or infinity in the JSON output,
+which is then not printed).  Tolerance flags (--group-tol, --presence-tol,
+--eq-tol) are mirrored by the environment variables SPEXCESS_TOL_GROUP,
+SPEXCESS_TOL_PRESENCE and SPEXCESS_TOL_EQ; a flag wins over its variable.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ _NUMERICAL_ERRORS = (ConvergenceError, NonPositiveEigenvectorError,
 ENV_PREFIX = "SPEXCESS_TOL_"
 _TOL_SPECS = (
     # (flag, env suffix, Tolerances field, help)
-    ("--tol", "EIGEN", "eigen", "eigensolver off-diagonal tolerance"),
     ("--group-tol", "GROUP", "grouping", "eigenvalue grouping tolerance"),
     ("--presence-tol", "PRESENCE", "presence",
      "local-multiplicity presence threshold (sets d_u)"),
@@ -161,13 +161,16 @@ def main(argv=None) -> int:
             reports = run_all_checks(ga)
             payload = analysis_report(ga, reports,
                                       include_witnesses=args.witnesses)
-            print(to_json(payload, pretty=args.pretty))
-            violations = collect_violations(reports, tols.equality)
         else:
-            rep = _dispatch_check(ga, args)
-            print(to_json(theorem_report_dict(rep, include_witnesses=True),
-                          pretty=args.pretty))
-            violations = collect_violations([rep], tols.equality)
+            reports = [_dispatch_check(ga, args)]
+            payload = theorem_report_dict(reports[0], include_witnesses=True)
+        try:
+            text = to_json(payload, pretty=args.pretty)
+        except ValueError as exc:  # NaN or infinity in the payload
+            print(f"invariant violated: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
+        print(text)
+        violations = collect_violations(reports, tols.equality)
         if violations:
             for v in violations:
                 print(f"invariant violated: {v}", file=sys.stderr)

@@ -18,7 +18,7 @@ class LoopOrMultiEdgeError(SpexcessError):
 
 
 class ConvergenceError(SpexcessError):
-    """The Jacobi eigensolver did not reach its tolerance within the sweep cap."""
+    """The LAPACK symmetric eigensolver failed to converge."""
 
 
 class NonPositiveEigenvectorError(SpexcessError):

@@ -2,7 +2,7 @@
 
 Vertices are dense integers 0..n-1.  Graphs are finite, simple and connected;
 disconnected input is a hard error because everything downstream (Perron
-vector, idempotents, local spectra) assumes a single component.
+vector, local spectra, predistance polynomials) assumes a single component.
 
 Input formats:
 

@@ -1,8 +1,8 @@
 """End-to-end analysis pipeline: one bundle holding every derived object.
 
 ``analyze_graph`` runs the whole chain (distances -> spectrum -> Perron
-weights -> idempotents -> local spectra -> polynomial families -> weighted
-matrices -> excess statistics -> combinatorial classification) and
+weights -> local spectra -> polynomial families -> weighted matrices ->
+excess statistics -> combinatorial classification) and
 ``run_all_checks`` evaluates every theorem at its admissible parameters.
 """
 
@@ -22,7 +22,6 @@ class Tolerances:
     eigenvalue in a local spectrum and therefore d_u and extremality.
     """
 
-    eigen: float = spectral.DEFAULT_EIGEN_TOL
     grouping: float = spectral.DEFAULT_GROUPING_TOL
     presence: float = spectral.DEFAULT_PRESENCE_TOL
     equality: float = 1e-7
@@ -37,7 +36,6 @@ class GraphAnalysis:
     dd: DistanceData
     spectrum: spectral.Spectrum
     perron: spectral.PerronWeights
-    idem: spectral.Idempotents
     local_spectra: tuple[spectral.LocalSpectrum, ...]
     global_seq: poly.PolySequence
     local_seqs: tuple[poly.PolySequence, ...]
@@ -69,10 +67,9 @@ class GraphAnalysis:
 def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     tols = tols or Tolerances()
     dd = distance_data(g)
-    spec = spectral.eigendecompose(g, tol=tols.eigen, grouping_tol=tols.grouping)
+    spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
     pw = spectral.perron_weights(spec)
-    idem = spectral.idempotents(spec)
-    locals_ = spectral.local_spectra(idem, dd, presence_tol=tols.presence)
+    locals_ = spectral.local_spectra(spec, dd, presence_tol=tols.presence)
     gctx = poly.global_context(spec)
     gseq = poly.predistance_polynomials(gctx)
     lseqs = tuple(
@@ -85,7 +82,7 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     cls = classify.classify_graph(g, dd, pw, spec, gseq, locals_,
                                   tol=tols.equality)
     return GraphAnalysis(
-        graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw, idem=idem,
+        graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw,
         local_spectra=locals_, global_seq=gseq, local_seqs=lseqs,
         wm=wm, stats=stats, classification=cls,
     )

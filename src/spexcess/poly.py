@@ -300,7 +300,8 @@ def hoffman_polynomial(seq: PolySequence, spec: Spectrum) -> Poly:
     H is characterized by H(lambda_i) = n * delta_{0i}, equivalently
     H = (n / pi_0) prod_{i>=1}(x - lambda_i) with pi_0 = prod_{i>=1}(
     lambda_0 - lambda_i); H(A) is the rank-one matrix alpha alpha^T, which
-    equals the all-ones matrix exactly when the graph is regular.
+    equals the all-ones matrix exactly when the graph is regular.  Both
+    characterizations are checked; a failure raises DegenerateMeasureError.
     """
     if seq.context.kind != "global":
         raise ValueError("hoffman_polynomial needs the global sequence")
@@ -309,17 +310,19 @@ def hoffman_polynomial(seq: PolySequence, spec: Spectrum) -> Poly:
     values = h(spec.lambdas)
     target = np.zeros(len(spec.lambdas))
     target[0] = n
-    assert np.max(np.abs(values - target)) <= 1e-6 * n, (
-        "Hoffman characterization H(lambda_i) = n*delta_0i failed"
-    )
+    err = float(np.max(np.abs(values - target)))
+    if err > 1e-6 * n:
+        raise DegenerateMeasureError(
+            f"Hoffman characterization H(lambda_i) = n*delta_0i off by {err:.3e}"
+        )
     if spec.d >= 1:
         pi0 = float(np.prod(spec.lambda0 - spec.lambdas[1:]))
         ref = Poly.from_roots(spec.lambdas[1:], scale=n / pi0)
-        diff = h - ref
-        scale = max(1.0, float(np.abs(ref.coeffs).max()))
-        assert np.abs(diff.coeffs).max() <= 1e-6 * scale, (
-            "Hoffman polynomial disagrees with its product form"
-        )
+        err = float(np.abs((h - ref).coeffs).max())
+        if err > 1e-6 * max(1.0, float(np.abs(ref.coeffs).max())):
+            raise DegenerateMeasureError(
+                f"Hoffman polynomial disagrees with its product form by {err:.3e}"
+            )
     return h
 
 

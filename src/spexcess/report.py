@@ -120,7 +120,6 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
             "degrees": [int(x) for x in degrees],
         },
         "tolerances": {
-            "eigen": _num(ga.tols.eigen),
             "grouping": _num(ga.tols.grouping),
             "presence": _num(ga.tols.presence),
             "equality": _num(ga.tols.equality),
@@ -177,6 +176,5 @@ def collect_violations(reports: list[TheoremReport], tol: float = 1e-7) -> list[
 
 
 def to_json(payload, pretty: bool = False) -> str:
-    if pretty:
-        return json.dumps(payload, indent=2)
-    return json.dumps(payload)
+    """Strict JSON: a NaN or infinity anywhere raises ValueError."""
+    return json.dumps(payload, indent=2 if pretty else None, allow_nan=False)

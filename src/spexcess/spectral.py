@@ -1,12 +1,12 @@
 """Eigendecomposition and per-vertex spectral data.
 
-The full symmetric eigendecomposition is computed with cyclic-by-row Jacobi
-rotations (guaranteed symmetry, adequate at the dense scale this package
-targets).  Eigenvalues are then grouped into distinct classes, the Perron
-vector is extracted in both normalizations (alpha with ||alpha||^2 = n, nu
-with minimum entry 1), spectral projectors E_i are assembled from eigenvector
-outer products, and local spectra are read off their diagonals:
-m_u(lambda_i) = (E_i)_{uu}.
+The full symmetric eigendecomposition comes from LAPACK (``np.linalg.eigh``).
+Eigenvalues are then grouped into distinct classes and the Perron vector is
+extracted in both normalizations (alpha with ||alpha||^2 = n, nu with minimum
+entry 1).  Local spectra are read straight from the eigenvectors: with V_i
+the orthonormal eigenvectors of class i, the spectral projector is
+E_i = V_i V_i^T, so m_u(lambda_i) = (E_i)_{uu} = sum over class i of V[u, k]^2.
+No dense E_i is ever built.
 
 The one genuinely delicate tolerance is ``presence_tol``: local multiplicities
 below it are treated as exact zeros, which determines d_u (the number of
@@ -26,86 +26,8 @@ from .errors import ConvergenceError, NonPositiveEigenvectorError
 from ._util import readonly as _readonly
 from .graphs import DistanceData, Graph
 
-DEFAULT_EIGEN_TOL = 1e-12
 DEFAULT_GROUPING_TOL = 1e-7
 DEFAULT_PRESENCE_TOL = 1e-9
-MAX_SWEEPS = 30
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = DEFAULT_EIGEN_TOL,
-                max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    ``tol * ||a||_F``; raises ConvergenceError if the sweep cap is hit first.
-    Returns (eigenvalues, eigenvectors) with eigenvalues descending and
-    orthonormal eigenvectors in the columns.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("jacobi_eigh expects a symmetric square matrix")
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm == 0.0 or n == 1:
-        return _sorted_eigh(np.diag(a).copy(), v)
-    offdiag = ~np.eye(n, dtype=bool)  # direct norm; ||A||^2 - ||diag||^2 cancels
-    converged = False
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a[offdiag]))
-        if off <= tol * norm:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) * 1e292 < abs(diff):
-                    # rotation angle underflows; annihilating directly is exact
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                tau = diff / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if not converged:
-        off = float(np.linalg.norm(a[offdiag]))
-        if off > tol * norm:
-            raise ConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal {off:.3e} > {tol * norm:.3e})"
-            )
-    return _sorted_eigh(np.diag(a).copy(), v)
-
-
-def _sorted_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    # deterministic sign: first non-negligible component of each vector positive
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
-        if nz.size and col[nz[0]] < 0:
-            v[:, k] = -col
-    return w, v
 
 
 @dataclass(frozen=True)
@@ -134,15 +56,25 @@ class Spectrum:
         return float(self.lambdas[0])
 
 
-def eigendecompose(g: Graph, tol: float = DEFAULT_EIGEN_TOL,
+def eigendecompose(g: Graph,
                    grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
     """Spectrum of a connected graph, with eigenvalues grouped into classes.
 
-    Two consecutive eigenvalues land in the same class when they differ by at
-    most ``grouping_tol * max(1, lambda_0)``; adjacency spectra of small
-    graphs have gaps far above Jacobi error, so the default is safe.
+    Eigenvalues come out descending, and each eigenvector is signed so that
+    its first non-negligible component is positive.  Two consecutive
+    eigenvalues land in the same class when they differ by at most
+    ``grouping_tol * max(1, lambda_0)``; adjacency spectra of small graphs
+    have gaps far above LAPACK error, so the default is safe.  A LAPACK
+    failure is raised as ConvergenceError.
     """
-    w, v = jacobi_eigh(np.asarray(g.adjacency, dtype=float), tol=tol)
+    try:
+        w, v = np.linalg.eigh(np.asarray(g.adjacency, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    w, v = w[::-1].copy(), v[:, ::-1]
+    mag = np.abs(v)
+    lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    v = v * np.where(v[lead, np.arange(len(w))] < 0, -1.0, 1.0)
     gap = grouping_tol * max(1.0, abs(w[0]))
     classes = []
     start = 0
@@ -205,28 +137,6 @@ def perron_weights(spec: Spectrum, pos_tol: float = 1e-10) -> PerronWeights:
 
 
 @dataclass(frozen=True)
-class Idempotents:
-    """Spectral projectors E_0..E_d onto the eigenspaces, as dense matrices."""
-
-    lambdas: np.ndarray
-    matrices: tuple[np.ndarray, ...]
-
-
-def idempotents(spec: Spectrum) -> Idempotents:
-    """E_i = V_i V_i^T from the orthonormal eigenvectors of class i.
-
-    This beats the Lagrange product formula (1/phi_i) prod_{j != i}(A -
-    lambda_j I) numerically; agreement between the two is asserted in tests.
-    """
-    mats = []
-    for cls in spec.classes:
-        vi = spec.vectors[:, cls]
-        e = vi @ vi.T
-        mats.append(_readonly((e + e.T) / 2.0))
-    return Idempotents(lambdas=spec.lambdas, matrices=tuple(mats))
-
-
-@dataclass(frozen=True)
 class LocalSpectrum:
     """Local multiplicities of one vertex and the derived extremality data.
 
@@ -246,11 +156,13 @@ class LocalSpectrum:
         return spec.lambdas[self.support]
 
 
-def local_spectrum(u: int, idem: Idempotents, dd: DistanceData,
-                   presence_tol: float = DEFAULT_PRESENCE_TOL) -> LocalSpectrum:
-    """Local spectrum of vertex u; membership decided by ``presence_tol``."""
-    m = np.array([e[u, u] for e in idem.matrices])
-    m = np.where(m < 0, 0.0, m)  # clip numerical noise
+def _class_sums(x: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """Sum the last axis of ``x`` over each eigenvalue class (classes are contiguous)."""
+    return np.add.reduceat(x, [int(c[0]) for c in spec.classes], axis=-1)
+
+
+def _local_spectrum(u: int, m: np.ndarray, dd: DistanceData,
+                    presence_tol: float) -> LocalSpectrum:
     support = np.flatnonzero(m > presence_tol)
     if 0 not in support:
         raise NonPositiveEigenvectorError(
@@ -268,6 +180,14 @@ def local_spectrum(u: int, idem: Idempotents, dd: DistanceData,
     )
 
 
-def local_spectra(idem: Idempotents, dd: DistanceData,
+def local_spectrum(u: int, spec: Spectrum, dd: DistanceData,
+                   presence_tol: float = DEFAULT_PRESENCE_TOL) -> LocalSpectrum:
+    """Local spectrum of vertex u; membership decided by ``presence_tol``."""
+    return _local_spectrum(u, _class_sums(spec.vectors[u] ** 2, spec), dd, presence_tol)
+
+
+def local_spectra(spec: Spectrum, dd: DistanceData,
                   presence_tol: float = DEFAULT_PRESENCE_TOL) -> tuple[LocalSpectrum, ...]:
-    return tuple(local_spectrum(u, idem, dd, presence_tol) for u in range(dd.n))
+    """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i)."""
+    m = _class_sums(spec.vectors ** 2, spec)
+    return tuple(_local_spectrum(u, m[u], dd, presence_tol) for u in range(dd.n))

@@ -180,3 +180,53 @@ def test_stdout_is_single_json_document(capsys, k23_file):
     assert code == 0
     json.loads(out)  # parses as one document
     assert not err
+
+
+def test_eigensolver_failure_exit3(capsys, k23_file, monkeypatch):
+    import numpy as np
+
+    def fail(_a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, out, err = _run(capsys, ["analyze", k23_file])
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
+def test_nan_in_payload_exit4(capsys, k23_file, monkeypatch):
+    import spexcess.cli as cli
+
+    real = cli.analysis_report
+
+    def with_nan(*args, **kwargs):
+        payload = real(*args, **kwargs)
+        payload["excess"]["spectralExcess"] = float("nan")
+        return payload
+
+    monkeypatch.setattr(cli, "analysis_report", with_nan)
+    code, out, err = _run(capsys, ["analyze", k23_file])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("invariant violated:")
+
+
+def test_eigen_tolerance_knob_removed(capsys, k23_file, monkeypatch):
+    monkeypatch.setenv("SPEXCESS_TOL_EIGEN", "not a number")  # ignored
+    code, out, _ = _run(capsys, ["analyze", k23_file])
+    assert code == 0
+    assert set(json.loads(out)["tolerances"]) == {"grouping", "presence", "equality"}
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", k23_file, "--tol", "1e-12"])
+    assert info.value.code == 2
+
+
+def test_to_json_rejects_non_finite():
+    from spexcess.report import to_json
+
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            to_json({"x": [1.0, bad]})
+        with pytest.raises(ValueError):
+            to_json({"x": bad}, pretty=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -54,13 +55,12 @@ def test_poly_add_eval_consistency(a, b, x):
 # --- inner products ----------------------------------------------------------
 
 def _k23_pieces():
-    from spexcess.spectral import eigendecompose, idempotents, local_spectra, perron_weights
+    from spexcess.spectral import eigendecompose, local_spectra, perron_weights
     g = fx.k23()
     dd = distance_data(g)
     spec = eigendecompose(g)
     pw = perron_weights(spec)
-    idem = idempotents(spec)
-    locs = local_spectra(idem, dd)
+    locs = local_spectra(spec, dd)
     return g, dd, spec, pw, locs
 
 
@@ -105,11 +105,11 @@ def test_degree_error():
     with pytest.raises(DegreeError):
         inner_product(cubic, Poly.one(), ctx)
     # P_3 center has d_u = 1: quadratics are out of range locally
-    from spexcess.spectral import eigendecompose, idempotents, local_spectrum
+    from spexcess.spectral import eigendecompose, local_spectrum
     g = fx.path(3)
     dd = distance_data(g)
     spec3 = eigendecompose(g)
-    ls = local_spectrum(1, idempotents(spec3), dd)
+    ls = local_spectrum(1, spec3, dd)
     lctx = local_context(spec3, ls)
     with pytest.raises(DegreeError):
         inner_product(Poly([0.0, 0.0, 1.0]), Poly.one(), lctx)
@@ -269,6 +269,28 @@ def test_hoffman_values_and_product_form():
         pi0 = float(np.prod(ga.lambda0 - ga.spectrum.lambdas[1:]))
         ref = Poly.from_roots(ga.spectrum.lambdas[1:], scale=ga.n / pi0)
         assert np.abs((h - ref).coeffs).max() <= 1e-8 * max(1.0, np.abs(ref.coeffs).max())
+
+
+def test_hoffman_rejects_corrupted_values():
+    # H + 1 misses H(lambda_i) = n * delta_0i at every eigenvalue
+    ga = _analysis("k23")
+    seq = ga.global_seq
+    bad = dataclasses.replace(seq, sums=seq.sums[:-1] + (seq.sums[-1] + Poly.one(),))
+    with pytest.raises(DegenerateMeasureError, match="characterization"):
+        hoffman_polynomial(bad, ga.spectrum)
+
+
+def test_hoffman_rejects_corrupted_product_form():
+    # adding prod_i (x - lambda_i) keeps every H(lambda_i) but not the
+    # product form (n / pi_0) prod_{i >= 1} (x - lambda_i)
+    ga = _analysis("k23")
+    seq = ga.global_seq
+    vanishing = Poly.from_roots(ga.spectrum.lambdas)
+    bad = dataclasses.replace(seq, sums=seq.sums[:-1] + (seq.sums[-1] + vanishing,))
+    assert np.abs(bad.sums[-1](ga.spectrum.lambdas)
+                  - seq.sums[-1](ga.spectrum.lambdas)).max() <= 1e-9
+    with pytest.raises(DegenerateMeasureError, match="product form"):
+        hoffman_polynomial(bad, ga.spectrum)
 
 
 def test_hoffman_requires_global():

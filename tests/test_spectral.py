@@ -4,13 +4,12 @@ import random
 import numpy as np
 import pytest
 
+import corpus
 from spexcess import fixtures as fx
 from spexcess.errors import ConvergenceError, NonPositiveEigenvectorError
 from spexcess.graphs import distance_data
 from spexcess.spectral import (
     eigendecompose,
-    idempotents,
-    jacobi_eigh,
     local_spectra,
     local_spectrum,
     perron_weights,
@@ -19,34 +18,61 @@ from spexcess.spectral import (
 SQRT6 = math.sqrt(6.0)
 
 
-def test_jacobi_against_numpy_random():
-    rng = np.random.default_rng(3)
-    for n in (2, 5, 9, 14):
-        m = rng.standard_normal((n, n))
-        a = (m + m.T) / 2
-        w, v = jacobi_eigh(a)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        assert np.abs(w - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
-        assert np.abs(a @ v - v * w).max() <= 1e-8 * np.linalg.norm(a)
+def _random_graphs():
+    rng = random.Random(3)
+    graphs = [corpus.connected_er(rng, n, p) for n in (2, 5, 9, 14, 30)
+              for p in (0.3, 0.6)]
+    return graphs + [corpus.random_tree(rng, n) for n in (3, 12, 40)]
 
 
-def test_jacobi_diagonal_input():
-    w, v = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-    assert w.tolist() == [3.0, 2.0, -1.0]
-    assert np.abs(v.T @ v - np.eye(3)).max() == 0.0
+def _triangles(g):
+    adj = [set(g.neighbors(u).tolist()) for u in range(g.n)]
+    return sum(len(adj[u] & adj[v]) for u, v in g.edges) // 3
 
 
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def _projectors(spec):
+    """E_i = V_i V_i^T, built here from the eigenvectors of class i."""
+    return [spec.vectors[:, c] @ spec.vectors[:, c].T for c in spec.classes]
 
 
-def test_jacobi_sweep_cap():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((8, 8))
-    with pytest.raises(ConvergenceError):
-        jacobi_eigh((m + m.T) / 2, tol=1e-15, max_sweeps=1)
+def _lagrange_projector(a, spec, i):
+    """E_i = (1/phi_i) prod_{j != i} (A - lambda_j I), independent of V."""
+    prod = np.eye(len(a))
+    phi = 1.0
+    for j in range(spec.d + 1):
+        if j != i:
+            prod = prod @ (a - spec.lambdas[j] * np.eye(len(a)))
+            phi *= spec.lambdas[i] - spec.lambdas[j]
+    return prod / phi
+
+
+def test_eigendecompose_random_graphs():
+    for g in _random_graphs():
+        spec = eigendecompose(g)
+        a = np.asarray(g.adjacency)
+        w, v = spec.eigenvalues, spec.vectors
+        assert np.all(np.diff(w) <= 0)
+        # sign convention: first non-negligible component of each vector > 0
+        lead = np.argmax(np.abs(v) > 1e-8 * np.abs(v).max(axis=0), axis=0)
+        assert np.all(v[lead, np.arange(g.n)] > 0)
+        assert np.abs(v.T @ v - np.eye(g.n)).max() <= 1e-12
+        assert np.abs(a @ v - v * w).max() <= 1e-10 * np.linalg.norm(a)
+        # trace identities from the edge list, in eigenvalues and in classes
+        assert abs(w.sum()) <= 1e-10 * g.n
+        assert abs(np.sum(w ** 2) - 2 * g.edge_count) <= 1e-10 * g.n ** 2
+        assert abs(np.sum(w ** 3) - 6 * _triangles(g)) <= 1e-9 * g.n ** 3
+        assert abs(np.sum(spec.mults * spec.lambdas ** 2) - 2 * g.edge_count) \
+            <= 1e-9 * g.n ** 2
+
+
+def test_eigendecompose_linalg_error_is_convergence_error(monkeypatch):
+    def fail(_a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError) as info:
+        eigendecompose(fx.k23())
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_k23_spectrum():
@@ -128,8 +154,7 @@ def test_idempotent_algebra():
     for name in ("k23", "petersen", "p3", "c8_12"):
         g = fx.named(name)
         spec = eigendecompose(g)
-        idem = idempotents(spec)
-        mats = idem.matrices
+        mats = _projectors(spec)
         total = np.sum(mats, axis=0)
         assert np.abs(total - np.eye(g.n)).max() <= 1e-8
         a = np.asarray(g.adjacency)
@@ -142,46 +167,50 @@ def test_idempotent_algebra():
 
 
 def test_idempotents_match_lagrange_product():
-    # independent construction: E_i = (1/phi_i) prod_{j != i} (A - lambda_j I)
     for name in ("k23", "petersen", "p3", "c5", "k4", "c8_12"):
         g = fx.named(name)
         spec = eigendecompose(g)
-        idem = idempotents(spec)
+        a = np.asarray(g.adjacency)
+        for i, e in enumerate(_projectors(spec)):
+            assert np.linalg.norm(_lagrange_projector(a, spec, i) - e) <= 1e-6
+
+
+def test_local_mults_match_lagrange_diagonal():
+    for name in ("k23", "petersen", "p3", "c5", "k4", "c8_12", "k13"):
+        g = fx.star(3) if name == "k13" else fx.named(name)
+        spec = eigendecompose(g)
+        dd = distance_data(g)
+        mat = np.stack([ls.local_mults for ls in local_spectra(spec, dd)])
+        single = np.stack([local_spectrum(u, spec, dd).local_mults for u in range(g.n)])
+        assert np.abs(mat - single).max() <= 1e-15
         a = np.asarray(g.adjacency)
         for i in range(spec.d + 1):
-            prod = np.eye(g.n)
-            phi = 1.0
-            for j in range(spec.d + 1):
-                if j == i:
-                    continue
-                prod = prod @ (a - spec.lambdas[j] * np.eye(g.n))
-                phi *= spec.lambdas[i] - spec.lambdas[j]
-            assert np.linalg.norm(prod / phi - idem.matrices[i]) <= 1e-6
+            diag = np.diag(_lagrange_projector(a, spec, i))
+            assert np.abs(mat[:, i] - diag).max() <= 1e-8, (name, i)
 
 
 def test_e0_is_perron_projector():
     g = fx.k23()
     spec = eigendecompose(g)
     pw = perron_weights(spec)
-    e0 = idempotents(spec).matrices[0]
+    e0 = _projectors(spec)[0]
     assert np.abs(e0 - np.outer(pw.alpha, pw.alpha) / 5).max() <= 1e-10
 
 
 def test_k2_idempotents():
-    idem = idempotents(eigendecompose(fx.complete(2)))
-    assert np.abs(idem.matrices[0] - 0.5).max() <= 1e-12
-    assert np.abs(idem.matrices[1] - [[0.5, -0.5], [-0.5, 0.5]]).max() <= 1e-12
+    mats = _projectors(eigendecompose(fx.complete(2)))
+    assert np.abs(mats[0] - 0.5).max() <= 1e-12
+    assert np.abs(mats[1] - [[0.5, -0.5], [-0.5, 0.5]]).max() <= 1e-12
 
 
 def test_local_spectrum_p3():
     g = fx.path(3)
     dd = distance_data(g)
     spec = eigendecompose(g)
-    idem = idempotents(spec)
-    center = local_spectrum(1, idem, dd)
+    center = local_spectrum(1, spec, dd)
     assert center.local_mults[1] <= 1e-12  # no mass at eigenvalue 0
     assert center.du == 1 and center.eccentricity == 1 and center.is_extremal
-    end = local_spectrum(0, idem, dd)
+    end = local_spectrum(0, spec, dd)
     assert end.du == 2 and end.is_extremal
     assert np.all(end.local_mults > 1e-3)
 
@@ -191,9 +220,8 @@ def test_local_mults_sum_to_one_and_aggregate():
         g = fx.named(name)
         dd = distance_data(g)
         spec = eigendecompose(g)
-        idem = idempotents(spec)
         pw = perron_weights(spec)
-        locs = local_spectra(idem, dd)
+        locs = local_spectra(spec, dd)
         mat = np.stack([ls.local_mults for ls in locs])
         assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(mat.sum(axis=0) - spec.mults).max() <= 1e-9
@@ -210,7 +238,7 @@ def test_eigenvector_sign_determinism():
     assert np.array_equal(s1.vectors, s2.vectors)
 
 
-def test_jacobi_permutation_stability():
+def test_eigendecompose_permutation_stability():
     # spectrum must be invariant under relabeling
     rng = random.Random(2)
     g = fx.named("c8_12")
