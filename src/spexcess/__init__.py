@@ -1,7 +1,9 @@
 """Spectral-excess machinery for finite connected graphs.
 
 Computes the spectrum (LAPACK eigendecomposition), local spectra read from
-the eigenvectors, predistance polynomial families and Perron-weighted
+the eigenvectors, the global and local predistance polynomial families (kept
+as their values on the distinct eigenvalues, built in one batched Lanczos
+pass each, evaluated at A through the eigenvectors) and Perron-weighted
 distance statistics of a connected graph, and evaluates the
 inequality/equality characterizations connecting them
 (pseudo-distance-regularity, partial distance-regularity, the
@@ -29,15 +31,9 @@ from .graphs import (
 )
 from .pipeline import GraphAnalysis, Tolerances, analyze_graph, run_all_checks
 from .poly import (
-    InnerProductContext,
-    Poly,
     PolySequence,
     evaluate_at_matrix,
-    global_context,
     hoffman_polynomial,
-    inner_product,
-    local_context,
-    local_prehoffman,
     predistance_polynomials,
 )
 from .spectral import (
@@ -70,10 +66,8 @@ __all__ = [
     "ExcessStats",
     "Graph",
     "GraphAnalysis",
-    "InnerProductContext",
     "LocalSpectrum",
     "PerronWeights",
-    "Poly",
     "PolySequence",
     "Spectrum",
     "TheoremReport",
@@ -95,16 +89,12 @@ __all__ = [
     "errors",
     "evaluate_at_matrix",
     "excess_stats",
-    "global_context",
     "graph6_bytes",
     "hoffman_polynomial",
-    "inner_product",
     "is_distance_polynomial",
     "is_distance_regular",
     "is_pseudo_dr_around",
     "load_graph",
-    "local_context",
-    "local_prehoffman",
     "local_spectra",
     "local_spectrum",
     "partial_dr_level",

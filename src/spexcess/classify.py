@@ -26,7 +26,7 @@ import numpy as np
 from ._util import readonly as _readonly
 from .graphs import DistanceData, Graph
 from .poly import PolySequence, evaluate_at_matrix
-from .spectral import LocalSpectrum, PerronWeights, Spectrum
+from .spectral import LocalSpectrum, PerronWeights, Spectrum, class_sums
 
 DEFAULT_ORACLE_TOL = 1e-7
 
@@ -147,40 +147,35 @@ def is_distance_regular(dd: DistanceData) -> DistanceRegularityResult:
 
 def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
                            tol: float = DEFAULT_ORACLE_TOL) -> tuple[bool, np.ndarray]:
-    """Least-squares membership of each A_i in the adjacency algebra.
+    """Membership of each A_i in the adjacency algebra span{E_0, ..., E_d}.
 
-    Solves A_i ~ sum_k x_k A^k over the (d+1)-dimensional algebra using the
-    Gram matrix of the (1/n) tr(M N) inner product; a graph is
-    distance-polynomial iff every Frobenius residual is at most tol * n.
+    The orthogonal projection of A_i onto that span (Frobenius inner
+    product) is sum_k (tr(A_i E_k) / m_k) E_k with E_k = V_k V_k^T, built
+    from the eigenvectors without matrix powers.  A graph is
+    distance-polynomial iff every Frobenius residual of A_i minus its
+    projection is at most tol * n.
     """
-    n = dd.n
-    a = _adjacency_from(dd)
-    powers = [np.eye(n)]
-    for _ in range(spec.d):
-        powers.append(powers[-1] @ a)
-    gram = np.array([[np.sum(p * q) / n for q in powers] for p in powers])
+    v = spec.vectors
     residuals = np.zeros(dd.diameter + 1)
     for i, a_i in enumerate(dd.distance_matrices):
-        rhs = np.array([np.sum(p * a_i) / n for p in powers])
-        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        fit = sum(ck * pk for ck, pk in zip(coef, powers))
-        residuals[i] = np.linalg.norm(a_i - fit)
-    ok = bool(np.all(residuals <= tol * n))
+        diag = np.einsum("uk,uk->k", v, a_i @ v)  # (V^T A_i V)_kk
+        coef = class_sums(diag, spec) / spec.mults
+        residuals[i] = np.linalg.norm(a_i - (v * coef[spec.class_index]) @ v.T)
+    ok = bool(np.all(residuals <= tol * dd.n))
     return ok, _readonly(residuals)
 
 
-def partial_dr_level(dd: DistanceData, seq: PolySequence,
+def partial_dr_level(dd: DistanceData, spec: Spectrum, seq: PolySequence,
                      tol: float = DEFAULT_ORACLE_TOL) -> int:
     """Largest m <= min(D, d) with p_i(A) = A_i entrywise for all i <= m.
 
     Level 0 always holds (p_0 = 1); level >= 1 requires regularity because
     p_1 = (lambda_0 / mean degree) x, so nonregular graphs report level 0.
     """
-    a = _adjacency_from(dd)
     top = min(dd.diameter, seq.top_degree)
     level = 0
     for i in range(1, top + 1):
-        diff = evaluate_at_matrix(seq.polys[i], a) - dd.distance_matrices[i]
+        diff = evaluate_at_matrix(seq.values[i], spec) - dd.distance_matrices[i]
         if np.abs(diff).max() > tol * max(1.0, dd.n):
             break
         level = i
@@ -214,7 +209,7 @@ def classify_graph(g: Graph, dd: DistanceData, pw: PerronWeights,
     drg = is_distance_regular(dd)
     pdr = tuple(is_pseudo_dr_around(u, dd, pw, tol) for u in range(g.n))
     is_dp, residuals = is_distance_polynomial(dd, spec, tol)
-    level = partial_dr_level(dd, seq, tol)
+    level = partial_dr_level(dd, spec, seq, tol)
     return Classification(
         is_regular=is_regular,
         is_distance_regular=drg.is_drg,

@@ -7,8 +7,10 @@ Commands:
                              -- one TheoremReport JSON (with witnesses)
 * ``spexcess fixtures --out DIR`` -- write the bundled fixture graphs
 
-Exit codes: 0 success, 2 input error, 3 numerical failure (including a
-LAPACK eigensolver failure), 4 internal invariant violated (an inequality
+Exit codes: 0 success, 2 input error, 3 numerical failure (a LAPACK
+eigensolver failure, a Perron vector entry or a vertex's lambda_0 mass at or
+below its threshold, or a singular spectral measure; the number of distinct
+eigenvalues is no limit), 4 internal invariant violated (an inequality
 violation, an oracle disagreement, or a NaN or infinity in the JSON output,
 which is then not printed).  Tolerance flags (--group-tol, --presence-tol,
 --eq-tol) are mirrored by the environment variables SPEXCESS_TOL_GROUP,

@@ -26,11 +26,18 @@ class NonPositiveEigenvectorError(SpexcessError):
 
 
 class DegreeError(SpexcessError):
-    """Polynomial degree exceeds the dimension of the inner-product space."""
+    """Polynomial degree exceeds what its measure admits (d globally, d_u at u)."""
 
 
 class DegenerateMeasureError(SpexcessError):
-    """The discrete measure is numerically singular (wrongly grouped eigenvalues)."""
+    """A spectral measure is numerically singular.
+
+    Raised when the Lanczos recurrence breaks down before the requested
+    degree (two eigenvalue classes too close for their weights, as when
+    eigenvalues are wrongly grouped) or the Hoffman polynomial misses
+    H(lambda_i) = n * delta_{0i}.  The number of distinct eigenvalues alone
+    does not cause it.
+    """
 
 
 class HypothesisError(SpexcessError):

@@ -103,16 +103,13 @@ class DistanceData:
 
     ``distance_matrices[i]`` is the 0/1 matrix of pairs at distance exactly i,
     so A_0 = I, A_1 = A and the stack sums to the all-ones matrix.
-    ``spheres[u][i]`` / ``balls[u][i]`` are the index sets of vertices at
-    distance exactly / at most i from u, for i = 0..D.
+    Spheres and balls are derived from ``dist`` on demand.
     """
 
     dist: np.ndarray
     distance_matrices: tuple[np.ndarray, ...]
     ecc: np.ndarray
     diameter: int
-    spheres: tuple[tuple[np.ndarray, ...], ...]
-    balls: tuple[tuple[np.ndarray, ...], ...]
 
     @property
     def n(self) -> int:
@@ -120,14 +117,11 @@ class DistanceData:
 
     def sphere(self, u: int, i: int) -> np.ndarray:
         """Vertices at distance exactly i from u (empty beyond ecc[u])."""
-        if i > self.diameter:
-            return np.empty(0, dtype=np.int64)
-        return self.spheres[u][i]
+        return np.flatnonzero(self.dist[u] == i)
 
     def ball(self, u: int, j: int) -> np.ndarray:
         """Vertices at distance at most j from u (all of V once j >= ecc[u])."""
-        j = min(j, self.diameter)
-        return self.balls[u][j]
+        return np.flatnonzero(self.dist[u] <= j)
 
 
 def distance_data(g: Graph) -> DistanceData:
@@ -152,21 +146,11 @@ def distance_data(g: Graph) -> DistanceData:
     mats = tuple(
         _readonly((dist == i).astype(float)) for i in range(diameter + 1)
     )
-    spheres = tuple(
-        tuple(_readonly(np.flatnonzero(dist[u] == i)) for i in range(diameter + 1))
-        for u in range(n)
-    )
-    balls = tuple(
-        tuple(_readonly(np.flatnonzero(dist[u] <= i)) for i in range(diameter + 1))
-        for u in range(n)
-    )
     return DistanceData(
         dist=_readonly(dist),
         distance_matrices=mats,
         ecc=_readonly(ecc),
         diameter=diameter,
-        spheres=spheres,
-        balls=balls,
     )
 
 

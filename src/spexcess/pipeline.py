@@ -70,13 +70,11 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
     pw = spectral.perron_weights(spec)
     locals_ = spectral.local_spectra(spec, dd, presence_tol=tols.presence)
-    gctx = poly.global_context(spec)
-    gseq = poly.predistance_polynomials(gctx)
-    lseqs = tuple(
-        poly.predistance_polynomials(poly.local_context(spec, ls),
-                                     alpha_u=pw.alpha[ls.vertex])
-        for ls in locals_
-    )
+    (gseq,) = poly.predistance_polynomials(spec.lambdas, [spec.mults / spec.n],
+                                           [spec.d])
+    lseqs = poly.predistance_polynomials(
+        spec.lambdas, [ls.local_mults for ls in locals_],
+        [ls.du for ls in locals_], alpha=pw.alpha)
     wm = weighted.weighted_matrices(dd, pw)
     stats = weighted.excess_stats(dd, pw, gseq)
     cls = classify.classify_graph(g, dd, pw, spec, gseq, locals_,

@@ -1,8 +1,9 @@
-"""JSON report assembly (schema version 1).
+"""JSON report assembly (schema version 2).
 
 Numeric fields are serialized with Python's shortest round-trip float
-representation (>= 15 significant digits).  Structure is stable: golden-file
-tests pin the key layout for the bundled fixtures.
+representation (>= 15 significant digits).  Structure is stable: a test pins
+the key layout of the K_{2,3} report.  Version 2 dropped the monomial
+coefficients of the global family; its recurrence and ``pAtLambda0`` fix it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .pipeline import GraphAnalysis
 from .theorems import TheoremReport
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _num(x):
@@ -144,14 +145,13 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
             for ls in ga.local_spectra
         ],
         "polynomials": {
-            "pAtLambda0": _arr(seq.p_at_lambda0()),
-            "qAtLambda0": _arr(seq.q_at_lambda0()),
+            "pAtLambda0": _arr(seq.p_lambda0),
+            "qAtLambda0": _arr(seq.q_lambda0),
             "recurrence": {
                 "a": _arr(seq.rec_a),
                 "b": _arr(seq.rec_b),
                 "c": _arr(seq.rec_c),
             },
-            "coefficients": [_arr(p.coeffs) for p in seq.polys],
         },
         "excess": {
             "deltaStar": _arr(ga.stats.delta_star),

@@ -55,6 +55,11 @@ class Spectrum:
     def lambda0(self) -> float:
         return float(self.lambdas[0])
 
+    @property
+    def class_index(self) -> np.ndarray:
+        """The eigenvalue class of each eigenvector column."""
+        return np.repeat(np.arange(len(self.mults)), self.mults)
+
 
 def eigendecompose(g: Graph,
                    grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
@@ -156,7 +161,7 @@ class LocalSpectrum:
         return spec.lambdas[self.support]
 
 
-def _class_sums(x: np.ndarray, spec: Spectrum) -> np.ndarray:
+def class_sums(x: np.ndarray, spec: Spectrum) -> np.ndarray:
     """Sum the last axis of ``x`` over each eigenvalue class (classes are contiguous)."""
     return np.add.reduceat(x, [int(c[0]) for c in spec.classes], axis=-1)
 
@@ -183,11 +188,11 @@ def _local_spectrum(u: int, m: np.ndarray, dd: DistanceData,
 def local_spectrum(u: int, spec: Spectrum, dd: DistanceData,
                    presence_tol: float = DEFAULT_PRESENCE_TOL) -> LocalSpectrum:
     """Local spectrum of vertex u; membership decided by ``presence_tol``."""
-    return _local_spectrum(u, _class_sums(spec.vectors[u] ** 2, spec), dd, presence_tol)
+    return _local_spectrum(u, class_sums(spec.vectors[u] ** 2, spec), dd, presence_tol)
 
 
 def local_spectra(spec: Spectrum, dd: DistanceData,
                   presence_tol: float = DEFAULT_PRESENCE_TOL) -> tuple[LocalSpectrum, ...]:
     """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i)."""
-    m = _class_sums(spec.vectors ** 2, spec)
+    m = class_sums(spec.vectors ** 2, spec)
     return tuple(_local_spectrum(u, m[u], dd, presence_tol) for u in range(dd.n))

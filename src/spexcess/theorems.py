@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeError, HypothesisError
-from .poly import Poly, apply_to_vector, evaluate_at_matrix
+from .poly import apply_to_vector, evaluate_at_matrix
 
 THEOREM_IDS = ("P31", "T32", "T33", "T34", "P35", "P36", "T37", "T38")
 
@@ -131,21 +131,19 @@ def _matrix_certificate(name: str, lhs: np.ndarray, rhs: np.ndarray,
     return Certificate(name=name, max_abs_diff=diff, tol=eq_tol * max(1.0, n))
 
 
-def _p_geq(ga, i0: int) -> Poly:
-    """p_{>=i0} = H - q_{i0-1} (the tail of the Hoffman decomposition)."""
-    h = ga.global_seq.sums[-1]
-    if i0 <= 0:
-        return h
-    return h - ga.global_seq.sums[i0 - 1]
+def _p_geq(ga, i0: int) -> np.ndarray:
+    """p_{>=i0} = p_{i0} + ... + p_d on the eigenvalues (the tail of H)."""
+    return ga.global_seq.values[i0:].sum(axis=0)
 
 
 def check_local_bound(ga, u: int, j: int | None = None,
-                      r: Poly | None = None) -> TheoremReport:
+                      r=None) -> TheoremReport:
     """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j.
 
     Defaults: j = ecc(u) (below ball saturation, see module note) and
     r = q_j^u, for which equality is exactly q_j^u(lambda_0) =
-    ||rho_{N_j(u)}||^2.
+    ||rho_{N_j(u)}||^2.  A caller-chosen ``r`` is given by its monomial
+    coefficients, ascending, and is evaluated at the eigenvalues.
     """
     ls = ga.local_spectra[u]
     seq = ga.local_seqs[u]
@@ -157,14 +155,17 @@ def check_local_bound(ga, u: int, j: int | None = None,
     alpha = ga.perron.alpha
     if r is None:
         # r = q_j^u; its value and norm come from the construction itself
-        r = seq.sums[j]
-        r_l0 = float(seq.q_lambda0[j])
-        norm_u = float(np.sqrt(seq.norm_scale * r_l0))
+        r_degree = j
+        r_vals = seq.sum_values(j)
+        norm_u = float(np.sqrt(seq.norm_scale * r_vals[0]))
     else:
-        if r.degree > j:
-            raise DegreeError(f"deg r = {r.degree} exceeds j = {j}")
-        r_l0 = float(r(ga.lambda0))
-        norm_u = seq.context.norm(r)
+        coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
+        r_degree = max(len(coeffs) - 1, 0)
+        if r_degree > j:
+            raise DegreeError(f"deg r = {r_degree} exceeds j = {j}")
+        r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
+        norm_u = float(np.sqrt(np.sum(seq.weights * r_vals ** 2)))
+    r_l0 = float(r_vals[0])
     if norm_u <= 0.0:
         raise DegreeError(f"r has zero local norm at vertex {u}")
     lhs = r_l0 / norm_u
@@ -176,7 +177,7 @@ def check_local_bound(ga, u: int, j: int | None = None,
     equality = comp.scalar_equal
     witnesses = None
     if comp.scalar_equal:
-        vec = apply_to_vector(r, ga.graph.adjacency, _unit(ga.n, u)) / norm_u
+        vec = apply_to_vector(r_vals, ga.spectrum, _unit(ga.n, u)) / norm_u
         ball = ga.dd.ball(u, j)
         target = np.zeros(ga.n)
         target[ball] = alpha[ball]
@@ -195,7 +196,7 @@ def check_local_bound(ga, u: int, j: int | None = None,
         certificates=tuple(certs),
         equality_holds=equality,
         verdict=verdict,
-        params={"vertex": u, "j": j, "r_degree": r.degree},
+        params={"vertex": u, "j": j, "r_degree": r_degree},
         details={"extremal": ls.is_extremal, "ball_saturated": saturated},
         witnesses=witnesses,
     )
@@ -274,8 +275,7 @@ def check_lee_weng(ga) -> TheoremReport:
     lhs = ga.stats.delta_star[-1]
     rhs = ga.stats.spectral_excess
     comp = _compare("delta*_D <= p_>=D(lambda0)", lhs, rhs, eq_tol)
-    p_tail = _p_geq(ga, ga.D)
-    tail_at_a = evaluate_at_matrix(p_tail, ga.graph)
+    tail_at_a = evaluate_at_matrix(_p_geq(ga, ga.D), ga.spectrum)
     astar_d = ga.wm.astar[-1]
     cert = _matrix_certificate("A*_D == p_>=D(A)", astar_d, tail_at_a,
                                eq_tol, ga.n)
@@ -310,11 +310,10 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
         raise HypothesisError(
             f"j={j} violates the hypothesis 0 <= j <= min_u d_u = {ga.min_du}")
     eq_tol = ga.tols.equality
-    q_j = ga.global_seq.sums[j]
     lhs = float(ga.global_seq.q_lambda0[j])
     rhs = ga.stats.harmonic_at(j)
     comp = _compare(f"q_{j}(lambda0) <= H*_<={j}", lhs, rhs, eq_tol)
-    q_at_a = evaluate_at_matrix(q_j, ga.graph)
+    q_at_a = evaluate_at_matrix(ga.global_seq.sum_values(j), ga.spectrum)
     sstar_j = ga.wm.sstar_at(j)
     cert = _matrix_certificate(f"q_{j}(A) == S*_{j}", q_at_a, sstar_j,
                                eq_tol, ga.n)
@@ -346,10 +345,10 @@ def _partial_dr_certs(ga, m: int):
     eq_tol = ga.tols.equality
     certs = []
     for j in (m - 1, m):
-        q_j = ga.global_seq.sums[j]
         certs.append(_matrix_certificate(
             f"q_{j}(A) == S*_{j}",
-            evaluate_at_matrix(q_j, ga.graph), ga.wm.sstar_at(j),
+            evaluate_at_matrix(ga.global_seq.sum_values(j), ga.spectrum),
+            ga.wm.sstar_at(j),
             eq_tol, ga.n))
     return tuple(certs)
 
@@ -441,8 +440,7 @@ def check_chain(ga) -> TheoremReport:
                       middle, ga.stats.spectral_excess, eq_tol)
     comp_ii = _compare("delta*_D <= n - H*_<=D-1",
                        ga.stats.delta_star[-1], middle, eq_tol)
-    p_tail = _p_geq(ga, ga.D)
-    tail_at_a = evaluate_at_matrix(p_tail, ga.graph)
+    tail_at_a = evaluate_at_matrix(_p_geq(ga, ga.D), ga.spectrum)
     cert_i = _matrix_certificate("p_>=D(A) == A*_D", tail_at_a,
                                  ga.wm.astar[-1], eq_tol, ga.n)
     excess = ga.stats.sphere_norms[:, -1]

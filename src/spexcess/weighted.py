@@ -92,7 +92,7 @@ class ExcessStats:
 def excess_stats(dd: DistanceData, pw: PerronWeights,
                  seq: PolySequence) -> ExcessStats:
     """All excess statistics for one graph (global sequence required)."""
-    if seq.context.kind != "global":
+    if seq.vertex is not None:
         raise ValueError("excess_stats needs the global polynomial sequence")
     n = dd.n
     big_d = dd.diameter

@@ -1,20 +1,24 @@
-"""Seeded random-graph corpus and the property batteries run over it.
+"""Seeded random-graph corpora and the property batteries run over them.
 
-The corpus mixes connected Erdos-Renyi graphs and uniform random trees
-(Pruefer decode) with n <= 12.  Batteries return failure-message lists so
-both the property tests and the timed acceptance criterion can share them.
+The main corpus mixes connected Erdos-Renyi graphs and uniform random trees
+(Pruefer decode) with n <= 12.  The wide corpus holds graphs with many
+distinct eigenvalues (d up to about 60).  Batteries return failure-message
+lists so both the property tests and the timed acceptance criterion can
+share them.
 """
 
 import heapq
 import random
 
+import networkx as nx
 import numpy as np
 
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph, run_all_checks
-from spexcess.poly import Poly
 
 SEED = 20250809
+# the benchmark's wide-spectrum draw: the first 41 wide graphs are its shapes
+WIDE_SEED = 7
 
 
 def connected_er(rng, n, p):
@@ -60,6 +64,20 @@ def build_corpus(seed=SEED):
     return graphs
 
 
+def build_wide_corpus(seed=WIDE_SEED):
+    """ER(n, 0.3) for n = 18, 24, 30, then 10 trees with n = 30, then
+    ER(60, 0.3), 10 graphs per family, plus the Tutte graph (d = 30)."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in (18, 24, 30):
+        graphs.extend((f"er{n}x{k}", connected_er(rng, n, 0.3)) for k in range(10))
+    graphs.extend((f"tree30x{k}", random_tree(rng, 30)) for k in range(10))
+    graphs.extend((f"er60x{k}", connected_er(rng, 60, 0.3)) for k in range(10))
+    tutte = nx.convert_node_labels_to_integers(nx.tutte_graph(), ordering="sorted")
+    graphs.append(("tutte", Graph.from_edges(tutte.number_of_nodes(), tutte.edges())))
+    return graphs
+
+
 def analyze_corpus(graphs):
     """Entries are (name, GraphAnalysis, theorem reports)."""
     out = []
@@ -73,19 +91,42 @@ def analyze_corpus(graphs):
 
 
 def battery_mean_of_local_products(analyzed, rng=None, tol=1e-8):
-    """<p,q> over the graph equals the vertex average of the local products."""
+    """<p,q> over the graph equals the vertex average of the local products.
+
+    p and q are random polynomials of degree <= d, given by their values on
+    the d+1 distinct eigenvalues.
+    """
     rng = rng or np.random.default_rng(SEED)
     fails = []
     for name, ga, _reports in analyzed:
-        deg = min(ls.du for ls in ga.local_spectra)
+        local_w = np.stack([s.weights for s in ga.local_seqs])
         for _ in range(3):
-            p = Poly(rng.standard_normal(deg + 1))
-            q = Poly(rng.standard_normal(deg + 1))
-            glob = ga.global_seq.context.inner(p, q)
-            local_mean = np.mean([s.context.inner(p, q) for s in ga.local_seqs])
+            pq = rng.standard_normal(ga.d + 1) * rng.standard_normal(ga.d + 1)
+            glob = float(ga.global_seq.weights @ pq)
+            local_mean = float(np.mean(local_w @ pq))
             scale = max(1.0, abs(glob))
             if abs(glob - local_mean) > tol * scale:
                 fails.append(f"{name}: <p,q> {glob} vs mean {local_mean}")
+    return fails
+
+
+def battery_orthogonality(analyzed, tol=1e-12):
+    """<p_i, p_j> = delta_ij * s * p_i(lambda_0) with p_i(lambda_0) > 0, for
+    the global family (s = 1) and every local one (s = alpha_u^2); the
+    error is normalized by s * sqrt(p_i(lambda_0) p_j(lambda_0))."""
+    fails = []
+    for name, ga, _reports in analyzed:
+        for seq in (ga.global_seq,) + ga.local_seqs:
+            pl0 = seq.p_lambda0
+            if not np.all(pl0 > 0):
+                fails.append(f"{name}: vertex {seq.vertex}: p_i(lambda0) <= 0")
+                continue
+            gram = (seq.values * seq.weights) @ seq.values.T
+            target = np.diag(seq.norm_scale * pl0)
+            scale = seq.norm_scale * np.sqrt(np.outer(pl0, pl0))
+            err = float(np.abs((gram - target) / scale).max())
+            if err > tol:
+                fails.append(f"{name}: vertex {seq.vertex}: orthogonality error {err:.2e}")
     return fails
 
 
@@ -162,6 +203,7 @@ def battery_oracle_agreement(analyzed):
 
 ALL_BATTERIES = (
     battery_mean_of_local_products,
+    battery_orthogonality,
     battery_local_multiplicities,
     battery_eccentricity_bound,
     battery_inequality_slacks,

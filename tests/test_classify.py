@@ -107,7 +107,8 @@ def test_distance_polynomial_p3_negative():
     ga = _ga("p3")
     ok, residuals = is_distance_polynomial(ga.dd, ga.spectrum)
     assert not ok
-    # exact least-squares residual for A_2 over span{I, A, A^2} is sqrt(1/2)
+    # A_2 minus its projection onto span{E_0, E_1, E_2} = span{I, A, A^2}
+    # has Frobenius norm sqrt(1/2)
     assert residuals[2] > 0.1
     assert residuals[2] == pytest.approx(np.sqrt(0.5), rel=1e-6)
 
@@ -119,14 +120,19 @@ def test_distance_polynomial_c8_12():
     assert ok and residuals.max() <= 1e-8
 
 
+def _level(name):
+    ga = _ga(name)
+    return partial_dr_level(ga.dd, ga.spectrum, ga.global_seq)
+
+
 def test_partial_dr_levels():
-    assert partial_dr_level(_ga("petersen").dd, _ga("petersen").global_seq) == 2
-    assert partial_dr_level(_ga("c8").dd, _ga("c8").global_seq) == 4
+    assert _level("petersen") == 2
+    assert _level("c8") == 4
     # nonregular: p_1(A) = (lambda_0/mean degree) A != A, so level 0
-    assert partial_dr_level(_ga("k23").dd, _ga("k23").global_seq) == 0
-    assert partial_dr_level(_ga("p3").dd, _ga("p3").global_seq) == 0
+    assert _level("k23") == 0
+    assert _level("p3") == 0
     # regular non-DRG circulant: level 1 only
-    assert partial_dr_level(_ga("c8_12").dd, _ga("c8_12").global_seq) == 1
+    assert _level("c8_12") == 1
 
 
 def test_level_at_least_one_iff_regular():

@@ -32,13 +32,83 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 1
+    assert report["schemaVersion"] == 2
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
         25 / 17, rel=1e-9)
     assert report["excess"]["deltaStar"][-1] == pytest.approx(35 / 24, rel=1e-9)
     assert report["classification"]["isDistanceRegular"] is False
+
+
+def _key_tree(obj):
+    """Keys of a JSON document: a list of objects becomes one merged object."""
+    if isinstance(obj, dict):
+        return {k: _key_tree(v) for k, v in obj.items()}
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        merged = None
+        for item in obj:
+            merged = _merge(merged, _key_tree(item))
+        return [merged]
+    return None
+
+
+def _merge(a, b):
+    if isinstance(a, dict) and isinstance(b, dict):
+        return {k: _merge(a.get(k), b.get(k)) for k in {**a, **b}}
+    if isinstance(a, list) and isinstance(b, list):
+        return [_merge(a[0], b[0])]
+    return b if a is None else a
+
+
+_COMPARISON = [dict.fromkeys(("label", "lhs", "rhs", "slack", "kind", "state",
+                              "scalarEqual"))]
+_CERTIFICATE = [dict.fromkeys(("name", "maxAbsDiff", "tolerance", "passes"))]
+
+K23_LAYOUT = {
+    "schemaVersion": None,
+    "graph": dict.fromkeys(("n", "edgeCount", "diameter", "distinctEigenvalues",
+                            "isRegular", "degrees")),
+    "tolerances": dict.fromkeys(("grouping", "presence", "equality")),
+    "spectrum": dict.fromkeys(("lambdas", "multiplicities")),
+    "perron": dict.fromkeys(("lambda0", "alpha", "nu")),
+    "localSpectra": [dict.fromkeys(("vertex", "eccentricity", "du", "isExtremal",
+                                    "localMultiplicities"))],
+    "polynomials": {"pAtLambda0": None, "qAtLambda0": None,
+                    "recurrence": dict.fromkeys("abc")},
+    "excess": dict.fromkeys(("deltaStar", "harmonicMeans", "spectralExcess",
+                             "nMinusHarmonicDMinus1", "avgWeightedDegree")),
+    "theorems": [{
+        "theoremId": None,
+        "params": dict.fromkeys(("vertex", "j", "r_degree", "m")),
+        "comparisons": _COMPARISON,
+        "certificates": _CERTIFICATE,
+        "equalityHolds": None,
+        "verdict": None,
+        "details": dict.fromkeys((
+            "extremal", "ball_saturated", "oracle_is_pdr", "oracle_agrees", "du",
+            "eccentricity", "oracle_partial_dr_level", "regular", "equality_i",
+            "equality_ii", "hypotheses_hold")),
+    }],
+    "classification": {
+        "isRegular": None,
+        "isDistanceRegular": None,
+        "intersectionArray": None,
+        "pseudoDistanceRegularVertices": None,
+        "pseudoDistanceRegular": [{"vertex": None, "isPseudoDistanceRegular": None,
+                                   "pseudoIntersectionNumbers": dict.fromkeys("cab")}],
+        "partialDistanceRegularLevel": None,
+        "isDistancePolynomial": None,
+        "distancePolynomialResiduals": None,
+        "extremalVertices": None,
+    },
+}
+
+
+def test_report_layout_k23(capsys, k23_file):
+    code, out, _ = _run(capsys, ["analyze", k23_file])
+    assert code == 0
+    assert _key_tree(json.loads(out)) == K23_LAYOUT
 
 
 def test_analyze_petersen_graph6(capsys, petersen_g6):
@@ -230,3 +300,15 @@ def test_to_json_rejects_non_finite():
             to_json({"x": [1.0, bad]})
         with pytest.raises(ValueError):
             to_json({"x": bad}, pretty=True)
+
+
+@pytest.mark.parametrize("n", [30, 32])
+def test_analyze_long_cycle_oracle_certified(capsys, tmp_path, n):
+    # C30 (d = 15) and C32 (d = 16) are distance-regular, so the T38
+    # hypotheses hold and the distance-polynomial oracle must confirm them
+    path = tmp_path / f"c{n}.el"
+    path.write_bytes(fx.edgelist_bytes(fx.cycle(n)))
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert code == 0, err
+    t38 = [t for t in json.loads(out)["theorems"] if t["theoremId"] == "T38"]
+    assert "oracle-certified" in t38[0]["verdict"]

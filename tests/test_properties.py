@@ -1,4 +1,5 @@
-"""Randomized property suites over the seeded corpus (n <= 12)."""
+"""Randomized property suites over the seeded corpora: n <= 12, and the
+wide corpus of graphs with up to 60 distinct eigenvalues."""
 
 import numpy as np
 import pytest
@@ -56,18 +57,8 @@ def test_oracle_agreement(analyzed):
 
 
 def test_orthogonality_and_normalization_on_corpus(analyzed):
-    for name, ga, _reps in analyzed:
-        for seq in [ga.global_seq] + list(ga.local_seqs):
-            w, vals, pl0 = seq.context.weights, seq.values, seq.p_lambda0
-            assert np.all(pl0 > 0), name
-            m = seq.top_degree
-            for i in range(m + 1):
-                nn = float(np.sum(w * vals[i] * vals[i]))
-                assert abs(nn - seq.norm_scale * pl0[i]) <= \
-                    1e-8 * seq.norm_scale * pl0[i], name
-                for j in range(i):
-                    ip = float(np.sum(w * vals[i] * vals[j]))
-                    assert abs(ip) <= 1e-8 * np.sqrt(pl0[i] * pl0[j]), name
+    fails = corpus.battery_orthogonality(analyzed)
+    assert not fails, fails[:5]
 
 
 def test_perron_positivity_and_normalizations(analyzed):
@@ -88,3 +79,27 @@ def test_ball_norm_saturation(analyzed):
 def test_harmonic_monotone(analyzed):
     for name, ga, _reps in analyzed:
         assert np.all(np.diff(ga.stats.harmonic_means) >= -1e-10), name
+
+
+# --- many distinct eigenvalues ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return corpus.analyze_corpus(corpus.build_wide_corpus())
+
+
+def test_wide_corpus_composition(wide):
+    # every graph has d >= 17, where Gram-Schmidt on monomials breaks down
+    assert len(wide) == 51
+    assert min(ga.d for _name, ga, _reps in wide) >= 17
+    assert max(ga.d for _name, ga, _reps in wide) >= 50
+
+
+@pytest.mark.parametrize("battery", corpus.ALL_BATTERIES,
+                         ids=lambda b: b.__name__.removeprefix("battery_"))
+def test_wide_corpus_batteries(wide, battery):
+    # the sum rule holds to rounding here, not just to its default 1e-8
+    kwargs = {"tol": 1e-12} if battery is corpus.battery_hoffman else {}
+    fails = battery(wide, **kwargs)
+    assert not fails, fails[:5]

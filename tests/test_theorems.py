@@ -7,7 +7,6 @@ import pytest
 from spexcess import fixtures as fx
 from spexcess.errors import DegreeError, HypothesisError
 from spexcess.pipeline import analyze_graph, run_all_checks
-from spexcess.poly import Poly
 from spexcess.theorems import (
     check_chain,
     check_distance_polynomial_sufficient,
@@ -27,7 +26,7 @@ DRG_NAMES = ["petersen", "c4", "c5", "c6", "c7", "c8", "k2", "k3", "k4", "k5"]
 def test_p31_trivial_r_one(analyses):
     ga = analyses("k23")
     for u in range(ga.n):
-        rep = check_local_bound(ga, u, j=0, r=Poly.one())
+        rep = check_local_bound(ga, u, j=0, r=[1.0])
         assert rep.lhs == pytest.approx(1.0, abs=1e-10)
         assert rep.rhs == pytest.approx(1.0, abs=1e-10)
         assert rep.equality_holds  # Eq (4) reads e_u = e_{N_0(u)}
@@ -44,7 +43,7 @@ def test_p31_petersen_q1(analyses):
 
 def test_p31_k23_degree2_vertex_strict(analyses):
     ga = analyses("k23")
-    rep = check_local_bound(ga, 2, j=1, r=Poly.x())
+    rep = check_local_bound(ga, 2, j=1, r=[0.0, 1.0])
     assert rep.lhs == pytest.approx(math.sqrt(3), rel=1e-9)
     assert rep.rhs == pytest.approx(2.0, rel=1e-9)
     assert rep.comparisons[0].state == "strict"
@@ -54,7 +53,7 @@ def test_p31_k23_degree2_vertex_strict(analyses):
 def test_p31_degree_error(analyses):
     ga = analyses("k23")
     with pytest.raises(DegreeError):
-        check_local_bound(ga, 0, j=1, r=Poly([0.0, 0.0, 1.0]))
+        check_local_bound(ga, 0, j=1, r=[0.0, 0.0, 1.0])
     with pytest.raises(DegreeError):
         check_local_bound(ga, 0, j=99)
 
