@@ -17,8 +17,8 @@ from .classify import (
     classify_graph,
     is_distance_polynomial,
     is_distance_regular,
-    is_pseudo_dr_around,
     partial_dr_level,
+    pseudo_dr_around_all,
 )
 from .graphs import (
     DistanceData,
@@ -93,13 +93,13 @@ __all__ = [
     "hoffman_polynomial",
     "is_distance_polynomial",
     "is_distance_regular",
-    "is_pseudo_dr_around",
     "load_graph",
     "local_spectra",
     "local_spectrum",
     "partial_dr_level",
     "perron_weights",
     "predistance_polynomials",
+    "pseudo_dr_around_all",
     "read_graph_file",
     "run_all_checks",
     "weighted_matrices",

@@ -15,6 +15,12 @@ constant over the sphere.  With alpha = all-ones this reduces to classical
 distance-regularity around u.  (Every neighbor of v lies in one of the three
 spheres, so c*_i(v) + a*_i(v) + b*_i(v) is the average weighted degree
 lambda_0 -- a useful sanity check.)
+
+Both constancy oracles run one kernel, ``_sphere_profile``, over every root
+at once: per radius, one dense product gives the (n x n) count matrix, so
+memory stays O(n^2).  With the unit weights of the distance-regularity
+oracle each count is a sum of 0/1 products, an integer far below 2^53, so
+its constancy tests stay exact comparisons.
 """
 
 from __future__ import annotations
@@ -46,49 +52,64 @@ class PseudoDRResult:
     violation: tuple | None
 
 
-def _weighted_counts(u: int, dd: DistanceData, alpha: np.ndarray,
-                     adjacency: np.ndarray):
-    """Per-vertex weighted triples (c*, a*, b*) around u, grouped by radius."""
-    ecc = int(dd.ecc[u])
-    du_row = dd.dist[u]
-    out = []
-    for i in range(ecc + 1):
-        members = dd.sphere(u, i)
-        rows = adjacency[members]
-        prev = (du_row == i - 1) if i >= 1 else np.zeros(dd.n, dtype=bool)
-        same = du_row == i
-        nxt = du_row == i + 1
-        c = rows @ (alpha * prev) / alpha[members]
-        a = rows @ (alpha * same) / alpha[members]
-        b = rows @ (alpha * nxt) / alpha[members]
-        out.append((members, c, a, b))
-    return out
+def _sphere_profile(dd: DistanceData, w: np.ndarray):
+    """Weighted neighbour counts around every root at once, radius by radius.
+
+    With X_j = ((dist == j) o w) A, entry X_j[u, v] is the w-weight of the
+    neighbours of v in Gamma_j(u).  Yields (i, mask, c, a, b) for
+    i = 0..D, where ``mask[u, v]`` says v lies in Gamma_i(u) and c, a, b
+    are X_{i-1}, X_i, X_{i+1} divided by w_v (read them where ``mask``
+    holds).  Only three X are alive at a time.
+    """
+    adjacency = dd.matrix(1)
+    zero = np.zeros((dd.n, dd.n))
+
+    def counts(j):
+        if j > dd.diameter:
+            return zero
+        return np.where(dd.dist == j, w, 0.0) @ adjacency / w
+
+    prev, cur = zero, counts(0)
+    for i in range(dd.diameter + 1):
+        nxt = counts(i + 1)
+        yield i, dd.dist == i, prev, cur, nxt
+        prev, cur = cur, nxt
 
 
-def is_pseudo_dr_around(u: int, dd: DistanceData, pw: PerronWeights,
-                        tol: float = DEFAULT_ORACLE_TOL) -> PseudoDRResult:
-    """Constancy oracle for pseudo-distance-regularity around u."""
-    profile = _weighted_counts(u, dd, pw.alpha, _adjacency_from(dd))
-    numbers = np.zeros((3, len(profile)))
-    for i, (members, c, a, b) in enumerate(profile):
-        for which, vals in (("c", c), ("a", a), ("b", b)):
-            spread = float(vals.max() - vals.min())
-            if spread > tol * max(1.0, float(np.abs(vals).max())):
-                v = int(members[np.argmin(vals)])
-                w = int(members[np.argmax(vals)])
-                return PseudoDRResult(
-                    vertex=u, is_pdr=False, numbers=None,
-                    violation=(i, v, w, float(vals.min()), float(vals.max()), which),
-                )
-        numbers[0, i] = c.mean()
-        numbers[1, i] = a.mean()
-        numbers[2, i] = b.mean()
-    return PseudoDRResult(vertex=u, is_pdr=True,
-                          numbers=_readonly(numbers), violation=None)
+def pseudo_dr_around_all(dd: DistanceData, pw: PerronWeights,
+                         tol: float = DEFAULT_ORACLE_TOL) -> tuple[PseudoDRResult, ...]:
+    """Constancy oracle for pseudo-distance-regularity around every vertex.
 
-
-def _adjacency_from(dd: DistanceData) -> np.ndarray:
-    return dd.distance_matrices[1] if dd.diameter >= 1 else np.zeros((dd.n, dd.n))
+    A triple is constant over a sphere when its spread is at most
+    tol * max(1, max |value|).  A root's violation is its first failing
+    radius, checking c before a before b; v and w are the first vertices
+    attaining the minimum and the maximum.
+    """
+    numbers = np.zeros((dd.n, 3, dd.diameter + 1))
+    violation = [None] * dd.n
+    for i, mask, *triple in _sphere_profile(dd, pw.alpha):
+        live = np.flatnonzero((dd.ecc >= i)
+                              & np.array([v is None for v in violation]))
+        if live.size == 0:
+            break
+        mask, rows = mask[live], np.arange(live.size)
+        for k, (which, x) in enumerate(zip("cab", triple)):
+            x = x[live]
+            at_lo = np.where(mask, x, np.inf).argmin(axis=1)
+            at_hi = np.where(mask, x, -np.inf).argmax(axis=1)
+            lo, hi = x[rows, at_lo], x[rows, at_hi]
+            scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+            for r in np.flatnonzero(hi - lo > tol * scale):
+                if violation[live[r]] is None:
+                    violation[live[r]] = (i, int(at_lo[r]), int(at_hi[r]),
+                                          float(lo[r]), float(hi[r]), which)
+            numbers[live, k, i] = np.where(mask, x, 0.0).sum(axis=1) / mask.sum(axis=1)
+    return tuple(
+        PseudoDRResult(vertex=u, is_pdr=False, numbers=None, violation=violation[u])
+        if violation[u] is not None else
+        PseudoDRResult(vertex=u, is_pdr=True, violation=None,
+                       numbers=_readonly(numbers[u, :, :dd.ecc[u] + 1].copy()))
+        for u in range(dd.n))
 
 
 @dataclass(frozen=True)
@@ -103,40 +124,24 @@ def is_distance_regular(dd: DistanceData) -> DistanceRegularityResult:
 
     Counts are integers, so constancy is exact.  When distance-regular the
     result carries the intersection array {b_0..b_{D-1}; c_1..c_D} plus the
-    a_i row.
+    a_i row.  Otherwise the violation is ("ecc", u, ecc_u, D) for the first
+    root u with a smaller eccentricity, or (i, which, min, max) for the first
+    radius and count c, a or b that is not the same around every root.
     """
-    n = dd.n
     big_d = dd.diameter
-    adjacency = _adjacency_from(dd)
-    c = np.full(big_d + 1, -1.0)
-    a = np.full(big_d + 1, -1.0)
-    b = np.full(big_d + 1, -1.0)
-    for u in range(n):
-        if dd.ecc[u] != big_d:
-            # distance-regular graphs have equal eccentricities everywhere
-            return DistanceRegularityResult(
-                False, None, ("ecc", u, int(dd.ecc[u]), big_d))
-        du_row = dd.dist[u]
-        for i in range(big_d + 1):
-            members = dd.sphere(u, i)
-            rows = adjacency[members]
-            triples = (
-                rows @ (du_row == i - 1) if i >= 1 else np.zeros(len(members)),
-                rows @ (du_row == i),
-                rows @ (du_row == i + 1),
-            )
-            for arr, vals in zip((c, a, b), triples):
-                vals = np.asarray(vals, dtype=float)
-                if vals.size == 0:
-                    continue
-                if vals.max() != vals.min():
-                    return DistanceRegularityResult(
-                        False, None, ("sphere", u, i, float(vals.min()), float(vals.max())))
-                if arr[i] < 0:
-                    arr[i] = vals[0]
-                elif arr[i] != vals[0]:
-                    return DistanceRegularityResult(
-                        False, None, ("root", u, i, float(arr[i]), float(vals[0])))
+    short = np.flatnonzero(dd.ecc != big_d)
+    if short.size:
+        # distance-regular graphs have equal eccentricities everywhere
+        u = int(short[0])
+        return DistanceRegularityResult(False, None, ("ecc", u, int(dd.ecc[u]), big_d))
+    numbers = np.zeros((3, big_d + 1))
+    for i, mask, *triple in _sphere_profile(dd, np.ones(dd.n)):
+        for k, (which, x) in enumerate(zip("cab", triple)):
+            lo, hi = x[mask].min(), x[mask].max()
+            if lo != hi:
+                return DistanceRegularityResult(False, None, (i, which, float(lo), float(hi)))
+            numbers[k, i] = lo
+    c, a, b = numbers
     array = {
         "b": [int(b[i]) for i in range(big_d)],
         "c": [int(c[i]) for i in range(1, big_d + 1)],
@@ -157,7 +162,8 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
     """
     v = spec.vectors
     residuals = np.zeros(dd.diameter + 1)
-    for i, a_i in enumerate(dd.distance_matrices):
+    for i in range(dd.diameter + 1):
+        a_i = dd.matrix(i)
         diag = np.einsum("uk,uk->k", v, a_i @ v)  # (V^T A_i V)_kk
         coef = class_sums(diag, spec) / spec.mults
         residuals[i] = np.linalg.norm(a_i - (v * coef[spec.class_index]) @ v.T)
@@ -175,7 +181,7 @@ def partial_dr_level(dd: DistanceData, spec: Spectrum, seq: PolySequence,
     top = min(dd.diameter, seq.top_degree)
     level = 0
     for i in range(1, top + 1):
-        diff = evaluate_at_matrix(seq.values[i], spec) - dd.distance_matrices[i]
+        diff = evaluate_at_matrix(seq.values[i], spec) - dd.matrix(i)
         if np.abs(diff).max() > tol * max(1.0, dd.n):
             break
         level = i
@@ -207,7 +213,7 @@ def classify_graph(g: Graph, dd: DistanceData, pw: PerronWeights,
     degrees = g.adjacency.sum(axis=1)
     is_regular = bool(np.all(degrees == degrees[0]))
     drg = is_distance_regular(dd)
-    pdr = tuple(is_pseudo_dr_around(u, dd, pw, tol) for u in range(g.n))
+    pdr = pseudo_dr_around_all(dd, pw, tol)
     is_dp, residuals = is_distance_polynomial(dd, spec, tol)
     level = partial_dr_level(dd, spec, seq, tol)
     return Classification(

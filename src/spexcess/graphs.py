@@ -4,6 +4,10 @@ Vertices are dense integers 0..n-1.  Graphs are finite, simple and connected;
 disconnected input is a hard error because everything downstream (Perron
 vector, local spectra, predistance polynomials) assumes a single component.
 
+Hop distances come from a level-synchronous BFS from every root at once,
+one dense product per level; only the distance table is stored, and the
+distance matrices A_i, spheres and balls are derived from it on demand.
+
 Input formats:
 
 * edge list -- one ``u v`` pair per line, whitespace separated, full-line
@@ -14,7 +18,6 @@ Input formats:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,21 +76,14 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[u])
 
-    def adjacency_lists(self) -> list[np.ndarray]:
-        return [self.neighbors(u) for u in range(self.n)]
-
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
+        """Frontier expansion from vertex 0, one matrix-vector product per level."""
         seen = np.zeros(self.n, dtype=bool)
         seen[0] = True
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
+        frontier = seen
+        while frontier.any():
+            frontier = (self.adjacency @ frontier > 0) & ~seen
+            seen = seen | frontier
         return bool(seen.all())
 
     def permuted(self, perm) -> "Graph":
@@ -101,19 +97,21 @@ class Graph:
 class DistanceData:
     """All-pairs hop distances and the derived distance partition.
 
-    ``distance_matrices[i]`` is the 0/1 matrix of pairs at distance exactly i,
-    so A_0 = I, A_1 = A and the stack sums to the all-ones matrix.
-    Spheres and balls are derived from ``dist`` on demand.
+    Only ``dist`` is stored: the distance matrices A_i, spheres and balls
+    are derived from it on demand, so memory stays O(n^2) whatever D is.
     """
 
     dist: np.ndarray
-    distance_matrices: tuple[np.ndarray, ...]
     ecc: np.ndarray
     diameter: int
 
     @property
     def n(self) -> int:
         return self.dist.shape[0]
+
+    def matrix(self, i: int) -> np.ndarray:
+        """A_i, the 0/1 matrix of pairs at distance exactly i (A_0 = I, A_1 = A)."""
+        return (self.dist == i).astype(float)
 
     def sphere(self, u: int, i: int) -> np.ndarray:
         """Vertices at distance exactly i from u (empty beyond ecc[u])."""
@@ -125,33 +123,31 @@ class DistanceData:
 
 
 def distance_data(g: Graph) -> DistanceData:
-    """BFS-exact distance data for a connected graph."""
+    """Exact hop distances by a level-synchronous BFS from every root at once.
+
+    Row u of ``frontier`` is the sphere of radius ``level`` around u; one
+    product with A per level gives the next sphere, so the whole table
+    costs D dense products.  A product entry is a sum of nonnegative
+    counts that is only compared with 0, so single precision is exact and
+    halves the cost.
+    """
     n = g.n
-    adj = g.adjacency_lists()
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[s, u]
-            for v in adj[u]:
-                if dist[s, v] < 0:
-                    dist[s, v] = du + 1
-                    queue.append(v)
+    adjacency = g.adjacency.astype(np.float32)
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    frontier = np.eye(n, dtype=np.float32)
+    level = 0
+    while True:
+        reached = (frontier @ adjacency > 0) & (dist < 0)
+        if not reached.any():
+            break
+        level += 1
+        dist[reached] = level
+        frontier = reached.astype(np.float32)
     if (dist < 0).any():
         raise DisconnectedError("graph must be connected")
     ecc = dist.max(axis=1)
-    diameter = int(ecc.max())
-    mats = tuple(
-        _readonly((dist == i).astype(float)) for i in range(diameter + 1)
-    )
-    return DistanceData(
-        dist=_readonly(dist),
-        distance_matrices=mats,
-        ecc=_readonly(ecc),
-        diameter=diameter,
-    )
+    return DistanceData(dist=_readonly(dist), ecc=_readonly(ecc),
+                        diameter=int(ecc.max()))
 
 
 def degree_profile(g: Graph) -> tuple[np.ndarray, bool]:

@@ -114,14 +114,6 @@ class PerronWeights:
     def n(self) -> int:
         return len(self.alpha)
 
-    def rho(self, u: int) -> np.ndarray:
-        vec = np.zeros(self.n)
-        vec[u] = self.alpha[u]
-        return vec
-
-    def rho_norm_sq(self, subset) -> float:
-        return float(np.sum(self.alpha[np.asarray(subset, dtype=np.int64)] ** 2))
-
 
 def perron_weights(spec: Spectrum, pos_tol: float = 1e-10) -> PerronWeights:
     """Perron vector from the top eigenclass (requires multiplicity 1)."""

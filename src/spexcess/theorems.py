@@ -276,7 +276,7 @@ def check_lee_weng(ga) -> TheoremReport:
     rhs = ga.stats.spectral_excess
     comp = _compare("delta*_D <= p_>=D(lambda0)", lhs, rhs, eq_tol)
     tail_at_a = evaluate_at_matrix(_p_geq(ga, ga.D), ga.spectrum)
-    astar_d = ga.wm.astar[-1]
+    astar_d = ga.wm.astar_at(ga.D)
     cert = _matrix_certificate("A*_D == p_>=D(A)", astar_d, tail_at_a,
                                eq_tol, ga.n)
     equality = comp.scalar_equal and cert.passes
@@ -441,8 +441,9 @@ def check_chain(ga) -> TheoremReport:
     comp_ii = _compare("delta*_D <= n - H*_<=D-1",
                        ga.stats.delta_star[-1], middle, eq_tol)
     tail_at_a = evaluate_at_matrix(_p_geq(ga, ga.D), ga.spectrum)
+    astar_d = ga.wm.astar_at(ga.D)
     cert_i = _matrix_certificate("p_>=D(A) == A*_D", tail_at_a,
-                                 ga.wm.astar[-1], eq_tol, ga.n)
+                                 astar_d, eq_tol, ga.n)
     excess = ga.stats.sphere_norms[:, -1]
     cert_ii = Certificate(
         name="||rho_Gamma_D(u)||^2 constant over u",
@@ -465,7 +466,7 @@ def check_chain(ga) -> TheoremReport:
         equality_holds=eq_i and eq_ii,
         verdict="; ".join(parts),
         details={"equality_i": eq_i, "equality_ii": eq_ii},
-        witnesses={"p_geqD_at_A": tail_at_a, "Astar_D": ga.wm.astar[-1],
+        witnesses={"p_geqD_at_A": tail_at_a, "Astar_D": astar_d,
                    "weighted_excess_per_vertex": excess},
     )
 

@@ -29,26 +29,27 @@ from .spectral import PerronWeights
 
 @dataclass(frozen=True)
 class WeightedMatrices:
-    """J*, the weighted distance matrices A*_0..A*_D, and their partial sums."""
+    """J* and, built on demand from the distances, A*_i and S*_j.
+
+    Each entry of S*_j = A*_0 + ... + A*_j has one nonzero term, so masking
+    J* with dist <= j gives the partial sum bit for bit.
+    """
 
     jstar: np.ndarray
-    astar: tuple[np.ndarray, ...]
-    sstar: tuple[np.ndarray, ...]
+    dist: np.ndarray
+
+    def astar_at(self, i: int) -> np.ndarray:
+        """A*_i = A_i o J*."""
+        return np.where(self.dist == i, self.jstar, 0.0)
 
     def sstar_at(self, j: int) -> np.ndarray:
         """S*_j, saturating at J* for j >= D."""
-        return self.sstar[min(j, len(self.sstar) - 1)]
+        return np.where(self.dist <= j, self.jstar, 0.0)
 
 
 def weighted_matrices(dd: DistanceData, pw: PerronWeights) -> WeightedMatrices:
-    jstar = np.outer(pw.alpha, pw.alpha)
-    astar = tuple(_readonly(a_i * jstar) for a_i in dd.distance_matrices)
-    sstar = []
-    acc = np.zeros_like(jstar)
-    for a in astar:
-        acc = acc + a
-        sstar.append(_readonly(acc))
-    return WeightedMatrices(jstar=_readonly(jstar), astar=astar, sstar=tuple(sstar))
+    return WeightedMatrices(jstar=_readonly(np.outer(pw.alpha, pw.alpha)),
+                            dist=dd.dist)
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,12 @@ def excess_stats(dd: DistanceData, pw: PerronWeights,
     n = dd.n
     big_d = dd.diameter
     alpha2 = pw.alpha ** 2
-    sphere = np.stack(
-        [dd.distance_matrices[i] @ alpha2 for i in range(big_d + 1)], axis=1
-    )
+    sphere = np.stack([(dd.dist == i) @ alpha2 for i in range(big_d + 1)], axis=1)
     balls = np.cumsum(sphere, axis=1)
     harmonic = n / np.sum(alpha2[:, None] / balls, axis=0)
     delta = (alpha2[:, None] * sphere).sum(axis=0) / n
     q_prev = seq.q_lambda0[big_d - 1] if big_d >= 1 else 0.0
-    adjacency = dd.distance_matrices[1] if big_d >= 1 else np.zeros((n, n))
-    avg_wdeg = (adjacency @ pw.alpha) / pw.alpha
+    avg_wdeg = ((dd.dist == 1) @ pw.alpha) / pw.alpha
     return ExcessStats(
         ball_norms=_readonly(balls),
         sphere_norms=_readonly(sphere),

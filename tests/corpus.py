@@ -13,6 +13,7 @@ import random
 import networkx as nx
 import numpy as np
 
+from spexcess.classify import DEFAULT_ORACLE_TOL
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph, run_all_checks
 
@@ -201,6 +202,77 @@ def battery_oracle_agreement(analyzed):
     return fails
 
 
+def reference_pseudo_dr(u, dd, alpha, adjacency, tol=DEFAULT_ORACLE_TOL):
+    """The per-root, per-radius loop the batched oracle replaced.
+
+    Returns (is_pdr, numbers, violation) for root u, with the same
+    constancy test, means and first-violation order.
+    """
+    du_row = dd.dist[u]
+    numbers = np.zeros((3, int(dd.ecc[u]) + 1))
+    for i in range(int(dd.ecc[u]) + 1):
+        members = dd.sphere(u, i)
+        rows = adjacency[members]
+        prev = (du_row == i - 1) if i >= 1 else np.zeros(dd.n, dtype=bool)
+        triple = [rows @ (alpha * mask) / alpha[members]
+                  for mask in (prev, du_row == i, du_row == i + 1)]
+        for k, (which, vals) in enumerate(zip("cab", triple)):
+            spread = float(vals.max() - vals.min())
+            if spread > tol * max(1.0, float(np.abs(vals).max())):
+                v = int(members[np.argmin(vals)])
+                w = int(members[np.argmax(vals)])
+                return False, None, (i, v, w, float(vals.min()), float(vals.max()), which)
+            numbers[k, i] = vals.mean()
+    return True, numbers, None
+
+
+def battery_pseudo_dr_reference(analyzed, tol=1e-12):
+    """The batched pseudo-DR oracle against the per-root reference loop:
+    is_pdr, the violation's radius, vertices and triple exactly, and the
+    numbers and violation values to ``tol`` relative to max(1, |value|)."""
+    fails = []
+
+    def close(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return x.shape == y.shape and bool(
+            np.all(np.abs(x - y) <= tol * np.maximum(1.0, np.abs(y))))
+
+    for name, ga, _reports in analyzed:
+        for res in ga.classification.pseudo_dr:
+            is_pdr, numbers, violation = reference_pseudo_dr(
+                res.vertex, ga.dd, ga.perron.alpha, ga.graph.adjacency,
+                ga.tols.equality)
+            if res.is_pdr != is_pdr:
+                fails.append(f"{name}: vertex {res.vertex}: is_pdr {res.is_pdr}")
+            elif is_pdr and not close(res.numbers, numbers):
+                fails.append(f"{name}: vertex {res.vertex}: numbers differ")
+            elif not is_pdr and (
+                    res.violation[:3] + res.violation[5:] != violation[:3] + violation[5:]
+                    or not close(res.violation[3:5], violation[3:5])):
+                fails.append(f"{name}: vertex {res.vertex}: violation "
+                             f"{res.violation} vs {violation}")
+    return fails
+
+
+def battery_distance_regular_networkx(analyzed):
+    """The distance-regularity oracle against networkx, with the b, c and a rows."""
+    fails = []
+    for name, ga, _reports in analyzed:
+        h = nx.Graph(ga.graph.edges)
+        h.add_nodes_from(range(ga.n))
+        cls = ga.classification
+        if cls.is_distance_regular != nx.is_distance_regular(h):
+            fails.append(f"{name}: is_distance_regular {cls.is_distance_regular}")
+        elif cls.is_distance_regular:
+            b, c = nx.intersection_array(h)
+            # a_i = k - b_i - c_i with b_D = c_0 = 0
+            a = [b[0] - bi - ci for bi, ci in zip(list(b) + [0], [0] + list(c))]
+            got = cls.intersection_array
+            if (got["b"], got["c"], got["a"]) != (list(b), list(c), a):
+                fails.append(f"{name}: intersection array {got} vs {b}, {c}")
+    return fails
+
+
 ALL_BATTERIES = (
     battery_mean_of_local_products,
     battery_orthogonality,
@@ -210,6 +282,8 @@ ALL_BATTERIES = (
     battery_hoffman,
     battery_weighted_degree,
     battery_oracle_agreement,
+    battery_pseudo_dr_reference,
+    battery_distance_regular_networkx,
 )
 
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import corpus
+from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess.classify import (
     is_distance_polynomial,
     is_distance_regular,
-    is_pseudo_dr_around,
     partial_dr_level,
+    pseudo_dr_around_all,
 )
 from spexcess.pipeline import analyze_graph
 from spexcess.theorems import check_local_spet
@@ -19,8 +21,7 @@ def _ga(name):
 
 def test_petersen_pseudo_dr_everywhere():
     ga = _ga("petersen")
-    for u in range(10):
-        res = is_pseudo_dr_around(u, ga.dd, ga.perron)
+    for res in pseudo_dr_around_all(ga.dd, ga.perron):
         assert res.is_pdr
         expected = np.array([[0.0, 1.0, 1.0],   # c*
                              [0.0, 0.0, 2.0],   # a*
@@ -32,8 +33,7 @@ def test_pseudo_intersection_row_sums():
     # c* + a* + b* = lambda_0 at every radius (all neighbors accounted for)
     for name in ("k23", "p3", "petersen", "k13"):
         ga = _ga(name)
-        for u in range(ga.n):
-            res = is_pseudo_dr_around(u, ga.dd, ga.perron)
+        for res in pseudo_dr_around_all(ga.dd, ga.perron):
             if res.is_pdr:
                 sums = res.numbers.sum(axis=0)
                 assert np.abs(sums - ga.lambda0).max() <= 1e-9
@@ -41,14 +41,13 @@ def test_pseudo_intersection_row_sums():
 
 def test_p3_center_pseudo_dr():
     ga = _ga("p3")
-    res = is_pseudo_dr_around(1, ga.dd, ga.perron)
-    assert res.is_pdr
+    res = pseudo_dr_around_all(ga.dd, ga.perron)[1]
+    assert res.vertex == 1 and res.is_pdr
 
 
 def test_k13_leaf_agrees_with_local_spet():
     ga = _ga("k13")
-    for u in range(4):
-        oracle = is_pseudo_dr_around(u, ga.dd, ga.perron)
+    for u, oracle in enumerate(pseudo_dr_around_all(ga.dd, ga.perron)):
         spectral = check_local_spet(ga, u)
         assert oracle.is_pdr == spectral.equality_holds
         assert spectral.details["oracle_agrees"]
@@ -56,11 +55,19 @@ def test_k13_leaf_agrees_with_local_spet():
 
 def test_pseudo_dr_violation_reported():
     ga = _ga("c8_12")
-    res = is_pseudo_dr_around(0, ga.dd, ga.perron)
+    res = pseudo_dr_around_all(ga.dd, ga.perron)[0]
     assert not res.is_pdr
     i, v, w, lo, hi, which = res.violation
     assert hi - lo > 1e-7
     assert which in ("a", "b", "c")
+
+
+def test_oracles_match_references_on_fixtures(analyses):
+    analyzed = [(name, analyses(name), None) for name in ALL_NAMES]
+    for battery in (corpus.battery_pseudo_dr_reference,
+                    corpus.battery_distance_regular_networkx):
+        fails = battery(analyzed)
+        assert not fails, fails[:5]
 
 
 def test_distance_regular_petersen():
@@ -93,6 +100,9 @@ def test_not_distance_regular():
         res = is_distance_regular(_ga(name).dd)
         assert not res.is_drg
         assert res.violation is not None
+    # K2,3: degrees 2 and 3 give two values of b_0; P3: the centre has ecc 1
+    assert is_distance_regular(_ga("k23").dd).violation == (0, "b", 2.0, 3.0)
+    assert is_distance_regular(_ga("p3").dd).violation == ("ecc", 1, 1, 2)
 
 
 def test_distance_polynomial_drg_fixtures():

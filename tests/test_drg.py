@@ -32,6 +32,7 @@ DRGS = {
     "paley-29": lambda: nx.Graph(nx.paley_graph(29).to_undirected()),
     "johnson-8-2": lambda: _johnson(8, 2),
     "q6": lambda: nx.hypercube_graph(6),
+    "q8": lambda: nx.hypercube_graph(8),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from spexcess import fixtures as fx
 from spexcess.errors import DisconnectedError, LoopOrMultiEdgeError, ParseError
 from spexcess.graphs import (
@@ -37,6 +38,11 @@ def test_load_single_edge():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedError, match="connected"):
         load_graph("0 1\n2 3")
+    g = Graph.from_edges(4, [(0, 1), (2, 3)], require_connected=False)
+    assert not g.is_connected()
+    with pytest.raises(DisconnectedError, match="connected"):
+        distance_data(g)
+    assert Graph.from_edges(1, []).is_connected()
 
 
 def test_loop_rejected():
@@ -124,10 +130,10 @@ def test_distance_partition_invariants():
     for name in ("k23", "petersen", "p3", "c6", "c8_12"):
         g = fx.named(name)
         dd = distance_data(g)
-        stack = np.sum(dd.distance_matrices, axis=0)
+        stack = sum(dd.matrix(i) for i in range(dd.diameter + 1))
         assert np.array_equal(stack, np.ones((g.n, g.n)))
-        assert np.array_equal(dd.distance_matrices[0], np.eye(g.n))
-        assert np.array_equal(dd.distance_matrices[1], g.adjacency)
+        assert np.array_equal(dd.matrix(0), np.eye(g.n))
+        assert np.array_equal(dd.matrix(1), g.adjacency)
         assert dd.diameter == dd.ecc.max()
         assert dd.diameter <= g.n - 1
         for u in range(g.n):
@@ -141,21 +147,29 @@ def test_distance_partition_invariants():
 
 def test_distances_match_networkx():
     rng = random.Random(11)
+    graphs = []
     for _ in range(20):
         n = rng.randrange(4, 11)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.45]
         try:
-            g = Graph.from_edges(n, edges)
+            graphs.append(Graph.from_edges(n, edges))
         except Exception:
             continue
+    # long diameters: one frontier product per level, up to D = 39
+    graphs += [fx.path(40), fx.cycle(60)]
+    tree_rng = random.Random(60)
+    graphs += [corpus.random_tree(tree_rng, 60) for _ in range(10)]
+    graphs += [g for _name, g in corpus.build_wide_corpus()]
+    for g in graphs:
         dd = distance_data(g)
         ref = nx.Graph(list(g.edges))
-        ref.add_nodes_from(range(n))
+        ref.add_nodes_from(range(g.n))
         lengths = dict(nx.all_pairs_shortest_path_length(ref))
-        for u in range(n):
-            for v in range(n):
-                assert dd.dist[u, v] == lengths[u][v]
+        expected = np.array([[lengths[u][v] for v in range(g.n)] for u in range(g.n)])
+        assert np.array_equal(dd.dist, expected)
+        assert np.array_equal(dd.ecc, expected.max(axis=1))
+        assert dd.diameter == expected.max()
 
 
 def test_triangle_inequality_and_edges():

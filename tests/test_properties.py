@@ -56,6 +56,16 @@ def test_oracle_agreement(analyzed):
     assert not fails, fails[:5]
 
 
+def test_pseudo_dr_oracle_matches_reference(analyzed):
+    fails = corpus.battery_pseudo_dr_reference(analyzed)
+    assert not fails, fails[:5]
+
+
+def test_distance_regular_oracle_matches_networkx(analyzed):
+    fails = corpus.battery_distance_regular_networkx(analyzed)
+    assert not fails, fails[:5]
+
+
 def test_orthogonality_and_normalization_on_corpus(analyzed):
     fails = corpus.battery_orthogonality(analyzed)
     assert not fails, fails[:5]

@@ -132,7 +132,7 @@ def test_t33_drg_equality(analyses):
 def test_t33_petersen_witness_is_a2(analyses):
     ga = analyses("petersen")
     rep = check_lee_weng(ga)
-    assert np.abs(rep.witnesses["p_geqD_at_A"] - ga.dd.distance_matrices[2]).max() <= 1e-7
+    assert np.abs(rep.witnesses["p_geqD_at_A"] - ga.dd.matrix(2)).max() <= 1e-7
 
 
 # --- T34 harmonic bound -----------------------------------------------------------

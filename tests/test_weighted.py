@@ -14,27 +14,31 @@ def _ga(name):
 
 def test_weighted_matrices_regular_equal_unweighted():
     ga = _ga("petersen")
-    for a_star, a_i in zip(ga.wm.astar, ga.dd.distance_matrices):
-        assert np.abs(a_star - a_i).max() <= 1e-10
+    for i in range(ga.D + 1):
+        assert np.abs(ga.wm.astar_at(i) - ga.dd.matrix(i)).max() <= 1e-10
     assert np.abs(ga.wm.jstar - 1.0).max() <= 1e-10
 
 
 def test_weighted_matrices_k23_entries():
     ga = _ga("k23")
     # degree-3 vertices are 0 and 1, at distance 2 from each other
-    assert ga.wm.astar[2][0, 1] == pytest.approx(5 / 4, rel=1e-10)
-    assert ga.wm.astar[2][0, 0] == 0.0
+    assert ga.wm.astar_at(2)[0, 1] == pytest.approx(5 / 4, rel=1e-10)
+    assert ga.wm.astar_at(2)[0, 0] == 0.0
     # A*_0 = diag(alpha_u^2), the weighted identity
-    assert np.abs(ga.wm.astar[0] - np.diag(ga.perron.alpha ** 2)).max() <= 1e-12
+    assert np.abs(ga.wm.astar_at(0) - np.diag(ga.perron.alpha ** 2)).max() <= 1e-12
 
 
 def test_weighted_partition_identity():
     for name in ("k23", "p3", "c8_12", "petersen"):
         ga = _ga(name)
-        total = np.sum(ga.wm.astar, axis=0)
+        total = np.zeros((ga.n, ga.n))
+        for j in range(ga.D + 1):
+            total = total + ga.wm.astar_at(j)
+            # each entry of the partial sum has one nonzero term
+            assert np.array_equal(ga.wm.sstar_at(j), total)
         assert np.abs(total - ga.wm.jstar).max() <= 1e-12
-        assert np.abs(ga.wm.sstar[-1] - ga.wm.jstar).max() <= 1e-12
-        assert np.abs(ga.wm.sstar_at(ga.D + 3) - ga.wm.jstar).max() <= 1e-12
+        assert np.array_equal(ga.wm.sstar_at(ga.D), ga.wm.jstar)
+        assert np.array_equal(ga.wm.sstar_at(ga.D + 3), ga.wm.jstar)
 
 
 def test_ball_norms_saturate_at_n():
@@ -81,7 +85,7 @@ def test_delta_star_equals_matrix_norm():
     # two computation paths: statistics vs (1/n) tr((A*_D)^2)
     for name in ("k23", "p3", "petersen", "c8_12"):
         ga = _ga(name)
-        a_star_d = ga.wm.astar[-1]
+        a_star_d = ga.wm.astar_at(ga.D)
         via_trace = float(np.sum(a_star_d * a_star_d)) / ga.n
         assert ga.stats.delta_star[-1] == pytest.approx(via_trace, rel=1e-9)
 
