@@ -20,6 +20,7 @@ SPEXCESS_TOL_PRESENCE and SPEXCESS_TOL_EQ; a flag wins over its variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -95,6 +96,7 @@ def _load(args):
     return read_graph_file(args.path, fmt=fmt)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spexcess",

@@ -8,7 +8,7 @@ excess statistics -> combinatorial classification) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import classify, poly, spectral, theorems, weighted
 from .graphs import DistanceData, Graph, distance_data
@@ -29,7 +29,8 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """Everything derived from one graph, immutable and shareable."""
+    """Everything derived from one graph, shareable and frozen except for
+    ``memo``, where ``theorems`` keeps the certificate matrices it shares."""
 
     graph: Graph
     tols: Tolerances
@@ -42,6 +43,8 @@ class GraphAnalysis:
     wm: weighted.WeightedMatrices
     stats: weighted.ExcessStats
     classification: classify.Classification
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def n(self) -> int:
@@ -70,18 +73,16 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
     pw = spectral.perron_weights(spec)
     locals_ = spectral.local_spectra(spec, dd, presence_tol=tols.presence)
-    (gseq,) = poly.predistance_polynomials(spec.lambdas, [spec.mults / spec.n],
-                                           [spec.d])
-    lseqs = poly.predistance_polynomials(
-        spec.lambdas, [ls.local_mults for ls in locals_],
-        [ls.du for ls in locals_], alpha=pw.alpha)
+    gseq, *lseqs = poly.predistance_polynomials(
+        spec.lambdas, [spec.mults / spec.n] + [ls.local_mults for ls in locals_],
+        [spec.d] + [ls.du for ls in locals_], alpha=pw.alpha)
     wm = weighted.weighted_matrices(dd, pw)
     stats = weighted.excess_stats(dd, pw, gseq)
     cls = classify.classify_graph(g, dd, pw, spec, gseq, locals_,
                                   tol=tols.equality)
     return GraphAnalysis(
         graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw,
-        local_spectra=locals_, global_seq=gseq, local_seqs=lseqs,
+        local_spectra=locals_, global_seq=gseq, local_seqs=tuple(lseqs),
         wm=wm, stats=stats, classification=cls,
     )
 

@@ -21,7 +21,10 @@ form kept: no monomial coefficients, which lose all accuracy at high
 degree.  The families come from the discretized Stieltjes (Lanczos)
 procedure with full reorthogonalization (Gautschi, *Orthogonal Polynomials:
 Computation and Approximation*, 2004, section 2.2), run on many measures at
-once.  The three-term recurrence
+once: the pipeline passes the global measure as row 0 and the n local
+measures as rows 1..n, and the pass sorts the rows by descending degree so
+that the rows still running at each step form one contiguous block.  The
+three-term recurrence
 
     x * p_i = b_{i-1} p_{i-1} + a_i p_i + c_{i+1} p_{i+1}
 
@@ -88,13 +91,18 @@ def predistance_polynomials(nodes, weights, degrees,
 
     ``nodes`` are the distinct eigenvalues (descending, lambda_0 first),
     row r of ``weights`` a measure on them and ``degrees[r]`` the top degree
-    of its family.  With ``alpha`` None the rows are global measures
-    (s = 1); otherwise row u is the u-local measure, with s = alpha[u]^2.
+    of its family.  With ``alpha`` None every row is a global measure
+    (s = 1).  Otherwise row 0 is the global measure (s = 1, ``vertex``
+    None) and row u+1 the u-local one (s = alpha[u]^2, ``vertex`` u), so
+    one call builds every family of a graph.
 
     Builds the orthonormal family phi_0..phi_m by the Stieltjes procedure
     (phi_j from x * phi_{j-1}, orthogonalized twice against every earlier
     phi), then rescales: p_j = s * phi_j(lambda_0) * phi_j satisfies
-    ||p_j||^2 = s * p_j(lambda_0) and p_j(lambda_0) > 0.
+    ||p_j||^2 = s * p_j(lambda_0) and p_j(lambda_0) > 0.  The rows are
+    sorted once by descending degree, so the rows still running at step j
+    are a leading block and every per-step slice is a view; the families
+    come back in the caller's row order.
     """
     nodes = np.asarray(nodes, dtype=float)
     w = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -103,56 +111,59 @@ def predistance_polynomials(nodes, weights, degrees,
     if alpha is None:
         scale = np.ones(rows)
     else:
-        scale = np.asarray(alpha, dtype=float) ** 2
+        scale = np.concatenate(([1.0], np.asarray(alpha, dtype=float) ** 2))
         if scale.shape != (rows,):
-            raise ValueError("alpha needs one entry per row of weights")
+            raise ValueError("alpha needs one entry per local row of weights")
     if degrees.shape != (rows,) or w.shape[1] != len(nodes):
         raise ValueError("weights must be (rows, nodes) with one degree per row")
     if np.any(degrees >= len(nodes)):
         raise DegreeError(f"degrees must lie in 0..{len(nodes) - 1}")
     top = int(degrees.max(initial=0))
+    order = np.argsort(-degrees, kind="stable")
+    ws = w[order]
+    # live[j]: how many sorted rows have degree >= j
+    live = np.searchsorted(-degrees[order], -np.arange(top + 1), side="right")
 
     phi = np.zeros((rows, top + 1, len(nodes)))
     beta = np.zeros((rows, top + 1))
-    phi[:, 0] = 1.0 / np.sqrt(w.sum(axis=1))[:, None]
+    phi[:, 0] = 1.0 / np.sqrt(ws.sum(axis=1))[:, None]
     for j in range(1, top + 1):
-        act = np.flatnonzero(degrees >= j)
-        wa, basis = w[act], phi[act, :j]
-        v = nodes * phi[act, j - 1]
+        wa, basis = ws[: live[j]], phi[: live[j], :j]
+        v = nodes * phi[: live[j], j - 1]
         start = np.sqrt(np.sum(wa * v * v, axis=1))
         for _ in range(2):  # full orthogonalization plus one repeat pass
-            coef = np.einsum("rk,rik->ri", wa * v, basis)
-            v = v - np.einsum("ri,rik->rk", coef, basis)
+            coef = np.matmul((wa * v)[:, None], basis.transpose(0, 2, 1))
+            v = v - np.matmul(coef, basis)[:, 0]
         nrm = np.sqrt(np.sum(wa * v * v, axis=1))
         if np.any(nrm <= _DEGENERACY_TOL * start):
             raise DegenerateMeasureError(
                 f"measure is numerically singular at degree {j} "
                 "(eigenvalues may be wrongly grouped)"
             )
-        phi[act, j] = v / nrm[:, None]
-        beta[act, j] = nrm
+        phi[: live[j], j] = v / nrm[:, None]
+        beta[: live[j], j] = nrm
 
     # p_j = k_j phi_j; the Lanczos relation x phi_j = beta_j phi_{j-1} +
     # a_j phi_j + beta_{j+1} phi_{j+1} turns into the p-recurrence.  k_j is
     # nonzero up to each row's degree (lambda_0 lies above every zero of
     # phi_j) and zero past it, where the quotients are sliced off below.
-    k = scale[:, None] * phi[:, :, 0]
+    k = scale[order][:, None] * phi[:, :, 0]
     kk = np.where(k == 0.0, 1.0, k)
     values = k[:, :, None] * phi
-    rec_a = np.einsum("rk,rik->ri", w * nodes, phi * phi)
+    rec_a = np.einsum("rk,rik->ri", ws * nodes, phi * phi)
     rec_b = beta[:, 1:] * k[:, 1:] / kk[:, :-1]
     rec_c = beta[:, 1:] * k[:, :-1] / kk[:, 1:]
     return tuple(
         PolySequence(
             weights=_readonly(w[r]),
-            values=_readonly(values[r, : m + 1]),
-            rec_a=_readonly(rec_a[r, : m + 1]),
-            rec_b=_readonly(rec_b[r, :m]),
-            rec_c=_readonly(rec_c[r, :m]),
+            values=_readonly(values[s, : m + 1]),
+            rec_a=_readonly(rec_a[s, : m + 1]),
+            rec_b=_readonly(rec_b[s, :m]),
+            rec_c=_readonly(rec_c[s, :m]),
             norm_scale=float(scale[r]),
-            vertex=None if alpha is None else r,
+            vertex=None if alpha is None or r == 0 else r - 1,
         )
-        for r, m in enumerate(degrees.tolist())
+        for r, (s, m) in enumerate(zip(np.argsort(order).tolist(), degrees.tolist()))
     )
 
 

@@ -4,7 +4,9 @@ Every check produces a TheoremReport with the raw left/right values, the
 slack, and -- crucially -- a certificate: scalar equality alone never yields a
 positive verdict, the associated matrix or constancy identity must also hold.
 When the slack is positive but within 100x the equality tolerance the report
-is flagged numerically ambiguous instead of picking a side.
+is flagged numerically ambiguous instead of picking a side.  Each matrix
+identity q_j(A) = S*_j and p_{>=D}(A) = A*_D is built once per graph and shared
+by the checks that certify it (T34, P35 and P36; T33 and T37).
 
 Checks (ids follow the report schema):
 
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import readonly as _readonly
 from .errors import DegreeError, HypothesisError
 from .poly import apply_to_vector, evaluate_at_matrix
 
@@ -125,15 +128,24 @@ def _compare(label: str, lhs: float, rhs: float, eq_tol: float,
     return Comparison(label=label, lhs=lhs, rhs=rhs, kind=kind, state=state)
 
 
-def _matrix_certificate(name: str, lhs: np.ndarray, rhs: np.ndarray,
-                        eq_tol: float, n: int) -> Certificate:
-    diff = float(np.abs(np.asarray(lhs) - np.asarray(rhs)).max())
-    return Certificate(name=name, max_abs_diff=diff, tol=eq_tol * max(1.0, n))
+def _certificate(ga, name: str, diff: float) -> Certificate:
+    return Certificate(name=name, max_abs_diff=diff,
+                       tol=ga.tols.equality * max(1.0, ga.n))
 
 
-def _p_geq(ga, i0: int) -> np.ndarray:
-    """p_{>=i0} = p_{i0} + ... + p_d on the eigenvalues (the tail of H)."""
-    return ga.global_seq.values[i0:].sum(axis=0)
+def _identity(ga, kind: str, i: int):
+    """(p(A), M, max|p(A) - M|) for q_i(A) = S*_i (``kind`` "q") or
+    p_{>=i}(A) = A*_i ("tail", p_{>=i} = p_i + ... + p_d), built once per
+    graph and kept in ``ga.memo`` for every check that needs it."""
+    if (kind, i) not in ga.memo:
+        if kind == "q":
+            vals, twin = ga.global_seq.sum_values(i), ga.wm.sstar_at(i)
+        else:
+            vals, twin = ga.global_seq.values[i:].sum(axis=0), ga.wm.astar_at(i)
+        p_at_a = _readonly(evaluate_at_matrix(vals, ga.spectrum))
+        ga.memo[kind, i] = (p_at_a, _readonly(twin),
+                            float(np.abs(p_at_a - twin).max()))
+    return ga.memo[kind, i]
 
 
 def check_local_bound(ga, u: int, j: int | None = None,
@@ -182,8 +194,8 @@ def check_local_bound(ga, u: int, j: int | None = None,
         target = np.zeros(ga.n)
         target[ball] = alpha[ball]
         target /= np.sqrt(ball_sq)
-        cert = _matrix_certificate("r(A)e_u/||r||_u == e_{N_j(u)}",
-                                   vec, target, eq_tol, ga.n)
+        cert = _certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}",
+                            float(np.abs(vec - target).max()))
         certs.append(cert)
         equality = cert.passes and ls.is_extremal
         witnesses = {"normalized_vector": vec, "weighted_ball_unit": target}
@@ -275,10 +287,8 @@ def check_lee_weng(ga) -> TheoremReport:
     lhs = ga.stats.delta_star[-1]
     rhs = ga.stats.spectral_excess
     comp = _compare("delta*_D <= p_>=D(lambda0)", lhs, rhs, eq_tol)
-    tail_at_a = evaluate_at_matrix(_p_geq(ga, ga.D), ga.spectrum)
-    astar_d = ga.wm.astar_at(ga.D)
-    cert = _matrix_certificate("A*_D == p_>=D(A)", astar_d, tail_at_a,
-                               eq_tol, ga.n)
+    tail_at_a, astar_d, diff = _identity(ga, "tail", ga.D)
+    cert = _certificate(ga, "A*_D == p_>=D(A)", diff)
     equality = comp.scalar_equal and cert.passes
     if equality:
         verdict = "spectral excess attained: A*_D = p_>=D(A)"
@@ -313,10 +323,8 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
     lhs = float(ga.global_seq.q_lambda0[j])
     rhs = ga.stats.harmonic_at(j)
     comp = _compare(f"q_{j}(lambda0) <= H*_<={j}", lhs, rhs, eq_tol)
-    q_at_a = evaluate_at_matrix(ga.global_seq.sum_values(j), ga.spectrum)
-    sstar_j = ga.wm.sstar_at(j)
-    cert = _matrix_certificate(f"q_{j}(A) == S*_{j}", q_at_a, sstar_j,
-                               eq_tol, ga.n)
+    q_at_a, sstar_j, diff = _identity(ga, "q", j)
+    cert = _certificate(ga, f"q_{j}(A) == S*_{j}", diff)
     equality = comp.scalar_equal and cert.passes
     if equality:
         verdict = f"harmonic bound attained: q_{j}(A) = S*_{j}"
@@ -342,15 +350,8 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
 
 
 def _partial_dr_certs(ga, m: int):
-    eq_tol = ga.tols.equality
-    certs = []
-    for j in (m - 1, m):
-        certs.append(_matrix_certificate(
-            f"q_{j}(A) == S*_{j}",
-            evaluate_at_matrix(ga.global_seq.sum_values(j), ga.spectrum),
-            ga.wm.sstar_at(j),
-            eq_tol, ga.n))
-    return tuple(certs)
+    return tuple(_certificate(ga, f"q_{j}(A) == S*_{j}", _identity(ga, "q", j)[2])
+                 for j in (m - 1, m))
 
 
 def _require_m(ga, m: int):
@@ -440,10 +441,8 @@ def check_chain(ga) -> TheoremReport:
                       middle, ga.stats.spectral_excess, eq_tol)
     comp_ii = _compare("delta*_D <= n - H*_<=D-1",
                        ga.stats.delta_star[-1], middle, eq_tol)
-    tail_at_a = evaluate_at_matrix(_p_geq(ga, ga.D), ga.spectrum)
-    astar_d = ga.wm.astar_at(ga.D)
-    cert_i = _matrix_certificate("p_>=D(A) == A*_D", tail_at_a,
-                                 astar_d, eq_tol, ga.n)
+    tail_at_a, astar_d, diff = _identity(ga, "tail", ga.D)
+    cert_i = _certificate(ga, "p_>=D(A) == A*_D", diff)
     excess = ga.stats.sphere_norms[:, -1]
     cert_ii = Certificate(
         name="||rho_Gamma_D(u)||^2 constant over u",

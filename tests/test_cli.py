@@ -312,3 +312,18 @@ def test_analyze_long_cycle_oracle_certified(capsys, tmp_path, n):
     assert code == 0, err
     t38 = [t for t in json.loads(out)["theorems"] if t["theoremId"] == "T38"]
     assert "oracle-certified" in t38[0]["verdict"]
+
+
+def test_parser_is_reused_across_calls(capsys, k23_file):
+    # one process, one parser: an argparse error and a different command in
+    # between leave the next analyze unchanged
+    code, first, _ = _run(capsys, ["analyze", k23_file])
+    assert code == 0
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", k23_file, "--no-such-flag"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, out, _ = _run(capsys, ["check", k23_file, "--theorem", "T37"])
+    assert code == 0 and json.loads(out)["theoremId"] == "T37"
+    code, second, _ = _run(capsys, ["analyze", k23_file])
+    assert code == 0 and second == first

@@ -34,9 +34,8 @@ def _power_eval(coeffs, a):
 
 # --- inner products ----------------------------------------------------------
 
-def _k23_pieces():
+def _pieces(g):
     from spexcess.spectral import eigendecompose, local_spectra, perron_weights
-    g = fx.k23()
     dd = distance_data(g)
     spec = eigendecompose(g)
     pw = perron_weights(spec)
@@ -44,10 +43,19 @@ def _k23_pieces():
     return g, dd, spec, pw, locs
 
 
+def _k23_pieces():
+    return _pieces(fx.k23())
+
+
+def _rows(spec, locs):
+    """The pipeline's layout: the global measure first, then one row per vertex."""
+    return ([spec.mults / spec.n] + [ls.local_mults for ls in locs],
+            [spec.d] + [ls.du for ls in locs])
+
+
 def _families(spec, locs, pw):
-    gseq, = predistance_polynomials(spec.lambdas, [spec.mults / spec.n], [spec.d])
-    lseqs = predistance_polynomials(spec.lambdas, [ls.local_mults for ls in locs],
-                                    [ls.du for ls in locs], alpha=pw.alpha)
+    gseq, *lseqs = predistance_polynomials(spec.lambdas, *_rows(spec, locs),
+                                           alpha=pw.alpha)
     return gseq, lseqs
 
 
@@ -101,20 +109,68 @@ def test_degenerate_measure_raises():
     nodes = np.array([2.0, 1.0, 1.0 + 1e-15])  # duplicated node
     with pytest.raises(DegenerateMeasureError):
         predistance_polynomials(nodes, [[0.25, 0.5, 0.25]], [2])
+    # a singular row that is neither first nor of top degree still raises
+    nodes = np.array([3.0, 2.0, 1.0, 1.0 + 1e-15, -1.0])
+    rows = [[0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.25, 0.25, 0.25, 0.0, 0.25],
+            [0.25, 0.0, 0.5, 0.25, 0.0]]
+    with pytest.raises(DegenerateMeasureError):
+        predistance_polynomials(nodes, rows, [1, 3, 2])
+    with pytest.raises(DegenerateMeasureError):
+        predistance_polynomials(nodes, rows, [3, 1, 2], alpha=[1.0, 1.0])
+    predistance_polynomials(nodes, rows[:2], [1, 3])  # the others alone pass
 
 
 def test_local_context_requires_alpha():
-    # local families take one Perron entry per row, the global one none
+    # row 0 is the global family, row u + 1 the local family of vertex u
     _, _, spec, pw, locs = _k23_pieces()
-    rows = [ls.local_mults for ls in locs]
-    degrees = [ls.du for ls in locs]
-    with pytest.raises(ValueError):
-        predistance_polynomials(spec.lambdas, rows, degrees, alpha=pw.alpha[:2])
+    rows, degrees = _rows(spec, locs)
+    for bad in (pw.alpha[:2], np.append(pw.alpha, 1.0)):
+        with pytest.raises(ValueError):
+            predistance_polynomials(spec.lambdas, rows, degrees, alpha=bad)
     seqs = predistance_polynomials(spec.lambdas, rows, degrees, alpha=pw.alpha)
-    assert [s.vertex for s in seqs] == list(range(len(locs)))
-    assert [s.norm_scale for s in seqs] == pytest.approx(pw.alpha ** 2)
-    gseq, = predistance_polynomials(spec.lambdas, [spec.mults / spec.n], [spec.d])
-    assert gseq.vertex is None and gseq.norm_scale == 1.0
+    assert [s.vertex for s in seqs] == [None] + list(range(len(locs)))
+    assert [s.norm_scale for s in seqs] == [1.0] + (pw.alpha ** 2).tolist()
+    # without alpha every row is global
+    seqs = predistance_polynomials(spec.lambdas, rows, degrees)
+    assert all(s.vertex is None and s.norm_scale == 1.0 for s in seqs)
+
+
+def _assert_rows_match_single_calls(nodes, rows, degrees, alpha, refs):
+    """Each row of one batched call against ``refs``, one call per row."""
+    seqs = predistance_polynomials(nodes, rows, degrees, alpha=alpha)
+    scales = [1.0] * len(rows) if alpha is None \
+        else [1.0] + (np.asarray(alpha) ** 2).tolist()
+    for r, (seq, w, m, s, ref) in enumerate(zip(seqs, rows, degrees, scales, refs)):
+        assert np.array_equal(seq.weights, w) and seq.norm_scale == s
+        assert seq.vertex == (None if alpha is None or r == 0 else r - 1)
+        assert seq.values.shape == (m + 1, len(nodes))
+        scale = np.abs(s * ref.values).max()
+        assert np.abs(seq.values - s * ref.values).max() <= 1e-12 * scale, r
+        assert np.abs(seq.rec_a - ref.rec_a).max() <= 1e-12 * scale, r
+
+
+@pytest.mark.parametrize("family", ["fixtures", "wide"])
+def test_batched_rows_match_single_calls(family):
+    # rows in an order whose degrees are not sorted, one of them cut to
+    # degree 0, against one call per row
+    from corpus import build_wide_corpus
+    graphs = [g for _, g in build_wide_corpus()] if family == "wide" else \
+        [fx.BUNDLED[name]() for name in sorted(fx.BUNDLED)] + [fx.path(5)]
+    for g in graphs:
+        _, _, spec, pw, locs = _pieces(g)
+        order = np.argsort([ls.du for ls in locs], kind="stable")  # ascending
+        rows = [spec.mults / spec.n] + [locs[u].local_mults for u in order]
+        degrees = [spec.d] + [locs[u].du for u in order]
+        degrees[len(rows) // 2] = 0
+        refs = [predistance_polynomials(spec.lambdas, [w], [m])[0]
+                for w, m in zip(rows, degrees)]
+        _assert_rows_match_single_calls(spec.lambdas, rows, degrees,
+                                        pw.alpha[order], refs)
+        # the same rows with the global one in the middle, every row global
+        for seq in (rows, degrees, refs):
+            seq.insert(len(seq) // 2, seq.pop(0))
+        _assert_rows_match_single_calls(spec.lambdas, rows, degrees, None, refs)
 
 
 # --- predistance families ----------------------------------------------------

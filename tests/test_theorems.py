@@ -338,3 +338,49 @@ def test_chain_middle_term_ordering(checks, analyses):
         mid = ga.stats.n_minus_harmonic
         dd = ga.stats.delta_star[-1]
         assert se >= mid - 1e-9 and mid >= dd - 1e-9, name
+
+
+# --- shared certificates -----------------------------------------------------------
+
+def _q6():
+    import networkx as nx
+    from spexcess.graphs import Graph
+    h = nx.convert_node_labels_to_integers(nx.hypercube_graph(6), ordering="sorted")
+    return Graph.from_edges(h.number_of_nodes(), h.edges())
+
+
+def _wide(name):
+    from corpus import build_wide_corpus
+    return dict(build_wide_corpus())[name]
+
+
+@pytest.mark.parametrize("graph", [_q6, lambda: _wide("tree30x0")],
+                         ids=["q6", "tree30x0"])
+def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
+    from spexcess import theorems
+    ga = analyze_graph(graph())
+    seen = []
+    evaluate = theorems.evaluate_at_matrix
+
+    def counting(p, spec):
+        seen.append(np.asarray(p).tobytes())
+        return evaluate(p, spec)
+
+    monkeypatch.setattr(theorems, "evaluate_at_matrix", counting)
+    reports = run_all_checks(ga)
+    assert seen and len(seen) == len(set(seen))
+    by_id = {}
+    for rep in reports:
+        by_id.setdefault(rep.theorem_id, []).append(rep)
+    t34 = {r.params["j"]: r.certificates[0].max_abs_diff for r in by_id["T34"]}
+    shared = 0
+    for rep in by_id["P35"] + by_id.get("P36", []):
+        m = rep.params["m"]
+        for j, cert in zip((m - 1, m), rep.certificates):
+            assert cert.name == f"q_{j}(A) == S*_{j}"
+            if j in t34:
+                assert cert.max_abs_diff == t34[j], (rep.theorem_id, m, j)
+                shared += 1
+    assert shared
+    assert by_id["T37"][0].certificates[0].max_abs_diff \
+        == by_id["T33"][0].certificates[0].max_abs_diff
