@@ -23,26 +23,19 @@ from .classify import (
 from .graphs import (
     DistanceData,
     Graph,
-    degree_profile,
     distance_data,
     graph6_bytes,
     load_graph,
     read_graph_file,
 )
 from .pipeline import GraphAnalysis, Tolerances, analyze_graph, run_all_checks
-from .poly import (
-    PolySequence,
-    evaluate_at_matrix,
-    hoffman_polynomial,
-    predistance_polynomials,
-)
+from .poly import PolySequence, evaluate_at_matrix, predistance_polynomials
 from .spectral import (
     LocalSpectrum,
     PerronWeights,
     Spectrum,
     eigendecompose,
     local_spectra,
-    local_spectrum,
     perron_weights,
 )
 from .theorems import (
@@ -83,19 +76,16 @@ __all__ = [
     "check_partial_dr_inequality",
     "check_partial_dr_matrix",
     "classify_graph",
-    "degree_profile",
     "distance_data",
     "eigendecompose",
     "errors",
     "evaluate_at_matrix",
     "excess_stats",
     "graph6_bytes",
-    "hoffman_polynomial",
     "is_distance_polynomial",
     "is_distance_regular",
     "load_graph",
     "local_spectra",
-    "local_spectrum",
     "partial_dr_level",
     "perron_weights",
     "predistance_polynomials",

@@ -14,6 +14,9 @@ Input formats:
   ``#`` comments and blank lines allowed;
 * graph6 -- the standard ASCII encoding with optional ``>>graph6<<`` header,
   supported for n < 2**18 (sparse6 is not supported).
+
+A file holds one graph: graph6 data with more than one graph line is a
+ParseError, not a silent read of the first graph.
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     @classmethod
-    def from_edges(cls, n, edges, labels=None, require_connected=True):
+    def from_edges(cls, n, edges, require_connected=True):
         if n < 1:
             raise ParseError("graph must have at least one vertex")
         seen = set()
@@ -64,7 +66,7 @@ class Graph:
         for u, v in cleaned:
             a[u, v] = 1.0
             a[v, u] = 1.0
-        g = cls(n=n, edges=tuple(cleaned), adjacency=_readonly(a), labels=labels)
+        g = cls(n=n, edges=tuple(cleaned), adjacency=_readonly(a))
         if require_connected and not g.is_connected():
             raise DisconnectedError("graph must be connected")
         return g
@@ -72,9 +74,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[u])
 
     def is_connected(self) -> bool:
         """Frontier expansion from vertex 0, one matrix-vector product per level."""
@@ -85,12 +84,6 @@ class Graph:
             frontier = (self.adjacency @ frontier > 0) & ~seen
             seen = seen | frontier
         return bool(seen.all())
-
-    def permuted(self, perm) -> "Graph":
-        """Relabel vertices by ``perm`` (new id of old vertex u is perm[u])."""
-        perm = list(perm)
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        return Graph.from_edges(self.n, edges)
 
 
 @dataclass(frozen=True)
@@ -148,13 +141,6 @@ def distance_data(g: Graph) -> DistanceData:
     ecc = dist.max(axis=1)
     return DistanceData(dist=_readonly(dist), ecc=_readonly(ecc),
                         diameter=int(ecc.max()))
-
-
-def degree_profile(g: Graph) -> tuple[np.ndarray, bool]:
-    """Per-vertex degrees (row sums of A) and whether they are all equal."""
-    degrees = g.adjacency.sum(axis=1).astype(np.int64)
-    is_regular = bool((degrees == degrees[0]).all())
-    return _readonly(degrees), is_regular
 
 
 # --- parsing ---------------------------------------------------------------
@@ -220,8 +206,9 @@ def parse_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
         data = data[len(GRAPH6_HEADER):].lstrip()
     if not data:
         raise ParseError("empty graph6 data")
-    if b"\n" in data:
-        data = data.splitlines()[0]
+    lines = len(data.splitlines())
+    if lines > 1:
+        raise ParseError(f"graph6 data has {lines} graph lines; one graph per file")
 
     def sixbits(b: int) -> int:
         if not (63 <= b <= 126):

@@ -24,7 +24,7 @@ class Tolerances:
 
     grouping: float = spectral.DEFAULT_GROUPING_TOL
     presence: float = spectral.DEFAULT_PRESENCE_TOL
-    equality: float = 1e-7
+    equality: float = classify.DEFAULT_ORACLE_TOL
 
 
 @dataclass(frozen=True)

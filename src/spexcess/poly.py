@@ -167,27 +167,6 @@ def predistance_polynomials(nodes, weights, degrees,
     )
 
 
-def hoffman_polynomial(seq: PolySequence, spec: Spectrum) -> np.ndarray:
-    """The top sum polynomial H = q_d of the global family, on the eigenvalues.
-
-    H is characterized by H(lambda_i) = n * delta_{0i}; H(A) is the rank-one
-    matrix alpha alpha^T, which equals the all-ones matrix exactly when the
-    graph is regular.  A failed characterization raises
-    DegenerateMeasureError.
-    """
-    if seq.vertex is not None:
-        raise ValueError("hoffman_polynomial needs the global sequence")
-    h = seq.sum_values(seq.top_degree)
-    target = np.zeros(len(spec.lambdas))
-    target[0] = spec.n
-    err = float(np.max(np.abs(h - target)))
-    if err > 1e-6 * spec.n:
-        raise DegenerateMeasureError(
-            f"Hoffman characterization H(lambda_i) = n*delta_0i off by {err:.3e}"
-        )
-    return h
-
-
 def evaluate_at_matrix(p, spec: Spectrum) -> np.ndarray:
     """p(A) = V diag(p(lambda)) V^T from the values of p on the eigenvalues."""
     v = spec.vectors

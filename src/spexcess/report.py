@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .classify import DEFAULT_ORACLE_TOL
 from .pipeline import GraphAnalysis
 from .theorems import TheoremReport
 
@@ -165,7 +166,8 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
     }
 
 
-def collect_violations(reports: list[TheoremReport], tol: float = 1e-7) -> list[str]:
+def collect_violations(reports: list[TheoremReport],
+                       tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
     """Inequality violations and oracle disagreements (internal errors)."""
     out = []
     for r in reports:

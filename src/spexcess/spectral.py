@@ -3,10 +3,13 @@
 The full symmetric eigendecomposition comes from LAPACK (``np.linalg.eigh``).
 Eigenvalues are then grouped into distinct classes and the Perron vector is
 extracted in both normalizations (alpha with ||alpha||^2 = n, nu with minimum
-entry 1).  Local spectra are read straight from the eigenvectors: with V_i
-the orthonormal eigenvectors of class i, the spectral projector is
-E_i = V_i V_i^T, so m_u(lambda_i) = (E_i)_{uu} = sum over class i of V[u, k]^2.
-No dense E_i is ever built.
+entry 1).  The eigenvectors are kept in descending eigenvalue order, so each
+class is a run of contiguous columns: class i is the ``mults[i]`` columns
+starting at ``mults[0] + ... + mults[i-1]``, and the multiplicities are the
+only record of the layout.  Local spectra are read straight from the
+eigenvectors: with V_i the orthonormal eigenvectors of class i, the
+spectral projector is E_i = V_i V_i^T, so m_u(lambda_i) = (E_i)_{uu} = sum
+over class i of V[u, k]^2.  No dense E_i is ever built.
 
 The one genuinely delicate tolerance is ``presence_tol``: local multiplicities
 below it are treated as exact zeros, which determines d_u (the number of
@@ -34,14 +37,14 @@ DEFAULT_PRESENCE_TOL = 1e-9
 class Spectrum:
     """Distinct eigenvalues (descending) with multiplicities and eigenvectors.
 
-    ``classes[i]`` indexes the eigenvector columns belonging to lambda_i.
+    The columns of ``vectors`` are grouped by class in the order of
+    ``lambdas``: lambda_i owns the next ``mults[i]`` columns, and column 0
+    is the Perron vector.
     """
 
     lambdas: np.ndarray
     mults: np.ndarray
-    eigenvalues: np.ndarray
     vectors: np.ndarray
-    classes: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
@@ -81,21 +84,11 @@ def eigendecompose(g: Graph,
     lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
     v = v * np.where(v[lead, np.arange(len(w))] < 0, -1.0, 1.0)
     gap = grouping_tol * max(1.0, abs(w[0]))
-    classes = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k - 1] - w[k] > gap:
-            classes.append(np.arange(start, k))
-            start = k
-    lambdas = np.array([w[c].mean() for c in classes])
+    classes = np.split(w, np.flatnonzero(w[:-1] - w[1:] > gap) + 1)
+    lambdas = np.array([c.mean() for c in classes])
     mults = np.array([len(c) for c in classes], dtype=np.int64)
-    return Spectrum(
-        lambdas=_readonly(lambdas),
-        mults=_readonly(mults),
-        eigenvalues=_readonly(w),
-        vectors=_readonly(v),
-        classes=tuple(_readonly(c) for c in classes),
-    )
+    return Spectrum(lambdas=_readonly(lambdas), mults=_readonly(mults),
+                    vectors=_readonly(v))
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ def perron_weights(spec: Spectrum, pos_tol: float = 1e-10) -> PerronWeights:
         raise NonPositiveEigenvectorError(
             f"top eigenvalue has multiplicity {spec.mults[0]}; check grouping tolerance"
         )
-    v0 = spec.vectors[:, spec.classes[0][0]].copy()
+    v0 = spec.vectors[:, 0].copy()
     if v0[np.argmax(np.abs(v0))] < 0:
         v0 = -v0
     alpha = math.sqrt(spec.n) * v0 / np.linalg.norm(v0)
@@ -149,42 +142,27 @@ class LocalSpectrum:
     eccentricity: int
     is_extremal: bool
 
-    def local_eigenvalues(self, spec: Spectrum) -> np.ndarray:
-        return spec.lambdas[self.support]
-
 
 def class_sums(x: np.ndarray, spec: Spectrum) -> np.ndarray:
     """Sum the last axis of ``x`` over each eigenvalue class (classes are contiguous)."""
-    return np.add.reduceat(x, [int(c[0]) for c in spec.classes], axis=-1)
-
-
-def _local_spectrum(u: int, m: np.ndarray, dd: DistanceData,
-                    presence_tol: float) -> LocalSpectrum:
-    support = np.flatnonzero(m > presence_tol)
-    if 0 not in support:
-        raise NonPositiveEigenvectorError(
-            f"vertex {u} has no lambda_0 mass ({m[0]:.3e}); numerical failure"
-        )
-    du = len(support) - 1
-    ecc = int(dd.ecc[u])
-    return LocalSpectrum(
-        vertex=u,
-        local_mults=_readonly(m),
-        support=_readonly(support),
-        du=du,
-        eccentricity=ecc,
-        is_extremal=(ecc == du),
-    )
-
-
-def local_spectrum(u: int, spec: Spectrum, dd: DistanceData,
-                   presence_tol: float = DEFAULT_PRESENCE_TOL) -> LocalSpectrum:
-    """Local spectrum of vertex u; membership decided by ``presence_tol``."""
-    return _local_spectrum(u, class_sums(spec.vectors[u] ** 2, spec), dd, presence_tol)
+    return np.add.reduceat(x, np.cumsum(spec.mults) - spec.mults, axis=-1)
 
 
 def local_spectra(spec: Spectrum, dd: DistanceData,
                   presence_tol: float = DEFAULT_PRESENCE_TOL) -> tuple[LocalSpectrum, ...]:
-    """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i)."""
+    """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i);
+    lambda_i belongs to the local spectrum of u when m_u(lambda_i) exceeds
+    ``presence_tol``."""
     m = class_sums(spec.vectors ** 2, spec)
-    return tuple(_local_spectrum(u, m[u], dd, presence_tol) for u in range(dd.n))
+    out = []
+    for u in range(dd.n):
+        support = np.flatnonzero(m[u] > presence_tol)
+        if 0 not in support:
+            raise NonPositiveEigenvectorError(
+                f"vertex {u} has no lambda_0 mass ({m[u, 0]:.3e}); numerical failure"
+            )
+        du, ecc = len(support) - 1, int(dd.ecc[u])
+        out.append(LocalSpectrum(vertex=u, local_mults=_readonly(m[u]),
+                                 support=_readonly(support), du=du,
+                                 eccentricity=ecc, is_extremal=(ecc == du)))
+    return tuple(out)

@@ -3,10 +3,19 @@
 Every check produces a TheoremReport with the raw left/right values, the
 slack, and -- crucially -- a certificate: scalar equality alone never yields a
 positive verdict, the associated matrix or constancy identity must also hold.
-When the slack is positive but within 100x the equality tolerance the report
-is flagged numerically ambiguous instead of picking a side.  Each matrix
-identity q_j(A) = S*_j and p_{>=D}(A) = A*_D is built once per graph and shared
-by the checks that certify it (T34, P35 and P36; T33 and T37).
+The inequalities whose equality case is such an identity (P31, T33, T34,
+P36) share one four-way verdict ladder, ``_ladder``:
+
+1. attained -- scalar equality and the certificate holds;
+2. numerically ambiguous -- the slack is positive but within 100x the
+   equality tolerance, so no side is picked;
+3. scalar equality only -- the certificate fails, so no structural claim;
+4. strict inequality -- everything else.
+
+T37 reports each link of its chain as equal or by its comparison state.
+Each matrix identity q_j(A) = S*_j and p_{>=D}(A) = A*_D is built once per
+graph and shared by the checks that certify it (T34, P35 and P36; T33 and
+T37).
 
 Checks (ids follow the report schema):
 
@@ -41,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import readonly as _readonly
+from .classify import DEFAULT_ORACLE_TOL
 from .errors import DegreeError, HypothesisError
 from .poly import apply_to_vector, evaluate_at_matrix
 
@@ -102,7 +112,7 @@ class TheoremReport:
     def slack(self) -> float:
         return self.comparisons[0].slack
 
-    def inequality_violations(self, tol: float = 1e-7) -> list[str]:
+    def inequality_violations(self, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
         out = []
         for c in self.comparisons:
             if c.kind == "inequality" and c.slack < -tol * max(1.0, abs(c.lhs), abs(c.rhs)):
@@ -126,6 +136,20 @@ def _compare(label: str, lhs: float, rhs: float, eq_tol: float,
     else:
         state = "violated" if kind == "inequality" else "unequal"
     return Comparison(label=label, lhs=lhs, rhs=rhs, kind=kind, state=state)
+
+
+def _ladder(comp: Comparison, holds: bool, attained: str,
+            scalar_only: str = "scalar equality but matrix certificate failed") -> str:
+    """The verdict of an inequality whose equality case is certified: the
+    ``attained`` wording when ``holds``, else ambiguous, else ``scalar_only``
+    on scalar equality, else strict."""
+    if holds:
+        return attained
+    if comp.state == "ambiguous":
+        return "numerically ambiguous: slack within 100x equality tolerance"
+    if comp.scalar_equal:
+        return scalar_only
+    return "strict inequality"
 
 
 def _certificate(ga, name: str, diff: float) -> Certificate:
@@ -200,8 +224,12 @@ def check_local_bound(ga, u: int, j: int | None = None,
         equality = cert.passes and ls.is_extremal
         witnesses = {"normalized_vector": vec, "weighted_ball_unit": target}
     saturated = j >= ls.eccentricity
-    verdict = _bound_verdict(comp, equality, extremal=ls.is_extremal,
-                             saturated=saturated)
+    note = " (ball saturated: N_j(u) = V)" if saturated else ""
+    scalar_only = ("scalar equality but vector certificate failed" if ls.is_extremal
+                   else "scalar equality at ball saturation but vertex is not "
+                   "extremal; no structural claim")
+    verdict = _ladder(comp, equality, f"bound attained; vertex is extremal{note}",
+                      scalar_only)
     return TheoremReport(
         theorem_id="P31",
         comparisons=(comp,),
@@ -212,20 +240,6 @@ def check_local_bound(ga, u: int, j: int | None = None,
         details={"extremal": ls.is_extremal, "ball_saturated": saturated},
         witnesses=witnesses,
     )
-
-
-def _bound_verdict(comp, equality, extremal, saturated):
-    if equality:
-        note = " (ball saturated: N_j(u) = V)" if saturated else ""
-        return f"bound attained; vertex is extremal{note}"
-    if comp.state == "ambiguous":
-        return "numerically ambiguous: slack within 100x equality tolerance"
-    if comp.scalar_equal and not extremal:
-        return ("scalar equality at ball saturation but vertex is not extremal; "
-                "no structural claim")
-    if comp.scalar_equal:
-        return "scalar equality but vector certificate failed"
-    return "strict inequality"
 
 
 def _unit(n: int, u: int) -> np.ndarray:
@@ -290,20 +304,12 @@ def check_lee_weng(ga) -> TheoremReport:
     tail_at_a, astar_d, diff = _identity(ga, "tail", ga.D)
     cert = _certificate(ga, "A*_D == p_>=D(A)", diff)
     equality = comp.scalar_equal and cert.passes
-    if equality:
-        verdict = "spectral excess attained: A*_D = p_>=D(A)"
-    elif comp.state == "ambiguous":
-        verdict = "numerically ambiguous: slack within 100x equality tolerance"
-    elif comp.scalar_equal:
-        verdict = "scalar equality but matrix certificate failed"
-    else:
-        verdict = "strict inequality"
     return TheoremReport(
         theorem_id="T33",
         comparisons=(comp,),
         certificates=(cert,),
         equality_holds=equality,
-        verdict=verdict,
+        verdict=_ladder(comp, equality, "spectral excess attained: A*_D = p_>=D(A)"),
         witnesses={"Astar_D": astar_d, "p_geqD_at_A": tail_at_a},
     )
 
@@ -326,14 +332,6 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
     q_at_a, sstar_j, diff = _identity(ga, "q", j)
     cert = _certificate(ga, f"q_{j}(A) == S*_{j}", diff)
     equality = comp.scalar_equal and cert.passes
-    if equality:
-        verdict = f"harmonic bound attained: q_{j}(A) = S*_{j}"
-    elif comp.state == "ambiguous":
-        verdict = "numerically ambiguous: slack within 100x equality tolerance"
-    elif comp.scalar_equal:
-        verdict = "scalar equality but matrix certificate failed"
-    else:
-        verdict = "strict inequality"
     witnesses = {"q_j_at_A": q_at_a, "Sstar_j": sstar_j}
     if comp.state in ("equal", "ambiguous"):
         # per-vertex proportionality constants from the equality analysis
@@ -343,7 +341,7 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
         comparisons=(comp,),
         certificates=(cert,),
         equality_holds=equality,
-        verdict=verdict,
+        verdict=_ladder(comp, equality, f"harmonic bound attained: q_{j}(A) = S*_{j}"),
         params={"j": j},
         witnesses=witnesses,
     )
@@ -407,20 +405,13 @@ def check_partial_dr_inequality(ga, m: int) -> TheoremReport:
     equality = comp.scalar_equal and structural
     oracle_ok = (ga.classification.is_regular
                  and ga.classification.partial_dr_level >= m)
-    if equality:
-        verdict = f"regular and {m}-partially distance-regular"
-    elif comp.state == "ambiguous":
-        verdict = "numerically ambiguous: slack within 100x equality tolerance"
-    elif comp.scalar_equal:
-        verdict = "scalar equality but structural certificate failed"
-    else:
-        verdict = "strict inequality"
     return TheoremReport(
         theorem_id="P36",
         comparisons=(comp,),
         certificates=certs,
         equality_holds=equality,
-        verdict=verdict,
+        verdict=_ladder(comp, equality, f"regular and {m}-partially distance-regular",
+                        "scalar equality but structural certificate failed"),
         params={"m": m},
         details={"regular": ga.classification.is_regular,
                  "oracle_agrees": structural == oracle_ok},
@@ -451,13 +442,10 @@ def check_chain(ga) -> TheoremReport:
     )
     eq_i = comp_i.scalar_equal and cert_i.passes
     eq_ii = comp_ii.scalar_equal and cert_ii.passes
-    parts = []
-    parts.append("link (i) equality: p_>=D(A) = A*_D" if eq_i
-                 else "link (i) strict" if comp_i.state == "strict"
-                 else f"link (i) {comp_i.state}")
-    parts.append("link (ii) equality: constant weighted excess" if eq_ii
-                 else "link (ii) strict" if comp_ii.state == "strict"
-                 else f"link (ii) {comp_ii.state}")
+    parts = ("link (i) equality: p_>=D(A) = A*_D" if eq_i
+             else f"link (i) {comp_i.state}",
+             "link (ii) equality: constant weighted excess" if eq_ii
+             else f"link (ii) {comp_ii.state}")
     return TheoremReport(
         theorem_id="T37",
         comparisons=(comp_i, comp_ii),

@@ -1,5 +1,6 @@
 import pytest
 
+import corpus
 from spexcess import fixtures as fx
 from spexcess.pipeline import analyze_graph, run_all_checks
 
@@ -46,3 +47,17 @@ def checks(analyses):
         return cache[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def analyzed():
+    """The seeded property corpus (n <= 12), analysed and checked once."""
+    graphs = corpus.build_corpus()
+    assert len(graphs) >= 100
+    return corpus.analyze_corpus(graphs)
+
+
+@pytest.fixture(scope="session")
+def wide():
+    """The wide corpus (d up to about 60), analysed and checked once."""
+    return corpus.analyze_corpus(corpus.build_wide_corpus())

@@ -32,6 +32,11 @@ def connected_er(rng, n, p):
             continue
 
 
+def relabel(g, perm):
+    """The graph with vertex u renamed perm[u]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def random_tree(rng, n):
     if n == 2:
         return Graph.from_edges(2, [(0, 1)])

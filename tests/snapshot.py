@@ -1,0 +1,185 @@
+"""Snapshots of ``spexcess analyze --witnesses`` over a fixed set of inputs.
+
+    python tests/snapshot.py write OUT.json
+    python tests/snapshot.py compare A.json B.json
+
+``write`` runs ``cli.main(["analyze", PATH, "--witnesses"])`` in-process
+on 510 inputs and records each one's stdout, stderr and exit code:
+
+* the 13 bundled fixtures, each as ``.el`` and as ``.g6``;
+* K1,3, P4, P5, C30, C32, C40 and Q6 as edge lists;
+* the 108-graph property corpus and the 51-graph wide corpus
+  (``tests/corpus.py``) as edge lists;
+* seeds 1 and 2 of the three benchmark workloads, written by
+  ``bench/workloads.build`` (imported, not modified).
+
+Files are written under a temporary directory and passed by relative path,
+so the records do not depend on where the run happens.  The ``spexcess``
+that runs is the first one on ``sys.path``: set PYTHONPATH to another
+checkout's ``src`` to snapshot that checkout.
+
+``compare`` prints every input whose record differs, the non-float fields
+that differ (exit code, stderr, strings, integers, booleans, keys and list
+lengths) and the largest relative gap between two floats at the same
+place.  It exits 1 when any record differs and 0 when all are identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+WORKLOAD_SEEDS = (1, 2)
+MAX_FIELDS_SHOWN = 20
+
+
+def _workloads():
+    path = os.path.join(HERE, os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _extras():
+    import networkx as nx
+
+    from spexcess import fixtures as fx
+    from spexcess.graphs import Graph
+
+    q6 = nx.convert_node_labels_to_integers(nx.hypercube_graph(6), ordering="sorted")
+    return [("k13", fx.star(3)), ("p4", fx.path(4)), ("p5", fx.path(5)),
+            ("c30", fx.cycle(30)), ("c32", fx.cycle(32)), ("c40", fx.cycle(40)),
+            ("q6", Graph.from_edges(q6.number_of_nodes(), q6.edges()))]
+
+
+def write_inputs() -> list[str]:
+    """Write every input below the current directory; return their paths."""
+    import corpus
+    from spexcess import fixtures as fx
+
+    paths = [os.path.join("fixtures", name) for name in fx.write_fixtures("fixtures")]
+    for group, graphs in (("extra", _extras()), ("corpus", corpus.build_corpus()),
+                          ("wide", corpus.build_wide_corpus())):
+        os.makedirs(group, exist_ok=True)
+        for name, g in graphs:
+            path = os.path.join(group, name + ".el")
+            with open(path, "wb") as fh:
+                fh.write(fx.edgelist_bytes(g))
+            paths.append(path)
+    workloads = _workloads()
+    for workload in workloads.WORKLOADS:
+        for seed in WORKLOAD_SEEDS:
+            entries = workloads.build(workload, seed, f"{workload}-{seed}")
+            paths.extend(e["path"] for e in entries)
+    return paths
+
+
+def run(path: str) -> dict:
+    from spexcess import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", path, "--witnesses"])
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def write(target: str) -> None:
+    target = os.path.abspath(target)
+    records = {}
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for path in write_inputs():
+                records[path] = run(path)
+        finally:
+            os.chdir(start)
+    with open(target, "w") as fh:
+        json.dump({"inputs": records}, fh)
+    print(f"{len(records)} inputs written to {target}")
+
+
+def _diff(a, b, where: str, fields: list[str]) -> float:
+    """Append the non-float differences to ``fields``; return the largest
+    relative gap between floats found at the same place."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b:
+            return 0.0
+        return abs(a - b) / max(abs(a), abs(b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            fields.append(f"{where}: keys {sorted(a.keys() ^ b.keys())}")
+        return max((_diff(a[k], b[k], f"{where}.{k}", fields)
+                    for k in a.keys() & b.keys()), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            fields.append(f"{where}: length {len(a)} != {len(b)}")
+        return max((_diff(x, y, f"{where}[{i}]", fields)
+                    for i, (x, y) in enumerate(zip(a, b))), default=0.0)
+    if type(a) is not type(b) or a != b:
+        fields.append(f"{where}: {a!r} != {b!r}")
+    return 0.0
+
+
+def _parsed(stdout: str):
+    try:
+        return json.loads(stdout)
+    except ValueError:
+        return stdout
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a) as fh:
+        a = json.load(fh)["inputs"]
+    with open(path_b) as fh:
+        b = json.load(fh)["inputs"]
+    differing, largest = 0, 0.0
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            differing += 1
+            print(f"{key}: only in {path_a if key in a else path_b}")
+            continue
+        ra, rb = a[key], b[key]
+        if ra == rb:
+            continue
+        differing += 1
+        fields = []
+        if ra["exit"] != rb["exit"]:
+            fields.append(f"exit: {ra['exit']} != {rb['exit']}")
+        if ra["stderr"] != rb["stderr"]:
+            fields.append(f"stderr: {ra['stderr']!r} != {rb['stderr']!r}")
+        gap = _diff(_parsed(ra["stdout"]), _parsed(rb["stdout"]), "stdout", fields)
+        largest = max(largest, gap)
+        print(f"{key}: {len(fields)} non-float fields differ, "
+              f"largest relative float gap {gap:.3e}")
+        for line in fields[:MAX_FIELDS_SHOWN]:
+            print(f"    {line}")
+        if len(fields) > MAX_FIELDS_SHOWN:
+            print(f"    ... {len(fields) - MAX_FIELDS_SHOWN} more")
+    total = len(a.keys() | b.keys())
+    print(f"{differing} of {total} inputs differ; "
+          f"largest relative float gap {largest:.3e}")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "write":
+        write(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

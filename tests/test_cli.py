@@ -135,6 +135,16 @@ def test_analyze_disconnected_exit2(capsys, tmp_path):
     assert "graph must be connected" in err
 
 
+def test_analyze_multi_graph_g6_exit2(capsys, tmp_path):
+    # K2 then K3: the second graph must not be dropped without a verdict
+    path = tmp_path / "two.g6"
+    path.write_bytes(b"A_\nBw\n")
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "one graph per file" in err
+
+
 def test_analyze_missing_file_exit2(capsys):
     code, _, err = _run(capsys, ["analyze", "/nonexistent/file.el"])
     assert code == 2

@@ -11,7 +11,6 @@ from spexcess import fixtures as fx
 from spexcess.errors import DisconnectedError, LoopOrMultiEdgeError, ParseError
 from spexcess.graphs import (
     Graph,
-    degree_profile,
     distance_data,
     graph6_bytes,
     load_graph,
@@ -25,9 +24,7 @@ def test_load_k23_edgelist():
     g = load_graph(K23_EDGELIST)
     assert g.n == 5
     assert g.edge_count == 6
-    degrees, regular = degree_profile(g)
-    assert sorted(degrees) == [2, 2, 2, 3, 3]
-    assert not regular
+    assert sorted(g.adjacency.sum(axis=1)) == [2, 2, 2, 3, 3]
 
 
 def test_load_single_edge():
@@ -104,6 +101,13 @@ def test_graph6_bad_bytes():
         parse_graph6(b"\x1f\x00")
     with pytest.raises(ParseError):
         parse_graph6(b"")
+
+
+def test_graph6_one_graph_per_file():
+    with pytest.raises(ParseError, match="one graph per file"):
+        load_graph(b"A_\nBw\n", fmt="graph6")
+    # surrounding blank lines and CRLF endings are still one graph
+    assert load_graph(b">>graph6<<\r\nBw\r\n\n", fmt="graph6").edge_count == 3
 
 
 def test_distance_data_k23():
@@ -188,19 +192,12 @@ def test_eccentricity_invariant_under_relabeling():
     g = fx.named("k23")
     perm = list(range(g.n))
     rng.shuffle(perm)
-    h = g.permuted(perm)
+    h = corpus.relabel(g, perm)
     dd_g, dd_h = distance_data(g), distance_data(h)
     assert sorted(dd_g.ecc) == sorted(dd_h.ecc)
     assert dd_g.diameter == dd_h.diameter
     for u in range(g.n):
         assert dd_g.ecc[u] == dd_h.ecc[perm[u]]
-
-
-def test_degree_profiles():
-    degrees, regular = degree_profile(fx.petersen())
-    assert all(degrees == 3) and regular
-    degrees, regular = degree_profile(fx.path(3))
-    assert degrees.tolist() == [1, 2, 1] and not regular
 
 
 @st.composite

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from spexcess.graphs import distance_data
 from spexcess.poly import (
     apply_to_vector,
     evaluate_at_matrix,
-    hoffman_polynomial,
     predistance_polynomials,
 )
 
@@ -269,10 +267,15 @@ def test_sum_p_lambda0_is_n():
 
 
 # --- Hoffman polynomials -------------------------------------------------------
+# H = q_d, the top sum polynomial of the global family
+
+def _hoffman(ga):
+    return ga.global_seq.sum_values(ga.d)
+
 
 def test_hoffman_k2():
     ga = _analysis("k2")
-    h = hoffman_polynomial(ga.global_seq, ga.spectrum)
+    h = _hoffman(ga)
     # H = 1 + x on the eigenvalues 1, -1
     assert h.tolist() == pytest.approx([2.0, 0.0], abs=1e-10)
     assert np.abs(evaluate_at_matrix(h, ga.spectrum) - 1.0).max() <= 1e-10  # H(A) = J
@@ -281,13 +284,13 @@ def test_hoffman_k2():
 def test_hoffman_regular_gives_all_ones():
     for name in ("petersen", "c6", "k5", "c8_12"):
         ga = _analysis(name)
-        h = hoffman_polynomial(ga.global_seq, ga.spectrum)
+        h = _hoffman(ga)
         assert np.abs(evaluate_at_matrix(h, ga.spectrum) - 1.0).max() <= 1e-7, name
 
 
 def test_hoffman_k23_gives_jstar():
     ga = _analysis("k23")
-    h = hoffman_polynomial(ga.global_seq, ga.spectrum)
+    h = _hoffman(ga)
     ha = evaluate_at_matrix(h, ga.spectrum)
     assert np.abs(ha - ga.wm.jstar).max() <= 1e-9
     # and in nu-normalization: (||nu||^2 / n) H(A) has entries nu_u nu_v
@@ -298,7 +301,7 @@ def test_hoffman_k23_gives_jstar():
 
 def test_hoffman_nonregular_is_not_j():
     ga = _analysis("p3")
-    h = hoffman_polynomial(ga.global_seq, ga.spectrum)
+    h = _hoffman(ga)
     assert np.abs(evaluate_at_matrix(h, ga.spectrum) - 1.0).max() > 0.1
 
 
@@ -308,7 +311,7 @@ def test_hoffman_values_and_product_form():
     for name in ("k23", "petersen", "p3", "c8_12"):
         ga = _analysis(name)
         lambdas = ga.spectrum.lambdas
-        h = hoffman_polynomial(ga.global_seq, ga.spectrum)
+        h = _hoffman(ga)
         target = np.zeros(ga.d + 1)
         target[0] = ga.n
         assert np.abs(h - target).max() <= 1e-8 * ga.n
@@ -321,27 +324,12 @@ def test_hoffman_values_and_product_form():
         assert np.abs(evaluate_at_matrix(h, ga.spectrum) - ref).max() <= 1e-8 * ga.n
 
 
-def test_hoffman_rejects_corrupted_values():
-    # H + 1 misses H(lambda_i) = n * delta_0i at every eigenvalue
-    ga = _analysis("k23")
-    seq = ga.global_seq
-    bad = dataclasses.replace(seq, values=seq.values + np.eye(len(seq.values))[-1][:, None])
-    with pytest.raises(DegenerateMeasureError, match="characterization"):
-        hoffman_polynomial(bad, ga.spectrum)
-
-
-def test_hoffman_requires_global():
-    ga = _analysis("k23")
-    with pytest.raises(ValueError):
-        hoffman_polynomial(ga.local_seqs[0], ga.spectrum)
-
-
 # --- local preHoffman ----------------------------------------------------------
 # H^u = q^u_{d_u}, the top sum polynomial of the local family at u
 
 def test_local_prehoffman_p3_center():
     ga = _analysis("p3")
-    h = hoffman_polynomial(ga.global_seq, ga.spectrum)
+    h = _hoffman(ga)
     seq = ga.local_seqs[1]
     assert seq.top_degree == 1 and ga.global_seq.top_degree == 2
     hu = seq.sum_values(seq.top_degree)
@@ -363,7 +351,7 @@ def test_local_prehoffman_lambda0_is_n():
 
 def test_local_prehoffman_vertex_transitive_equals_global():
     ga = _analysis("petersen")
-    h = hoffman_polynomial(ga.global_seq, ga.spectrum)
+    h = _hoffman(ga)
     for seq in ga.local_seqs:
         assert np.abs(seq.sum_values(seq.top_degree) - h).max() <= 1e-8
 
@@ -371,7 +359,7 @@ def test_local_prehoffman_vertex_transitive_equals_global():
 def test_local_prehoffman_column_identity():
     for name in ("k23", "c8_12"):
         ga = _analysis(name)
-        h = hoffman_polynomial(ga.global_seq, ga.spectrum)
+        h = _hoffman(ga)
         a = np.asarray(ga.graph.adjacency)
         h_ref = ga.n / np.prod(ga.lambda0 - ga.spectrum.lambdas[1:]) \
             * np.polynomial.polynomial.polyfromroots(ga.spectrum.lambdas[1:])

@@ -7,13 +7,6 @@ import pytest
 import corpus
 
 
-@pytest.fixture(scope="module")
-def analyzed():
-    graphs = corpus.build_corpus()
-    assert len(graphs) >= 100
-    return corpus.analyze_corpus(graphs)
-
-
 def test_corpus_composition(analyzed):
     assert len(analyzed) >= 100
     assert all(ga.n <= 12 for _name, ga, _reps in analyzed)
@@ -92,11 +85,6 @@ def test_harmonic_monotone(analyzed):
 
 
 # --- many distinct eigenvalues ---------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def wide():
-    return corpus.analyze_corpus(corpus.build_wide_corpus())
 
 
 def test_wide_corpus_composition(wide):

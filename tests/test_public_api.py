@@ -1,3 +1,5 @@
+import dataclasses
+
 import spexcess
 
 
@@ -5,3 +7,55 @@ def test_every_exported_name_resolves():
     missing = [name for name in spexcess.__all__ if not hasattr(spexcess, name)]
     assert not missing
     assert len(set(spexcess.__all__)) == len(spexcess.__all__)
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the package shows up here
+    assert spexcess.__all__ == [
+        "Classification",
+        "DistanceData",
+        "ExcessStats",
+        "Graph",
+        "GraphAnalysis",
+        "LocalSpectrum",
+        "PerronWeights",
+        "PolySequence",
+        "Spectrum",
+        "TheoremReport",
+        "Tolerances",
+        "WeightedMatrices",
+        "analyze_graph",
+        "check_chain",
+        "check_distance_polynomial_sufficient",
+        "check_harmonic_bound",
+        "check_lee_weng",
+        "check_local_bound",
+        "check_local_spet",
+        "check_partial_dr_inequality",
+        "check_partial_dr_matrix",
+        "classify_graph",
+        "distance_data",
+        "eigendecompose",
+        "errors",
+        "evaluate_at_matrix",
+        "excess_stats",
+        "graph6_bytes",
+        "is_distance_polynomial",
+        "is_distance_regular",
+        "load_graph",
+        "local_spectra",
+        "partial_dr_level",
+        "perron_weights",
+        "predistance_polynomials",
+        "pseudo_dr_around_all",
+        "read_graph_file",
+        "run_all_checks",
+        "weighted_matrices",
+    ]
+
+
+def test_spectrum_and_graph_fields_are_pinned():
+    # one class layout: class i is the next mults[i] columns of vectors
+    fields = [f.name for f in dataclasses.fields(spexcess.Spectrum)]
+    assert fields == ["lambdas", "mults", "vectors"]
+    assert [f.name for f in dataclasses.fields(spexcess.Graph)] == ["n", "edges", "adjacency"]

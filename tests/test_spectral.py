@@ -11,7 +11,6 @@ from spexcess.graphs import distance_data
 from spexcess.spectral import (
     eigendecompose,
     local_spectra,
-    local_spectrum,
     perron_weights,
 )
 
@@ -26,13 +25,18 @@ def _random_graphs():
 
 
 def _triangles(g):
-    adj = [set(g.neighbors(u).tolist()) for u in range(g.n)]
+    adj = [set(np.flatnonzero(row).tolist()) for row in g.adjacency]
     return sum(len(adj[u] & adj[v]) for u, v in g.edges) // 3
+
+
+def _class_vectors(spec):
+    """V_i, the eigenvector columns of class i (contiguous, mults[i] wide)."""
+    return np.split(spec.vectors, np.cumsum(spec.mults)[:-1], axis=1)
 
 
 def _projectors(spec):
     """E_i = V_i V_i^T, built here from the eigenvectors of class i."""
-    return [spec.vectors[:, c] @ spec.vectors[:, c].T for c in spec.classes]
+    return [v @ v.T for v in _class_vectors(spec)]
 
 
 def _lagrange_projector(a, spec, i):
@@ -50,7 +54,7 @@ def test_eigendecompose_random_graphs():
     for g in _random_graphs():
         spec = eigendecompose(g)
         a = np.asarray(g.adjacency)
-        w, v = spec.eigenvalues, spec.vectors
+        w, v = spec.lambdas[spec.class_index], spec.vectors
         assert np.all(np.diff(w) <= 0)
         # sign convention: first non-negligible component of each vector > 0
         lead = np.argmax(np.abs(v) > 1e-8 * np.abs(v).max(axis=0), axis=0)
@@ -106,10 +110,8 @@ def test_eigendecompose_residuals():
         spec = eigendecompose(g)
         a = np.asarray(g.adjacency)
         norm = np.linalg.norm(a)
-        for i, cls in enumerate(spec.classes):
-            for k in cls:
-                v = spec.vectors[:, k]
-                assert np.linalg.norm(a @ v - spec.lambdas[i] * v) <= 1e-8 * norm
+        for i, v in enumerate(_class_vectors(spec)):
+            assert np.linalg.norm(a @ v - spec.lambdas[i] * v, axis=0).max() <= 1e-8 * norm
 
 
 def test_multiplicities_sum_and_simple_top():
@@ -181,8 +183,6 @@ def test_local_mults_match_lagrange_diagonal():
         spec = eigendecompose(g)
         dd = distance_data(g)
         mat = np.stack([ls.local_mults for ls in local_spectra(spec, dd)])
-        single = np.stack([local_spectrum(u, spec, dd).local_mults for u in range(g.n)])
-        assert np.abs(mat - single).max() <= 1e-15
         a = np.asarray(g.adjacency)
         for i in range(spec.d + 1):
             diag = np.diag(_lagrange_projector(a, spec, i))
@@ -207,10 +207,9 @@ def test_local_spectrum_p3():
     g = fx.path(3)
     dd = distance_data(g)
     spec = eigendecompose(g)
-    center = local_spectrum(1, spec, dd)
+    end, center, _ = local_spectra(spec, dd)
     assert center.local_mults[1] <= 1e-12  # no mass at eigenvalue 0
     assert center.du == 1 and center.eccentricity == 1 and center.is_extremal
-    end = local_spectrum(0, spec, dd)
     assert end.du == 2 and end.is_extremal
     assert np.all(end.local_mults > 1e-3)
 
@@ -245,6 +244,6 @@ def test_eigendecompose_permutation_stability():
     perm = list(range(g.n))
     rng.shuffle(perm)
     s1 = eigendecompose(g)
-    s2 = eigendecompose(g.permuted(perm))
+    s2 = eigendecompose(corpus.relabel(g, perm))
     assert np.abs(s1.lambdas - s2.lambdas).max() <= 1e-9
     assert s1.mults.tolist() == s2.mults.tolist()

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from spexcess import fixtures as fx
 from spexcess.errors import DegreeError, HypothesisError
 from spexcess.pipeline import analyze_graph, run_all_checks
 from spexcess.theorems import (
+    Comparison,
+    _ladder,
     check_chain,
     check_distance_polynomial_sufficient,
     check_harmonic_bound,
@@ -326,6 +329,78 @@ def test_equality_verdicts_have_certificates(checks):
                 assert all(c.passes for c in rep.certificates), (name, rep.theorem_id)
             if rep.theorem_id in ("T33", "T34") and rep.certificates[0].passes:
                 assert rep.comparisons[0].scalar_equal, (name, rep.theorem_id)
+
+
+# every (theorem, verdict) the fixtures and both corpora reach, digits as "#"
+VERDICT_TEMPLATES = {
+    ("P31", "bound attained; vertex is extremal (ball saturated: N_j(u) = V)"),
+    ("P31", "numerically ambiguous: slack within #x equality tolerance"),
+    ("P31", "scalar equality at ball saturation but vertex is not extremal; "
+            "no structural claim"),
+    ("P31", "strict inequality"),
+    ("P35", "#-partially distance-regular"),
+    ("P35", "not #-partially distance-regular"),
+    ("P36", "numerically ambiguous: slack within #x equality tolerance"),
+    ("P36", "regular and #-partially distance-regular"),
+    ("P36", "scalar equality but structural certificate failed"),
+    ("P36", "strict inequality"),
+    ("T32", "not pseudo-distance-regular around vertex #"),
+    ("T32", "pseudo-distance-regular around vertex #"),
+    ("T33", "numerically ambiguous: slack within #x equality tolerance"),
+    ("T33", "spectral excess attained: A*_D = p_>=D(A)"),
+    ("T33", "strict inequality"),
+    ("T34", "harmonic bound attained: q_#(A) = S*_#"),
+    ("T34", "numerically ambiguous: slack within #x equality tolerance"),
+    ("T34", "scalar equality but matrix certificate failed"),
+    ("T34", "strict inequality"),
+    ("T37", "link (i) ambiguous; link (ii) equal"),
+    ("T37", "link (i) equality: p_>=D(A) = A*_D; "
+            "link (ii) equality: constant weighted excess"),
+    ("T37", "link (i) strict; link (ii) ambiguous"),
+    ("T37", "link (i) strict; link (ii) equal"),
+    ("T37", "link (i) strict; link (ii) strict"),
+    ("T38", "distance-polynomial (oracle-certified; regular and "
+            "#-partially distance-regular)"),
+    ("T38", "hypotheses not satisfied; no claim"),
+}
+
+
+def test_verdict_templates(checks, analyzed, wide):
+    reports = [rep for name in ALL_FIXTURES for rep in checks(name)]
+    reports += [rep for _name, _ga, reps in analyzed + wide for rep in reps]
+    seen = {(rep.theorem_id, re.sub(r"\d+", "#", rep.verdict)) for rep in reports}
+    assert seen == VERDICT_TEMPLATES
+
+
+@pytest.mark.parametrize("state, holds, verdict", [
+    ("equal", True, "attained"),
+    ("ambiguous", False, "numerically ambiguous: slack within 100x equality tolerance"),
+    ("equal", False, "scalar only"),
+    ("strict", False, "strict inequality"),
+])
+def test_ladder_branches(state, holds, verdict):
+    comp = Comparison("x <= y", 1.0, 1.0, "inequality", state)
+    assert _ladder(comp, holds, "attained", "scalar only") == verdict
+
+
+def test_p31_vector_certificate_failure(analyses, monkeypatch):
+    # scalar equality at an extremal vertex with a failing r(A)e_u identity
+    from spexcess import theorems
+    monkeypatch.setattr(theorems, "apply_to_vector", lambda p, spec, vec: 0 * vec)
+    rep = check_local_bound(analyses("petersen"), 0)
+    assert rep.comparisons[0].scalar_equal and rep.details["extremal"]
+    assert not rep.equality_holds
+    assert rep.verdict == "scalar equality but vector certificate failed"
+
+
+def test_t33_matrix_certificate_failure():
+    # scalar equality on a DRG with a failing A*_D = p_>=D(A) identity
+    ga = analyze_graph(fx.petersen())
+    zero = np.zeros((ga.n, ga.n))
+    ga.memo["tail", ga.D] = (zero, zero, 1.0)
+    rep = check_lee_weng(ga)
+    assert rep.comparisons[0].scalar_equal and not rep.equality_holds
+    assert rep.verdict == "scalar equality but matrix certificate failed"
 
 
 def test_chain_middle_term_ordering(checks, analyses):
