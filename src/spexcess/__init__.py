@@ -2,8 +2,8 @@
 
 Computes the spectrum (LAPACK eigendecomposition), local spectra read from
 the eigenvectors, the global and local predistance polynomial families (kept
-as their values on the distinct eigenvalues, built in one batched Lanczos
-pass each, evaluated at A through the eigenvectors) and Perron-weighted
+as their values on the distinct eigenvalues, each local one built only as far
+as the checks read it, evaluated at A through the eigenvectors) and Perron-weighted
 distance statistics of a connected graph, and evaluates the
 inequality/equality characterizations connecting them
 (pseudo-distance-regularity, partial distance-regularity, the

@@ -30,14 +30,9 @@ class DegreeError(SpexcessError):
 
 
 class DegenerateMeasureError(SpexcessError):
-    """A spectral measure is numerically singular.
-
-    Raised when the Lanczos recurrence breaks down before the requested
-    degree (two eigenvalue classes too close for their weights, as when
-    eigenvalues are wrongly grouped) or the Hoffman polynomial misses
-    H(lambda_i) = n * delta_{0i}.  The number of distinct eigenvalues alone
-    does not cause it.
-    """
+    """A spectral measure is numerically singular: the Lanczos recurrence
+    broke down before the requested degree (two eigenvalue classes too close
+    for their weights, as when eigenvalues are wrongly grouped)."""
 
 
 class HypothesisError(SpexcessError):

@@ -4,10 +4,17 @@
 weights -> local spectra -> polynomial families -> weighted matrices ->
 excess statistics -> combinatorial classification) and
 ``run_all_checks`` evaluates every theorem at its admissible parameters.
+
+The polynomial families are sized to what the checks read.  The global
+family runs to degree d in its own call.  A local family exists only for a
+vertex u with ecc_u < d_u and runs to degree ecc_u, where P31 reads it, all
+such vertices in one call; at j = d_u P31 needs no family (see ``poly``).
+T32's p^u_{d_u}(lambda_0) is part of each local spectrum, in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import classify, poly, spectral, theorems, weighted
@@ -30,7 +37,11 @@ class Tolerances:
 @dataclass(frozen=True)
 class GraphAnalysis:
     """Everything derived from one graph, shareable and frozen except for
-    ``memo``, where ``theorems`` keeps the certificate matrices it shares."""
+    ``memo``, where ``theorems`` keeps the certificate gaps it shares.
+
+    ``local_seqs[u]`` is vertex u's family up to degree ecc_u, or None when
+    ecc_u >= d_u.
+    """
 
     graph: Graph
     tols: Tolerances
@@ -39,7 +50,7 @@ class GraphAnalysis:
     perron: spectral.PerronWeights
     local_spectra: tuple[spectral.LocalSpectrum, ...]
     global_seq: poly.PolySequence
-    local_seqs: tuple[poly.PolySequence, ...]
+    local_seqs: tuple[poly.PolySequence | None, ...]
     wm: weighted.WeightedMatrices
     stats: weighted.ExcessStats
     classification: classify.Classification
@@ -62,7 +73,7 @@ class GraphAnalysis:
     def lambda0(self) -> float:
         return self.spectrum.lambda0
 
-    @property
+    @functools.cached_property
     def min_du(self) -> int:
         return min(ls.du for ls in self.local_spectra)
 
@@ -73,16 +84,20 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
     pw = spectral.perron_weights(spec)
     locals_ = spectral.local_spectra(spec, dd, presence_tol=tols.presence)
-    gseq, *lseqs = poly.predistance_polynomials(
-        spec.lambdas, [spec.mults / spec.n] + [ls.local_mults for ls in locals_],
-        [spec.d] + [ls.du for ls in locals_], alpha=pw.alpha)
+    (gseq,) = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n,
+                                           [spec.d])
+    short = [ls.vertex for ls in locals_ if ls.eccentricity < ls.du]
+    lseqs = dict(zip(short, poly.predistance_polynomials(
+        spec.lambdas, [locals_[u].local_mults for u in short], dd.ecc[short],
+        alpha=pw.alpha, vertices=short) if short else ()))
     wm = weighted.weighted_matrices(dd, pw)
     stats = weighted.excess_stats(dd, pw, gseq)
     cls = classify.classify_graph(g, dd, pw, spec, gseq, locals_,
                                   tol=tols.equality)
     return GraphAnalysis(
         graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw,
-        local_spectra=locals_, global_seq=gseq, local_seqs=tuple(lseqs),
+        local_spectra=locals_, global_seq=gseq,
+        local_seqs=tuple(map(lseqs.get, range(g.n))),
         wm=wm, stats=stats, classification=cls,
     )
 

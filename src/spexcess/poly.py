@@ -20,11 +20,13 @@ degree <= d *is* its vector of values there, and that vector is the only
 form kept: no monomial coefficients, which lose all accuracy at high
 degree.  The families come from the discretized Stieltjes (Lanczos)
 procedure with full reorthogonalization (Gautschi, *Orthogonal Polynomials:
-Computation and Approximation*, 2004, section 2.2), run on many measures at
-once: the pipeline passes the global measure as row 0 and the n local
-measures as rows 1..n, and the pass sorts the rows by descending degree so
-that the rows still running at each step form one contiguous block.  The
-three-term recurrence
+Computation and Approximation*, 2004, section 2.2), many measures per call.
+The pipeline builds the global family to degree d in one call, and in a
+second call the local family of each vertex with ecc_u < d_u, to degree
+ecc_u only: the checks read no higher local degree.  The top local values
+come in closed form instead: p^u_{d_u}(lambda_0) from the nodal polynomial
+of the local support (``spectral.top_p_lambda0``) and q^u_{d_u} from the
+preHoffman identities above.  The three-term recurrence
 
     x * p_i = b_{i-1} p_{i-1} + a_i p_i + c_{i+1} p_{i+1}
 
@@ -36,6 +38,7 @@ p(A) = V diag(p(lambda)) V^T.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +48,8 @@ from .errors import DegenerateMeasureError, DegreeError
 from .spectral import Spectrum
 
 _DEGENERACY_TOL = 1e-12
+# below this weight psi / sqrt(w) would magnify psi's rounding past 1e-4
+_TINY_WEIGHT = 1e-24
 
 
 @dataclass(frozen=True)
@@ -75,73 +80,106 @@ class PolySequence:
         """p_i(lambda_0), always positive."""
         return self.values[:, 0]
 
-    @property
+    @functools.cached_property
     def q_lambda0(self) -> np.ndarray:
         """q_j(lambda_0) = p_0(lambda_0) + ... + p_j(lambda_0)."""
-        return np.cumsum(self.values[:, 0])
+        return _readonly(np.cumsum(self.values[:, 0]))
 
     def sum_values(self, j: int) -> np.ndarray:
         """q_j = p_0 + ... + p_j on the eigenvalues."""
         return self.values[: j + 1].sum(axis=0)
 
 
-def predistance_polynomials(nodes, weights, degrees,
-                            alpha=None) -> tuple[PolySequence, ...]:
+def predistance_polynomials(nodes, weights, degrees, alpha=None,
+                            vertices=None) -> tuple[PolySequence, ...]:
     """One predistance family per row of ``weights``, in one batched pass.
 
     ``nodes`` are the distinct eigenvalues (descending, lambda_0 first),
     row r of ``weights`` a measure on them and ``degrees[r]`` the top degree
     of its family.  With ``alpha`` None every row is a global measure
-    (s = 1).  Otherwise row 0 is the global measure (s = 1, ``vertex``
-    None) and row u+1 the u-local one (s = alpha[u]^2, ``vertex`` u), so
-    one call builds every family of a graph.
+    (s = 1, ``vertex`` None).  Otherwise ``alpha`` is the whole Perron
+    vector and row r the local measure of vertex ``vertices[r]`` (default:
+    row u is vertex u), with s = alpha_u^2.
 
     Builds the orthonormal family phi_0..phi_m by the Stieltjes procedure
     (phi_j from x * phi_{j-1}, orthogonalized twice against every earlier
     phi), then rescales: p_j = s * phi_j(lambda_0) * phi_j satisfies
-    ||p_j||^2 = s * p_j(lambda_0) and p_j(lambda_0) > 0.  The rows are
-    sorted once by descending degree, so the rows still running at step j
-    are a leading block and every per-step slice is a view; the families
-    come back in the caller's row order.
+    ||p_j||^2 = s * p_j(lambda_0) and p_j(lambda_0) > 0.  The steps run on
+    psi = sqrt(w) * phi, so every inner product is a plain dot product, and
+    phi = psi / sqrt(w) except where w <= ``_TINY_WEIGHT``: there phi takes
+    the same linear steps as psi.  Rows are sorted by descending degree, so
+    the rows still running at step j are a leading block (a single row runs
+    as plain vector products); the families come back in the caller's order.
     """
     nodes = np.asarray(nodes, dtype=float)
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    w = _readonly(np.array(weights, dtype=float, ndmin=2))
     degrees = np.asarray(degrees, dtype=np.int64)
-    rows = len(w)
+    rows, size = w.shape
     if alpha is None:
-        scale = np.ones(rows)
+        vertices, scale = [None] * rows, np.ones(rows)
     else:
-        scale = np.concatenate(([1.0], np.asarray(alpha, dtype=float) ** 2))
-        if scale.shape != (rows,):
-            raise ValueError("alpha needs one entry per local row of weights")
-    if degrees.shape != (rows,) or w.shape[1] != len(nodes):
-        raise ValueError("weights must be (rows, nodes) with one degree per row")
-    if np.any(degrees >= len(nodes)):
-        raise DegreeError(f"degrees must lie in 0..{len(nodes) - 1}")
+        vertices = list(range(len(alpha)) if vertices is None else map(int, vertices))
+        scale = np.asarray(alpha, dtype=float)[vertices] ** 2
+    if len(vertices) != rows or degrees.shape != (rows,) or size != len(nodes):
+        raise ValueError("weights must be (rows, nodes), with one degree and, "
+                         "given alpha, one vertex per row")
     top = int(degrees.max(initial=0))
+    if top >= size:
+        raise DegreeError(f"degrees must lie in 0..{size - 1}")
     order = np.argsort(-degrees, kind="stable")
     ws = w[order]
     # live[j]: how many sorted rows have degree >= j
     live = np.searchsorted(-degrees[order], -np.arange(top + 1), side="right")
 
-    phi = np.zeros((rows, top + 1, len(nodes)))
-    beta = np.zeros((rows, top + 1))
-    phi[:, 0] = 1.0 / np.sqrt(ws.sum(axis=1))[:, None]
-    for j in range(1, top + 1):
-        wa, basis = ws[: live[j]], phi[: live[j], :j]
-        v = nodes * phi[: live[j], j - 1]
-        start = np.sqrt(np.sum(wa * v * v, axis=1))
-        for _ in range(2):  # full orthogonalization plus one repeat pass
-            coef = np.matmul((wa * v)[:, None], basis.transpose(0, 2, 1))
-            v = v - np.matmul(coef, basis)[:, 0]
-        nrm = np.sqrt(np.sum(wa * v * v, axis=1))
-        if np.any(nrm <= _DEGENERACY_TOL * start):
-            raise DegenerateMeasureError(
-                f"measure is numerically singular at degree {j} "
-                "(eigenvalues may be wrongly grouped)"
-            )
-        phi[: live[j], j] = v / nrm[:, None]
-        beta[: live[j], j] = nrm
+    tiny = ws <= _TINY_WEIGHT
+    carry = bool(tiny.any())
+    psi = np.zeros((rows, top + 1, size))
+    phi = np.zeros((rows, top + 1 if carry else 1, size))
+    # start stays -1 where no step ran, so only run steps can look singular
+    beta, start = np.zeros((rows, top + 1)), np.full((rows, top + 1), -1.0)
+    norm0 = np.sqrt(ws.sum(axis=1))[:, None]
+    psi[:, 0], phi[:, 0] = np.sqrt(ws) / norm0, 1.0 / norm0
+    if rows == 1:  # plain vector products on the row's own views
+        dots = comb = np.matmul
+        ps, ph, bt, st = psi[0], phi[0], beta[0], start[0]
+
+        def norm(v):
+            return np.sqrt(v @ v)
+    else:
+        def dots(b, v):
+            return np.matmul(b, v[..., None])[..., 0]
+
+        def comb(c, b):
+            return np.matmul(c[..., None, :], b)[..., 0, :]
+
+        def norm(v):
+            return np.sqrt(np.einsum("rk,rk->r", v, v))
+    # a singular measure divides by ~0 here; it is caught after the loop
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(1, top + 1):
+            if rows > 1:
+                r = live[j]
+                ps, ph, bt, st = psi[:r], phi[:r], beta[:r], start[:r]
+            basis = ps[..., :j, :]
+            v = nodes * ps[..., j - 1, :]
+            st[..., j] = norm(v)
+            c = dots(basis, v)  # full orthogonalization plus one repeat pass
+            v -= comb(c, basis)
+            c2 = dots(basis, v)
+            v -= comb(c2, basis)
+            bt[..., j] = nrm = norm(v)
+            ps[..., j, :] = v / nrm[..., None]
+            if carry:
+                ph[..., j, :] = (nodes * ph[..., j - 1, :]
+                                 - comb(c + c2, ph[..., :j, :])) / nrm[..., None]
+    singular = beta <= _DEGENERACY_TOL * start
+    if singular.any():
+        raise DegenerateMeasureError(
+            f"measure is numerically singular at degree {singular.any(axis=0).argmax()} "
+            "(eigenvalues may be wrongly grouped)"
+        )
+    scaled = psi * (1.0 / np.sqrt(np.where(tiny, 1.0, ws)))[:, None]
+    phi = np.where(tiny[:, None], phi, scaled) if carry else scaled
 
     # p_j = k_j phi_j; the Lanczos relation x phi_j = beta_j phi_{j-1} +
     # a_j phi_j + beta_{j+1} phi_{j+1} turns into the p-recurrence.  k_j is
@@ -149,28 +187,32 @@ def predistance_polynomials(nodes, weights, degrees,
     # phi_j) and zero past it, where the quotients are sliced off below.
     k = scale[order][:, None] * phi[:, :, 0]
     kk = np.where(k == 0.0, 1.0, k)
-    values = k[:, :, None] * phi
-    rec_a = np.einsum("rk,rik->ri", ws * nodes, phi * phi)
-    rec_b = beta[:, 1:] * k[:, 1:] / kk[:, :-1]
-    rec_c = beta[:, 1:] * k[:, :-1] / kk[:, 1:]
+    # slices of a read-only array are read-only
+    values = _readonly(k[:, :, None] * phi)
+    rec_a = _readonly((psi * psi) @ nodes)
+    rec_b = _readonly(beta[:, 1:] * k[:, 1:] / kk[:, :-1])
+    rec_c = _readonly(beta[:, 1:] * k[:, :-1] / kk[:, 1:])
     return tuple(
         PolySequence(
-            weights=_readonly(w[r]),
-            values=_readonly(values[s, : m + 1]),
-            rec_a=_readonly(rec_a[s, : m + 1]),
-            rec_b=_readonly(rec_b[s, :m]),
-            rec_c=_readonly(rec_c[s, :m]),
-            norm_scale=float(scale[r]),
-            vertex=None if alpha is None or r == 0 else r - 1,
+            weights=w[r],
+            values=values[s, : m + 1],
+            rec_a=rec_a[s, : m + 1],
+            rec_b=rec_b[s, :m],
+            rec_c=rec_c[s, :m],
+            norm_scale=norm_scale,
+            vertex=vertex,
         )
-        for r, (s, m) in enumerate(zip(np.argsort(order).tolist(), degrees.tolist()))
+        for r, s, m, norm_scale, vertex in zip(
+            range(rows), np.argsort(order).tolist(), degrees.tolist(),
+            scale.tolist(), vertices)
     )
 
 
 def evaluate_at_matrix(p, spec: Spectrum) -> np.ndarray:
-    """p(A) = V diag(p(lambda)) V^T from the values of p on the eigenvalues."""
+    """p(A) = V diag(p(lambda)) V^T from the values of p on the eigenvalues;
+    a (k, d+1) stack of value vectors gives the (k, n, n) stack of matrices."""
     v = spec.vectors
-    return (v * np.asarray(p)[spec.class_index]) @ v.T
+    return (v * np.asarray(p)[..., None, spec.class_index]) @ v.T
 
 
 def apply_to_vector(p, spec: Spectrum, vec: np.ndarray) -> np.ndarray:

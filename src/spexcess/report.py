@@ -19,10 +19,6 @@ from .theorems import TheoremReport
 SCHEMA_VERSION = 2
 
 
-def _num(x):
-    return float(x)
-
-
 def _arr(a):
     return np.asarray(a, dtype=float).tolist()
 
@@ -30,9 +26,9 @@ def _arr(a):
 def comparison_dict(c) -> dict:
     return {
         "label": c.label,
-        "lhs": _num(c.lhs),
-        "rhs": _num(c.rhs),
-        "slack": _num(c.slack),
+        "lhs": float(c.lhs),
+        "rhs": float(c.rhs),
+        "slack": float(c.slack),
         "kind": c.kind,
         "state": c.state,
         "scalarEqual": c.scalar_equal,
@@ -42,8 +38,8 @@ def comparison_dict(c) -> dict:
 def certificate_dict(c) -> dict:
     return {
         "name": c.name,
-        "maxAbsDiff": _num(c.max_abs_diff),
-        "tolerance": _num(c.tol),
+        "maxAbsDiff": float(c.max_abs_diff),
+        "tolerance": float(c.tol),
         "passes": c.passes,
     }
 
@@ -51,8 +47,7 @@ def certificate_dict(c) -> dict:
 def theorem_report_dict(r: TheoremReport, include_witnesses: bool = False) -> dict:
     out = {
         "theoremId": r.theorem_id,
-        "params": {k: (int(v) if isinstance(v, (int, np.integer)) else v)
-                   for k, v in r.params.items()},
+        "params": _plain(r.params),
         "comparisons": [comparison_dict(c) for c in r.comparisons],
         "certificates": [certificate_dict(c) for c in r.certificates],
         "equalityHolds": r.equality_holds,
@@ -64,19 +59,20 @@ def theorem_report_dict(r: TheoremReport, include_witnesses: bool = False) -> di
     return out
 
 
+_PLAIN_TYPES = frozenset((bool, int, float, str, type(None)))
+
+
 def _plain(obj):
+    """JSON-ready copy; plain scalars pass by an exact-type check, also
+    inside containers, before any isinstance test."""
+    if type(obj) in _PLAIN_TYPES:
+        return obj
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        return {k: v if type(v) in _PLAIN_TYPES else _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+        return [v if type(v) in _PLAIN_TYPES else _plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):  # numpy scalars give bool, int, float
         return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     return obj
 
 
@@ -86,11 +82,7 @@ def classification_dict(ga: GraphAnalysis) -> dict:
     for r in cls.pseudo_dr:
         entry = {"vertex": r.vertex, "isPseudoDistanceRegular": r.is_pdr}
         if r.numbers is not None:
-            entry["pseudoIntersectionNumbers"] = {
-                "c": _arr(r.numbers[0]),
-                "a": _arr(r.numbers[1]),
-                "b": _arr(r.numbers[2]),
-            }
+            entry["pseudoIntersectionNumbers"] = dict(zip("cab", _arr(r.numbers)))
         if r.violation is not None:
             entry["violation"] = _plain(list(r.violation))
         pseudo.append(entry)
@@ -122,16 +114,16 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
             "degrees": [int(x) for x in degrees],
         },
         "tolerances": {
-            "grouping": _num(ga.tols.grouping),
-            "presence": _num(ga.tols.presence),
-            "equality": _num(ga.tols.equality),
+            "grouping": float(ga.tols.grouping),
+            "presence": float(ga.tols.presence),
+            "equality": float(ga.tols.equality),
         },
         "spectrum": {
             "lambdas": _arr(ga.spectrum.lambdas),
             "multiplicities": [int(m) for m in ga.spectrum.mults],
         },
         "perron": {
-            "lambda0": _num(ga.lambda0),
+            "lambda0": float(ga.lambda0),
             "alpha": _arr(ga.perron.alpha),
             "nu": _arr(ga.perron.nu),
         },
@@ -157,8 +149,8 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
         "excess": {
             "deltaStar": _arr(ga.stats.delta_star),
             "harmonicMeans": _arr(ga.stats.harmonic_means),
-            "spectralExcess": _num(ga.stats.spectral_excess),
-            "nMinusHarmonicDMinus1": _num(ga.stats.n_minus_harmonic),
+            "spectralExcess": float(ga.stats.spectral_excess),
+            "nMinusHarmonicDMinus1": float(ga.stats.n_minus_harmonic),
             "avgWeightedDegree": _arr(ga.stats.avg_weighted_degree),
         },
         "theorems": [theorem_report_dict(r, include_witnesses) for r in reports],

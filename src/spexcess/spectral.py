@@ -9,7 +9,9 @@ starting at ``mults[0] + ... + mults[i-1]``, and the multiplicities are the
 only record of the layout.  Local spectra are read straight from the
 eigenvectors: with V_i the orthonormal eigenvectors of class i, the
 spectral projector is E_i = V_i V_i^T, so m_u(lambda_i) = (E_i)_{uu} = sum
-over class i of V[u, k]^2.  No dense E_i is ever built.
+over class i of V[u, k]^2.  No dense E_i is ever built.  Each local
+spectrum also carries its local excess p^u_{d_u}(lambda_0) in closed form
+(``top_p_lambda0``), so no predistance family is built for it.
 
 The one genuinely delicate tolerance is ``presence_tol``: local multiplicities
 below it are treated as exact zeros, which determines d_u (the number of
@@ -20,6 +22,7 @@ verdicts so they can be audited.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,10 +61,10 @@ class Spectrum:
     def lambda0(self) -> float:
         return float(self.lambdas[0])
 
-    @property
+    @functools.cached_property
     def class_index(self) -> np.ndarray:
         """The eigenvalue class of each eigenvector column."""
-        return np.repeat(np.arange(len(self.mults)), self.mults)
+        return _readonly(np.repeat(np.arange(len(self.mults)), self.mults))
 
 
 def eigendecompose(g: Graph,
@@ -131,14 +134,15 @@ class LocalSpectrum:
     """Local multiplicities of one vertex and the derived extremality data.
 
     ``local_mults[i] = (E_i)_{uu}``, nonnegative and summing to 1 over i;
-    ``support`` holds the indices with mass above the presence threshold,
-    and ``du`` counts them excluding lambda_0.
+    ``du`` counts the lambda_i other than lambda_0 whose mass is above the
+    presence threshold (the local support); ``local_excess`` is
+    p^u_{d_u}(lambda_0), the top local predistance polynomial at lambda_0.
     """
 
     vertex: int
     local_mults: np.ndarray
-    support: np.ndarray
     du: int
+    local_excess: float
     eccentricity: int
     is_extremal: bool
 
@@ -148,21 +152,45 @@ def class_sums(x: np.ndarray, spec: Spectrum) -> np.ndarray:
     return np.add.reduceat(x, np.cumsum(spec.mults) - spec.mults, axis=-1)
 
 
+def top_p_lambda0(nodes, weights, support, scale) -> np.ndarray:
+    """p_N(lambda_0) for the measure in each row of ``weights``, N + 1 being
+    the size of its ``support`` (a boolean mask over ``nodes``) and s its
+    ``scale``.  On N + 1 points the degree-N orthonormal polynomial is
+    C / (w_k omega'(lambda_k)) at node k (omega the nodal polynomial), so
+    with pi_k = prod_{i in supp, i != k} |lambda_k - lambda_i|
+
+        p_N(lambda_0) = s / (w_0^2 pi_0^2 sum_{k in supp} 1 / (w_k pi_k^2)),
+
+    and s = 1, w = m/n give the spectral excess n / (pi_0^2 sum 1/(m_k pi_k^2)).
+    Evaluated in logs, for all rows at once: a sum of positive terms.
+    """
+    support = np.asarray(support, dtype=bool)
+    gaps = np.abs(np.subtract.outer(nodes, nodes))
+    np.fill_diagonal(gaps, 1.0)
+    log_pi = support @ np.log(gaps)  # gaps is symmetric: row k pairs with node k
+    log_w = np.log(np.where(support, weights, 1.0))
+    terms = np.where(support, -log_w - 2.0 * log_pi, -np.inf)
+    peak = terms.max(axis=-1)
+    log_sum = peak + np.log(np.exp(terms - peak[..., None]).sum(axis=-1))
+    return scale * np.exp(-2.0 * (log_w[..., 0] + log_pi[..., 0]) - log_sum)
+
+
 def local_spectra(spec: Spectrum, dd: DistanceData,
                   presence_tol: float = DEFAULT_PRESENCE_TOL) -> tuple[LocalSpectrum, ...]:
     """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i);
     lambda_i belongs to the local spectrum of u when m_u(lambda_i) exceeds
-    ``presence_tol``."""
-    m = class_sums(spec.vectors ** 2, spec)
-    out = []
-    for u in range(dd.n):
-        support = np.flatnonzero(m[u] > presence_tol)
-        if 0 not in support:
-            raise NonPositiveEigenvectorError(
-                f"vertex {u} has no lambda_0 mass ({m[u, 0]:.3e}); numerical failure"
-            )
-        du, ecc = len(support) - 1, int(dd.ecc[u])
-        out.append(LocalSpectrum(vertex=u, local_mults=_readonly(m[u]),
-                                 support=_readonly(support), du=du,
-                                 eccentricity=ecc, is_extremal=(ecc == du)))
-    return tuple(out)
+    ``presence_tol``.  The local excess uses the local normalization
+    s = alpha_u^2 = n * m_u(lambda_0)."""
+    m = _readonly(class_sums(spec.vectors ** 2, spec))
+    present = m > presence_tol
+    if not present[:, 0].all():
+        u = int(np.argmin(present[:, 0]))
+        raise NonPositiveEigenvectorError(
+            f"vertex {u} has no lambda_0 mass ({m[u, 0]:.3e}); numerical failure"
+        )
+    du = (present.sum(axis=1) - 1).tolist()
+    excess = top_p_lambda0(spec.lambdas, m, present, spec.n * m[:, 0]).tolist()
+    return tuple(
+        LocalSpectrum(vertex=u, local_mults=m[u], du=d, local_excess=p,
+                      eccentricity=ecc, is_extremal=(ecc == d))
+        for u, (d, p, ecc) in enumerate(zip(du, excess, dd.ecc.tolist())))

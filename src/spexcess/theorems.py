@@ -10,12 +10,21 @@ P36) share one four-way verdict ladder, ``_ladder``:
 2. numerically ambiguous -- the slack is positive but within 100x the
    equality tolerance, so no side is picked;
 3. scalar equality only -- the certificate fails, so no structural claim;
-4. strict inequality -- everything else.
+4. violated -- lhs exceeds rhs beyond the tolerance (an internal error);
+5. strict inequality -- everything else.
 
 T37 reports each link of its chain as equal or by its comparison state.
-Each matrix identity q_j(A) = S*_j and p_{>=D}(A) = A*_D is built once per
-graph and shared by the checks that certify it (T34, P35 and P36; T33 and
-T37).
+Each matrix identity q_j(A) = S*_j and p_{>=D}(A) = A*_D is evaluated once
+per graph, consecutive q_j(A) in one stacked product per ``_BLOCK_BYTES``
+block, and only its gap max|p(A) - M| is kept (``ga.memo``) for the checks
+that share it (T34, P35 and P36; T33 and T37).  Witness matrices are built
+when a caller reads ``TheoremReport.witnesses``.
+
+P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
+q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``);
+below d_u it comes from the family the pipeline built to ecc_u, or from one
+row built to j.  T32 reads p^u_{d_u}(lambda_0) in closed form
+(``spectral.top_p_lambda0``).
 
 Checks (ids follow the report schema):
 
@@ -36,25 +45,28 @@ Checks (ids follow the report schema):
                             delta*_{D-1} = p_{D-1}(lambda_0) imply
                             distance-polynomial
 
-Note on saturation: once j >= ecc(u) the ball N_j(u) is all of V, so the P31
-bound is attained by r = q_j^u for every vertex, extremal or not (the top
-local sum polynomial always has q^u(lambda_0) = n).  The extremality part of
-the equality characterization is only meaningful below saturation, which is
-why the full pipeline runs P31 at j = ecc(u).
+Note on saturation: once j >= ecc(u) the ball N_j(u) is all of V, and at
+j = d_u the P31 bound is attained by r = q^u_{d_u} for every vertex,
+extremal or not.  The extremality part of the equality characterization is
+only meaningful below saturation, which is why the full pipeline runs P31
+at j = ecc(u).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from ._util import readonly as _readonly
 from .classify import DEFAULT_ORACLE_TOL
 from .errors import DegreeError, HypothesisError
-from .poly import apply_to_vector, evaluate_at_matrix
+from .poly import apply_to_vector, evaluate_at_matrix, predistance_polynomials
 
 THEOREM_IDS = ("P31", "T32", "T33", "T34", "P35", "P36", "T37", "T38")
+
+_BLOCK_BYTES = 1 << 24  # stacked q_j(A) products held at once
 
 
 @dataclass(frozen=True)
@@ -98,7 +110,13 @@ class TheoremReport:
     verdict: str
     params: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
-    witnesses: dict | None = None
+    witness_fn: Callable[[], dict] | None = field(default=None, repr=False,
+                                                  compare=False)
+
+    @functools.cached_property
+    def witnesses(self) -> dict | None:
+        """The witness arrays, built on first read."""
+        return None if self.witness_fn is None else self.witness_fn()
 
     @property
     def lhs(self) -> float:
@@ -142,13 +160,15 @@ def _ladder(comp: Comparison, holds: bool, attained: str,
             scalar_only: str = "scalar equality but matrix certificate failed") -> str:
     """The verdict of an inequality whose equality case is certified: the
     ``attained`` wording when ``holds``, else ambiguous, else ``scalar_only``
-    on scalar equality, else strict."""
+    on scalar equality, else violated, else strict."""
     if holds:
         return attained
     if comp.state == "ambiguous":
         return "numerically ambiguous: slack within 100x equality tolerance"
     if comp.scalar_equal:
         return scalar_only
+    if comp.state == "violated":
+        return "INEQUALITY VIOLATED: lhs exceeds rhs"
     return "strict inequality"
 
 
@@ -158,17 +178,32 @@ def _certificate(ga, name: str, diff: float) -> Certificate:
 
 
 def _identity(ga, kind: str, i: int):
-    """(p(A), M, max|p(A) - M|) for q_i(A) = S*_i (``kind`` "q") or
-    p_{>=i}(A) = A*_i ("tail", p_{>=i} = p_i + ... + p_d), built once per
-    graph and kept in ``ga.memo`` for every check that needs it."""
-    if (kind, i) not in ga.memo:
-        if kind == "q":
-            vals, twin = ga.global_seq.sum_values(i), ga.wm.sstar_at(i)
-        else:
-            vals, twin = ga.global_seq.values[i:].sum(axis=0), ga.wm.astar_at(i)
-        p_at_a = _readonly(evaluate_at_matrix(vals, ga.spectrum))
-        ga.memo[kind, i] = (p_at_a, _readonly(twin),
-                            float(np.abs(p_at_a - twin).max()))
+    """(p(A), M) for q_i(A) = S*_i (``kind`` "q") or p_{>=i}(A) = A*_i
+    ("tail", p_{>=i} = p_i + ... + p_d)."""
+    seq = ga.global_seq
+    if kind == "q":
+        return evaluate_at_matrix(seq.sum_values(i), ga.spectrum), ga.wm.sstar_at(i)
+    return evaluate_at_matrix(seq.values[i:].sum(axis=0), ga.spectrum), ga.wm.astar_at(i)
+
+
+def _gap(ga, kind: str, i: int) -> float:
+    """max|p(A) - M| for ``_identity(ga, kind, i)``, kept in ``ga.memo``.
+    A q-gap comes with those of the next j that any check reads (j <=
+    max(min_u d_u, min(D, d))), as many as fit in ``_BLOCK_BYTES``."""
+    gap = ga.memo.get((kind, i))
+    if gap is not None:
+        return gap
+    if kind == "tail":
+        ga.memo[kind, i] = float(np.abs(np.subtract(*_identity(ga, kind, i))).max())
+    else:
+        top = max(ga.min_du, min(ga.D, ga.d), i)
+        js = np.arange(i, min(i + max(1, _BLOCK_BYTES // (8 * ga.n ** 2)), top + 1))
+        # row j of the cumulative sum is sum_values(j), bit for bit
+        q = np.cumsum(ga.global_seq.values, axis=0)[js]
+        at_a = evaluate_at_matrix(q, ga.spectrum)
+        at_a -= np.where(ga.wm.dist <= js[:, None, None], ga.wm.jstar, 0.0)
+        gaps = np.abs(at_a, out=at_a).reshape(len(js), -1).max(axis=1)
+        ga.memo.update({(kind, j): gap for j, gap in zip(js.tolist(), gaps.tolist())})
     return ga.memo[kind, i]
 
 
@@ -182,7 +217,6 @@ def check_local_bound(ga, u: int, j: int | None = None,
     coefficients, ascending, and is evaluated at the eigenvalues.
     """
     ls = ga.local_spectra[u]
-    seq = ga.local_seqs[u]
     if j is None:
         j = min(ls.eccentricity, ls.du)
     if not 0 <= j <= ls.du:
@@ -190,18 +224,20 @@ def check_local_bound(ga, u: int, j: int | None = None,
     eq_tol = ga.tols.equality
     alpha = ga.perron.alpha
     if r is None:
-        # r = q_j^u; its value and norm come from the construction itself
+        # r = q_j^u; its value and norm come from the construction itself;
+        # at j = d_u, r(lambda_0) = n and r(A) e_u = alpha_u alpha
         r_degree = j
-        r_vals = seq.sum_values(j)
-        norm_u = float(np.sqrt(seq.norm_scale * r_vals[0]))
+        r_vals = None if j == ls.du else _local_family(ga, u, j).sum_values(j)
+        r_l0 = float(ga.n if r_vals is None else r_vals[0])
+        norm_u = float(alpha[u] * np.sqrt(r_l0))
     else:
         coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
         r_degree = max(len(coeffs) - 1, 0)
         if r_degree > j:
             raise DegreeError(f"deg r = {r_degree} exceeds j = {j}")
         r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
-        norm_u = float(np.sqrt(np.sum(seq.weights * r_vals ** 2)))
-    r_l0 = float(r_vals[0])
+        r_l0 = float(r_vals[0])
+        norm_u = float(np.sqrt(np.sum(ls.local_mults * r_vals ** 2)))
     if norm_u <= 0.0:
         raise DegreeError(f"r has zero local norm at vertex {u}")
     lhs = r_l0 / norm_u
@@ -213,7 +249,8 @@ def check_local_bound(ga, u: int, j: int | None = None,
     equality = comp.scalar_equal
     witnesses = None
     if comp.scalar_equal:
-        vec = apply_to_vector(r_vals, ga.spectrum, _unit(ga.n, u)) / norm_u
+        vec = (alpha[u] * alpha if r_vals is None else
+               apply_to_vector(r_vals, ga.spectrum, np.eye(1, ga.n, u)[0])) / norm_u
         ball = ga.dd.ball(u, j)
         target = np.zeros(ga.n)
         target[ball] = alpha[ball]
@@ -222,7 +259,8 @@ def check_local_bound(ga, u: int, j: int | None = None,
                             float(np.abs(vec - target).max()))
         certs.append(cert)
         equality = cert.passes and ls.is_extremal
-        witnesses = {"normalized_vector": vec, "weighted_ball_unit": target}
+        witnesses = functools.partial(dict, normalized_vector=vec,
+                                      weighted_ball_unit=target)
     saturated = j >= ls.eccentricity
     note = " (ball saturated: N_j(u) = V)" if saturated else ""
     scalar_only = ("scalar equality but vector certificate failed" if ls.is_extremal
@@ -238,14 +276,19 @@ def check_local_bound(ga, u: int, j: int | None = None,
         verdict=verdict,
         params={"vertex": u, "j": j, "r_degree": r_degree},
         details={"extremal": ls.is_extremal, "ball_saturated": saturated},
-        witnesses=witnesses,
+        witness_fn=witnesses,
     )
 
 
-def _unit(n: int, u: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[u] = 1.0
-    return e
+def _local_family(ga, u: int, j: int):
+    """Vertex u's local family up to degree at least j: the one the pipeline
+    built, or one row built to j by the same call."""
+    seq = ga.local_seqs[u]
+    if seq is None or seq.top_degree < j:
+        (seq,) = predistance_polynomials(ga.spectrum.lambdas,
+                                         ga.local_spectra[u].local_mults, [j],
+                                         alpha=ga.perron.alpha, vertices=[u])
+    return seq
 
 
 def check_local_spet(ga, u: int) -> TheoremReport:
@@ -253,10 +296,9 @@ def check_local_spet(ga, u: int) -> TheoremReport:
     iff the graph is pseudo-distance-regular around u (certified by the
     combinatorial constancy oracle; the two verdicts must agree)."""
     ls = ga.local_spectra[u]
-    seq = ga.local_seqs[u]
     eq_tol = ga.tols.equality
     label = "p^u_du(lambda0) vs ||rho_Gamma_du(u)||^2"
-    lhs = float(seq.p_lambda0[ls.du])
+    lhs = ls.local_excess
     if ls.du <= ls.eccentricity:
         rhs = float(ga.stats.sphere_norms[u, ls.du])
         comp = _compare(label, lhs, rhs, eq_tol, kind="equality")
@@ -280,7 +322,7 @@ def check_local_spet(ga, u: int) -> TheoremReport:
                "du": ls.du, "eccentricity": ls.eccentricity}
     witnesses = None
     if oracle.numbers is not None:
-        witnesses = {"pseudo_intersection_numbers": oracle.numbers}
+        witnesses = functools.partial(dict, pseudo_intersection_numbers=oracle.numbers)
     elif oracle.violation is not None:
         details["oracle_violation"] = oracle.violation
     return TheoremReport(
@@ -291,7 +333,7 @@ def check_local_spet(ga, u: int) -> TheoremReport:
         verdict=verdict,
         params={"vertex": u},
         details=details,
-        witnesses=witnesses,
+        witness_fn=witnesses,
     )
 
 
@@ -301,8 +343,7 @@ def check_lee_weng(ga) -> TheoremReport:
     lhs = ga.stats.delta_star[-1]
     rhs = ga.stats.spectral_excess
     comp = _compare("delta*_D <= p_>=D(lambda0)", lhs, rhs, eq_tol)
-    tail_at_a, astar_d, diff = _identity(ga, "tail", ga.D)
-    cert = _certificate(ga, "A*_D == p_>=D(A)", diff)
+    cert = _certificate(ga, "A*_D == p_>=D(A)", _gap(ga, "tail", ga.D))
     equality = comp.scalar_equal and cert.passes
     return TheoremReport(
         theorem_id="T33",
@@ -310,7 +351,8 @@ def check_lee_weng(ga) -> TheoremReport:
         certificates=(cert,),
         equality_holds=equality,
         verdict=_ladder(comp, equality, "spectral excess attained: A*_D = p_>=D(A)"),
-        witnesses={"Astar_D": astar_d, "p_geqD_at_A": tail_at_a},
+        witness_fn=lambda: dict(zip(("Astar_D", "p_geqD_at_A"),
+                                    _identity(ga, "tail", ga.D)[::-1])),
     )
 
 
@@ -329,13 +371,17 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
     lhs = float(ga.global_seq.q_lambda0[j])
     rhs = ga.stats.harmonic_at(j)
     comp = _compare(f"q_{j}(lambda0) <= H*_<={j}", lhs, rhs, eq_tol)
-    q_at_a, sstar_j, diff = _identity(ga, "q", j)
-    cert = _certificate(ga, f"q_{j}(A) == S*_{j}", diff)
+    cert = _certificate(ga, f"q_{j}(A) == S*_{j}", _gap(ga, "q", j))
     equality = comp.scalar_equal and cert.passes
-    witnesses = {"q_j_at_A": q_at_a, "Sstar_j": sstar_j}
-    if comp.state in ("equal", "ambiguous"):
-        # per-vertex proportionality constants from the equality analysis
-        witnesses["eta"] = np.diag(q_at_a) / ga.perron.alpha ** 2
+
+    def witnesses():
+        q_at_a, sstar_j = _identity(ga, "q", j)
+        out = {"q_j_at_A": q_at_a, "Sstar_j": sstar_j}
+        if comp.state in ("equal", "ambiguous"):
+            # per-vertex proportionality constants from the equality analysis
+            out["eta"] = np.diag(q_at_a) / ga.perron.alpha ** 2
+        return out
+
     return TheoremReport(
         theorem_id="T34",
         comparisons=(comp,),
@@ -343,12 +389,12 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
         equality_holds=equality,
         verdict=_ladder(comp, equality, f"harmonic bound attained: q_{j}(A) = S*_{j}"),
         params={"j": j},
-        witnesses=witnesses,
+        witness_fn=witnesses,
     )
 
 
 def _partial_dr_certs(ga, m: int):
-    return tuple(_certificate(ga, f"q_{j}(A) == S*_{j}", _identity(ga, "q", j)[2])
+    return tuple(_certificate(ga, f"q_{j}(A) == S*_{j}", _gap(ga, "q", j))
                  for j in (m - 1, m))
 
 
@@ -432,8 +478,7 @@ def check_chain(ga) -> TheoremReport:
                       middle, ga.stats.spectral_excess, eq_tol)
     comp_ii = _compare("delta*_D <= n - H*_<=D-1",
                        ga.stats.delta_star[-1], middle, eq_tol)
-    tail_at_a, astar_d, diff = _identity(ga, "tail", ga.D)
-    cert_i = _certificate(ga, "p_>=D(A) == A*_D", diff)
+    cert_i = _certificate(ga, "p_>=D(A) == A*_D", _gap(ga, "tail", ga.D))
     excess = ga.stats.sphere_norms[:, -1]
     cert_ii = Certificate(
         name="||rho_Gamma_D(u)||^2 constant over u",
@@ -453,8 +498,9 @@ def check_chain(ga) -> TheoremReport:
         equality_holds=eq_i and eq_ii,
         verdict="; ".join(parts),
         details={"equality_i": eq_i, "equality_ii": eq_ii},
-        witnesses={"p_geqD_at_A": tail_at_a, "Astar_D": astar_d,
-                   "weighted_excess_per_vertex": excess},
+        witness_fn=lambda: dict(zip(("p_geqD_at_A", "Astar_D"),
+                                    _identity(ga, "tail", ga.D)),
+                                weighted_excess_per_vertex=excess),
     )
 
 
@@ -499,5 +545,6 @@ def check_distance_polynomial_sufficient(ga) -> TheoremReport:
         equality_holds=equality,
         verdict=verdict,
         details=details,
-        witnesses={"distance_poly_residuals": cls.distance_poly_residuals},
+        witness_fn=functools.partial(
+            dict, distance_poly_residuals=cls.distance_poly_residuals),
     )

@@ -16,6 +16,8 @@ import numpy as np
 from spexcess.classify import DEFAULT_ORACLE_TOL
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph, run_all_checks
+from spexcess.poly import predistance_polynomials
+from spexcess.spectral import top_p_lambda0
 
 SEED = 20250809
 # the benchmark's wide-spectrum draw: the first 41 wide graphs are its shapes
@@ -105,7 +107,7 @@ def battery_mean_of_local_products(analyzed, rng=None, tol=1e-8):
     rng = rng or np.random.default_rng(SEED)
     fails = []
     for name, ga, _reports in analyzed:
-        local_w = np.stack([s.weights for s in ga.local_seqs])
+        local_w = np.stack([ls.local_mults for ls in ga.local_spectra])
         for _ in range(3):
             pq = rng.standard_normal(ga.d + 1) * rng.standard_normal(ga.d + 1)
             glob = float(ga.global_seq.weights @ pq)
@@ -116,13 +118,23 @@ def battery_mean_of_local_products(analyzed, rng=None, tol=1e-8):
     return fails
 
 
+def full_local_families(ga):
+    """Every vertex's local family to degree d_u, in one call (the pipeline
+    builds them only to ecc_u, and only where ecc_u < d_u)."""
+    return predistance_polynomials(
+        ga.spectrum.lambdas, [ls.local_mults for ls in ga.local_spectra],
+        [ls.du for ls in ga.local_spectra], alpha=ga.perron.alpha)
+
+
 def battery_orthogonality(analyzed, tol=1e-12):
     """<p_i, p_j> = delta_ij * s * p_i(lambda_0) with p_i(lambda_0) > 0, for
-    the global family (s = 1) and every local one (s = alpha_u^2); the
-    error is normalized by s * sqrt(p_i(lambda_0) p_j(lambda_0))."""
+    the global family (s = 1), the pipeline's local ones and every full
+    local one (s = alpha_u^2); the error is normalized by
+    s * sqrt(p_i(lambda_0) p_j(lambda_0))."""
     fails = []
     for name, ga, _reports in analyzed:
-        for seq in (ga.global_seq,) + ga.local_seqs:
+        short = tuple(seq for seq in ga.local_seqs if seq is not None)
+        for seq in (ga.global_seq,) + short + full_local_families(ga):
             pl0 = seq.p_lambda0
             if not np.all(pl0 > 0):
                 fails.append(f"{name}: vertex {seq.vertex}: p_i(lambda0) <= 0")
@@ -278,6 +290,40 @@ def battery_distance_regular_networkx(analyzed):
     return fails
 
 
+def battery_local_excess_closed_form(analyzed, tol=1e-13):
+    """T32's closed-form p^u_{d_u}(lambda_0) against the top value of the
+    vertex's full Lanczos family, within tol * max(1, |p|)."""
+    fails = []
+    for name, ga, _reports in analyzed:
+        for ls, seq in zip(ga.local_spectra, full_local_families(ga)):
+            p, got = float(seq.p_lambda0[ls.du]), ls.local_excess
+            if abs(got - p) > tol * max(1.0, abs(p)):
+                fails.append(f"{name}: vertex {ls.vertex}: closed form {got!r} "
+                             f"vs Lanczos {p!r}")
+    return fails
+
+
+def battery_global_excess_closed_form(analyzed, tol=1e-13):
+    """The spectral excess formula n / (pi_0^2 sum_k 1 / (m_k pi_k^2)), with
+    pi_k = prod_{i != k} |lambda_k - lambda_i| in plain products, against
+    the Lanczos p_d(lambda_0) within tol * max(1, |p|), and the log-space
+    ``top_p_lambda0`` against it within 1e-12 relative."""
+    fails = []
+    for name, ga, _reports in analyzed:
+        lambdas, mults = ga.spectrum.lambdas, ga.spectrum.mults
+        gaps = np.abs(lambdas[:, None] - lambdas[None, :]) + np.eye(ga.d + 1)
+        pi = gaps.prod(axis=1)
+        formula = ga.n / (pi[0] ** 2 * np.sum(1.0 / (mults * pi ** 2)))
+        p = float(ga.global_seq.p_lambda0[ga.d])
+        logs = float(top_p_lambda0(lambdas, mults / ga.n,
+                                   np.ones(ga.d + 1, dtype=bool), 1.0))
+        if abs(formula - p) > tol * max(1.0, abs(p)):
+            fails.append(f"{name}: formula {formula!r} vs Lanczos {p!r}")
+        if abs(logs - formula) > 1e-12 * formula:
+            fails.append(f"{name}: top_p_lambda0 {logs!r} vs formula {formula!r}")
+    return fails
+
+
 ALL_BATTERIES = (
     battery_mean_of_local_products,
     battery_orthogonality,
@@ -289,6 +335,8 @@ ALL_BATTERIES = (
     battery_oracle_agreement,
     battery_pseudo_dr_reference,
     battery_distance_regular_networkx,
+    battery_local_excess_closed_form,
+    battery_global_excess_closed_form,
 )
 
 

@@ -21,7 +21,10 @@ checkout's ``src`` to snapshot that checkout.
 ``compare`` prints every input whose record differs, the non-float fields
 that differ (exit code, stderr, strings, integers, booleans, keys and list
 lengths) and the largest relative gap between two floats at the same
-place.  It exits 1 when any record differs and 0 when all are identical.
+place.  It then prints, for every field path with list indices dropped
+(``stdout.theorems.comparisons.lhs``), the largest relative and the largest
+absolute gap between two floats there, over all inputs.  It exits 1 when
+any record differs and 0 when all are identical.
 """
 
 from __future__ import annotations
@@ -107,22 +110,27 @@ def write(target: str) -> None:
     print(f"{len(records)} inputs written to {target}")
 
 
-def _diff(a, b, where: str, fields: list[str]) -> float:
+def _diff(a, b, where: str, fields: list[str], gaps: dict, path: str) -> float:
     """Append the non-float differences to ``fields``; return the largest
-    relative gap between floats found at the same place."""
+    relative gap between floats found at the same place.  ``gaps`` maps each
+    field ``path`` (``where`` without list indices) to the largest relative
+    and absolute float gaps seen there."""
     if isinstance(a, float) and isinstance(b, float):
         if a == b:
             return 0.0
-        return abs(a - b) / max(abs(a), abs(b))
+        rel, gap = abs(a - b) / max(abs(a), abs(b)), abs(a - b)
+        old_rel, old_abs = gaps.get(path, (0.0, 0.0))
+        gaps[path] = (max(old_rel, rel), max(old_abs, gap))
+        return rel
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             fields.append(f"{where}: keys {sorted(a.keys() ^ b.keys())}")
-        return max((_diff(a[k], b[k], f"{where}.{k}", fields)
+        return max((_diff(a[k], b[k], f"{where}.{k}", fields, gaps, f"{path}.{k}")
                     for k in a.keys() & b.keys()), default=0.0)
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             fields.append(f"{where}: length {len(a)} != {len(b)}")
-        return max((_diff(x, y, f"{where}[{i}]", fields)
+        return max((_diff(x, y, f"{where}[{i}]", fields, gaps, path)
                     for i, (x, y) in enumerate(zip(a, b))), default=0.0)
     if type(a) is not type(b) or a != b:
         fields.append(f"{where}: {a!r} != {b!r}")
@@ -141,7 +149,7 @@ def compare(path_a: str, path_b: str) -> int:
         a = json.load(fh)["inputs"]
     with open(path_b) as fh:
         b = json.load(fh)["inputs"]
-    differing, largest = 0, 0.0
+    differing, largest, gaps = 0, 0.0, {}
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             differing += 1
@@ -156,7 +164,8 @@ def compare(path_a: str, path_b: str) -> int:
             fields.append(f"exit: {ra['exit']} != {rb['exit']}")
         if ra["stderr"] != rb["stderr"]:
             fields.append(f"stderr: {ra['stderr']!r} != {rb['stderr']!r}")
-        gap = _diff(_parsed(ra["stdout"]), _parsed(rb["stdout"]), "stdout", fields)
+        gap = _diff(_parsed(ra["stdout"]), _parsed(rb["stdout"]), "stdout", fields,
+                    gaps, "stdout")
         largest = max(largest, gap)
         print(f"{key}: {len(fields)} non-float fields differ, "
               f"largest relative float gap {gap:.3e}")
@@ -167,6 +176,8 @@ def compare(path_a: str, path_b: str) -> int:
     total = len(a.keys() | b.keys())
     print(f"{differing} of {total} inputs differ; "
           f"largest relative float gap {largest:.3e}")
+    for path, (rel, gap) in sorted(gaps.items()):
+        print(f"  {path}: largest relative gap {rel:.3e}, absolute {gap:.3e}")
     return 1 if differing else 0
 
 

@@ -173,6 +173,35 @@ def test_check_t33_with_witnesses(capsys, tmp_path):
     assert len(report["witnesses"]["Astar_D"]) == 10
 
 
+@pytest.mark.parametrize("j", [3, 4])
+def test_check_p31_past_eccentricity(capsys, tmp_path, j):
+    # C8(1,2) has ecc_u = 2 < d_u = 4, so the pipeline builds q^u only to
+    # degree 2: --j 3 builds the one row, --j 4 = d_u takes the closed form
+    import numpy as np
+    from corpus import full_local_families
+    from spexcess.pipeline import analyze_graph
+    from spexcess.poly import apply_to_vector
+    g = fx.named("c8_12")
+    path = tmp_path / "c8_12.el"
+    path.write_bytes(fx.edgelist_bytes(g))
+    code, out, _ = _run(capsys, ["check", str(path), "--theorem", "P31",
+                                 "--vertex", "0", "--j", str(j)])
+    assert code == 0
+    report = json.loads(out)
+    ga = analyze_graph(g)
+    assert ga.local_seqs[0].top_degree == 2
+    r = full_local_families(ga)[0].sum_values(j)
+    norm = np.sqrt(ga.perron.alpha[0] ** 2 * r[0])
+    assert report["params"]["j"] == j
+    assert report["comparisons"][0]["lhs"] == pytest.approx(r[0] / norm, rel=1e-12)
+    if j == 3:  # q^u_3(lambda_0) < n = ||rho_V||^2: strict
+        assert report["comparisons"][0]["state"] == "strict"
+        return
+    vec = apply_to_vector(r, ga.spectrum, np.eye(ga.n)[0]) / norm
+    got = np.array(report["witnesses"]["normalized_vector"])
+    assert np.abs(got - vec).max() <= 1e-12
+
+
 def test_check_t34_missing_j(capsys, k23_file):
     code, _, err = _run(capsys, ["check", k23_file, "--theorem", "T34"])
     assert code == 2

@@ -12,6 +12,12 @@ from spexcess.poly import (
     predistance_polynomials,
 )
 
+from corpus import (
+    battery_global_excess_closed_form,
+    battery_local_excess_closed_form,
+    full_local_families,
+)
+
 SQRT6 = math.sqrt(6.0)
 
 
@@ -45,16 +51,21 @@ def _k23_pieces():
     return _pieces(fx.k23())
 
 
-def _rows(spec, locs):
-    """The pipeline's layout: the global measure first, then one row per vertex."""
-    return ([spec.mults / spec.n] + [ls.local_mults for ls in locs],
-            [spec.d] + [ls.du for ls in locs])
+def _rows(locs):
+    """One local row per vertex, each to its full degree d_u."""
+    return [ls.local_mults for ls in locs], [ls.du for ls in locs]
 
 
 def _families(spec, locs, pw):
-    gseq, *lseqs = predistance_polynomials(spec.lambdas, *_rows(spec, locs),
-                                           alpha=pw.alpha)
-    return gseq, lseqs
+    (gseq,) = predistance_polynomials(spec.lambdas, [spec.mults / spec.n], [spec.d])
+    lseqs = predistance_polynomials(spec.lambdas, *_rows(locs), alpha=pw.alpha)
+    return gseq, list(lseqs)
+
+
+def _all_families(ga):
+    """The global family, the pipeline's short local ones and the full ones."""
+    short = [seq for seq in ga.local_seqs if seq is not None]
+    return [ga.global_seq] + short + list(full_local_families(ga))
 
 
 def test_inner_product_constants():
@@ -115,33 +126,41 @@ def test_degenerate_measure_raises():
     with pytest.raises(DegenerateMeasureError):
         predistance_polynomials(nodes, rows, [1, 3, 2])
     with pytest.raises(DegenerateMeasureError):
-        predistance_polynomials(nodes, rows, [3, 1, 2], alpha=[1.0, 1.0])
+        predistance_polynomials(nodes, rows, [3, 1, 2], alpha=[1.0, 1.0, 1.0])
     predistance_polynomials(nodes, rows[:2], [1, 3])  # the others alone pass
 
 
 def test_local_context_requires_alpha():
-    # row 0 is the global family, row u + 1 the local family of vertex u
+    # row u is the local family of vertex u, or of vertices[u] when given
     _, _, spec, pw, locs = _k23_pieces()
-    rows, degrees = _rows(spec, locs)
+    rows, degrees = _rows(locs)
     for bad in (pw.alpha[:2], np.append(pw.alpha, 1.0)):
         with pytest.raises(ValueError):
             predistance_polynomials(spec.lambdas, rows, degrees, alpha=bad)
+    with pytest.raises(ValueError):
+        predistance_polynomials(spec.lambdas, rows, degrees, alpha=pw.alpha,
+                                vertices=[0, 1])
     seqs = predistance_polynomials(spec.lambdas, rows, degrees, alpha=pw.alpha)
-    assert [s.vertex for s in seqs] == [None] + list(range(len(locs)))
-    assert [s.norm_scale for s in seqs] == [1.0] + (pw.alpha ** 2).tolist()
+    assert [s.vertex for s in seqs] == list(range(len(locs)))
+    assert [s.norm_scale for s in seqs] == (pw.alpha ** 2).tolist()
+    seqs = predistance_polynomials(spec.lambdas, rows[3:1:-1], degrees[3:1:-1],
+                                   alpha=pw.alpha, vertices=[3, 2])
+    assert [s.vertex for s in seqs] == [3, 2]
+    assert [s.norm_scale for s in seqs] == (pw.alpha[[3, 2]] ** 2).tolist()
     # without alpha every row is global
     seqs = predistance_polynomials(spec.lambdas, rows, degrees)
     assert all(s.vertex is None and s.norm_scale == 1.0 for s in seqs)
 
 
-def _assert_rows_match_single_calls(nodes, rows, degrees, alpha, refs):
+def _assert_rows_match_single_calls(nodes, rows, degrees, alpha, vertices, refs):
     """Each row of one batched call against ``refs``, one call per row."""
-    seqs = predistance_polynomials(nodes, rows, degrees, alpha=alpha)
+    seqs = predistance_polynomials(nodes, rows, degrees, alpha=alpha,
+                                   vertices=vertices)
     scales = [1.0] * len(rows) if alpha is None \
-        else [1.0] + (np.asarray(alpha) ** 2).tolist()
+        else (np.asarray(alpha)[vertices] ** 2).tolist()
     for r, (seq, w, m, s, ref) in enumerate(zip(seqs, rows, degrees, scales, refs)):
         assert np.array_equal(seq.weights, w) and seq.norm_scale == s
-        assert seq.vertex == (None if alpha is None or r == 0 else r - 1)
+        assert seq.vertex == (None if alpha is None else vertices[r])
         assert seq.values.shape == (m + 1, len(nodes))
         scale = np.abs(s * ref.values).max()
         assert np.abs(seq.values - s * ref.values).max() <= 1e-12 * scale, r
@@ -150,25 +169,38 @@ def _assert_rows_match_single_calls(nodes, rows, degrees, alpha, refs):
 
 @pytest.mark.parametrize("family", ["fixtures", "wide"])
 def test_batched_rows_match_single_calls(family):
-    # rows in an order whose degrees are not sorted, one of them cut to
-    # degree 0, against one call per row
+    # local rows in an order whose degrees are not sorted, one of them cut
+    # to degree 0, against one call per row (a single row takes the
+    # unbatched path)
     from corpus import build_wide_corpus
     graphs = [g for _, g in build_wide_corpus()] if family == "wide" else \
         [fx.BUNDLED[name]() for name in sorted(fx.BUNDLED)] + [fx.path(5)]
     for g in graphs:
         _, _, spec, pw, locs = _pieces(g)
-        order = np.argsort([ls.du for ls in locs], kind="stable")  # ascending
-        rows = [spec.mults / spec.n] + [locs[u].local_mults for u in order]
-        degrees = [spec.d] + [locs[u].du for u in order]
+        order = np.argsort([ls.du for ls in locs], kind="stable").tolist()  # ascending
+        rows = [locs[u].local_mults for u in order]
+        degrees = [locs[u].du for u in order]
         degrees[len(rows) // 2] = 0
         refs = [predistance_polynomials(spec.lambdas, [w], [m])[0]
                 for w, m in zip(rows, degrees)]
         _assert_rows_match_single_calls(spec.lambdas, rows, degrees,
-                                        pw.alpha[order], refs)
+                                        pw.alpha, order, refs)
         # the same rows with the global one in the middle, every row global
-        for seq in (rows, degrees, refs):
-            seq.insert(len(seq) // 2, seq.pop(0))
-        _assert_rows_match_single_calls(spec.lambdas, rows, degrees, None, refs)
+        for seq, first in ((rows, spec.mults / spec.n), (degrees, spec.d)):
+            seq.insert(len(seq) // 2, first)
+        refs.insert(len(refs) // 2, predistance_polynomials(
+            spec.lambdas, [spec.mults / spec.n], [spec.d])[0])
+        _assert_rows_match_single_calls(spec.lambdas, rows, degrees, None, None, refs)
+
+
+def test_excess_closed_forms_on_fixtures(analyses):
+    from conftest import ALL_NAMES
+    graphs = [(name, analyses(name), None) for name in ALL_NAMES]
+    assert not battery_local_excess_closed_form(graphs)
+    assert not battery_global_excess_closed_form(graphs)
+    # Petersen: p_2(lambda_0) = k_2 = 6 at every vertex and globally
+    ga = analyses("petersen")
+    assert all(abs(ls.local_excess - 6.0) <= 1e-12 for ls in ga.local_spectra)
 
 
 # --- predistance families ----------------------------------------------------
@@ -214,7 +246,7 @@ def test_orthogonality_and_normalization():
         g = fx.named(name) if name != "k13" else fx.star(3)
         from spexcess.pipeline import analyze_graph
         ga = analyze_graph(g)
-        for seq in [ga.global_seq] + list(ga.local_seqs):
+        for seq in _all_families(ga):
             w, vals, pl0 = seq.weights, seq.values, seq.p_lambda0
             m = seq.top_degree
             assert np.all(pl0 > 0)
@@ -239,10 +271,12 @@ def test_degrees_are_exact():
 def test_recurrence_consistency():
     for name in ("k23", "petersen", "c6", "c8_12"):
         ga = _analysis(name)
-        for seq in [ga.global_seq] + list(ga.local_seqs):
+        for seq in _all_families(ga):
             w, vals = seq.weights, seq.values
             m = seq.top_degree
-            for i in range(m + 1):
+            # x p_m has no p_{m+1} term only when the family is complete
+            complete = m + 1 == np.count_nonzero(w > 1e-9)
+            for i in range(m + 1 if complete else m):
                 xv = ga.spectrum.lambdas * vals[i]
                 combo = seq.rec_a[i] * vals[i]
                 if i >= 1:
@@ -330,7 +364,7 @@ def test_hoffman_values_and_product_form():
 def test_local_prehoffman_p3_center():
     ga = _analysis("p3")
     h = _hoffman(ga)
-    seq = ga.local_seqs[1]
+    seq = full_local_families(ga)[1]
     assert seq.top_degree == 1 and ga.global_seq.top_degree == 2
     hu = seq.sum_values(seq.top_degree)
     e1 = np.zeros(3)
@@ -345,14 +379,14 @@ def test_local_prehoffman_lambda0_is_n():
             else fx.path(int(name[1:]))
         from spexcess.pipeline import analyze_graph
         ga = analyze_graph(g)
-        for seq in ga.local_seqs:
+        for seq in full_local_families(ga):
             assert seq.q_lambda0[-1] == pytest.approx(ga.n, rel=1e-9)
 
 
 def test_local_prehoffman_vertex_transitive_equals_global():
     ga = _analysis("petersen")
     h = _hoffman(ga)
-    for seq in ga.local_seqs:
+    for seq in full_local_families(ga):
         assert np.abs(seq.sum_values(seq.top_degree) - h).max() <= 1e-8
 
 
@@ -363,7 +397,7 @@ def test_local_prehoffman_column_identity():
         a = np.asarray(ga.graph.adjacency)
         h_ref = ga.n / np.prod(ga.lambda0 - ga.spectrum.lambdas[1:]) \
             * np.polynomial.polynomial.polyfromroots(ga.spectrum.lambdas[1:])
-        for u, seq in enumerate(ga.local_seqs):
+        for u, seq in enumerate(full_local_families(ga)):
             e = np.zeros(ga.n)
             e[u] = 1.0
             hu_e = apply_to_vector(seq.sum_values(seq.top_degree), ga.spectrum, e)
@@ -382,7 +416,8 @@ def test_mean_of_local_products_identity():
             p = _at(rng.standard_normal(deg + 1), ga.spectrum.lambdas)
             q = _at(rng.standard_normal(deg + 1), ga.spectrum.lambdas)
             glob = float(ga.global_seq.weights @ (p * q))
-            mean = np.mean([float(s.weights @ (p * q)) for s in ga.local_seqs])
+            mean = np.mean([float(ls.local_mults @ (p * q))
+                            for ls in ga.local_spectra])
             assert abs(glob - mean) <= 1e-8 * max(1.0, abs(glob))
 
 

@@ -64,6 +64,12 @@ def test_orthogonality_and_normalization_on_corpus(analyzed):
     assert not fails, fails[:5]
 
 
+def test_excess_closed_forms_on_corpus(analyzed):
+    fails = corpus.battery_local_excess_closed_form(analyzed)
+    fails += corpus.battery_global_excess_closed_form(analyzed)
+    assert not fails, fails[:5]
+
+
 def test_perron_positivity_and_normalizations(analyzed):
     for name, ga, _reps in analyzed:
         alpha, nu = ga.perron.alpha, ga.perron.nu

@@ -36,11 +36,12 @@ def test_p31_trivial_r_one(analyses):
 
 
 def test_p31_petersen_q1(analyses):
+    from corpus import full_local_families
     ga = analyses("petersen")
-    for u in range(ga.n):
+    for u, seq in enumerate(full_local_families(ga)):
         rep = check_local_bound(ga, u, j=1)
         assert rep.equality_holds
-        assert ga.local_seqs[u].q_lambda0[1] == pytest.approx(4.0, rel=1e-9)
+        assert seq.q_lambda0[1] == pytest.approx(4.0, rel=1e-9)
         assert ga.stats.ball_norm_at(u, 1) == pytest.approx(4.0, rel=1e-9)
 
 
@@ -377,6 +378,7 @@ def test_verdict_templates(checks, analyzed, wide):
     ("ambiguous", False, "numerically ambiguous: slack within 100x equality tolerance"),
     ("equal", False, "scalar only"),
     ("strict", False, "strict inequality"),
+    ("violated", False, "INEQUALITY VIOLATED: lhs exceeds rhs"),
 ])
 def test_ladder_branches(state, holds, verdict):
     comp = Comparison("x <= y", 1.0, 1.0, "inequality", state)
@@ -384,10 +386,12 @@ def test_ladder_branches(state, holds, verdict):
 
 
 def test_p31_vector_certificate_failure(analyses, monkeypatch):
-    # scalar equality at an extremal vertex with a failing r(A)e_u identity
+    # scalar equality at an extremal vertex with a failing r(A)e_u identity;
+    # r = q_2 = x^2 + x - 2 is given explicitly, because the default
+    # q^u_{d_u} takes r(A)e_u = alpha_u alpha from its closed form
     from spexcess import theorems
     monkeypatch.setattr(theorems, "apply_to_vector", lambda p, spec, vec: 0 * vec)
-    rep = check_local_bound(analyses("petersen"), 0)
+    rep = check_local_bound(analyses("petersen"), 0, r=[-2.0, 1.0, 1.0])
     assert rep.comparisons[0].scalar_equal and rep.details["extremal"]
     assert not rep.equality_holds
     assert rep.verdict == "scalar equality but vector certificate failed"
@@ -396,8 +400,7 @@ def test_p31_vector_certificate_failure(analyses, monkeypatch):
 def test_t33_matrix_certificate_failure():
     # scalar equality on a DRG with a failing A*_D = p_>=D(A) identity
     ga = analyze_graph(fx.petersen())
-    zero = np.zeros((ga.n, ga.n))
-    ga.memo["tail", ga.D] = (zero, zero, 1.0)
+    ga.memo["tail", ga.D] = 1.0  # max|p_>=D(A) - A*_D|
     rep = check_lee_weng(ga)
     assert rep.comparisons[0].scalar_equal and not rep.equality_holds
     assert rep.verdict == "scalar equality but matrix certificate failed"
@@ -432,18 +435,28 @@ def _wide(name):
 @pytest.mark.parametrize("graph", [_q6, lambda: _wide("tree30x0")],
                          ids=["q6", "tree30x0"])
 def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
+    # each call evaluates a block of value vectors; no vector comes twice,
+    # the q_j(A) come in fewer calls than vectors, and no witness matrix
+    # is built until a caller reads it
     from spexcess import theorems
     ga = analyze_graph(graph())
-    seen = []
+    seen, calls = [], []
     evaluate = theorems.evaluate_at_matrix
 
     def counting(p, spec):
-        seen.append(np.asarray(p).tobytes())
+        calls.append(p)
+        seen.extend(row.tobytes() for row in np.atleast_2d(p))
         return evaluate(p, spec)
 
     monkeypatch.setattr(theorems, "evaluate_at_matrix", counting)
     reports = run_all_checks(ga)
     assert seen and len(seen) == len(set(seen))
+    assert len(calls) < len(seen)
+    before = len(calls)
+    t34 = next(rep for rep in reports if rep.theorem_id == "T34")
+    gap = np.abs(t34.witnesses["q_j_at_A"] - t34.witnesses["Sstar_j"]).max()
+    assert len(calls) == before + 1
+    assert gap == t34.certificates[0].max_abs_diff
     by_id = {}
     for rep in reports:
         by_id.setdefault(rep.theorem_id, []).append(rep)

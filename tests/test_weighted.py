@@ -116,6 +116,7 @@ def test_harmonic_vs_arithmetic_chain():
 
 def test_excess_stats_requires_global_sequence():
     from spexcess.weighted import excess_stats
+    from corpus import full_local_families
     ga = _ga("k23")
     with pytest.raises(ValueError):
-        excess_stats(ga.dd, ga.perron, ga.local_seqs[0])
+        excess_stats(ga.dd, ga.perron, full_local_families(ga)[0])
