@@ -17,7 +17,6 @@ from .classify import (
     classify_graph,
     is_distance_polynomial,
     is_distance_regular,
-    partial_dr_level,
     pseudo_dr_around_all,
 )
 from .graphs import (
@@ -86,7 +85,6 @@ __all__ = [
     "is_distance_regular",
     "load_graph",
     "local_spectra",
-    "partial_dr_level",
     "perron_weights",
     "predistance_polynomials",
     "pseudo_dr_around_all",

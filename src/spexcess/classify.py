@@ -1,9 +1,10 @@
 """Combinatorial oracles for every regularity notion checked spectrally.
 
-These are deliberately independent of the polynomial machinery: they count
-and compare neighbors directly so that the spectral characterizations
-(pseudo-distance-regularity, partial distance-regularity, the
-distance-polynomial property) can be cross-validated on both routes.
+The checks in ``theorems`` read the predistance polynomials; these oracles
+never do (this module imports nothing from ``poly``).  Pseudo-distance-
+and distance-regularity and the partial distance-regularity level count
+neighbours directly; the distance-polynomial oracle projects each A_i onto
+the eigenvector classes.
 
 Pseudo-distance-regularity around u (weighted): for v in Gamma_i(u),
 
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import readonly as _readonly
-from .graphs import DistanceData, Graph
-from .poly import PolySequence, evaluate_at_matrix
+from .graphs import DistanceData
 from .spectral import LocalSpectrum, PerronWeights, Spectrum, class_sums
 
 DEFAULT_ORACLE_TOL = 1e-7
@@ -114,32 +114,51 @@ def pseudo_dr_around_all(dd: DistanceData, pw: PerronWeights,
 
 @dataclass(frozen=True)
 class DistanceRegularityResult:
+    is_regular: bool
     is_drg: bool
     intersection_array: dict | None
-    violation: tuple | None
+    level: int
 
 
 def is_distance_regular(dd: DistanceData) -> DistanceRegularityResult:
-    """Unweighted intersection-number constancy over every root vertex.
+    """Regularity, distance-regularity and the partial distance-regularity
+    level from one sweep of the unit-weight intersection numbers.
 
+    For v in Gamma_i(u), c_i, a_i and b_i count the neighbours of v in
+    Gamma_{i-1}(u), Gamma_i(u) and Gamma_{i+1}(u); a count is constant at
+    radius i when it is the same for every pair (u, v) at distance i.
     Counts are integers, so constancy is exact.  When distance-regular the
     result carries the intersection array {b_0..b_{D-1}; c_1..c_D} plus the
-    a_i row.  Otherwise the violation is ("ecc", u, ecc_u, D) for the first
-    root u with a smaller eccentricity, or (i, which, min, max) for the first
-    radius and count c, a or b that is not the same around every root.
+    a_i row.
+
+    ``level`` is the largest m <= D with p_i(A) = A_i for all i <= m.  A
+    nonregular graph, told by its degrees, has p_1(A) = (lambda_0 / mean
+    degree) A != A and gets level 0 with no sweep.  For a regular graph,
+    p_i(A) = A_i for all i <= m iff c_1..c_m and a_1..a_{m-1} are constant:
+
+    * if they are, so are b_i = k - a_i - c_i, and the entries of A A_i give
+      A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1} for i < m, so
+      A_i = r_i(A) with deg r_i = i.  Under <M, N> = tr(MN)/n the A_i are
+      orthogonal with ||A_i||^2 = k_i = r_i(lambda_0) (A_i 1 = r_i(k) 1),
+      and that normalization fixes the orthogonal family: r_i = p_i;
+    * conversely the three-term recurrence of the p_i turns p_i(A) = A_i
+      into that relation, whose entries at distance i + 1 and i are c_{i+1}
+      and a_i.
+
+    So the sweep stops at the first radius i where a count varies: the
+    level is i - 1 if c varies there and i if only a or b does.  When
+    nothing varies the graph is distance-regular, with level D (= d).
     """
+    degrees = np.count_nonzero(dd.dist == 1, axis=1)
+    if np.any(degrees != degrees[0]):
+        return DistanceRegularityResult(False, False, None, 0)
     big_d = dd.diameter
-    short = np.flatnonzero(dd.ecc != big_d)
-    if short.size:
-        # distance-regular graphs have equal eccentricities everywhere
-        u = int(short[0])
-        return DistanceRegularityResult(False, None, ("ecc", u, int(dd.ecc[u]), big_d))
     numbers = np.zeros((3, big_d + 1))
     for i, mask, *triple in _sphere_profile(dd, np.ones(dd.n)):
-        for k, (which, x) in enumerate(zip("cab", triple)):
+        for k, x in enumerate(triple):  # c, a, b
             lo, hi = x[mask].min(), x[mask].max()
             if lo != hi:
-                return DistanceRegularityResult(False, None, (i, which, float(lo), float(hi)))
+                return DistanceRegularityResult(True, False, None, i - (k == 0))
             numbers[k, i] = lo
     c, a, b = numbers
     array = {
@@ -147,7 +166,7 @@ def is_distance_regular(dd: DistanceData) -> DistanceRegularityResult:
         "c": [int(c[i]) for i in range(1, big_d + 1)],
         "a": [int(a[i]) for i in range(big_d + 1)],
     }
-    return DistanceRegularityResult(True, array, None)
+    return DistanceRegularityResult(True, True, array, big_d)
 
 
 def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
@@ -171,23 +190,6 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
     return ok, _readonly(residuals)
 
 
-def partial_dr_level(dd: DistanceData, spec: Spectrum, seq: PolySequence,
-                     tol: float = DEFAULT_ORACLE_TOL) -> int:
-    """Largest m <= min(D, d) with p_i(A) = A_i entrywise for all i <= m.
-
-    Level 0 always holds (p_0 = 1); level >= 1 requires regularity because
-    p_1 = (lambda_0 / mean degree) x, so nonregular graphs report level 0.
-    """
-    top = min(dd.diameter, seq.top_degree)
-    level = 0
-    for i in range(1, top + 1):
-        diff = evaluate_at_matrix(seq.values[i], spec) - dd.matrix(i)
-        if np.abs(diff).max() > tol * max(1.0, dd.n):
-            break
-        level = i
-    return level
-
-
 @dataclass(frozen=True)
 class Classification:
     """Bundle of every combinatorial verdict for one graph."""
@@ -206,22 +208,18 @@ class Classification:
         return tuple(r.vertex for r in self.pseudo_dr if r.is_pdr)
 
 
-def classify_graph(g: Graph, dd: DistanceData, pw: PerronWeights,
-                   spec: Spectrum, seq: PolySequence,
+def classify_graph(dd: DistanceData, pw: PerronWeights, spec: Spectrum,
                    locals_: tuple[LocalSpectrum, ...],
                    tol: float = DEFAULT_ORACLE_TOL) -> Classification:
-    degrees = g.adjacency.sum(axis=1)
-    is_regular = bool(np.all(degrees == degrees[0]))
     drg = is_distance_regular(dd)
     pdr = pseudo_dr_around_all(dd, pw, tol)
     is_dp, residuals = is_distance_polynomial(dd, spec, tol)
-    level = partial_dr_level(dd, spec, seq, tol)
     return Classification(
-        is_regular=is_regular,
+        is_regular=drg.is_regular,
         is_distance_regular=drg.is_drg,
         intersection_array=drg.intersection_array,
         pseudo_dr=pdr,
-        partial_dr_level=level,
+        partial_dr_level=drg.level,
         is_distance_polynomial=is_dp,
         distance_poly_residuals=residuals,
         extremal_vertices=tuple(ls.vertex for ls in locals_ if ls.is_extremal),

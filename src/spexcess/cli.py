@@ -7,14 +7,15 @@ Commands:
                              -- one TheoremReport JSON (with witnesses)
 * ``spexcess fixtures --out DIR`` -- write the bundled fixture graphs
 
-Exit codes: 0 success, 2 input error, 3 numerical failure (a LAPACK
-eigensolver failure, a Perron vector entry or a vertex's lambda_0 mass at or
-below its threshold, or a singular spectral measure; the number of distinct
-eigenvalues is no limit), 4 internal invariant violated (an inequality
-violation, an oracle disagreement, or a NaN or infinity in the JSON output,
-which is then not printed).  Tolerance flags (--group-tol, --presence-tol,
---eq-tol) are mirrored by the environment variables SPEXCESS_TOL_GROUP,
-SPEXCESS_TOL_PRESENCE and SPEXCESS_TOL_EQ; a flag wins over its variable.
+Exit codes: 0 success, 2 input error (also any OS error reading the input
+or writing fixtures), 3 numerical failure (a LAPACK eigensolver failure, a
+Perron vector entry or a vertex's lambda_0 mass at or below its threshold,
+or a singular spectral measure; the number of distinct eigenvalues is no
+limit), 4 internal invariant violated (an inequality violation, an oracle
+disagreement, or a NaN or infinity in the JSON output, which is then not
+printed).  Tolerance flags (--group-tol, --presence-tol, --eq-tol) are
+mirrored by the variables SPEXCESS_TOL_GROUP, SPEXCESS_TOL_PRESENCE and
+SPEXCESS_TOL_EQ; a flag wins over its variable.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
 _INPUT_ERRORS = (ParseError, DisconnectedError, LoopOrMultiEdgeError,
-                 MissingParamError, HypothesisError, DegreeError,
-                 FileNotFoundError, IsADirectoryError, PermissionError)
+                 MissingParamError, HypothesisError, DegreeError, OSError)
 _NUMERICAL_ERRORS = (ConvergenceError, NonPositiveEigenvectorError,
                      DegenerateMeasureError)
 

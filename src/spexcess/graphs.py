@@ -21,6 +21,7 @@ ParseError, not a silent read of the first graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,14 +190,13 @@ def parse_edgelist(text: str) -> tuple[int, list[tuple[int, int]]]:
         edges.append((u, v))
     if not edges:
         raise ParseError("no edges found")
-    n = max(max(u, v) for u, v in edges) + 1
-    present = set()
-    for u, v in edges:
-        present.add(u)
-        present.add(v)
+    present = {x for edge in edges for x in edge}
+    n = max(present) + 1
     if len(present) != n:
-        missing = sorted(set(range(n)) - present)
-        raise ParseError(f"vertex ids must be dense 0..{n - 1}; missing {missing}")
+        # a lazy scan: it stops after at most len(present) + 5 ids
+        first = list(itertools.islice((x for x in range(n) if x not in present), 5))
+        raise ParseError(f"vertex ids must be dense 0..{n - 1}; "
+                         f"{n - len(present)} missing, the first {first}")
     return n, edges
 
 

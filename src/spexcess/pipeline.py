@@ -92,8 +92,7 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
         alpha=pw.alpha, vertices=short) if short else ()))
     wm = weighted.weighted_matrices(dd, pw)
     stats = weighted.excess_stats(dd, pw, gseq)
-    cls = classify.classify_graph(g, dd, pw, spec, gseq, locals_,
-                                  tol=tols.equality)
+    cls = classify.classify_graph(dd, pw, spec, locals_, tol=tols.equality)
     return GraphAnalysis(
         graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw,
         local_spectra=locals_, global_seq=gseq,

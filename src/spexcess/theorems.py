@@ -201,7 +201,7 @@ def _gap(ga, kind: str, i: int) -> float:
         # row j of the cumulative sum is sum_values(j), bit for bit
         q = np.cumsum(ga.global_seq.values, axis=0)[js]
         at_a = evaluate_at_matrix(q, ga.spectrum)
-        at_a -= np.where(ga.wm.dist <= js[:, None, None], ga.wm.jstar, 0.0)
+        at_a -= ga.wm.sstar_at(js[:, None, None])
         gaps = np.abs(at_a, out=at_a).reshape(len(js), -1).max(axis=1)
         ga.memo.update({(kind, j): gap for j, gap in zip(js.tolist(), gaps.tolist())})
     return ga.memo[kind, i]
@@ -406,7 +406,7 @@ def _require_m(ga, m: int):
 
 def check_partial_dr_matrix(ga, m: int) -> TheoremReport:
     """P35: q_j(A) = S*_j for j = m-1, m iff m-partially distance-regular
-    (cross-checked against the p_i(A) = A_i oracle level)."""
+    (cross-checked against the intersection-number level of ``classify``)."""
     _require_m(ga, m)
     certs = _partial_dr_certs(ga, m)
     matrix_holds = all(c.passes for c in certs)

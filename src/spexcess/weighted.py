@@ -42,8 +42,8 @@ class WeightedMatrices:
         """A*_i = A_i o J*."""
         return np.where(self.dist == i, self.jstar, 0.0)
 
-    def sstar_at(self, j: int) -> np.ndarray:
-        """S*_j, saturating at J* for j >= D."""
+    def sstar_at(self, j) -> np.ndarray:
+        """S*_j, saturating at J* for j >= D; j of shape (k, 1, 1) stacks k."""
         return np.where(self.dist <= j, self.jstar, 0.0)
 
 

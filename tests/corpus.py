@@ -16,7 +16,7 @@ import numpy as np
 from spexcess.classify import DEFAULT_ORACLE_TOL
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph, run_all_checks
-from spexcess.poly import predistance_polynomials
+from spexcess.poly import evaluate_at_matrix, predistance_polynomials
 from spexcess.spectral import top_p_lambda0
 
 SEED = 20250809
@@ -324,6 +324,34 @@ def battery_global_excess_closed_form(analyzed, tol=1e-13):
     return fails
 
 
+def reference_partial_dr_level(ga, tol=DEFAULT_ORACLE_TOL):
+    """The largest m <= min(D, d) with p_i(A) = A_i entrywise, within
+    tol * max(1, n), for all i <= m, with p_i(A) built from the global
+    family and the eigenvectors (the spectral route the sweep replaced)."""
+    level = 0
+    for i in range(1, min(ga.D, ga.d) + 1):
+        diff = evaluate_at_matrix(ga.global_seq.values[i], ga.spectrum) - ga.dd.matrix(i)
+        if np.abs(diff).max() > tol * max(1.0, ga.n):
+            break
+        level = i
+    return level
+
+
+def battery_partial_dr_level_reference(analyzed):
+    """The combinatorial partial distance-regularity level against
+    ``reference_partial_dr_level``, and distance-regular iff that level is D."""
+    fails = []
+    for name, ga, _reports in analyzed:
+        cls, level = ga.classification, reference_partial_dr_level(ga)
+        if cls.partial_dr_level != level:
+            fails.append(f"{name}: level {cls.partial_dr_level} vs p_i(A) = A_i "
+                         f"level {level}")
+        if cls.is_distance_regular != (level == ga.D):
+            fails.append(f"{name}: is_distance_regular {cls.is_distance_regular} "
+                         f"with p_i(A) = A_i level {level} of D = {ga.D}")
+    return fails
+
+
 ALL_BATTERIES = (
     battery_mean_of_local_products,
     battery_orthogonality,
@@ -335,6 +363,7 @@ ALL_BATTERIES = (
     battery_oracle_agreement,
     battery_pseudo_dr_reference,
     battery_distance_regular_networkx,
+    battery_partial_dr_level_reference,
     battery_local_excess_closed_form,
     battery_global_excess_closed_form,
 )

@@ -1,15 +1,18 @@
+import networkx as nx
 import numpy as np
 import pytest
 
 import corpus
+import spexcess.classify
+import spexcess.poly
 from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess.classify import (
     is_distance_polynomial,
     is_distance_regular,
-    partial_dr_level,
     pseudo_dr_around_all,
 )
+from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph
 from spexcess.theorems import check_local_spet
 
@@ -99,10 +102,12 @@ def test_not_distance_regular():
     for name in ("k23", "p3", "c8_12", "k13"):
         res = is_distance_regular(_ga(name).dd)
         assert not res.is_drg
-        assert res.violation is not None
-    # K2,3: degrees 2 and 3 give two values of b_0; P3: the centre has ecc 1
-    assert is_distance_regular(_ga("k23").dd).violation == (0, "b", 2.0, 3.0)
-    assert is_distance_regular(_ga("p3").dd).violation == ("ecc", 1, 1, 2)
+        assert res.intersection_array is None
+    # K2,3 (degrees 2 and 3) and P3 (degrees 1 and 2) are not regular, so
+    # they stop at level 0 before the sweep
+    for name in ("k23", "p3"):
+        res = is_distance_regular(_ga(name).dd)
+        assert not res.is_regular and res.level == 0
 
 
 def test_distance_polynomial_drg_fixtures():
@@ -131,8 +136,7 @@ def test_distance_polynomial_c8_12():
 
 
 def _level(name):
-    ga = _ga(name)
-    return partial_dr_level(ga.dd, ga.spectrum, ga.global_seq)
+    return is_distance_regular(_ga(name).dd).level
 
 
 def test_partial_dr_levels():
@@ -174,3 +178,36 @@ def test_extremal_vertices():
     assert ga.classification.extremal_vertices == tuple(range(5))
     ga = _ga("c8_12")
     assert ga.classification.extremal_vertices == ()
+
+
+def _from_nx(h):
+    h = nx.convert_node_labels_to_integers(h, ordering="sorted")
+    return Graph.from_edges(h.number_of_nodes(), h.edges())
+
+
+def test_level_matches_polynomial_reference(analyses):
+    analyzed = [(name, analyses(name), None) for name in ALL_NAMES]
+    extra = [("k1", Graph.from_edges(1, [])),
+             ("mcgee", _from_nx(nx.LCF_graph(24, [12, 7, -7], 8)))]
+    for seed in range(6):
+        h = nx.random_regular_graph(3 + seed % 2, 14 + 2 * seed, seed=seed)
+        if nx.is_connected(h):
+            extra.append((f"regular{seed}", _from_nx(h)))
+    analyzed += [(name, analyze_graph(g), None) for name, g in extra]
+    assert len(analyzed) >= len(ALL_NAMES) + 5
+    fails = corpus.battery_partial_dr_level_reference(analyzed)
+    assert not fails, fails[:5]
+    by_name = {name: ga for name, ga, _reports in analyzed}
+    # K1 is distance-regular with D = 0; McGee is regular, not DR, level 3
+    assert by_name["k1"].classification.is_distance_regular
+    mcgee = by_name["mcgee"]
+    assert (mcgee.D, mcgee.classification.partial_dr_level) == (4, 3)
+    assert not mcgee.classification.is_distance_regular
+
+
+def test_classify_holds_nothing_from_poly():
+    # the oracles stay independent of the predistance polynomials they check
+    leaked = [name for name, obj in vars(spexcess.classify).items()
+              if obj is spexcess.poly
+              or getattr(obj, "__module__", None) == spexcess.poly.__name__]
+    assert not leaked

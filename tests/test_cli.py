@@ -151,6 +151,31 @@ def test_analyze_missing_file_exit2(capsys):
     assert err
 
 
+def test_analyze_huge_vertex_id_exit2_short_message(capsys, tmp_path):
+    # 16 bytes name vertex 5000000: the message counts the missing ids and
+    # shows the first few instead of listing all of them
+    path = tmp_path / "gap.el"
+    path.write_bytes(b"0 1\n1 5000000\n")
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert len(err) < 200
+    assert "4999998 missing" in err and "[2, 3, 4, 5, 6]" in err
+
+
+def test_fixtures_out_existing_file_exit2(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.write_bytes(b"")
+    code, out, err = _run(capsys, ["fixtures", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_analyze_path_through_file_exit2(capsys, k23_file):
+    code, out, err = _run(capsys, ["analyze", os.path.join(k23_file, "x.el")])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_check_t37(capsys, k23_file):
     code, out, _ = _run(capsys, ["check", k23_file, "--theorem", "T37"])
     assert code == 0

@@ -59,6 +59,11 @@ def test_distance_regular_oracle_matches_networkx(analyzed):
     assert not fails, fails[:5]
 
 
+def test_partial_dr_level_matches_reference(analyzed):
+    fails = corpus.battery_partial_dr_level_reference(analyzed)
+    assert not fails, fails[:5]
+
+
 def test_orthogonality_and_normalization_on_corpus(analyzed):
     fails = corpus.battery_orthogonality(analyzed)
     assert not fails, fails[:5]

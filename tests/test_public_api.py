@@ -44,7 +44,6 @@ def test_public_surface_is_pinned():
         "is_distance_regular",
         "load_graph",
         "local_spectra",
-        "partial_dr_level",
         "perron_weights",
         "predistance_polynomials",
         "pseudo_dr_around_all",
