@@ -16,8 +16,6 @@ from .classify import (
     Classification,
     classify_graph,
     is_distance_polynomial,
-    is_distance_regular,
-    pseudo_dr_around_all,
 )
 from .graphs import (
     DistanceData,
@@ -82,12 +80,10 @@ __all__ = [
     "excess_stats",
     "graph6_bytes",
     "is_distance_polynomial",
-    "is_distance_regular",
     "load_graph",
     "local_spectra",
     "perron_weights",
     "predistance_polynomials",
-    "pseudo_dr_around_all",
     "read_graph_file",
     "run_all_checks",
     "weighted_matrices",

@@ -17,11 +17,16 @@ distance-regularity around u.  (Every neighbor of v lies in one of the three
 spheres, so c*_i(v) + a*_i(v) + b*_i(v) is the average weighted degree
 lambda_0 -- a useful sanity check.)
 
-Both constancy oracles run one kernel, ``_sphere_profile``, over every root
-at once: per radius, one dense product gives the (n x n) count matrix, so
-memory stays O(n^2).  With the unit weights of the distance-regularity
-oracle each count is a sum of 0/1 products, an integer far below 2^53, so
-its constancy tests stay exact comparisons.
+One sweep of one kernel, ``_sphere_profile``, answers every counting
+question.  It runs over every root at once: per radius, one dense product
+gives the (n x n) count matrix, so memory stays O(n^2).  Regularity is read
+from the degrees.  On a regular graph the Perron vector is exactly all-ones
+(``spectral.perron_weights``), so the weighted counts are the classical
+intersection numbers, sums of 0/1 products: integers far below 2^53.  Their
+constancy tests, per root for pseudo-distance-regularity and over all pairs
+for distance-regularity and the partial distance-regularity level, are then
+exact comparisons.  A nonregular graph is not distance-regular and has
+level 0, so only the per-root question is asked of it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from ._util import readonly as _readonly
 from .graphs import DistanceData
-from .spectral import LocalSpectrum, PerronWeights, Spectrum, class_sums
+from .spectral import PerronWeights, Spectrum, class_sums
 
 DEFAULT_ORACLE_TOL = 1e-7
 
@@ -76,65 +81,30 @@ def _sphere_profile(dd: DistanceData, w: np.ndarray):
         prev, cur = cur, nxt
 
 
-def pseudo_dr_around_all(dd: DistanceData, pw: PerronWeights,
-                         tol: float = DEFAULT_ORACLE_TOL) -> tuple[PseudoDRResult, ...]:
-    """Constancy oracle for pseudo-distance-regularity around every vertex.
+def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
+    """Pseudo-distance-regularity around every root and, on a regular graph,
+    distance-regularity and the partial distance-regularity level, from one
+    pass of ``_sphere_profile``.  Returns (is_regular, intersection_array,
+    level, pseudo_dr).
 
-    A triple is constant over a sphere when its spread is at most
-    tol * max(1, max |value|).  A root's violation is its first failing
-    radius, checking c before a before b; v and w are the first vertices
-    attaining the minimum and the maximum.
-    """
-    numbers = np.zeros((dd.n, 3, dd.diameter + 1))
-    violation = [None] * dd.n
-    for i, mask, *triple in _sphere_profile(dd, pw.alpha):
-        live = np.flatnonzero((dd.ecc >= i)
-                              & np.array([v is None for v in violation]))
-        if live.size == 0:
-            break
-        mask, rows = mask[live], np.arange(live.size)
-        for k, (which, x) in enumerate(zip("cab", triple)):
-            x = x[live]
-            at_lo = np.where(mask, x, np.inf).argmin(axis=1)
-            at_hi = np.where(mask, x, -np.inf).argmax(axis=1)
-            lo, hi = x[rows, at_lo], x[rows, at_hi]
-            scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-            for r in np.flatnonzero(hi - lo > tol * scale):
-                if violation[live[r]] is None:
-                    violation[live[r]] = (i, int(at_lo[r]), int(at_hi[r]),
-                                          float(lo[r]), float(hi[r]), which)
-            numbers[live, k, i] = np.where(mask, x, 0.0).sum(axis=1) / mask.sum(axis=1)
-    return tuple(
-        PseudoDRResult(vertex=u, is_pdr=False, numbers=None, violation=violation[u])
-        if violation[u] is not None else
-        PseudoDRResult(vertex=u, is_pdr=True, violation=None,
-                       numbers=_readonly(numbers[u, :, :dd.ecc[u] + 1].copy()))
-        for u in range(dd.n))
+    Per root u, a triple is constant over a sphere when its spread is at
+    most tol * max(1, max |value|).  A root's violation is its first failing
+    radius, checking c before a before b; v and w are the lowest-numbered
+    vertices attaining the minimum and the maximum (on a regular graph the
+    counts are exact, so no rounding breaks a tie).  A root is live at
+    radius i while ecc(u) >= i and it has no violation.
 
-
-@dataclass(frozen=True)
-class DistanceRegularityResult:
-    is_regular: bool
-    is_drg: bool
-    intersection_array: dict | None
-    level: int
-
-
-def is_distance_regular(dd: DistanceData) -> DistanceRegularityResult:
-    """Regularity, distance-regularity and the partial distance-regularity
-    level from one sweep of the unit-weight intersection numbers.
-
-    For v in Gamma_i(u), c_i, a_i and b_i count the neighbours of v in
-    Gamma_{i-1}(u), Gamma_i(u) and Gamma_{i+1}(u); a count is constant at
-    radius i when it is the same for every pair (u, v) at distance i.
-    Counts are integers, so constancy is exact.  When distance-regular the
-    result carries the intersection array {b_0..b_{D-1}; c_1..c_D} plus the
-    a_i row.
+    Over all pairs, for v in Gamma_i(u), c_i, a_i and b_i count the
+    neighbours of v in Gamma_{i-1}(u), Gamma_i(u) and Gamma_{i+1}(u); a
+    count is constant at radius i when its minimum over the live roots
+    equals its maximum.  Until the level is fixed every root with
+    ecc(u) >= i is still live: a per-root variation is a global one, and
+    would have fixed the level at its radius.
 
     ``level`` is the largest m <= D with p_i(A) = A_i for all i <= m.  A
     nonregular graph, told by its degrees, has p_1(A) = (lambda_0 / mean
-    degree) A != A and gets level 0 with no sweep.  For a regular graph,
-    p_i(A) = A_i for all i <= m iff c_1..c_m and a_1..a_{m-1} are constant:
+    degree) A != A and gets level 0.  For a regular graph, p_i(A) = A_i for
+    all i <= m iff c_1..c_m and a_1..a_{m-1} are constant:
 
     * if they are, so are b_i = k - a_i - c_i, and the entries of A A_i give
       A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1} for i < m, so
@@ -145,28 +115,51 @@ def is_distance_regular(dd: DistanceData) -> DistanceRegularityResult:
       into that relation, whose entries at distance i + 1 and i are c_{i+1}
       and a_i.
 
-    So the sweep stops at the first radius i where a count varies: the
-    level is i - 1 if c varies there and i if only a or b does.  When
-    nothing varies the graph is distance-regular, with level D (= d).
+    So the level is fixed at the first radius i where a count varies: i - 1
+    if c varies there and i if only a or b does.  When nothing varies the
+    graph is distance-regular, with level D (= d), and root 0's numbers give
+    the intersection array {b_0..b_{D-1}; c_1..c_D} plus the a_i row.
     """
     degrees = np.count_nonzero(dd.dist == 1, axis=1)
-    if np.any(degrees != degrees[0]):
-        return DistanceRegularityResult(False, False, None, 0)
+    is_regular = bool(np.all(degrees == degrees[0]))
+    level = None if is_regular else 0
+    numbers = np.zeros((dd.n, 3, dd.diameter + 1))
+    violation = [None] * dd.n
+    for i, mask, *triple in _sphere_profile(dd, alpha):
+        live = np.flatnonzero((dd.ecc >= i)
+                              & np.array([v is None for v in violation]))
+        if live.size == 0:
+            break
+        mask, rows = mask[live], np.arange(live.size)
+        for k, (which, x) in enumerate(zip("cab", triple)):
+            x = x[live]
+            at_lo = np.where(mask, x, np.inf).argmin(axis=1)
+            at_hi = np.where(mask, x, -np.inf).argmax(axis=1)
+            lo, hi = x[rows, at_lo], x[rows, at_hi]
+            if level is None and lo.min() != hi.max():
+                level = i - (k == 0)
+            scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+            for r in np.flatnonzero(hi - lo > tol * scale):
+                if violation[live[r]] is None:
+                    violation[live[r]] = (i, int(at_lo[r]), int(at_hi[r]),
+                                          float(lo[r]), float(hi[r]), which)
+            numbers[live, k, i] = np.where(mask, x, 0.0).sum(axis=1) / mask.sum(axis=1)
+    pseudo_dr = tuple(
+        PseudoDRResult(vertex=u, is_pdr=False, numbers=None, violation=violation[u])
+        if violation[u] is not None else
+        PseudoDRResult(vertex=u, is_pdr=True, violation=None,
+                       numbers=_readonly(numbers[u, :, :dd.ecc[u] + 1].copy()))
+        for u in range(dd.n))
+    if level is not None:
+        return is_regular, None, level, pseudo_dr
     big_d = dd.diameter
-    numbers = np.zeros((3, big_d + 1))
-    for i, mask, *triple in _sphere_profile(dd, np.ones(dd.n)):
-        for k, x in enumerate(triple):  # c, a, b
-            lo, hi = x[mask].min(), x[mask].max()
-            if lo != hi:
-                return DistanceRegularityResult(True, False, None, i - (k == 0))
-            numbers[k, i] = lo
-    c, a, b = numbers
+    c, a, b = numbers[0]
     array = {
         "b": [int(b[i]) for i in range(big_d)],
         "c": [int(c[i]) for i in range(1, big_d + 1)],
         "a": [int(a[i]) for i in range(big_d + 1)],
     }
-    return DistanceRegularityResult(True, True, array, big_d)
+    return True, array, big_d, pseudo_dr
 
 
 def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
@@ -201,7 +194,6 @@ class Classification:
     partial_dr_level: int
     is_distance_polynomial: bool
     distance_poly_residuals: np.ndarray
-    extremal_vertices: tuple[int, ...]
 
     @property
     def pseudo_dr_vertices(self) -> tuple[int, ...]:
@@ -209,18 +201,15 @@ class Classification:
 
 
 def classify_graph(dd: DistanceData, pw: PerronWeights, spec: Spectrum,
-                   locals_: tuple[LocalSpectrum, ...],
                    tol: float = DEFAULT_ORACLE_TOL) -> Classification:
-    drg = is_distance_regular(dd)
-    pdr = pseudo_dr_around_all(dd, pw, tol)
+    is_regular, array, level, pdr = _regularity_sweep(dd, pw.alpha, tol)
     is_dp, residuals = is_distance_polynomial(dd, spec, tol)
     return Classification(
-        is_regular=drg.is_regular,
-        is_distance_regular=drg.is_drg,
-        intersection_array=drg.intersection_array,
+        is_regular=is_regular,
+        is_distance_regular=array is not None,
+        intersection_array=array,
         pseudo_dr=pdr,
-        partial_dr_level=drg.level,
+        partial_dr_level=level,
         is_distance_polynomial=is_dp,
         distance_poly_residuals=residuals,
-        extremal_vertices=tuple(ls.vertex for ls in locals_ if ls.is_extremal),
     )

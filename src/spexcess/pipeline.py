@@ -82,7 +82,7 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     tols = tols or Tolerances()
     dd = distance_data(g)
     spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
-    pw = spectral.perron_weights(spec)
+    pw = spectral.perron_weights(spec, g.adjacency.sum(axis=1))
     locals_ = spectral.local_spectra(spec, dd, presence_tol=tols.presence)
     (gseq,) = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n,
                                            [spec.d])
@@ -92,7 +92,7 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
         alpha=pw.alpha, vertices=short) if short else ()))
     wm = weighted.weighted_matrices(dd, pw)
     stats = weighted.excess_stats(dd, pw, gseq)
-    cls = classify.classify_graph(dd, pw, spec, locals_, tol=tols.equality)
+    cls = classify.classify_graph(dd, pw, spec, tol=tols.equality)
     return GraphAnalysis(
         graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw,
         local_spectra=locals_, global_seq=gseq,

@@ -95,7 +95,7 @@ def classification_dict(ga: GraphAnalysis) -> dict:
         "partialDistanceRegularLevel": cls.partial_dr_level,
         "isDistancePolynomial": cls.is_distance_polynomial,
         "distancePolynomialResiduals": _arr(cls.distance_poly_residuals),
-        "extremalVertices": list(cls.extremal_vertices),
+        "extremalVertices": [ls.vertex for ls in ga.local_spectra if ls.is_extremal],
     }
 
 

@@ -3,15 +3,18 @@
 The full symmetric eigendecomposition comes from LAPACK (``np.linalg.eigh``).
 Eigenvalues are then grouped into distinct classes and the Perron vector is
 extracted in both normalizations (alpha with ||alpha||^2 = n, nu with minimum
-entry 1).  The eigenvectors are kept in descending eigenvalue order, so each
-class is a run of contiguous columns: class i is the ``mults[i]`` columns
-starting at ``mults[0] + ... + mults[i-1]``, and the multiplicities are the
-only record of the layout.  Local spectra are read straight from the
-eigenvectors: with V_i the orthonormal eigenvectors of class i, the
-spectral projector is E_i = V_i V_i^T, so m_u(lambda_i) = (E_i)_{uu} = sum
-over class i of V[u, k]^2.  No dense E_i is ever built.  Each local
-spectrum also carries its local excess p^u_{d_u}(lambda_0) in closed form
-(``top_p_lambda0``), so no predistance family is built for it.
+entry 1).  On a regular graph both are exactly all-ones, read from the
+degrees rather than from the eigensolver, so J* and the A*_i are exact 0/1
+matrices and the weighted neighbour counts exact integers.  The
+eigenvectors are kept in descending eigenvalue order, so each class is a
+run of contiguous columns: class i is the ``mults[i]`` columns starting at
+``mults[0] + ... + mults[i-1]``, and the multiplicities are the only record
+of the layout.  Local spectra are read straight from the eigenvectors: with
+V_i the orthonormal eigenvectors of class i, the spectral projector is
+E_i = V_i V_i^T, so m_u(lambda_i) = (E_i)_{uu} = sum over class i of
+V[u, k]^2.  No dense E_i is ever built.  Each local spectrum also carries
+its local excess p^u_{d_u}(lambda_0) in closed form (``top_p_lambda0``), so
+no predistance family is built for it.
 
 The one genuinely delicate tolerance is ``presence_tol``: local multiplicities
 below it are treated as exact zeros, which determines d_u (the number of
@@ -106,17 +109,22 @@ class PerronWeights:
     alpha: np.ndarray
     nu: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.alpha)
 
+def perron_weights(spec: Spectrum, degrees: np.ndarray,
+                   pos_tol: float = 1e-10) -> PerronWeights:
+    """Perron vector from the top eigenclass (requires multiplicity 1).
 
-def perron_weights(spec: Spectrum, pos_tol: float = 1e-10) -> PerronWeights:
-    """Perron vector from the top eigenclass (requires multiplicity 1)."""
+    When all ``degrees`` are equal the graph is regular, its Perron vector
+    is the all-ones vector, and alpha and nu are returned as exact ones
+    instead of the eigensolver's 1 +- 1e-15.
+    """
     if spec.mults[0] != 1:
         raise NonPositiveEigenvectorError(
             f"top eigenvalue has multiplicity {spec.mults[0]}; check grouping tolerance"
         )
+    if np.all(degrees == degrees[0]):
+        ones = _readonly(np.ones(spec.n))
+        return PerronWeights(alpha=ones, nu=ones)
     v0 = spec.vectors[:, 0].copy()
     if v0[np.argmax(np.abs(v0))] < 0:
         v0 = -v0

@@ -40,15 +40,16 @@ def _hypercube(k: int):
 
 
 def build(name: str):
-    import corpus
     from spexcess import fixtures as fx
-    graphs = {
-        "er200": lambda: corpus.connected_er(random.Random(1), 200, 0.06),
-        "er400": lambda: corpus.connected_er(random.Random(1), 400, 0.03),
-        "c500": lambda: fx.cycle(500),
-        "q10": lambda: _hypercube(10),
-    }
-    return graphs[name]()
+    if name == "c500":
+        return fx.cycle(500)
+    if name == "q10":
+        return _hypercube(10)
+    # only the ER graphs import corpus (and networkx with it), so the other
+    # graphs' peak RSS measures the program alone
+    import corpus
+    n, p = {"er200": (200, 0.06), "er400": (400, 0.03)}[name]
+    return corpus.connected_er(random.Random(1), n, p)
 
 
 NAMES = ("er200", "er400", "c500", "q10")

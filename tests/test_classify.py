@@ -7,13 +7,10 @@ import spexcess.classify
 import spexcess.poly
 from conftest import ALL_NAMES
 from spexcess import fixtures as fx
-from spexcess.classify import (
-    is_distance_polynomial,
-    is_distance_regular,
-    pseudo_dr_around_all,
-)
+from spexcess.classify import is_distance_polynomial
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph
+from spexcess.report import classification_dict
 from spexcess.theorems import check_local_spet
 
 
@@ -24,7 +21,7 @@ def _ga(name):
 
 def test_petersen_pseudo_dr_everywhere():
     ga = _ga("petersen")
-    for res in pseudo_dr_around_all(ga.dd, ga.perron):
+    for res in ga.classification.pseudo_dr:
         assert res.is_pdr
         expected = np.array([[0.0, 1.0, 1.0],   # c*
                              [0.0, 0.0, 2.0],   # a*
@@ -36,7 +33,7 @@ def test_pseudo_intersection_row_sums():
     # c* + a* + b* = lambda_0 at every radius (all neighbors accounted for)
     for name in ("k23", "p3", "petersen", "k13"):
         ga = _ga(name)
-        for res in pseudo_dr_around_all(ga.dd, ga.perron):
+        for res in ga.classification.pseudo_dr:
             if res.is_pdr:
                 sums = res.numbers.sum(axis=0)
                 assert np.abs(sums - ga.lambda0).max() <= 1e-9
@@ -44,13 +41,13 @@ def test_pseudo_intersection_row_sums():
 
 def test_p3_center_pseudo_dr():
     ga = _ga("p3")
-    res = pseudo_dr_around_all(ga.dd, ga.perron)[1]
+    res = ga.classification.pseudo_dr[1]
     assert res.vertex == 1 and res.is_pdr
 
 
 def test_k13_leaf_agrees_with_local_spet():
     ga = _ga("k13")
-    for u, oracle in enumerate(pseudo_dr_around_all(ga.dd, ga.perron)):
+    for u, oracle in enumerate(ga.classification.pseudo_dr):
         spectral = check_local_spet(ga, u)
         assert oracle.is_pdr == spectral.equality_holds
         assert spectral.details["oracle_agrees"]
@@ -58,7 +55,7 @@ def test_k13_leaf_agrees_with_local_spet():
 
 def test_pseudo_dr_violation_reported():
     ga = _ga("c8_12")
-    res = pseudo_dr_around_all(ga.dd, ga.perron)[0]
+    res = ga.classification.pseudo_dr[0]
     assert not res.is_pdr
     i, v, w, lo, hi, which = res.violation
     assert hi - lo > 1e-7
@@ -75,39 +72,39 @@ def test_oracles_match_references_on_fixtures(analyses):
 
 def test_distance_regular_petersen():
     ga = _ga("petersen")
-    res = is_distance_regular(ga.dd)
-    assert res.is_drg
+    res = ga.classification
+    assert res.is_distance_regular
     assert res.intersection_array["b"] == [3, 2]
     assert res.intersection_array["c"] == [1, 1]
 
 
 def test_distance_regular_c4():
-    res = is_distance_regular(_ga("c4").dd)
-    assert res.is_drg
+    res = _ga("c4").classification
+    assert res.is_distance_regular
     assert res.intersection_array["b"] == [2, 1]
     assert res.intersection_array["c"] == [1, 2]
 
 
 def test_cycle_intersection_arrays():
-    res = is_distance_regular(_ga("c7").dd)
-    assert res.is_drg
+    res = _ga("c7").classification
+    assert res.is_distance_regular
     assert res.intersection_array["b"] == [2, 1, 1]
     assert res.intersection_array["c"] == [1, 1, 1]
-    res = is_distance_regular(_ga("c8").dd)
+    res = _ga("c8").classification
     assert res.intersection_array["b"] == [2, 1, 1, 1]
     assert res.intersection_array["c"] == [1, 1, 1, 2]
 
 
 def test_not_distance_regular():
     for name in ("k23", "p3", "c8_12", "k13"):
-        res = is_distance_regular(_ga(name).dd)
-        assert not res.is_drg
+        res = _ga(name).classification
+        assert not res.is_distance_regular
         assert res.intersection_array is None
     # K2,3 (degrees 2 and 3) and P3 (degrees 1 and 2) are not regular, so
-    # they stop at level 0 before the sweep
+    # they get level 0 from their degrees
     for name in ("k23", "p3"):
-        res = is_distance_regular(_ga(name).dd)
-        assert not res.is_regular and res.level == 0
+        res = _ga(name).classification
+        assert not res.is_regular and res.partial_dr_level == 0
 
 
 def test_distance_polynomial_drg_fixtures():
@@ -136,7 +133,7 @@ def test_distance_polynomial_c8_12():
 
 
 def _level(name):
-    return is_distance_regular(_ga(name).dd).level
+    return _ga(name).classification.partial_dr_level
 
 
 def test_partial_dr_levels():
@@ -174,10 +171,9 @@ def test_classification_implications():
 
 
 def test_extremal_vertices():
-    ga = _ga("k23")
-    assert ga.classification.extremal_vertices == tuple(range(5))
-    ga = _ga("c8_12")
-    assert ga.classification.extremal_vertices == ()
+    # extremality (ecc_u = d_u) is read from the local spectra by the report
+    assert classification_dict(_ga("k23"))["extremalVertices"] == list(range(5))
+    assert classification_dict(_ga("c8_12"))["extremalVertices"] == []
 
 
 def _from_nx(h):
@@ -193,9 +189,14 @@ def test_level_matches_polynomial_reference(analyses):
         h = nx.random_regular_graph(3 + seed % 2, 14 + 2 * seed, seed=seed)
         if nx.is_connected(h):
             extra.append((f"regular{seed}", _from_nx(h)))
-    analyzed += [(name, analyze_graph(g), None) for name, g in extra]
+    extra = [(name, analyze_graph(g), None) for name, g in extra]
+    analyzed += extra
     assert len(analyzed) >= len(ALL_NAMES) + 5
     fails = corpus.battery_partial_dr_level_reference(analyzed)
+    assert not fails, fails[:5]
+    # regular non-DR graphs, where the level and pseudo-DR stop at different
+    # radii of the one sweep
+    fails = corpus.battery_pseudo_dr_reference(extra)
     assert not fails, fails[:5]
     by_name = {name: ga for name, ga, _reports in analyzed}
     # K1 is distance-regular with D = 0; McGee is regular, not DR, level 3
@@ -211,3 +212,35 @@ def test_classify_holds_nothing_from_poly():
               if obj is spexcess.poly
               or getattr(obj, "__module__", None) == spexcess.poly.__name__]
     assert not leaked
+
+
+@pytest.mark.parametrize("name", ["petersen", "c8_12", "c6", "k23", "p3", "k13"])
+def test_one_sweep_per_classification(monkeypatch, name):
+    calls = []
+    kernel = spexcess.classify._sphere_profile
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(spexcess.classify, "_sphere_profile", counted)
+    _ga(name)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g", [fx.named("c8_12"), _from_nx(nx.tutte_graph())],
+                         ids=["c8_12", "tutte"])
+def test_violation_names_lowest_vertices_and_integer_counts(g):
+    # on a regular graph the counts are integers: v and w are the lowest-id
+    # vertices of the sphere with the smallest and the largest count
+    ga = analyze_graph(g)
+    adjacency = ga.graph.adjacency
+    for u, res in enumerate(ga.classification.pseudo_dr):
+        assert not res.is_pdr
+        i, v, w, lo, hi, which = res.violation
+        sphere = ga.dd.sphere(u, i)
+        target = ga.dd.dist[u] == i + "cab".index(which) - 1
+        counts = adjacency[sphere] @ target
+        assert v == sphere[np.argmax(counts == counts.min())]
+        assert w == sphere[np.argmax(counts == counts.max())]
+        assert (lo, hi) == (counts.min(), counts.max())  # exact integers

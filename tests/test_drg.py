@@ -67,7 +67,8 @@ def _verdicts(ga, reports, original):
                            cls.intersection_array, cls.partial_dr_level,
                            cls.is_distance_polynomial,
                            sorted(original[u] for u in cls.pseudo_dr_vertices),
-                           sorted(original[u] for u in cls.extremal_vertices)),
+                           sorted(original[ls.vertex] for ls in ga.local_spectra
+                                  if ls.is_extremal)),
     }
     for r in reports:
         params = tuple(sorted((k, original[v] if k == "vertex" else v)

@@ -42,7 +42,7 @@ def _pieces(g):
     from spexcess.spectral import eigendecompose, local_spectra, perron_weights
     dd = distance_data(g)
     spec = eigendecompose(g)
-    pw = perron_weights(spec)
+    pw = perron_weights(spec, g.adjacency.sum(axis=1))
     locs = local_spectra(spec, dd)
     return g, dd, spec, pw, locs
 

@@ -41,12 +41,10 @@ def test_public_surface_is_pinned():
         "excess_stats",
         "graph6_bytes",
         "is_distance_polynomial",
-        "is_distance_regular",
         "load_graph",
         "local_spectra",
         "perron_weights",
         "predistance_polynomials",
-        "pseudo_dr_around_all",
         "read_graph_file",
         "run_all_checks",
         "weighted_matrices",

@@ -29,6 +29,10 @@ def _triangles(g):
     return sum(len(adj[u] & adj[v]) for u, v in g.edges) // 3
 
 
+def _degrees(g):
+    return g.adjacency.sum(axis=1)
+
+
 def _class_vectors(spec):
     """V_i, the eigenvector columns of class i (contiguous, mults[i] wide)."""
     return np.split(spec.vectors, np.cumsum(spec.mults)[:-1], axis=1)
@@ -122,8 +126,8 @@ def test_multiplicities_sum_and_simple_top():
 
 
 def test_perron_k23():
-    spec = eigendecompose(fx.k23())
-    pw = perron_weights(spec)
+    g = fx.k23()
+    pw = perron_weights(eigendecompose(g), _degrees(g))
     expected = np.array([math.sqrt(5) / 2] * 2 + [math.sqrt(5) / math.sqrt(6)] * 3)
     assert np.abs(pw.alpha - expected).max() <= 1e-9
     assert abs(np.sum(pw.alpha ** 2) - 5) <= 1e-12
@@ -131,14 +135,16 @@ def test_perron_k23():
 
 
 def test_perron_regular_is_ones():
+    # exact ones on a regular graph, not the eigensolver's 1 +- 1e-15
     for name in ("petersen", "c6", "k4", "c8_12"):
-        pw = perron_weights(eigendecompose(fx.named(name)))
-        assert np.abs(pw.alpha - 1.0).max() <= 1e-10
-        assert np.abs(pw.nu - 1.0).max() <= 1e-10
+        g = fx.named(name)
+        pw = perron_weights(eigendecompose(g), _degrees(g))
+        assert np.array_equal(pw.alpha, np.ones(g.n))
+        assert np.array_equal(pw.nu, np.ones(g.n))
 
 
 def test_perron_p3():
-    pw = perron_weights(eigendecompose(fx.path(3)))
+    pw = perron_weights(eigendecompose(fx.path(3)), np.array([1, 2, 1]))
     expected = np.array([math.sqrt(3) / 2, math.sqrt(6) / 2, math.sqrt(3) / 2])
     assert np.abs(pw.alpha - expected).max() <= 1e-10
 
@@ -149,7 +155,7 @@ def test_perron_rejects_grouped_top():
     spec = eigendecompose(fx.cycle(6), grouping_tol=0.99)
     assert spec.mults[0] > 1
     with pytest.raises(NonPositiveEigenvectorError):
-        perron_weights(spec)
+        perron_weights(spec, _degrees(fx.cycle(6)))
 
 
 def test_idempotent_algebra():
@@ -192,7 +198,7 @@ def test_local_mults_match_lagrange_diagonal():
 def test_e0_is_perron_projector():
     g = fx.k23()
     spec = eigendecompose(g)
-    pw = perron_weights(spec)
+    pw = perron_weights(spec, _degrees(g))
     e0 = _projectors(spec)[0]
     assert np.abs(e0 - np.outer(pw.alpha, pw.alpha) / 5).max() <= 1e-10
 
@@ -219,7 +225,7 @@ def test_local_mults_sum_to_one_and_aggregate():
         g = fx.named(name)
         dd = distance_data(g)
         spec = eigendecompose(g)
-        pw = perron_weights(spec)
+        pw = perron_weights(spec, _degrees(g))
         locs = local_spectra(spec, dd)
         mat = np.stack([ls.local_mults for ls in locs])
         assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
