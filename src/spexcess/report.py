@@ -2,8 +2,11 @@
 
 Numeric fields are serialized with Python's shortest round-trip float
 representation (>= 15 significant digits).  Structure is stable: a test pins
-the key layout of the K_{2,3} report.  Version 2 dropped the monomial
-coefficients of the global family; its recurrence and ``pAtLambda0`` fix it.
+the key layout of the K_{2,3} report, and the version stays 2 while that
+layout holds.  Version 2 dropped the monomial coefficients of the global
+family; its recurrence and ``pAtLambda0`` fix it.  A T34 report with j >= D,
+decided by the saturation rule of ``theorems``, carries no certificate and
+no witnesses.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Every check produces a TheoremReport with the raw left/right values, the
 slack, and -- crucially -- a certificate: scalar equality alone never yields a
 positive verdict, the associated matrix or constancy identity must also hold.
 The inequalities whose equality case is such an identity (P31, T33, T34,
-P36) share one four-way verdict ladder, ``_ladder``:
+P36) share one five-way verdict ladder, ``_ladder``:
 
 1. attained -- scalar equality and the certificate holds;
 2. numerically ambiguous -- the slack is positive but within 100x the
@@ -14,11 +14,11 @@ P36) share one four-way verdict ladder, ``_ladder``:
 5. strict inequality -- everything else.
 
 T37 reports each link of its chain as equal or by its comparison state.
-Each matrix identity q_j(A) = S*_j and p_{>=D}(A) = A*_D is evaluated once
-per graph, consecutive q_j(A) in one stacked product per ``_BLOCK_BYTES``
-block, and only its gap max|p(A) - M| is kept (``ga.memo``) for the checks
-that share it (T34, P35 and P36; T33 and T37).  Witness matrices are built
-when a caller reads ``TheoremReport.witnesses``.
+Each matrix identity q_j(A) = S*_j (j <= min(D, d)) and p_{>=D}(A) = A*_D
+is evaluated once per graph, consecutive q_j(A) in one stacked product per
+``_BLOCK_BYTES`` block, and only its gap max|p(A) - M| is kept (``ga.memo``)
+for the checks that share it (T34, P35 and P36; T33 and T37).  Witness
+matrices are built when a caller reads ``TheoremReport.witnesses``.
 
 P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``);
@@ -35,7 +35,8 @@ Checks (ids follow the report schema):
                             (equality iff A*_D = p_{>=D}(A))
 * T34  harmonic bound       q_j(lambda_0) <= H*_{<=j}
                             (equality iff q_j(A) = S*_j; requires
-                            j <= min_u d_u)
+                            j <= min_u d_u; for j >= D by the saturation
+                            rule: strict below d, Hoffman at d)
 * P35  partial regularity   q_j(A) = S*_j for j = m-1, m iff m-partially
                             distance-regular
 * P36  paired harmonic      (q_{m-1}+q_m)(lambda_0) <= H*_{<=m-1} + H*_{<=m}
@@ -45,11 +46,15 @@ Checks (ids follow the report schema):
                             delta*_{D-1} = p_{D-1}(lambda_0) imply
                             distance-polynomial
 
-Note on saturation: once j >= ecc(u) the ball N_j(u) is all of V, and at
-j = d_u the P31 bound is attained by r = q^u_{d_u} for every vertex,
-extremal or not.  The extremality part of the equality characterization is
-only meaningful below saturation, which is why the full pipeline runs P31
-at j = ecc(u).
+Saturation rule (``_saturated``): once j >= ecc(u), N_j(u) = V and
+||rho_{N_j(u)}||^2 = n; once j >= D, also H*_{<=j} = n and S*_j = J*.  The
+theorem then decides, with no tolerance.  T34's slack sum_{i>j}
+p_i(lambda_0) is positive below d; at j = d it is 0 and q_d(A) = J*
+(Hoffman).  P31's rhs sqrt(n)/alpha_u exceeds r(lambda_0)/||r||_u for
+every deg r <= j < d_u, as q^u_j(lambda_0) < q^u_{d_u}(lambda_0) = n; at
+j = d_u P31 keeps its closed-form path (Lee-Weng, JCTA 119, 2012;
+Fiol-Garriga, JCTA 71, 1997).  Extremality is only meaningful below d_u,
+which is why the pipeline runs P31 at j = ecc(u).
 """
 
 from __future__ import annotations
@@ -76,12 +81,9 @@ class Comparison:
     label: str
     lhs: float
     rhs: float
+    slack: float  # rhs - lhs, or its exact form under the saturation rule
     kind: str  # "inequality" or "equality"
     state: str  # "equal" | "ambiguous" | "strict" | "violated" | "unequal"
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
 
     @property
     def scalar_equal(self) -> bool:
@@ -153,7 +155,14 @@ def _compare(label: str, lhs: float, rhs: float, eq_tol: float,
         state = "strict"
     else:
         state = "violated" if kind == "inequality" else "unequal"
-    return Comparison(label=label, lhs=lhs, rhs=rhs, kind=kind, state=state)
+    return Comparison(label=label, lhs=lhs, rhs=rhs, slack=diff, kind=kind,
+                      state=state)
+
+
+def _saturated(label: str, lhs, rhs, slack, top: bool) -> Comparison:
+    """The saturation rule (module note): equal at the top degree, else strict."""
+    return Comparison(label, float(lhs), float(rhs), float(slack), "inequality",
+                      "equal" if top else "strict")
 
 
 def _ladder(comp: Comparison, holds: bool, attained: str,
@@ -189,14 +198,14 @@ def _identity(ga, kind: str, i: int):
 def _gap(ga, kind: str, i: int) -> float:
     """max|p(A) - M| for ``_identity(ga, kind, i)``, kept in ``ga.memo``.
     A q-gap comes with those of the next j that any check reads (j <=
-    max(min_u d_u, min(D, d))), as many as fit in ``_BLOCK_BYTES``."""
+    min(D, d)), as many as fit in ``_BLOCK_BYTES``."""
     gap = ga.memo.get((kind, i))
     if gap is not None:
         return gap
     if kind == "tail":
         ga.memo[kind, i] = float(np.abs(np.subtract(*_identity(ga, kind, i))).max())
     else:
-        top = max(ga.min_du, min(ga.D, ga.d), i)
+        top = min(ga.D, ga.d)
         js = np.arange(i, min(i + max(1, _BLOCK_BYTES // (8 * ga.n ** 2)), top + 1))
         # row j of the cumulative sum is sum_values(j), bit for bit
         q = np.cumsum(ga.global_seq.values, axis=0)[js]
@@ -211,7 +220,7 @@ def check_local_bound(ga, u: int, j: int | None = None,
                       r=None) -> TheoremReport:
     """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j.
 
-    Defaults: j = ecc(u) (below ball saturation, see module note) and
+    Defaults: j = ecc(u) (see the saturation rule in the module note) and
     r = q_j^u, for which equality is exactly q_j^u(lambda_0) =
     ||rho_{N_j(u)}||^2.  A caller-chosen ``r`` is given by its monomial
     coefficients, ascending, and is evaluated at the eigenvalues.
@@ -221,7 +230,6 @@ def check_local_bound(ga, u: int, j: int | None = None,
         j = min(ls.eccentricity, ls.du)
     if not 0 <= j <= ls.du:
         raise DegreeError(f"j={j} outside 0..d_u={ls.du} for vertex {u}")
-    eq_tol = ga.tols.equality
     alpha = ga.perron.alpha
     if r is None:
         # r = q_j^u; its value and norm come from the construction itself;
@@ -241,39 +249,34 @@ def check_local_bound(ga, u: int, j: int | None = None,
     if norm_u <= 0.0:
         raise DegreeError(f"r has zero local norm at vertex {u}")
     lhs = r_l0 / norm_u
-    ball_sq = ga.stats.ball_norm_at(u, j)
+    saturated = j >= ls.eccentricity
+    ball_sq = float(ga.n if saturated else ga.stats.ball_norms[u, j])
     rhs = float(np.sqrt(ball_sq)) / alpha[u]
-    comp = _compare(f"r(lambda0)/||r||_u <= ||rho_N{j}(u)||/alpha_u",
-                    lhs, rhs, eq_tol)
-    certs = []
-    equality = comp.scalar_equal
-    witnesses = None
+    label = f"r(lambda0)/||r||_u <= ||rho_N{j}(u)||/alpha_u"
+    if saturated and j < ls.du:
+        comp = _saturated(label, lhs, rhs, rhs - lhs, top=False)
+    else:
+        comp = _compare(label, lhs, rhs, ga.tols.equality)
+    certs, witnesses = (), None
     if comp.scalar_equal:
         vec = (alpha[u] * alpha if r_vals is None else
                apply_to_vector(r_vals, ga.spectrum, np.eye(1, ga.n, u)[0])) / norm_u
-        ball = ga.dd.ball(u, j)
-        target = np.zeros(ga.n)
-        target[ball] = alpha[ball]
-        target /= np.sqrt(ball_sq)
-        cert = _certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}",
-                            float(np.abs(vec - target).max()))
-        certs.append(cert)
-        equality = cert.passes and ls.is_extremal
+        target = np.where(ga.dd.dist[u] <= j, alpha, 0.0) / np.sqrt(ball_sq)
+        certs = (_certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}",
+                              float(np.abs(vec - target).max())),)
         witnesses = functools.partial(dict, normalized_vector=vec,
                                       weighted_ball_unit=target)
-    saturated = j >= ls.eccentricity
-    note = " (ball saturated: N_j(u) = V)" if saturated else ""
-    scalar_only = ("scalar equality but vector certificate failed" if ls.is_extremal
-                   else "scalar equality at ball saturation but vertex is not "
-                   "extremal; no structural claim")
-    verdict = _ladder(comp, equality, f"bound attained; vertex is extremal{note}",
-                      scalar_only)
+    attained = any(c.passes for c in certs)
+    wording = ("bound attained; vertex is extremal" if ls.is_extremal else
+               "bound attained; vertex is not extremal, no structural claim")
+    wording += " (ball saturated: N_j(u) = V)" if saturated else ""
     return TheoremReport(
         theorem_id="P31",
         comparisons=(comp,),
-        certificates=tuple(certs),
-        equality_holds=equality,
-        verdict=verdict,
+        certificates=certs,
+        equality_holds=attained and ls.is_extremal,
+        verdict=_ladder(comp, attained, wording,
+                        "scalar equality but vector certificate failed"),
         params={"vertex": u, "j": j, "r_degree": r_degree},
         details={"extremal": ls.is_extremal, "ball_saturated": saturated},
         witness_fn=witnesses,
@@ -306,7 +309,7 @@ def check_local_spet(ga, u: int) -> TheoremReport:
         # sphere empty: lhs is strictly positive while rhs = 0, and
         # pseudo-distance-regularity around u would force extremality,
         # so the equality is structurally impossible (no tolerance call)
-        comp = Comparison(label=label, lhs=float(lhs), rhs=0.0,
+        comp = Comparison(label=label, lhs=float(lhs), rhs=0.0, slack=-float(lhs),
                           kind="equality", state="unequal")
     oracle = ga.classification.pseudo_dr[u]
     agreement = comp.scalar_equal == oracle.is_pdr
@@ -362,15 +365,21 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
 
     At j = 0 the scalar sides are both 1 for every graph while the matrix
     identity I = I* forces regularity, so the certified verdict (scalar AND
-    matrix) is the meaningful one.
+    matrix) is the meaningful one.  For j >= D the saturation rule decides
+    (module note), with no q_j(A), certificate or witness.
     """
     if j < 0 or j > ga.min_du:
         raise HypothesisError(
             f"j={j} violates the hypothesis 0 <= j <= min_u d_u = {ga.min_du}")
-    eq_tol = ga.tols.equality
+    label = f"q_{j}(lambda0) <= H*_<={j}"
     lhs = float(ga.global_seq.q_lambda0[j])
-    rhs = ga.stats.harmonic_at(j)
-    comp = _compare(f"q_{j}(lambda0) <= H*_<={j}", lhs, rhs, eq_tol)
+    if j >= ga.D:
+        top = j == ga.d
+        comp = _saturated(label, lhs, ga.n, ga.global_seq.p_lambda0[j + 1:].sum(), top)
+        return TheoremReport("T34", (comp,), (), top, _ladder(
+            comp, top, f"harmonic bound attained: q_{j}(A) = J* (Hoffman identity)"),
+            {"j": j})
+    comp = _compare(label, lhs, ga.stats.harmonic_means[j], ga.tols.equality)
     cert = _certificate(ga, f"q_{j}(A) == S*_{j}", _gap(ga, "q", j))
     equality = comp.scalar_equal and cert.passes
 
@@ -443,7 +452,7 @@ def check_partial_dr_inequality(ga, m: int) -> TheoremReport:
             f"m={m} violates the inherited hypothesis m <= min_u d_u = {ga.min_du}")
     eq_tol = ga.tols.equality
     lhs = float(ga.global_seq.q_lambda0[m - 1] + ga.global_seq.q_lambda0[m])
-    rhs = ga.stats.harmonic_at(m - 1) + ga.stats.harmonic_at(m)
+    rhs = ga.stats.harmonic_means[m - 1] + ga.stats.harmonic_means[m]
     comp = _compare(f"(q_{m - 1}+q_{m})(lambda0) <= H*_<={m - 1} + H*_<={m}",
                     lhs, rhs, eq_tol)
     certs = _partial_dr_certs(ga, m)

@@ -59,6 +59,8 @@ class ExcessStats:
     ``ball_norms[u, j]`` and ``sphere_norms[u, i]`` are indexed by vertex and
     radius 0..D; ``harmonic_means[j]`` is H*_{<=j}; ``delta_star[i]`` is
     delta*_i; ``avg_weighted_degree[u]`` should equal lambda_0 everywhere.
+    Past radius ecc(u) (or D) they are not read: every ball is V there, and
+    ``theorems`` decides by its saturation rule.
     """
 
     ball_norms: np.ndarray
@@ -69,25 +71,10 @@ class ExcessStats:
     avg_weighted_degree: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.ball_norms.shape[0]
-
-    @property
-    def diameter(self) -> int:
-        return self.ball_norms.shape[1] - 1
-
-    def harmonic_at(self, j: int) -> float:
-        """H*_{<=j}, saturating at n for j >= D (balls cover the graph)."""
-        return float(self.harmonic_means[min(j, self.diameter)])
-
-    def ball_norm_at(self, u: int, j: int) -> float:
-        return float(self.ball_norms[u, min(j, self.diameter)])
-
-    @property
     def n_minus_harmonic(self) -> float:
         """n - H*_{<=D-1}, the middle term of the inequality chain."""
-        d = self.diameter
-        return self.n - self.harmonic_at(d - 1) if d >= 1 else 0.0
+        h = self.harmonic_means
+        return len(self.ball_norms) - float(h[-2]) if len(h) > 1 else 0.0
 
 
 def excess_stats(dd: DistanceData, pw: PerronWeights,

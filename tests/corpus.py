@@ -86,6 +86,14 @@ def build_wide_corpus(seed=WIDE_SEED):
     return graphs
 
 
+def build_atlas():
+    """The 995 connected graphs with 2 <= n <= 7 of networkx's graph atlas,
+    named by their atlas index."""
+    return [(f"atlas{i}", Graph.from_edges(h.number_of_nodes(), h.edges()))
+            for i, h in enumerate(nx.graph_atlas_g())
+            if h.number_of_nodes() >= 2 and nx.is_connected(h)]
+
+
 def analyze_corpus(graphs):
     """Entries are (name, GraphAnalysis, theorem reports)."""
     out = []

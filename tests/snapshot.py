@@ -20,9 +20,11 @@ checkout's ``src`` to snapshot that checkout.
 
 ``compare`` prints every input whose record differs, the non-float fields
 that differ (exit code, stderr, strings, integers, booleans, keys and list
-lengths) and the largest relative gap between two floats at the same
-place.  It then prints, for every field path with list indices dropped
-(``stdout.theorems.comparisons.lhs``), the largest relative and the largest
+lengths) and the largest scaled gap |a - b| / max(1, |a|, |b|) between two
+floats a and b at the same place: relative for large values, absolute near
+0, so rounding noise on a value near 0 reads as noise.  It then prints, for
+every field path with list indices dropped
+(``stdout.theorems.comparisons.lhs``), the largest scaled and the largest
 absolute gap between two floats there, over all inputs.  It exits 1 when
 any record differs and 0 when all are identical.
 """
@@ -112,13 +114,13 @@ def write(target: str) -> None:
 
 def _diff(a, b, where: str, fields: list[str], gaps: dict, path: str) -> float:
     """Append the non-float differences to ``fields``; return the largest
-    relative gap between floats found at the same place.  ``gaps`` maps each
-    field ``path`` (``where`` without list indices) to the largest relative
+    scaled gap between floats found at the same place.  ``gaps`` maps each
+    field ``path`` (``where`` without list indices) to the largest scaled
     and absolute float gaps seen there."""
     if isinstance(a, float) and isinstance(b, float):
         if a == b:
             return 0.0
-        rel, gap = abs(a - b) / max(abs(a), abs(b)), abs(a - b)
+        rel, gap = abs(a - b) / max(1.0, abs(a), abs(b)), abs(a - b)
         old_rel, old_abs = gaps.get(path, (0.0, 0.0))
         gaps[path] = (max(old_rel, rel), max(old_abs, gap))
         return rel
@@ -168,16 +170,16 @@ def compare(path_a: str, path_b: str) -> int:
                     gaps, "stdout")
         largest = max(largest, gap)
         print(f"{key}: {len(fields)} non-float fields differ, "
-              f"largest relative float gap {gap:.3e}")
+              f"largest scaled float gap {gap:.3e}")
         for line in fields[:MAX_FIELDS_SHOWN]:
             print(f"    {line}")
         if len(fields) > MAX_FIELDS_SHOWN:
             print(f"    ... {len(fields) - MAX_FIELDS_SHOWN} more")
     total = len(a.keys() | b.keys())
     print(f"{differing} of {total} inputs differ; "
-          f"largest relative float gap {largest:.3e}")
+          f"largest scaled float gap {largest:.3e}")
     for path, (rel, gap) in sorted(gaps.items()):
-        print(f"  {path}: largest relative gap {rel:.3e}, absolute {gap:.3e}")
+        print(f"  {path}: largest scaled gap {rel:.3e}, absolute {gap:.3e}")
     return 1 if differing else 0
 
 

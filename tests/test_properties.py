@@ -1,10 +1,15 @@
 """Randomized property suites over the seeded corpora: n <= 12, and the
 wide corpus of graphs with up to 60 distinct eigenvalues."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import corpus
+from spexcess.pipeline import analyze_graph, run_all_checks
+from spexcess.report import collect_violations
 
 
 def test_corpus_composition(analyzed):
@@ -86,7 +91,7 @@ def test_perron_positivity_and_normalizations(analyzed):
 def test_ball_norm_saturation(analyzed):
     for name, ga, _reps in analyzed:
         for ls in ga.local_spectra:
-            got = ga.stats.ball_norm_at(ls.vertex, ls.eccentricity)
+            got = ga.stats.ball_norms[ls.vertex, ls.eccentricity]
             assert abs(got - ga.n) <= 1e-9 * ga.n, name
 
 
@@ -112,3 +117,48 @@ def test_wide_corpus_batteries(wide, battery):
     kwargs = {"tol": 1e-12} if battery is corpus.battery_hoffman else {}
     fails = battery(wide, **kwargs)
     assert not fails, fails[:5]
+
+
+# --- exhaustive census, n <= 7 ----------------------------------------------------
+
+
+# at j >= D (T34) and j >= ecc(u) (P31) the saturation rule decides: before
+# it, 309 of the 1899 T34 reports with D <= j < d read ambiguous and 46
+# scalar-only, and 20 non-extremal P31 reports read ambiguous
+T34_CENSUS = {
+    ("j < D", "harmonic bound attained: q_#(A) = S*_#"): 26,
+    ("j < D", "scalar equality but matrix certificate failed"): 980,
+    ("j < D", "strict inequality"): 1613,
+    ("D <= j < d", "strict inequality"): 1899,
+    ("j = d", "harmonic bound attained: q_#(A) = J* (Hoffman identity)"): 92,
+}
+P31_CENSUS = {
+    (False, "strict inequality"): 6234,
+    (True, "bound attained; vertex is extremal (ball saturated: N_j(u) = V)"): 546,
+}
+
+
+def _template(verdict):
+    return re.sub(r"\d+", "#", verdict)
+
+
+def test_atlas_census():
+    # every connected graph on 2..7 vertices: no exception, no inequality
+    # violation, no oracle disagreement; T34 is counted by radius band and
+    # P31 by extremality, per verdict
+    graphs = corpus.build_atlas()
+    assert len(graphs) == 995
+    t34, p31 = Counter(), Counter()
+    for name, g in graphs:
+        ga = analyze_graph(g)
+        reports = run_all_checks(ga)
+        assert not collect_violations(reports), name
+        for rep in reports:
+            if rep.theorem_id == "T34":
+                j = rep.params["j"]
+                band = "j < D" if j < ga.D else "D <= j < d" if j < ga.d else "j = d"
+                t34[band, _template(rep.verdict)] += 1
+            elif rep.theorem_id == "P31":
+                p31[rep.details["extremal"], _template(rep.verdict)] += 1
+    assert t34 == T34_CENSUS
+    assert p31 == P31_CENSUS

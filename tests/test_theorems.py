@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_p31_petersen_q1(analyses):
         rep = check_local_bound(ga, u, j=1)
         assert rep.equality_holds
         assert seq.q_lambda0[1] == pytest.approx(4.0, rel=1e-9)
-        assert ga.stats.ball_norm_at(u, 1) == pytest.approx(4.0, rel=1e-9)
+        assert ga.stats.ball_norms[u, 1] == pytest.approx(4.0, rel=1e-9)
 
 
 def test_p31_k23_degree2_vertex_strict(analyses):
@@ -70,6 +71,10 @@ def test_p31_saturation_not_certified(analyses):
     assert rep.comparisons[0].scalar_equal
     assert not rep.equality_holds
     assert rep.details["ball_saturated"]
+    # q^u_du(A) e_u = alpha_u alpha: the vector certificate holds too
+    assert rep.certificates[0].passes
+    assert rep.verdict == ("bound attained; vertex is not extremal, no structural "
+                           "claim (ball saturated: N_j(u) = V)")
 
 
 def test_p31_default_j_is_eccentricity(analyses):
@@ -320,14 +325,17 @@ def test_all_fixture_checks_sound(checks):
             assert rep.details.get("oracle_agrees") is not False, (name, rep.theorem_id)
 
 
-def test_equality_verdicts_have_certificates(checks):
+def test_equality_verdicts_have_certificates(checks, analyses):
     # certified equality implies every certificate passed, and certified
     # matrix identities imply the scalar sides agree (T34 j=0 on nonregular
-    # graphs is the known one-sided case, exercised separately)
+    # graphs is the known one-sided case, exercised separately; T34 carries
+    # a certificate only for j < D)
     for name in ALL_FIXTURES:
         for rep in checks(name):
             if rep.equality_holds:
                 assert all(c.passes for c in rep.certificates), (name, rep.theorem_id)
+            if rep.theorem_id == "T34" and rep.params["j"] >= analyses(name).D:
+                continue
             if rep.theorem_id in ("T33", "T34") and rep.certificates[0].passes:
                 assert rep.comparisons[0].scalar_equal, (name, rep.theorem_id)
 
@@ -335,9 +343,6 @@ def test_equality_verdicts_have_certificates(checks):
 # every (theorem, verdict) the fixtures and both corpora reach, digits as "#"
 VERDICT_TEMPLATES = {
     ("P31", "bound attained; vertex is extremal (ball saturated: N_j(u) = V)"),
-    ("P31", "numerically ambiguous: slack within #x equality tolerance"),
-    ("P31", "scalar equality at ball saturation but vertex is not extremal; "
-            "no structural claim"),
     ("P31", "strict inequality"),
     ("P35", "#-partially distance-regular"),
     ("P35", "not #-partially distance-regular"),
@@ -350,6 +355,7 @@ VERDICT_TEMPLATES = {
     ("T33", "numerically ambiguous: slack within #x equality tolerance"),
     ("T33", "spectral excess attained: A*_D = p_>=D(A)"),
     ("T33", "strict inequality"),
+    ("T34", "harmonic bound attained: q_#(A) = J* (Hoffman identity)"),
     ("T34", "harmonic bound attained: q_#(A) = S*_#"),
     ("T34", "numerically ambiguous: slack within #x equality tolerance"),
     ("T34", "scalar equality but matrix certificate failed"),
@@ -373,6 +379,34 @@ def test_verdict_templates(checks, analyzed, wide):
     assert seen == VERDICT_TEMPLATES
 
 
+def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wide):
+    # past the radius that covers the graph every ball is V: T34 with
+    # D <= j < d and P31 with ecc(u) <= j < d_u are strict with a positive
+    # slack and no certificate, and T34 at j = d is Hoffman's identity
+    runs = [(analyses(name), checks(name)) for name in ALL_FIXTURES]
+    runs += [(ga, reps) for _name, ga, reps in analyzed + wide]
+    seen = Counter()
+    for ga, reports in runs:
+        for rep in reports:
+            j = rep.params.get("j")
+            if rep.theorem_id == "T34":
+                start, top = ga.D, ga.d
+            elif rep.theorem_id == "P31":
+                ls = ga.local_spectra[rep.params["vertex"]]
+                start, top = ls.eccentricity, ls.du
+            else:
+                continue
+            if start <= j < top:
+                seen[rep.theorem_id] += 1
+                assert rep.verdict == "strict inequality", (rep.theorem_id, rep.verdict)
+                assert rep.comparisons[0].state == "strict"
+                assert rep.slack > 0 and not rep.certificates
+            elif rep.theorem_id == "T34" and j == top:
+                seen["T34 at d"] += 1
+                assert rep.equality_holds and "Hoffman" in rep.verdict
+    assert seen["T34"] and seen["P31"] and seen["T34 at d"], seen
+
+
 @pytest.mark.parametrize("state, holds, verdict", [
     ("equal", True, "attained"),
     ("ambiguous", False, "numerically ambiguous: slack within 100x equality tolerance"),
@@ -381,7 +415,7 @@ def test_verdict_templates(checks, analyzed, wide):
     ("violated", False, "INEQUALITY VIOLATED: lhs exceeds rhs"),
 ])
 def test_ladder_branches(state, holds, verdict):
-    comp = Comparison("x <= y", 1.0, 1.0, "inequality", state)
+    comp = Comparison("x <= y", 1.0, 1.0, 0.0, "inequality", state)
     assert _ladder(comp, holds, "attained", "scalar only") == verdict
 
 
@@ -460,7 +494,8 @@ def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
     by_id = {}
     for rep in reports:
         by_id.setdefault(rep.theorem_id, []).append(rep)
-    t34 = {r.params["j"]: r.certificates[0].max_abs_diff for r in by_id["T34"]}
+    t34 = {r.params["j"]: r.certificates[0].max_abs_diff for r in by_id["T34"]
+           if r.params["j"] < ga.D}
     shared = 0
     for rep in by_id["P35"] + by_id.get("P36", []):
         m = rep.params["m"]

@@ -46,7 +46,7 @@ def test_ball_norms_saturate_at_n():
         ga = _ga(name)
         for u in range(ga.n):
             ecc = ga.local_spectra[u].eccentricity
-            assert ga.stats.ball_norm_at(u, ecc) == pytest.approx(ga.n, rel=1e-12)
+            assert ga.stats.ball_norms[u, ecc] == pytest.approx(ga.n, rel=1e-12)
         assert np.abs(ga.stats.ball_norms[:, -1] - ga.n).max() <= 1e-9
 
 
@@ -103,7 +103,6 @@ def test_harmonic_means_monotone():
         h = ga.stats.harmonic_means
         assert np.all(np.diff(h) >= -1e-12)
         assert h[-1] == pytest.approx(ga.n, rel=1e-12)
-        assert ga.stats.harmonic_at(ga.D + 5) == pytest.approx(ga.n, rel=1e-12)
 
 
 def test_harmonic_vs_arithmetic_chain():
