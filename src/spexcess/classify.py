@@ -17,16 +17,18 @@ distance-regularity around u.  (Every neighbor of v lies in one of the three
 spheres, so c*_i(v) + a*_i(v) + b*_i(v) is the average weighted degree
 lambda_0 -- a useful sanity check.)
 
-One sweep of one kernel, ``_sphere_profile``, answers every counting
-question.  It runs over every root at once: per radius, one dense product
-gives the (n x n) count matrix, so memory stays O(n^2).  Regularity is read
-from the degrees.  On a regular graph the Perron vector is exactly all-ones
-(``spectral.perron_weights``), so the weighted counts are the classical
-intersection numbers, sums of 0/1 products: integers far below 2^53.  Their
-constancy tests, per root for pseudo-distance-regularity and over all pairs
-for distance-regularity and the partial distance-regularity level, are then
-exact comparisons.  A nonregular graph is not distance-regular and has
-level 0, so only the per-root question is asked of it.
+One sweep of one kernel, ``_pair_counts``, answers every counting
+question.  It gathers, for every (root u, vertex v), the distances to u of
+v's neighbours through a padded (Delta x n) neighbour array, in O(n^2
+Delta) with no product by A; grouped reductions over the pairs ordered by
+(root, radius) then give every sphere's spread and means, with no loop
+over radii.  Regularity is read from the degrees.  On a regular graph the
+Perron vector is exactly all-ones (``spectral.perron_weights``), so the
+weighted counts are the classical intersection numbers, exact integers:
+their constancy tests, per root for pseudo-distance-regularity and over
+all pairs for distance-regularity and the partial distance-regularity
+level, are exact comparisons.  A nonregular graph is not distance-regular
+and has level 0, so only the per-root question is asked of it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .graphs import DistanceData
 from .spectral import PerronWeights, Spectrum, class_sums
 
 DEFAULT_ORACLE_TOL = 1e-7
+_BLOCK_BYTES = 1 << 24  # gathered neighbour distances and masks held at once
 
 
 @dataclass(frozen=True)
@@ -57,49 +60,51 @@ class PseudoDRResult:
     violation: tuple | None
 
 
-def _sphere_profile(dd: DistanceData, w: np.ndarray):
-    """Weighted neighbour counts around every root at once, radius by radius.
-
-    With X_j = ((dist == j) o w) A, entry X_j[u, v] is the w-weight of the
-    neighbours of v in Gamma_j(u).  Yields (i, mask, c, a, b) for
-    i = 0..D, where ``mask[u, v]`` says v lies in Gamma_i(u) and c, a, b
-    are X_{i-1}, X_i, X_{i+1} divided by w_v (read them where ``mask``
-    holds).  Only three X are alive at a time.
+def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
+    """Weighted neighbour counts of every (root u, vertex v) pair, the roots
+    in blocks of at most ``_BLOCK_BYTES`` of gathered distances and masks.
+    A neighbour of v is one step nearer to u than v, as far, or one step
+    farther; padding slots point at v itself with weight 0.  ``dist`` is
+    the distance table in a small integer type.  Yields (roots, x):
+    ``x[:, r, v]`` is (c, a, b) of v around root ``roots[r]``, sums of
+    alpha_w in ascending w divided by alpha_v.
     """
-    adjacency = dd.matrix(1)
-    zero = np.zeros((dd.n, dd.n))
-
-    def counts(j):
-        if j > dd.diameter:
-            return zero
-        return np.where(dd.dist == j, w, 0.0) @ adjacency / w
-
-    prev, cur = zero, counts(0)
-    for i in range(dd.diameter + 1):
-        nxt = counts(i + 1)
-        yield i, dd.dist == i, prev, cur, nxt
-        prev, cur = cur, nxt
+    n = len(dist)
+    rows, cols = np.divmod(np.flatnonzero(dist == 1), n)
+    degrees = np.bincount(rows, minlength=n)
+    nbr = np.tile(np.arange(n), (int(degrees.max()), 1))
+    nbr[np.arange(rows.size) - np.repeat(np.cumsum(degrees) - degrees, degrees), rows] = cols
+    weight = np.where(nbr != np.arange(n), alpha[nbr], 0.0)
+    step = max(1, _BLOCK_BYTES // max(1, nbr.size * (dist.itemsize + 3)))
+    for start in range(0, n, step):
+        roots = slice(start, start + step)
+        here = dist[roots, None, :]
+        near = dist[roots][:, nbr]  # near[r, k, v]: distance to root r of v's k-th neighbour
+        x = np.empty((3, len(here), n))
+        for side, out in zip((near < here, near == here, near > here), x):
+            np.einsum("rkv,kv->rv", side, weight, out=out)
+        yield roots, x / alpha
 
 
 def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
     """Pseudo-distance-regularity around every root and, on a regular graph,
     distance-regularity and the partial distance-regularity level, from one
-    pass of ``_sphere_profile``.  Returns (is_regular, intersection_array,
+    pass of ``_pair_counts``.  Returns (is_regular, intersection_array,
     level, pseudo_dr).
 
-    Per root u, a triple is constant over a sphere when its spread is at
-    most tol * max(1, max |value|).  A root's violation is its first failing
-    radius, checking c before a before b; v and w are the lowest-numbered
-    vertices attaining the minimum and the maximum (on a regular graph the
-    counts are exact, so no rounding breaks a tie).  A root is live at
-    radius i while ecc(u) >= i and it has no violation.
+    Ordered by (root, radius, vertex), each sphere Gamma_i(u) is a run of
+    pairs with one minimum, maximum and sum.  Per root u, a triple is
+    constant over a sphere when its spread is at most tol * max(1, max
+    |value|).  A root's violation is its first failing radius, checking c
+    before a before b; v and w are the lowest-numbered vertices attaining
+    the minimum and the maximum (on a regular graph the counts are exact,
+    so no rounding breaks a tie).
 
     Over all pairs, for v in Gamma_i(u), c_i, a_i and b_i count the
     neighbours of v in Gamma_{i-1}(u), Gamma_i(u) and Gamma_{i+1}(u); a
-    count is constant at radius i when its minimum over the live roots
-    equals its maximum.  Until the level is fixed every root with
-    ecc(u) >= i is still live: a per-root variation is a global one, and
-    would have fixed the level at its radius.
+    count is constant at radius i when its minimum over the roots with
+    ecc(u) >= i equals its maximum.  (A root that failed at an earlier
+    radius varied there, so the level is fixed by then.)
 
     ``level`` is the largest m <= D with p_i(A) = A_i for all i <= m.  A
     nonregular graph, told by its degrees, has p_1(A) = (lambda_0 / mean
@@ -120,46 +125,54 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
     graph is distance-regular, with level D (= d), and root 0's numbers give
     the intersection array {b_0..b_{D-1}; c_1..c_D} plus the a_i row.
     """
-    degrees = np.count_nonzero(dd.dist == 1, axis=1)
-    is_regular = bool(np.all(degrees == degrees[0]))
-    level = None if is_regular else 0
-    numbers = np.zeros((dd.n, 3, dd.diameter + 1))
-    violation = [None] * dd.n
-    for i, mask, *triple in _sphere_profile(dd, alpha):
-        live = np.flatnonzero((dd.ecc >= i)
-                              & np.array([v is None for v in violation]))
-        if live.size == 0:
-            break
-        mask, rows = mask[live], np.arange(live.size)
-        for k, (which, x) in enumerate(zip("cab", triple)):
-            x = x[live]
-            at_lo = np.where(mask, x, np.inf).argmin(axis=1)
-            at_hi = np.where(mask, x, -np.inf).argmax(axis=1)
-            lo, hi = x[rows, at_lo], x[rows, at_hi]
-            if level is None and lo.min() != hi.max():
-                level = i - (k == 0)
-            scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-            for r in np.flatnonzero(hi - lo > tol * scale):
-                if violation[live[r]] is None:
-                    violation[live[r]] = (i, int(at_lo[r]), int(at_hi[r]),
-                                          float(lo[r]), float(hi[r]), which)
-            numbers[live, k, i] = np.where(mask, x, 0.0).sum(axis=1) / mask.sum(axis=1)
+    n, width = dd.n, dd.diameter + 1
+    dist = dd.dist.astype(np.min_scalar_type(-max(dd.diameter, 1)))
+    sizes = np.bincount((np.arange(n)[:, None] * width + dist).ravel(),
+                        minlength=n * width).reshape(n, width)
+    is_regular = bool(np.ptp(sizes[:, min(1, dd.diameter)]) == 0)  # the degrees
+    present = sizes > 0
+    ends = np.zeros((2, 3, n, width))  # each run's minimum and maximum
+    numbers = np.zeros((n, 3, width))
+    first, at = np.full(n, -1), np.zeros((2, n), dtype=np.int64)
+    for roots, x in _pair_counts(dist, alpha):
+        here, block = dist[roots], present[roots]
+        runs = sizes[roots][block]
+        starts = np.cumsum(runs) - runs
+        order = np.argsort(here, axis=1, kind="stable") + np.arange(0, x[0].size, n)[:, None]
+        x_run = x.reshape(3, -1).take(order.ravel(), axis=1)  # by (root, radius, vertex)
+        ext = ends[:, :, roots]
+        ext[0][:, block] = np.minimum.reduceat(x_run, starts, axis=1)
+        ext[1][:, block] = np.maximum.reduceat(x_run, starts, axis=1)
+        numbers[roots].transpose(1, 0, 2)[:, block] = (
+            np.add.reduceat(x_run, starts, axis=1) / runs)
+        fails = ext[1] - ext[0] > tol * np.maximum(1.0, np.abs(ext).max(axis=0))
+        fails = fails.transpose(1, 2, 0).reshape(len(here), -1)  # by (root, radius, which)
+        bad = np.flatnonzero(fails.any(axis=1))
+        first[roots][bad] = fails[bad].argmax(axis=1)
+        radius, which = np.divmod(first[roots][bad], 3)
+        extreme = x[which, bad] == ext[:, which, bad, radius, None]
+        at[:, roots][:, bad] = np.argmax(extreme & (here[bad] == radius[:, None]), axis=-1)
+    bad = np.flatnonzero(first >= 0)
+    radius, which = np.divmod(first[bad], 3)
+    violation = dict(zip(bad.tolist(), zip(
+        radius.tolist(), *at[:, bad].tolist(), *ends[:, which, bad, radius].tolist(),
+        ["cab"[k] for k in which.tolist()])))
+    numbers = _readonly(numbers)
     pseudo_dr = tuple(
         PseudoDRResult(vertex=u, is_pdr=False, numbers=None, violation=violation[u])
-        if violation[u] is not None else
+        if u in violation else
         PseudoDRResult(vertex=u, is_pdr=True, violation=None,
-                       numbers=_readonly(numbers[u, :, :dd.ecc[u] + 1].copy()))
-        for u in range(dd.n))
-    if level is not None:
-        return is_regular, None, level, pseudo_dr
-    big_d = dd.diameter
-    c, a, b = numbers[0]
-    array = {
-        "b": [int(b[i]) for i in range(big_d)],
-        "c": [int(c[i]) for i in range(1, big_d + 1)],
-        "a": [int(a[i]) for i in range(big_d + 1)],
-    }
-    return True, array, big_d, pseudo_dr
+                       numbers=numbers[u, :, :ecc + 1])
+        for u, ecc in enumerate(dd.ecc.tolist()))
+    if not is_regular:
+        return False, None, 0, pseudo_dr
+    varies = (np.where(present, ends[0], np.inf).min(axis=1)
+              != np.where(present, ends[1], -np.inf).max(axis=1)).T.ravel()
+    if varies.any():
+        radius, which = divmod(int(varies.argmax()), 3)
+        return True, None, radius - (which == 0), pseudo_dr
+    c, a, b = numbers[0].astype(int).tolist()
+    return True, {"b": b[:-1], "c": c[1:], "a": a}, dd.diameter, pseudo_dr
 
 
 def is_distance_polynomial(dd: DistanceData, spec: Spectrum,

@@ -6,7 +6,7 @@ vector, local spectra, predistance polynomials) assumes a single component.
 
 Hop distances come from a level-synchronous BFS from every root at once,
 one dense product per level; only the distance table is stored, and the
-distance matrices A_i, spheres and balls are derived from it on demand.
+distance matrices A_i and the spheres are derived from it on demand.
 
 Input formats:
 
@@ -16,12 +16,17 @@ Input formats:
   supported for n < 2**18 (sparse6 is not supported).
 
 A file holds one graph: graph6 data with more than one graph line is a
-ParseError, not a silent read of the first graph.
+ParseError, not a silent read of the first graph.  Ingestion works on whole
+arrays: an edge list's lines are split and its ids read by ``int`` in one
+pass, a graph6 body is unpacked as one bit array, and ``Graph.from_edges``
+range-checks, rejects loops and repeated edges and builds the adjacency
+with numpy.  Lines are scanned one by one only to word an error message.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,27 +52,29 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges, require_connected=True):
+        """The graph of the (u, v) ``edges``, checked in one pass: the error is
+        the first pair with an id outside 0..n-1, a loop or a repeat."""
         if n < 1:
             raise ParseError("graph must have at least one vertex")
-        seen = set()
-        cleaned = []
-        for u, v in edges:
-            u, v = int(u), int(v)
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                         dtype=np.int64).reshape(-1, 2)
+        lo, hi = np.sort(pairs, axis=1).T
+        key = lo * n + hi  # exact for in-range pairs, which come first in order
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(len(key), dtype=bool)
+        repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+        bad = (lo < 0) | (hi >= n) | (lo == hi) | repeat
+        if bad.any():
+            u, v = pairs[bad.argmax()].tolist()
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"vertex id out of range: ({u}, {v}) with n={n}")
             if u == v:
                 raise LoopOrMultiEdgeError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise LoopOrMultiEdgeError(f"repeated edge {key}")
-            seen.add(key)
-            cleaned.append(key)
-        cleaned.sort()
+            raise LoopOrMultiEdgeError(f"repeated edge {(min(u, v), max(u, v))}")
+        lo, hi = lo[order], hi[order]
         a = np.zeros((n, n))
-        for u, v in cleaned:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        g = cls(n=n, edges=tuple(cleaned), adjacency=_readonly(a))
+        a[lo, hi] = a[hi, lo] = 1.0
+        g = cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), adjacency=_readonly(a))
         if require_connected and not g.is_connected():
             raise DisconnectedError("graph must be connected")
         return g
@@ -91,7 +98,7 @@ class Graph:
 class DistanceData:
     """All-pairs hop distances and the derived distance partition.
 
-    Only ``dist`` is stored: the distance matrices A_i, spheres and balls
+    Only ``dist`` is stored: the distance matrices A_i and the spheres
     are derived from it on demand, so memory stays O(n^2) whatever D is.
     """
 
@@ -110,10 +117,6 @@ class DistanceData:
     def sphere(self, u: int, i: int) -> np.ndarray:
         """Vertices at distance exactly i from u (empty beyond ecc[u])."""
         return np.flatnonzero(self.dist[u] == i)
-
-    def ball(self, u: int, j: int) -> np.ndarray:
-        """Vertices at distance at most j from u (all of V once j >= ecc[u])."""
-        return np.flatnonzero(self.dist[u] <= j)
 
 
 def distance_data(g: Graph) -> DistanceData:
@@ -170,37 +173,57 @@ def read_graph_file(path, fmt: str | None = None) -> Graph:
         return load_graph(fh, fmt=fmt)
 
 
-def parse_edgelist(text: str) -> tuple[int, list[tuple[int, int]]]:
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex id in {raw!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex id in {raw!r}")
-        if u == v:
-            raise LoopOrMultiEdgeError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
-    if not edges:
+def parse_edgelist(text: str) -> tuple[int, np.ndarray]:
+    """(n, edges) of an edge list, edges an (m x 2) array in line order; a
+    line that is not a valid edge is worded by ``_line_error``."""
+    lines = text.splitlines()
+    parts = list(map(str.split, lines))
+    sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+    data = sizes > 0
+    if "#" in text:
+        comment = map(str.startswith, map(str.lstrip, lines), itertools.repeat("#"))
+        data &= ~np.fromiter(comment, dtype=bool, count=len(lines))
+    try:
+        ids = list(map(int, itertools.chain.from_iterable(itertools.compress(parts, data))))
+    except ValueError:
+        ids = None
+    if (ids is None or np.any(sizes[data] != 2) or (ids and min(ids) < 0)
+            or any(map(operator.eq, ids[::2], ids[1::2]))):
+        raise _line_error(lines)
+    if not ids:
         raise ParseError("no edges found")
-    present = {x for edge in edges for x in edge}
+    present = set(ids)
     n = max(present) + 1
     if len(present) != n:
         # a lazy scan: it stops after at most len(present) + 5 ids
         first = list(itertools.islice((x for x in range(n) if x not in present), 5))
         raise ParseError(f"vertex ids must be dense 0..{n - 1}; "
                          f"{n - len(present)} missing, the first {first}")
-    return n, edges
+    return n, np.array(ids, dtype=np.int64).reshape(-1, 2)
 
 
-def parse_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
+def _line_error(lines) -> ParseError:
+    """The error of the first edge-list line that is not a valid edge (there
+    is one when ``parse_edgelist`` calls this)."""
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            return ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            return ParseError(f"line {lineno}: non-integer vertex id in {raw!r}")
+        if u < 0 or v < 0:
+            return ParseError(f"line {lineno}: negative vertex id in {raw!r}")
+        if u == v:
+            return LoopOrMultiEdgeError(f"line {lineno}: self-loop at vertex {u}")
+
+
+def parse_graph6(data: bytes) -> tuple[int, np.ndarray]:
+    """(n, edges) of one graph6 graph, edges an (m x 2) array of (u, v),
+    u < v, in the encoding's column order; the body is read as one array."""
     data = data.strip()
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER):].lstrip()
@@ -235,17 +258,16 @@ def parse_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
         raise ParseError(
             f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}"
         )
-    bits = []
-    for b in body:
-        bits.extend((sixbits(b) >> k) & 1 for k in (5, 4, 3, 2, 1, 0))
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    return n, edges
+    invalid = body.translate(None, bytes(range(63, 127)))
+    if invalid:
+        sixbits(invalid[0])
+    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8)[:, None] - np.uint8(63),
+                         axis=1)[:, 2:].ravel()[:nbits]
+    # bit k is the pair (u, v) with k = v(v-1)/2 + u: column v starts at v(v-1)/2
+    k, r = np.flatnonzero(bits), np.arange(n)
+    starts = r * (r - 1) // 2
+    v = np.searchsorted(starts, k, side="right") - 1
+    return n, np.stack([k - starts[v], v], axis=1)
 
 
 def graph6_bytes(g: Graph) -> bytes:
@@ -257,16 +279,8 @@ def graph6_bytes(g: Graph) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.adjacency[u, v] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return head + bytes(body)
+    v, u = np.tril_indices(n, -1)  # the pairs u < v, column by column
+    bits = np.zeros(-(-len(u) // 6) * 6, dtype=np.int64)
+    bits[:len(u)] = g.adjacency[u, v] != 0
+    body = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63
+    return head + body.astype(np.uint8).tobytes()

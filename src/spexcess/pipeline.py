@@ -103,11 +103,7 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
 
 def run_all_checks(ga: GraphAnalysis) -> list[theorems.TheoremReport]:
     """Every theorem at every admissible parameter, in a deterministic order."""
-    reports = []
-    for u in range(ga.n):
-        reports.append(theorems.check_local_bound(ga, u))
-    for u in range(ga.n):
-        reports.append(theorems.check_local_spet(ga, u))
+    reports = theorems.check_local_bounds(ga) + theorems.check_local_spets(ga)
     reports.append(theorems.check_lee_weng(ga))
     for j in range(ga.min_du + 1):
         reports.append(theorems.check_harmonic_bound(ga, j))

@@ -216,6 +216,8 @@ def evaluate_at_matrix(p, spec: Spectrum) -> np.ndarray:
 
 
 def apply_to_vector(p, spec: Spectrum, vec: np.ndarray) -> np.ndarray:
-    """p(A) @ vec = V (p(lambda) * V^T vec), without forming p(A)."""
+    """p(A) @ vec = V (p(lambda) * V^T vec), without forming p(A); a (k, n)
+    stack of vectors with a (k, d+1) stack of value vectors gives the k
+    products as rows."""
     v = spec.vectors
-    return v @ (np.asarray(p)[spec.class_index] * (vec @ v))
+    return (np.asarray(p)[..., spec.class_index] * (vec @ v)) @ v.T

@@ -6,7 +6,9 @@ the key layout of the K_{2,3} report, and the version stays 2 while that
 layout holds.  Version 2 dropped the monomial coefficients of the global
 family; its recurrence and ``pAtLambda0`` fix it.  A T34 report with j >= D,
 decided by the saturation rule of ``theorems``, carries no certificate and
-no witnesses.
+no witnesses.  P31's ``equalityHolds`` means "the vector certificate passes
+and u is extremal", so a non-extremal vertex can read "bound attained" with
+``equalityHolds`` false.
 """
 
 from __future__ import annotations
@@ -173,5 +175,8 @@ def collect_violations(reports: list[TheoremReport],
 
 
 def to_json(payload, pretty: bool = False) -> str:
-    """Strict JSON: a NaN or infinity anywhere raises ValueError."""
-    return json.dumps(payload, indent=2 if pretty else None, allow_nan=False)
+    """Strict JSON: a NaN or infinity anywhere raises ValueError.  The
+    payload is built fresh from dicts and lists, so it cannot be circular
+    and the encoder skips that check."""
+    return json.dumps(payload, indent=2 if pretty else None, allow_nan=False,
+                      check_circular=False)

@@ -20,10 +20,16 @@ is evaluated once per graph, consecutive q_j(A) in one stacked product per
 for the checks that share it (T34, P35 and P36; T33 and T37).  Witness
 matrices are built when a caller reads ``TheoremReport.witnesses``.
 
+P31 and T32 run over all vertices in one pass each (``check_local_bounds``,
+``check_local_spets``; ``check_local_bound`` and ``check_local_spet`` are
+the one-row case): their numbers are arrays over the vertices, and P31's
+vector certificates of the k scalar-equal vertices one (k x n) array.
 P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``);
-below d_u it comes from the family the pipeline built to ecc_u, or from one
-row built to j.  T32 reads p^u_{d_u}(lambda_0) in closed form
+below d_u, q^u_j(lambda_0) comes from the family the pipeline built to
+ecc_u, or from one row built to j.  At the default j = min(ecc(u), d_u)
+only j = d_u can reach scalar equality: j < d_u means j = ecc(u), decided
+by the saturation rule.  T32 reads p^u_{d_u}(lambda_0) in closed form
 (``spectral.top_p_lambda0``).
 
 Checks (ids follow the report schema):
@@ -224,63 +230,85 @@ def check_local_bound(ga, u: int, j: int | None = None,
     r = q_j^u, for which equality is exactly q_j^u(lambda_0) =
     ||rho_{N_j(u)}||^2.  A caller-chosen ``r`` is given by its monomial
     coefficients, ascending, and is evaluated at the eigenvalues.
+    ``equality_holds`` means "the vector certificate r(A)e_u/||r||_u =
+    e_{N_j(u)} passes and u is extremal": at a non-extremal vertex the
+    verdict can read "bound attained" with ``equality_holds`` False.
     """
     ls = ga.local_spectra[u]
     if j is None:
         j = min(ls.eccentricity, ls.du)
     if not 0 <= j <= ls.du:
         raise DegreeError(f"j={j} outside 0..d_u={ls.du} for vertex {u}")
-    alpha = ga.perron.alpha
     if r is None:
-        # r = q_j^u; its value and norm come from the construction itself;
-        # at j = d_u, r(lambda_0) = n and r(A) e_u = alpha_u alpha
-        r_degree = j
-        r_vals = None if j == ls.du else _local_family(ga, u, j).sum_values(j)
-        r_l0 = float(ga.n if r_vals is None else r_vals[0])
-        norm_u = float(alpha[u] * np.sqrt(r_l0))
+        return check_local_bounds(ga, [u], [j])[0]
+    coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
+    r_degree = max(len(coeffs) - 1, 0)
+    if r_degree > j:
+        raise DegreeError(f"deg r = {r_degree} exceeds j = {j}")
+    r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
+    return check_local_bounds(ga, [u], [j], (r_vals, r_degree))[0]
+
+
+def check_local_bounds(ga, us=None, js=None, r=None) -> list[TheoremReport]:
+    """P31 at the rows (us[k], js[k]) in one pass (module note), by default
+    at every vertex with the defaults of ``check_local_bound``; ``r`` is
+    None for r = q^u_j, or, in a single row, (values on the eigenvalues,
+    degree)."""
+    us = np.arange(ga.n) if us is None else np.asarray(us)
+    alpha, spectra = ga.perron.alpha, [ga.local_spectra[u] for u in us.tolist()]
+    du, ecc = np.array([ls.du for ls in spectra]), ga.dd.ecc[us]
+    js = np.minimum(ecc, du) if js is None else np.asarray(js)
+    closed = (js == du) & (r is None)
+    if r is None:
+        r_l0 = np.array([ga.n if c else _local_family(ga, u, j).q_lambda0[j] for u, j, c
+                         in zip(us.tolist(), js.tolist(), closed.tolist())], dtype=float)
+        norms = alpha[us] * np.sqrt(r_l0)
     else:
-        coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
-        r_degree = max(len(coeffs) - 1, 0)
-        if r_degree > j:
-            raise DegreeError(f"deg r = {r_degree} exceeds j = {j}")
-        r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
-        r_l0 = float(r_vals[0])
-        norm_u = float(np.sqrt(np.sum(ls.local_mults * r_vals ** 2)))
-    if norm_u <= 0.0:
-        raise DegreeError(f"r has zero local norm at vertex {u}")
-    lhs = r_l0 / norm_u
-    saturated = j >= ls.eccentricity
-    ball_sq = float(ga.n if saturated else ga.stats.ball_norms[u, j])
-    rhs = float(np.sqrt(ball_sq)) / alpha[u]
-    label = f"r(lambda0)/||r||_u <= ||rho_N{j}(u)||/alpha_u"
-    if saturated and j < ls.du:
-        comp = _saturated(label, lhs, rhs, rhs - lhs, top=False)
-    else:
-        comp = _compare(label, lhs, rhs, ga.tols.equality)
-    certs, witnesses = (), None
-    if comp.scalar_equal:
-        vec = (alpha[u] * alpha if r_vals is None else
-               apply_to_vector(r_vals, ga.spectrum, np.eye(1, ga.n, u)[0])) / norm_u
-        target = np.where(ga.dd.dist[u] <= j, alpha, 0.0) / np.sqrt(ball_sq)
-        certs = (_certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}",
-                              float(np.abs(vec - target).max())),)
-        witnesses = functools.partial(dict, normalized_vector=vec,
-                                      weighted_ball_unit=target)
-    attained = any(c.passes for c in certs)
-    wording = ("bound attained; vertex is extremal" if ls.is_extremal else
-               "bound attained; vertex is not extremal, no structural claim")
-    wording += " (ball saturated: N_j(u) = V)" if saturated else ""
-    return TheoremReport(
-        theorem_id="P31",
-        comparisons=(comp,),
-        certificates=certs,
-        equality_holds=attained and ls.is_extremal,
-        verdict=_ladder(comp, attained, wording,
-                        "scalar equality but vector certificate failed"),
-        params={"vertex": u, "j": j, "r_degree": r_degree},
-        details={"extremal": ls.is_extremal, "ball_saturated": saturated},
-        witness_fn=witnesses,
-    )
+        r_l0, norms = r[0][:1], np.sqrt([np.sum(spectra[0].local_mults * r[0] ** 2)])
+        if norms[0] <= 0.0:
+            raise DegreeError(f"r has zero local norm at vertex {us[0]}")
+    saturated = js >= ecc
+    ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
+    lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
+    label = "r(lambda0)/||r||_u <= ||rho_N{}(u)||/alpha_u".format
+    comps = [_saturated(label(j), lo, hi, hi - lo, top=False) if sat and j < d else
+             _compare(label(j), lo, hi, ga.tols.equality)
+             for lo, hi, sat, j, d in zip(lhs.tolist(), rhs.tolist(), saturated.tolist(),
+                                          js.tolist(), du.tolist())]
+    rows = np.flatnonzero([c.scalar_equal for c in comps])
+    vecs = alpha[us[rows], None] * alpha
+    if not closed[rows].all():  # only a single row with an explicit j or r
+        vecs = apply_to_vector(r[0] if r else _local_family(ga, us[0], js[0]).sum_values(
+            js[0]), ga.spectrum, np.eye(ga.n)[us[rows]])
+    vecs = vecs / norms[rows, None]
+    targets = (np.where(ga.dd.dist[us[rows]] <= js[rows, None], alpha, 0.0)
+               / np.sqrt(ball_sq[rows])[:, None])
+    found = iter(zip(vecs, targets, np.abs(vecs - targets).max(axis=1).tolist()))
+    reports = []
+    for u, j, d, e, sat, comp in zip(us.tolist(), js.tolist(), du.tolist(), ecc.tolist(),
+                                     saturated.tolist(), comps):
+        certs, witnesses = (), None
+        if comp.scalar_equal:
+            vec, target, diff = next(found)
+            certs = (_certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}", diff),)
+            witnesses = functools.partial(dict, normalized_vector=vec,
+                                          weighted_ball_unit=target)
+        attained = any(c.passes for c in certs)
+        wording = ("bound attained; vertex is extremal" if e == d else
+                   "bound attained; vertex is not extremal, no structural claim")
+        wording += " (ball saturated: N_j(u) = V)" if sat else ""
+        reports.append(TheoremReport(
+            theorem_id="P31",
+            comparisons=(comp,),
+            certificates=certs,
+            equality_holds=attained and e == d,
+            verdict=_ladder(comp, attained, wording,
+                            "scalar equality but vector certificate failed"),
+            params={"vertex": u, "j": j, "r_degree": r[1] if r else j},
+            details={"extremal": e == d, "ball_saturated": sat},
+            witness_fn=witnesses,
+        ))
+    return reports
 
 
 def _local_family(ga, u: int, j: int):
@@ -298,46 +326,48 @@ def check_local_spet(ga, u: int) -> TheoremReport:
     """T32: equality p^u_{d_u}(lambda_0) = ||rho_{Gamma_{d_u}(u)}||^2 holds
     iff the graph is pseudo-distance-regular around u (certified by the
     combinatorial constancy oracle; the two verdicts must agree)."""
-    ls = ga.local_spectra[u]
-    eq_tol = ga.tols.equality
+    return check_local_spets(ga, [u])[0]
+
+
+def check_local_spets(ga, us=None) -> list[TheoremReport]:
+    """T32 at the vertices ``us`` (default: all) in one pass.  Where d_u >
+    ecc(u) the sphere is empty and lhs > 0 = rhs: pseudo-distance-regularity
+    around u would force extremality, so no tolerance is called."""
+    us = np.arange(ga.n) if us is None else np.asarray(us)
+    spectra = [ga.local_spectra[u] for u in us.tolist()]
+    du, ecc = np.array([ls.du for ls in spectra]), ga.dd.ecc[us]
+    rhs = np.where(du <= ecc, ga.stats.sphere_norms[us, np.minimum(du, ecc)], 0.0)
     label = "p^u_du(lambda0) vs ||rho_Gamma_du(u)||^2"
-    lhs = ls.local_excess
-    if ls.du <= ls.eccentricity:
-        rhs = float(ga.stats.sphere_norms[u, ls.du])
-        comp = _compare(label, lhs, rhs, eq_tol, kind="equality")
-    else:
-        # sphere empty: lhs is strictly positive while rhs = 0, and
-        # pseudo-distance-regularity around u would force extremality,
-        # so the equality is structurally impossible (no tolerance call)
-        comp = Comparison(label=label, lhs=float(lhs), rhs=0.0, slack=-float(lhs),
-                          kind="equality", state="unequal")
-    oracle = ga.classification.pseudo_dr[u]
-    agreement = comp.scalar_equal == oracle.is_pdr
-    equality = comp.scalar_equal and oracle.is_pdr
-    if equality:
-        verdict = f"pseudo-distance-regular around vertex {u}"
-    elif not agreement:
-        verdict = ("INTERNAL INCONSISTENCY: spectral and combinatorial "
-                   "verdicts disagree")
-    else:
-        verdict = f"not pseudo-distance-regular around vertex {u}"
-    details = {"oracle_is_pdr": oracle.is_pdr, "oracle_agrees": agreement,
-               "du": ls.du, "eccentricity": ls.eccentricity}
-    witnesses = None
-    if oracle.numbers is not None:
-        witnesses = functools.partial(dict, pseudo_intersection_numbers=oracle.numbers)
-    elif oracle.violation is not None:
-        details["oracle_violation"] = oracle.violation
-    return TheoremReport(
-        theorem_id="T32",
-        comparisons=(comp,),
-        certificates=(),
-        equality_holds=equality,
-        verdict=verdict,
-        params={"vertex": u},
-        details=details,
-        witness_fn=witnesses,
-    )
+    reports = []
+    for u, ls, e, hi in zip(us.tolist(), spectra, ecc.tolist(), rhs.tolist()):
+        lhs = ls.local_excess
+        comp = (_compare(label, lhs, hi, ga.tols.equality, kind="equality")
+                if ls.du <= e else Comparison(label=label, lhs=lhs, rhs=0.0, slack=-lhs,
+                                              kind="equality", state="unequal"))
+        oracle = ga.classification.pseudo_dr[u]
+        agreement = comp.scalar_equal == oracle.is_pdr
+        equality = comp.scalar_equal and oracle.is_pdr
+        verdict = (f"pseudo-distance-regular around vertex {u}" if equality else
+                   f"not pseudo-distance-regular around vertex {u}" if agreement else
+                   "INTERNAL INCONSISTENCY: spectral and combinatorial verdicts disagree")
+        details = {"oracle_is_pdr": oracle.is_pdr, "oracle_agrees": agreement,
+                   "du": ls.du, "eccentricity": e}
+        witnesses = None
+        if oracle.numbers is not None:
+            witnesses = functools.partial(dict, pseudo_intersection_numbers=oracle.numbers)
+        elif oracle.violation is not None:
+            details["oracle_violation"] = oracle.violation
+        reports.append(TheoremReport(
+            theorem_id="T32",
+            comparisons=(comp,),
+            certificates=(),
+            equality_holds=equality,
+            verdict=verdict,
+            params={"vertex": u},
+            details=details,
+            witness_fn=witnesses,
+        ))
+    return reports
 
 
 def check_lee_weng(ga) -> TheoremReport:

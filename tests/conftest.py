@@ -61,3 +61,9 @@ def analyzed():
 def wide():
     """The wide corpus (d up to about 60), analysed and checked once."""
     return corpus.analyze_corpus(corpus.build_wide_corpus())
+
+
+@pytest.fixture(scope="session")
+def atlas():
+    """The 995 connected graphs with 2 <= n <= 7, analysed and checked once."""
+    return corpus.analyze_corpus(corpus.build_atlas())

@@ -217,13 +217,13 @@ def test_classify_holds_nothing_from_poly():
 @pytest.mark.parametrize("name", ["petersen", "c8_12", "c6", "k23", "p3", "k13"])
 def test_one_sweep_per_classification(monkeypatch, name):
     calls = []
-    kernel = spexcess.classify._sphere_profile
+    kernel = spexcess.classify._pair_counts
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(spexcess.classify, "_sphere_profile", counted)
+    monkeypatch.setattr(spexcess.classify, "_pair_counts", counted)
     _ga(name)
     assert len(calls) == 1
 
@@ -244,3 +244,58 @@ def test_violation_names_lowest_vertices_and_integer_counts(g):
         assert v == sphere[np.argmax(counts == counts.min())]
         assert w == sphere[np.argmax(counts == counts.max())]
         assert (lo, hi) == (counts.min(), counts.max())  # exact integers
+
+
+def _brute_force_sweep(ga):
+    """Per root u and vertex v, the alpha-weighted neighbours of v in
+    Gamma_{i-1}(u), Gamma_i(u) and Gamma_{i+1}(u), summed one neighbour at a
+    time in ascending order; returns (pseudo_dr, level, intersection_array)
+    with pseudo_dr[u] = (is_pdr, numbers, violation)."""
+    n, tol = ga.n, ga.tols.equality
+    alpha, dist = ga.perron.alpha.tolist(), ga.dd.dist.tolist()
+    nbrs = [np.flatnonzero(row).tolist() for row in ga.graph.adjacency]
+    pseudo_dr, by_radius = [], {}
+    for u in range(n):
+        ecc = max(dist[u])
+        numbers, violation = np.zeros((3, ecc + 1)), None
+        for i in range(ecc + 1):
+            sphere = [v for v in range(n) if dist[u][v] == i]
+            triples = []
+            for v in sphere:
+                sums = [0.0, 0.0, 0.0]
+                for w in nbrs[v]:
+                    sums[dist[u][w] - i + 1] += alpha[w]
+                triples.append([x / alpha[v] for x in sums])
+            for k in range(3):
+                vals = [t[k] for t in triples]
+                by_radius.setdefault((i, k), []).extend(vals)
+                lo, hi = min(vals), max(vals)
+                if violation is None and hi - lo > tol * max(1.0, abs(lo), abs(hi)):
+                    violation = (i, sphere[vals.index(lo)], sphere[vals.index(hi)],
+                                 lo, hi, "cab"[k])
+                numbers[k, i] = sum(vals) / len(vals)
+        pseudo_dr.append((violation is None, numbers, violation))
+    degrees = [len(x) for x in nbrs]
+    if min(degrees) != max(degrees):
+        return pseudo_dr, 0, None
+    for (i, k), vals in sorted(by_radius.items()):
+        if min(vals) != max(vals):
+            return pseudo_dr, i - (k == 0), None
+    c, a, b = pseudo_dr[0][1].tolist()
+    return pseudo_dr, ga.D, {"b": [int(x) for x in b[:-1]],
+                             "c": [int(x) for x in c[1:]], "a": [int(x) for x in a]}
+
+
+@pytest.mark.parametrize("graphs", ["atlas", "analyzed", "wide"])
+def test_sweep_matches_brute_force_counts(request, graphs):
+    analyzed = request.getfixturevalue(graphs)
+    for name, ga, _reports in analyzed:
+        cls = ga.classification
+        pseudo_dr, level, array = _brute_force_sweep(ga)
+        assert (cls.partial_dr_level, cls.intersection_array) == (level, array), name
+        for res, (is_pdr, numbers, violation) in zip(cls.pseudo_dr, pseudo_dr):
+            assert (res.is_pdr, res.violation) == (is_pdr, violation), (name, res.vertex)
+            if is_pdr:
+                assert res.numbers.shape == numbers.shape
+                assert np.all(np.abs(res.numbers - numbers)
+                              <= 1e-12 * np.maximum(1.0, np.abs(numbers))), (name, res.vertex)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import corpus
-from spexcess.pipeline import analyze_graph, run_all_checks
 from spexcess.report import collect_violations
 
 
@@ -142,16 +141,13 @@ def _template(verdict):
     return re.sub(r"\d+", "#", verdict)
 
 
-def test_atlas_census():
+def test_atlas_census(atlas):
     # every connected graph on 2..7 vertices: no exception, no inequality
     # violation, no oracle disagreement; T34 is counted by radius band and
     # P31 by extremality, per verdict
-    graphs = corpus.build_atlas()
-    assert len(graphs) == 995
+    assert len(atlas) == 995
     t34, p31 = Counter(), Counter()
-    for name, g in graphs:
-        ga = analyze_graph(g)
-        reports = run_all_checks(ga)
+    for name, ga, reports in atlas:
         assert not collect_violations(reports), name
         for rep in reports:
             if rep.theorem_id == "T34":

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess.errors import DegreeError, HypothesisError
 from spexcess.pipeline import analyze_graph, run_all_checks
@@ -507,3 +508,30 @@ def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
     assert shared
     assert by_id["T37"][0].certificates[0].max_abs_diff \
         == by_id["T33"][0].certificates[0].max_abs_diff
+
+
+def _assert_same_report(one_row, batch):
+    assert (one_row.theorem_id, one_row.comparisons, one_row.certificates,
+            one_row.equality_holds, one_row.verdict, one_row.params, one_row.details) == (
+        batch.theorem_id, batch.comparisons, batch.certificates,
+        batch.equality_holds, batch.verdict, batch.params, batch.details)
+    a, b = one_row.witnesses, batch.witnesses
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+@pytest.mark.parametrize("graphs", ["fixtures", "atlas"])
+def test_local_checks_match_run_all_checks(request, graphs):
+    # the one-row and the all-vertex uses of the P31 and T32 passes agree
+    if graphs == "fixtures":
+        analyses, checks = request.getfixturevalue("analyses"), request.getfixturevalue("checks")
+        analyzed = [(name, analyses(name), checks(name)) for name in ALL_NAMES]
+    else:
+        analyzed = request.getfixturevalue("atlas")
+    for _name, ga, reports in analyzed:
+        p31, t32 = reports[:ga.n], reports[ga.n:2 * ga.n]
+        for u in range(ga.n):
+            _assert_same_report(check_local_bound(ga, u), p31[u])
+            _assert_same_report(check_local_spet(ga, u), t32[u])
