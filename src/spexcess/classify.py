@@ -42,7 +42,7 @@ from .graphs import DistanceData
 from .spectral import PerronWeights, Spectrum, class_sums
 
 DEFAULT_ORACLE_TOL = 1e-7
-_BLOCK_BYTES = 1 << 24  # gathered neighbour distances and masks held at once
+_BLOCK_BYTES = 1 << 24  # gathered distances, masks and counts held at once
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,11 @@ class PseudoDRResult:
 
 def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
     """Weighted neighbour counts of every (root u, vertex v) pair, the roots
-    in blocks of at most ``_BLOCK_BYTES`` of gathered distances and masks.
+    in blocks of at most ``_BLOCK_BYTES`` of gathered distances, masks and
+    float counts (those of the sweep's reordering included).
     A neighbour of v is one step nearer to u than v, as far, or one step
     farther; padding slots point at v itself with weight 0.  ``dist`` is
-    the distance table in a small integer type.  Yields (roots, x):
+    the distance table in a small unsigned type.  Yields (roots, x):
     ``x[:, r, v]`` is (c, a, b) of v around root ``roots[r]``, sums of
     alpha_w in ascending w divided by alpha_v.
     """
@@ -75,7 +76,7 @@ def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
     nbr = np.tile(np.arange(n), (int(degrees.max()), 1))
     nbr[np.arange(rows.size) - np.repeat(np.cumsum(degrees) - degrees, degrees), rows] = cols
     weight = np.where(nbr != np.arange(n), alpha[nbr], 0.0)
-    step = max(1, _BLOCK_BYTES // max(1, nbr.size * (dist.itemsize + 3)))
+    step = max(1, _BLOCK_BYTES // (n * (len(nbr) * (dist.itemsize + 3) + 72)))
     for start in range(0, n, step):
         roots = slice(start, start + step)
         here = dist[roots, None, :]
@@ -126,7 +127,7 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
     the intersection array {b_0..b_{D-1}; c_1..c_D} plus the a_i row.
     """
     n, width = dd.n, dd.diameter + 1
-    dist = dd.dist.astype(np.min_scalar_type(-max(dd.diameter, 1)))
+    dist = dd.dist.astype(np.min_scalar_type(dd.diameter))  # only compared
     sizes = np.bincount((np.arange(n)[:, None] * width + dist).ravel(),
                         minlength=n * width).reshape(n, width)
     is_regular = bool(np.ptp(sizes[:, min(1, dd.diameter)]) == 0)  # the degrees

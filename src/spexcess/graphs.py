@@ -16,17 +16,14 @@ Input formats:
   supported for n < 2**18 (sparse6 is not supported).
 
 A file holds one graph: graph6 data with more than one graph line is a
-ParseError, not a silent read of the first graph.  Ingestion works on whole
-arrays: an edge list's lines are split and its ids read by ``int`` in one
-pass, a graph6 body is unpacked as one bit array, and ``Graph.from_edges``
+ParseError, not a silent read of the first graph.  ``Graph.from_edges``
 range-checks, rejects loops and repeated edges and builds the adjacency
-with numpy.  Lines are scanned one by one only to word an error message.
+with numpy, in one pass over all the edges.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +53,12 @@ class Graph:
         the first pair with an id outside 0..n-1, a loop or a repeat."""
         if n < 1:
             raise ParseError("graph must have at least one vertex")
-        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
-                         dtype=np.int64).reshape(-1, 2)
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # an id past int64 is out of range: read it as -1
+            pairs = np.array([[x if 0 <= x < n else -1 for x in map(int, e)]
+                              for e in edges], dtype=np.int64).reshape(-1, 2)
         lo, hi = np.sort(pairs, axis=1).T
         key = lo * n + hi  # exact for in-range pairs, which come first in order
         order = np.argsort(key, kind="stable")
@@ -65,7 +66,7 @@ class Graph:
         repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
         bad = (lo < 0) | (hi >= n) | (lo == hi) | repeat
         if bad.any():
-            u, v = pairs[bad.argmax()].tolist()
+            u, v = map(int, edges[bad.argmax()])
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"vertex id out of range: ({u}, {v}) with n={n}")
             if u == v:
@@ -173,57 +174,37 @@ def read_graph_file(path, fmt: str | None = None) -> Graph:
         return load_graph(fh, fmt=fmt)
 
 
-def parse_edgelist(text: str) -> tuple[int, np.ndarray]:
-    """(n, edges) of an edge list, edges an (m x 2) array in line order; a
-    line that is not a valid edge is worded by ``_line_error``."""
-    lines = text.splitlines()
-    parts = list(map(str.split, lines))
-    sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
-    data = sizes > 0
-    if "#" in text:
-        comment = map(str.startswith, map(str.lstrip, lines), itertools.repeat("#"))
-        data &= ~np.fromiter(comment, dtype=bool, count=len(lines))
-    try:
-        ids = list(map(int, itertools.chain.from_iterable(itertools.compress(parts, data))))
-    except ValueError:
-        ids = None
-    if (ids is None or np.any(sizes[data] != 2) or (ids and min(ids) < 0)
-            or any(map(operator.eq, ids[::2], ids[1::2]))):
-        raise _line_error(lines)
-    if not ids:
+def parse_edgelist(text: str) -> tuple[int, list[tuple[int, int]]]:
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer vertex id in {raw!r}") from None
+        if u < 0 or v < 0:
+            raise ParseError(f"line {lineno}: negative vertex id in {raw!r}")
+        if u == v:
+            raise LoopOrMultiEdgeError(f"line {lineno}: self-loop at vertex {u}")
+        edges.append((u, v))
+    if not edges:
         raise ParseError("no edges found")
-    present = set(ids)
+    present = {x for edge in edges for x in edge}
     n = max(present) + 1
     if len(present) != n:
         # a lazy scan: it stops after at most len(present) + 5 ids
         first = list(itertools.islice((x for x in range(n) if x not in present), 5))
         raise ParseError(f"vertex ids must be dense 0..{n - 1}; "
                          f"{n - len(present)} missing, the first {first}")
-    return n, np.array(ids, dtype=np.int64).reshape(-1, 2)
+    return n, edges
 
 
-def _line_error(lines) -> ParseError:
-    """The error of the first edge-list line that is not a valid edge (there
-    is one when ``parse_edgelist`` calls this)."""
-    for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 2:
-            return ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = map(int, parts)
-        except ValueError:
-            return ParseError(f"line {lineno}: non-integer vertex id in {raw!r}")
-        if u < 0 or v < 0:
-            return ParseError(f"line {lineno}: negative vertex id in {raw!r}")
-        if u == v:
-            return LoopOrMultiEdgeError(f"line {lineno}: self-loop at vertex {u}")
-
-
-def parse_graph6(data: bytes) -> tuple[int, np.ndarray]:
-    """(n, edges) of one graph6 graph, edges an (m x 2) array of (u, v),
-    u < v, in the encoding's column order; the body is read as one array."""
+def parse_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
     data = data.strip()
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER):].lstrip()
@@ -258,16 +239,17 @@ def parse_graph6(data: bytes) -> tuple[int, np.ndarray]:
         raise ParseError(
             f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}"
         )
-    invalid = body.translate(None, bytes(range(63, 127)))
-    if invalid:
-        sixbits(invalid[0])
-    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8)[:, None] - np.uint8(63),
-                         axis=1)[:, 2:].ravel()[:nbits]
-    # bit k is the pair (u, v) with k = v(v-1)/2 + u: column v starts at v(v-1)/2
-    k, r = np.flatnonzero(bits), np.arange(n)
-    starts = r * (r - 1) // 2
-    v = np.searchsorted(starts, k, side="right") - 1
-    return n, np.stack([k - starts[v], v], axis=1)
+    bits = []
+    for b in body:
+        bits.extend((sixbits(b) >> k) & 1 for k in (5, 4, 3, 2, 1, 0))
+    edges = []
+    k = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[k]:
+                edges.append((u, v))
+            k += 1
+    return n, edges
 
 
 def graph6_bytes(g: Graph) -> bytes:

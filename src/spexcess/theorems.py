@@ -21,8 +21,9 @@ for the checks that share it (T34, P35 and P36; T33 and T37).  Witness
 matrices are built when a caller reads ``TheoremReport.witnesses``.
 
 P31 and T32 run over all vertices in one pass each (``check_local_bounds``,
-``check_local_spets``; ``check_local_bound`` and ``check_local_spet`` are
-the one-row case): their numbers are arrays over the vertices, and P31's
+``check_local_spets``; ``check_local_bound`` runs the same pass,
+``_local_bounds``, on its one row, and ``check_local_spet`` is T32's
+one-row case): their numbers are arrays over the vertices, and P31's
 vector certificates of the k scalar-equal vertices one (k x n) array.
 P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``);
@@ -226,8 +227,8 @@ def check_local_bound(ga, u: int, j: int | None = None,
                       r=None) -> TheoremReport:
     """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j.
 
-    Defaults: j = ecc(u) (see the saturation rule in the module note) and
-    r = q_j^u, for which equality is exactly q_j^u(lambda_0) =
+    Defaults: j = min(ecc(u), d_u) (see the saturation rule in the module
+    note) and r = q_j^u, for which equality is exactly q_j^u(lambda_0) =
     ||rho_{N_j(u)}||^2.  A caller-chosen ``r`` is given by its monomial
     coefficients, ascending, and is evaluated at the eigenvalues.
     ``equality_holds`` means "the vector certificate r(A)e_u/||r||_u =
@@ -240,33 +241,42 @@ def check_local_bound(ga, u: int, j: int | None = None,
     if not 0 <= j <= ls.du:
         raise DegreeError(f"j={j} outside 0..d_u={ls.du} for vertex {u}")
     if r is None:
-        return check_local_bounds(ga, [u], [j])[0]
-    coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
-    r_degree = max(len(coeffs) - 1, 0)
-    if r_degree > j:
-        raise DegreeError(f"deg r = {r_degree} exceeds j = {j}")
-    r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
-    return check_local_bounds(ga, [u], [j], (r_vals, r_degree))[0]
-
-
-def check_local_bounds(ga, us=None, js=None, r=None) -> list[TheoremReport]:
-    """P31 at the rows (us[k], js[k]) in one pass (module note), by default
-    at every vertex with the defaults of ``check_local_bound``; ``r`` is
-    None for r = q^u_j, or, in a single row, (values on the eigenvalues,
-    degree)."""
-    us = np.arange(ga.n) if us is None else np.asarray(us)
-    alpha, spectra = ga.perron.alpha, [ga.local_spectra[u] for u in us.tolist()]
-    du, ecc = np.array([ls.du for ls in spectra]), ga.dd.ecc[us]
-    js = np.minimum(ecc, du) if js is None else np.asarray(js)
-    closed = (js == du) & (r is None)
-    if r is None:
-        r_l0 = np.array([ga.n if c else _local_family(ga, u, j).q_lambda0[j] for u, j, c
-                         in zip(us.tolist(), js.tolist(), closed.tolist())], dtype=float)
-        norms = alpha[us] * np.sqrt(r_l0)
+        r_vals, r_degree, r_l0 = None, j, float(ga.n)
+        if j < ls.du:
+            seq = _local_family(ga, u, j)
+            r_vals, r_l0 = seq.sum_values(j), seq.q_lambda0[j]
+        norm = ga.perron.alpha[u] * np.sqrt(r_l0)
     else:
-        r_l0, norms = r[0][:1], np.sqrt([np.sum(spectra[0].local_mults * r[0] ** 2)])
-        if norms[0] <= 0.0:
-            raise DegreeError(f"r has zero local norm at vertex {us[0]}")
+        coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
+        r_degree = max(len(coeffs) - 1, 0)
+        if r_degree > j:
+            raise DegreeError(f"deg r = {r_degree} exceeds j = {j}")
+        r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
+        r_l0, norm = r_vals[0], np.sqrt(np.sum(ls.local_mults * r_vals ** 2))
+        if norm <= 0.0:
+            raise DegreeError(f"r has zero local norm at vertex {u}")
+    return _local_bounds(ga, np.array([u]), np.array([j]), np.array([r_l0]),
+                         np.array([norm]), [r_degree], r_vals)[0]
+
+
+def check_local_bounds(ga) -> list[TheoremReport]:
+    """P31 at every vertex, at the defaults of ``check_local_bound``, in one
+    pass (module note)."""
+    us, alpha = np.arange(ga.n), ga.perron.alpha
+    du = np.array([ls.du for ls in ga.local_spectra])
+    js = np.minimum(ga.dd.ecc, du)
+    r_l0 = np.array([ga.n if j == d else _local_family(ga, u, j).q_lambda0[j]
+                     for u, j, d in zip(us.tolist(), js.tolist(), du.tolist())], dtype=float)
+    return _local_bounds(ga, us, js, r_l0, alpha * np.sqrt(r_l0), js.tolist(), None)
+
+
+def _local_bounds(ga, us, js, r_l0, norms, r_degrees, r_vals) -> list[TheoremReport]:
+    """P31 at the rows (us[k], js[k]) with r(lambda_0) = r_l0[k] and ||r||_u
+    = norms[k].  ``r_vals`` holds one row's r on the eigenvalues, or is None
+    when every row that can reach scalar equality has r = q^u_{d_u}, whose
+    vector r(A)e_u is alpha_u alpha."""
+    alpha = ga.perron.alpha
+    du, ecc = np.array([ga.local_spectra[u].du for u in us.tolist()]), ga.dd.ecc[us]
     saturated = js >= ecc
     ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
     lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
@@ -276,17 +286,18 @@ def check_local_bounds(ga, us=None, js=None, r=None) -> list[TheoremReport]:
              for lo, hi, sat, j, d in zip(lhs.tolist(), rhs.tolist(), saturated.tolist(),
                                           js.tolist(), du.tolist())]
     rows = np.flatnonzero([c.scalar_equal for c in comps])
-    vecs = alpha[us[rows], None] * alpha
-    if not closed[rows].all():  # only a single row with an explicit j or r
-        vecs = apply_to_vector(r[0] if r else _local_family(ga, us[0], js[0]).sum_values(
-            js[0]), ga.spectrum, np.eye(ga.n)[us[rows]])
+    if r_vals is None:
+        vecs = alpha[us[rows], None] * alpha
+    else:
+        vecs = apply_to_vector(r_vals, ga.spectrum, np.eye(ga.n)[us[rows]])
     vecs = vecs / norms[rows, None]
     targets = (np.where(ga.dd.dist[us[rows]] <= js[rows, None], alpha, 0.0)
                / np.sqrt(ball_sq[rows])[:, None])
     found = iter(zip(vecs, targets, np.abs(vecs - targets).max(axis=1).tolist()))
     reports = []
-    for u, j, d, e, sat, comp in zip(us.tolist(), js.tolist(), du.tolist(), ecc.tolist(),
-                                     saturated.tolist(), comps):
+    for u, j, d, e, sat, comp, r_degree in zip(
+            us.tolist(), js.tolist(), du.tolist(), ecc.tolist(), saturated.tolist(), comps,
+            r_degrees):
         certs, witnesses = (), None
         if comp.scalar_equal:
             vec, target, diff = next(found)
@@ -304,7 +315,7 @@ def check_local_bounds(ga, us=None, js=None, r=None) -> list[TheoremReport]:
             equality_holds=attained and e == d,
             verdict=_ladder(comp, attained, wording,
                             "scalar equality but vector certificate failed"),
-            params={"vertex": u, "j": j, "r_degree": r[1] if r else j},
+            params={"vertex": u, "j": j, "r_degree": r_degree},
             details={"extremal": e == d, "ball_saturated": sat},
             witness_fn=witnesses,
         ))

@@ -258,8 +258,10 @@ def _brute_force_sweep(ga):
     for u in range(n):
         ecc = max(dist[u])
         numbers, violation = np.zeros((3, ecc + 1)), None
-        for i in range(ecc + 1):
-            sphere = [v for v in range(n) if dist[u][v] == i]
+        spheres = [[] for _ in range(ecc + 1)]
+        for v in range(n):
+            spheres[dist[u][v]].append(v)
+        for i, sphere in enumerate(spheres):
             triples = []
             for v in sphere:
                 sums = [0.0, 0.0, 0.0]
@@ -286,7 +288,14 @@ def _brute_force_sweep(ga):
                              "c": [int(x) for x in c[1:]], "a": [int(x) for x in a]}
 
 
-@pytest.mark.parametrize("graphs", ["atlas", "analyzed", "wide"])
+@pytest.fixture(scope="module")
+def long_diameter():
+    """Diameter 128, one past what a signed 8-bit distance holds."""
+    return [(name, analyze_graph(g), None)
+            for name, g in (("c256", fx.cycle(256)), ("p129", fx.path(129)))]
+
+
+@pytest.mark.parametrize("graphs", ["atlas", "analyzed", "wide", "long_diameter"])
 def test_sweep_matches_brute_force_counts(request, graphs):
     analyzed = request.getfixturevalue(graphs)
     for name, ga, _reports in analyzed:

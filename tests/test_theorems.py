@@ -47,6 +47,26 @@ def test_p31_petersen_q1(analyses):
         assert ga.stats.ball_norms[u, 1] == pytest.approx(4.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", ["k23", "c8_12", "p5", "k13", "petersen"])
+def test_p31_every_j_matches_dense_reference(analyses, name):
+    # for every u and j <= d_u, the certificate vector is q^u_j(A) e_u over
+    # ||q^u_j||_u, with q^u_j(A) formed densely from the eigenvectors and
+    # the norm from the local multiplicities
+    from corpus import full_local_families
+    ga = analyses(name)
+    v = ga.spectrum.vectors
+    for u, seq in enumerate(full_local_families(ga)):
+        mults = ga.local_spectra[u].local_mults
+        for j in range(ga.local_spectra[u].du + 1):
+            rep = check_local_bound(ga, u, j)
+            q = seq.sum_values(j)
+            norm = math.sqrt(np.sum(mults * q ** 2))
+            assert rep.lhs == pytest.approx(q[0] / norm, rel=1e-9), (u, j)
+            if rep.comparisons[0].scalar_equal:
+                vec = (v * q[ga.spectrum.class_index]) @ v[u] / norm
+                assert np.abs(rep.witnesses["normalized_vector"] - vec).max() <= 1e-9
+
+
 def test_p31_k23_degree2_vertex_strict(analyses):
     ga = analyses("k23")
     rep = check_local_bound(ga, 2, j=1, r=[0.0, 1.0])
