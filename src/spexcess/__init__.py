@@ -1,10 +1,10 @@
 """Spectral-excess machinery for finite connected graphs.
 
 Computes the spectrum (LAPACK eigendecomposition), local spectra read from
-the eigenvectors, the global and local predistance polynomial families (kept
-as their values on the distinct eigenvalues, each local one built only as far
-as the checks read it, evaluated at A through the eigenvectors) and Perron-weighted
-distance statistics of a connected graph, and evaluates the
+the eigenvectors, the global predistance polynomial family (kept as its
+values on the distinct eigenvalues, evaluated at A through the
+eigenvectors), the local families' values at lambda_0 that the checks read,
+and Perron-weighted distance statistics of a connected graph, and evaluates the
 inequality/equality characterizations connecting them
 (pseudo-distance-regularity, partial distance-regularity, the
 distance-polynomial property), cross-validated against independent

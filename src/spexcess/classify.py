@@ -34,6 +34,7 @@ and has level 0, so only the per-root question is asked of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ DEFAULT_ORACLE_TOL = 1e-7
 _BLOCK_BYTES = 1 << 24  # gathered distances, masks and counts held at once
 
 
-@dataclass(frozen=True)
-class PseudoDRResult:
+class PseudoDRResult(NamedTuple):
     """Outcome of the weighted constancy check around one vertex.
 
     When constant, ``numbers`` has rows c*, a*, b* over i = 0..ecc(u)
@@ -160,10 +160,8 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
         ["cab"[k] for k in which.tolist()])))
     numbers = _readonly(numbers)
     pseudo_dr = tuple(
-        PseudoDRResult(vertex=u, is_pdr=False, numbers=None, violation=violation[u])
-        if u in violation else
-        PseudoDRResult(vertex=u, is_pdr=True, violation=None,
-                       numbers=numbers[u, :, :ecc + 1])
+        PseudoDRResult(u, False, None, violation[u]) if u in violation else
+        PseudoDRResult(u, True, numbers[u, :, :ecc + 1], None)
         for u, ecc in enumerate(dd.ecc.tolist()))
     if not is_regular:
         return False, None, 0, pseudo_dr

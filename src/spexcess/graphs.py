@@ -167,9 +167,10 @@ def load_graph(data, fmt: str = "edgelist") -> Graph:
 
 
 def read_graph_file(path, fmt: str | None = None) -> Graph:
-    """Load a graph file; the format defaults by extension (.g6 -> graph6)."""
+    """Load a graph file; the format defaults by extension (.g6 or .graph6,
+    in any case, -> graph6)."""
     if fmt is None:
-        fmt = "graph6" if str(path).endswith((".g6", ".graph6")) else "edgelist"
+        fmt = "graph6" if str(path).lower().endswith((".g6", ".graph6")) else "edgelist"
     with open(path, "rb") as fh:
         return load_graph(fh, fmt=fmt)
 

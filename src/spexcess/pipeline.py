@@ -5,10 +5,11 @@ weights -> local spectra -> polynomial families -> weighted matrices ->
 excess statistics -> combinatorial classification) and
 ``run_all_checks`` evaluates every theorem at its admissible parameters.
 
-The polynomial families are sized to what the checks read.  The global
-family runs to degree d in its own call.  A local family exists only for a
-vertex u with ecc_u < d_u and runs to degree ecc_u, where P31 reads it, all
-such vertices in one call; at j = d_u P31 needs no family (see ``poly``).
+The pipeline builds one polynomial family, the global one, to degree d,
+and no local family.  Of vertex u, P31 reads one number, q^u_j(lambda_0)
+at j = min(ecc_u, d_u): n at j = d_u (see ``poly``), and at j = ecc_u <
+d_u the value from one batched Stieltjes pass over all such vertices
+(``poly.top_q_lambda0``).  ``GraphAnalysis.local_q_lambda0`` keeps them.
 T32's p^u_{d_u}(lambda_0) is part of each local spectrum, in closed form.
 """
 
@@ -17,7 +18,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import classify, poly, spectral, theorems, weighted
+from ._util import readonly as _readonly
 from .graphs import DistanceData, Graph, distance_data
 
 
@@ -39,8 +43,8 @@ class GraphAnalysis:
     """Everything derived from one graph, shareable and frozen except for
     ``memo``, where ``theorems`` keeps the certificate gaps it shares.
 
-    ``local_seqs[u]`` is vertex u's family up to degree ecc_u, or None when
-    ecc_u >= d_u.
+    ``local_q_lambda0[u]`` is q^u_j(lambda_0) at j = min(ecc_u, d_u): n
+    where ecc_u >= d_u.
     """
 
     graph: Graph
@@ -50,7 +54,7 @@ class GraphAnalysis:
     perron: spectral.PerronWeights
     local_spectra: tuple[spectral.LocalSpectrum, ...]
     global_seq: poly.PolySequence
-    local_seqs: tuple[poly.PolySequence | None, ...]
+    local_q_lambda0: np.ndarray
     wm: weighted.WeightedMatrices
     stats: weighted.ExcessStats
     classification: classify.Classification
@@ -87,16 +91,18 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     (gseq,) = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n,
                                            [spec.d])
     short = [ls.vertex for ls in locals_ if ls.eccentricity < ls.du]
-    lseqs = dict(zip(short, poly.predistance_polynomials(
-        spec.lambdas, [locals_[u].local_mults for u in short], dd.ecc[short],
-        alpha=pw.alpha, vertices=short) if short else ()))
+    local_q = np.full(g.n, float(g.n))
+    if short:
+        local_q[short] = poly.top_q_lambda0(
+            spec.lambdas, [locals_[u].local_mults for u in short], dd.ecc[short],
+            pw.alpha[short] ** 2)
     wm = weighted.weighted_matrices(dd, pw)
     stats = weighted.excess_stats(dd, pw, gseq)
     cls = classify.classify_graph(dd, pw, spec, tol=tols.equality)
     return GraphAnalysis(
         graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw,
         local_spectra=locals_, global_seq=gseq,
-        local_seqs=tuple(map(lseqs.get, range(g.n))),
+        local_q_lambda0=_readonly(local_q),
         wm=wm, stats=stats, classification=cls,
     )
 

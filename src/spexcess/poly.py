@@ -20,13 +20,14 @@ degree <= d *is* its vector of values there, and that vector is the only
 form kept: no monomial coefficients, which lose all accuracy at high
 degree.  The families come from the discretized Stieltjes (Lanczos)
 procedure with full reorthogonalization (Gautschi, *Orthogonal Polynomials:
-Computation and Approximation*, 2004, section 2.2), many measures per call.
-The pipeline builds the global family to degree d in one call, and in a
-second call the local family of each vertex with ecc_u < d_u, to degree
-ecc_u only: the checks read no higher local degree.  The top local values
-come in closed form instead: p^u_{d_u}(lambda_0) from the nodal polynomial
-of the local support (``spectral.top_p_lambda0``) and q^u_{d_u} from the
-preHoffman identities above.  The three-term recurrence
+Computation and Approximation*, 2004, section 2.2), many measures per call
+(``_stieltjes``).  The pipeline builds one family, the global one to
+degree d.  Of the local families the checks read only numbers at lambda_0,
+so it builds none: ``top_q_lambda0`` runs the same pass for every vertex
+with ecc_u < d_u and keeps only q^u_{ecc_u}(lambda_0), which P31 reads.  The
+top local values come in closed form: p^u_{d_u}(lambda_0) from the nodal
+polynomial of the local support (``spectral.top_p_lambda0``) and q^u_{d_u}
+from the preHoffman identities above.  The three-term recurrence
 
     x * p_i = b_{i-1} p_{i-1} + a_i p_i + c_{i+1} p_{i+1}
 
@@ -99,30 +100,80 @@ def predistance_polynomials(nodes, weights, degrees, alpha=None,
     of its family.  With ``alpha`` None every row is a global measure
     (s = 1, ``vertex`` None).  Otherwise ``alpha`` is the whole Perron
     vector and row r the local measure of vertex ``vertices[r]`` (default:
-    row u is vertex u), with s = alpha_u^2.
-
-    Builds the orthonormal family phi_0..phi_m by the Stieltjes procedure
-    (phi_j from x * phi_{j-1}, orthogonalized twice against every earlier
-    phi), then rescales: p_j = s * phi_j(lambda_0) * phi_j satisfies
-    ||p_j||^2 = s * p_j(lambda_0) and p_j(lambda_0) > 0.  The steps run on
-    psi = sqrt(w) * phi, so every inner product is a plain dot product, and
-    phi = psi / sqrt(w) except where w <= ``_TINY_WEIGHT``: there phi takes
-    the same linear steps as psi.  Rows are sorted by descending degree, so
-    the rows still running at step j are a leading block (a single row runs
-    as plain vector products); the families come back in the caller's order.
+    row u is vertex u), with s = alpha_u^2.  The orthonormal family
+    phi_0..phi_m comes from ``_stieltjes``; p_j = s * phi_j(lambda_0) *
+    phi_j satisfies ||p_j||^2 = s * p_j(lambda_0) and p_j(lambda_0) > 0.
+    The families come back in the caller's order.
     """
-    nodes = np.asarray(nodes, dtype=float)
     w = _readonly(np.array(weights, dtype=float, ndmin=2))
-    degrees = np.asarray(degrees, dtype=np.int64)
-    rows, size = w.shape
+    rows = len(w)
     if alpha is None:
         vertices, scale = [None] * rows, np.ones(rows)
     else:
         vertices = list(range(len(alpha)) if vertices is None else map(int, vertices))
         scale = np.asarray(alpha, dtype=float)[vertices] ** 2
-    if len(vertices) != rows or degrees.shape != (rows,) or size != len(nodes):
-        raise ValueError("weights must be (rows, nodes), with one degree and, "
-                         "given alpha, one vertex per row")
+    if len(vertices) != rows:
+        raise ValueError("given alpha, weights must have one vertex per row")
+    degrees, order, psi, phi, beta = _stieltjes(nodes, w, degrees)
+
+    # p_j = k_j phi_j; the Lanczos relation x phi_j = beta_j phi_{j-1} +
+    # a_j phi_j + beta_{j+1} phi_{j+1} turns into the p-recurrence.  k_j is
+    # nonzero up to each row's degree (lambda_0 lies above every zero of
+    # phi_j) and zero past it, where the quotients are sliced off below.
+    k = scale[order][:, None] * phi[:, :, 0]
+    kk = np.where(k == 0.0, 1.0, k)
+    # slices of a read-only array are read-only
+    values = _readonly(k[:, :, None] * phi)
+    rec_a = _readonly((psi * psi) @ np.asarray(nodes, dtype=float))
+    rec_b = _readonly(beta[:, 1:] * k[:, 1:] / kk[:, :-1])
+    rec_c = _readonly(beta[:, 1:] * k[:, :-1] / kk[:, 1:])
+    return tuple(
+        PolySequence(
+            weights=w[r],
+            values=values[s, : m + 1],
+            rec_a=rec_a[s, : m + 1],
+            rec_b=rec_b[s, :m],
+            rec_c=rec_c[s, :m],
+            norm_scale=norm_scale,
+            vertex=vertex,
+        )
+        for r, s, m, norm_scale, vertex in zip(
+            range(rows), np.argsort(order).tolist(), degrees.tolist(),
+            scale.tolist(), vertices)
+    )
+
+
+def top_q_lambda0(nodes, weights, degrees, scale) -> np.ndarray:
+    """q_m(lambda_0) = p_0(lambda_0) + ... + p_m(lambda_0) for the measure
+    in each row of ``weights``, m = ``degrees[r]`` and s = ``scale[r]``: the
+    pass of ``predistance_polynomials`` on the same rows, bit for bit, with
+    only phi_j(lambda_0) read, p_j(lambda_0) = s * phi_j(lambda_0)^2."""
+    degrees, order, _psi, phi, _beta = _stieltjes(nodes, weights, degrees)
+    at0 = phi[:, :, 0]
+    q = np.cumsum(np.asarray(scale, dtype=float)[order][:, None] * at0 * at0, axis=1)
+    return q[np.argsort(order), degrees]
+
+
+def _stieltjes(nodes, weights, degrees):
+    """The orthonormal families of the measures in the rows of ``weights``
+    up to ``degrees``, rows sorted by descending degree.  Returns (degrees,
+    order, psi, phi, beta): sorted row i is caller row ``order[i]``, and
+    ``phi[i, j]`` is phi_j on the nodes, ``psi[i, j]`` = sqrt(w) * phi_j and
+    ``beta[i, j]`` the norm that normalized phi_j.
+
+    Builds phi_0..phi_m by the Stieltjes procedure (phi_j from x *
+    phi_{j-1}, orthogonalized twice against every earlier phi).  The steps
+    run on psi, so every inner product is a plain dot product, and phi =
+    psi / sqrt(w) except where w <= ``_TINY_WEIGHT``: there phi takes the
+    same linear steps as psi.  The rows still running at step j are a
+    leading block (a single row runs as plain vector products).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    w = np.array(weights, dtype=float, ndmin=2)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    rows, size = w.shape
+    if degrees.shape != (rows,) or size != len(nodes):
+        raise ValueError("weights must be (rows, nodes), with one degree per row")
     top = int(degrees.max(initial=0))
     if top >= size:
         raise DegreeError(f"degrees must lie in 0..{size - 1}")
@@ -130,7 +181,6 @@ def predistance_polynomials(nodes, weights, degrees, alpha=None,
     ws = w[order]
     # live[j]: how many sorted rows have degree >= j
     live = np.searchsorted(-degrees[order], -np.arange(top + 1), side="right")
-
     tiny = ws <= _TINY_WEIGHT
     carry = bool(tiny.any())
     psi = np.zeros((rows, top + 1, size))
@@ -180,32 +230,7 @@ def predistance_polynomials(nodes, weights, degrees, alpha=None,
         )
     scaled = psi * (1.0 / np.sqrt(np.where(tiny, 1.0, ws)))[:, None]
     phi = np.where(tiny[:, None], phi, scaled) if carry else scaled
-
-    # p_j = k_j phi_j; the Lanczos relation x phi_j = beta_j phi_{j-1} +
-    # a_j phi_j + beta_{j+1} phi_{j+1} turns into the p-recurrence.  k_j is
-    # nonzero up to each row's degree (lambda_0 lies above every zero of
-    # phi_j) and zero past it, where the quotients are sliced off below.
-    k = scale[order][:, None] * phi[:, :, 0]
-    kk = np.where(k == 0.0, 1.0, k)
-    # slices of a read-only array are read-only
-    values = _readonly(k[:, :, None] * phi)
-    rec_a = _readonly((psi * psi) @ nodes)
-    rec_b = _readonly(beta[:, 1:] * k[:, 1:] / kk[:, :-1])
-    rec_c = _readonly(beta[:, 1:] * k[:, :-1] / kk[:, 1:])
-    return tuple(
-        PolySequence(
-            weights=w[r],
-            values=values[s, : m + 1],
-            rec_a=rec_a[s, : m + 1],
-            rec_b=rec_b[s, :m],
-            rec_c=rec_c[s, :m],
-            norm_scale=norm_scale,
-            vertex=vertex,
-        )
-        for r, s, m, norm_scale, vertex in zip(
-            range(rows), np.argsort(order).tolist(), degrees.tolist(),
-            scale.tolist(), vertices)
-    )
+    return degrees, order, psi, phi, beta
 
 
 def evaluate_at_matrix(p, spec: Spectrum) -> np.ndarray:

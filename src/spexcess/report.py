@@ -9,6 +9,11 @@ decided by the saturation rule of ``theorems``, carries no certificate and
 no witnesses.  P31's ``equalityHolds`` means "the vector certificate passes
 and u is extremal", so a non-extremal vertex can read "bound attained" with
 ``equalityHolds`` false.
+
+The checks build every comparison and certificate number as a Python float
+and every ``params`` and ``details`` value as a plain bool, int, float, str,
+None, list, tuple or dict of those: they are JSON-ready by construction, and
+``theorem_report_dict`` passes them through with no conversion.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ def _arr(a):
 def comparison_dict(c) -> dict:
     return {
         "label": c.label,
-        "lhs": float(c.lhs),
-        "rhs": float(c.rhs),
-        "slack": float(c.slack),
+        "lhs": c.lhs,
+        "rhs": c.rhs,
+        "slack": c.slack,
         "kind": c.kind,
         "state": c.state,
         "scalarEqual": c.scalar_equal,
@@ -43,8 +48,8 @@ def comparison_dict(c) -> dict:
 def certificate_dict(c) -> dict:
     return {
         "name": c.name,
-        "maxAbsDiff": float(c.max_abs_diff),
-        "tolerance": float(c.tol),
+        "maxAbsDiff": c.max_abs_diff,
+        "tolerance": c.tol,
         "passes": c.passes,
     }
 
@@ -52,33 +57,16 @@ def certificate_dict(c) -> dict:
 def theorem_report_dict(r: TheoremReport, include_witnesses: bool = False) -> dict:
     out = {
         "theoremId": r.theorem_id,
-        "params": _plain(r.params),
+        "params": r.params,
         "comparisons": [comparison_dict(c) for c in r.comparisons],
         "certificates": [certificate_dict(c) for c in r.certificates],
         "equalityHolds": r.equality_holds,
         "verdict": r.verdict,
-        "details": _plain(r.details),
+        "details": r.details,
     }
     if include_witnesses and r.witnesses is not None:
         out["witnesses"] = {k: _arr(v) for k, v in r.witnesses.items()}
     return out
-
-
-_PLAIN_TYPES = frozenset((bool, int, float, str, type(None)))
-
-
-def _plain(obj):
-    """JSON-ready copy; plain scalars pass by an exact-type check, also
-    inside containers, before any isinstance test."""
-    if type(obj) in _PLAIN_TYPES:
-        return obj
-    if isinstance(obj, dict):
-        return {k: v if type(v) in _PLAIN_TYPES else _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _PLAIN_TYPES else _plain(v) for v in obj]
-    if isinstance(obj, (np.ndarray, np.generic)):  # numpy scalars give bool, int, float
-        return obj.tolist()
-    return obj
 
 
 def classification_dict(ga: GraphAnalysis) -> dict:
@@ -89,12 +77,12 @@ def classification_dict(ga: GraphAnalysis) -> dict:
         if r.numbers is not None:
             entry["pseudoIntersectionNumbers"] = dict(zip("cab", _arr(r.numbers)))
         if r.violation is not None:
-            entry["violation"] = _plain(list(r.violation))
+            entry["violation"] = list(r.violation)
         pseudo.append(entry)
     return {
         "isRegular": cls.is_regular,
         "isDistanceRegular": cls.is_distance_regular,
-        "intersectionArray": _plain(cls.intersection_array),
+        "intersectionArray": cls.intersection_array,
         "pseudoDistanceRegularVertices": list(cls.pseudo_dr_vertices),
         "pseudoDistanceRegular": pseudo,
         "partialDistanceRegularLevel": cls.partial_dr_level,

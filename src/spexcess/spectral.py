@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,9 +91,12 @@ def eigendecompose(g: Graph,
     lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
     v = v * np.where(v[lead, np.arange(len(w))] < 0, -1.0, 1.0)
     gap = grouping_tol * max(1.0, abs(w[0]))
-    classes = np.split(w, np.flatnonzero(w[:-1] - w[1:] > gap) + 1)
-    lambdas = np.array([c.mean() for c in classes])
-    mults = np.array([len(c) for c in classes], dtype=np.int64)
+    starts = np.flatnonzero(np.r_[True, w[:-1] - w[1:] > gap])
+    mults = np.diff(np.r_[starts, len(w)])
+    lambdas = w[starts]  # a singleton class is its own mean
+    multi = np.flatnonzero(mults > 1)
+    for i, s, m in zip(multi.tolist(), starts[multi].tolist(), mults[multi].tolist()):
+        lambdas[i] = w[s:s + m].mean()
     return Spectrum(lambdas=_readonly(lambdas), mults=_readonly(mults),
                     vectors=_readonly(v))
 
@@ -137,8 +141,7 @@ def perron_weights(spec: Spectrum, degrees: np.ndarray,
     return PerronWeights(alpha=_readonly(alpha), nu=_readonly(nu))
 
 
-@dataclass(frozen=True)
-class LocalSpectrum:
+class LocalSpectrum(NamedTuple):
     """Local multiplicities of one vertex and the derived extremality data.
 
     ``local_mults[i] = (E_i)_{uu}``, nonnegative and summing to 1 over i;
@@ -199,6 +202,5 @@ def local_spectra(spec: Spectrum, dd: DistanceData,
     du = (present.sum(axis=1) - 1).tolist()
     excess = top_p_lambda0(spec.lambdas, m, present, spec.n * m[:, 0]).tolist()
     return tuple(
-        LocalSpectrum(vertex=u, local_mults=m[u], du=d, local_excess=p,
-                      eccentricity=ecc, is_extremal=(ecc == d))
+        LocalSpectrum(u, m[u], d, p, ecc, ecc == d)
         for u, (d, p, ecc) in enumerate(zip(du, excess, dd.ecc.tolist())))

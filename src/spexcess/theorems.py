@@ -26,12 +26,12 @@ P31 and T32 run over all vertices in one pass each (``check_local_bounds``,
 one-row case): their numbers are arrays over the vertices, and P31's
 vector certificates of the k scalar-equal vertices one (k x n) array.
 P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
-q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``);
-below d_u, q^u_j(lambda_0) comes from the family the pipeline built to
-ecc_u, or from one row built to j.  At the default j = min(ecc(u), d_u)
-only j = d_u can reach scalar equality: j < d_u means j = ecc(u), decided
-by the saturation rule.  T32 reads p^u_{d_u}(lambda_0) in closed form
-(``spectral.top_p_lambda0``).
+q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``).
+At the default j = min(ecc(u), d_u) both passes read q^u_j(lambda_0) from
+the pipeline's array ``local_q_lambda0`` and build no polynomial: only j =
+d_u can reach scalar equality there, as j < d_u means j = ecc(u), decided
+by the saturation rule.  Any other j < d_u builds q^u_j as one row.  T32
+reads p^u_{d_u}(lambda_0) in closed form (``spectral.top_p_lambda0``).
 
 Checks (ids follow the report schema):
 
@@ -67,8 +67,7 @@ which is why the pipeline runs P31 at j = ecc(u).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,8 +80,7 @@ THEOREM_IDS = ("P31", "T32", "T33", "T34", "P35", "P36", "T37", "T38")
 _BLOCK_BYTES = 1 << 24  # stacked q_j(A) products held at once
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """One lhs-vs-rhs comparison; for inequalities the claim is lhs <= rhs."""
 
     label: str
@@ -97,8 +95,7 @@ class Comparison:
         return self.state == "equal"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A matrix/constancy identity backing an equality verdict."""
 
     name: str
@@ -110,17 +107,20 @@ class Certificate:
         return self.max_abs_diff <= self.tol
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class _ReportFields(NamedTuple):
     theorem_id: str
     comparisons: tuple[Comparison, ...]
     certificates: tuple[Certificate, ...]
     equality_holds: bool
     verdict: str
-    params: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-    witness_fn: Callable[[], dict] | None = field(default=None, repr=False,
-                                                  compare=False)
+    params: dict  # JSON-ready values only, like ``details``
+    details: dict
+    witness_fn: Callable[[], dict] | None = None
+
+
+class TheoremReport(_ReportFields):
+    """One check's outcome, an immutable record.  Unlike its fields class
+    it has an instance dict, where ``witnesses`` is kept once built."""
 
     @functools.cached_property
     def witnesses(self) -> dict | None:
@@ -162,8 +162,7 @@ def _compare(label: str, lhs: float, rhs: float, eq_tol: float,
         state = "strict"
     else:
         state = "violated" if kind == "inequality" else "unequal"
-    return Comparison(label=label, lhs=lhs, rhs=rhs, slack=diff, kind=kind,
-                      state=state)
+    return Comparison(label, lhs, rhs, diff, kind, state)
 
 
 def _saturated(label: str, lhs, rhs, slack, top: bool) -> Comparison:
@@ -189,8 +188,7 @@ def _ladder(comp: Comparison, holds: bool, attained: str,
 
 
 def _certificate(ga, name: str, diff: float) -> Certificate:
-    return Certificate(name=name, max_abs_diff=diff,
-                       tol=ga.tols.equality * max(1.0, ga.n))
+    return Certificate(name, diff, ga.tols.equality * max(1.0, ga.n))
 
 
 def _identity(ga, kind: str, i: int):
@@ -236,14 +234,16 @@ def check_local_bound(ga, u: int, j: int | None = None,
     verdict can read "bound attained" with ``equality_holds`` False.
     """
     ls = ga.local_spectra[u]
-    if j is None:
-        j = min(ls.eccentricity, ls.du)
+    j = min(ls.eccentricity, ls.du) if j is None else int(j)
     if not 0 <= j <= ls.du:
         raise DegreeError(f"j={j} outside 0..d_u={ls.du} for vertex {u}")
     if r is None:
         r_vals, r_degree, r_l0 = None, j, float(ga.n)
-        if j < ls.du:
-            seq = _local_family(ga, u, j)
+        if j == min(ls.eccentricity, ls.du):  # the default: the pipeline's number
+            r_l0 = ga.local_q_lambda0[u]
+        elif j < ls.du:
+            (seq,) = predistance_polynomials(ga.spectrum.lambdas, ls.local_mults, [j],
+                                             alpha=ga.perron.alpha, vertices=[u])
             r_vals, r_l0 = seq.sum_values(j), seq.q_lambda0[j]
         norm = ga.perron.alpha[u] * np.sqrt(r_l0)
     else:
@@ -265,8 +265,7 @@ def check_local_bounds(ga) -> list[TheoremReport]:
     us, alpha = np.arange(ga.n), ga.perron.alpha
     du = np.array([ls.du for ls in ga.local_spectra])
     js = np.minimum(ga.dd.ecc, du)
-    r_l0 = np.array([ga.n if j == d else _local_family(ga, u, j).q_lambda0[j]
-                     for u, j, d in zip(us.tolist(), js.tolist(), du.tolist())], dtype=float)
+    r_l0 = ga.local_q_lambda0
     return _local_bounds(ga, us, js, r_l0, alpha * np.sqrt(r_l0), js.tolist(), None)
 
 
@@ -309,28 +308,11 @@ def _local_bounds(ga, us, js, r_l0, norms, r_degrees, r_vals) -> list[TheoremRep
                    "bound attained; vertex is not extremal, no structural claim")
         wording += " (ball saturated: N_j(u) = V)" if sat else ""
         reports.append(TheoremReport(
-            theorem_id="P31",
-            comparisons=(comp,),
-            certificates=certs,
-            equality_holds=attained and e == d,
-            verdict=_ladder(comp, attained, wording,
-                            "scalar equality but vector certificate failed"),
-            params={"vertex": u, "j": j, "r_degree": r_degree},
-            details={"extremal": e == d, "ball_saturated": sat},
-            witness_fn=witnesses,
-        ))
+            "P31", (comp,), certs, attained and e == d,
+            _ladder(comp, attained, wording, "scalar equality but vector certificate failed"),
+            {"vertex": u, "j": j, "r_degree": r_degree},
+            {"extremal": e == d, "ball_saturated": sat}, witnesses))
     return reports
-
-
-def _local_family(ga, u: int, j: int):
-    """Vertex u's local family up to degree at least j: the one the pipeline
-    built, or one row built to j by the same call."""
-    seq = ga.local_seqs[u]
-    if seq is None or seq.top_degree < j:
-        (seq,) = predistance_polynomials(ga.spectrum.lambdas,
-                                         ga.local_spectra[u].local_mults, [j],
-                                         alpha=ga.perron.alpha, vertices=[u])
-    return seq
 
 
 def check_local_spet(ga, u: int) -> TheoremReport:
@@ -353,8 +335,7 @@ def check_local_spets(ga, us=None) -> list[TheoremReport]:
     for u, ls, e, hi in zip(us.tolist(), spectra, ecc.tolist(), rhs.tolist()):
         lhs = ls.local_excess
         comp = (_compare(label, lhs, hi, ga.tols.equality, kind="equality")
-                if ls.du <= e else Comparison(label=label, lhs=lhs, rhs=0.0, slack=-lhs,
-                                              kind="equality", state="unequal"))
+                if ls.du <= e else Comparison(label, lhs, 0.0, -lhs, "equality", "unequal"))
         oracle = ga.classification.pseudo_dr[u]
         agreement = comp.scalar_equal == oracle.is_pdr
         equality = comp.scalar_equal and oracle.is_pdr
@@ -368,16 +349,8 @@ def check_local_spets(ga, us=None) -> list[TheoremReport]:
             witnesses = functools.partial(dict, pseudo_intersection_numbers=oracle.numbers)
         elif oracle.violation is not None:
             details["oracle_violation"] = oracle.violation
-        reports.append(TheoremReport(
-            theorem_id="T32",
-            comparisons=(comp,),
-            certificates=(),
-            equality_holds=equality,
-            verdict=verdict,
-            params={"vertex": u},
-            details=details,
-            witness_fn=witnesses,
-        ))
+        reports.append(TheoremReport("T32", (comp,), (), equality, verdict, {"vertex": u},
+                                     details, witnesses))
     return reports
 
 
@@ -395,6 +368,8 @@ def check_lee_weng(ga) -> TheoremReport:
         certificates=(cert,),
         equality_holds=equality,
         verdict=_ladder(comp, equality, "spectral excess attained: A*_D = p_>=D(A)"),
+        params={},
+        details={},
         witness_fn=lambda: dict(zip(("Astar_D", "p_geqD_at_A"),
                                     _identity(ga, "tail", ga.D)[::-1])),
     )
@@ -419,7 +394,7 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
         comp = _saturated(label, lhs, ga.n, ga.global_seq.p_lambda0[j + 1:].sum(), top)
         return TheoremReport("T34", (comp,), (), top, _ladder(
             comp, top, f"harmonic bound attained: q_{j}(A) = J* (Hoffman identity)"),
-            {"j": j})
+            {"j": int(j)}, {})
     comp = _compare(label, lhs, ga.stats.harmonic_means[j], ga.tols.equality)
     cert = _certificate(ga, f"q_{j}(A) == S*_{j}", _gap(ga, "q", j))
     equality = comp.scalar_equal and cert.passes
@@ -438,7 +413,8 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
         certificates=(cert,),
         equality_holds=equality,
         verdict=_ladder(comp, equality, f"harmonic bound attained: q_{j}(A) = S*_{j}"),
-        params={"j": j},
+        params={"j": int(j)},
+        details={},
         witness_fn=witnesses,
     )
 
@@ -475,7 +451,7 @@ def check_partial_dr_matrix(ga, m: int) -> TheoremReport:
         certificates=certs,
         equality_holds=matrix_holds,
         verdict=verdict,
-        params={"m": m},
+        params={"m": int(m)},
         details={"oracle_partial_dr_level": oracle_level,
                  "oracle_agrees": agreement},
     )
@@ -508,7 +484,7 @@ def check_partial_dr_inequality(ga, m: int) -> TheoremReport:
         equality_holds=equality,
         verdict=_ladder(comp, equality, f"regular and {m}-partially distance-regular",
                         "scalar equality but structural certificate failed"),
-        params={"m": m},
+        params={"m": int(m)},
         details={"regular": ga.classification.is_regular,
                  "oracle_agrees": structural == oracle_ok},
     )
@@ -547,6 +523,7 @@ def check_chain(ga) -> TheoremReport:
         certificates=(cert_i, cert_ii),
         equality_holds=eq_i and eq_ii,
         verdict="; ".join(parts),
+        params={},
         details={"equality_i": eq_i, "equality_ii": eq_ii},
         witness_fn=lambda: dict(zip(("p_geqD_at_A", "Astar_D"),
                                     _identity(ga, "tail", ga.D)),
@@ -594,6 +571,7 @@ def check_distance_polynomial_sufficient(ga) -> TheoremReport:
         certificates=(),
         equality_holds=equality,
         verdict=verdict,
+        params={},
         details=details,
         witness_fn=functools.partial(
             dict, distance_poly_residuals=cls.distance_poly_residuals),

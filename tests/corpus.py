@@ -134,15 +134,27 @@ def full_local_families(ga):
         [ls.du for ls in ga.local_spectra], alpha=ga.perron.alpha)
 
 
+def cut_local_families(ga):
+    """The local family of every vertex with ecc_u < d_u, cut at degree
+    ecc_u, in one call: the rows whose q^u_{ecc_u}(lambda_0) the pipeline
+    keeps (``GraphAnalysis.local_q_lambda0``)."""
+    short = [ls for ls in ga.local_spectra if ls.eccentricity < ls.du]
+    if not short:
+        return ()
+    return predistance_polynomials(
+        ga.spectrum.lambdas, [ls.local_mults for ls in short],
+        [ls.eccentricity for ls in short], alpha=ga.perron.alpha,
+        vertices=[ls.vertex for ls in short])
+
+
 def battery_orthogonality(analyzed, tol=1e-12):
     """<p_i, p_j> = delta_ij * s * p_i(lambda_0) with p_i(lambda_0) > 0, for
-    the global family (s = 1), the pipeline's local ones and every full
-    local one (s = alpha_u^2); the error is normalized by
+    the global family (s = 1), the local ones cut at ecc_u < d_u and every
+    full local one (s = alpha_u^2); the error is normalized by
     s * sqrt(p_i(lambda_0) p_j(lambda_0))."""
     fails = []
     for name, ga, _reports in analyzed:
-        short = tuple(seq for seq in ga.local_seqs if seq is not None)
-        for seq in (ga.global_seq,) + short + full_local_families(ga):
+        for seq in (ga.global_seq,) + cut_local_families(ga) + full_local_families(ga):
             pl0 = seq.p_lambda0
             if not np.all(pl0 > 0):
                 fails.append(f"{name}: vertex {seq.vertex}: p_i(lambda0) <= 0")

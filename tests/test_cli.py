@@ -126,6 +126,16 @@ def test_analyze_format_by_extension(capsys, petersen_g6):
     assert json.loads(out)["graph"]["n"] == 10
 
 
+@pytest.mark.parametrize("name", ["k4.G6", "k4.Graph6", "k4.GRAPH6"])
+def test_analyze_format_by_extension_any_case(capsys, tmp_path, name):
+    # the graph6 extension is matched in any case, not read as an edge list
+    path = tmp_path / name
+    path.write_bytes(graph6_bytes(fx.complete(4)) + b"\n")
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["graph"]["n"] == 4
+
+
 def test_analyze_disconnected_exit2(capsys, tmp_path):
     path = tmp_path / "broken.el"
     path.write_text("0 1\n2 3\n")
@@ -200,8 +210,9 @@ def test_check_t33_with_witnesses(capsys, tmp_path):
 
 @pytest.mark.parametrize("j", [3, 4])
 def test_check_p31_past_eccentricity(capsys, tmp_path, j):
-    # C8(1,2) has ecc_u = 2 < d_u = 4, so the pipeline builds q^u only to
-    # degree 2: --j 3 builds the one row, --j 4 = d_u takes the closed form
+    # C8(1,2) has ecc_u = 2 < d_u = 4, so the pipeline keeps only
+    # q^u_2(lambda_0): --j 3 builds the one row, --j 4 = d_u takes the
+    # closed form
     import numpy as np
     from corpus import full_local_families
     from spexcess.pipeline import analyze_graph
@@ -214,7 +225,9 @@ def test_check_p31_past_eccentricity(capsys, tmp_path, j):
     assert code == 0
     report = json.loads(out)
     ga = analyze_graph(g)
-    assert ga.local_seqs[0].top_degree == 2
+    assert (ga.dd.ecc[0], ga.local_spectra[0].du) == (2, 4)
+    assert ga.local_q_lambda0[0] == pytest.approx(
+        full_local_families(ga)[0].q_lambda0[2], rel=1e-12)
     r = full_local_families(ga)[0].sum_values(j)
     norm = np.sqrt(ga.perron.alpha[0] ** 2 * r[0])
     assert report["params"]["j"] == j

@@ -15,8 +15,10 @@ from spexcess.poly import (
 from corpus import (
     battery_global_excess_closed_form,
     battery_local_excess_closed_form,
+    cut_local_families,
     full_local_families,
 )
+from conftest import ALL_NAMES
 
 SQRT6 = math.sqrt(6.0)
 
@@ -63,9 +65,8 @@ def _families(spec, locs, pw):
 
 
 def _all_families(ga):
-    """The global family, the pipeline's short local ones and the full ones."""
-    short = [seq for seq in ga.local_seqs if seq is not None]
-    return [ga.global_seq] + short + list(full_local_families(ga))
+    """The global family, the local ones cut at ecc_u < d_u and the full ones."""
+    return [ga.global_seq, *cut_local_families(ga), *full_local_families(ga)]
 
 
 def test_inner_product_constants():
@@ -441,3 +442,28 @@ def test_evaluate_matches_power():
     assert np.abs(evaluate_at_matrix(p, spec) - ref).max() <= 1e-10
     vec = np.arange(10.0)
     assert np.abs(apply_to_vector(p, spec, vec) - ref @ vec).max() <= 1e-9
+
+
+@pytest.mark.parametrize("graphs", ["fixtures", "atlas"])
+def test_local_q_lambda0_matches_families(request, graphs):
+    # the pipeline's q^u_j(lambda_0) at j = min(ecc_u, d_u): the full family's
+    # q^u_{ecc_u}(lambda_0) within 1e-12, bit for bit the cut family's, and
+    # exactly n where ecc_u >= d_u
+    if graphs == "fixtures":
+        analyses = request.getfixturevalue("analyses")
+        gas = [analyses(name) for name in ALL_NAMES]
+    else:
+        gas = [ga for _name, ga, _reports in request.getfixturevalue("atlas")]
+    short = 0
+    for ga in gas:
+        cut = {seq.vertex: seq for seq in cut_local_families(ga)}
+        for u, (ls, seq) in enumerate(zip(ga.local_spectra, full_local_families(ga))):
+            got = ga.local_q_lambda0[u]
+            if ls.eccentricity >= ls.du:
+                assert got == ga.n
+                continue
+            short += 1
+            assert got == cut[u].q_lambda0[ls.eccentricity]
+            assert got == pytest.approx(seq.q_lambda0[ls.eccentricity], rel=1e-12)
+            assert got < ga.n
+    assert short

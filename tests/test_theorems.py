@@ -555,3 +555,33 @@ def test_local_checks_match_run_all_checks(request, graphs):
         for u in range(ga.n):
             _assert_same_report(check_local_bound(ga, u), p31[u])
             _assert_same_report(check_local_spet(ga, u), t32[u])
+
+
+def _json_ready(x) -> bool:
+    if type(x) in (list, tuple):
+        return all(map(_json_ready, x))
+    if type(x) is dict:
+        return all(type(k) is str and _json_ready(v) for k, v in x.items())
+    return type(x) in (bool, int, float, str, type(None))
+
+
+@pytest.mark.parametrize("graphs", ["fixtures", "analyzed", "wide"])
+def test_report_values_are_json_ready(request, graphs):
+    # the report passes params, details and the comparison and certificate
+    # numbers to the JSON encoder as built, so they must be plain Python
+    # values, also when a one-row check is called with numpy integers
+    if graphs == "fixtures":
+        analyses, checks = request.getfixturevalue("analyses"), request.getfixturevalue("checks")
+        analyzed = [(name, analyses(name), checks(name)) for name in ALL_NAMES]
+    else:
+        analyzed = request.getfixturevalue(graphs)
+    for name, ga, reports in analyzed:
+        u = np.int64(ga.n - 1)
+        extra = [check_local_bound(ga, u), check_local_bound(ga, u, j=np.int64(0)),
+                 check_local_spet(ga, u), check_harmonic_bound(ga, np.int64(0))]
+        for rep in reports + extra:
+            assert _json_ready(rep.params) and _json_ready(rep.details), (name, rep)
+            for c in rep.comparisons:
+                assert {type(c.lhs), type(c.rhs), type(c.slack)} == {float}, (name, rep)
+            for c in rep.certificates:
+                assert {type(c.max_abs_diff), type(c.tol)} == {float}, (name, rep)
