@@ -1,14 +1,14 @@
 """Spectral-excess machinery for finite connected graphs.
 
-Computes the spectrum (LAPACK eigendecomposition), local spectra read from
-the eigenvectors, the global predistance polynomial family (kept as its
-values on the distinct eigenvalues, evaluated at A through the
-eigenvectors), the local families' values at lambda_0 that the checks read,
-and Perron-weighted distance statistics of a connected graph, and evaluates the
-inequality/equality characterizations connecting them
-(pseudo-distance-regularity, partial distance-regularity, the
-distance-polynomial property), cross-validated against independent
-combinatorial oracles.
+Computes the spectrum (LAPACK eigendecomposition), the local spectra of
+every vertex as arrays read from the eigenvectors, the global predistance
+polynomial family (kept as its values on the distinct eigenvalues,
+evaluated at A through the eigenvectors), the local families' values at
+lambda_0 that the checks read, and Perron-weighted distance statistics of
+a connected graph, and evaluates the inequality/equality characterizations
+connecting them (pseudo-distance-regularity, partial distance-regularity,
+the distance-polynomial property), cross-validated against independent
+combinatorial oracles.  Per-vertex data is one array over the vertices.
 """
 
 from . import errors
@@ -28,7 +28,7 @@ from .graphs import (
 from .pipeline import GraphAnalysis, Tolerances, analyze_graph, run_all_checks
 from .poly import PolySequence, evaluate_at_matrix, predistance_polynomials
 from .spectral import (
-    LocalSpectrum,
+    LocalSpectra,
     PerronWeights,
     Spectrum,
     eigendecompose,
@@ -56,7 +56,7 @@ __all__ = [
     "ExcessStats",
     "Graph",
     "GraphAnalysis",
-    "LocalSpectrum",
+    "LocalSpectra",
     "PerronWeights",
     "PolySequence",
     "Spectrum",

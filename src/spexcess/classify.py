@@ -28,13 +28,13 @@ weighted counts are the classical intersection numbers, exact integers:
 their constancy tests, per root for pseudo-distance-regularity and over
 all pairs for distance-regularity and the partial distance-regularity
 level, are exact comparisons.  A nonregular graph is not distance-regular
-and has level 0, so only the per-root question is asked of it.
+and has level 0, so only the per-root question is asked of it.  The
+per-root answers stay arrays over the roots (``Classification.is_pdr``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,20 +44,6 @@ from .spectral import PerronWeights, Spectrum, class_sums
 
 DEFAULT_ORACLE_TOL = 1e-7
 _BLOCK_BYTES = 1 << 24  # gathered distances, masks and counts held at once
-
-
-class PseudoDRResult(NamedTuple):
-    """Outcome of the weighted constancy check around one vertex.
-
-    When constant, ``numbers`` has rows c*, a*, b* over i = 0..ecc(u)
-    (c*_0 = 0 and b*_ecc = 0 by convention).  Otherwise ``violation``
-    records the first offending (i, v, w, value_v, value_w, which).
-    """
-
-    vertex: int
-    is_pdr: bool
-    numbers: np.ndarray | None
-    violation: tuple | None
 
 
 def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
@@ -91,7 +77,7 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
     """Pseudo-distance-regularity around every root and, on a regular graph,
     distance-regularity and the partial distance-regularity level, from one
     pass of ``_pair_counts``.  Returns (is_regular, intersection_array,
-    level, pseudo_dr).
+    level, is_pdr, numbers, violations) as ``Classification`` names them.
 
     Ordered by (root, radius, vertex), each sphere Gamma_i(u) is a run of
     pairs with one minimum, maximum and sum.  Per root u, a triple is
@@ -158,20 +144,16 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
     violation = dict(zip(bad.tolist(), zip(
         radius.tolist(), *at[:, bad].tolist(), *ends[:, which, bad, radius].tolist(),
         ["cab"[k] for k in which.tolist()])))
-    numbers = _readonly(numbers)
-    pseudo_dr = tuple(
-        PseudoDRResult(u, False, None, violation[u]) if u in violation else
-        PseudoDRResult(u, True, numbers[u, :, :ecc + 1], None)
-        for u, ecc in enumerate(dd.ecc.tolist()))
+    pseudo_dr = _readonly(first < 0), _readonly(numbers), violation
     if not is_regular:
-        return False, None, 0, pseudo_dr
+        return (False, None, 0) + pseudo_dr
     varies = (np.where(present, ends[0], np.inf).min(axis=1)
               != np.where(present, ends[1], -np.inf).max(axis=1)).T.ravel()
     if varies.any():
         radius, which = divmod(int(varies.argmax()), 3)
-        return True, None, radius - (which == 0), pseudo_dr
+        return (True, None, radius - (which == 0)) + pseudo_dr
     c, a, b = numbers[0].astype(int).tolist()
-    return True, {"b": b[:-1], "c": c[1:], "a": a}, dd.diameter, pseudo_dr
+    return (True, {"b": b[:-1], "c": c[1:], "a": a}, dd.diameter) + pseudo_dr
 
 
 def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
@@ -197,30 +179,36 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
 
 @dataclass(frozen=True)
 class Classification:
-    """Bundle of every combinatorial verdict for one graph."""
+    """Bundle of every combinatorial verdict for one graph.
+
+    Around a root u with ``is_pdr[u]``, ``pdr_numbers[u, :, :ecc(u) + 1]``
+    are c*, a*, b* (c*_0 = b*_ecc = 0); otherwise ``pdr_violations[u]`` is
+    the first offending (i, v, w, value_v, value_w, which).
+    """
 
     is_regular: bool
     is_distance_regular: bool
     intersection_array: dict | None
-    pseudo_dr: tuple[PseudoDRResult, ...]
+    is_pdr: np.ndarray
+    pdr_numbers: np.ndarray
+    pdr_violations: dict
     partial_dr_level: int
     is_distance_polynomial: bool
     distance_poly_residuals: np.ndarray
 
-    @property
-    def pseudo_dr_vertices(self) -> tuple[int, ...]:
-        return tuple(r.vertex for r in self.pseudo_dr if r.is_pdr)
-
 
 def classify_graph(dd: DistanceData, pw: PerronWeights, spec: Spectrum,
                    tol: float = DEFAULT_ORACLE_TOL) -> Classification:
-    is_regular, array, level, pdr = _regularity_sweep(dd, pw.alpha, tol)
+    is_regular, array, level, is_pdr, numbers, violations = _regularity_sweep(
+        dd, pw.alpha, tol)
     is_dp, residuals = is_distance_polynomial(dd, spec, tol)
     return Classification(
         is_regular=is_regular,
         is_distance_regular=array is not None,
         intersection_array=array,
-        pseudo_dr=pdr,
+        is_pdr=is_pdr,
+        pdr_numbers=numbers,
+        pdr_violations=violations,
         partial_dr_level=level,
         is_distance_polynomial=is_dp,
         distance_poly_residuals=residuals,

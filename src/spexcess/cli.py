@@ -127,8 +127,6 @@ def _dispatch_check(ga, args) -> theorems.TheoremReport:
     if tid in ("P31", "T32"):
         if args.vertex is None:
             raise MissingParamError(f"--theorem {tid} requires --vertex")
-        if not 0 <= args.vertex < ga.n:
-            raise ParseError(f"vertex {args.vertex} out of range 0..{ga.n - 1}")
     if tid == "P31":
         return theorems.check_local_bound(ga, args.vertex, j=args.j)
     if tid == "T32":

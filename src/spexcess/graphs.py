@@ -152,11 +152,11 @@ def distance_data(g: Graph) -> DistanceData:
 
 
 def load_graph(data, fmt: str = "edgelist") -> Graph:
-    """Parse a graph from bytes/str/binary stream in the given format."""
+    """Parse a graph from bytes/str (read as UTF-8)/binary stream in the given format."""
     if hasattr(data, "read"):
         data = data.read()
     if isinstance(data, str):
-        data = data.encode("ascii")
+        data = data.encode("utf-8", errors="surrogatepass")
     if fmt == "edgelist":
         n, edges = parse_edgelist(data.decode("ascii", errors="replace"))
     elif fmt == "graph6":
@@ -185,6 +185,8 @@ def parse_edgelist(text: str) -> tuple[int, list[tuple[int, int]]]:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
+            if "_" in line:  # int() reads digit grouping: "0_3" as 3
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer vertex id in {raw!r}") from None

@@ -10,7 +10,7 @@ and no local family.  Of vertex u, P31 reads one number, q^u_j(lambda_0)
 at j = min(ecc_u, d_u): n at j = d_u (see ``poly``), and at j = ecc_u <
 d_u the value from one batched Stieltjes pass over all such vertices
 (``poly.top_q_lambda0``).  ``GraphAnalysis.local_q_lambda0`` keeps them.
-T32's p^u_{d_u}(lambda_0) is part of each local spectrum, in closed form.
+T32's p^u_{d_u}(lambda_0) is ``LocalSpectra.excess``, in closed form.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class GraphAnalysis:
     dd: DistanceData
     spectrum: spectral.Spectrum
     perron: spectral.PerronWeights
-    local_spectra: tuple[spectral.LocalSpectrum, ...]
+    local_spectra: spectral.LocalSpectra
     global_seq: poly.PolySequence
     local_q_lambda0: np.ndarray
     wm: weighted.WeightedMatrices
@@ -79,7 +79,7 @@ class GraphAnalysis:
 
     @functools.cached_property
     def min_du(self) -> int:
-        return min(ls.du for ls in self.local_spectra)
+        return int(self.local_spectra.du.min())
 
 
 def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
@@ -87,15 +87,14 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     dd = distance_data(g)
     spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
     pw = spectral.perron_weights(spec, g.adjacency.sum(axis=1))
-    locals_ = spectral.local_spectra(spec, dd, presence_tol=tols.presence)
+    locals_ = spectral.local_spectra(spec, presence_tol=tols.presence)
     (gseq,) = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n,
                                            [spec.d])
-    short = [ls.vertex for ls in locals_ if ls.eccentricity < ls.du]
+    short = np.flatnonzero(dd.ecc < locals_.du)
     local_q = np.full(g.n, float(g.n))
-    if short:
-        local_q[short] = poly.top_q_lambda0(
-            spec.lambdas, [locals_[u].local_mults for u in short], dd.ecc[short],
-            pw.alpha[short] ** 2)
+    if short.size:
+        local_q[short] = poly.top_q_lambda0(spec.lambdas, locals_.mults[short],
+                                            dd.ecc[short], pw.alpha[short] ** 2)
     wm = weighted.weighted_matrices(dd, pw)
     stats = weighted.excess_stats(dd, pw, gseq)
     cls = classify.classify_graph(dd, pw, spec, tol=tols.equality)

@@ -13,7 +13,8 @@ and u is extremal", so a non-extremal vertex can read "bound attained" with
 The checks build every comparison and certificate number as a Python float
 and every ``params`` and ``details`` value as a plain bool, int, float, str,
 None, list, tuple or dict of those: they are JSON-ready by construction, and
-``theorem_report_dict`` passes them through with no conversion.
+``theorem_report_dict`` passes them through with no conversion.  Each
+per-vertex array becomes a list with one ``tolist``.
 """
 
 from __future__ import annotations
@@ -72,30 +73,32 @@ def theorem_report_dict(r: TheoremReport, include_witnesses: bool = False) -> di
 def classification_dict(ga: GraphAnalysis) -> dict:
     cls = ga.classification
     pseudo = []
-    for r in cls.pseudo_dr:
-        entry = {"vertex": r.vertex, "isPseudoDistanceRegular": r.is_pdr}
-        if r.numbers is not None:
-            entry["pseudoIntersectionNumbers"] = dict(zip("cab", _arr(r.numbers)))
-        if r.violation is not None:
-            entry["violation"] = list(r.violation)
+    for u, (is_pdr, ecc, numbers) in enumerate(zip(
+            cls.is_pdr.tolist(), ga.dd.ecc.tolist(), cls.pdr_numbers.tolist())):
+        entry = {"vertex": u, "isPseudoDistanceRegular": is_pdr}
+        if is_pdr:
+            entry["pseudoIntersectionNumbers"] = {
+                k: row[:ecc + 1] for k, row in zip("cab", numbers)}
+        else:
+            entry["violation"] = list(cls.pdr_violations[u])
         pseudo.append(entry)
     return {
         "isRegular": cls.is_regular,
         "isDistanceRegular": cls.is_distance_regular,
         "intersectionArray": cls.intersection_array,
-        "pseudoDistanceRegularVertices": list(cls.pseudo_dr_vertices),
+        "pseudoDistanceRegularVertices": np.flatnonzero(cls.is_pdr).tolist(),
         "pseudoDistanceRegular": pseudo,
         "partialDistanceRegularLevel": cls.partial_dr_level,
         "isDistancePolynomial": cls.is_distance_polynomial,
         "distancePolynomialResiduals": _arr(cls.distance_poly_residuals),
-        "extremalVertices": [ls.vertex for ls in ga.local_spectra if ls.is_extremal],
+        "extremalVertices": np.flatnonzero(ga.dd.ecc == ga.local_spectra.du).tolist(),
     }
 
 
 def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
                     include_witnesses: bool = False) -> dict:
     degrees = ga.graph.adjacency.sum(axis=1)
-    seq = ga.global_seq
+    seq, ls = ga.global_seq, ga.local_spectra
     return {
         "schemaVersion": SCHEMA_VERSION,
         "graph": {
@@ -121,14 +124,10 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
             "nu": _arr(ga.perron.nu),
         },
         "localSpectra": [
-            {
-                "vertex": ls.vertex,
-                "eccentricity": ls.eccentricity,
-                "du": ls.du,
-                "isExtremal": ls.is_extremal,
-                "localMultiplicities": _arr(ls.local_mults),
-            }
-            for ls in ga.local_spectra
+            {"vertex": u, "eccentricity": ecc, "du": du, "isExtremal": ecc == du,
+             "localMultiplicities": mults}
+            for u, (ecc, du, mults) in enumerate(zip(
+                ga.dd.ecc.tolist(), ls.du.tolist(), ls.mults.tolist()))
         ],
         "polynomials": {
             "pAtLambda0": _arr(seq.p_lambda0),

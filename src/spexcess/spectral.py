@@ -12,9 +12,9 @@ run of contiguous columns: class i is the ``mults[i]`` columns starting at
 of the layout.  Local spectra are read straight from the eigenvectors: with
 V_i the orthonormal eigenvectors of class i, the spectral projector is
 E_i = V_i V_i^T, so m_u(lambda_i) = (E_i)_{uu} = sum over class i of
-V[u, k]^2.  No dense E_i is ever built.  Each local spectrum also carries
-its local excess p^u_{d_u}(lambda_0) in closed form (``top_p_lambda0``), so
-no predistance family is built for it.
+V[u, k]^2.  No dense E_i is ever built.  ``LocalSpectra`` keeps them as
+arrays over the vertices, with d_u and the local excess p^u_{d_u}(lambda_0)
+in closed form (``top_p_lambda0``), so no predistance family is built.
 
 The one genuinely delicate tolerance is ``presence_tol``: local multiplicities
 below it are treated as exact zeros, which determines d_u (the number of
@@ -28,13 +28,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, NonPositiveEigenvectorError
 from ._util import readonly as _readonly
-from .graphs import DistanceData, Graph
+from .graphs import Graph
 
 DEFAULT_GROUPING_TOL = 1e-7
 DEFAULT_PRESENCE_TOL = 1e-9
@@ -141,21 +140,19 @@ def perron_weights(spec: Spectrum, degrees: np.ndarray,
     return PerronWeights(alpha=_readonly(alpha), nu=_readonly(nu))
 
 
-class LocalSpectrum(NamedTuple):
-    """Local multiplicities of one vertex and the derived extremality data.
+@dataclass(frozen=True)
+class LocalSpectra:
+    """Local spectra of all vertices, row u for vertex u, all read-only.
 
-    ``local_mults[i] = (E_i)_{uu}``, nonnegative and summing to 1 over i;
-    ``du`` counts the lambda_i other than lambda_0 whose mass is above the
-    presence threshold (the local support); ``local_excess`` is
+    ``mults[u, i] = (E_i)_{uu}``, nonnegative and summing to 1 over i;
+    ``du[u]`` counts the lambda_i other than lambda_0 whose mass is above
+    the presence threshold (the local support); ``excess[u]`` is
     p^u_{d_u}(lambda_0), the top local predistance polynomial at lambda_0.
     """
 
-    vertex: int
-    local_mults: np.ndarray
-    du: int
-    local_excess: float
-    eccentricity: int
-    is_extremal: bool
+    mults: np.ndarray
+    du: np.ndarray
+    excess: np.ndarray
 
 
 def class_sums(x: np.ndarray, spec: Spectrum) -> np.ndarray:
@@ -186,8 +183,7 @@ def top_p_lambda0(nodes, weights, support, scale) -> np.ndarray:
     return scale * np.exp(-2.0 * (log_w[..., 0] + log_pi[..., 0]) - log_sum)
 
 
-def local_spectra(spec: Spectrum, dd: DistanceData,
-                  presence_tol: float = DEFAULT_PRESENCE_TOL) -> tuple[LocalSpectrum, ...]:
+def local_spectra(spec: Spectrum, presence_tol: float = DEFAULT_PRESENCE_TOL) -> LocalSpectra:
     """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i);
     lambda_i belongs to the local spectrum of u when m_u(lambda_i) exceeds
     ``presence_tol``.  The local excess uses the local normalization
@@ -199,8 +195,5 @@ def local_spectra(spec: Spectrum, dd: DistanceData,
         raise NonPositiveEigenvectorError(
             f"vertex {u} has no lambda_0 mass ({m[u, 0]:.3e}); numerical failure"
         )
-    du = (present.sum(axis=1) - 1).tolist()
-    excess = top_p_lambda0(spec.lambdas, m, present, spec.n * m[:, 0]).tolist()
-    return tuple(
-        LocalSpectrum(u, m[u], d, p, ecc, ecc == d)
-        for u, (d, p, ecc) in enumerate(zip(du, excess, dd.ecc.tolist())))
+    excess = _readonly(top_p_lambda0(spec.lambdas, m, present, spec.n * m[:, 0]))
+    return LocalSpectra(mults=m, du=_readonly(present.sum(axis=1) - 1), excess=excess)

@@ -23,8 +23,8 @@ matrices are built when a caller reads ``TheoremReport.witnesses``.
 P31 and T32 run over all vertices in one pass each (``check_local_bounds``,
 ``check_local_spets``; ``check_local_bound`` runs the same pass,
 ``_local_bounds``, on its one row, and ``check_local_spet`` is T32's
-one-row case): their numbers are arrays over the vertices, and P31's
-vector certificates of the k scalar-equal vertices one (k x n) array.
+one-row case): they index the per-vertex arrays directly, and P31's
+vector certificates of the k scalar-equal vertices are one (k x n) array.
 P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``).
 At the default j = min(ecc(u), d_u) both passes read q^u_j(lambda_0) from
@@ -221,6 +221,11 @@ def _gap(ga, kind: str, i: int) -> float:
     return ga.memo[kind, i]
 
 
+def _require_vertex(ga, u: int):  # a negative u would index from the end
+    if not 0 <= u < ga.n:
+        raise HypothesisError(f"vertex {u} out of range 0..{ga.n - 1}")
+
+
 def check_local_bound(ga, u: int, j: int | None = None,
                       r=None) -> TheoremReport:
     """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j.
@@ -233,16 +238,18 @@ def check_local_bound(ga, u: int, j: int | None = None,
     e_{N_j(u)} passes and u is extremal": at a non-extremal vertex the
     verdict can read "bound attained" with ``equality_holds`` False.
     """
-    ls = ga.local_spectra[u]
-    j = min(ls.eccentricity, ls.du) if j is None else int(j)
-    if not 0 <= j <= ls.du:
-        raise DegreeError(f"j={j} outside 0..d_u={ls.du} for vertex {u}")
+    _require_vertex(ga, u)
+    du, mults = int(ga.local_spectra.du[u]), ga.local_spectra.mults[u]
+    default_j = min(int(ga.dd.ecc[u]), du)
+    j = default_j if j is None else int(j)
+    if not 0 <= j <= du:
+        raise DegreeError(f"j={j} outside 0..d_u={du} for vertex {u}")
     if r is None:
         r_vals, r_degree, r_l0 = None, j, float(ga.n)
-        if j == min(ls.eccentricity, ls.du):  # the default: the pipeline's number
+        if j == default_j:  # the pipeline's number
             r_l0 = ga.local_q_lambda0[u]
-        elif j < ls.du:
-            (seq,) = predistance_polynomials(ga.spectrum.lambdas, ls.local_mults, [j],
+        elif j < du:
+            (seq,) = predistance_polynomials(ga.spectrum.lambdas, mults, [j],
                                              alpha=ga.perron.alpha, vertices=[u])
             r_vals, r_l0 = seq.sum_values(j), seq.q_lambda0[j]
         norm = ga.perron.alpha[u] * np.sqrt(r_l0)
@@ -252,7 +259,7 @@ def check_local_bound(ga, u: int, j: int | None = None,
         if r_degree > j:
             raise DegreeError(f"deg r = {r_degree} exceeds j = {j}")
         r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
-        r_l0, norm = r_vals[0], np.sqrt(np.sum(ls.local_mults * r_vals ** 2))
+        r_l0, norm = r_vals[0], np.sqrt(np.sum(mults * r_vals ** 2))
         if norm <= 0.0:
             raise DegreeError(f"r has zero local norm at vertex {u}")
     return _local_bounds(ga, np.array([u]), np.array([j]), np.array([r_l0]),
@@ -263,8 +270,7 @@ def check_local_bounds(ga) -> list[TheoremReport]:
     """P31 at every vertex, at the defaults of ``check_local_bound``, in one
     pass (module note)."""
     us, alpha = np.arange(ga.n), ga.perron.alpha
-    du = np.array([ls.du for ls in ga.local_spectra])
-    js = np.minimum(ga.dd.ecc, du)
+    js = np.minimum(ga.dd.ecc, ga.local_spectra.du)
     r_l0 = ga.local_q_lambda0
     return _local_bounds(ga, us, js, r_l0, alpha * np.sqrt(r_l0), js.tolist(), None)
 
@@ -275,7 +281,7 @@ def _local_bounds(ga, us, js, r_l0, norms, r_degrees, r_vals) -> list[TheoremRep
     when every row that can reach scalar equality has r = q^u_{d_u}, whose
     vector r(A)e_u is alpha_u alpha."""
     alpha = ga.perron.alpha
-    du, ecc = np.array([ga.local_spectra[u].du for u in us.tolist()]), ga.dd.ecc[us]
+    du, ecc = ga.local_spectra.du[us], ga.dd.ecc[us]
     saturated = js >= ecc
     ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
     lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
@@ -319,6 +325,7 @@ def check_local_spet(ga, u: int) -> TheoremReport:
     """T32: equality p^u_{d_u}(lambda_0) = ||rho_{Gamma_{d_u}(u)}||^2 holds
     iff the graph is pseudo-distance-regular around u (certified by the
     combinatorial constancy oracle; the two verdicts must agree)."""
+    _require_vertex(ga, u)
     return check_local_spets(ga, [u])[0]
 
 
@@ -327,28 +334,28 @@ def check_local_spets(ga, us=None) -> list[TheoremReport]:
     ecc(u) the sphere is empty and lhs > 0 = rhs: pseudo-distance-regularity
     around u would force extremality, so no tolerance is called."""
     us = np.arange(ga.n) if us is None else np.asarray(us)
-    spectra = [ga.local_spectra[u] for u in us.tolist()]
-    du, ecc = np.array([ls.du for ls in spectra]), ga.dd.ecc[us]
+    du, ecc, cls = ga.local_spectra.du[us], ga.dd.ecc[us], ga.classification
     rhs = np.where(du <= ecc, ga.stats.sphere_norms[us, np.minimum(du, ecc)], 0.0)
     label = "p^u_du(lambda0) vs ||rho_Gamma_du(u)||^2"
     reports = []
-    for u, ls, e, hi in zip(us.tolist(), spectra, ecc.tolist(), rhs.tolist()):
-        lhs = ls.local_excess
+    for u, d, e, lhs, hi, is_pdr in zip(us.tolist(), du.tolist(), ecc.tolist(),
+                                        ga.local_spectra.excess[us].tolist(), rhs.tolist(),
+                                        cls.is_pdr[us].tolist()):
         comp = (_compare(label, lhs, hi, ga.tols.equality, kind="equality")
-                if ls.du <= e else Comparison(label, lhs, 0.0, -lhs, "equality", "unequal"))
-        oracle = ga.classification.pseudo_dr[u]
-        agreement = comp.scalar_equal == oracle.is_pdr
-        equality = comp.scalar_equal and oracle.is_pdr
+                if d <= e else Comparison(label, lhs, 0.0, -lhs, "equality", "unequal"))
+        agreement = comp.scalar_equal == is_pdr
+        equality = comp.scalar_equal and is_pdr
         verdict = (f"pseudo-distance-regular around vertex {u}" if equality else
                    f"not pseudo-distance-regular around vertex {u}" if agreement else
                    "INTERNAL INCONSISTENCY: spectral and combinatorial verdicts disagree")
-        details = {"oracle_is_pdr": oracle.is_pdr, "oracle_agrees": agreement,
-                   "du": ls.du, "eccentricity": e}
+        details = {"oracle_is_pdr": is_pdr, "oracle_agrees": agreement,
+                   "du": d, "eccentricity": e}
         witnesses = None
-        if oracle.numbers is not None:
-            witnesses = functools.partial(dict, pseudo_intersection_numbers=oracle.numbers)
-        elif oracle.violation is not None:
-            details["oracle_violation"] = oracle.violation
+        if is_pdr:
+            witnesses = functools.partial(
+                dict, pseudo_intersection_numbers=cls.pdr_numbers[u, :, :e + 1])
+        else:
+            details["oracle_violation"] = cls.pdr_violations[u]
         reports.append(TheoremReport("T32", (comp,), (), equality, verdict, {"vertex": u},
                                      details, witnesses))
     return reports

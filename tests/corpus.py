@@ -115,7 +115,7 @@ def battery_mean_of_local_products(analyzed, rng=None, tol=1e-8):
     rng = rng or np.random.default_rng(SEED)
     fails = []
     for name, ga, _reports in analyzed:
-        local_w = np.stack([ls.local_mults for ls in ga.local_spectra])
+        local_w = ga.local_spectra.mults
         for _ in range(3):
             pq = rng.standard_normal(ga.d + 1) * rng.standard_normal(ga.d + 1)
             glob = float(ga.global_seq.weights @ pq)
@@ -130,21 +130,20 @@ def full_local_families(ga):
     """Every vertex's local family to degree d_u, in one call (the pipeline
     builds them only to ecc_u, and only where ecc_u < d_u)."""
     return predistance_polynomials(
-        ga.spectrum.lambdas, [ls.local_mults for ls in ga.local_spectra],
-        [ls.du for ls in ga.local_spectra], alpha=ga.perron.alpha)
+        ga.spectrum.lambdas, ga.local_spectra.mults, ga.local_spectra.du,
+        alpha=ga.perron.alpha)
 
 
 def cut_local_families(ga):
     """The local family of every vertex with ecc_u < d_u, cut at degree
     ecc_u, in one call: the rows whose q^u_{ecc_u}(lambda_0) the pipeline
     keeps (``GraphAnalysis.local_q_lambda0``)."""
-    short = [ls for ls in ga.local_spectra if ls.eccentricity < ls.du]
-    if not short:
+    short = np.flatnonzero(ga.dd.ecc < ga.local_spectra.du)
+    if not short.size:
         return ()
     return predistance_polynomials(
-        ga.spectrum.lambdas, [ls.local_mults for ls in short],
-        [ls.eccentricity for ls in short], alpha=ga.perron.alpha,
-        vertices=[ls.vertex for ls in short])
+        ga.spectrum.lambdas, ga.local_spectra.mults[short], ga.dd.ecc[short],
+        alpha=ga.perron.alpha, vertices=short)
 
 
 def battery_orthogonality(analyzed, tol=1e-12):
@@ -172,7 +171,7 @@ def battery_local_multiplicities(analyzed, tol=1e-9):
     """sum_u m_u(lambda_i) = m(lambda_i) and sum_i m_u(lambda_i) = 1."""
     fails = []
     for name, ga, _reports in analyzed:
-        mat = np.stack([ls.local_mults for ls in ga.local_spectra])
+        mat = ga.local_spectra.mults
         col = mat.sum(axis=0) - ga.spectrum.mults
         row = mat.sum(axis=1) - 1.0
         if np.abs(col).max() > tol * ga.n:
@@ -186,9 +185,9 @@ def battery_eccentricity_bound(analyzed):
     """ecc(u) <= d_u for every vertex."""
     fails = []
     for name, ga, _reports in analyzed:
-        for ls in ga.local_spectra:
-            if ls.eccentricity > ls.du:
-                fails.append(f"{name}: vertex {ls.vertex} ecc {ls.eccentricity} > du {ls.du}")
+        for u, (ecc, du) in enumerate(zip(ga.dd.ecc.tolist(), ga.local_spectra.du.tolist())):
+            if ecc > du:
+                fails.append(f"{name}: vertex {u} ecc {ecc} > du {du}")
     return fails
 
 
@@ -275,19 +274,19 @@ def battery_pseudo_dr_reference(analyzed, tol=1e-12):
             np.all(np.abs(x - y) <= tol * np.maximum(1.0, np.abs(y))))
 
     for name, ga, _reports in analyzed:
-        for res in ga.classification.pseudo_dr:
+        cls = ga.classification
+        for u in range(ga.n):
             is_pdr, numbers, violation = reference_pseudo_dr(
-                res.vertex, ga.dd, ga.perron.alpha, ga.graph.adjacency,
-                ga.tols.equality)
-            if res.is_pdr != is_pdr:
-                fails.append(f"{name}: vertex {res.vertex}: is_pdr {res.is_pdr}")
-            elif is_pdr and not close(res.numbers, numbers):
-                fails.append(f"{name}: vertex {res.vertex}: numbers differ")
+                u, ga.dd, ga.perron.alpha, ga.graph.adjacency, ga.tols.equality)
+            got = cls.pdr_violations.get(u)
+            if cls.is_pdr[u] != is_pdr:
+                fails.append(f"{name}: vertex {u}: is_pdr {cls.is_pdr[u]}")
+            elif is_pdr and not close(cls.pdr_numbers[u, :, :ga.dd.ecc[u] + 1], numbers):
+                fails.append(f"{name}: vertex {u}: numbers differ")
             elif not is_pdr and (
-                    res.violation[:3] + res.violation[5:] != violation[:3] + violation[5:]
-                    or not close(res.violation[3:5], violation[3:5])):
-                fails.append(f"{name}: vertex {res.vertex}: violation "
-                             f"{res.violation} vs {violation}")
+                    got[:3] + got[5:] != violation[:3] + violation[5:]
+                    or not close(got[3:5], violation[3:5])):
+                fails.append(f"{name}: vertex {u}: violation {got} vs {violation}")
     return fails
 
 
@@ -315,11 +314,12 @@ def battery_local_excess_closed_form(analyzed, tol=1e-13):
     vertex's full Lanczos family, within tol * max(1, |p|)."""
     fails = []
     for name, ga, _reports in analyzed:
-        for ls, seq in zip(ga.local_spectra, full_local_families(ga)):
-            p, got = float(seq.p_lambda0[ls.du]), ls.local_excess
+        for u, (du, got, seq) in enumerate(zip(ga.local_spectra.du.tolist(),
+                                               ga.local_spectra.excess.tolist(),
+                                               full_local_families(ga))):
+            p = float(seq.p_lambda0[du])
             if abs(got - p) > tol * max(1.0, abs(p)):
-                fails.append(f"{name}: vertex {ls.vertex}: closed form {got!r} "
-                             f"vs Lanczos {p!r}")
+                fails.append(f"{name}: vertex {u}: closed form {got!r} vs Lanczos {p!r}")
     return fails
 
 

@@ -20,44 +20,41 @@ def _ga(name):
 
 
 def test_petersen_pseudo_dr_everywhere():
-    ga = _ga("petersen")
-    for res in ga.classification.pseudo_dr:
-        assert res.is_pdr
-        expected = np.array([[0.0, 1.0, 1.0],   # c*
-                             [0.0, 0.0, 2.0],   # a*
-                             [3.0, 2.0, 0.0]])  # b*
-        assert np.abs(res.numbers - expected).max() <= 1e-9
+    cls = _ga("petersen").classification
+    assert cls.is_pdr.all()
+    expected = np.array([[0.0, 1.0, 1.0],   # c*
+                         [0.0, 0.0, 2.0],   # a*
+                         [3.0, 2.0, 0.0]])  # b*
+    assert np.abs(cls.pdr_numbers - expected).max() <= 1e-9
 
 
 def test_pseudo_intersection_row_sums():
     # c* + a* + b* = lambda_0 at every radius (all neighbors accounted for)
     for name in ("k23", "p3", "petersen", "k13"):
         ga = _ga(name)
-        for res in ga.classification.pseudo_dr:
-            if res.is_pdr:
-                sums = res.numbers.sum(axis=0)
-                assert np.abs(sums - ga.lambda0).max() <= 1e-9
+        cls = ga.classification
+        for u in np.flatnonzero(cls.is_pdr):
+            sums = cls.pdr_numbers[u, :, :ga.dd.ecc[u] + 1].sum(axis=0)
+            assert np.abs(sums - ga.lambda0).max() <= 1e-9
 
 
 def test_p3_center_pseudo_dr():
     ga = _ga("p3")
-    res = ga.classification.pseudo_dr[1]
-    assert res.vertex == 1 and res.is_pdr
+    assert ga.classification.is_pdr[1]
 
 
 def test_k13_leaf_agrees_with_local_spet():
     ga = _ga("k13")
-    for u, oracle in enumerate(ga.classification.pseudo_dr):
+    for u, is_pdr in enumerate(ga.classification.is_pdr):
         spectral = check_local_spet(ga, u)
-        assert oracle.is_pdr == spectral.equality_holds
+        assert is_pdr == spectral.equality_holds
         assert spectral.details["oracle_agrees"]
 
 
 def test_pseudo_dr_violation_reported():
     ga = _ga("c8_12")
-    res = ga.classification.pseudo_dr[0]
-    assert not res.is_pdr
-    i, v, w, lo, hi, which = res.violation
+    assert not ga.classification.is_pdr[0]
+    i, v, w, lo, hi, which = ga.classification.pdr_violations[0]
     assert hi - lo > 1e-7
     assert which in ("a", "b", "c")
 
@@ -167,7 +164,7 @@ def test_classification_implications():
         cls = _ga(name).classification
         assert cls.is_distance_regular
         assert cls.is_regular and cls.is_distance_polynomial
-        assert len(cls.pseudo_dr_vertices) == len(cls.pseudo_dr)
+        assert cls.is_pdr.all()
 
 
 def test_extremal_vertices():
@@ -235,9 +232,9 @@ def test_violation_names_lowest_vertices_and_integer_counts(g):
     # vertices of the sphere with the smallest and the largest count
     ga = analyze_graph(g)
     adjacency = ga.graph.adjacency
-    for u, res in enumerate(ga.classification.pseudo_dr):
-        assert not res.is_pdr
-        i, v, w, lo, hi, which = res.violation
+    cls = ga.classification
+    assert not cls.is_pdr.any() and sorted(cls.pdr_violations) == list(range(ga.n))
+    for u, (i, v, w, lo, hi, which) in cls.pdr_violations.items():
         sphere = ga.dd.sphere(u, i)
         target = ga.dd.dist[u] == i + "cab".index(which) - 1
         counts = adjacency[sphere] @ target
@@ -302,9 +299,10 @@ def test_sweep_matches_brute_force_counts(request, graphs):
         cls = ga.classification
         pseudo_dr, level, array = _brute_force_sweep(ga)
         assert (cls.partial_dr_level, cls.intersection_array) == (level, array), name
-        for res, (is_pdr, numbers, violation) in zip(cls.pseudo_dr, pseudo_dr):
-            assert (res.is_pdr, res.violation) == (is_pdr, violation), (name, res.vertex)
+        for u, (is_pdr, numbers, violation) in enumerate(pseudo_dr):
+            assert (cls.is_pdr[u], cls.pdr_violations.get(u)) == (is_pdr, violation), (name, u)
             if is_pdr:
-                assert res.numbers.shape == numbers.shape
-                assert np.all(np.abs(res.numbers - numbers)
-                              <= 1e-12 * np.maximum(1.0, np.abs(numbers))), (name, res.vertex)
+                got = cls.pdr_numbers[u, :, :ga.dd.ecc[u] + 1]
+                assert got.shape == numbers.shape
+                assert np.all(np.abs(got - numbers)
+                              <= 1e-12 * np.maximum(1.0, np.abs(numbers))), (name, u)

@@ -225,7 +225,7 @@ def test_check_p31_past_eccentricity(capsys, tmp_path, j):
     assert code == 0
     report = json.loads(out)
     ga = analyze_graph(g)
-    assert (ga.dd.ecc[0], ga.local_spectra[0].du) == (2, 4)
+    assert (ga.dd.ecc[0], ga.local_spectra.du[0]) == (2, 4)
     assert ga.local_q_lambda0[0] == pytest.approx(
         full_local_families(ga)[0].q_lambda0[2], rel=1e-12)
     r = full_local_families(ga)[0].sum_values(j)
@@ -250,6 +250,15 @@ def test_check_p31_missing_vertex(capsys, k23_file):
     code, _, err = _run(capsys, ["check", k23_file, "--theorem", "P31"])
     assert code == 2
     assert "--vertex" in err
+
+
+@pytest.mark.parametrize("theorem", ["P31", "T32"])
+@pytest.mark.parametrize("vertex", ["-1", "5"])
+def test_check_vertex_out_of_range(capsys, k23_file, theorem, vertex):
+    code, _, err = _run(capsys, ["check", k23_file, "--theorem", theorem,
+                                 "--vertex", vertex])
+    assert code == 2
+    assert err == f"error: vertex {vertex} out of range 0..4\n"
 
 
 def test_check_hypothesis_violation_exit2(capsys, k23_file):

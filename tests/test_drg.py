@@ -10,6 +10,7 @@ import random
 import re
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from corpus import relabel
@@ -54,7 +55,7 @@ def test_networkx_drg(name):
     assert cls.intersection_array["c"] == list(c)
     assert cls.is_distance_polynomial
     assert cls.partial_dr_level == ga.d == ga.D
-    assert cls.pseudo_dr_vertices == tuple(range(ga.n))
+    assert cls.is_pdr.all()
     assert not collect_violations(reports, ga.tols.equality)
 
 
@@ -66,9 +67,9 @@ def _verdicts(ga, reports, original):
         "classification": (cls.is_regular, cls.is_distance_regular,
                            cls.intersection_array, cls.partial_dr_level,
                            cls.is_distance_polynomial,
-                           sorted(original[u] for u in cls.pseudo_dr_vertices),
-                           sorted(original[ls.vertex] for ls in ga.local_spectra
-                                  if ls.is_extremal)),
+                           sorted(original[u] for u in np.flatnonzero(cls.is_pdr)),
+                           sorted(original[u] for u in
+                                  np.flatnonzero(ga.dd.ecc == ga.local_spectra.du))),
     }
     for r in reports:
         params = tuple(sorted((k, original[v] if k == "vertex" else v)

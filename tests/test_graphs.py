@@ -71,6 +71,24 @@ def test_malformed_line_rejected():
         load_graph("")
 
 
+@pytest.mark.parametrize("text", ["0 1\n1 2\n2 0_3\n3 0", "0 1\n1 2\n2 1_0"])
+def test_digit_grouping_ids_rejected(text):
+    # int() reads "0_3" as 3 and "1_0" as 10
+    with pytest.raises(ParseError, match="line 3: non-integer vertex id"):
+        load_graph(text)
+
+
+@pytest.mark.parametrize("fmt, text", [("edgelist", "0 1\n1 \u00e9"), ("graph6", "B\u00e9"),
+                                       ("graph6", "B\ud800")])
+def test_non_ascii_text_is_a_parse_error(fmt, text):
+    # a str fails as its UTF-8 bytes do
+    for data in (text, text.encode("utf-8", errors="surrogatepass")):
+        with pytest.raises(ParseError):
+            load_graph(data, fmt=fmt)
+    comment = "# caf\u00e9\n0 1"
+    assert load_graph(comment).n == load_graph(comment.encode()).n == 2
+
+
 def test_graph6_roundtrip_fixtures():
     for name, factory in fx.BUNDLED.items():
         g = factory()

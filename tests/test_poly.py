@@ -45,7 +45,7 @@ def _pieces(g):
     dd = distance_data(g)
     spec = eigendecompose(g)
     pw = perron_weights(spec, g.adjacency.sum(axis=1))
-    locs = local_spectra(spec, dd)
+    locs = local_spectra(spec)
     return g, dd, spec, pw, locs
 
 
@@ -55,7 +55,7 @@ def _k23_pieces():
 
 def _rows(locs):
     """One local row per vertex, each to its full degree d_u."""
-    return [ls.local_mults for ls in locs], [ls.du for ls in locs]
+    return locs.mults, locs.du
 
 
 def _families(spec, locs, pw):
@@ -110,7 +110,7 @@ def test_degree_error():
     from spexcess.pipeline import analyze_graph
     from spexcess.theorems import check_local_bound
     ga = analyze_graph(fx.path(3))
-    assert ga.local_spectra[1].du == 1
+    assert ga.local_spectra.du[1] == 1
     with pytest.raises(DegreeError):
         check_local_bound(ga, 1, j=1, r=[0.0, 0.0, 1.0])
 
@@ -142,7 +142,7 @@ def test_local_context_requires_alpha():
         predistance_polynomials(spec.lambdas, rows, degrees, alpha=pw.alpha,
                                 vertices=[0, 1])
     seqs = predistance_polynomials(spec.lambdas, rows, degrees, alpha=pw.alpha)
-    assert [s.vertex for s in seqs] == list(range(len(locs)))
+    assert [s.vertex for s in seqs] == list(range(len(locs.du)))
     assert [s.norm_scale for s in seqs] == (pw.alpha ** 2).tolist()
     seqs = predistance_polynomials(spec.lambdas, rows[3:1:-1], degrees[3:1:-1],
                                    alpha=pw.alpha, vertices=[3, 2])
@@ -178,9 +178,9 @@ def test_batched_rows_match_single_calls(family):
         [fx.BUNDLED[name]() for name in sorted(fx.BUNDLED)] + [fx.path(5)]
     for g in graphs:
         _, _, spec, pw, locs = _pieces(g)
-        order = np.argsort([ls.du for ls in locs], kind="stable").tolist()  # ascending
-        rows = [locs[u].local_mults for u in order]
-        degrees = [locs[u].du for u in order]
+        order = np.argsort(locs.du, kind="stable").tolist()  # ascending
+        rows = list(locs.mults[order])
+        degrees = locs.du[order].tolist()
         degrees[len(rows) // 2] = 0
         refs = [predistance_polynomials(spec.lambdas, [w], [m])[0]
                 for w, m in zip(rows, degrees)]
@@ -201,7 +201,7 @@ def test_excess_closed_forms_on_fixtures(analyses):
     assert not battery_global_excess_closed_form(graphs)
     # Petersen: p_2(lambda_0) = k_2 = 6 at every vertex and globally
     ga = analyses("petersen")
-    assert all(abs(ls.local_excess - 6.0) <= 1e-12 for ls in ga.local_spectra)
+    assert all(abs(p - 6.0) <= 1e-12 for p in ga.local_spectra.excess)
 
 
 # --- predistance families ----------------------------------------------------
@@ -412,13 +412,12 @@ def test_mean_of_local_products_identity():
     rng = np.random.default_rng(12)
     for name in ("k23", "petersen", "p3", "c8_12"):
         ga = _analysis(name)
-        deg = min(ls.du for ls in ga.local_spectra)
+        deg = min(ga.local_spectra.du)
         for _ in range(5):
             p = _at(rng.standard_normal(deg + 1), ga.spectrum.lambdas)
             q = _at(rng.standard_normal(deg + 1), ga.spectrum.lambdas)
             glob = float(ga.global_seq.weights @ (p * q))
-            mean = np.mean([float(ls.local_mults @ (p * q))
-                            for ls in ga.local_spectra])
+            mean = np.mean([float(row @ (p * q)) for row in ga.local_spectra.mults])
             assert abs(glob - mean) <= 1e-8 * max(1.0, abs(glob))
 
 
@@ -457,13 +456,14 @@ def test_local_q_lambda0_matches_families(request, graphs):
     short = 0
     for ga in gas:
         cut = {seq.vertex: seq for seq in cut_local_families(ga)}
-        for u, (ls, seq) in enumerate(zip(ga.local_spectra, full_local_families(ga))):
+        for u, (ecc, du, seq) in enumerate(zip(ga.dd.ecc, ga.local_spectra.du,
+                                               full_local_families(ga))):
             got = ga.local_q_lambda0[u]
-            if ls.eccentricity >= ls.du:
+            if ecc >= du:
                 assert got == ga.n
                 continue
             short += 1
-            assert got == cut[u].q_lambda0[ls.eccentricity]
-            assert got == pytest.approx(seq.q_lambda0[ls.eccentricity], rel=1e-12)
+            assert got == cut[u].q_lambda0[ecc]
+            assert got == pytest.approx(seq.q_lambda0[ecc], rel=1e-12)
             assert got < ga.n
     assert short

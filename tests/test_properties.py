@@ -89,8 +89,8 @@ def test_perron_positivity_and_normalizations(analyzed):
 
 def test_ball_norm_saturation(analyzed):
     for name, ga, _reps in analyzed:
-        for ls in ga.local_spectra:
-            got = ga.stats.ball_norms[ls.vertex, ls.eccentricity]
+        for u, ecc in enumerate(ga.dd.ecc):
+            got = ga.stats.ball_norms[u, ecc]
             assert abs(got - ga.n) <= 1e-9 * ga.n, name
 
 

@@ -17,7 +17,7 @@ def test_public_surface_is_pinned():
         "ExcessStats",
         "Graph",
         "GraphAnalysis",
-        "LocalSpectrum",
+        "LocalSpectra",
         "PerronWeights",
         "PolySequence",
         "Spectrum",
@@ -56,3 +56,13 @@ def test_spectrum_and_graph_fields_are_pinned():
     fields = [f.name for f in dataclasses.fields(spexcess.Spectrum)]
     assert fields == ["lambdas", "mults", "vectors"]
     assert [f.name for f in dataclasses.fields(spexcess.Graph)] == ["n", "edges", "adjacency"]
+
+
+def test_per_vertex_fields_are_pinned():
+    # per-vertex data is one array over the vertices, stored once
+    fields = [f.name for f in dataclasses.fields(spexcess.LocalSpectra)]
+    assert fields == ["mults", "du", "excess"]
+    fields = [f.name for f in dataclasses.fields(spexcess.Classification)]
+    assert fields == ["is_regular", "is_distance_regular", "intersection_array", "is_pdr",
+                      "pdr_numbers", "pdr_violations", "partial_dr_level",
+                      "is_distance_polynomial", "distance_poly_residuals"]

@@ -187,8 +187,7 @@ def test_local_mults_match_lagrange_diagonal():
     for name in ("k23", "petersen", "p3", "c5", "k4", "c8_12", "k13"):
         g = fx.star(3) if name == "k13" else fx.named(name)
         spec = eigendecompose(g)
-        dd = distance_data(g)
-        mat = np.stack([ls.local_mults for ls in local_spectra(spec, dd)])
+        mat = local_spectra(spec).mults
         a = np.asarray(g.adjacency)
         for i in range(spec.d + 1):
             diag = np.diag(_lagrange_projector(a, spec, i))
@@ -213,11 +212,12 @@ def test_local_spectrum_p3():
     g = fx.path(3)
     dd = distance_data(g)
     spec = eigendecompose(g)
-    end, center, _ = local_spectra(spec, dd)
-    assert center.local_mults[1] <= 1e-12  # no mass at eigenvalue 0
-    assert center.du == 1 and center.eccentricity == 1 and center.is_extremal
-    assert end.du == 2 and end.is_extremal
-    assert np.all(end.local_mults > 1e-3)
+    locs = local_spectra(spec)
+    end, center = locs.mults[0], locs.mults[1]
+    assert center[1] <= 1e-12  # no mass at eigenvalue 0
+    assert locs.du[1] == 1 and dd.ecc[1] == 1  # the center is extremal
+    assert locs.du[0] == 2 and dd.ecc[0] == 2  # so is an end
+    assert np.all(end > 1e-3)
 
 
 def test_local_mults_sum_to_one_and_aggregate():
@@ -226,14 +226,13 @@ def test_local_mults_sum_to_one_and_aggregate():
         dd = distance_data(g)
         spec = eigendecompose(g)
         pw = perron_weights(spec, _degrees(g))
-        locs = local_spectra(spec, dd)
-        mat = np.stack([ls.local_mults for ls in locs])
+        locs = local_spectra(spec)
+        mat = locs.mults
         assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(mat.sum(axis=0) - spec.mults).max() <= 1e-9
         # m_u(lambda_0) = alpha_u^2 / n
         assert np.abs(mat[:, 0] - pw.alpha ** 2 / g.n).max() <= 1e-9
-        for ls in locs:
-            assert ls.eccentricity <= ls.du
+        assert np.all(dd.ecc <= locs.du)
 
 
 def test_eigenvector_sign_determinism():

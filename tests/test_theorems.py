@@ -56,8 +56,8 @@ def test_p31_every_j_matches_dense_reference(analyses, name):
     ga = analyses(name)
     v = ga.spectrum.vectors
     for u, seq in enumerate(full_local_families(ga)):
-        mults = ga.local_spectra[u].local_mults
-        for j in range(ga.local_spectra[u].du + 1):
+        mults = ga.local_spectra.mults[u]
+        for j in range(ga.local_spectra.du[u] + 1):
             rep = check_local_bound(ga, u, j)
             q = seq.sum_values(j)
             norm = math.sqrt(np.sum(mults * q ** 2))
@@ -65,6 +65,14 @@ def test_p31_every_j_matches_dense_reference(analyses, name):
             if rep.comparisons[0].scalar_equal:
                 vec = (v * q[ga.spectrum.class_index]) @ v[u] / norm
                 assert np.abs(rep.witnesses["normalized_vector"] - vec).max() <= 1e-9
+
+
+@pytest.mark.parametrize("check", [check_local_bound, check_local_spet])
+@pytest.mark.parametrize("u", [-1, 5])
+def test_vertex_out_of_range(analyses, check, u):
+    # -1 must not read the last vertex's row
+    with pytest.raises(HypothesisError, match=rf"^vertex {u} out of range 0\.\.4$"):
+        check(analyses("p5"), u)
 
 
 def test_p31_k23_degree2_vertex_strict(analyses):
@@ -88,7 +96,7 @@ def test_p31_saturation_not_certified(analyses):
     # C_8(1,2): no vertex is extremal; at j = d_u the ball saturates and the
     # scalar bound is attained, but the equality verdict must stay negative
     ga = analyses("c8_12")
-    rep = check_local_bound(ga, 0, j=ga.local_spectra[0].du)
+    rep = check_local_bound(ga, 0, j=ga.local_spectra.du[0])
     assert rep.comparisons[0].scalar_equal
     assert not rep.equality_holds
     assert rep.details["ball_saturated"]
@@ -101,7 +109,7 @@ def test_p31_saturation_not_certified(analyses):
 def test_p31_default_j_is_eccentricity(analyses):
     ga = analyses("c8_12")
     rep = check_local_bound(ga, 0)
-    assert rep.params["j"] == ga.local_spectra[0].eccentricity
+    assert rep.params["j"] == ga.dd.ecc[0]
     assert rep.comparisons[0].state == "strict"
 
 
@@ -129,7 +137,7 @@ def test_t32_k23_matches_oracle(analyses):
     for u in range(ga.n):
         rep = check_local_spet(ga, u)
         assert rep.details["oracle_agrees"]
-        assert rep.equality_holds == ga.classification.pseudo_dr[u].is_pdr
+        assert rep.equality_holds == ga.classification.is_pdr[u]
 
 
 def test_t32_nonextremal_vertex(analyses):
@@ -413,8 +421,8 @@ def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wid
             if rep.theorem_id == "T34":
                 start, top = ga.D, ga.d
             elif rep.theorem_id == "P31":
-                ls = ga.local_spectra[rep.params["vertex"]]
-                start, top = ls.eccentricity, ls.du
+                u = rep.params["vertex"]
+                start, top = ga.dd.ecc[u], ga.local_spectra.du[u]
             else:
                 continue
             if start <= j < top:

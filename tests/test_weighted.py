@@ -45,7 +45,7 @@ def test_ball_norms_saturate_at_n():
     for name in ("k23", "p3", "c6"):
         ga = _ga(name)
         for u in range(ga.n):
-            ecc = ga.local_spectra[u].eccentricity
+            ecc = ga.dd.ecc[u]
             assert ga.stats.ball_norms[u, ecc] == pytest.approx(ga.n, rel=1e-12)
         assert np.abs(ga.stats.ball_norms[:, -1] - ga.n).max() <= 1e-9
 
