@@ -1,14 +1,14 @@
 """Spectral-excess machinery for finite connected graphs.
 
-Computes the spectrum (LAPACK eigendecomposition), the local spectra of
-every vertex as arrays read from the eigenvectors, the global predistance
-polynomial family (kept as its values on the distinct eigenvalues,
+Computes, for a connected graph, the spectrum (LAPACK eigendecomposition),
+the local spectra of every vertex as arrays read from the eigenvectors, the
+global predistance polynomial family (values on the distinct eigenvalues,
 evaluated at A through the eigenvectors), the local families' values at
-lambda_0 that the checks read, and Perron-weighted distance statistics of
-a connected graph, and evaluates the inequality/equality characterizations
-connecting them (pseudo-distance-regularity, partial distance-regularity,
-the distance-polynomial property), cross-validated against independent
-combinatorial oracles.  Per-vertex data is one array over the vertices.
+lambda_0 that the checks read, and Perron-weighted distance statistics,
+which read no polynomial.  ``theorems`` evaluates the characterizations
+connecting the two sides (pseudo-distance-regularity, partial distance-
+regularity, the distance-polynomial property), cross-validated against
+independent combinatorial oracles.  Per-vertex data is one array each.
 """
 
 from . import errors

@@ -48,9 +48,10 @@ class Graph:
     adjacency: np.ndarray
 
     @classmethod
-    def from_edges(cls, n, edges, require_connected=True):
+    def from_edges(cls, n, edges):
         """The graph of the (u, v) ``edges``, checked in one pass: the error is
-        the first pair with an id outside 0..n-1, a loop or a repeat."""
+        the first pair with an id outside 0..n-1, a loop or a repeat, else
+        ``DisconnectedError`` if the graph is not connected."""
         if n < 1:
             raise ParseError("graph must have at least one vertex")
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
@@ -76,7 +77,7 @@ class Graph:
         a = np.zeros((n, n))
         a[lo, hi] = a[hi, lo] = 1.0
         g = cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), adjacency=_readonly(a))
-        if require_connected and not g.is_connected():
+        if not g.is_connected():
             raise DisconnectedError("graph must be connected")
         return g
 
@@ -114,10 +115,6 @@ class DistanceData:
     def matrix(self, i: int) -> np.ndarray:
         """A_i, the 0/1 matrix of pairs at distance exactly i (A_0 = I, A_1 = A)."""
         return (self.dist == i).astype(float)
-
-    def sphere(self, u: int, i: int) -> np.ndarray:
-        """Vertices at distance exactly i from u (empty beyond ecc[u])."""
-        return np.flatnonzero(self.dist[u] == i)
 
 
 def distance_data(g: Graph) -> DistanceData:

@@ -1,12 +1,14 @@
 """End-to-end analysis pipeline: one bundle holding every derived object.
 
 ``analyze_graph`` runs the whole chain (distances -> spectrum -> Perron
-weights -> local spectra -> polynomial families -> weighted matrices ->
+weights -> local spectra -> polynomial family -> weighted matrices ->
 excess statistics -> combinatorial classification) and
 ``run_all_checks`` evaluates every theorem at its admissible parameters.
 
 The pipeline builds one polynomial family, the global one, to degree d,
-and no local family.  Of vertex u, P31 reads one number, q^u_j(lambda_0)
+and no local family.  The spectral excess p_{>=D}(lambda_0) comes from it
+(``GraphAnalysis.spectral_excess``), since the weighted statistics read no
+polynomial.  Of vertex u, P31 reads one number, q^u_j(lambda_0)
 at j = min(ecc_u, d_u): n at j = d_u (see ``poly``), and at j = ecc_u <
 d_u the value from one batched Stieltjes pass over all such vertices
 (``poly.top_q_lambda0``).  ``GraphAnalysis.local_q_lambda0`` keeps them.
@@ -77,6 +79,11 @@ class GraphAnalysis:
     def lambda0(self) -> float:
         return self.spectrum.lambda0
 
+    @property
+    def spectral_excess(self) -> float:
+        """p_{>=D}(lambda_0) = n - q_{D-1}(lambda_0), n when D = 0."""
+        return float(self.n - (self.global_seq.q_lambda0[self.D - 1] if self.D else 0.0))
+
     @functools.cached_property
     def min_du(self) -> int:
         return int(self.local_spectra.du.min())
@@ -88,15 +95,14 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
     pw = spectral.perron_weights(spec, g.adjacency.sum(axis=1))
     locals_ = spectral.local_spectra(spec, presence_tol=tols.presence)
-    (gseq,) = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n,
-                                           [spec.d])
+    gseq = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n, spec.d)
     short = np.flatnonzero(dd.ecc < locals_.du)
     local_q = np.full(g.n, float(g.n))
     if short.size:
         local_q[short] = poly.top_q_lambda0(spec.lambdas, locals_.mults[short],
                                             dd.ecc[short], pw.alpha[short] ** 2)
     wm = weighted.weighted_matrices(dd, pw)
-    stats = weighted.excess_stats(dd, pw, gseq)
+    stats = weighted.excess_stats(dd, pw)
     cls = classify.classify_graph(dd, pw, spec, tol=tols.equality)
     return GraphAnalysis(
         graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw,

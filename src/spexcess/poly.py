@@ -20,14 +20,15 @@ degree <= d *is* its vector of values there, and that vector is the only
 form kept: no monomial coefficients, which lose all accuracy at high
 degree.  The families come from the discretized Stieltjes (Lanczos)
 procedure with full reorthogonalization (Gautschi, *Orthogonal Polynomials:
-Computation and Approximation*, 2004, section 2.2), many measures per call
-(``_stieltjes``).  The pipeline builds one family, the global one to
-degree d.  Of the local families the checks read only numbers at lambda_0,
-so it builds none: ``top_q_lambda0`` runs the same pass for every vertex
-with ecc_u < d_u and keeps only q^u_{ecc_u}(lambda_0), which P31 reads.  The
-top local values come in closed form: p^u_{d_u}(lambda_0) from the nodal
-polynomial of the local support (``spectral.top_p_lambda0``) and q^u_{d_u}
-from the preHoffman identities above.  The three-term recurrence
+Computation and Approximation*, 2004, section 2.2), one measure per
+``predistance_polynomials`` call.  The pipeline builds one family, the
+global one to degree d.  Of the local families the checks read only
+numbers at lambda_0, so it builds none: ``top_q_lambda0`` runs one batched
+pass (``_stieltjes``) over every vertex with ecc_u < d_u and keeps only
+q^u_{ecc_u}(lambda_0), which P31 reads.  The top local values come in
+closed form: p^u_{d_u}(lambda_0) from the nodal polynomial of the local
+support (``spectral.top_p_lambda0``) and q^u_{d_u} from the preHoffman
+identities above.  The three-term recurrence
 
     x * p_i = b_{i-1} p_{i-1} + a_i p_i + c_{i+1} p_{i+1}
 
@@ -57,24 +58,15 @@ _TINY_WEIGHT = 1e-24
 class PolySequence:
     """A predistance family p_0..p_m, stored as values on the eigenvalues.
 
-    ``values[i, k]`` is p_i(lambda_k) and ``weights[k]`` the measure's mass
-    at lambda_k.  ``rec_a[i]`` holds a_i for i = 0..m; ``rec_b[i]`` holds
-    b_i for i = 0..m-1; ``rec_c[i]`` holds c_{i+1} for i = 0..m-1.
-    ``norm_scale`` is 1 for the global family and alpha_u^2 for the local
-    family of ``vertex`` u (None for the global family).
+    ``values[i, k]`` is p_i(lambda_k).  ``rec_a[i]`` holds a_i for i =
+    0..m; ``rec_b[i]`` holds b_i for i = 0..m-1; ``rec_c[i]`` holds c_{i+1}
+    for i = 0..m-1.
     """
 
-    weights: np.ndarray
     values: np.ndarray
     rec_a: np.ndarray
     rec_b: np.ndarray
     rec_c: np.ndarray
-    norm_scale: float
-    vertex: int | None
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.values) - 1
 
     @property
     def p_lambda0(self) -> np.ndarray:
@@ -91,63 +83,36 @@ class PolySequence:
         return self.values[: j + 1].sum(axis=0)
 
 
-def predistance_polynomials(nodes, weights, degrees, alpha=None,
-                            vertices=None) -> tuple[PolySequence, ...]:
-    """One predistance family per row of ``weights``, in one batched pass.
+def predistance_polynomials(nodes, weights, degree, scale=1.0) -> PolySequence:
+    """The predistance family p_0..p_m, m = ``degree``, of one measure.
 
-    ``nodes`` are the distinct eigenvalues (descending, lambda_0 first),
-    row r of ``weights`` a measure on them and ``degrees[r]`` the top degree
-    of its family.  With ``alpha`` None every row is a global measure
-    (s = 1, ``vertex`` None).  Otherwise ``alpha`` is the whole Perron
-    vector and row r the local measure of vertex ``vertices[r]`` (default:
-    row u is vertex u), with s = alpha_u^2.  The orthonormal family
+    ``nodes`` are the distinct eigenvalues (descending, lambda_0 first) and
+    ``weights`` the measure on them; ``scale`` s is 1 for the global measure
+    and alpha_u^2 for vertex u's local one.  The orthonormal family
     phi_0..phi_m comes from ``_stieltjes``; p_j = s * phi_j(lambda_0) *
     phi_j satisfies ||p_j||^2 = s * p_j(lambda_0) and p_j(lambda_0) > 0.
-    The families come back in the caller's order.
     """
-    w = _readonly(np.array(weights, dtype=float, ndmin=2))
-    rows = len(w)
-    if alpha is None:
-        vertices, scale = [None] * rows, np.ones(rows)
-    else:
-        vertices = list(range(len(alpha)) if vertices is None else map(int, vertices))
-        scale = np.asarray(alpha, dtype=float)[vertices] ** 2
-    if len(vertices) != rows:
-        raise ValueError("given alpha, weights must have one vertex per row")
-    degrees, order, psi, phi, beta = _stieltjes(nodes, w, degrees)
-
+    _degrees, _order, psi, phi, beta = _stieltjes(nodes, weights, [degree])
     # p_j = k_j phi_j; the Lanczos relation x phi_j = beta_j phi_{j-1} +
     # a_j phi_j + beta_{j+1} phi_{j+1} turns into the p-recurrence.  k_j is
-    # nonzero up to each row's degree (lambda_0 lies above every zero of
-    # phi_j) and zero past it, where the quotients are sliced off below.
-    k = scale[order][:, None] * phi[:, :, 0]
-    kk = np.where(k == 0.0, 1.0, k)
-    # slices of a read-only array are read-only
-    values = _readonly(k[:, :, None] * phi)
-    rec_a = _readonly((psi * psi) @ np.asarray(nodes, dtype=float))
-    rec_b = _readonly(beta[:, 1:] * k[:, 1:] / kk[:, :-1])
-    rec_c = _readonly(beta[:, 1:] * k[:, :-1] / kk[:, 1:])
-    return tuple(
-        PolySequence(
-            weights=w[r],
-            values=values[s, : m + 1],
-            rec_a=rec_a[s, : m + 1],
-            rec_b=rec_b[s, :m],
-            rec_c=rec_c[s, :m],
-            norm_scale=norm_scale,
-            vertex=vertex,
-        )
-        for r, s, m, norm_scale, vertex in zip(
-            range(rows), np.argsort(order).tolist(), degrees.tolist(),
-            scale.tolist(), vertices)
+    # nonzero, as lambda_0 lies above every zero of phi_j.
+    k = scale * phi[0, :, 0]
+    return PolySequence(
+        values=_readonly(k[:, None] * phi[0]),
+        rec_a=_readonly((psi[0] * psi[0]) @ np.asarray(nodes, dtype=float)),
+        rec_b=_readonly(beta[0, 1:] * k[1:] / k[:-1]),
+        rec_c=_readonly(beta[0, 1:] * k[:-1] / k[1:]),
     )
 
 
 def top_q_lambda0(nodes, weights, degrees, scale) -> np.ndarray:
     """q_m(lambda_0) = p_0(lambda_0) + ... + p_m(lambda_0) for the measure
-    in each row of ``weights``, m = ``degrees[r]`` and s = ``scale[r]``: the
-    pass of ``predistance_polynomials`` on the same rows, bit for bit, with
-    only phi_j(lambda_0) read, p_j(lambda_0) = s * phi_j(lambda_0)^2."""
+    in each row of ``weights``, m = ``degrees[r]`` and s = ``scale[r]``,
+    from one batched pass that reads only phi_j(lambda_0), p_j(lambda_0) =
+    s * phi_j(lambda_0)^2.  A batch of several rows agrees with
+    ``predistance_polynomials`` on each row within rounding (the batched
+    products sum in another order); a single row takes the same one-row
+    pass and matches it bit for bit."""
     degrees, order, _psi, phi, _beta = _stieltjes(nodes, weights, degrees)
     at0 = phi[:, :, 0]
     q = np.cumsum(np.asarray(scale, dtype=float)[order][:, None] * at0 * at0, axis=1)

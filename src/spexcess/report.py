@@ -141,7 +141,7 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
         "excess": {
             "deltaStar": _arr(ga.stats.delta_star),
             "harmonicMeans": _arr(ga.stats.harmonic_means),
-            "spectralExcess": float(ga.stats.spectral_excess),
+            "spectralExcess": ga.spectral_excess,
             "nMinusHarmonicDMinus1": float(ga.stats.n_minus_harmonic),
             "avgWeightedDegree": _arr(ga.stats.avg_weighted_degree),
         },

@@ -127,18 +127,6 @@ class TheoremReport(_ReportFields):
         """The witness arrays, built on first read."""
         return None if self.witness_fn is None else self.witness_fn()
 
-    @property
-    def lhs(self) -> float:
-        return self.comparisons[0].lhs
-
-    @property
-    def rhs(self) -> float:
-        return self.comparisons[0].rhs
-
-    @property
-    def slack(self) -> float:
-        return self.comparisons[0].slack
-
     def inequality_violations(self, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
         out = []
         for c in self.comparisons:
@@ -249,8 +237,8 @@ def check_local_bound(ga, u: int, j: int | None = None,
         if j == default_j:  # the pipeline's number
             r_l0 = ga.local_q_lambda0[u]
         elif j < du:
-            (seq,) = predistance_polynomials(ga.spectrum.lambdas, mults, [j],
-                                             alpha=ga.perron.alpha, vertices=[u])
+            seq = predistance_polynomials(ga.spectrum.lambdas, mults, j,
+                                          scale=ga.perron.alpha[u] ** 2)
             r_vals, r_l0 = seq.sum_values(j), seq.q_lambda0[j]
         norm = ga.perron.alpha[u] * np.sqrt(r_l0)
     else:
@@ -364,9 +352,8 @@ def check_local_spets(ga, us=None) -> list[TheoremReport]:
 def check_lee_weng(ga) -> TheoremReport:
     """T33: delta*_D <= p_{>=D}(lambda_0), equality iff A*_D = p_{>=D}(A)."""
     eq_tol = ga.tols.equality
-    lhs = ga.stats.delta_star[-1]
-    rhs = ga.stats.spectral_excess
-    comp = _compare("delta*_D <= p_>=D(lambda0)", lhs, rhs, eq_tol)
+    comp = _compare("delta*_D <= p_>=D(lambda0)", ga.stats.delta_star[-1],
+                    ga.spectral_excess, eq_tol)
     cert = _certificate(ga, "A*_D == p_>=D(A)", _gap(ga, "tail", ga.D))
     equality = comp.scalar_equal and cert.passes
     return TheoremReport(
@@ -508,7 +495,7 @@ def check_chain(ga) -> TheoremReport:
     eq_tol = ga.tols.equality
     middle = ga.stats.n_minus_harmonic
     comp_i = _compare("n - H*_<=D-1 <= p_>=D(lambda0)",
-                      middle, ga.stats.spectral_excess, eq_tol)
+                      middle, ga.spectral_excess, eq_tol)
     comp_ii = _compare("delta*_D <= n - H*_<=D-1",
                        ga.stats.delta_star[-1], middle, eq_tol)
     cert_i = _certificate(ga, "p_>=D(A) == A*_D", _gap(ga, "tail", ga.D))
@@ -546,7 +533,7 @@ def check_distance_polynomial_sufficient(ga) -> TheoremReport:
         raise HypothesisError("the sufficient condition is vacuous for D < 2")
     eq_tol = ga.tols.equality
     comp1 = _compare("delta*_D vs p_>=D(lambda0)",
-                     ga.stats.delta_star[-1], ga.stats.spectral_excess,
+                     ga.stats.delta_star[-1], ga.spectral_excess,
                      eq_tol, kind="equality")
     comp2 = _compare("delta*_D-1 vs p_D-1(lambda0)",
                      ga.stats.delta_star[-2],

@@ -11,8 +11,10 @@ The statistics gathered here feed every inequality check:
   (sums of alpha_v^2 over the ball / sphere around u);
 * harmonic means         H*_{<=j} = n / sum_u (alpha_u^2 / ||rho_{N_j(u)}||^2);
 * weighted excesses      delta*_i = (1/n) sum_u alpha_u^2 ||rho_{Gamma_i(u)}||^2
-  (delta*_D is also ||A*_D||^2 under the (1/n) tr inner product);
-* the spectral excess    p_{>=D}(lambda_0) = n - q_{D-1}(lambda_0).
+  (delta*_D is also ||A*_D||^2 under the (1/n) tr inner product).
+
+They read no polynomial: ``theorems`` compares them with the spectral
+excess p_{>=D}(lambda_0), ``GraphAnalysis.spectral_excess``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from ._util import readonly as _readonly
 from .graphs import DistanceData
-from .poly import PolySequence
 from .spectral import PerronWeights
 
 
@@ -67,7 +68,6 @@ class ExcessStats:
     sphere_norms: np.ndarray
     harmonic_means: np.ndarray
     delta_star: np.ndarray
-    spectral_excess: float
     avg_weighted_degree: np.ndarray
 
     @property
@@ -77,25 +77,19 @@ class ExcessStats:
         return len(self.ball_norms) - float(h[-2]) if len(h) > 1 else 0.0
 
 
-def excess_stats(dd: DistanceData, pw: PerronWeights,
-                 seq: PolySequence) -> ExcessStats:
-    """All excess statistics for one graph (global sequence required)."""
-    if seq.vertex is not None:
-        raise ValueError("excess_stats needs the global polynomial sequence")
+def excess_stats(dd: DistanceData, pw: PerronWeights) -> ExcessStats:
+    """All excess statistics for one graph."""
     n = dd.n
-    big_d = dd.diameter
     alpha2 = pw.alpha ** 2
-    sphere = np.stack([(dd.dist == i) @ alpha2 for i in range(big_d + 1)], axis=1)
+    sphere = np.stack([(dd.dist == i) @ alpha2 for i in range(dd.diameter + 1)], axis=1)
     balls = np.cumsum(sphere, axis=1)
     harmonic = n / np.sum(alpha2[:, None] / balls, axis=0)
     delta = (alpha2[:, None] * sphere).sum(axis=0) / n
-    q_prev = seq.q_lambda0[big_d - 1] if big_d >= 1 else 0.0
     avg_wdeg = ((dd.dist == 1) @ pw.alpha) / pw.alpha
     return ExcessStats(
         ball_norms=_readonly(balls),
         sphere_norms=_readonly(sphere),
         harmonic_means=_readonly(harmonic),
         delta_star=_readonly(delta),
-        spectral_excess=float(n - q_prev),
         avg_weighted_degree=_readonly(avg_wdeg),
     )

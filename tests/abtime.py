@@ -11,7 +11,10 @@ of ``cli.main(["analyze", PATH])`` over the files, K pairs (default 20)
 in the order AB BA AB ..., so both sides see the same host speed.
 
 Prints, for each side, the sum over graphs of each graph's fastest call
-and the median pass time, then how many paired passes the change won.
+and the median pass time, then how many paired passes the change won, in
+all and split by order: among the AB pairs (base ran first) and among the
+BA pairs (change ran first).  A count that leans by order shows up there,
+so run the base against itself beside every A/B run.
 Defaults: ``--workload wide-spectrum --seed 1``.  The script is not
 collected by pytest.
 """
@@ -129,10 +132,12 @@ def main(argv=None) -> int:
         print(f"{label}: sum of per-graph minima {best * 1e3:.1f} ms, "
               f"median pass {statistics.median(per_pass) * 1e3:.1f} ms")
     (base_best, base_passes), (change_best, change_passes) = totals
-    won = sum(c < b for b, c in zip(base_passes, change_passes))
+    wins = [c < b for b, c in zip(base_passes, change_passes)]
+    ab, ba = wins[0::2], wins[1::2]
     print(f"{args.workload} seed {args.seed}, {len(paths)} graphs, CPU {cpu}: "
           f"{base_best / change_best:.3f}x by the sums of minima; change faster "
-          f"in {won} of {args.passes} paired passes")
+          f"in {sum(wins)} of {args.passes} paired passes ({sum(ab)} of {len(ab)} AB, "
+          f"{sum(ba)} of {len(ba)} BA)")
     return 0
 
 

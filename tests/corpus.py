@@ -118,7 +118,7 @@ def battery_mean_of_local_products(analyzed, rng=None, tol=1e-8):
         local_w = ga.local_spectra.mults
         for _ in range(3):
             pq = rng.standard_normal(ga.d + 1) * rng.standard_normal(ga.d + 1)
-            glob = float(ga.global_seq.weights @ pq)
+            glob = float(ga.spectrum.mults / ga.n @ pq)
             local_mean = float(np.mean(local_w @ pq))
             scale = max(1.0, abs(glob))
             if abs(glob - local_mean) > tol * scale:
@@ -126,44 +126,55 @@ def battery_mean_of_local_products(analyzed, rng=None, tol=1e-8):
     return fails
 
 
+def local_family(ga, u, degree=None):
+    """Vertex u's local family to ``degree`` (default d_u), from its own
+    one-measure call (the pipeline builds no local family)."""
+    degree = ga.local_spectra.du[u] if degree is None else degree
+    return predistance_polynomials(ga.spectrum.lambdas, ga.local_spectra.mults[u],
+                                   int(degree), scale=ga.perron.alpha[u] ** 2)
+
+
 def full_local_families(ga):
-    """Every vertex's local family to degree d_u, in one call (the pipeline
-    builds them only to ecc_u, and only where ecc_u < d_u)."""
-    return predistance_polynomials(
-        ga.spectrum.lambdas, ga.local_spectra.mults, ga.local_spectra.du,
-        alpha=ga.perron.alpha)
+    """Every vertex's local family to degree d_u, indexed by vertex."""
+    return [local_family(ga, u) for u in range(ga.n)]
 
 
 def cut_local_families(ga):
-    """The local family of every vertex with ecc_u < d_u, cut at degree
-    ecc_u, in one call: the rows whose q^u_{ecc_u}(lambda_0) the pipeline
-    keeps (``GraphAnalysis.local_q_lambda0``)."""
-    short = np.flatnonzero(ga.dd.ecc < ga.local_spectra.du)
-    if not short.size:
-        return ()
-    return predistance_polynomials(
-        ga.spectrum.lambdas, ga.local_spectra.mults[short], ga.dd.ecc[short],
-        alpha=ga.perron.alpha, vertices=short)
+    """{u: local family cut at degree ecc_u} for every vertex with ecc_u <
+    d_u: the rows whose q^u_{ecc_u}(lambda_0) the pipeline keeps
+    (``GraphAnalysis.local_q_lambda0``)."""
+    short = np.flatnonzero(ga.dd.ecc < ga.local_spectra.du).tolist()
+    return {u: local_family(ga, u, ga.dd.ecc[u]) for u in short}
+
+
+def all_families(ga):
+    """(vertex, weights, scale s, family) for the global family (vertex
+    None, s = 1), the local ones cut at ecc_u < d_u and every full local
+    one (s = alpha_u^2)."""
+    mults, alpha = ga.local_spectra.mults, ga.perron.alpha
+    return ([(None, ga.spectrum.mults / ga.n, 1.0, ga.global_seq)]
+            + [(u, mults[u], alpha[u] ** 2, seq)
+               for u, seq in [*cut_local_families(ga).items(),
+                              *enumerate(full_local_families(ga))]])
 
 
 def battery_orthogonality(analyzed, tol=1e-12):
-    """<p_i, p_j> = delta_ij * s * p_i(lambda_0) with p_i(lambda_0) > 0, for
-    the global family (s = 1), the local ones cut at ecc_u < d_u and every
-    full local one (s = alpha_u^2); the error is normalized by
+    """<p_i, p_j> = delta_ij * s * p_i(lambda_0) with p_i(lambda_0) > 0 for
+    every family of ``all_families``; the error is normalized by
     s * sqrt(p_i(lambda_0) p_j(lambda_0))."""
     fails = []
     for name, ga, _reports in analyzed:
-        for seq in (ga.global_seq,) + cut_local_families(ga) + full_local_families(ga):
+        for u, weights, s, seq in all_families(ga):
             pl0 = seq.p_lambda0
             if not np.all(pl0 > 0):
-                fails.append(f"{name}: vertex {seq.vertex}: p_i(lambda0) <= 0")
+                fails.append(f"{name}: vertex {u}: p_i(lambda0) <= 0")
                 continue
-            gram = (seq.values * seq.weights) @ seq.values.T
-            target = np.diag(seq.norm_scale * pl0)
-            scale = seq.norm_scale * np.sqrt(np.outer(pl0, pl0))
+            gram = (seq.values * weights) @ seq.values.T
+            target = np.diag(s * pl0)
+            scale = s * np.sqrt(np.outer(pl0, pl0))
             err = float(np.abs((gram - target) / scale).max())
             if err > tol:
-                fails.append(f"{name}: vertex {seq.vertex}: orthogonality error {err:.2e}")
+                fails.append(f"{name}: vertex {u}: orthogonality error {err:.2e}")
     return fails
 
 
@@ -247,7 +258,7 @@ def reference_pseudo_dr(u, dd, alpha, adjacency, tol=DEFAULT_ORACLE_TOL):
     du_row = dd.dist[u]
     numbers = np.zeros((3, int(dd.ecc[u]) + 1))
     for i in range(int(dd.ecc[u]) + 1):
-        members = dd.sphere(u, i)
+        members = np.flatnonzero(du_row == i)
         rows = adjacency[members]
         prev = (du_row == i - 1) if i >= 1 else np.zeros(dd.n, dtype=bool)
         triple = [rows @ (alpha * mask) / alpha[members]

@@ -5,6 +5,7 @@ import pytest
 import corpus
 import spexcess.classify
 import spexcess.poly
+import spexcess.weighted
 from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess.classify import is_distance_polynomial
@@ -203,9 +204,12 @@ def test_level_matches_polynomial_reference(analyses):
     assert not mcgee.classification.is_distance_regular
 
 
-def test_classify_holds_nothing_from_poly():
-    # the oracles stay independent of the predistance polynomials they check
-    leaked = [name for name, obj in vars(spexcess.classify).items()
+@pytest.mark.parametrize("module", [spexcess.classify, spexcess.weighted],
+                         ids=["classify", "weighted"])
+def test_metric_side_holds_nothing_from_poly(module):
+    # the oracles and the weighted statistics stay independent of the
+    # predistance polynomials they are checked against
+    leaked = [name for name, obj in vars(module).items()
               if obj is spexcess.poly
               or getattr(obj, "__module__", None) == spexcess.poly.__name__]
     assert not leaked
@@ -235,7 +239,7 @@ def test_violation_names_lowest_vertices_and_integer_counts(g):
     cls = ga.classification
     assert not cls.is_pdr.any() and sorted(cls.pdr_violations) == list(range(ga.n))
     for u, (i, v, w, lo, hi, which) in cls.pdr_violations.items():
-        sphere = ga.dd.sphere(u, i)
+        sphere = np.flatnonzero(ga.dd.dist[u] == i)
         target = ga.dd.dist[u] == i + "cab".index(which) - 1
         counts = adjacency[sphere] @ target
         assert v == sphere[np.argmax(counts == counts.min())]

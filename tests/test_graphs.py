@@ -35,7 +35,11 @@ def test_load_single_edge():
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedError, match="connected"):
         load_graph("0 1\n2 3")
-    g = Graph.from_edges(4, [(0, 1), (2, 3)], require_connected=False)
+    with pytest.raises(DisconnectedError, match="connected"):
+        Graph.from_edges(4, [(0, 1), (2, 3)])
+    a = np.zeros((4, 4))
+    a[[0, 1, 2, 3], [1, 0, 3, 2]] = 1.0
+    g = Graph(4, ((0, 1), (2, 3)), a)
     assert not g.is_connected()
     with pytest.raises(DisconnectedError, match="connected"):
         distance_data(g)
@@ -145,7 +149,7 @@ def test_distance_data_petersen():
     dd = distance_data(g)
     assert dd.diameter == 2
     for u in range(10):
-        assert len(dd.sphere(u, 2)) == 6
+        assert np.count_nonzero(dd.dist[u] == 2) == 6
 
 
 def test_distance_partition_invariants():
@@ -162,7 +166,7 @@ def test_distance_partition_invariants():
             # balls are increasing unions of spheres and end at V
             acc = set()
             for i in range(dd.diameter + 1):
-                acc |= set(dd.sphere(u, i).tolist())
+                acc |= set(np.flatnonzero(dd.dist[u] == i).tolist())
                 assert set(np.flatnonzero(dd.dist[u] <= i).tolist()) == acc
             assert len(np.flatnonzero(dd.dist[u] <= dd.ecc[u])) == g.n
 

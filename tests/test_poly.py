@@ -10,9 +10,11 @@ from spexcess.poly import (
     apply_to_vector,
     evaluate_at_matrix,
     predistance_polynomials,
+    top_q_lambda0,
 )
 
 from corpus import (
+    all_families,
     battery_global_excess_closed_form,
     battery_local_excess_closed_form,
     cut_local_families,
@@ -53,41 +55,22 @@ def _k23_pieces():
     return _pieces(fx.k23())
 
 
-def _rows(locs):
-    """One local row per vertex, each to its full degree d_u."""
-    return locs.mults, locs.du
-
-
-def _families(spec, locs, pw):
-    (gseq,) = predistance_polynomials(spec.lambdas, [spec.mults / spec.n], [spec.d])
-    lseqs = predistance_polynomials(spec.lambdas, *_rows(locs), alpha=pw.alpha)
-    return gseq, list(lseqs)
-
-
-def _all_families(ga):
-    """The global family, the local ones cut at ecc_u < d_u and the full ones."""
-    return [ga.global_seq, *cut_local_families(ga), *full_local_families(ga)]
-
-
 def test_inner_product_constants():
     # <1, 1> is the total mass of the measure
     g, dd, spec, pw, locs = _k23_pieces()
-    gseq, lseqs = _families(spec, locs, pw)
-    assert gseq.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    for seq in lseqs:
-        assert seq.weights.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (spec.mults / spec.n).sum() == pytest.approx(1.0, abs=1e-12)
+    for weights in locs.mults:
+        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_inner_product_x_x_k23():
     _, _, spec, pw, locs = _k23_pieces()
-    gseq, _ = _families(spec, locs, pw)
     # (1/n) tr(A^2) = 2|E|/n = 12/5
-    assert float(gseq.weights @ spec.lambdas ** 2) == pytest.approx(12 / 5, rel=1e-12)
+    assert float(spec.mults / spec.n @ spec.lambdas ** 2) == pytest.approx(12 / 5, rel=1e-12)
 
 
 def test_inner_product_matches_trace_definition():
     g, dd, spec, pw, locs = _k23_pieces()
-    gseq, lseqs = _families(spec, locs, pw)
     a = np.asarray(g.adjacency)
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -95,17 +78,18 @@ def test_inner_product_matches_trace_definition():
         pq_nodes = _at(p, spec.lambdas) * _at(q, spec.lambdas)
         pq_a = _power_eval(p, a) @ _power_eval(q, a)
         via_trace = np.trace(pq_a) / g.n
-        assert float(gseq.weights @ pq_nodes) == pytest.approx(via_trace, rel=1e-9, abs=1e-9)
-        for seq in lseqs:
-            via_uu = pq_a[seq.vertex, seq.vertex]
-            assert float(seq.weights @ pq_nodes) == pytest.approx(via_uu, rel=1e-9, abs=1e-9)
+        assert float(spec.mults / spec.n @ pq_nodes) == pytest.approx(
+            via_trace, rel=1e-9, abs=1e-9)
+        for u, weights in enumerate(locs.mults):
+            via_uu = pq_a[u, u]
+            assert float(weights @ pq_nodes) == pytest.approx(via_uu, rel=1e-9, abs=1e-9)
 
 
 def test_degree_error():
     _, _, spec, pw, locs = _k23_pieces()
     # d + 1 = 3 nodes admit degrees 0..2 only
     with pytest.raises(DegreeError):
-        predistance_polynomials(spec.lambdas, [spec.mults / spec.n], [3])
+        predistance_polynomials(spec.lambdas, spec.mults / spec.n, 3)
     # P_3 center has d_u = 1: quadratics are out of range locally
     from spexcess.pipeline import analyze_graph
     from spexcess.theorems import check_local_bound
@@ -118,61 +102,24 @@ def test_degree_error():
 def test_degenerate_measure_raises():
     nodes = np.array([2.0, 1.0, 1.0 + 1e-15])  # duplicated node
     with pytest.raises(DegenerateMeasureError):
-        predistance_polynomials(nodes, [[0.25, 0.5, 0.25]], [2])
-    # a singular row that is neither first nor of top degree still raises
+        predistance_polynomials(nodes, [0.25, 0.5, 0.25], 2)
+    # in a batch, a singular row that is neither first nor of top degree
+    # still raises
     nodes = np.array([3.0, 2.0, 1.0, 1.0 + 1e-15, -1.0])
     rows = [[0.5, 0.5, 0.0, 0.0, 0.0],
             [0.25, 0.25, 0.25, 0.0, 0.25],
             [0.25, 0.0, 0.5, 0.25, 0.0]]
-    with pytest.raises(DegenerateMeasureError):
-        predistance_polynomials(nodes, rows, [1, 3, 2])
-    with pytest.raises(DegenerateMeasureError):
-        predistance_polynomials(nodes, rows, [3, 1, 2], alpha=[1.0, 1.0, 1.0])
-    predistance_polynomials(nodes, rows[:2], [1, 3])  # the others alone pass
-
-
-def test_local_context_requires_alpha():
-    # row u is the local family of vertex u, or of vertices[u] when given
-    _, _, spec, pw, locs = _k23_pieces()
-    rows, degrees = _rows(locs)
-    for bad in (pw.alpha[:2], np.append(pw.alpha, 1.0)):
-        with pytest.raises(ValueError):
-            predistance_polynomials(spec.lambdas, rows, degrees, alpha=bad)
-    with pytest.raises(ValueError):
-        predistance_polynomials(spec.lambdas, rows, degrees, alpha=pw.alpha,
-                                vertices=[0, 1])
-    seqs = predistance_polynomials(spec.lambdas, rows, degrees, alpha=pw.alpha)
-    assert [s.vertex for s in seqs] == list(range(len(locs.du)))
-    assert [s.norm_scale for s in seqs] == (pw.alpha ** 2).tolist()
-    seqs = predistance_polynomials(spec.lambdas, rows[3:1:-1], degrees[3:1:-1],
-                                   alpha=pw.alpha, vertices=[3, 2])
-    assert [s.vertex for s in seqs] == [3, 2]
-    assert [s.norm_scale for s in seqs] == (pw.alpha[[3, 2]] ** 2).tolist()
-    # without alpha every row is global
-    seqs = predistance_polynomials(spec.lambdas, rows, degrees)
-    assert all(s.vertex is None and s.norm_scale == 1.0 for s in seqs)
-
-
-def _assert_rows_match_single_calls(nodes, rows, degrees, alpha, vertices, refs):
-    """Each row of one batched call against ``refs``, one call per row."""
-    seqs = predistance_polynomials(nodes, rows, degrees, alpha=alpha,
-                                   vertices=vertices)
-    scales = [1.0] * len(rows) if alpha is None \
-        else (np.asarray(alpha)[vertices] ** 2).tolist()
-    for r, (seq, w, m, s, ref) in enumerate(zip(seqs, rows, degrees, scales, refs)):
-        assert np.array_equal(seq.weights, w) and seq.norm_scale == s
-        assert seq.vertex == (None if alpha is None else vertices[r])
-        assert seq.values.shape == (m + 1, len(nodes))
-        scale = np.abs(s * ref.values).max()
-        assert np.abs(seq.values - s * ref.values).max() <= 1e-12 * scale, r
-        assert np.abs(seq.rec_a - ref.rec_a).max() <= 1e-12 * scale, r
+    for degrees in ([1, 3, 2], [3, 1, 2]):
+        with pytest.raises(DegenerateMeasureError):
+            top_q_lambda0(nodes, rows, degrees, [1.0, 1.0, 1.0])
+    top_q_lambda0(nodes, rows[:2], [1, 3], [1.0, 1.0])  # the others alone pass
 
 
 @pytest.mark.parametrize("family", ["fixtures", "wide"])
 def test_batched_rows_match_single_calls(family):
     # local rows in an order whose degrees are not sorted, one of them cut
-    # to degree 0, against one call per row (a single row takes the
-    # unbatched path)
+    # to degree 0 and the global row in the middle, in one batched
+    # top_q_lambda0 pass against one predistance_polynomials call per row
     from corpus import build_wide_corpus
     graphs = [g for _, g in build_wide_corpus()] if family == "wide" else \
         [fx.BUNDLED[name]() for name in sorted(fx.BUNDLED)] + [fx.path(5)]
@@ -181,17 +128,14 @@ def test_batched_rows_match_single_calls(family):
         order = np.argsort(locs.du, kind="stable").tolist()  # ascending
         rows = list(locs.mults[order])
         degrees = locs.du[order].tolist()
+        scales = (pw.alpha[order] ** 2).tolist()
         degrees[len(rows) // 2] = 0
-        refs = [predistance_polynomials(spec.lambdas, [w], [m])[0]
-                for w, m in zip(rows, degrees)]
-        _assert_rows_match_single_calls(spec.lambdas, rows, degrees,
-                                        pw.alpha, order, refs)
-        # the same rows with the global one in the middle, every row global
-        for seq, first in ((rows, spec.mults / spec.n), (degrees, spec.d)):
+        for seq, first in ((rows, spec.mults / spec.n), (degrees, spec.d), (scales, 1.0)):
             seq.insert(len(seq) // 2, first)
-        refs.insert(len(refs) // 2, predistance_polynomials(
-            spec.lambdas, [spec.mults / spec.n], [spec.d])[0])
-        _assert_rows_match_single_calls(spec.lambdas, rows, degrees, None, None, refs)
+        got = top_q_lambda0(spec.lambdas, rows, degrees, scales)
+        for r, (w, m, s) in enumerate(zip(rows, degrees, scales)):
+            ref = predistance_polynomials(spec.lambdas, w, m, scale=s).q_lambda0[m]
+            assert abs(got[r] - ref) <= 1e-12 * ref, r
 
 
 def test_excess_closed_forms_on_fixtures(analyses):
@@ -247,13 +191,13 @@ def test_orthogonality_and_normalization():
         g = fx.named(name) if name != "k13" else fx.star(3)
         from spexcess.pipeline import analyze_graph
         ga = analyze_graph(g)
-        for seq in _all_families(ga):
-            w, vals, pl0 = seq.weights, seq.values, seq.p_lambda0
-            m = seq.top_degree
+        for _u, w, s, seq in all_families(ga):
+            vals, pl0 = seq.values, seq.p_lambda0
+            m = len(vals) - 1
             assert np.all(pl0 > 0)
             for i in range(m + 1):
                 nn = float(np.sum(w * vals[i] * vals[i]))
-                assert abs(nn - seq.norm_scale * pl0[i]) <= 1e-8 * seq.norm_scale * pl0[i]
+                assert abs(nn - s * pl0[i]) <= 1e-8 * s * pl0[i]
                 for j in range(i):
                     ip = float(np.sum(w * vals[i] * vals[j]))
                     assert abs(ip) <= 1e-8 * math.sqrt(pl0[i] * pl0[j])
@@ -272,9 +216,9 @@ def test_degrees_are_exact():
 def test_recurrence_consistency():
     for name in ("k23", "petersen", "c6", "c8_12"):
         ga = _analysis(name)
-        for seq in _all_families(ga):
-            w, vals = seq.weights, seq.values
-            m = seq.top_degree
+        for _u, w, _s, seq in all_families(ga):
+            vals = seq.values
+            m = len(vals) - 1
             # x p_m has no p_{m+1} term only when the family is complete
             complete = m + 1 == np.count_nonzero(w > 1e-9)
             for i in range(m + 1 if complete else m):
@@ -366,8 +310,8 @@ def test_local_prehoffman_p3_center():
     ga = _analysis("p3")
     h = _hoffman(ga)
     seq = full_local_families(ga)[1]
-    assert seq.top_degree == 1 and ga.global_seq.top_degree == 2
-    hu = seq.sum_values(seq.top_degree)
+    assert len(seq.values) == 2 and len(ga.global_seq.values) == 3
+    hu = seq.sum_values(1)
     e1 = np.zeros(3)
     e1[1] = 1.0
     diff = apply_to_vector(hu, ga.spectrum, e1) - apply_to_vector(h, ga.spectrum, e1)
@@ -387,8 +331,8 @@ def test_local_prehoffman_lambda0_is_n():
 def test_local_prehoffman_vertex_transitive_equals_global():
     ga = _analysis("petersen")
     h = _hoffman(ga)
-    for seq in full_local_families(ga):
-        assert np.abs(seq.sum_values(seq.top_degree) - h).max() <= 1e-8
+    for du, seq in zip(ga.local_spectra.du, full_local_families(ga)):
+        assert np.abs(seq.sum_values(du) - h).max() <= 1e-8
 
 
 def test_local_prehoffman_column_identity():
@@ -401,7 +345,7 @@ def test_local_prehoffman_column_identity():
         for u, seq in enumerate(full_local_families(ga)):
             e = np.zeros(ga.n)
             e[u] = 1.0
-            hu_e = apply_to_vector(seq.sum_values(seq.top_degree), ga.spectrum, e)
+            hu_e = apply_to_vector(seq.sum_values(ga.local_spectra.du[u]), ga.spectrum, e)
             assert np.abs(hu_e - apply_to_vector(h, ga.spectrum, e)).max() <= 1e-8, (name, u)
             assert np.abs(hu_e - _power_eval(h_ref, a) @ e).max() <= 1e-8, (name, u)
 
@@ -416,7 +360,7 @@ def test_mean_of_local_products_identity():
         for _ in range(5):
             p = _at(rng.standard_normal(deg + 1), ga.spectrum.lambdas)
             q = _at(rng.standard_normal(deg + 1), ga.spectrum.lambdas)
-            glob = float(ga.global_seq.weights @ (p * q))
+            glob = float(ga.spectrum.mults / ga.n @ (p * q))
             mean = np.mean([float(row @ (p * q)) for row in ga.local_spectra.mults])
             assert abs(glob - mean) <= 1e-8 * max(1.0, abs(glob))
 
@@ -445,9 +389,11 @@ def test_evaluate_matches_power():
 
 @pytest.mark.parametrize("graphs", ["fixtures", "atlas"])
 def test_local_q_lambda0_matches_families(request, graphs):
-    # the pipeline's q^u_j(lambda_0) at j = min(ecc_u, d_u): the full family's
-    # q^u_{ecc_u}(lambda_0) within 1e-12, bit for bit the cut family's, and
-    # exactly n where ecc_u >= d_u
+    # the pipeline's q^u_j(lambda_0) at j = min(ecc_u, d_u): bit for bit one
+    # batched top_q_lambda0 pass over the same rows, within 1e-12 the full
+    # family's q^u_{ecc_u}(lambda_0), and exactly n where ecc_u >= d_u; a
+    # one-row pass is bit for bit the family cut at ecc_u (both take the
+    # one-row path)
     if graphs == "fixtures":
         analyses = request.getfixturevalue("analyses")
         gas = [analyses(name) for name in ALL_NAMES]
@@ -455,7 +401,12 @@ def test_local_q_lambda0_matches_families(request, graphs):
         gas = [ga for _name, ga, _reports in request.getfixturevalue("atlas")]
     short = 0
     for ga in gas:
-        cut = {seq.vertex: seq for seq in cut_local_families(ga)}
+        lambdas, mults, alpha = ga.spectrum.lambdas, ga.local_spectra.mults, ga.perron.alpha
+        rows = np.flatnonzero(ga.dd.ecc < ga.local_spectra.du)
+        if rows.size:
+            batch = top_q_lambda0(lambdas, mults[rows], ga.dd.ecc[rows], alpha[rows] ** 2)
+            assert np.array_equal(ga.local_q_lambda0[rows], batch)
+        cut = cut_local_families(ga)
         for u, (ecc, du, seq) in enumerate(zip(ga.dd.ecc, ga.local_spectra.du,
                                                full_local_families(ga))):
             got = ga.local_q_lambda0[u]
@@ -463,7 +414,8 @@ def test_local_q_lambda0_matches_families(request, graphs):
                 assert got == ga.n
                 continue
             short += 1
-            assert got == cut[u].q_lambda0[ecc]
+            (one,) = top_q_lambda0(lambdas, mults[u], [ecc], [alpha[u] ** 2])
+            assert one == cut[u].q_lambda0[ecc]
             assert got == pytest.approx(seq.q_lambda0[ecc], rel=1e-12)
             assert got < ga.n
     assert short

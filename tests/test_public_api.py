@@ -66,3 +66,9 @@ def test_per_vertex_fields_are_pinned():
     assert fields == ["is_regular", "is_distance_regular", "intersection_array", "is_pdr",
                       "pdr_numbers", "pdr_violations", "partial_dr_level",
                       "is_distance_polynomial", "distance_poly_residuals"]
+
+
+def test_poly_sequence_fields_are_pinned():
+    # one family of one measure: its weights and scale stay with the caller
+    fields = [f.name for f in dataclasses.fields(spexcess.PolySequence)]
+    assert fields == ["values", "rec_a", "rec_b", "rec_c"]

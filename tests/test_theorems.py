@@ -32,8 +32,8 @@ def test_p31_trivial_r_one(analyses):
     ga = analyses("k23")
     for u in range(ga.n):
         rep = check_local_bound(ga, u, j=0, r=[1.0])
-        assert rep.lhs == pytest.approx(1.0, abs=1e-10)
-        assert rep.rhs == pytest.approx(1.0, abs=1e-10)
+        assert rep.comparisons[0].lhs == pytest.approx(1.0, abs=1e-10)
+        assert rep.comparisons[0].rhs == pytest.approx(1.0, abs=1e-10)
         assert rep.equality_holds  # Eq (4) reads e_u = e_{N_0(u)}
 
 
@@ -61,7 +61,7 @@ def test_p31_every_j_matches_dense_reference(analyses, name):
             rep = check_local_bound(ga, u, j)
             q = seq.sum_values(j)
             norm = math.sqrt(np.sum(mults * q ** 2))
-            assert rep.lhs == pytest.approx(q[0] / norm, rel=1e-9), (u, j)
+            assert rep.comparisons[0].lhs == pytest.approx(q[0] / norm, rel=1e-9), (u, j)
             if rep.comparisons[0].scalar_equal:
                 vec = (v * q[ga.spectrum.class_index]) @ v[u] / norm
                 assert np.abs(rep.witnesses["normalized_vector"] - vec).max() <= 1e-9
@@ -78,8 +78,8 @@ def test_vertex_out_of_range(analyses, check, u):
 def test_p31_k23_degree2_vertex_strict(analyses):
     ga = analyses("k23")
     rep = check_local_bound(ga, 2, j=1, r=[0.0, 1.0])
-    assert rep.lhs == pytest.approx(math.sqrt(3), rel=1e-9)
-    assert rep.rhs == pytest.approx(2.0, rel=1e-9)
+    assert rep.comparisons[0].lhs == pytest.approx(math.sqrt(3), rel=1e-9)
+    assert rep.comparisons[0].rhs == pytest.approx(2.0, rel=1e-9)
     assert rep.comparisons[0].state == "strict"
     assert not rep.equality_holds
 
@@ -128,8 +128,8 @@ def test_t32_p3_center(analyses):
     ga = analyses("p3")
     rep = check_local_spet(ga, 1)
     assert rep.equality_holds
-    assert rep.lhs == pytest.approx(1.5, rel=1e-9)
-    assert rep.rhs == pytest.approx(1.5, rel=1e-9)
+    assert rep.comparisons[0].lhs == pytest.approx(1.5, rel=1e-9)
+    assert rep.comparisons[0].rhs == pytest.approx(1.5, rel=1e-9)
 
 
 def test_t32_k23_matches_oracle(analyses):
@@ -143,7 +143,7 @@ def test_t32_k23_matches_oracle(analyses):
 def test_t32_nonextremal_vertex(analyses):
     ga = analyses("c8_12")
     rep = check_local_spet(ga, 0)
-    assert rep.rhs == 0.0
+    assert rep.comparisons[0].rhs == 0.0
     assert rep.comparisons[0].state == "unequal"
     assert not rep.equality_holds
     assert rep.details["oracle_agrees"]
@@ -153,8 +153,8 @@ def test_t32_nonextremal_vertex(analyses):
 
 def test_t33_k23_strict(analyses):
     rep = check_lee_weng(analyses("k23"))
-    assert rep.lhs == pytest.approx(float(Fraction(35, 24)), rel=1e-9)
-    assert rep.rhs == pytest.approx(1.5, rel=1e-9)
+    assert rep.comparisons[0].lhs == pytest.approx(float(Fraction(35, 24)), rel=1e-9)
+    assert rep.comparisons[0].rhs == pytest.approx(1.5, rel=1e-9)
     assert rep.comparisons[0].state == "strict"
     assert not rep.equality_holds
 
@@ -187,8 +187,8 @@ def test_t34_j0_exposes_regularity(analyses):
 
 def test_t34_k23_j1(analyses):
     rep = check_harmonic_bound(analyses("k23"), 1)
-    assert rep.lhs == pytest.approx(3.5, rel=1e-9)
-    assert rep.rhs == pytest.approx(float(Fraction(60, 17)), rel=1e-9)
+    assert rep.comparisons[0].lhs == pytest.approx(3.5, rel=1e-9)
+    assert rep.comparisons[0].rhs == pytest.approx(float(Fraction(60, 17)), rel=1e-9)
     assert rep.comparisons[0].state == "strict"
 
 
@@ -220,7 +220,7 @@ def test_t34_all_admissible_j_sound(analyses):
         ga = analyses(name)
         for j in range(ga.min_du + 1):
             rep = check_harmonic_bound(ga, j)
-            assert rep.slack >= -1e-7, (name, j)
+            assert rep.comparisons[0].slack >= -1e-7, (name, j)
 
 
 # --- P35 / P36 partial distance-regularity -----------------------------------------
@@ -429,7 +429,7 @@ def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wid
                 seen[rep.theorem_id] += 1
                 assert rep.verdict == "strict inequality", (rep.theorem_id, rep.verdict)
                 assert rep.comparisons[0].state == "strict"
-                assert rep.slack > 0 and not rep.certificates
+                assert rep.comparisons[0].slack > 0 and not rep.certificates
             elif rep.theorem_id == "T34" and j == top:
                 seen["T34 at d"] += 1
                 assert rep.equality_holds and "Hoffman" in rep.verdict
@@ -475,7 +475,7 @@ def test_chain_middle_term_ordering(checks, analyses):
         ga = analyses(name)
         if ga.D < 1:
             continue
-        se = ga.stats.spectral_excess
+        se = ga.spectral_excess
         mid = ga.stats.n_minus_harmonic
         dd = ga.stats.delta_star[-1]
         assert se >= mid - 1e-9 and mid >= dd - 1e-9, name
