@@ -36,6 +36,7 @@ from .spectral import (
     perron_weights,
 )
 from .theorems import (
+    LocalReports,
     TheoremReport,
     check_chain,
     check_distance_polynomial_sufficient,
@@ -56,6 +57,7 @@ __all__ = [
     "ExcessStats",
     "Graph",
     "GraphAnalysis",
+    "LocalReports",
     "LocalSpectra",
     "PerronWeights",
     "PolySequence",

@@ -4,7 +4,9 @@ Commands:
 
 * ``spexcess analyze PATH``  -- full pipeline, AnalysisReport JSON on stdout
 * ``spexcess check PATH --theorem ID [--vertex U] [--j J] [--m M]``
-                             -- one TheoremReport JSON (with witnesses)
+                             -- one TheoremReport JSON (with witnesses);
+                             for P31 and T32 the ``localTheorems`` object
+                             of ``analyze`` (schema 3) with the one row
 * ``spexcess fixtures --out DIR`` -- write the bundled fixture graphs
 
 Exit codes: 0 success, 2 input error (also any OS error reading the input
@@ -40,7 +42,8 @@ from .errors import (
 )
 from .graphs import read_graph_file
 from .pipeline import Tolerances, analyze_graph, run_all_checks
-from .report import analysis_report, collect_violations, theorem_report_dict, to_json
+from .report import (analysis_report, collect_violations, local_theorems_dict,
+                     theorem_report_dict, to_json)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -111,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ck = sub.add_parser("check", help="evaluate a single theorem")
     _add_common(p_ck)
-    p_ck.add_argument("--theorem", required=True, choices=theorems.THEOREM_IDS)
+    p_ck.add_argument("--theorem", required=True, choices=_CHECKS)
     p_ck.add_argument("--vertex", type=int, default=None,
                       help="root vertex (P31, T32)")
     p_ck.add_argument("--j", type=int, default=None, help="radius j (T34; optional for P31)")
@@ -122,30 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch_check(ga, args) -> theorems.TheoremReport:
-    tid = args.theorem
-    if tid in ("P31", "T32"):
-        if args.vertex is None:
-            raise MissingParamError(f"--theorem {tid} requires --vertex")
-    if tid == "P31":
-        return theorems.check_local_bound(ga, args.vertex, j=args.j)
-    if tid == "T32":
-        return theorems.check_local_spet(ga, args.vertex)
-    if tid == "T33":
-        return theorems.check_lee_weng(ga)
-    if tid == "T34":
-        if args.j is None:
-            raise MissingParamError("--theorem T34 requires --j")
-        return theorems.check_harmonic_bound(ga, args.j)
-    if tid in ("P35", "P36"):
-        if args.m is None:
-            raise MissingParamError(f"--theorem {tid} requires --m")
-        if tid == "P35":
-            return theorems.check_partial_dr_matrix(ga, args.m)
-        return theorems.check_partial_dr_inequality(ga, args.m)
-    if tid == "T37":
-        return theorems.check_chain(ga)
-    return theorems.check_distance_polynomial_sufficient(ga)
+# theorem id -> (the flag it requires, its check on (ga, args))
+_CHECKS = {
+    "P31": ("vertex", lambda ga, a: theorems.check_local_bound(ga, a.vertex, j=a.j)),
+    "T32": ("vertex", lambda ga, a: theorems.check_local_spet(ga, a.vertex)),
+    "T33": (None, lambda ga, a: theorems.check_lee_weng(ga)),
+    "T34": ("j", lambda ga, a: theorems.check_harmonic_bound(ga, a.j)),
+    "P35": ("m", lambda ga, a: theorems.check_partial_dr_matrix(ga, a.m)),
+    "P36": ("m", lambda ga, a: theorems.check_partial_dr_inequality(ga, a.m)),
+    "T37": (None, lambda ga, a: theorems.check_chain(ga)),
+    "T38": (None, lambda ga, a: theorems.check_distance_polynomial_sufficient(ga)),
+}
+
+
+def _dispatch_check(ga, args):
+    flag, check = _CHECKS[args.theorem]
+    if flag is not None and getattr(args, flag) is None:
+        raise MissingParamError(f"--theorem {args.theorem} requires --{flag}")
+    return check(ga, args)
 
 
 def main(argv=None) -> int:
@@ -165,7 +162,10 @@ def main(argv=None) -> int:
                                       include_witnesses=args.witnesses)
         else:
             reports = [_dispatch_check(ga, args)]
-            payload = theorem_report_dict(reports[0], include_witnesses=True)
+            if isinstance(reports[0], theorems.LocalReports):
+                payload = local_theorems_dict(reports, include_witnesses=True)
+            else:
+                payload = theorem_report_dict(reports[0], include_witnesses=True)
         try:
             text = to_json(payload, pretty=args.pretty)
         except ValueError as exc:  # NaN or infinity in the payload

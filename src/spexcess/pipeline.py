@@ -3,7 +3,8 @@
 ``analyze_graph`` runs the whole chain (distances -> spectrum -> Perron
 weights -> local spectra -> polynomial family -> weighted matrices ->
 excess statistics -> combinatorial classification) and
-``run_all_checks`` evaluates every theorem at its admissible parameters.
+``run_all_checks`` evaluates every theorem at its admissible parameters,
+the per-vertex ones (P31, T32) as columns over all vertices in one pass.
 
 The pipeline builds one polynomial family, the global one, to degree d,
 and no local family.  The spectral excess p_{>=D}(lambda_0) comes from it
@@ -112,10 +113,12 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     )
 
 
-def run_all_checks(ga: GraphAnalysis) -> list[theorems.TheoremReport]:
-    """Every theorem at every admissible parameter, in a deterministic order."""
-    reports = theorems.check_local_bounds(ga) + theorems.check_local_spets(ga)
-    reports.append(theorems.check_lee_weng(ga))
+def run_all_checks(ga: GraphAnalysis) -> list:
+    """Every theorem at every admissible parameter, in a deterministic order:
+    P31 and T32 at all vertices as two ``theorems.LocalReports``, then one
+    ``theorems.TheoremReport`` per scalar check."""
+    reports = [theorems.check_local_bounds(ga), theorems.check_local_spets(ga),
+               theorems.check_lee_weng(ga)]
     for j in range(ga.min_du + 1):
         reports.append(theorems.check_harmonic_bound(ga, j))
     for m in range(1, min(ga.D, ga.d) + 1):

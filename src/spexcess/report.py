@@ -1,20 +1,22 @@
-"""JSON report assembly (schema version 2).
+"""JSON report assembly (schema version 3).
 
-Numeric fields are serialized with Python's shortest round-trip float
-representation (>= 15 significant digits).  Structure is stable: a test pins
-the key layout of the K_{2,3} report, and the version stays 2 while that
-layout holds.  Version 2 dropped the monomial coefficients of the global
-family; its recurrence and ``pAtLambda0`` fix it.  A T34 report with j >= D,
-decided by the saturation rule of ``theorems``, carries no certificate and
-no witnesses.  P31's ``equalityHolds`` means "the vector certificate passes
-and u is extremal", so a non-extremal vertex can read "bound attained" with
-``equalityHolds`` false.
-
-The checks build every comparison and certificate number as a Python float
-and every ``params`` and ``details`` value as a plain bool, int, float, str,
-None, list, tuple or dict of those: they are JSON-ready by construction, and
-``theorem_report_dict`` passes them through with no conversion.  Each
-per-vertex array becomes a list with one ``tolist``.
+Floats are printed in Python's shortest round-trip form.  A test pins the
+key layout of the K_{2,3} report; the version stays 3 while it holds.
+Version 3 prints per-vertex data as columns, row u for vertex u, and each
+witness once.  ``localSpectra`` has one list per field.  ``localTheorems``
+has ``codes``, the strings that its state and verdict columns index, and
+P31 and T32 as the columns of ``theorems.LocalReports``; P31's
+``certificate`` lists its ``rows`` (those with scalar equality) with one
+gap each, and its witnesses one vector pair per such row.
+``classification.pseudoDistanceRegular`` has a flag per vertex, the
+numbers at radii 0..ecc(u) of the flagged u concatenated in vertex order,
+and the first violation of each other vertex; T32 does not repeat them.
+T33-T38 keep one object each under ``theorems``, and in ``analyze`` T37
+leaves T33's two matrices to T33.  A T34 report with j >= D (saturation
+rule) has no certificate or witnesses.  P31's ``equalityHolds`` needs u
+extremal, so "bound attained" can come with ``equalityHolds`` false.
+Values are JSON-ready as built: Python scalars, or one ``tolist`` per
+column.
 """
 
 from __future__ import annotations
@@ -25,69 +27,81 @@ import numpy as np
 
 from .classify import DEFAULT_ORACLE_TOL
 from .pipeline import GraphAnalysis
-from .theorems import TheoremReport
+from .theorems import CODES, EQUAL, LocalReports, TheoremReport
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+# T37's witnesses that T33 prints in the same report
+_T33_WITNESSES = ("p_geqD_at_A", "Astar_D")
 
 
 def _arr(a):
     return np.asarray(a, dtype=float).tolist()
 
 
-def comparison_dict(c) -> dict:
-    return {
-        "label": c.label,
-        "lhs": c.lhs,
-        "rhs": c.rhs,
-        "slack": c.slack,
-        "kind": c.kind,
-        "state": c.state,
-        "scalarEqual": c.scalar_equal,
-    }
-
-
-def certificate_dict(c) -> dict:
-    return {
-        "name": c.name,
-        "maxAbsDiff": c.max_abs_diff,
-        "tolerance": c.tol,
-        "passes": c.passes,
-    }
-
-
-def theorem_report_dict(r: TheoremReport, include_witnesses: bool = False) -> dict:
+def theorem_report_dict(r: TheoremReport, include_witnesses: bool = False,
+                        omit: tuple = ()) -> dict:
     out = {
         "theoremId": r.theorem_id,
         "params": r.params,
-        "comparisons": [comparison_dict(c) for c in r.comparisons],
-        "certificates": [certificate_dict(c) for c in r.certificates],
+        "comparisons": [{"label": c.label, "lhs": c.lhs, "rhs": c.rhs, "slack": c.slack,
+                         "kind": c.kind, "state": c.state, "scalarEqual": c.scalar_equal}
+                        for c in r.comparisons],
+        "certificates": [{"name": c.name, "maxAbsDiff": c.max_abs_diff, "tolerance": c.tol,
+                          "passes": c.passes} for c in r.certificates],
         "equalityHolds": r.equality_holds,
         "verdict": r.verdict,
         "details": r.details,
     }
     if include_witnesses and r.witnesses is not None:
-        out["witnesses"] = {k: _arr(v) for k, v in r.witnesses.items()}
+        out["witnesses"] = {k: _arr(v) for k, v in r.witnesses.items() if k not in omit}
     return out
+
+
+def _columns(d: dict) -> dict:
+    return {k: v.tolist() for k, v in d.items()}
+
+
+def local_reports_dict(r: LocalReports, include_witnesses: bool = False) -> dict:
+    """One per-vertex theorem as columns (module note)."""
+    out = {
+        "params": _columns(r.params),
+        "comparison": {"label": r.label, "kind": r.kind, "lhs": r.lhs.tolist(),
+                       "rhs": r.rhs.tolist(), "slack": r.slack.tolist(),
+                       "state": r.state.tolist()},
+        "equalityHolds": r.equality_holds.tolist(),
+        "verdict": r.verdict.tolist(),
+        "details": _columns(r.details),
+    }
+    c = r.certificate
+    if c is not None:
+        out["certificate"] = {"name": c.name, "tolerance": c.tol,
+                              "rows": np.flatnonzero(r.state == EQUAL).tolist(),
+                              "maxAbsDiff": c.max_abs_diff.tolist()}
+    if include_witnesses and r.witness_fn is not None:
+        out["witnesses"] = {k: _arr(v) for k, v in r.witness_fn().items()}
+    return out
+
+
+def local_theorems_dict(reports, include_witnesses: bool = False) -> dict:
+    """The code table, then each ``LocalReports`` under its theorem id."""
+    return {"codes": list(CODES),
+            **{r.theorem_id: local_reports_dict(r, include_witnesses) for r in reports}}
 
 
 def classification_dict(ga: GraphAnalysis) -> dict:
     cls = ga.classification
-    pseudo = []
-    for u, (is_pdr, ecc, numbers) in enumerate(zip(
-            cls.is_pdr.tolist(), ga.dd.ecc.tolist(), cls.pdr_numbers.tolist())):
-        entry = {"vertex": u, "isPseudoDistanceRegular": is_pdr}
-        if is_pdr:
-            entry["pseudoIntersectionNumbers"] = {
-                k: row[:ecc + 1] for k, row in zip("cab", numbers)}
-        else:
-            entry["violation"] = list(cls.pdr_violations[u])
-        pseudo.append(entry)
+    radii = np.arange(ga.D + 1) <= ga.dd.ecc[:, None]
+    numbers = cls.pdr_numbers.transpose(1, 0, 2)[:, radii & cls.is_pdr[:, None]]
     return {
         "isRegular": cls.is_regular,
         "isDistanceRegular": cls.is_distance_regular,
         "intersectionArray": cls.intersection_array,
         "pseudoDistanceRegularVertices": np.flatnonzero(cls.is_pdr).tolist(),
-        "pseudoDistanceRegular": pseudo,
+        "pseudoDistanceRegular": {
+            "isPseudoDistanceRegular": cls.is_pdr.tolist(),
+            "pseudoIntersectionNumbers": dict(zip("cab", numbers.tolist())),
+            "violation": list(cls.pdr_violations.values()),
+        },
         "partialDistanceRegularLevel": cls.partial_dr_level,
         "isDistancePolynomial": cls.is_distance_polynomial,
         "distancePolynomialResiduals": _arr(cls.distance_poly_residuals),
@@ -95,10 +109,9 @@ def classification_dict(ga: GraphAnalysis) -> dict:
     }
 
 
-def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
-                    include_witnesses: bool = False) -> dict:
-    degrees = ga.graph.adjacency.sum(axis=1)
-    seq, ls = ga.global_seq, ga.local_spectra
+def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = False) -> dict:
+    """The analyze report of ``ga`` and its checks (``run_all_checks``)."""
+    seq, ls, tols = ga.global_seq, ga.local_spectra, ga.tols
     return {
         "schemaVersion": SCHEMA_VERSION,
         "graph": {
@@ -107,36 +120,21 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
             "diameter": ga.D,
             "distinctEigenvalues": ga.d + 1,
             "isRegular": ga.classification.is_regular,
-            "degrees": [int(x) for x in degrees],
+            "degrees": ga.graph.adjacency.sum(axis=1).astype(int).tolist(),
         },
-        "tolerances": {
-            "grouping": float(ga.tols.grouping),
-            "presence": float(ga.tols.presence),
-            "equality": float(ga.tols.equality),
-        },
-        "spectrum": {
-            "lambdas": _arr(ga.spectrum.lambdas),
-            "multiplicities": [int(m) for m in ga.spectrum.mults],
-        },
-        "perron": {
-            "lambda0": float(ga.lambda0),
-            "alpha": _arr(ga.perron.alpha),
-            "nu": _arr(ga.perron.nu),
-        },
-        "localSpectra": [
-            {"vertex": u, "eccentricity": ecc, "du": du, "isExtremal": ecc == du,
-             "localMultiplicities": mults}
-            for u, (ecc, du, mults) in enumerate(zip(
-                ga.dd.ecc.tolist(), ls.du.tolist(), ls.mults.tolist()))
-        ],
+        "tolerances": {"grouping": float(tols.grouping), "presence": float(tols.presence),
+                       "equality": float(tols.equality)},
+        "spectrum": {"lambdas": _arr(ga.spectrum.lambdas),
+                     "multiplicities": ga.spectrum.mults.tolist()},
+        "perron": {"lambda0": float(ga.lambda0), "alpha": _arr(ga.perron.alpha),
+                   "nu": _arr(ga.perron.nu)},
+        "localSpectra": {"eccentricity": ga.dd.ecc.tolist(), "du": ls.du.tolist(),
+                         "isExtremal": (ga.dd.ecc == ls.du).tolist(),
+                         "localMultiplicities": ls.mults.tolist()},
         "polynomials": {
             "pAtLambda0": _arr(seq.p_lambda0),
             "qAtLambda0": _arr(seq.q_lambda0),
-            "recurrence": {
-                "a": _arr(seq.rec_a),
-                "b": _arr(seq.rec_b),
-                "c": _arr(seq.rec_c),
-            },
+            "recurrence": {"a": _arr(seq.rec_a), "b": _arr(seq.rec_b), "c": _arr(seq.rec_c)},
         },
         "excess": {
             "deltaStar": _arr(ga.stats.delta_star),
@@ -145,19 +143,22 @@ def analysis_report(ga: GraphAnalysis, reports: list[TheoremReport],
             "nMinusHarmonicDMinus1": float(ga.stats.n_minus_harmonic),
             "avgWeightedDegree": _arr(ga.stats.avg_weighted_degree),
         },
-        "theorems": [theorem_report_dict(r, include_witnesses) for r in reports],
+        "localTheorems": local_theorems_dict(
+            [r for r in reports if isinstance(r, LocalReports)], include_witnesses),
+        "theorems": [theorem_report_dict(r, include_witnesses,
+                                         _T33_WITNESSES if r.theorem_id == "T37" else ())
+                     for r in reports if isinstance(r, TheoremReport)],
         "classification": classification_dict(ga),
     }
 
 
-def collect_violations(reports: list[TheoremReport],
-                       tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
-    """Inequality violations and oracle disagreements (internal errors)."""
+def collect_violations(reports: list, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
+    """Inequality violations and oracle disagreements (internal errors), of
+    scalar reports and of ``LocalReports`` columns alike."""
     out = []
     for r in reports:
         out.extend(r.inequality_violations(tol))
-        if r.details.get("oracle_agrees") is False:
-            out.append(f"{r.theorem_id}: oracle disagreement: {r.verdict}")
+        out.extend(r.oracle_disagreements())
     return out
 
 

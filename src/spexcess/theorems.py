@@ -1,10 +1,13 @@
 """Inequality and equality checks relating spectral and metric structure.
 
-Every check produces a TheoremReport with the raw left/right values, the
-slack, and -- crucially -- a certificate: scalar equality alone never yields a
-positive verdict, the associated matrix or constancy identity must also hold.
-The inequalities whose equality case is such an identity (P31, T33, T34,
-P36) share one five-way verdict ladder, ``_ladder``:
+Every check produces the raw left/right values, the slack, and --
+crucially -- a certificate: scalar equality alone never yields a positive
+verdict, the associated matrix or constancy identity must also hold.  The
+scalar checks T33-T38 return one TheoremReport each; P31 and T32 return one
+``LocalReports``, a record of arrays over vertices, with states and
+verdicts as codes into ``CODES`` and ``_compare``'s state rule over arrays
+(``_states``).  The inequalities whose equality case is such an identity
+(P31, T33, T34, P36) share one five-way verdict ladder, ``_ladder``:
 
 1. attained -- scalar equality and the certificate holds;
 2. numerically ambiguous -- the slack is positive but within 100x the
@@ -18,20 +21,18 @@ Each matrix identity q_j(A) = S*_j (j <= min(D, d)) and p_{>=D}(A) = A*_D
 is evaluated once per graph, consecutive q_j(A) in one stacked product per
 ``_BLOCK_BYTES`` block, and only its gap max|p(A) - M| is kept (``ga.memo``)
 for the checks that share it (T34, P35 and P36; T33 and T37).  Witness
-matrices are built when a caller reads ``TheoremReport.witnesses``.
+matrices are built when a caller reads them.
 
-P31 and T32 run over all vertices in one pass each (``check_local_bounds``,
-``check_local_spets``; ``check_local_bound`` runs the same pass,
-``_local_bounds``, on its one row, and ``check_local_spet`` is T32's
-one-row case): they index the per-vertex arrays directly, and P31's
-vector certificates of the k scalar-equal vertices are one (k x n) array.
-P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
+P31 and T32 run over all vertices in one array pass each; the one-vertex
+checks (P31 at any j and r) run the same pass on one row.  P31's vector
+certificates of the k scalar-equal rows are one (k x n) array.  P31 reads
+q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``).
-At the default j = min(ecc(u), d_u) both passes read q^u_j(lambda_0) from
-the pipeline's array ``local_q_lambda0`` and build no polynomial: only j =
-d_u can reach scalar equality there, as j < d_u means j = ecc(u), decided
-by the saturation rule.  Any other j < d_u builds q^u_j as one row.  T32
-reads p^u_{d_u}(lambda_0) in closed form (``spectral.top_p_lambda0``).
+At the default j = min(ecc(u), d_u) it reads q^u_j(lambda_0) from the
+pipeline's ``local_q_lambda0`` and builds no polynomial: only j = d_u can
+reach scalar equality there, as j < d_u means j = ecc(u), decided by the
+saturation rule.  Any other j < d_u builds q^u_j as one row.  T32 reads
+p^u_{d_u}(lambda_0) in closed form (``spectral.top_p_lambda0``).
 
 Checks (ids follow the report schema):
 
@@ -53,7 +54,7 @@ Checks (ids follow the report schema):
                             delta*_{D-1} = p_{D-1}(lambda_0) imply
                             distance-polynomial
 
-Saturation rule (``_saturated``): once j >= ecc(u), N_j(u) = V and
+Saturation rule: once j >= ecc(u), N_j(u) = V and
 ||rho_{N_j(u)}||^2 = n; once j >= D, also H*_{<=j} = n and S*_j = J*.  The
 theorem then decides, with no tolerance.  T34's slack sum_{i>j}
 p_i(lambda_0) is positive below d; at j = d it is 0 and q_d(A) = J*
@@ -75,9 +76,34 @@ from .classify import DEFAULT_ORACLE_TOL
 from .errors import DegreeError, HypothesisError
 from .poly import apply_to_vector, evaluate_at_matrix, predistance_polynomials
 
-THEOREM_IDS = ("P31", "T32", "T33", "T34", "P35", "P36", "T37", "T38")
-
 _BLOCK_BYTES = 1 << 24  # stacked q_j(A) products held at once
+
+
+_LADDER_AMBIGUOUS = "numerically ambiguous: slack within 100x equality tolerance"
+_LADDER_VIOLATED = "INEQUALITY VIOLATED: lhs exceeds rhs"
+_LADDER_STRICT = "strict inequality"
+# the states of a comparison, then every verdict of P31 and T32: the
+# per-vertex columns hold indices into this table
+CODES = (
+    "equal", "ambiguous", "strict", "violated", "unequal",
+    "bound attained; vertex is extremal",
+    "bound attained; vertex is extremal (ball saturated: N_j(u) = V)",
+    "bound attained; vertex is not extremal, no structural claim",
+    "bound attained; vertex is not extremal, no structural claim "
+    "(ball saturated: N_j(u) = V)",
+    _LADDER_AMBIGUOUS, "scalar equality but vector certificate failed",
+    _LADDER_VIOLATED, _LADDER_STRICT,
+    "pseudo-distance-regular around vertex {vertex}",
+    "not pseudo-distance-regular around vertex {vertex}",
+    "INTERNAL INCONSISTENCY: spectral and combinatorial verdicts disagree",
+)
+EQUAL, AMBIGUOUS, STRICT, VIOLATED, UNEQUAL = range(5)
+_code = CODES.index
+_P31_ATTAINED = _code("bound attained; vertex is extremal")  # + 2 * non-extremal + saturated
+_P31_UNATTAINED = np.array([_code(v) for v in (  # by state, the rest of the ladder
+    "scalar equality but vector certificate failed", _LADDER_AMBIGUOUS, _LADDER_STRICT,
+    _LADDER_VIOLATED)])
+_T32_PDR = _code("pseudo-distance-regular around vertex {vertex}")
 
 
 class Comparison(NamedTuple):
@@ -119,8 +145,8 @@ class _ReportFields(NamedTuple):
 
 
 class TheoremReport(_ReportFields):
-    """One check's outcome, an immutable record.  Unlike its fields class
-    it has an instance dict, where ``witnesses`` is kept once built."""
+    """One scalar check's outcome, an immutable record.  Unlike its fields
+    class it has an instance dict, where ``witnesses`` is kept once built."""
 
     @functools.cached_property
     def witnesses(self) -> dict | None:
@@ -128,13 +154,63 @@ class TheoremReport(_ReportFields):
         return None if self.witness_fn is None else self.witness_fn()
 
     def inequality_violations(self, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
-        out = []
-        for c in self.comparisons:
-            if c.kind == "inequality" and c.slack < -tol * max(1.0, abs(c.lhs), abs(c.rhs)):
-                out.append(
-                    f"{self.theorem_id}: {c.label}: lhs={c.lhs!r} > rhs={c.rhs!r}"
-                )
-        return out
+        return [f"{self.theorem_id}: {c.label}: lhs={c.lhs!r} > rhs={c.rhs!r}"
+                for c in self.comparisons if c.kind == "inequality"
+                and c.slack < -tol * max(1.0, abs(c.lhs), abs(c.rhs))]
+
+    def oracle_disagreements(self) -> list[str]:
+        if self.details.get("oracle_agrees") is False:
+            return [f"{self.theorem_id}: oracle disagreement: {self.verdict}"]
+        return []
+
+
+class LocalReports(NamedTuple):
+    """P31 or T32 at the vertices ``params["vertex"]``, one array per field.
+    ``state`` and ``verdict`` index ``CODES``; a verdict formats with the
+    row's vertex, ``label`` with its params.  P31's ``certificate`` has one
+    gap per row whose state is equal, in row order, and ``witness_fn`` their
+    vectors; T32 has neither."""
+
+    theorem_id: str
+    label: str
+    kind: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    state: np.ndarray
+    verdict: np.ndarray
+    equality_holds: np.ndarray
+    params: dict
+    details: dict
+    certificate: Certificate | None = None
+    witness_fn: Callable[[], dict] | None = None
+
+    def verdict_text(self, k: int) -> str:
+        return CODES[self.verdict[k]].format(vertex=self.params["vertex"][k])
+
+    def inequality_violations(self, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
+        if self.kind != "inequality":
+            return []
+        bad = self.slack < -tol * np.maximum(1.0, np.maximum(abs(self.lhs), abs(self.rhs)))
+        label = self.label.format
+        return [f"{self.theorem_id}: {label(**{k: v[i] for k, v in self.params.items()})}: "
+                f"lhs={float(self.lhs[i])!r} > rhs={float(self.rhs[i])!r}"
+                for i in np.flatnonzero(bad)]
+
+    def oracle_disagreements(self) -> list[str]:
+        agrees = self.details.get("oracle_agrees", True)
+        return [f"{self.theorem_id}: oracle disagreement: {self.verdict_text(i)}"
+                for i in np.flatnonzero(np.logical_not(agrees))]
+
+
+def _states(lhs, rhs, eq_tol: float, kind: str = "inequality"):
+    """``_compare``'s state rule over arrays: (state codes, slack)."""
+    scale = np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+    diff = rhs - lhs
+    state = np.where(diff > 0, STRICT, VIOLATED if kind == "inequality" else UNEQUAL)
+    state[(0 < diff) & (diff < 100.0 * eq_tol * scale)] = AMBIGUOUS
+    state[abs(diff) <= eq_tol * scale] = EQUAL
+    return state, diff
 
 
 def _compare(label: str, lhs: float, rhs: float, eq_tol: float,
@@ -153,12 +229,6 @@ def _compare(label: str, lhs: float, rhs: float, eq_tol: float,
     return Comparison(label, lhs, rhs, diff, kind, state)
 
 
-def _saturated(label: str, lhs, rhs, slack, top: bool) -> Comparison:
-    """The saturation rule (module note): equal at the top degree, else strict."""
-    return Comparison(label, float(lhs), float(rhs), float(slack), "inequality",
-                      "equal" if top else "strict")
-
-
 def _ladder(comp: Comparison, holds: bool, attained: str,
             scalar_only: str = "scalar equality but matrix certificate failed") -> str:
     """The verdict of an inequality whose equality case is certified: the
@@ -167,12 +237,12 @@ def _ladder(comp: Comparison, holds: bool, attained: str,
     if holds:
         return attained
     if comp.state == "ambiguous":
-        return "numerically ambiguous: slack within 100x equality tolerance"
+        return _LADDER_AMBIGUOUS
     if comp.scalar_equal:
         return scalar_only
     if comp.state == "violated":
-        return "INEQUALITY VIOLATED: lhs exceeds rhs"
-    return "strict inequality"
+        return _LADDER_VIOLATED
+    return _LADDER_STRICT
 
 
 def _certificate(ga, name: str, diff: float) -> Certificate:
@@ -215,17 +285,15 @@ def _require_vertex(ga, u: int):  # a negative u would index from the end
 
 
 def check_local_bound(ga, u: int, j: int | None = None,
-                      r=None) -> TheoremReport:
-    """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j.
-
-    Defaults: j = min(ecc(u), d_u) (see the saturation rule in the module
-    note) and r = q_j^u, for which equality is exactly q_j^u(lambda_0) =
-    ||rho_{N_j(u)}||^2.  A caller-chosen ``r`` is given by its monomial
-    coefficients, ascending, and is evaluated at the eigenvalues.
-    ``equality_holds`` means "the vector certificate r(A)e_u/||r||_u =
-    e_{N_j(u)} passes and u is extremal": at a non-extremal vertex the
-    verdict can read "bound attained" with ``equality_holds`` False.
-    """
+                      r=None) -> LocalReports:
+    """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j,
+    one row of ``check_local_bounds``'s pass.  Defaults: j = min(ecc(u),
+    d_u) (module note) and r = q_j^u, for which equality is exactly
+    q_j^u(lambda_0) = ||rho_{N_j(u)}||^2.  A caller-chosen ``r`` is given by
+    its monomial coefficients, ascending.  ``equality_holds`` means "the
+    vector certificate r(A)e_u/||r||_u = e_{N_j(u)} passes and u is
+    extremal": at a non-extremal vertex the verdict can read "bound
+    attained" with ``equality_holds`` False."""
     _require_vertex(ga, u)
     du, mults = int(ga.local_spectra.du[u]), ga.local_spectra.mults[u]
     default_j = min(int(ga.dd.ecc[u]), du)
@@ -250,35 +318,32 @@ def check_local_bound(ga, u: int, j: int | None = None,
         r_l0, norm = r_vals[0], np.sqrt(np.sum(mults * r_vals ** 2))
         if norm <= 0.0:
             raise DegreeError(f"r has zero local norm at vertex {u}")
-    return _local_bounds(ga, np.array([u]), np.array([j]), np.array([r_l0]),
-                         np.array([norm]), [r_degree], r_vals)[0]
+    return _local_bounds(ga, np.array([int(u)]), np.array([j]), np.array([r_l0]),
+                         np.array([norm]), np.array([r_degree]), r_vals)
 
 
-def check_local_bounds(ga) -> list[TheoremReport]:
+def check_local_bounds(ga) -> LocalReports:
     """P31 at every vertex, at the defaults of ``check_local_bound``, in one
     pass (module note)."""
     us, alpha = np.arange(ga.n), ga.perron.alpha
     js = np.minimum(ga.dd.ecc, ga.local_spectra.du)
     r_l0 = ga.local_q_lambda0
-    return _local_bounds(ga, us, js, r_l0, alpha * np.sqrt(r_l0), js.tolist(), None)
+    return _local_bounds(ga, us, js, r_l0, alpha * np.sqrt(r_l0), js, None)
 
 
-def _local_bounds(ga, us, js, r_l0, norms, r_degrees, r_vals) -> list[TheoremReport]:
+def _local_bounds(ga, us, js, r_l0, norms, r_degrees, r_vals) -> LocalReports:
     """P31 at the rows (us[k], js[k]) with r(lambda_0) = r_l0[k] and ||r||_u
     = norms[k].  ``r_vals`` holds one row's r on the eigenvalues, or is None
     when every row that can reach scalar equality has r = q^u_{d_u}, whose
     vector r(A)e_u is alpha_u alpha."""
     alpha = ga.perron.alpha
     du, ecc = ga.local_spectra.du[us], ga.dd.ecc[us]
-    saturated = js >= ecc
+    saturated, extremal = js >= ecc, ecc == du
     ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
     lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
-    label = "r(lambda0)/||r||_u <= ||rho_N{}(u)||/alpha_u".format
-    comps = [_saturated(label(j), lo, hi, hi - lo, top=False) if sat and j < d else
-             _compare(label(j), lo, hi, ga.tols.equality)
-             for lo, hi, sat, j, d in zip(lhs.tolist(), rhs.tolist(), saturated.tolist(),
-                                          js.tolist(), du.tolist())]
-    rows = np.flatnonzero([c.scalar_equal for c in comps])
+    state, slack = _states(lhs, rhs, ga.tols.equality)
+    state[saturated & (js < du)] = STRICT  # the saturation rule
+    rows = np.flatnonzero(state == EQUAL)
     if r_vals is None:
         vecs = alpha[us[rows], None] * alpha
     else:
@@ -286,67 +351,47 @@ def _local_bounds(ga, us, js, r_l0, norms, r_degrees, r_vals) -> list[TheoremRep
     vecs = vecs / norms[rows, None]
     targets = (np.where(ga.dd.dist[us[rows]] <= js[rows, None], alpha, 0.0)
                / np.sqrt(ball_sq[rows])[:, None])
-    found = iter(zip(vecs, targets, np.abs(vecs - targets).max(axis=1).tolist()))
-    reports = []
-    for u, j, d, e, sat, comp, r_degree in zip(
-            us.tolist(), js.tolist(), du.tolist(), ecc.tolist(), saturated.tolist(), comps,
-            r_degrees):
-        certs, witnesses = (), None
-        if comp.scalar_equal:
-            vec, target, diff = next(found)
-            certs = (_certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}", diff),)
-            witnesses = functools.partial(dict, normalized_vector=vec,
-                                          weighted_ball_unit=target)
-        attained = any(c.passes for c in certs)
-        wording = ("bound attained; vertex is extremal" if e == d else
-                   "bound attained; vertex is not extremal, no structural claim")
-        wording += " (ball saturated: N_j(u) = V)" if sat else ""
-        reports.append(TheoremReport(
-            "P31", (comp,), certs, attained and e == d,
-            _ladder(comp, attained, wording, "scalar equality but vector certificate failed"),
-            {"vertex": u, "j": j, "r_degree": r_degree},
-            {"extremal": e == d, "ball_saturated": sat}, witnesses))
-    return reports
+    cert = _certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}",
+                        np.abs(vecs - targets).max(axis=1))
+    attained = np.zeros(len(us), dtype=bool)
+    attained[rows] = cert.passes
+    verdict = np.where(attained, _P31_ATTAINED + 2 * ~extremal + saturated,
+                       _P31_UNATTAINED[state])
+    return LocalReports(
+        "P31", "r(lambda0)/||r||_u <= ||rho_N{j}(u)||/alpha_u", "inequality",
+        lhs, rhs, slack, state, verdict, attained & extremal,
+        {"vertex": us, "j": js, "r_degree": r_degrees},
+        {"extremal": extremal, "ball_saturated": saturated}, cert,
+        functools.partial(dict, normalized_vector=vecs, weighted_ball_unit=targets))
 
 
-def check_local_spet(ga, u: int) -> TheoremReport:
+def check_local_spet(ga, u: int) -> LocalReports:
     """T32: equality p^u_{d_u}(lambda_0) = ||rho_{Gamma_{d_u}(u)}||^2 holds
     iff the graph is pseudo-distance-regular around u (certified by the
     combinatorial constancy oracle; the two verdicts must agree)."""
     _require_vertex(ga, u)
-    return check_local_spets(ga, [u])[0]
+    return check_local_spets(ga, [u])
 
 
-def check_local_spets(ga, us=None) -> list[TheoremReport]:
+def check_local_spets(ga, us=None) -> LocalReports:
     """T32 at the vertices ``us`` (default: all) in one pass.  Where d_u >
     ecc(u) the sphere is empty and lhs > 0 = rhs: pseudo-distance-regularity
     around u would force extremality, so no tolerance is called."""
-    us = np.arange(ga.n) if us is None else np.asarray(us)
-    du, ecc, cls = ga.local_spectra.du[us], ga.dd.ecc[us], ga.classification
-    rhs = np.where(du <= ecc, ga.stats.sphere_norms[us, np.minimum(du, ecc)], 0.0)
-    label = "p^u_du(lambda0) vs ||rho_Gamma_du(u)||^2"
-    reports = []
-    for u, d, e, lhs, hi, is_pdr in zip(us.tolist(), du.tolist(), ecc.tolist(),
-                                        ga.local_spectra.excess[us].tolist(), rhs.tolist(),
-                                        cls.is_pdr[us].tolist()):
-        comp = (_compare(label, lhs, hi, ga.tols.equality, kind="equality")
-                if d <= e else Comparison(label, lhs, 0.0, -lhs, "equality", "unequal"))
-        agreement = comp.scalar_equal == is_pdr
-        equality = comp.scalar_equal and is_pdr
-        verdict = (f"pseudo-distance-regular around vertex {u}" if equality else
-                   f"not pseudo-distance-regular around vertex {u}" if agreement else
-                   "INTERNAL INCONSISTENCY: spectral and combinatorial verdicts disagree")
-        details = {"oracle_is_pdr": is_pdr, "oracle_agrees": agreement,
-                   "du": d, "eccentricity": e}
-        witnesses = None
-        if is_pdr:
-            witnesses = functools.partial(
-                dict, pseudo_intersection_numbers=cls.pdr_numbers[u, :, :e + 1])
-        else:
-            details["oracle_violation"] = cls.pdr_violations[u]
-        reports.append(TheoremReport("T32", (comp,), (), equality, verdict, {"vertex": u},
-                                     details, witnesses))
-    return reports
+    us = np.arange(ga.n) if us is None else np.asarray(us, dtype=int)
+    du, ecc = ga.local_spectra.du[us], ga.dd.ecc[us]
+    reached = du <= ecc
+    lhs = ga.local_spectra.excess[us]
+    rhs = np.where(reached, ga.stats.sphere_norms[us, np.minimum(du, ecc)], 0.0)
+    state, slack = _states(lhs, rhs, ga.tols.equality, "equality")
+    state, slack = np.where(reached, state, UNEQUAL), np.where(reached, slack, -lhs)
+    is_pdr = ga.classification.is_pdr[us]
+    agrees = (state == EQUAL) == is_pdr
+    equality = (state == EQUAL) & is_pdr
+    verdict = _T32_PDR + 2 - agrees - equality  # + 1: not pdr, + 2: disagreement
+    return LocalReports(
+        "T32", "p^u_du(lambda0) vs ||rho_Gamma_du(u)||^2", "equality",
+        lhs, rhs, slack, state, verdict, equality, {"vertex": us},
+        {"oracle_is_pdr": is_pdr, "oracle_agrees": agrees, "du": du, "eccentricity": ecc})
 
 
 def check_lee_weng(ga) -> TheoremReport:
@@ -357,16 +402,9 @@ def check_lee_weng(ga) -> TheoremReport:
     cert = _certificate(ga, "A*_D == p_>=D(A)", _gap(ga, "tail", ga.D))
     equality = comp.scalar_equal and cert.passes
     return TheoremReport(
-        theorem_id="T33",
-        comparisons=(comp,),
-        certificates=(cert,),
-        equality_holds=equality,
-        verdict=_ladder(comp, equality, "spectral excess attained: A*_D = p_>=D(A)"),
-        params={},
-        details={},
-        witness_fn=lambda: dict(zip(("Astar_D", "p_geqD_at_A"),
-                                    _identity(ga, "tail", ga.D)[::-1])),
-    )
+        "T33", (comp,), (cert,), equality,
+        _ladder(comp, equality, "spectral excess attained: A*_D = p_>=D(A)"), {}, {},
+        lambda: dict(zip(("Astar_D", "p_geqD_at_A"), _identity(ga, "tail", ga.D)[::-1])))
 
 
 def check_harmonic_bound(ga, j: int) -> TheoremReport:
@@ -383,9 +421,11 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
             f"j={j} violates the hypothesis 0 <= j <= min_u d_u = {ga.min_du}")
     label = f"q_{j}(lambda0) <= H*_<={j}"
     lhs = float(ga.global_seq.q_lambda0[j])
-    if j >= ga.D:
+    if j >= ga.D:  # the saturation rule (module note): equal at d, else strict
         top = j == ga.d
-        comp = _saturated(label, lhs, ga.n, ga.global_seq.p_lambda0[j + 1:].sum(), top)
+        slack = float(ga.global_seq.p_lambda0[j + 1:].sum())
+        comp = Comparison(label, lhs, float(ga.n), slack, "inequality",
+                          "equal" if top else "strict")
         return TheoremReport("T34", (comp,), (), top, _ladder(
             comp, top, f"harmonic bound attained: q_{j}(A) = J* (Hoffman identity)"),
             {"j": int(j)}, {})
@@ -402,15 +442,9 @@ def check_harmonic_bound(ga, j: int) -> TheoremReport:
         return out
 
     return TheoremReport(
-        theorem_id="T34",
-        comparisons=(comp,),
-        certificates=(cert,),
-        equality_holds=equality,
-        verdict=_ladder(comp, equality, f"harmonic bound attained: q_{j}(A) = S*_{j}"),
-        params={"j": int(j)},
-        details={},
-        witness_fn=witnesses,
-    )
+        "T34", (comp,), (cert,), equality,
+        _ladder(comp, equality, f"harmonic bound attained: q_{j}(A) = S*_{j}"),
+        {"j": int(j)}, {}, witnesses)
 
 
 def _partial_dr_certs(ga, m: int):
@@ -432,23 +466,12 @@ def check_partial_dr_matrix(ga, m: int) -> TheoremReport:
     matrix_holds = all(c.passes for c in certs)
     oracle_level = ga.classification.partial_dr_level
     agreement = matrix_holds == (oracle_level >= m)
-    if matrix_holds:
-        verdict = f"{m}-partially distance-regular"
-    elif not agreement:
-        verdict = ("INTERNAL INCONSISTENCY: matrix conditions and oracle "
-                   "level disagree")
-    else:
-        verdict = f"not {m}-partially distance-regular"
+    verdict = (f"{m}-partially distance-regular" if matrix_holds else
+               f"not {m}-partially distance-regular" if agreement else
+               "INTERNAL INCONSISTENCY: matrix conditions and oracle level disagree")
     return TheoremReport(
-        theorem_id="P35",
-        comparisons=(),
-        certificates=certs,
-        equality_holds=matrix_holds,
-        verdict=verdict,
-        params={"m": int(m)},
-        details={"oracle_partial_dr_level": oracle_level,
-                 "oracle_agrees": agreement},
-    )
+        "P35", (), certs, matrix_holds, verdict, {"m": int(m)},
+        {"oracle_partial_dr_level": oracle_level, "oracle_agrees": agreement})
 
 
 def check_partial_dr_inequality(ga, m: int) -> TheoremReport:
@@ -461,27 +484,20 @@ def check_partial_dr_inequality(ga, m: int) -> TheoremReport:
     if m > ga.min_du:
         raise HypothesisError(
             f"m={m} violates the inherited hypothesis m <= min_u d_u = {ga.min_du}")
-    eq_tol = ga.tols.equality
     lhs = float(ga.global_seq.q_lambda0[m - 1] + ga.global_seq.q_lambda0[m])
     rhs = ga.stats.harmonic_means[m - 1] + ga.stats.harmonic_means[m]
     comp = _compare(f"(q_{m - 1}+q_{m})(lambda0) <= H*_<={m - 1} + H*_<={m}",
-                    lhs, rhs, eq_tol)
+                    lhs, rhs, ga.tols.equality)
     certs = _partial_dr_certs(ga, m)
     structural = ga.classification.is_regular and all(c.passes for c in certs)
     equality = comp.scalar_equal and structural
-    oracle_ok = (ga.classification.is_regular
-                 and ga.classification.partial_dr_level >= m)
+    oracle_ok = ga.classification.is_regular and ga.classification.partial_dr_level >= m
     return TheoremReport(
-        theorem_id="P36",
-        comparisons=(comp,),
-        certificates=certs,
-        equality_holds=equality,
-        verdict=_ladder(comp, equality, f"regular and {m}-partially distance-regular",
-                        "scalar equality but structural certificate failed"),
-        params={"m": int(m)},
-        details={"regular": ga.classification.is_regular,
-                 "oracle_agrees": structural == oracle_ok},
-    )
+        "P36", (comp,), certs, equality,
+        _ladder(comp, equality, f"regular and {m}-partially distance-regular",
+                "scalar equality but structural certificate failed"),
+        {"m": int(m)},
+        {"regular": ga.classification.is_regular, "oracle_agrees": structural == oracle_ok})
 
 
 def check_chain(ga) -> TheoremReport:
@@ -500,11 +516,9 @@ def check_chain(ga) -> TheoremReport:
                        ga.stats.delta_star[-1], middle, eq_tol)
     cert_i = _certificate(ga, "p_>=D(A) == A*_D", _gap(ga, "tail", ga.D))
     excess = ga.stats.sphere_norms[:, -1]
-    cert_ii = Certificate(
-        name="||rho_Gamma_D(u)||^2 constant over u",
-        max_abs_diff=float(excess.max() - excess.min()),
-        tol=eq_tol * max(1.0, float(np.abs(excess).max())),
-    )
+    cert_ii = Certificate("||rho_Gamma_D(u)||^2 constant over u",
+                          float(excess.max() - excess.min()),
+                          eq_tol * max(1.0, float(np.abs(excess).max())))
     eq_i = comp_i.scalar_equal and cert_i.passes
     eq_ii = comp_ii.scalar_equal and cert_ii.passes
     parts = ("link (i) equality: p_>=D(A) = A*_D" if eq_i
@@ -512,17 +526,10 @@ def check_chain(ga) -> TheoremReport:
              "link (ii) equality: constant weighted excess" if eq_ii
              else f"link (ii) {comp_ii.state}")
     return TheoremReport(
-        theorem_id="T37",
-        comparisons=(comp_i, comp_ii),
-        certificates=(cert_i, cert_ii),
-        equality_holds=eq_i and eq_ii,
-        verdict="; ".join(parts),
-        params={},
-        details={"equality_i": eq_i, "equality_ii": eq_ii},
-        witness_fn=lambda: dict(zip(("p_geqD_at_A", "Astar_D"),
-                                    _identity(ga, "tail", ga.D)),
-                                weighted_excess_per_vertex=excess),
-    )
+        "T37", (comp_i, comp_ii), (cert_i, cert_ii), eq_i and eq_ii, "; ".join(parts), {},
+        {"equality_i": eq_i, "equality_ii": eq_ii},
+        lambda: dict(zip(("p_geqD_at_A", "Astar_D"), _identity(ga, "tail", ga.D)),
+                     weighted_excess_per_vertex=excess))
 
 
 def check_distance_polynomial_sufficient(ga) -> TheoremReport:
@@ -532,25 +539,19 @@ def check_distance_polynomial_sufficient(ga) -> TheoremReport:
     if ga.D < 2:
         raise HypothesisError("the sufficient condition is vacuous for D < 2")
     eq_tol = ga.tols.equality
-    comp1 = _compare("delta*_D vs p_>=D(lambda0)",
-                     ga.stats.delta_star[-1], ga.spectral_excess,
-                     eq_tol, kind="equality")
-    comp2 = _compare("delta*_D-1 vs p_D-1(lambda0)",
-                     ga.stats.delta_star[-2],
-                     float(ga.global_seq.p_lambda0[ga.D - 1]),
-                     eq_tol, kind="equality")
+    comp1 = _compare("delta*_D vs p_>=D(lambda0)", ga.stats.delta_star[-1],
+                     ga.spectral_excess, eq_tol, kind="equality")
+    comp2 = _compare("delta*_D-1 vs p_D-1(lambda0)", ga.stats.delta_star[-2],
+                     float(ga.global_seq.p_lambda0[ga.D - 1]), eq_tol, kind="equality")
     hypotheses = comp1.scalar_equal and comp2.scalar_equal
     cls = ga.classification
     details = {"hypotheses_hold": hypotheses}
     if hypotheses:
         oracle_ok = (cls.is_distance_polynomial and cls.is_regular
                      and cls.partial_dr_level >= ga.D - 1)
-        details.update(
-            oracle_distance_polynomial=cls.is_distance_polynomial,
-            oracle_regular=cls.is_regular,
-            oracle_partial_dr_level=cls.partial_dr_level,
-            oracle_agrees=oracle_ok,
-        )
+        details.update(oracle_distance_polynomial=cls.is_distance_polynomial,
+                       oracle_regular=cls.is_regular,
+                       oracle_partial_dr_level=cls.partial_dr_level, oracle_agrees=oracle_ok)
         verdict = ("distance-polynomial (oracle-certified; regular and "
                    f"{ga.D - 1}-partially distance-regular)" if oracle_ok else
                    "INTERNAL INCONSISTENCY: hypotheses hold but oracle rejects")
@@ -560,13 +561,5 @@ def check_distance_polynomial_sufficient(ga) -> TheoremReport:
         equality = False
         details["oracle_agrees"] = True
     return TheoremReport(
-        theorem_id="T38",
-        comparisons=(comp1, comp2),
-        certificates=(),
-        equality_holds=equality,
-        verdict=verdict,
-        params={},
-        details=details,
-        witness_fn=functools.partial(
-            dict, distance_poly_residuals=cls.distance_poly_residuals),
-    )
+        "T38", (comp1, comp2), (), equality, verdict, {}, details,
+        functools.partial(dict, distance_poly_residuals=cls.distance_poly_residuals))

@@ -244,8 +244,7 @@ def battery_oracle_agreement(analyzed):
     fails = []
     for name, _ga, reports in analyzed:
         for rep in reports:
-            if rep.details.get("oracle_agrees") is False:
-                fails.append(f"{name}: {rep.theorem_id} {rep.params}: {rep.verdict}")
+            fails.extend(f"{name}: {v}" for v in rep.oracle_disagreements())
     return fails
 
 

@@ -3,8 +3,10 @@
     PYTHONPATH=src python tests/scale.py [--repeat K] [NAME ...]
 
 For every named graph (default: all of them) and each of K runs (default
-1), a fresh child process builds the graph, times ``analyze_graph`` and
-``run_all_checks`` and reports its peak resident set size.  The child runs
+1), a fresh child process builds the graph, times ``analyze_graph``,
+``run_all_checks``, the report (``analysis_report``) and its encoding
+(``to_json``, the bytes ``spexcess analyze`` prints without the final
+newline) and reports its peak resident set size.  The child runs
 with BLAS on one thread, pinned to one CPU, so runs compare across
 machines with the same core speed.  Graphs:
 
@@ -14,7 +16,7 @@ machines with the same core speed.  Graphs:
 * ``q10`` -- the hypercube Q10.
 
 Each run prints one line; with K > 1 a last line per graph gives the best
-total time and the largest peak RSS.  The script is not collected by
+time of ``analyze_graph`` + ``run_all_checks`` and the largest peak RSS.  The script is not collected by
 pytest.
 """
 
@@ -60,16 +62,22 @@ def child(name: str) -> None:
     os.sched_setaffinity(0, {cpus[-1]})
     sys.path.insert(0, HERE)
     from spexcess.pipeline import analyze_graph, run_all_checks
+    from spexcess.report import analysis_report, to_json
     g = build(name)
-    start = time.perf_counter()
+    marks = [time.perf_counter()]
     ga = analyze_graph(g)
-    mid = time.perf_counter()
-    run_all_checks(ga)
-    end = time.perf_counter()
+    marks.append(time.perf_counter())
+    reports = run_all_checks(ga)
+    marks.append(time.perf_counter())
+    payload = analysis_report(ga, reports)
+    marks.append(time.perf_counter())
+    text = to_json(payload)
+    marks.append(time.perf_counter())
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"name": name, "n": g.n, "d": ga.d, "D": ga.D,
-                      "analyze_s": mid - start, "checks_s": end - mid,
-                      "peak_rss_mb": peak_mb}))
+    times = dict(zip(("analyze_s", "checks_s", "report_s", "json_s"),
+                     (b - a for a, b in zip(marks, marks[1:]))))
+    print(json.dumps({"name": name, "n": g.n, "d": ga.d, "D": ga.D, **times,
+                      "json_bytes": len(text.encode()), "peak_rss_mb": peak_mb}))
 
 
 def main(argv=None) -> int:
@@ -96,6 +104,8 @@ def main(argv=None) -> int:
             print(f"{name}: n={run['n']} d={run['d']} D={run['D']} "
                   f"analyze_graph {run['analyze_s']:.3f} s, "
                   f"run_all_checks {run['checks_s']:.3f} s, "
+                  f"analysis_report {run['report_s']:.3f} s, "
+                  f"to_json {run['json_s']:.3f} s ({run['json_bytes']} bytes), "
                   f"peak RSS {run['peak_rss_mb']:.0f} MB", flush=True)
         if repeat > 1:
             best = min(r["analyze_s"] + r["checks_s"] for r in runs)

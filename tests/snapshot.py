@@ -18,12 +18,14 @@ so the records do not depend on where the run happens.  The ``spexcess``
 that runs is the first one on ``sys.path``: set PYTHONPATH to another
 checkout's ``src`` to snapshot that checkout.
 
-``compare`` prints every input whose record differs, the non-float fields
-that differ (exit code, stderr, strings, integers, booleans, keys and list
-lengths) and the largest scaled gap |a - b| / max(1, |a|, |b|) between two
-floats a and b at the same place: relative for large values, absolute near
-0, so rounding noise on a value near 0 reads as noise.  It then prints, for
-every field path with list indices dropped
+``compare`` first rebuilds schema-2 stdout from schema-3 stdout on either
+side (``schema2.to_v2``), so a schema-3 snapshot compares with a schema-2
+one.  It then prints every input whose record differs, the non-float
+fields that differ (exit code, stderr, strings, integers, booleans, keys
+and list lengths) and the largest scaled gap |a - b| / max(1, |a|, |b|)
+between two floats a and b at the same place: relative for large values,
+absolute near 0, so rounding noise on a value near 0 reads as noise.  It
+then prints, for every field path with list indices dropped
 (``stdout.theorems.comparisons.lhs``), the largest scaled and the largest
 absolute gap between two floats there, over all inputs.  It exits 1 when
 any record differs and 0 when all are identical.
@@ -146,11 +148,15 @@ def _parsed(stdout: str):
         return stdout
 
 
+def _load_v2(path: str) -> dict:
+    from schema2 import to_v2
+    with open(path) as fh:
+        records = json.load(fh)["inputs"]
+    return {key: dict(rec, stdout=to_v2(rec["stdout"])) for key, rec in records.items()}
+
+
 def compare(path_a: str, path_b: str) -> int:
-    with open(path_a) as fh:
-        a = json.load(fh)["inputs"]
-    with open(path_b) as fh:
-        b = json.load(fh)["inputs"]
+    a, b = _load_v2(path_a), _load_v2(path_b)
     differing, largest, gaps = 0, 0.0, {}
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:

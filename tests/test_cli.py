@@ -32,7 +32,7 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 2
+    assert report["schemaVersion"] == 3
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
@@ -65,6 +65,8 @@ _COMPARISON = [dict.fromkeys(("label", "lhs", "rhs", "slack", "kind", "state",
                               "scalarEqual"))]
 _CERTIFICATE = [dict.fromkeys(("name", "maxAbsDiff", "tolerance", "passes"))]
 
+_COLUMNS = ("lhs", "rhs", "slack", "state")
+
 K23_LAYOUT = {
     "schemaVersion": None,
     "graph": dict.fromkeys(("n", "edgeCount", "diameter", "distinctEigenvalues",
@@ -72,22 +74,40 @@ K23_LAYOUT = {
     "tolerances": dict.fromkeys(("grouping", "presence", "equality")),
     "spectrum": dict.fromkeys(("lambdas", "multiplicities")),
     "perron": dict.fromkeys(("lambda0", "alpha", "nu")),
-    "localSpectra": [dict.fromkeys(("vertex", "eccentricity", "du", "isExtremal",
-                                    "localMultiplicities"))],
+    "localSpectra": dict.fromkeys(("eccentricity", "du", "isExtremal",
+                                   "localMultiplicities")),
     "polynomials": {"pAtLambda0": None, "qAtLambda0": None,
                     "recurrence": dict.fromkeys("abc")},
     "excess": dict.fromkeys(("deltaStar", "harmonicMeans", "spectralExcess",
                              "nMinusHarmonicDMinus1", "avgWeightedDegree")),
+    "localTheorems": {
+        "codes": None,
+        "P31": {
+            "params": dict.fromkeys(("vertex", "j", "r_degree")),
+            "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
+            "equalityHolds": None,
+            "verdict": None,
+            "details": dict.fromkeys(("extremal", "ball_saturated")),
+            "certificate": dict.fromkeys(("name", "tolerance", "rows", "maxAbsDiff")),
+        },
+        "T32": {
+            "params": {"vertex": None},
+            "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
+            "equalityHolds": None,
+            "verdict": None,
+            "details": dict.fromkeys(("oracle_is_pdr", "oracle_agrees", "du",
+                                      "eccentricity")),
+        },
+    },
     "theorems": [{
         "theoremId": None,
-        "params": dict.fromkeys(("vertex", "j", "r_degree", "m")),
+        "params": dict.fromkeys(("j", "m")),
         "comparisons": _COMPARISON,
         "certificates": _CERTIFICATE,
         "equalityHolds": None,
         "verdict": None,
         "details": dict.fromkeys((
-            "extremal", "ball_saturated", "oracle_is_pdr", "oracle_agrees", "du",
-            "eccentricity", "oracle_partial_dr_level", "regular", "equality_i",
+            "oracle_partial_dr_level", "oracle_agrees", "regular", "equality_i",
             "equality_ii", "hypotheses_hold")),
     }],
     "classification": {
@@ -95,8 +115,9 @@ K23_LAYOUT = {
         "isDistanceRegular": None,
         "intersectionArray": None,
         "pseudoDistanceRegularVertices": None,
-        "pseudoDistanceRegular": [{"vertex": None, "isPseudoDistanceRegular": None,
-                                   "pseudoIntersectionNumbers": dict.fromkeys("cab")}],
+        "pseudoDistanceRegular": {"isPseudoDistanceRegular": None,
+                                  "pseudoIntersectionNumbers": dict.fromkeys("cab"),
+                                  "violation": None},
         "partialDistanceRegularLevel": None,
         "isDistancePolynomial": None,
         "distancePolynomialResiduals": None,
@@ -230,14 +251,64 @@ def test_check_p31_past_eccentricity(capsys, tmp_path, j):
         full_local_families(ga)[0].q_lambda0[2], rel=1e-12)
     r = full_local_families(ga)[0].sum_values(j)
     norm = np.sqrt(ga.perron.alpha[0] ** 2 * r[0])
-    assert report["params"]["j"] == j
-    assert report["comparisons"][0]["lhs"] == pytest.approx(r[0] / norm, rel=1e-12)
+    p31 = report["P31"]
+    assert p31["params"]["j"] == [j]
+    assert p31["comparison"]["lhs"][0] == pytest.approx(r[0] / norm, rel=1e-12)
     if j == 3:  # q^u_3(lambda_0) < n = ||rho_V||^2: strict
-        assert report["comparisons"][0]["state"] == "strict"
+        assert report["codes"][p31["comparison"]["state"][0]] == "strict"
         return
     vec = apply_to_vector(r, ga.spectrum, np.eye(ga.n)[0]) / norm
-    got = np.array(report["witnesses"]["normalized_vector"])
+    (got,) = np.array(p31["witnesses"]["normalized_vector"])
     assert np.abs(got - vec).max() <= 1e-12
+
+
+def _row(block: dict, u: int) -> dict:
+    """Row u of a ``localTheorems`` block, as a one-row block."""
+    def row_of(cols):
+        return {k: v if k in ("label", "kind") else v[u:u + 1] for k, v in cols.items()}
+    out = {k: row_of(v) if isinstance(v, dict) else v[u:u + 1] for k, v in block.items()
+           if k not in ("certificate", "witnesses")}
+    if "certificate" in block:  # certificate and witness entries go by certified row
+        cert = block["certificate"]
+        k = slice(0, 0)
+        if u in cert["rows"]:
+            k = slice(cert["rows"].index(u), cert["rows"].index(u) + 1)
+        out["certificate"] = {"name": cert["name"], "tolerance": cert["tolerance"],
+                              "rows": [0] * (k.stop - k.start),
+                              "maxAbsDiff": cert["maxAbsDiff"][k]}
+        out["witnesses"] = {name: vecs[k] for name, vecs in block["witnesses"].items()}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(fx.BUNDLED))
+def test_check_prints_row_of_analyze(capsys, tmp_path, name):
+    # check --theorem P31|T32 --vertex u prints exactly row u of the column
+    # blocks of analyze --witnesses (check always carries witnesses)
+    path = tmp_path / f"{name}.el"
+    path.write_bytes(fx.edgelist_bytes(fx.named(name)))
+    code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
+    assert code == 0
+    local = json.loads(out)["localTheorems"]
+    for u in range(json.loads(out)["graph"]["n"]):
+        for tid in ("P31", "T32"):
+            code, out, _ = _run(capsys, ["check", str(path), "--theorem", tid,
+                                         "--vertex", str(u)])
+            assert code == 0
+            assert json.loads(out) == {"codes": local["codes"], tid: _row(local[tid], u)}
+
+
+@pytest.mark.parametrize("name", ["k23", "petersen", "p5", "c8_12"])
+def test_converter_rebuilds_schema2_output(capsys, tmp_path, name):
+    # tests/data holds the schema-2 program's analyze --witnesses stdout;
+    # schema2.to_v2 rebuilds it byte for byte from today's schema-3 stdout
+    from schema2 import to_v2
+    g = fx.path(5) if name == "p5" else fx.named(name)
+    path = tmp_path / f"{name}.el"
+    path.write_bytes(fx.edgelist_bytes(g))
+    code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
+    assert code == 0 and json.loads(out)["schemaVersion"] == 3
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.v2.json")) as fh:
+        assert to_v2(out) == fh.read()
 
 
 def test_check_t34_missing_j(capsys, k23_file):
@@ -273,7 +344,7 @@ def test_check_t32_every_vertex(capsys, k23_file):
                                      "--vertex", str(u)])
         assert code == 0
         report = json.loads(out)
-        assert report["details"]["oracle_agrees"] is True
+        assert report["T32"]["details"]["oracle_agrees"] == [True]
 
 
 def test_tolerance_flags_and_env(capsys, k23_file, monkeypatch):

@@ -7,7 +7,6 @@ and no check may report a violation.
 
 import itertools
 import random
-import re
 
 import networkx as nx
 import numpy as np
@@ -17,6 +16,7 @@ from corpus import relabel
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph, run_all_checks
 from spexcess.report import collect_violations
+from spexcess.theorems import CODES
 
 
 def _johnson(n, k):
@@ -71,11 +71,14 @@ def _verdicts(ga, reports, original):
                            sorted(original[u] for u in
                                   np.flatnonzero(ga.dd.ecc == ga.local_spectra.du))),
     }
-    for r in reports:
-        params = tuple(sorted((k, original[v] if k == "vertex" else v)
-                              for k, v in r.params.items()))
-        out[(r.theorem_id, params)] = (r.equality_holds,
-                                       re.sub(r"vertex \d+", "vertex", r.verdict))
+    for r in reports[:2]:  # P31 and T32, one row per vertex
+        for k, u in enumerate(r.params["vertex"].tolist()):
+            params = tuple(sorted((name, original[u] if name == "vertex" else int(col[k]))
+                                  for name, col in r.params.items()))
+            out[(r.theorem_id, params)] = (bool(r.equality_holds[k]), CODES[r.verdict[k]])
+    for r in reports[2:]:
+        params = tuple(sorted(r.params.items()))
+        out[(r.theorem_id, params)] = (r.equality_holds, r.verdict)
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import corpus
 from spexcess.report import collect_violations
+from spexcess.theorems import CODES
 
 
 def test_corpus_composition(analyzed):
@@ -147,14 +148,14 @@ def test_atlas_census(atlas):
     # P31 by extremality, per verdict
     assert len(atlas) == 995
     t34, p31 = Counter(), Counter()
-    for name, ga, reports in atlas:
-        assert not collect_violations(reports), name
+    for name, ga, (p31_rows, *reports) in atlas:
+        assert not collect_violations([p31_rows] + reports), name
+        p31.update(zip(p31_rows.details["extremal"].tolist(),
+                       (_template(CODES[k]) for k in p31_rows.verdict.tolist())))
         for rep in reports:
             if rep.theorem_id == "T34":
                 j = rep.params["j"]
                 band = "j < D" if j < ga.D else "D <= j < d" if j < ga.d else "j = d"
                 t34[band, _template(rep.verdict)] += 1
-            elif rep.theorem_id == "P31":
-                p31[rep.details["extremal"], _template(rep.verdict)] += 1
     assert t34 == T34_CENSUS
     assert p31 == P31_CENSUS

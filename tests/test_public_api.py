@@ -17,6 +17,7 @@ def test_public_surface_is_pinned():
         "ExcessStats",
         "Graph",
         "GraphAnalysis",
+        "LocalReports",
         "LocalSpectra",
         "PerronWeights",
         "PolySequence",

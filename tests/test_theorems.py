@@ -10,9 +10,19 @@ from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess.errors import DegreeError, HypothesisError
 from spexcess.pipeline import analyze_graph, run_all_checks
+from spexcess.report import local_reports_dict
 from spexcess.theorems import (
+    AMBIGUOUS,
+    CODES,
+    EQUAL,
+    STRICT,
+    UNEQUAL,
+    VIOLATED,
     Comparison,
+    LocalReports,
+    _compare,
     _ladder,
+    _states,
     check_chain,
     check_distance_polynomial_sufficient,
     check_harmonic_bound,
@@ -32,9 +42,9 @@ def test_p31_trivial_r_one(analyses):
     ga = analyses("k23")
     for u in range(ga.n):
         rep = check_local_bound(ga, u, j=0, r=[1.0])
-        assert rep.comparisons[0].lhs == pytest.approx(1.0, abs=1e-10)
-        assert rep.comparisons[0].rhs == pytest.approx(1.0, abs=1e-10)
-        assert rep.equality_holds  # Eq (4) reads e_u = e_{N_0(u)}
+        assert rep.lhs[0] == pytest.approx(1.0, abs=1e-10)
+        assert rep.rhs[0] == pytest.approx(1.0, abs=1e-10)
+        assert rep.equality_holds[0]  # Eq (4) reads e_u = e_{N_0(u)}
 
 
 def test_p31_petersen_q1(analyses):
@@ -42,7 +52,7 @@ def test_p31_petersen_q1(analyses):
     ga = analyses("petersen")
     for u, seq in enumerate(full_local_families(ga)):
         rep = check_local_bound(ga, u, j=1)
-        assert rep.equality_holds
+        assert rep.equality_holds[0]
         assert seq.q_lambda0[1] == pytest.approx(4.0, rel=1e-9)
         assert ga.stats.ball_norms[u, 1] == pytest.approx(4.0, rel=1e-9)
 
@@ -61,10 +71,10 @@ def test_p31_every_j_matches_dense_reference(analyses, name):
             rep = check_local_bound(ga, u, j)
             q = seq.sum_values(j)
             norm = math.sqrt(np.sum(mults * q ** 2))
-            assert rep.comparisons[0].lhs == pytest.approx(q[0] / norm, rel=1e-9), (u, j)
-            if rep.comparisons[0].scalar_equal:
+            assert rep.lhs[0] == pytest.approx(q[0] / norm, rel=1e-9), (u, j)
+            if rep.state[0] == EQUAL:
                 vec = (v * q[ga.spectrum.class_index]) @ v[u] / norm
-                assert np.abs(rep.witnesses["normalized_vector"] - vec).max() <= 1e-9
+                assert np.abs(rep.witness_fn()["normalized_vector"][0] - vec).max() <= 1e-9
 
 
 @pytest.mark.parametrize("check", [check_local_bound, check_local_spet])
@@ -78,10 +88,10 @@ def test_vertex_out_of_range(analyses, check, u):
 def test_p31_k23_degree2_vertex_strict(analyses):
     ga = analyses("k23")
     rep = check_local_bound(ga, 2, j=1, r=[0.0, 1.0])
-    assert rep.comparisons[0].lhs == pytest.approx(math.sqrt(3), rel=1e-9)
-    assert rep.comparisons[0].rhs == pytest.approx(2.0, rel=1e-9)
-    assert rep.comparisons[0].state == "strict"
-    assert not rep.equality_holds
+    assert rep.lhs[0] == pytest.approx(math.sqrt(3), rel=1e-9)
+    assert rep.rhs[0] == pytest.approx(2.0, rel=1e-9)
+    assert rep.state[0] == STRICT
+    assert not rep.equality_holds[0]
 
 
 def test_p31_degree_error(analyses):
@@ -97,20 +107,20 @@ def test_p31_saturation_not_certified(analyses):
     # scalar bound is attained, but the equality verdict must stay negative
     ga = analyses("c8_12")
     rep = check_local_bound(ga, 0, j=ga.local_spectra.du[0])
-    assert rep.comparisons[0].scalar_equal
-    assert not rep.equality_holds
-    assert rep.details["ball_saturated"]
+    assert rep.state[0] == EQUAL
+    assert not rep.equality_holds[0]
+    assert rep.details["ball_saturated"][0]
     # q^u_du(A) e_u = alpha_u alpha: the vector certificate holds too
-    assert rep.certificates[0].passes
-    assert rep.verdict == ("bound attained; vertex is not extremal, no structural "
-                           "claim (ball saturated: N_j(u) = V)")
+    assert rep.certificate.passes.tolist() == [True]
+    assert rep.verdict_text(0) == ("bound attained; vertex is not extremal, no structural "
+                                   "claim (ball saturated: N_j(u) = V)")
 
 
 def test_p31_default_j_is_eccentricity(analyses):
     ga = analyses("c8_12")
     rep = check_local_bound(ga, 0)
-    assert rep.params["j"] == ga.dd.ecc[0]
-    assert rep.comparisons[0].state == "strict"
+    assert rep.params["j"][0] == ga.dd.ecc[0]
+    assert rep.state[0] == STRICT
 
 
 # --- T32 local spectral excess -------------------------------------------------
@@ -119,34 +129,34 @@ def test_t32_petersen_everywhere(analyses):
     ga = analyses("petersen")
     for u in range(ga.n):
         rep = check_local_spet(ga, u)
-        assert rep.equality_holds
-        assert rep.details["oracle_agrees"]
-        assert "pseudo-distance-regular" in rep.verdict
+        assert rep.equality_holds[0]
+        assert rep.details["oracle_agrees"][0]
+        assert rep.verdict_text(0) == f"pseudo-distance-regular around vertex {u}"
 
 
 def test_t32_p3_center(analyses):
     ga = analyses("p3")
     rep = check_local_spet(ga, 1)
-    assert rep.equality_holds
-    assert rep.comparisons[0].lhs == pytest.approx(1.5, rel=1e-9)
-    assert rep.comparisons[0].rhs == pytest.approx(1.5, rel=1e-9)
+    assert rep.equality_holds[0]
+    assert rep.lhs[0] == pytest.approx(1.5, rel=1e-9)
+    assert rep.rhs[0] == pytest.approx(1.5, rel=1e-9)
 
 
 def test_t32_k23_matches_oracle(analyses):
     ga = analyses("k23")
     for u in range(ga.n):
         rep = check_local_spet(ga, u)
-        assert rep.details["oracle_agrees"]
-        assert rep.equality_holds == ga.classification.is_pdr[u]
+        assert rep.details["oracle_agrees"][0]
+        assert rep.equality_holds[0] == ga.classification.is_pdr[u]
 
 
 def test_t32_nonextremal_vertex(analyses):
     ga = analyses("c8_12")
     rep = check_local_spet(ga, 0)
-    assert rep.comparisons[0].rhs == 0.0
-    assert rep.comparisons[0].state == "unequal"
-    assert not rep.equality_holds
-    assert rep.details["oracle_agrees"]
+    assert rep.rhs[0] == 0.0
+    assert rep.state[0] == UNEQUAL
+    assert not rep.equality_holds[0]
+    assert rep.details["oracle_agrees"][0]
 
 
 # --- T33 Lee-Weng bound ---------------------------------------------------------
@@ -351,7 +361,7 @@ def test_all_fixture_checks_sound(checks):
     for name in ALL_FIXTURES:
         for rep in checks(name):
             assert not rep.inequality_violations(), (name, rep.theorem_id)
-            assert rep.details.get("oracle_agrees") is not False, (name, rep.theorem_id)
+            assert not rep.oracle_disagreements(), (name, rep.theorem_id)
 
 
 def test_equality_verdicts_have_certificates(checks, analyses):
@@ -360,7 +370,10 @@ def test_equality_verdicts_have_certificates(checks, analyses):
     # graphs is the known one-sided case, exercised separately; T34 carries
     # a certificate only for j < D)
     for name in ALL_FIXTURES:
-        for rep in checks(name):
+        p31, _t32, *scalar = checks(name)
+        certified = np.flatnonzero(p31.state == EQUAL)[p31.certificate.passes]
+        assert set(np.flatnonzero(p31.equality_holds)) <= set(certified), name
+        for rep in scalar:
             if rep.equality_holds:
                 assert all(c.passes for c in rep.certificates), (name, rep.theorem_id)
             if rep.theorem_id == "T34" and rep.params["j"] >= analyses(name).D:
@@ -401,10 +414,17 @@ VERDICT_TEMPLATES = {
 }
 
 
+def _verdict_texts(rep):
+    if isinstance(rep, LocalReports):
+        return [rep.verdict_text(k) for k in range(len(rep.verdict))]
+    return [rep.verdict]
+
+
 def test_verdict_templates(checks, analyzed, wide):
     reports = [rep for name in ALL_FIXTURES for rep in checks(name)]
     reports += [rep for _name, _ga, reps in analyzed + wide for rep in reps]
-    seen = {(rep.theorem_id, re.sub(r"\d+", "#", rep.verdict)) for rep in reports}
+    seen = {(rep.theorem_id, re.sub(r"\d+", "#", text))
+            for rep in reports for text in _verdict_texts(rep)}
     assert seen == VERDICT_TEMPLATES
 
 
@@ -415,25 +435,48 @@ def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wid
     runs = [(analyses(name), checks(name)) for name in ALL_FIXTURES]
     runs += [(ga, reps) for _name, ga, reps in analyzed + wide]
     seen = Counter()
-    for ga, reports in runs:
+    for ga, (p31, *reports) in runs:
+        j = p31.params["j"]
+        rows = (ga.dd.ecc <= j) & (j < ga.local_spectra.du)
+        seen["P31"] += rows.sum()
+        assert (p31.verdict[rows] == CODES.index("strict inequality")).all()
+        assert (p31.state[rows] == STRICT).all() and (p31.slack[rows] > 0).all()
         for rep in reports:
-            j = rep.params.get("j")
-            if rep.theorem_id == "T34":
-                start, top = ga.D, ga.d
-            elif rep.theorem_id == "P31":
-                u = rep.params["vertex"]
-                start, top = ga.dd.ecc[u], ga.local_spectra.du[u]
-            else:
+            if rep.theorem_id != "T34":
                 continue
-            if start <= j < top:
-                seen[rep.theorem_id] += 1
-                assert rep.verdict == "strict inequality", (rep.theorem_id, rep.verdict)
+            j = rep.params["j"]
+            if ga.D <= j < ga.d:
+                seen["T34"] += 1
+                assert rep.verdict == "strict inequality", rep.verdict
                 assert rep.comparisons[0].state == "strict"
                 assert rep.comparisons[0].slack > 0 and not rep.certificates
-            elif rep.theorem_id == "T34" and j == top:
+            elif j == ga.d:
                 seen["T34 at d"] += 1
                 assert rep.equality_holds and "Hoffman" in rep.verdict
     assert seen["T34"] and seen["P31"] and seen["T34 at d"], seen
+
+
+@pytest.mark.parametrize("kind", ["inequality", "equality"])
+def test_column_states_match_compare(kind):
+    # the array rule of the per-vertex checks and the scalar _compare agree
+    # on state and slack: values below and above 1, differences 0, negative,
+    # and at, just inside and just outside tol*scale and 100*tol*scale
+    tol = 1e-7
+    cases = []
+    for lhs in (0.0, 1e-9, 0.3, 1.0, 2.5, 1e4, -0.7, -3.0):
+        scale = max(1.0, abs(lhs))
+        for edge in (0.0, tol * scale, 100.0 * tol * scale):
+            for diff in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+                         edge * (1 - 1e-6), edge * (1 + 1e-6), 0.5 * edge, 2.0 * edge):
+                cases += [(lhs, lhs + diff), (lhs, lhs - diff), (lhs + diff, lhs)]
+        cases += [(lhs, lhs), (lhs, -lhs), (lhs, 0.0), (0.0, lhs)]
+    lhs, rhs = np.array(cases).T
+    codes, slack = _states(lhs, rhs, tol, kind)
+    for lo, hi, code, gap in zip(lhs.tolist(), rhs.tolist(), codes.tolist(), slack.tolist()):
+        comp = _compare("x", lo, hi, tol, kind)
+        assert (CODES[code], gap) == (comp.state, comp.slack), (lo, hi)
+    assert set(codes.tolist()) == {EQUAL, AMBIGUOUS, STRICT,
+                                   VIOLATED if kind == "inequality" else UNEQUAL}
 
 
 @pytest.mark.parametrize("state, holds, verdict", [
@@ -455,9 +498,9 @@ def test_p31_vector_certificate_failure(analyses, monkeypatch):
     from spexcess import theorems
     monkeypatch.setattr(theorems, "apply_to_vector", lambda p, spec, vec: 0 * vec)
     rep = check_local_bound(analyses("petersen"), 0, r=[-2.0, 1.0, 1.0])
-    assert rep.comparisons[0].scalar_equal and rep.details["extremal"]
-    assert not rep.equality_holds
-    assert rep.verdict == "scalar equality but vector certificate failed"
+    assert rep.state[0] == EQUAL and rep.details["extremal"][0]
+    assert not rep.equality_holds[0]
+    assert rep.verdict_text(0) == "scalar equality but vector certificate failed"
 
 
 def test_t33_matrix_certificate_failure():
@@ -538,16 +581,25 @@ def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
         == by_id["T33"][0].certificates[0].max_abs_diff
 
 
-def _assert_same_report(one_row, batch):
-    assert (one_row.theorem_id, one_row.comparisons, one_row.certificates,
-            one_row.equality_holds, one_row.verdict, one_row.params, one_row.details) == (
-        batch.theorem_id, batch.comparisons, batch.certificates,
-        batch.equality_holds, batch.verdict, batch.params, batch.details)
-    a, b = one_row.witnesses, batch.witnesses
-    assert (a is None) == (b is None)
-    if a is not None:
+def _assert_row(one_row, batch, u):
+    # every column of the one-row pass equals row u of the all-vertex one
+    assert one_row[:3] == batch[:3]  # theorem id, label and kind
+    for name in ("lhs", "rhs", "slack", "state", "verdict", "equality_holds"):
+        assert np.array_equal(getattr(one_row, name), getattr(batch, name)[u:u + 1]), name
+    for group in ("params", "details"):
+        a, b = getattr(one_row, group), getattr(batch, group)
         assert a.keys() == b.keys()
-        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert all(np.array_equal(a[k], b[k][u:u + 1]) for k in a), group
+    if batch.certificate is None:
+        assert one_row.certificate is None and one_row.witness_fn is None
+        return
+    k = np.flatnonzero(np.flatnonzero(batch.state == EQUAL) == u)
+    assert one_row.certificate._replace(max_abs_diff=None) == \
+        batch.certificate._replace(max_abs_diff=None)
+    assert np.array_equal(one_row.certificate.max_abs_diff, batch.certificate.max_abs_diff[k])
+    a, b = one_row.witness_fn(), batch.witness_fn()
+    assert a.keys() == b.keys()
+    assert all(np.array_equal(a[key], b[key][k]) for key in a)
 
 
 @pytest.mark.parametrize("graphs", ["fixtures", "atlas"])
@@ -559,10 +611,10 @@ def test_local_checks_match_run_all_checks(request, graphs):
     else:
         analyzed = request.getfixturevalue("atlas")
     for _name, ga, reports in analyzed:
-        p31, t32 = reports[:ga.n], reports[ga.n:2 * ga.n]
+        p31, t32 = reports[:2]
         for u in range(ga.n):
-            _assert_same_report(check_local_bound(ga, u), p31[u])
-            _assert_same_report(check_local_spet(ga, u), t32[u])
+            _assert_row(check_local_bound(ga, u), p31, u)
+            _assert_row(check_local_spet(ga, u), t32, u)
 
 
 def _json_ready(x) -> bool:
@@ -588,6 +640,9 @@ def test_report_values_are_json_ready(request, graphs):
         extra = [check_local_bound(ga, u), check_local_bound(ga, u, j=np.int64(0)),
                  check_local_spet(ga, u), check_harmonic_bound(ga, np.int64(0))]
         for rep in reports + extra:
+            if isinstance(rep, LocalReports):
+                assert _json_ready(local_reports_dict(rep, include_witnesses=True)), name
+                continue
             assert _json_ready(rep.params) and _json_ready(rep.details), (name, rep)
             for c in rep.comparisons:
                 assert {type(c.lhs), type(c.rhs), type(c.slack)} == {float}, (name, rep)
