@@ -36,7 +36,7 @@ from .spectral import (
     perron_weights,
 )
 from .theorems import (
-    LocalReports,
+    ColumnReport,
     TheoremReport,
     check_chain,
     check_distance_polynomial_sufficient,
@@ -53,11 +53,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Classification",
+    "ColumnReport",
     "DistanceData",
     "ExcessStats",
     "Graph",
     "GraphAnalysis",
-    "LocalReports",
     "LocalSpectra",
     "PerronWeights",
     "PolySequence",

@@ -141,10 +141,10 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
         at[:, roots][:, bad] = np.argmax(extreme & (here[bad] == radius[:, None]), axis=-1)
     bad = np.flatnonzero(first >= 0)
     radius, which = np.divmod(first[bad], 3)
-    violation = dict(zip(bad.tolist(), zip(
-        radius.tolist(), *at[:, bad].tolist(), *ends[:, which, bad, radius].tolist(),
-        ["cab"[k] for k in which.tolist()])))
-    pseudo_dr = _readonly(first < 0), _readonly(numbers), violation
+    low, high = ends[:, which, bad, radius]
+    violations = {"radius": radius, "v": at[0, bad], "w": at[1, bad], "value_v": low,
+                  "value_w": high, "which": np.array(list("cab"))[which]}
+    pseudo_dr = _readonly(first < 0), _readonly(numbers), violations
     if not is_regular:
         return (False, None, 0) + pseudo_dr
     varies = (np.where(present, ends[0], np.inf).min(axis=1)
@@ -182,8 +182,9 @@ class Classification:
     """Bundle of every combinatorial verdict for one graph.
 
     Around a root u with ``is_pdr[u]``, ``pdr_numbers[u, :, :ecc(u) + 1]``
-    are c*, a*, b* (c*_0 = b*_ecc = 0); otherwise ``pdr_violations[u]`` is
-    the first offending (i, v, w, value_v, value_w, which).
+    are c*, a*, b* (c*_0 = b*_ecc = 0); ``pdr_violations`` holds, as columns
+    over the other roots in order, their first offending (radius, v, w,
+    value_v, value_w, which).
     """
 
     is_regular: bool

@@ -5,8 +5,8 @@ Commands:
 * ``spexcess analyze PATH``  -- full pipeline, AnalysisReport JSON on stdout
 * ``spexcess check PATH --theorem ID [--vertex U] [--j J] [--m M]``
                              -- one TheoremReport JSON (with witnesses);
-                             for P31 and T32 the ``localTheorems`` object
-                             of ``analyze`` (schema 3) with the one row
+                             for P31, T32 and T34-P36 ``theoremColumns``
+                             (schema 4) with the row of the ``analyze`` pass
 * ``spexcess fixtures --out DIR`` -- write the bundled fixture graphs
 
 Exit codes: 0 success, 2 input error (also any OS error reading the input
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .graphs import read_graph_file
 from .pipeline import Tolerances, analyze_graph, run_all_checks
-from .report import (analysis_report, collect_violations, local_theorems_dict,
+from .report import (analysis_report, collect_violations, theorem_columns_dict,
                      theorem_report_dict, to_json)
 
 EXIT_OK = 0
@@ -162,8 +162,8 @@ def main(argv=None) -> int:
                                       include_witnesses=args.witnesses)
         else:
             reports = [_dispatch_check(ga, args)]
-            if isinstance(reports[0], theorems.LocalReports):
-                payload = local_theorems_dict(reports, include_witnesses=True)
+            if isinstance(reports[0], theorems.ColumnReport):
+                payload = theorem_columns_dict(reports, include_witnesses=True)
             else:
                 payload = theorem_report_dict(reports[0], include_witnesses=True)
         try:

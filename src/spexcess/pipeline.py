@@ -4,7 +4,7 @@
 weights -> local spectra -> polynomial family -> weighted matrices ->
 excess statistics -> combinatorial classification) and
 ``run_all_checks`` evaluates every theorem at its admissible parameters,
-the per-vertex ones (P31, T32) as columns over all vertices in one pass.
+each family as columns over its vertices, j or m, in one array pass.
 
 The pipeline builds one polynomial family, the global one, to degree d,
 and no local family.  The spectral excess p_{>=D}(lambda_0) comes from it
@@ -19,7 +19,7 @@ T32's p^u_{d_u}(lambda_0) is ``LocalSpectra.excess``, in closed form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,8 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """Everything derived from one graph, shareable and frozen except for
-    ``memo``, where ``theorems`` keeps the certificate gaps it shares.
+    """Everything derived from one graph, shareable and frozen.  The matrix
+    identities that checks share are built on first read and kept.
 
     ``local_q_lambda0[u]`` is q^u_j(lambda_0) at j = min(ecc_u, d_u): n
     where ecc_u >= d_u.
@@ -61,8 +61,6 @@ class GraphAnalysis:
     wm: weighted.WeightedMatrices
     stats: weighted.ExcessStats
     classification: classify.Classification
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
 
     @property
     def n(self) -> int:
@@ -88,6 +86,16 @@ class GraphAnalysis:
     @functools.cached_property
     def min_du(self) -> int:
         return int(self.local_spectra.du.min())
+
+    @functools.cached_property
+    def q_gaps(self) -> theorems.Certificate:
+        """q_j(A) = S*_j for j = 0..min(D, d), one gap per j, read by T34-P36."""
+        return theorems.q_gap_certificate(self)
+
+    @functools.cached_property
+    def tail_identity(self) -> tuple:
+        """(p_{>=D}(A), A*_D, their gap), shared by T33 and T37."""
+        return theorems.tail_identity(self)
 
 
 def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
@@ -115,16 +123,11 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
 
 def run_all_checks(ga: GraphAnalysis) -> list:
     """Every theorem at every admissible parameter, in a deterministic order:
-    P31 and T32 at all vertices as two ``theorems.LocalReports``, then one
-    ``theorems.TheoremReport`` per scalar check."""
-    reports = [theorems.check_local_bounds(ga), theorems.check_local_spets(ga),
-               theorems.check_lee_weng(ga)]
-    for j in range(ga.min_du + 1):
-        reports.append(theorems.check_harmonic_bound(ga, j))
-    for m in range(1, min(ga.D, ga.d) + 1):
-        reports.append(theorems.check_partial_dr_matrix(ga, m))
-        if m <= ga.min_du:
-            reports.append(theorems.check_partial_dr_inequality(ga, m))
+    P31, T32, T33, T34, P35, P36, T37, T38, each family (all its vertices,
+    j or m) as one ``theorems.ColumnReport``."""
+    reports = [theorems.check_local_bound(ga), theorems.check_local_spet(ga),
+               theorems.check_lee_weng(ga), theorems.check_harmonic_bound(ga),
+               theorems.check_partial_dr_matrix(ga), theorems.check_partial_dr_inequality(ga)]
     if ga.D >= 1:
         reports.append(theorems.check_chain(ga))
     if ga.D >= 2:

@@ -1,22 +1,22 @@
-"""JSON report assembly (schema version 3).
+"""JSON report assembly (schema version 4).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 3 while it holds.
-Version 3 prints per-vertex data as columns, row u for vertex u, and each
-witness once.  ``localSpectra`` has one list per field.  ``localTheorems``
-has ``codes``, the strings that its state and verdict columns index, and
-P31 and T32 as the columns of ``theorems.LocalReports``; P31's
-``certificate`` lists its ``rows`` (those with scalar equality) with one
-gap each, and its witnesses one vector pair per such row.
+key layout of the K_{2,3} report; the version stays 4 while it holds.
+Version 4 prints each value once and per-vertex and per-index data as
+columns: ``localSpectra`` one list per field, and ``theoremColumns`` the
+``codes`` that state and verdict columns index, then the columns of each
+``theorems.ColumnReport`` (P31 and T32 by vertex, T34 by j, P35 and P36 by
+m).  P31's ``certificate`` has one gap per row in ``rows`` (scalar
+equality), its witnesses a vector pair each.  ``qGaps`` holds max|q_j(A) -
+S*_j| for j = 0..min(D, d): T34 reads row j below D (saturation decides
+the rest), P35 and P36 rows m - 1 and m.  T34's witnesses stack its rows
+with j < D, eta those whose state is equal or ambiguous.
 ``classification.pseudoDistanceRegular`` has a flag per vertex, the
-numbers at radii 0..ecc(u) of the flagged u concatenated in vertex order,
-and the first violation of each other vertex; T32 does not repeat them.
-T33-T38 keep one object each under ``theorems``, and in ``analyze`` T37
-leaves T33's two matrices to T33.  A T34 report with j >= D (saturation
-rule) has no certificate or witnesses.  P31's ``equalityHolds`` needs u
-extremal, so "bound attained" can come with ``equalityHolds`` false.
-Values are JSON-ready as built: Python scalars, or one ``tolist`` per
-column.
+numbers at radii 0..ecc(u) of the flagged u concatenated, and the first
+violation of each other u as columns.  T33, T37 and T38 are objects under
+``theorems``; in ``analyze`` T37 leaves T33's two matrices to T33.  P31's
+``equalityHolds`` needs u extremal, so "bound attained" can come with
+``equalityHolds`` false.  Values are JSON-ready as built.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from .classify import DEFAULT_ORACLE_TOL
 from .pipeline import GraphAnalysis
-from .theorems import CODES, EQUAL, LocalReports, TheoremReport
+from .theorems import CODES, EQUAL, ColumnReport, TheoremReport
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # T37's witnesses that T33 prints in the same report
 _T33_WITNESSES = ("p_geqD_at_A", "Astar_D")
 
@@ -52,26 +52,24 @@ def theorem_report_dict(r: TheoremReport, include_witnesses: bool = False,
         "verdict": r.verdict,
         "details": r.details,
     }
-    if include_witnesses and r.witnesses is not None:
-        out["witnesses"] = {k: _arr(v) for k, v in r.witnesses.items() if k not in omit}
+    if include_witnesses and r.witness_fn is not None:
+        out["witnesses"] = {k: _arr(v) for k, v in r.witness_fn().items() if k not in omit}
     return out
 
 
 def _columns(d: dict) -> dict:
-    return {k: v.tolist() for k, v in d.items()}
+    return {k: np.asarray(v).tolist() for k, v in d.items()}
 
 
-def local_reports_dict(r: LocalReports, include_witnesses: bool = False) -> dict:
-    """One per-vertex theorem as columns (module note)."""
-    out = {
-        "params": _columns(r.params),
-        "comparison": {"label": r.label, "kind": r.kind, "lhs": r.lhs.tolist(),
-                       "rhs": r.rhs.tolist(), "slack": r.slack.tolist(),
-                       "state": r.state.tolist()},
-        "equalityHolds": r.equality_holds.tolist(),
-        "verdict": r.verdict.tolist(),
-        "details": _columns(r.details),
-    }
+def column_report_dict(r: ColumnReport, include_witnesses: bool = False) -> dict:
+    """One family as columns (module note)."""
+    out = {"params": _columns(r.params)}
+    if r.label is not None:
+        out["comparison"] = {"label": r.label, "kind": r.kind, "lhs": r.lhs.tolist(),
+                             "rhs": r.rhs.tolist(), "slack": r.slack.tolist(),
+                             "state": r.state.tolist()}
+    out.update(equalityHolds=r.equality_holds.tolist(), verdict=r.verdict.tolist(),
+               details=_columns(r.details))
     c = r.certificate
     if c is not None:
         out["certificate"] = {"name": c.name, "tolerance": c.tol,
@@ -82,10 +80,16 @@ def local_reports_dict(r: LocalReports, include_witnesses: bool = False) -> dict
     return out
 
 
-def local_theorems_dict(reports, include_witnesses: bool = False) -> dict:
-    """The code table, then each ``LocalReports`` under its theorem id."""
-    return {"codes": list(CODES),
-            **{r.theorem_id: local_reports_dict(r, include_witnesses) for r in reports}}
+def theorem_columns_dict(reports, include_witnesses: bool = False) -> dict:
+    """The code table, then each ``ColumnReport`` under its theorem id, the
+    q-gap vector once before the first that reads it."""
+    out = {"codes": list(CODES)}
+    for r in reports:
+        if r.q_gaps is not None and "qGaps" not in out:
+            out["qGaps"] = {"name": r.q_gaps.name, "tolerance": r.q_gaps.tol,
+                            "maxAbsDiff": r.q_gaps.max_abs_diff.tolist()}
+        out[r.theorem_id] = column_report_dict(r, include_witnesses)
+    return out
 
 
 def classification_dict(ga: GraphAnalysis) -> dict:
@@ -100,7 +104,7 @@ def classification_dict(ga: GraphAnalysis) -> dict:
         "pseudoDistanceRegular": {
             "isPseudoDistanceRegular": cls.is_pdr.tolist(),
             "pseudoIntersectionNumbers": dict(zip("cab", numbers.tolist())),
-            "violation": list(cls.pdr_violations.values()),
+            "violation": _columns(cls.pdr_violations),
         },
         "partialDistanceRegularLevel": cls.partial_dr_level,
         "isDistancePolynomial": cls.is_distance_polynomial,
@@ -143,8 +147,8 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
             "nMinusHarmonicDMinus1": float(ga.stats.n_minus_harmonic),
             "avgWeightedDegree": _arr(ga.stats.avg_weighted_degree),
         },
-        "localTheorems": local_theorems_dict(
-            [r for r in reports if isinstance(r, LocalReports)], include_witnesses),
+        "theoremColumns": theorem_columns_dict(
+            [r for r in reports if isinstance(r, ColumnReport)], include_witnesses),
         "theorems": [theorem_report_dict(r, include_witnesses,
                                          _T33_WITNESSES if r.theorem_id == "T37" else ())
                      for r in reports if isinstance(r, TheoremReport)],
@@ -154,7 +158,7 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
 
 def collect_violations(reports: list, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
     """Inequality violations and oracle disagreements (internal errors), of
-    scalar reports and of ``LocalReports`` columns alike."""
+    scalar reports and of ``ColumnReport`` columns alike."""
     out = []
     for r in reports:
         out.extend(r.inequality_violations(tol))

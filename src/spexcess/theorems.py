@@ -2,12 +2,14 @@
 
 Every check produces the raw left/right values, the slack, and --
 crucially -- a certificate: scalar equality alone never yields a positive
-verdict, the associated matrix or constancy identity must also hold.  The
-scalar checks T33-T38 return one TheoremReport each; P31 and T32 return one
-``LocalReports``, a record of arrays over vertices, with states and
-verdicts as codes into ``CODES`` and ``_compare``'s state rule over arrays
-(``_states``).  The inequalities whose equality case is such an identity
-(P31, T33, T34, P36) share one five-way verdict ladder, ``_ladder``:
+verdict, the associated matrix or constancy identity must also hold.  T33,
+T37 and T38 return one TheoremReport each.  P31 and T32 (over vertices),
+T34 (over j) and P35 and P36 (over m) return one ``ColumnReport`` each,
+built in one array pass, with ``_compare``'s state rule over arrays
+(``_states``) and codes into ``CODES``; called with one vertex or index,
+they run the same pass on one row.  The inequalities whose equality case is
+such an identity (P31, T33, T34, P36) share one five-way verdict ladder,
+``_ladder`` (a table over the states for the columns):
 
 1. attained -- scalar equality and the certificate holds;
 2. numerically ambiguous -- the slack is positive but within 100x the
@@ -17,15 +19,14 @@ verdicts as codes into ``CODES`` and ``_compare``'s state rule over arrays
 5. strict inequality -- everything else.
 
 T37 reports each link of its chain as equal or by its comparison state.
-Each matrix identity q_j(A) = S*_j (j <= min(D, d)) and p_{>=D}(A) = A*_D
-is evaluated once per graph, consecutive q_j(A) in one stacked product per
-``_BLOCK_BYTES`` block, and only its gap max|p(A) - M| is kept (``ga.memo``)
-for the checks that share it (T34, P35 and P36; T33 and T37).  Witness
-matrices are built when a caller reads them.
+``GraphAnalysis`` evaluates each matrix identity once, on first read: the
+gaps max|q_j(A) - S*_j|, j <= min(D, d), as one vector (``q_gaps``, the
+q_j(A) stacked per ``_BLOCK_BYTES`` block) whose rows T34, P35 and P36
+read, and p_{>=D}(A), A*_D and their gap (``tail_identity``), which T33 and
+T37 share.  T34's q_j(A) witnesses are built when a caller reads them.
 
-P31 and T32 run over all vertices in one array pass each; the one-vertex
-checks (P31 at any j and r) run the same pass on one row.  P31's vector
-certificates of the k scalar-equal rows are one (k x n) array.  P31 reads
+P31's vector certificates of the k scalar-equal rows are one (k x n)
+array.  P31 reads
 q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``).
 At the default j = min(ecc(u), d_u) it reads q^u_j(lambda_0) from the
@@ -82,8 +83,8 @@ _BLOCK_BYTES = 1 << 24  # stacked q_j(A) products held at once
 _LADDER_AMBIGUOUS = "numerically ambiguous: slack within 100x equality tolerance"
 _LADDER_VIOLATED = "INEQUALITY VIOLATED: lhs exceeds rhs"
 _LADDER_STRICT = "strict inequality"
-# the states of a comparison, then every verdict of P31 and T32: the
-# per-vertex columns hold indices into this table
+# the states of a comparison, then every verdict of the families: their
+# columns hold indices into this table
 CODES = (
     "equal", "ambiguous", "strict", "violated", "unequal",
     "bound attained; vertex is extremal",
@@ -96,14 +97,35 @@ CODES = (
     "pseudo-distance-regular around vertex {vertex}",
     "not pseudo-distance-regular around vertex {vertex}",
     "INTERNAL INCONSISTENCY: spectral and combinatorial verdicts disagree",
+    # T34, P35 and P36, appended so that the codes above keep their indices
+    "harmonic bound attained: q_{j}(A) = S*_{j}",
+    "harmonic bound attained: q_{j}(A) = J* (Hoffman identity)",
+    "scalar equality but matrix certificate failed",
+    "{m}-partially distance-regular", "not {m}-partially distance-regular",
+    "INTERNAL INCONSISTENCY: matrix conditions and oracle level disagree",
+    "regular and {m}-partially distance-regular",
+    "scalar equality but structural certificate failed",
 )
 EQUAL, AMBIGUOUS, STRICT, VIOLATED, UNEQUAL = range(5)
 _code = CODES.index
+
+
+_BELOW_SCALAR = (_LADDER_AMBIGUOUS, _LADDER_STRICT, _LADDER_VIOLATED)  # by state code 1..3
+
+
+def _unattained(scalar_only: str) -> np.ndarray:
+    """``_ladder`` below "attained" as codes, indexed by state code."""
+    return np.array([_code(v) for v in (scalar_only,) + _BELOW_SCALAR])
+
+
 _P31_ATTAINED = _code("bound attained; vertex is extremal")  # + 2 * non-extremal + saturated
-_P31_UNATTAINED = np.array([_code(v) for v in (  # by state, the rest of the ladder
-    "scalar equality but vector certificate failed", _LADDER_AMBIGUOUS, _LADDER_STRICT,
-    _LADDER_VIOLATED)])
+_P31_UNATTAINED = _unattained("scalar equality but vector certificate failed")
 _T32_PDR = _code("pseudo-distance-regular around vertex {vertex}")
+_T34_ATTAINED = _code("harmonic bound attained: q_{j}(A) = S*_{j}")  # + 1 at j = d
+_T34_UNATTAINED = _unattained("scalar equality but matrix certificate failed")
+_P35_HOLDS = _code("{m}-partially distance-regular")  # + 1 not, + 2 disagreement
+_P36_ATTAINED = _code("regular and {m}-partially distance-regular")
+_P36_UNATTAINED = _unattained("scalar equality but structural certificate failed")
 
 
 class Comparison(NamedTuple):
@@ -112,7 +134,7 @@ class Comparison(NamedTuple):
     label: str
     lhs: float
     rhs: float
-    slack: float  # rhs - lhs, or its exact form under the saturation rule
+    slack: float  # rhs - lhs
     kind: str  # "inequality" or "equality"
     state: str  # "equal" | "ambiguous" | "strict" | "violated" | "unequal"
 
@@ -133,7 +155,10 @@ class Certificate(NamedTuple):
         return self.max_abs_diff <= self.tol
 
 
-class _ReportFields(NamedTuple):
+class TheoremReport(NamedTuple):
+    """One scalar check's outcome; ``witness_fn`` gives its witness arrays,
+    which the graph has built (T33, T37) or holds (T38)."""
+
     theorem_id: str
     comparisons: tuple[Comparison, ...]
     certificates: tuple[Certificate, ...]
@@ -142,16 +167,6 @@ class _ReportFields(NamedTuple):
     params: dict  # JSON-ready values only, like ``details``
     details: dict
     witness_fn: Callable[[], dict] | None = None
-
-
-class TheoremReport(_ReportFields):
-    """One scalar check's outcome, an immutable record.  Unlike its fields
-    class it has an instance dict, where ``witnesses`` is kept once built."""
-
-    @functools.cached_property
-    def witnesses(self) -> dict | None:
-        """The witness arrays, built on first read."""
-        return None if self.witness_fn is None else self.witness_fn()
 
     def inequality_violations(self, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
         return [f"{self.theorem_id}: {c.label}: lhs={c.lhs!r} > rhs={c.rhs!r}"
@@ -164,36 +179,43 @@ class TheoremReport(_ReportFields):
         return []
 
 
-class LocalReports(NamedTuple):
-    """P31 or T32 at the vertices ``params["vertex"]``, one array per field.
-    ``state`` and ``verdict`` index ``CODES``; a verdict formats with the
-    row's vertex, ``label`` with its params.  P31's ``certificate`` has one
-    gap per row whose state is equal, in row order, and ``witness_fn`` their
-    vectors; T32 has neither."""
+class ColumnReport(NamedTuple):
+    """One family at the rows of ``params``, one array per field (a detail
+    equal on every row is one value).  ``state`` and ``verdict`` index
+    ``CODES``; a verdict and ``label`` format with the row's params ({m-1}
+    with m - 1).  P35 has no comparison (its fields None).  P31's
+    ``certificate`` has one gap per row whose state is equal, and
+    ``witness_fn`` their vectors; T34, P35 and P36 read rows of ``q_gaps``,
+    and T34's ``witness_fn`` stacks its rows with j < D (eta where the state
+    is equal or ambiguous)."""
 
     theorem_id: str
-    label: str
-    kind: str
-    lhs: np.ndarray
-    rhs: np.ndarray
-    slack: np.ndarray
-    state: np.ndarray
+    label: str | None
+    kind: str | None
+    lhs: np.ndarray | None
+    rhs: np.ndarray | None
+    slack: np.ndarray | None
+    state: np.ndarray | None
     verdict: np.ndarray
     equality_holds: np.ndarray
     params: dict
     details: dict
     certificate: Certificate | None = None
+    q_gaps: Certificate | None = None
     witness_fn: Callable[[], dict] | None = None
 
+    def _format(self, template: str, k: int) -> str:
+        row = {name: col[k] for name, col in self.params.items()}
+        return template.format(**row, **({"m-1": row["m"] - 1} if "m" in row else {}))
+
     def verdict_text(self, k: int) -> str:
-        return CODES[self.verdict[k]].format(vertex=self.params["vertex"][k])
+        return self._format(CODES[self.verdict[k]], k)
 
     def inequality_violations(self, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
         if self.kind != "inequality":
             return []
         bad = self.slack < -tol * np.maximum(1.0, np.maximum(abs(self.lhs), abs(self.rhs)))
-        label = self.label.format
-        return [f"{self.theorem_id}: {label(**{k: v[i] for k, v in self.params.items()})}: "
+        return [f"{self.theorem_id}: {self._format(self.label, i)}: "
                 f"lhs={float(self.lhs[i])!r} > rhs={float(self.rhs[i])!r}"
                 for i in np.flatnonzero(bad)]
 
@@ -232,51 +254,36 @@ def _compare(label: str, lhs: float, rhs: float, eq_tol: float,
 def _ladder(comp: Comparison, holds: bool, attained: str,
             scalar_only: str = "scalar equality but matrix certificate failed") -> str:
     """The verdict of an inequality whose equality case is certified: the
-    ``attained`` wording when ``holds``, else ambiguous, else ``scalar_only``
-    on scalar equality, else violated, else strict."""
-    if holds:
-        return attained
-    if comp.state == "ambiguous":
-        return _LADDER_AMBIGUOUS
-    if comp.scalar_equal:
-        return scalar_only
-    if comp.state == "violated":
-        return _LADDER_VIOLATED
-    return _LADDER_STRICT
+    ``attained`` wording when ``holds``, else by the comparison's state:
+    ``scalar_only`` on scalar equality, ambiguous, strict or violated."""
+    return attained if holds else ((scalar_only,) + _BELOW_SCALAR)[CODES.index(comp.state)]
 
 
 def _certificate(ga, name: str, diff: float) -> Certificate:
     return Certificate(name, diff, ga.tols.equality * max(1.0, ga.n))
 
 
-def _identity(ga, kind: str, i: int):
-    """(p(A), M) for q_i(A) = S*_i (``kind`` "q") or p_{>=i}(A) = A*_i
-    ("tail", p_{>=i} = p_i + ... + p_d)."""
-    seq = ga.global_seq
-    if kind == "q":
-        return evaluate_at_matrix(seq.sum_values(i), ga.spectrum), ga.wm.sstar_at(i)
-    return evaluate_at_matrix(seq.values[i:].sum(axis=0), ga.spectrum), ga.wm.astar_at(i)
-
-
-def _gap(ga, kind: str, i: int) -> float:
-    """max|p(A) - M| for ``_identity(ga, kind, i)``, kept in ``ga.memo``.
-    A q-gap comes with those of the next j that any check reads (j <=
-    min(D, d)), as many as fit in ``_BLOCK_BYTES``."""
-    gap = ga.memo.get((kind, i))
-    if gap is not None:
-        return gap
-    if kind == "tail":
-        ga.memo[kind, i] = float(np.abs(np.subtract(*_identity(ga, kind, i))).max())
-    else:
-        top = min(ga.D, ga.d)
-        js = np.arange(i, min(i + max(1, _BLOCK_BYTES // (8 * ga.n ** 2)), top + 1))
-        # row j of the cumulative sum is sum_values(j), bit for bit
-        q = np.cumsum(ga.global_seq.values, axis=0)[js]
-        at_a = evaluate_at_matrix(q, ga.spectrum)
+def q_gap_certificate(ga) -> Certificate:
+    """q_j(A) = S*_j for j = 0..min(D, d): one gap max|q_j(A) - S*_j| per j,
+    as many q_j(A) per stacked product as fit in ``_BLOCK_BYTES``."""
+    top = min(ga.D, ga.d)
+    step = max(1, _BLOCK_BYTES // (8 * ga.n ** 2))
+    q = np.cumsum(ga.global_seq.values, axis=0)  # row j is sum_values(j), bit for bit
+    gaps = np.empty(top + 1)
+    for start in range(0, top + 1, step):
+        js = np.arange(start, min(start + step, top + 1))
+        at_a = evaluate_at_matrix(q[js], ga.spectrum)
         at_a -= ga.wm.sstar_at(js[:, None, None])
-        gaps = np.abs(at_a, out=at_a).reshape(len(js), -1).max(axis=1)
-        ga.memo.update({(kind, j): gap for j, gap in zip(js.tolist(), gaps.tolist())})
-    return ga.memo[kind, i]
+        gaps[js] = np.abs(at_a, out=at_a).reshape(len(js), -1).max(axis=1)
+    return _certificate(ga, "q_{j}(A) == S*_{j}", gaps)
+
+
+def tail_identity(ga) -> tuple:
+    """(p_{>=D}(A), A*_D, max|p_{>=D}(A) - A*_D|), p_{>=D} = p_D + ... + p_d
+    (``GraphAnalysis.tail_identity`` keeps it)."""
+    at_a = evaluate_at_matrix(ga.global_seq.values[ga.D:].sum(axis=0), ga.spectrum)
+    astar = ga.wm.astar_at(ga.D)
+    return at_a, astar, float(np.abs(at_a - astar).max())
 
 
 def _require_vertex(ga, u: int):  # a negative u would index from the end
@@ -284,16 +291,20 @@ def _require_vertex(ga, u: int):  # a negative u would index from the end
         raise HypothesisError(f"vertex {u} out of range 0..{ga.n - 1}")
 
 
-def check_local_bound(ga, u: int, j: int | None = None,
-                      r=None) -> LocalReports:
-    """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j,
-    one row of ``check_local_bounds``'s pass.  Defaults: j = min(ecc(u),
-    d_u) (module note) and r = q_j^u, for which equality is exactly
-    q_j^u(lambda_0) = ||rho_{N_j(u)}||^2.  A caller-chosen ``r`` is given by
-    its monomial coefficients, ascending.  ``equality_holds`` means "the
-    vector certificate r(A)e_u/||r||_u = e_{N_j(u)} passes and u is
-    extremal": at a non-extremal vertex the verdict can read "bound
-    attained" with ``equality_holds`` False."""
+def check_local_bound(ga, u: int | None = None, j: int | None = None,
+                      r=None) -> ColumnReport:
+    """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j:
+    the row of ``u``, or by default every vertex at the default j and r in
+    one pass.  Defaults: j = min(ecc(u), d_u) (module note) and r = q_j^u,
+    for which equality is exactly q_j^u(lambda_0) = ||rho_{N_j(u)}||^2.  A
+    caller-chosen ``r`` is given by its monomial coefficients, ascending.
+    ``equality_holds`` means "the vector certificate r(A)e_u/||r||_u =
+    e_{N_j(u)} passes and u is extremal": at a non-extremal vertex the
+    verdict can read "bound attained" with ``equality_holds`` False."""
+    if u is None:
+        js, r_l0 = np.minimum(ga.dd.ecc, ga.local_spectra.du), ga.local_q_lambda0
+        return _local_bounds(ga, np.arange(ga.n), js, r_l0,
+                             ga.perron.alpha * np.sqrt(r_l0), None)
     _require_vertex(ga, u)
     du, mults = int(ga.local_spectra.du[u]), ga.local_spectra.mults[u]
     default_j = min(int(ga.dd.ecc[u]), du)
@@ -301,7 +312,7 @@ def check_local_bound(ga, u: int, j: int | None = None,
     if not 0 <= j <= du:
         raise DegreeError(f"j={j} outside 0..d_u={du} for vertex {u}")
     if r is None:
-        r_vals, r_degree, r_l0 = None, j, float(ga.n)
+        r_vals, r_l0 = None, float(ga.n)
         if j == default_j:  # the pipeline's number
             r_l0 = ga.local_q_lambda0[u]
         elif j < du:
@@ -311,27 +322,17 @@ def check_local_bound(ga, u: int, j: int | None = None,
         norm = ga.perron.alpha[u] * np.sqrt(r_l0)
     else:
         coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
-        r_degree = max(len(coeffs) - 1, 0)
-        if r_degree > j:
-            raise DegreeError(f"deg r = {r_degree} exceeds j = {j}")
+        if len(coeffs) - 1 > j:
+            raise DegreeError(f"deg r = {len(coeffs) - 1} exceeds j = {j}")
         r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
         r_l0, norm = r_vals[0], np.sqrt(np.sum(mults * r_vals ** 2))
         if norm <= 0.0:
             raise DegreeError(f"r has zero local norm at vertex {u}")
     return _local_bounds(ga, np.array([int(u)]), np.array([j]), np.array([r_l0]),
-                         np.array([norm]), np.array([r_degree]), r_vals)
+                         np.array([norm]), r_vals)
 
 
-def check_local_bounds(ga) -> LocalReports:
-    """P31 at every vertex, at the defaults of ``check_local_bound``, in one
-    pass (module note)."""
-    us, alpha = np.arange(ga.n), ga.perron.alpha
-    js = np.minimum(ga.dd.ecc, ga.local_spectra.du)
-    r_l0 = ga.local_q_lambda0
-    return _local_bounds(ga, us, js, r_l0, alpha * np.sqrt(r_l0), js, None)
-
-
-def _local_bounds(ga, us, js, r_l0, norms, r_degrees, r_vals) -> LocalReports:
+def _local_bounds(ga, us, js, r_l0, norms, r_vals) -> ColumnReport:
     """P31 at the rows (us[k], js[k]) with r(lambda_0) = r_l0[k] and ||r||_u
     = norms[k].  ``r_vals`` holds one row's r on the eigenvalues, or is None
     when every row that can reach scalar equality has r = q^u_{d_u}, whose
@@ -357,27 +358,23 @@ def _local_bounds(ga, us, js, r_l0, norms, r_degrees, r_vals) -> LocalReports:
     attained[rows] = cert.passes
     verdict = np.where(attained, _P31_ATTAINED + 2 * ~extremal + saturated,
                        _P31_UNATTAINED[state])
-    return LocalReports(
+    return ColumnReport(
         "P31", "r(lambda0)/||r||_u <= ||rho_N{j}(u)||/alpha_u", "inequality",
-        lhs, rhs, slack, state, verdict, attained & extremal,
-        {"vertex": us, "j": js, "r_degree": r_degrees},
-        {"extremal": extremal, "ball_saturated": saturated}, cert,
-        functools.partial(dict, normalized_vector=vecs, weighted_ball_unit=targets))
+        lhs, rhs, slack, state, verdict, attained & extremal, {"vertex": us, "j": js},
+        {"extremal": extremal, "ball_saturated": saturated}, certificate=cert,
+        witness_fn=functools.partial(dict, normalized_vector=vecs, weighted_ball_unit=targets))
 
 
-def check_local_spet(ga, u: int) -> LocalReports:
+def check_local_spet(ga, u: int | None = None) -> ColumnReport:
     """T32: equality p^u_{d_u}(lambda_0) = ||rho_{Gamma_{d_u}(u)}||^2 holds
     iff the graph is pseudo-distance-regular around u (certified by the
-    combinatorial constancy oracle; the two verdicts must agree)."""
-    _require_vertex(ga, u)
-    return check_local_spets(ga, [u])
-
-
-def check_local_spets(ga, us=None) -> LocalReports:
-    """T32 at the vertices ``us`` (default: all) in one pass.  Where d_u >
-    ecc(u) the sphere is empty and lhs > 0 = rhs: pseudo-distance-regularity
-    around u would force extremality, so no tolerance is called."""
-    us = np.arange(ga.n) if us is None else np.asarray(us, dtype=int)
+    combinatorial constancy oracle; the two verdicts must agree): the row of
+    ``u``, or by default every vertex in one pass.  Where d_u > ecc(u) the
+    sphere is empty and lhs > 0 = rhs: pseudo-distance-regularity around u
+    would force extremality, so no tolerance is called."""
+    if u is not None:
+        _require_vertex(ga, u)
+    us = np.arange(ga.n) if u is None else np.array([int(u)])
     du, ecc = ga.local_spectra.du[us], ga.dd.ecc[us]
     reached = du <= ecc
     lhs = ga.local_spectra.excess[us]
@@ -388,7 +385,7 @@ def check_local_spets(ga, us=None) -> LocalReports:
     agrees = (state == EQUAL) == is_pdr
     equality = (state == EQUAL) & is_pdr
     verdict = _T32_PDR + 2 - agrees - equality  # + 1: not pdr, + 2: disagreement
-    return LocalReports(
+    return ColumnReport(
         "T32", "p^u_du(lambda0) vs ||rho_Gamma_du(u)||^2", "equality",
         lhs, rhs, slack, state, verdict, equality, {"vertex": us},
         {"oracle_is_pdr": is_pdr, "oracle_agrees": agrees, "du": du, "eccentricity": ecc})
@@ -399,105 +396,97 @@ def check_lee_weng(ga) -> TheoremReport:
     eq_tol = ga.tols.equality
     comp = _compare("delta*_D <= p_>=D(lambda0)", ga.stats.delta_star[-1],
                     ga.spectral_excess, eq_tol)
-    cert = _certificate(ga, "A*_D == p_>=D(A)", _gap(ga, "tail", ga.D))
+    at_a, astar, gap = ga.tail_identity
+    cert = _certificate(ga, "A*_D == p_>=D(A)", gap)
     equality = comp.scalar_equal and cert.passes
     return TheoremReport(
         "T33", (comp,), (cert,), equality,
         _ladder(comp, equality, "spectral excess attained: A*_D = p_>=D(A)"), {}, {},
-        lambda: dict(zip(("Astar_D", "p_geqD_at_A"), _identity(ga, "tail", ga.D)[::-1])))
+        functools.partial(dict, Astar_D=astar, p_geqD_at_A=at_a))
 
 
-def check_harmonic_bound(ga, j: int) -> TheoremReport:
+def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
     """T34: q_j(lambda_0) <= H*_{<=j} for j <= min_u d_u, equality iff
-    q_j(A) = S*_j.
+    q_j(A) = S*_j; the row of ``j``, or by default every such j.
 
     At j = 0 the scalar sides are both 1 for every graph while the matrix
     identity I = I* forces regularity, so the certified verdict (scalar AND
     matrix) is the meaningful one.  For j >= D the saturation rule decides
     (module note), with no q_j(A), certificate or witness.
     """
-    if j < 0 or j > ga.min_du:
+    if j is not None and not 0 <= j <= ga.min_du:
         raise HypothesisError(
             f"j={j} violates the hypothesis 0 <= j <= min_u d_u = {ga.min_du}")
-    label = f"q_{j}(lambda0) <= H*_<={j}"
-    lhs = float(ga.global_seq.q_lambda0[j])
-    if j >= ga.D:  # the saturation rule (module note): equal at d, else strict
-        top = j == ga.d
-        slack = float(ga.global_seq.p_lambda0[j + 1:].sum())
-        comp = Comparison(label, lhs, float(ga.n), slack, "inequality",
-                          "equal" if top else "strict")
-        return TheoremReport("T34", (comp,), (), top, _ladder(
-            comp, top, f"harmonic bound attained: q_{j}(A) = J* (Hoffman identity)"),
-            {"j": int(j)}, {})
-    comp = _compare(label, lhs, ga.stats.harmonic_means[j], ga.tols.equality)
-    cert = _certificate(ga, f"q_{j}(A) == S*_{j}", _gap(ga, "q", j))
-    equality = comp.scalar_equal and cert.passes
+    js = np.arange(ga.min_du + 1) if j is None else np.array([int(j)])
+    seq, below, q_gaps, p = ga.global_seq, js < ga.D, ga.q_gaps, ga.global_seq.p_lambda0
+    lhs = seq.q_lambda0[js]
+    rhs = np.where(below, ga.stats.harmonic_means[np.minimum(js, ga.D)], float(ga.n))
+    state, slack = _states(lhs, rhs, ga.tols.equality)
+    # the saturation rule: equal at d, else strict; each slack is summed
+    # as its own slice, so it keeps the order of numpy's pairwise sum
+    state[~below] = np.where(js[~below] == ga.d, EQUAL, STRICT)
+    slack[~below] = [p[i + 1:].sum() for i in js[~below].tolist()]
+    holds = (state == EQUAL) & (q_gaps.passes[np.minimum(js, ga.D)] | ~below)
+    verdict = np.where(holds, _T34_ATTAINED + ~below, _T34_UNATTAINED[state])
 
     def witnesses():
-        q_at_a, sstar_j = _identity(ga, "q", j)
-        out = {"q_j_at_A": q_at_a, "Sstar_j": sstar_j}
-        if comp.state in ("equal", "ambiguous"):
-            # per-vertex proportionality constants from the equality analysis
-            out["eta"] = np.diag(q_at_a) / ga.perron.alpha ** 2
-        return out
+        at_a = evaluate_at_matrix(np.cumsum(seq.values, axis=0)[js[below]], ga.spectrum)
+        near = (state[below] == EQUAL) | (state[below] == AMBIGUOUS)
+        # eta: per-vertex proportionality constants from the equality analysis
+        return {"q_j_at_A": at_a, "Sstar_j": ga.wm.sstar_at(js[below, None, None]),
+                "eta": np.diagonal(at_a[near], axis1=1, axis2=2) / ga.perron.alpha ** 2}
 
-    return TheoremReport(
-        "T34", (comp,), (cert,), equality,
-        _ladder(comp, equality, f"harmonic bound attained: q_{j}(A) = S*_{j}"),
-        {"j": int(j)}, {}, witnesses)
+    return ColumnReport("T34", "q_{j}(lambda0) <= H*_<={j}", "inequality", lhs, rhs, slack,
+                        state, verdict, holds, {"j": js}, {}, q_gaps=q_gaps,
+                        witness_fn=witnesses)
 
 
-def _partial_dr_certs(ga, m: int):
-    return tuple(_certificate(ga, f"q_{j}(A) == S*_{j}", _gap(ga, "q", j))
-                 for j in (m - 1, m))
+def _levels(ga, m: int | None, top: int):
+    """[m] after checking 1 <= m <= min(D, d), or 1..``top`` for None."""
+    if m is None:
+        return np.arange(1, top + 1)
+    if not 1 <= m <= min(ga.D, ga.d):
+        raise HypothesisError(
+            f"m={m} violates the hypothesis 1 <= m <= min(D, d) = {min(ga.D, ga.d)}")
+    return np.array([int(m)])
 
 
-def _require_m(ga, m: int):
-    top = min(ga.D, ga.d)
-    if not 1 <= m <= top:
-        raise HypothesisError(f"m={m} violates the hypothesis 1 <= m <= min(D, d) = {top}")
+def check_partial_dr_matrix(ga, m: int | None = None) -> ColumnReport:
+    """P35: q_j(A) = S*_j for j = m-1, m iff m-partially distance-regular,
+    cross-checked against the intersection-number level of ``classify``;
+    the row of ``m``, or by default every m <= min(D, d)."""
+    ms = _levels(ga, m, min(ga.D, ga.d))
+    passes, level = ga.q_gaps.passes, ga.classification.partial_dr_level
+    holds = passes[ms - 1] & passes[ms]
+    agrees = holds == (level >= ms)
+    return ColumnReport(
+        "P35", None, None, None, None, None, None, _P35_HOLDS + ~holds * (2 - agrees), holds,
+        {"m": ms}, {"oracle_partial_dr_level": level, "oracle_agrees": agrees},
+        q_gaps=ga.q_gaps)
 
 
-def check_partial_dr_matrix(ga, m: int) -> TheoremReport:
-    """P35: q_j(A) = S*_j for j = m-1, m iff m-partially distance-regular
-    (cross-checked against the intersection-number level of ``classify``)."""
-    _require_m(ga, m)
-    certs = _partial_dr_certs(ga, m)
-    matrix_holds = all(c.passes for c in certs)
-    oracle_level = ga.classification.partial_dr_level
-    agreement = matrix_holds == (oracle_level >= m)
-    verdict = (f"{m}-partially distance-regular" if matrix_holds else
-               f"not {m}-partially distance-regular" if agreement else
-               "INTERNAL INCONSISTENCY: matrix conditions and oracle level disagree")
-    return TheoremReport(
-        "P35", (), certs, matrix_holds, verdict, {"m": int(m)},
-        {"oracle_partial_dr_level": oracle_level, "oracle_agrees": agreement})
-
-
-def check_partial_dr_inequality(ga, m: int) -> TheoremReport:
+def check_partial_dr_inequality(ga, m: int | None = None) -> ColumnReport:
     """P36: (q_{m-1} + q_m)(lambda_0) <= H*_{<=m-1} + H*_{<=m}, equality iff
-    the graph is regular and m-partially distance-regular.
+    the graph is regular and m-partially distance-regular; the row of ``m``,
+    or by default every m <= min(D, d).
 
     Inherits the T34 hypothesis, so it also requires m <= min_u d_u.
     """
-    _require_m(ga, m)
-    if m > ga.min_du:
+    ms = _levels(ga, m, min(ga.D, ga.d, ga.min_du))
+    if m is not None and m > ga.min_du:
         raise HypothesisError(
             f"m={m} violates the inherited hypothesis m <= min_u d_u = {ga.min_du}")
-    lhs = float(ga.global_seq.q_lambda0[m - 1] + ga.global_seq.q_lambda0[m])
-    rhs = ga.stats.harmonic_means[m - 1] + ga.stats.harmonic_means[m]
-    comp = _compare(f"(q_{m - 1}+q_{m})(lambda0) <= H*_<={m - 1} + H*_<={m}",
-                    lhs, rhs, ga.tols.equality)
-    certs = _partial_dr_certs(ga, m)
-    structural = ga.classification.is_regular and all(c.passes for c in certs)
-    equality = comp.scalar_equal and structural
-    oracle_ok = ga.classification.is_regular and ga.classification.partial_dr_level >= m
-    return TheoremReport(
-        "P36", (comp,), certs, equality,
-        _ladder(comp, equality, f"regular and {m}-partially distance-regular",
-                "scalar equality but structural certificate failed"),
-        {"m": int(m)},
-        {"regular": ga.classification.is_regular, "oracle_agrees": structural == oracle_ok})
+    q, h, cls = ga.global_seq.q_lambda0, ga.stats.harmonic_means, ga.classification
+    lhs, rhs = q[ms - 1] + q[ms], h[ms - 1] + h[ms]
+    state, slack = _states(lhs, rhs, ga.tols.equality)
+    structural = cls.is_regular & ga.q_gaps.passes[ms - 1] & ga.q_gaps.passes[ms]
+    holds = (state == EQUAL) & structural
+    oracle_ok = cls.is_regular & (cls.partial_dr_level >= ms)
+    return ColumnReport(
+        "P36", "(q_{m-1}+q_{m})(lambda0) <= H*_<={m-1} + H*_<={m}", "inequality", lhs, rhs,
+        slack, state, np.where(holds, _P36_ATTAINED, _P36_UNATTAINED[state]), holds,
+        {"m": ms}, {"regular": cls.is_regular, "oracle_agrees": structural == oracle_ok},
+        q_gaps=ga.q_gaps)
 
 
 def check_chain(ga) -> TheoremReport:
@@ -514,7 +503,8 @@ def check_chain(ga) -> TheoremReport:
                       middle, ga.spectral_excess, eq_tol)
     comp_ii = _compare("delta*_D <= n - H*_<=D-1",
                        ga.stats.delta_star[-1], middle, eq_tol)
-    cert_i = _certificate(ga, "p_>=D(A) == A*_D", _gap(ga, "tail", ga.D))
+    at_a, astar, gap = ga.tail_identity
+    cert_i = _certificate(ga, "p_>=D(A) == A*_D", gap)
     excess = ga.stats.sphere_norms[:, -1]
     cert_ii = Certificate("||rho_Gamma_D(u)||^2 constant over u",
                           float(excess.max() - excess.min()),
@@ -528,8 +518,8 @@ def check_chain(ga) -> TheoremReport:
     return TheoremReport(
         "T37", (comp_i, comp_ii), (cert_i, cert_ii), eq_i and eq_ii, "; ".join(parts), {},
         {"equality_i": eq_i, "equality_ii": eq_ii},
-        lambda: dict(zip(("p_geqD_at_A", "Astar_D"), _identity(ga, "tail", ga.D)),
-                     weighted_excess_per_vertex=excess))
+        functools.partial(dict, p_geqD_at_A=at_a, Astar_D=astar,
+                          weighted_excess_per_vertex=excess))
 
 
 def check_distance_polynomial_sufficient(ga) -> TheoremReport:

@@ -272,6 +272,14 @@ def reference_pseudo_dr(u, dd, alpha, adjacency, tol=DEFAULT_ORACLE_TOL):
     return True, numbers, None
 
 
+def violations_by_vertex(cls) -> dict:
+    """``Classification.pdr_violations`` as {u: (i, v, w, value_v, value_w,
+    which)} over the vertices that are not pseudo-distance-regular."""
+    cols = cls.pdr_violations
+    rows = zip(*(cols[k].tolist() for k in ("radius", "v", "w", "value_v", "value_w", "which")))
+    return dict(zip(np.flatnonzero(~cls.is_pdr).tolist(), rows))
+
+
 def battery_pseudo_dr_reference(analyzed, tol=1e-12):
     """The batched pseudo-DR oracle against the per-root reference loop:
     is_pdr, the violation's radius, vertices and triple exactly, and the
@@ -285,10 +293,11 @@ def battery_pseudo_dr_reference(analyzed, tol=1e-12):
 
     for name, ga, _reports in analyzed:
         cls = ga.classification
+        violations = violations_by_vertex(cls)
         for u in range(ga.n):
             is_pdr, numbers, violation = reference_pseudo_dr(
                 u, ga.dd, ga.perron.alpha, ga.graph.adjacency, ga.tols.equality)
-            got = cls.pdr_violations.get(u)
+            got = violations.get(u)
             if cls.is_pdr[u] != is_pdr:
                 fails.append(f"{name}: vertex {u}: is_pdr {cls.is_pdr[u]}")
             elif is_pdr and not close(cls.pdr_numbers[u, :, :ga.dd.ecc[u] + 1], numbers):

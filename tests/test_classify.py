@@ -55,7 +55,7 @@ def test_k13_leaf_agrees_with_local_spet():
 def test_pseudo_dr_violation_reported():
     ga = _ga("c8_12")
     assert not ga.classification.is_pdr[0]
-    i, v, w, lo, hi, which = ga.classification.pdr_violations[0]
+    i, v, w, lo, hi, which = corpus.violations_by_vertex(ga.classification)[0]
     assert hi - lo > 1e-7
     assert which in ("a", "b", "c")
 
@@ -237,8 +237,9 @@ def test_violation_names_lowest_vertices_and_integer_counts(g):
     ga = analyze_graph(g)
     adjacency = ga.graph.adjacency
     cls = ga.classification
-    assert not cls.is_pdr.any() and sorted(cls.pdr_violations) == list(range(ga.n))
-    for u, (i, v, w, lo, hi, which) in cls.pdr_violations.items():
+    violations = corpus.violations_by_vertex(cls)
+    assert not cls.is_pdr.any() and sorted(violations) == list(range(ga.n))
+    for u, (i, v, w, lo, hi, which) in violations.items():
         sphere = np.flatnonzero(ga.dd.dist[u] == i)
         target = ga.dd.dist[u] == i + "cab".index(which) - 1
         counts = adjacency[sphere] @ target
@@ -303,8 +304,9 @@ def test_sweep_matches_brute_force_counts(request, graphs):
         cls = ga.classification
         pseudo_dr, level, array = _brute_force_sweep(ga)
         assert (cls.partial_dr_level, cls.intersection_array) == (level, array), name
+        violations = corpus.violations_by_vertex(cls)
         for u, (is_pdr, numbers, violation) in enumerate(pseudo_dr):
-            assert (cls.is_pdr[u], cls.pdr_violations.get(u)) == (is_pdr, violation), (name, u)
+            assert (cls.is_pdr[u], violations.get(u)) == (is_pdr, violation), (name, u)
             if is_pdr:
                 got = cls.pdr_numbers[u, :, :ga.dd.ecc[u] + 1]
                 assert got.shape == numbers.shape

@@ -32,7 +32,7 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 3
+    assert report["schemaVersion"] == 4
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
@@ -80,10 +80,10 @@ K23_LAYOUT = {
                     "recurrence": dict.fromkeys("abc")},
     "excess": dict.fromkeys(("deltaStar", "harmonicMeans", "spectralExcess",
                              "nMinusHarmonicDMinus1", "avgWeightedDegree")),
-    "localTheorems": {
+    "theoremColumns": {
         "codes": None,
         "P31": {
-            "params": dict.fromkeys(("vertex", "j", "r_degree")),
+            "params": dict.fromkeys(("vertex", "j")),
             "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
             "equalityHolds": None,
             "verdict": None,
@@ -98,17 +98,37 @@ K23_LAYOUT = {
             "details": dict.fromkeys(("oracle_is_pdr", "oracle_agrees", "du",
                                       "eccentricity")),
         },
+        "qGaps": dict.fromkeys(("name", "tolerance", "maxAbsDiff")),
+        "T34": {
+            "params": {"j": None},
+            "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
+            "equalityHolds": None,
+            "verdict": None,
+            "details": {},
+        },
+        "P35": {
+            "params": {"m": None},
+            "equalityHolds": None,
+            "verdict": None,
+            "details": dict.fromkeys(("oracle_partial_dr_level", "oracle_agrees")),
+        },
+        "P36": {
+            "params": {"m": None},
+            "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
+            "equalityHolds": None,
+            "verdict": None,
+            "details": dict.fromkeys(("regular", "oracle_agrees")),
+        },
     },
     "theorems": [{
         "theoremId": None,
-        "params": dict.fromkeys(("j", "m")),
+        "params": {},
         "comparisons": _COMPARISON,
         "certificates": _CERTIFICATE,
         "equalityHolds": None,
         "verdict": None,
-        "details": dict.fromkeys((
-            "oracle_partial_dr_level", "oracle_agrees", "regular", "equality_i",
-            "equality_ii", "hypotheses_hold")),
+        "details": dict.fromkeys(("equality_i", "equality_ii", "hypotheses_hold",
+                                  "oracle_agrees")),
     }],
     "classification": {
         "isRegular": None,
@@ -117,7 +137,8 @@ K23_LAYOUT = {
         "pseudoDistanceRegularVertices": None,
         "pseudoDistanceRegular": {"isPseudoDistanceRegular": None,
                                   "pseudoIntersectionNumbers": dict.fromkeys("cab"),
-                                  "violation": None},
+                                  "violation": dict.fromkeys(("radius", "v", "w", "value_v",
+                                                              "value_w", "which"))},
         "partialDistanceRegularLevel": None,
         "isDistancePolynomial": None,
         "distancePolynomialResiduals": None,
@@ -263,9 +284,9 @@ def test_check_p31_past_eccentricity(capsys, tmp_path, j):
 
 
 def _row(block: dict, u: int) -> dict:
-    """Row u of a ``localTheorems`` block, as a one-row block."""
+    """Row u of a ``theoremColumns`` block, as a one-row block."""
     def row_of(cols):
-        return {k: v if k in ("label", "kind") else v[u:u + 1] for k, v in cols.items()}
+        return {k: v[u:u + 1] if isinstance(v, list) else v for k, v in cols.items()}
     out = {k: row_of(v) if isinstance(v, dict) else v[u:u + 1] for k, v in block.items()
            if k not in ("certificate", "witnesses")}
     if "certificate" in block:  # certificate and witness entries go by certified row
@@ -280,33 +301,58 @@ def _row(block: dict, u: int) -> dict:
     return out
 
 
+def _t34_row(block: dict, k: int, diameter: int) -> dict:
+    """Row k of T34's block, its witnesses stacked over the rows j < D and
+    eta over those whose state is equal or ambiguous."""
+    out = _row({key: v for key, v in block.items() if key != "witnesses"}, k)
+    below = [i for i, j in enumerate(block["params"]["j"]) if j < diameter]
+    near = [i for i in below if block["comparison"]["state"][i] in (0, 1)]
+    out["witnesses"] = {
+        name: [stack[rows.index(k)]] if k in rows else []
+        for name, stack, rows in ((name, block["witnesses"][name], rows) for name, rows in (
+            ("q_j_at_A", below), ("Sstar_j", below), ("eta", near)))}
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(fx.BUNDLED))
 def test_check_prints_row_of_analyze(capsys, tmp_path, name):
-    # check --theorem P31|T32 --vertex u prints exactly row u of the column
-    # blocks of analyze --witnesses (check always carries witnesses)
+    # check --theorem P31|T32 --vertex u, T34 --j j and P35|P36 --m m print
+    # exactly that row of the column blocks of analyze --witnesses (check
+    # always carries witnesses), T34, P35 and P36 with the q-gap vector
     path = tmp_path / f"{name}.el"
     path.write_bytes(fx.edgelist_bytes(fx.named(name)))
     code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
     assert code == 0
-    local = json.loads(out)["localTheorems"]
-    for u in range(json.loads(out)["graph"]["n"]):
+    doc = json.loads(out)
+    columns = doc["theoremColumns"]
+    for u in range(doc["graph"]["n"]):
         for tid in ("P31", "T32"):
             code, out, _ = _run(capsys, ["check", str(path), "--theorem", tid,
                                          "--vertex", str(u)])
             assert code == 0
-            assert json.loads(out) == {"codes": local["codes"], tid: _row(local[tid], u)}
+            assert json.loads(out) == {"codes": columns["codes"], tid: _row(columns[tid], u)}
+    for tid, flag in (("T34", "j"), ("P35", "m"), ("P36", "m")):
+        block = columns[tid]
+        for k, index in enumerate(block["params"][flag]):
+            code, out, _ = _run(capsys, ["check", str(path), "--theorem", tid,
+                                         f"--{flag}", str(index)])
+            assert code == 0
+            row = (_t34_row(block, k, doc["graph"]["diameter"]) if tid == "T34"
+                   else _row(block, k))
+            assert json.loads(out) == {"codes": columns["codes"], "qGaps": columns["qGaps"],
+                                       tid: row}
 
 
 @pytest.mark.parametrize("name", ["k23", "petersen", "p5", "c8_12"])
 def test_converter_rebuilds_schema2_output(capsys, tmp_path, name):
     # tests/data holds the schema-2 program's analyze --witnesses stdout;
-    # schema2.to_v2 rebuilds it byte for byte from today's schema-3 stdout
+    # schema2.to_v2 rebuilds it byte for byte from today's schema-4 stdout
     from schema2 import to_v2
     g = fx.path(5) if name == "p5" else fx.named(name)
     path = tmp_path / f"{name}.el"
     path.write_bytes(fx.edgelist_bytes(g))
     code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
-    assert code == 0 and json.loads(out)["schemaVersion"] == 3
+    assert code == 0 and json.loads(out)["schemaVersion"] == 4
     with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.v2.json")) as fh:
         assert to_v2(out) == fh.read()
 

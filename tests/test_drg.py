@@ -16,7 +16,7 @@ from corpus import relabel
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph, run_all_checks
 from spexcess.report import collect_violations
-from spexcess.theorems import CODES
+from spexcess.theorems import CODES, TheoremReport
 
 
 def _johnson(n, k):
@@ -71,14 +71,14 @@ def _verdicts(ga, reports, original):
                            sorted(original[u] for u in
                                   np.flatnonzero(ga.dd.ecc == ga.local_spectra.du))),
     }
-    for r in reports[:2]:  # P31 and T32, one row per vertex
-        for k, u in enumerate(r.params["vertex"].tolist()):
-            params = tuple(sorted((name, original[u] if name == "vertex" else int(col[k]))
+    for r in reports:
+        if isinstance(r, TheoremReport):
+            out[r.theorem_id] = (r.equality_holds, r.verdict)
+            continue
+        for k in range(len(r.verdict)):  # P31 and T32 by vertex, the rest by j or m
+            params = tuple(sorted((name, original[col[k]] if name == "vertex" else int(col[k]))
                                   for name, col in r.params.items()))
             out[(r.theorem_id, params)] = (bool(r.equality_holds[k]), CODES[r.verdict[k]])
-    for r in reports[2:]:
-        params = tuple(sorted(r.params.items()))
-        out[(r.theorem_id, params)] = (r.equality_holds, r.verdict)
     return out
 
 

@@ -152,10 +152,9 @@ def test_atlas_census(atlas):
         assert not collect_violations([p31_rows] + reports), name
         p31.update(zip(p31_rows.details["extremal"].tolist(),
                        (_template(CODES[k]) for k in p31_rows.verdict.tolist())))
-        for rep in reports:
-            if rep.theorem_id == "T34":
-                j = rep.params["j"]
-                band = "j < D" if j < ga.D else "D <= j < d" if j < ga.d else "j = d"
-                t34[band, _template(rep.verdict)] += 1
+        rows = next(rep for rep in reports if rep.theorem_id == "T34")
+        for k, j in enumerate(rows.params["j"].tolist()):
+            band = "j < D" if j < ga.D else "D <= j < d" if j < ga.d else "j = d"
+            t34[band, _template(rows.verdict_text(k))] += 1
     assert t34 == T34_CENSUS
     assert p31 == P31_CENSUS

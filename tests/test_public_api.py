@@ -13,11 +13,11 @@ def test_public_surface_is_pinned():
     # a name added to or dropped from the package shows up here
     assert spexcess.__all__ == [
         "Classification",
+        "ColumnReport",
         "DistanceData",
         "ExcessStats",
         "Graph",
         "GraphAnalysis",
-        "LocalReports",
         "LocalSpectra",
         "PerronWeights",
         "PolySequence",

@@ -10,7 +10,8 @@ from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess.errors import DegreeError, HypothesisError
 from spexcess.pipeline import analyze_graph, run_all_checks
-from spexcess.report import local_reports_dict
+from spexcess.poly import evaluate_at_matrix
+from spexcess.report import collect_violations, theorem_columns_dict
 from spexcess.theorems import (
     AMBIGUOUS,
     CODES,
@@ -18,8 +19,8 @@ from spexcess.theorems import (
     STRICT,
     UNEQUAL,
     VIOLATED,
+    ColumnReport,
     Comparison,
-    LocalReports,
     _compare,
     _ladder,
     _states,
@@ -180,41 +181,44 @@ def test_t33_drg_equality(analyses):
 def test_t33_petersen_witness_is_a2(analyses):
     ga = analyses("petersen")
     rep = check_lee_weng(ga)
-    assert np.abs(rep.witnesses["p_geqD_at_A"] - ga.dd.matrix(2)).max() <= 1e-7
+    assert np.abs(rep.witness_fn()["p_geqD_at_A"] - ga.dd.matrix(2)).max() <= 1e-7
 
 
 # --- T34 harmonic bound -----------------------------------------------------------
 
 def test_t34_j0_exposes_regularity(analyses):
     # scalar sides are both 1; the matrix identity I = I* needs regularity
-    rep = check_harmonic_bound(analyses("k23"), 0)
-    assert rep.comparisons[0].scalar_equal
-    assert not rep.certificates[0].passes
-    assert not rep.equality_holds
+    ga = analyses("k23")
+    rep = check_harmonic_bound(ga, 0)
+    assert rep.state[0] == EQUAL
+    assert not ga.q_gaps.passes[0]
+    assert not rep.equality_holds[0]
     rep = check_harmonic_bound(analyses("petersen"), 0)
-    assert rep.equality_holds
+    assert rep.equality_holds[0]
 
 
 def test_t34_k23_j1(analyses):
     rep = check_harmonic_bound(analyses("k23"), 1)
-    assert rep.comparisons[0].lhs == pytest.approx(3.5, rel=1e-9)
-    assert rep.comparisons[0].rhs == pytest.approx(float(Fraction(60, 17)), rel=1e-9)
-    assert rep.comparisons[0].state == "strict"
+    assert rep.lhs[0] == pytest.approx(3.5, rel=1e-9)
+    assert rep.rhs[0] == pytest.approx(float(Fraction(60, 17)), rel=1e-9)
+    assert rep.state[0] == STRICT
 
 
 def test_t34_petersen_j1_equality(analyses):
     ga = analyses("petersen")
     rep = check_harmonic_bound(ga, 1)
-    assert rep.equality_holds
+    assert rep.equality_holds[0]
     expected = np.eye(10) + np.asarray(ga.graph.adjacency)
-    assert np.abs(rep.witnesses["q_j_at_A"] - expected).max() <= 1e-7
-    assert np.abs(rep.witnesses["Sstar_j"] - expected).max() <= 1e-9
+    (q_at_a,), (sstar,) = rep.witness_fn()["q_j_at_A"], rep.witness_fn()["Sstar_j"]
+    assert np.abs(q_at_a - expected).max() <= 1e-7
+    assert np.abs(sstar - expected).max() <= 1e-9
 
 
 def test_t34_eta_witness_on_equality(analyses):
     rep = check_harmonic_bound(analyses("c6"), 1)
-    assert rep.equality_holds
-    assert np.abs(rep.witnesses["eta"] - 1.0).max() <= 1e-8
+    assert rep.equality_holds[0]
+    (eta,) = rep.witness_fn()["eta"]
+    assert np.abs(eta - 1.0).max() <= 1e-8
 
 
 def test_t34_hypothesis_error(analyses):
@@ -230,39 +234,39 @@ def test_t34_all_admissible_j_sound(analyses):
         ga = analyses(name)
         for j in range(ga.min_du + 1):
             rep = check_harmonic_bound(ga, j)
-            assert rep.comparisons[0].slack >= -1e-7, (name, j)
+            assert rep.slack[0] >= -1e-7, (name, j)
 
 
 # --- P35 / P36 partial distance-regularity -----------------------------------------
 
 def test_p35_petersen(analyses):
     rep = check_partial_dr_matrix(analyses("petersen"), 2)
-    assert rep.equality_holds
-    assert rep.details["oracle_agrees"]
-    assert "2-partially" in rep.verdict
+    assert rep.equality_holds[0]
+    assert rep.details["oracle_agrees"][0]
+    assert "2-partially" in rep.verdict_text(0)
 
 
 def test_p35_k23(analyses):
     rep = check_partial_dr_matrix(analyses("k23"), 1)
-    assert not rep.equality_holds
-    assert rep.details["oracle_agrees"]
+    assert not rep.equality_holds[0]
+    assert rep.details["oracle_agrees"][0]
 
 
 def test_p36_petersen_m2_equality(analyses):
     rep = check_partial_dr_inequality(analyses("petersen"), 2)
-    assert rep.equality_holds
-    assert "regular and 2-partially" in rep.verdict
+    assert rep.equality_holds[0]
+    assert "regular and 2-partially" in rep.verdict_text(0)
 
 
 def test_p36_k23_m2_strict(analyses):
     rep = check_partial_dr_inequality(analyses("k23"), 2)
-    assert rep.comparisons[0].state == "strict"
-    assert not rep.equality_holds
+    assert rep.state[0] == STRICT
+    assert not rep.equality_holds[0]
 
 
 def test_p36_c6_m2_equality(analyses):
     rep = check_partial_dr_inequality(analyses("c6"), 2)
-    assert rep.equality_holds
+    assert rep.equality_holds[0]
 
 
 def test_p36_hypothesis_error(analyses):
@@ -296,7 +300,7 @@ def test_t37_petersen_double_equality(analyses):
     rep = check_chain(analyses("petersen"))
     assert rep.equality_holds
     assert rep.details["equality_i"] and rep.details["equality_ii"]
-    excess = rep.witnesses["weighted_excess_per_vertex"]
+    excess = rep.witness_fn()["weighted_excess_per_vertex"]
     assert np.abs(excess - 6.0).max() <= 1e-9
 
 
@@ -370,16 +374,23 @@ def test_equality_verdicts_have_certificates(checks, analyses):
     # graphs is the known one-sided case, exercised separately; T34 carries
     # a certificate only for j < D)
     for name in ALL_FIXTURES:
-        p31, _t32, *scalar = checks(name)
+        ga = analyses(name)
+        p31, _t32, t33, t34, p35, p36, *scalar = checks(name)
         certified = np.flatnonzero(p31.state == EQUAL)[p31.certificate.passes]
         assert set(np.flatnonzero(p31.equality_holds)) <= set(certified), name
-        for rep in scalar:
+        for rep in [t33] + scalar:
             if rep.equality_holds:
                 assert all(c.passes for c in rep.certificates), (name, rep.theorem_id)
-            if rep.theorem_id == "T34" and rep.params["j"] >= analyses(name).D:
-                continue
-            if rep.theorem_id in ("T33", "T34") and rep.certificates[0].passes:
-                assert rep.comparisons[0].scalar_equal, (name, rep.theorem_id)
+        if t33.certificates[0].passes:
+            assert t33.comparisons[0].scalar_equal, name
+        passes = ga.q_gaps.passes
+        below = t34.params["j"] < ga.D
+        j = t34.params["j"][below]
+        assert passes[j[t34.equality_holds[below]]].all(), name
+        assert (t34.state[below][passes[j]] == EQUAL).all(), name
+        for rep in (p35, p36):
+            m = rep.params["m"][rep.equality_holds]
+            assert (passes[m - 1] & passes[m]).all(), (name, rep.theorem_id)
 
 
 # every (theorem, verdict) the fixtures and both corpora reach, digits as "#"
@@ -415,7 +426,7 @@ VERDICT_TEMPLATES = {
 
 
 def _verdict_texts(rep):
-    if isinstance(rep, LocalReports):
+    if isinstance(rep, ColumnReport):
         return [rep.verdict_text(k) for k in range(len(rep.verdict))]
     return [rep.verdict]
 
@@ -435,24 +446,21 @@ def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wid
     runs = [(analyses(name), checks(name)) for name in ALL_FIXTURES]
     runs += [(ga, reps) for _name, ga, reps in analyzed + wide]
     seen = Counter()
-    for ga, (p31, *reports) in runs:
+    strict = CODES.index("strict inequality")
+    for ga, (p31, _t32, _t33, t34, *_rest) in runs:
         j = p31.params["j"]
         rows = (ga.dd.ecc <= j) & (j < ga.local_spectra.du)
         seen["P31"] += rows.sum()
-        assert (p31.verdict[rows] == CODES.index("strict inequality")).all()
+        assert (p31.verdict[rows] == strict).all()
         assert (p31.state[rows] == STRICT).all() and (p31.slack[rows] > 0).all()
-        for rep in reports:
-            if rep.theorem_id != "T34":
-                continue
-            j = rep.params["j"]
-            if ga.D <= j < ga.d:
-                seen["T34"] += 1
-                assert rep.verdict == "strict inequality", rep.verdict
-                assert rep.comparisons[0].state == "strict"
-                assert rep.comparisons[0].slack > 0 and not rep.certificates
-            elif j == ga.d:
-                seen["T34 at d"] += 1
-                assert rep.equality_holds and "Hoffman" in rep.verdict
+        j = t34.params["j"]
+        rows = (ga.D <= j) & (j < ga.d)
+        seen["T34"] += rows.sum()
+        assert (t34.verdict[rows] == strict).all() and (t34.state[rows] == STRICT).all()
+        assert (t34.slack[rows] > 0).all()
+        for k in np.flatnonzero(j == ga.d):
+            seen["T34 at d"] += 1
+            assert t34.equality_holds[k] and "Hoffman" in t34.verdict_text(k)
     assert seen["T34"] and seen["P31"] and seen["T34 at d"], seen
 
 
@@ -506,7 +514,8 @@ def test_p31_vector_certificate_failure(analyses, monkeypatch):
 def test_t33_matrix_certificate_failure():
     # scalar equality on a DRG with a failing A*_D = p_>=D(A) identity
     ga = analyze_graph(fx.petersen())
-    ga.memo["tail", ga.D] = 1.0  # max|p_>=D(A) - A*_D|
+    at_a, astar, _gap = ga.tail_identity
+    ga.__dict__["tail_identity"] = at_a, astar, 1.0  # max|p_>=D(A) - A*_D|
     rep = check_lee_weng(ga)
     assert rep.comparisons[0].scalar_equal and not rep.equality_holds
     assert rep.verdict == "scalar equality but matrix certificate failed"
@@ -543,7 +552,7 @@ def _wide(name):
 def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
     # each call evaluates a block of value vectors; no vector comes twice,
     # the q_j(A) come in fewer calls than vectors, and no witness matrix
-    # is built until a caller reads it
+    # is built until a caller reads them
     from spexcess import theorems
     ga = analyze_graph(graph())
     seen, calls = [], []
@@ -560,61 +569,180 @@ def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
     assert len(calls) < len(seen)
     before = len(calls)
     t34 = next(rep for rep in reports if rep.theorem_id == "T34")
-    gap = np.abs(t34.witnesses["q_j_at_A"] - t34.witnesses["Sstar_j"]).max()
-    assert len(calls) == before + 1
-    assert gap == t34.certificates[0].max_abs_diff
-    by_id = {}
-    for rep in reports:
-        by_id.setdefault(rep.theorem_id, []).append(rep)
-    t34 = {r.params["j"]: r.certificates[0].max_abs_diff for r in by_id["T34"]
-           if r.params["j"] < ga.D}
-    shared = 0
-    for rep in by_id["P35"] + by_id.get("P36", []):
-        m = rep.params["m"]
-        for j, cert in zip((m - 1, m), rep.certificates):
-            assert cert.name == f"q_{j}(A) == S*_{j}"
-            if j in t34:
-                assert cert.max_abs_diff == t34[j], (rep.theorem_id, m, j)
-                shared += 1
-    assert shared
-    assert by_id["T37"][0].certificates[0].max_abs_diff \
-        == by_id["T33"][0].certificates[0].max_abs_diff
+    witnesses = t34.witness_fn()
+    assert len(calls) == before + 1  # one stacked product for the rows j < D
+    js = t34.params["j"][t34.params["j"] < ga.D]
+    gaps = np.abs(witnesses["q_j_at_A"] - witnesses["Sstar_j"]).reshape(len(js), -1).max(axis=1)
+    assert np.array_equal(gaps, ga.q_gaps.max_abs_diff[js])
+    by_id = {rep.theorem_id: rep for rep in reports}
+    assert by_id["T37"].certificates[0].max_abs_diff \
+        == by_id["T33"].certificates[0].max_abs_diff
 
 
-def _assert_row(one_row, batch, u):
-    # every column of the one-row pass equals row u of the all-vertex one
+def test_report_evaluates_each_witness_once(monkeypatch):
+    # analyze --witnesses on Petersen: building the report puts no value
+    # vector through evaluate_at_matrix twice, and T37 builds neither of
+    # the p_>=D(A) and A*_D that T33 prints
+    from spexcess import theorems, weighted
+    from spexcess.report import analysis_report
+    ga = analyze_graph(fx.petersen())
+    reports = run_all_checks(ga)
+    seen, astar_calls = [], []
+    evaluate, astar_at = theorems.evaluate_at_matrix, weighted.WeightedMatrices.astar_at
+
+    def counting(p, spec):
+        seen.extend(row.tobytes() for row in np.atleast_2d(p))
+        return evaluate(p, spec)
+
+    def counting_astar(self, i):
+        astar_calls.append(i)
+        return astar_at(self, i)
+
+    monkeypatch.setattr(theorems, "evaluate_at_matrix", counting)
+    monkeypatch.setattr(weighted.WeightedMatrices, "astar_at", counting_astar)
+    payload = analysis_report(ga, reports, include_witnesses=True)
+    assert seen and len(seen) == len(set(seen))
+    assert not astar_calls
+    (t33,) = [t for t in payload["theorems"] if t["theoremId"] == "T33"]
+    assert set(t33["witnesses"]) == {"Astar_D", "p_geqD_at_A"}
+
+
+def _assert_row(one_row, batch, k):
+    # every column of the one-row pass equals row k of the whole pass
     assert one_row[:3] == batch[:3]  # theorem id, label and kind
     for name in ("lhs", "rhs", "slack", "state", "verdict", "equality_holds"):
-        assert np.array_equal(getattr(one_row, name), getattr(batch, name)[u:u + 1]), name
+        a, b = getattr(one_row, name), getattr(batch, name)
+        assert (a is None and b is None) or np.array_equal(a, b[k:k + 1]), name
     for group in ("params", "details"):
         a, b = getattr(one_row, group), getattr(batch, group)
         assert a.keys() == b.keys()
-        assert all(np.array_equal(a[k], b[k][u:u + 1]) for k in a), group
+        assert all(np.array_equal(a[key], b[key] if np.ndim(b[key]) == 0 else b[key][k:k + 1])
+                   for key in a), group
+    assert one_row.q_gaps is batch.q_gaps
+    assert (one_row.witness_fn is None) == (batch.witness_fn is None)
     if batch.certificate is None:
-        assert one_row.certificate is None and one_row.witness_fn is None
+        assert one_row.certificate is None
         return
-    k = np.flatnonzero(np.flatnonzero(batch.state == EQUAL) == u)
+    i = np.flatnonzero(np.flatnonzero(batch.state == EQUAL) == k)
     assert one_row.certificate._replace(max_abs_diff=None) == \
         batch.certificate._replace(max_abs_diff=None)
-    assert np.array_equal(one_row.certificate.max_abs_diff, batch.certificate.max_abs_diff[k])
+    assert np.array_equal(one_row.certificate.max_abs_diff, batch.certificate.max_abs_diff[i])
     a, b = one_row.witness_fn(), batch.witness_fn()
     assert a.keys() == b.keys()
-    assert all(np.array_equal(a[key], b[key][k]) for key in a)
+    assert all(np.array_equal(a[key], b[key][i]) for key in a)
 
 
 @pytest.mark.parametrize("graphs", ["fixtures", "atlas"])
 def test_local_checks_match_run_all_checks(request, graphs):
-    # the one-row and the all-vertex uses of the P31 and T32 passes agree
+    # the one-row and the whole-family uses of the P31, T32, T34, P35 and
+    # P36 passes agree
     if graphs == "fixtures":
         analyses, checks = request.getfixturevalue("analyses"), request.getfixturevalue("checks")
         analyzed = [(name, analyses(name), checks(name)) for name in ALL_NAMES]
     else:
         analyzed = request.getfixturevalue("atlas")
     for _name, ga, reports in analyzed:
-        p31, t32 = reports[:2]
+        p31, t32, _t33, t34, p35, p36 = reports[:6]
         for u in range(ga.n):
             _assert_row(check_local_bound(ga, u), p31, u)
             _assert_row(check_local_spet(ga, u), t32, u)
+        for rows, check in ((t34, check_harmonic_bound), (p35, check_partial_dr_matrix),
+                            (p36, check_partial_dr_inequality)):
+            for k, index in enumerate(next(iter(rows.params.values())).tolist()):
+                _assert_row(check(ga, index), rows, k)
+
+
+def _q_gap(ga, j) -> float:
+    """max|q_j(A) - S*_j| from q_j(A) evaluated alone."""
+    at_a = evaluate_at_matrix(ga.global_seq.sum_values(j), ga.spectrum)
+    return float(np.abs(at_a - ga.wm.sstar_at(j)).max())
+
+
+@pytest.mark.parametrize("graphs", ["fixtures", "atlas"])
+def test_column_families_match_scalar_rule(request, graphs):
+    # every row of T34 and P36 (state, slack, label, verdict) and of P35
+    # (matrix condition, oracle agreement, verdict) against the per-index
+    # scalar rule: _compare and _ladder, the saturation rule for T34 at
+    # j >= D, and each q_j(A) evaluated alone
+    if graphs == "fixtures":
+        analyses, checks = request.getfixturevalue("analyses"), request.getfixturevalue("checks")
+        analyzed = [(name, analyses(name), checks(name)) for name in ALL_NAMES]
+    else:
+        analyzed = [entry for entry in request.getfixturevalue("atlas") if entry[1].n <= 6]
+    seen = Counter()
+    for name, ga, reports in analyzed:
+        _p31, _t32, _t33, t34, p35, p36 = reports[:6]
+        q, h, cls = ga.global_seq.q_lambda0, ga.stats.harmonic_means, ga.classification
+        tol = ga.tols.equality * max(1.0, ga.n)
+        gaps = [_q_gap(ga, j) for j in range(min(ga.D, ga.d) + 1)]
+        assert ga.q_gaps.max_abs_diff.tolist() == gaps, name
+        seen.update(f"gap {'within' if gap <= tol else 'beyond'} tolerance" for gap in gaps)
+        for k, j in enumerate(t34.params["j"].tolist()):
+            label = f"q_{j}(lambda0) <= H*_<={j}"
+            if j >= ga.D:
+                top = j == ga.d
+                comp = Comparison(label, float(q[j]), float(ga.n),
+                                  float(ga.global_seq.p_lambda0[j + 1:].sum()),
+                                  "inequality", "equal" if top else "strict")
+                verdict = _ladder(comp, top, f"harmonic bound attained: q_{j}(A) = J* "
+                                              "(Hoffman identity)")
+                seen["j = d" if top else "D <= j < d"] += 1
+            else:
+                comp = _compare(label, q[j], h[j], ga.tols.equality)
+                verdict = _ladder(comp, comp.scalar_equal and gaps[j] <= tol,
+                                  f"harmonic bound attained: q_{j}(A) = S*_{j}")
+                seen["j < D"] += 1
+            got = (CODES[t34.state[k]], float(t34.lhs[k]), float(t34.rhs[k]),
+                   float(t34.slack[k]), t34._format(t34.label, k), t34.verdict_text(k))
+            assert got == (comp.state, comp.lhs, comp.rhs, comp.slack, comp.label, verdict), \
+                (name, j)
+            assert t34.equality_holds[k] == verdict.startswith("harmonic bound attained")
+        level = cls.partial_dr_level
+        for k, m in enumerate(p35.params["m"].tolist()):
+            holds = gaps[m - 1] <= tol and gaps[m] <= tol
+            agrees = holds == (level >= m)
+            verdict = (f"{m}-partially distance-regular" if holds else
+                       f"not {m}-partially distance-regular" if agrees else
+                       "INTERNAL INCONSISTENCY: matrix conditions and oracle level disagree")
+            assert (p35.equality_holds[k], p35.details["oracle_agrees"][k],
+                    p35.verdict_text(k)) == (holds, agrees, verdict), (name, m)
+            seen[f"P35 {holds}"] += 1
+        for k, m in enumerate(p36.params["m"].tolist()):
+            comp = _compare(f"(q_{m - 1}+q_{m})(lambda0) <= H*_<={m - 1} + H*_<={m}",
+                            q[m - 1] + q[m], h[m - 1] + h[m], ga.tols.equality)
+            structural = cls.is_regular and gaps[m - 1] <= tol and gaps[m] <= tol
+            oracle_ok = cls.is_regular and level >= m
+            verdict = _ladder(comp, comp.scalar_equal and structural,
+                              f"regular and {m}-partially distance-regular",
+                              "scalar equality but structural certificate failed")
+            got = (CODES[p36.state[k]], float(p36.lhs[k]), float(p36.rhs[k]),
+                   float(p36.slack[k]), p36._format(p36.label, k), p36.verdict_text(k),
+                   p36.details["oracle_agrees"][k])
+            assert got == (comp.state, comp.lhs, comp.rhs, comp.slack, comp.label, verdict,
+                           structural == oracle_ok), (name, m)
+            seen[f"P36 {comp.state}"] += 1
+    assert {"j < D", "D <= j < d", "j = d", "gap within tolerance", "gap beyond tolerance",
+            "P35 True", "P35 False", "P36 equal", "P36 strict"} <= set(seen), seen
+
+
+def test_column_violation_messages(analyses):
+    # a violated T34 row and a violated P36 row, and a P35 row at odds with
+    # its oracle, give the messages of the scalar reports
+    ga = analyses("k23")
+    t34, p35, p36 = (check(ga) for check in (check_harmonic_bound, check_partial_dr_matrix,
+                                             check_partial_dr_inequality))
+    lhs, rhs = t34.lhs.copy(), t34.rhs.copy()
+    lhs[1], rhs[1] = 3.75, 3.5
+    t34 = t34._replace(lhs=lhs, rhs=rhs, slack=rhs - lhs)
+    lhs, rhs = p36.lhs.copy(), p36.rhs.copy()
+    lhs[1], rhs[1] = 9.5, 8.25
+    p36 = p36._replace(lhs=lhs, rhs=rhs, slack=rhs - lhs)
+    p35 = p35._replace(details={**p35.details, "oracle_agrees": np.array([False, True])})
+    assert collect_violations([t34, p35, p36]) == [
+        "T34: q_1(lambda0) <= H*_<=1: lhs=3.75 > rhs=3.5",
+        "P35: oracle disagreement: not 1-partially distance-regular",
+        "P36: (q_1+q_2)(lambda0) <= H*_<=1 + H*_<=2: lhs=9.5 > rhs=8.25",
+    ]
 
 
 def _json_ready(x) -> bool:
@@ -640,8 +768,8 @@ def test_report_values_are_json_ready(request, graphs):
         extra = [check_local_bound(ga, u), check_local_bound(ga, u, j=np.int64(0)),
                  check_local_spet(ga, u), check_harmonic_bound(ga, np.int64(0))]
         for rep in reports + extra:
-            if isinstance(rep, LocalReports):
-                assert _json_ready(local_reports_dict(rep, include_witnesses=True)), name
+            if isinstance(rep, ColumnReport):
+                assert _json_ready(theorem_columns_dict([rep], include_witnesses=True)), name
                 continue
             assert _json_ready(rep.params) and _json_ready(rep.details), (name, rep)
             for c in rep.comparisons:
