@@ -357,6 +357,26 @@ def test_converter_rebuilds_schema2_output(capsys, tmp_path, name):
         assert to_v2(out) == fh.read()
 
 
+def _golden_v4_graph(name):
+    import random
+
+    import corpus
+    if name == "tree30":  # D = 13; P31's local pass meets weights below 1e-24
+        return corpus.random_tree(random.Random(1), 30)
+    return corpus.connected_er(random.Random(2), 16, 0.2)  # er16: nonregular, D = 5
+
+
+@pytest.mark.parametrize("name", ["tree30", "er16"])
+def test_analyze_matches_schema4_golden(capsys, tmp_path, name):
+    # tests/data/NAME.v4.json is analyze --witnesses stdout, byte for byte
+    path = tmp_path / f"{name}.el"
+    path.write_bytes(fx.edgelist_bytes(_golden_v4_graph(name)))
+    code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
+    assert code == 0
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.v4.json")) as fh:
+        assert out == fh.read()
+
+
 def test_check_t34_missing_j(capsys, k23_file):
     code, _, err = _run(capsys, ["check", k23_file, "--theorem", "T34"])
     assert code == 2
