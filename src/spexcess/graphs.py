@@ -4,9 +4,9 @@ Vertices are dense integers 0..n-1.  Graphs are finite, simple and connected;
 disconnected input is a hard error because everything downstream (Perron
 vector, local spectra, predistance polynomials) assumes a single component.
 
-Hop distances come from a level-synchronous BFS from every root at once,
-one dense product per level; only the distance table is stored, and the
-distance matrices A_i and the spheres are derived from it on demand.
+Hop distances come from one level-synchronous BFS per graph, from every
+root at once, which also decides connectivity; only the distance table is
+stored, and the distance matrices A_i and spheres are derived on demand.
 
 Input formats:
 
@@ -77,23 +77,12 @@ class Graph:
         a = np.zeros((n, n))
         a[lo, hi] = a[hi, lo] = 1.0
         g = cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), adjacency=_readonly(a))
-        if not g.is_connected():
-            raise DisconnectedError("graph must be connected")
+        distance_data(g)  # the connectivity check; g keeps the distances
         return g
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def is_connected(self) -> bool:
-        """Frontier expansion from vertex 0, one matrix-vector product per level."""
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = seen
-        while frontier.any():
-            frontier = (self.adjacency @ frontier > 0) & ~seen
-            seen = seen | frontier
-        return bool(seen.all())
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,8 @@ class DistanceData:
 
 
 def distance_data(g: Graph) -> DistanceData:
-    """Exact hop distances by a level-synchronous BFS from every root at once.
+    """Exact hop distances by a level-synchronous BFS from every root at once,
+    run once per graph: ``g`` keeps it (``Graph.from_edges`` runs it first).
 
     Row u of ``frontier`` is the sphere of radius ``level`` around u; one
     product with A per level gives the next sphere, so the whole table
@@ -126,6 +116,8 @@ def distance_data(g: Graph) -> DistanceData:
     counts that is only compared with 0, so single precision is exact and
     halves the cost.
     """
+    if "_distances" in g.__dict__:  # g is frozen: the result sits in __dict__
+        return g.__dict__["_distances"]
     n = g.n
     adjacency = g.adjacency.astype(np.float32)
     dist = np.where(np.eye(n, dtype=bool), 0, -1)
@@ -141,8 +133,9 @@ def distance_data(g: Graph) -> DistanceData:
     if (dist < 0).any():
         raise DisconnectedError("graph must be connected")
     ecc = dist.max(axis=1)
-    return DistanceData(dist=_readonly(dist), ecc=_readonly(ecc),
-                        diameter=int(ecc.max()))
+    g.__dict__["_distances"] = dd = DistanceData(dist=_readonly(dist), ecc=_readonly(ecc),
+                                                 diameter=int(ecc.max()))
+    return dd
 
 
 # --- parsing ---------------------------------------------------------------

@@ -24,11 +24,11 @@ Computation and Approximation*, 2004, section 2.2), one measure per
 ``predistance_polynomials`` call.  The pipeline builds one family, the
 global one to degree d.  Of the local families the checks read only
 numbers at lambda_0, so it builds none: ``top_q_lambda0`` runs one batched
-pass (``_stieltjes``) over every vertex with ecc_u < d_u and keeps only
-q^u_{ecc_u}(lambda_0), which P31 reads.  The top local values come in
-closed form: p^u_{d_u}(lambda_0) from the nodal polynomial of the local
-support (``spectral.top_p_lambda0``) and q^u_{d_u} from the preHoffman
-identities above.  The three-term recurrence
+pass (``_stieltjes``) over every vertex with ecc_u < d_u, reads it at
+lambda_0 only and keeps q^u_{ecc_u}(lambda_0), which P31 reads.  The top
+local values come in closed form: p^u_{d_u}(lambda_0) from the nodal
+polynomial of the local support (``spectral.top_p_lambda0``) and q^u_{d_u}
+from the preHoffman identities above.  The three-term recurrence
 
     x * p_i = b_{i-1} p_{i-1} + a_i p_i + c_{i+1} p_{i+1}
 
@@ -109,17 +109,17 @@ def top_q_lambda0(nodes, weights, degrees, scale) -> np.ndarray:
     """q_m(lambda_0) = p_0(lambda_0) + ... + p_m(lambda_0) for the measure
     in each row of ``weights``, m = ``degrees[r]`` and s = ``scale[r]``,
     from one batched pass that reads only phi_j(lambda_0), p_j(lambda_0) =
-    s * phi_j(lambda_0)^2.  A batch of several rows agrees with
-    ``predistance_polynomials`` on each row within rounding (the batched
-    products sum in another order); a single row takes the same one-row
-    pass and matches it bit for bit."""
-    degrees, order, _psi, phi, _beta = _stieltjes(nodes, weights, degrees)
+    s * phi_j(lambda_0)^2, where the weight alpha_u^2/n is never tiny.  A
+    batch of rows agrees with ``predistance_polynomials`` on each row within
+    rounding (the batched products sum in another order); a single row takes
+    the same one-row pass and matches it bit for bit."""
+    degrees, order, _psi, phi, _beta = _stieltjes(nodes, weights, degrees, at_lambda0=True)
     at0 = phi[:, :, 0]
     q = np.cumsum(np.asarray(scale, dtype=float)[order][:, None] * at0 * at0, axis=1)
     return q[np.argsort(order), degrees]
 
 
-def _stieltjes(nodes, weights, degrees):
+def _stieltjes(nodes, weights, degrees, at_lambda0=False):
     """The orthonormal families of the measures in the rows of ``weights``
     up to ``degrees``, rows sorted by descending degree.  Returns (degrees,
     order, psi, phi, beta): sorted row i is caller row ``order[i]``, and
@@ -130,8 +130,9 @@ def _stieltjes(nodes, weights, degrees):
     phi_{j-1}, orthogonalized twice against every earlier phi).  The steps
     run on psi, so every inner product is a plain dot product, and phi =
     psi / sqrt(w) except where w <= ``_TINY_WEIGHT``: there phi takes the
-    same linear steps as psi.  The rows still running at step j are a
-    leading block (a single row runs as plain vector products).
+    same linear steps as psi, unless ``at_lambda0`` asks for phi at the first
+    node only (never tiny there).  The rows still running at step j are a
+    leading block (a single row runs unsorted, as plain vector products).
     """
     nodes = np.asarray(nodes, dtype=float)
     w = np.array(weights, dtype=float, ndmin=2)
@@ -142,12 +143,12 @@ def _stieltjes(nodes, weights, degrees):
     top = int(degrees.max(initial=0))
     if top >= size:
         raise DegreeError(f"degrees must lie in 0..{size - 1}")
-    order = np.argsort(-degrees, kind="stable")
+    order = np.zeros(1, dtype=np.intp) if rows == 1 else np.argsort(-degrees, kind="stable")
     ws = w[order]
     # live[j]: how many sorted rows have degree >= j
-    live = np.searchsorted(-degrees[order], -np.arange(top + 1), side="right")
+    live = np.searchsorted(-degrees[order], -np.arange(top + 1), "right") if rows > 1 else None
     tiny = ws <= _TINY_WEIGHT
-    carry = bool(tiny.any())
+    carry = not at_lambda0 and bool(tiny.any())
     psi = np.zeros((rows, top + 1, size))
     phi = np.zeros((rows, top + 1 if carry else 1, size))
     # start stays -1 where no step ran, so only run steps can look singular
@@ -193,7 +194,9 @@ def _stieltjes(nodes, weights, degrees):
             f"measure is numerically singular at degree {singular.any(axis=0).argmax()} "
             "(eigenvalues may be wrongly grouped)"
         )
-    scaled = psi * (1.0 / np.sqrt(np.where(tiny, 1.0, ws)))[:, None]
+    if at_lambda0:
+        return degrees, order, psi, psi[..., :1] * (1.0 / np.sqrt(ws[:, :1]))[:, None], beta
+    scaled = psi * (1.0 / np.sqrt(np.where(tiny, 1.0, ws) if carry else ws))[:, None]
     phi = np.where(tiny[:, None], phi, scaled) if carry else scaled
     return degrees, order, psi, phi, beta
 

@@ -9,12 +9,15 @@ matrices and the weighted neighbour counts exact integers.  The
 eigenvectors are kept in descending eigenvalue order, so each class is a
 run of contiguous columns: class i is the ``mults[i]`` columns starting at
 ``mults[0] + ... + mults[i-1]``, and the multiplicities are the only record
-of the layout.  Local spectra are read straight from the eigenvectors: with
-V_i the orthonormal eigenvectors of class i, the spectral projector is
-E_i = V_i V_i^T, so m_u(lambda_i) = (E_i)_{uu} = sum over class i of
-V[u, k]^2.  No dense E_i is ever built.  ``LocalSpectra`` keeps them as
-arrays over the vertices, with d_u and the local excess p^u_{d_u}(lambda_0)
-in closed form (``top_p_lambda0``), so no predistance family is built.
+of the layout; the signs are LAPACK's, as no consumer reads one (squares,
+V diag(p) V^T and V (p * V^T x) are bit for bit the same under a negated
+column, and ``perron_weights`` signs its own vector).  Local spectra are
+read straight from the eigenvectors: with V_i the orthonormal eigenvectors
+of class i, the spectral projector is E_i = V_i V_i^T, so m_u(lambda_i) =
+(E_i)_{uu} = sum over class i of V[u, k]^2.  No dense E_i is ever built.
+``LocalSpectra`` keeps them as arrays over the vertices, with d_u and the
+local excess p^u_{d_u}(lambda_0) in closed form (``top_p_lambda0``), so no
+predistance family is built.
 
 The one genuinely delicate tolerance is ``presence_tol``: local multiplicities
 below it are treated as exact zeros, which determines d_u (the number of
@@ -45,7 +48,7 @@ class Spectrum:
 
     The columns of ``vectors`` are grouped by class in the order of
     ``lambdas``: lambda_i owns the next ``mults[i]`` columns, and column 0
-    is the Perron vector.
+    is the Perron vector.  The layout is promised, not the signs.
     """
 
     lambdas: np.ndarray
@@ -74,21 +77,18 @@ def eigendecompose(g: Graph,
                    grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
     """Spectrum of a connected graph, with eigenvalues grouped into classes.
 
-    Eigenvalues come out descending, and each eigenvector is signed so that
-    its first non-negligible component is positive.  Two consecutive
-    eigenvalues land in the same class when they differ by at most
-    ``grouping_tol * max(1, lambda_0)``; adjacency spectra of small graphs
-    have gaps far above LAPACK error, so the default is safe.  A LAPACK
-    failure is raised as ConvergenceError.
+    Eigenvalues come out descending and the eigenvectors as one contiguous
+    array with LAPACK's signs (no consumer reads a sign: module note).  Two
+    consecutive eigenvalues land in the same class when they differ by at
+    most ``grouping_tol * max(1, lambda_0)``; adjacency spectra of small
+    graphs have gaps far above LAPACK error, so the default is safe.  A
+    LAPACK failure is raised as ConvergenceError.
     """
     try:
         w, v = np.linalg.eigh(np.asarray(g.adjacency, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    w, v = w[::-1].copy(), v[:, ::-1]
-    mag = np.abs(v)
-    lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
-    v = v * np.where(v[lead, np.arange(len(w))] < 0, -1.0, 1.0)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
     gap = grouping_tol * max(1.0, abs(w[0]))
     starts = np.flatnonzero(np.r_[True, w[:-1] - w[1:] > gap])
     mults = np.diff(np.r_[starts, len(w)])

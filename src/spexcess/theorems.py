@@ -26,8 +26,7 @@ read, and p_{>=D}(A), A*_D and their gap (``tail_identity``), which T33 and
 T37 share.  T34's q_j(A) witnesses are built when a caller reads them.
 
 P31's vector certificates of the k scalar-equal rows are one (k x n)
-array.  P31 reads
-q^u_j.  At j = d_u it is the local preHoffman polynomial, with
+array.  P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``).
 At the default j = min(ecc(u), d_u) it reads q^u_j(lambda_0) from the
 pipeline's ``local_q_lambda0`` and builds no polynomial: only j = d_u can
@@ -412,13 +411,14 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
     At j = 0 the scalar sides are both 1 for every graph while the matrix
     identity I = I* forces regularity, so the certified verdict (scalar AND
     matrix) is the meaningful one.  For j >= D the saturation rule decides
-    (module note), with no q_j(A), certificate or witness.
+    (module note): no q_j(A), certificate, witness or ``q_gaps``.
     """
     if j is not None and not 0 <= j <= ga.min_du:
         raise HypothesisError(
             f"j={j} violates the hypothesis 0 <= j <= min_u d_u = {ga.min_du}")
     js = np.arange(ga.min_du + 1) if j is None else np.array([int(j)])
-    seq, below, q_gaps, p = ga.global_seq, js < ga.D, ga.q_gaps, ga.global_seq.p_lambda0
+    seq, below, p = ga.global_seq, js < ga.D, ga.global_seq.p_lambda0
+    q_gaps = ga.q_gaps if j is None or j < ga.D else None
     lhs = seq.q_lambda0[js]
     rhs = np.where(below, ga.stats.harmonic_means[np.minimum(js, ga.D)], float(ga.n))
     state, slack = _states(lhs, rhs, ga.tols.equality)
@@ -426,7 +426,8 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
     # as its own slice, so it keeps the order of numpy's pairwise sum
     state[~below] = np.where(js[~below] == ga.d, EQUAL, STRICT)
     slack[~below] = [p[i + 1:].sum() for i in js[~below].tolist()]
-    holds = (state == EQUAL) & (q_gaps.passes[np.minimum(js, ga.D)] | ~below)
+    passes = False if q_gaps is None else q_gaps.passes[np.minimum(js, ga.D)]
+    holds = (state == EQUAL) & (passes | ~below)
     verdict = np.where(holds, _T34_ATTAINED + ~below, _T34_UNATTAINED[state])
 
     def witnesses():

@@ -11,10 +11,14 @@ of ``cli.main(["analyze", PATH])`` over the files, K pairs (default 20)
 in the order AB BA AB ..., so both sides see the same host speed.
 
 Prints, for each side, the sum over graphs of each graph's fastest call
-and the median pass time, then how many paired passes the change won, in
-all and split by order: among the AB pairs (base ran first) and among the
-BA pairs (change ran first).  A count that leans by order shows up there,
-so run the base against itself beside every A/B run.
+and the median pass time with its quartiles, then how many paired passes
+the change won, in all and split by order: among the AB pairs (base ran
+first) and among the BA pairs (change ran first).  A count that leans by
+order shows up there, so run the base against itself beside every A/B run.
+The last line applies the claim rule: the change must win at least nine
+tenths of the pairs (a tie counts for neither side), and the gap between
+the median passes must exceed the base's spread, the distance between its
+quartiles; the gap is printed as a share of that spread.
 Defaults: ``--workload wide-spectrum --seed 1``.  The script is not
 collected by pytest.
 """
@@ -128,16 +132,24 @@ def main(argv=None) -> int:
     for label, side in zip(("base", "change"), sides):
         best = sum(min(calls) for calls in zip(*side.passes))
         per_pass = [sum(p) for p in side.passes]
-        totals.append((best, per_pass))
-        print(f"{label}: sum of per-graph minima {best * 1e3:.1f} ms, "
-              f"median pass {statistics.median(per_pass) * 1e3:.1f} ms")
-    (base_best, base_passes), (change_best, change_passes) = totals
+        q1, median, q3 = statistics.quantiles(per_pass, n=4)
+        totals.append((best, per_pass, median, q3 - q1))
+        print(f"{label}: sum of per-graph minima {best * 1e3:.1f} ms, median pass "
+              f"{median * 1e3:.1f} ms [q1 {q1 * 1e3:.1f}, q3 {q3 * 1e3:.1f}]")
+    (base_best, base_passes, base_median, spread), (change_best, change_passes,
+                                                    change_median, _) = totals
     wins = [c < b for b, c in zip(base_passes, change_passes)]
     ab, ba = wins[0::2], wins[1::2]
     print(f"{args.workload} seed {args.seed}, {len(paths)} graphs, CPU {cpu}: "
           f"{base_best / change_best:.3f}x by the sums of minima; change faster "
           f"in {sum(wins)} of {args.passes} paired passes ({sum(ab)} of {len(ab)} AB, "
           f"{sum(ba)} of {len(ba)} BA)")
+    gap = base_median - change_median
+    share = gap / spread if spread else float("nan")
+    met = sum(wins) >= 0.9 * len(wins) and gap > spread
+    print(f"median gap {gap * 1e3:.2f} ms = {share:.2f}x the base's quartile spread "
+          f"{spread * 1e3:.2f} ms; claim rule (>= 9/10 pairs won and gap > spread) "
+          f"{'met' if met else 'not met'}")
     return 0
 
 

@@ -39,11 +39,39 @@ def test_disconnected_rejected():
         Graph.from_edges(4, [(0, 1), (2, 3)])
     a = np.zeros((4, 4))
     a[[0, 1, 2, 3], [1, 0, 3, 2]] = 1.0
-    g = Graph(4, ((0, 1), (2, 3)), a)
-    assert not g.is_connected()
-    with pytest.raises(DisconnectedError, match="connected"):
-        distance_data(g)
-    assert Graph.from_edges(1, []).is_connected()
+    g = Graph(4, ((0, 1), (2, 3)), a)  # built past from_edges's check
+    for _ in range(2):  # a failed BFS keeps nothing, so it raises again
+        with pytest.raises(DisconnectedError, match="connected"):
+            distance_data(g)
+    assert distance_data(Graph.from_edges(1, [])).diameter == 0
+
+
+def test_one_bfs_per_graph(monkeypatch, tmp_path, capsys):
+    # from_edges decides connectivity by the BFS and keeps its result:
+    # distance_data returns that object, and analyze runs no second BFS
+    from spexcess import graphs
+    from spexcess.cli import main
+    result, calls = graphs.DistanceData, []  # built once per BFS, at its end
+
+    def counted(**fields):
+        calls.append(len(fields["dist"]))
+        return result(**fields)
+
+    monkeypatch.setattr(graphs, "DistanceData", counted)
+    g = load_graph(K23_EDGELIST)
+    assert calls == [5]
+    assert distance_data(g) is distance_data(g)
+    assert calls == [5]
+    twin = Graph(g.n, g.edges, g.adjacency)  # built past from_edges: its own BFS
+    assert distance_data(twin) is not distance_data(g)
+    assert calls == [5, 5]
+    for name in ("k23", "petersen", "c8_12"):
+        graph, path = fx.named(name), tmp_path / f"{name}.el"
+        path.write_bytes(fx.edgelist_bytes(graph))
+        calls.clear()
+        assert main(["analyze", str(path), "--witnesses"]) == 0
+        assert calls == [graph.n]
+    capsys.readouterr()
 
 
 def test_loop_rejected():

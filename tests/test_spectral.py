@@ -60,9 +60,7 @@ def test_eigendecompose_random_graphs():
         a = np.asarray(g.adjacency)
         w, v = spec.lambdas[spec.class_index], spec.vectors
         assert np.all(np.diff(w) <= 0)
-        # sign convention: first non-negligible component of each vector > 0
-        lead = np.argmax(np.abs(v) > 1e-8 * np.abs(v).max(axis=0), axis=0)
-        assert np.all(v[lead, np.arange(g.n)] > 0)
+        assert v.flags.c_contiguous
         assert np.abs(v.T @ v - np.eye(g.n)).max() <= 1e-12
         assert np.abs(a @ v - v * w).max() <= 1e-10 * np.linalg.norm(a)
         # trace identities from the edge list, in eigenvalues and in classes
@@ -71,6 +69,41 @@ def test_eigendecompose_random_graphs():
         assert abs(np.sum(w ** 3) - 6 * _triangles(g)) <= 1e-9 * g.n ** 3
         assert abs(np.sum(spec.mults * spec.lambdas ** 2) - 2 * g.edge_count) \
             <= 1e-9 * g.n ** 2
+
+
+@pytest.mark.parametrize("signs", ["all", "perron", "random"])
+def test_results_do_not_depend_on_eigenvector_signs(monkeypatch, signs):
+    # a Spectrum promises its layout, not its signs: negating any set of
+    # eigenvector columns leaves every derived number bit for bit the same,
+    # up to the whole analyze --witnesses report
+    from spexcess import spectral
+    from spexcess.pipeline import analyze_graph, run_all_checks
+    from spexcess.report import analysis_report, to_json
+    rng = np.random.default_rng(5)
+    graphs = [fx.named(name) for name in ("k23", "petersen", "c8_12", "p3")]
+    for g in graphs + _random_graphs()[::2]:
+        spec = eigendecompose(g)
+        flip = {"all": np.full(g.n, True), "perron": np.arange(g.n) == 0,
+                "random": rng.random(g.n) < 0.5}[signs]
+        flipped = spectral.Spectrum(spec.lambdas, spec.mults,
+                                    np.where(flip, -spec.vectors, spec.vectors))
+        analyses = [analyze_graph(g)]
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "eigendecompose", lambda *_a, **_k: flipped)
+            analyses.append(analyze_graph(g))
+        assert analyses[1].spectrum is flipped
+        base, other = analyses
+        for a, b in ((base.local_spectra.mults, other.local_spectra.mults),
+                     (base.local_spectra.excess, other.local_spectra.excess),
+                     (base.perron.alpha, other.perron.alpha), (base.perron.nu, other.perron.nu),
+                     (base.local_q_lambda0, other.local_q_lambda0),
+                     (base.q_gaps.max_abs_diff, other.q_gaps.max_abs_diff),
+                     (base.classification.distance_poly_residuals,
+                      other.classification.distance_poly_residuals)):
+            assert np.array_equal(a, b)
+        base_json, other_json = (to_json(analysis_report(ga, run_all_checks(ga), True))
+                                 for ga in analyses)
+        assert base_json == other_json
 
 
 def test_eigendecompose_linalg_error_is_convergence_error(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from collections import Counter
@@ -212,6 +213,22 @@ def test_t34_petersen_j1_equality(analyses):
     (q_at_a,), (sstar,) = rep.witness_fn()["q_j_at_A"], rep.witness_fn()["Sstar_j"]
     assert np.abs(q_at_a - expected).max() <= 1e-7
     assert np.abs(sstar - expected).max() <= 1e-9
+
+
+def test_t34_saturated_row_builds_no_q_gaps(capsys, tmp_path):
+    # Petersen, j = 2 = D: the saturation rule decides the one row, so
+    # neither the check nor its printout builds or carries the q-gap vector
+    from spexcess.cli import main
+    ga = analyze_graph(fx.petersen())
+    rep = check_harmonic_bound(ga, 2)
+    assert rep.q_gaps is None and "q_gaps" not in ga.__dict__
+    assert CODES[rep.verdict[0]] == "harmonic bound attained: q_{j}(A) = J* (Hoffman identity)"
+    assert check_harmonic_bound(ga, 1).q_gaps is ga.__dict__["q_gaps"]
+    path = tmp_path / "petersen.el"
+    path.write_bytes(fx.edgelist_bytes(fx.petersen()))
+    assert main(["check", str(path), "--theorem", "T34", "--j", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["codes", "T34"] and out["T34"]["params"] == {"j": [2]}
 
 
 def test_t34_eta_witness_on_equality(analyses):
@@ -607,8 +624,9 @@ def test_report_evaluates_each_witness_once(monkeypatch):
     assert set(t33["witnesses"]) == {"Astar_D", "p_geqD_at_A"}
 
 
-def _assert_row(one_row, batch, k):
-    # every column of the one-row pass equals row k of the whole pass
+def _assert_row(one_row, batch, k, reads_gaps=True):
+    # every column of the one-row pass equals row k of the whole pass; a
+    # row that reads no q-gap (T34 at j >= D) carries none
     assert one_row[:3] == batch[:3]  # theorem id, label and kind
     for name in ("lhs", "rhs", "slack", "state", "verdict", "equality_holds"):
         a, b = getattr(one_row, name), getattr(batch, name)
@@ -618,7 +636,7 @@ def _assert_row(one_row, batch, k):
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[key], b[key] if np.ndim(b[key]) == 0 else b[key][k:k + 1])
                    for key in a), group
-    assert one_row.q_gaps is batch.q_gaps
+    assert one_row.q_gaps is (batch.q_gaps if reads_gaps else None)
     assert (one_row.witness_fn is None) == (batch.witness_fn is None)
     if batch.certificate is None:
         assert one_row.certificate is None
@@ -649,7 +667,8 @@ def test_local_checks_match_run_all_checks(request, graphs):
         for rows, check in ((t34, check_harmonic_bound), (p35, check_partial_dr_matrix),
                             (p36, check_partial_dr_inequality)):
             for k, index in enumerate(next(iter(rows.params.values())).tolist()):
-                _assert_row(check(ga, index), rows, k)
+                reads_gaps = check is not check_harmonic_bound or index < ga.D
+                _assert_row(check(ga, index), rows, k, reads_gaps)
 
 
 def _q_gap(ga, j) -> float:
