@@ -174,7 +174,7 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
         a = dd.matrix(np.arange(start, min(start + step, dd.diameter + 1))[:, None, None])
         diag = np.einsum("uk,iuk->ik", v, a @ v)  # (V^T A_i V)_kk
         coef = class_sums(diag, spec) / spec.mults
-        a -= (v * coef[:, None, spec.class_index]) @ v.T
+        a -= (v * coef.take(spec.class_index, axis=1)[:, None]) @ v.T  # take: C order
         residuals[start:start + len(a)] = [np.linalg.norm(diff) for diff in a]  # one per A_i
     ok = bool(np.all(residuals <= tol * dd.n))
     return ok, _readonly(residuals)

@@ -205,7 +205,7 @@ def evaluate_at_matrix(p, spec: Spectrum) -> np.ndarray:
     """p(A) = V diag(p(lambda)) V^T from the values of p on the eigenvalues;
     a (k, d+1) stack of value vectors gives the (k, n, n) stack of matrices."""
     v = spec.vectors
-    return (v * np.asarray(p)[..., None, spec.class_index]) @ v.T
+    return (v * np.take(p, spec.class_index, axis=-1)[..., None, :]) @ v.T
 
 
 def apply_to_vector(p, spec: Spectrum, vec: np.ndarray) -> np.ndarray:
