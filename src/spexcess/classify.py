@@ -57,10 +57,10 @@ def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
     alpha_w in ascending w divided by alpha_v.
     """
     n = len(dist)
-    rows, cols = np.divmod(np.flatnonzero(dist == 1), n)
+    rows, cols = (dist == 1).nonzero()
     degrees = np.bincount(rows, minlength=n)
-    nbr = np.tile(np.arange(n), (int(degrees.max()), 1))
-    nbr[np.arange(rows.size) - np.repeat(np.cumsum(degrees) - degrees, degrees), rows] = cols
+    nbr = np.arange(n)[None].repeat(degrees.max(), axis=0)
+    nbr[np.arange(rows.size) - (degrees.cumsum() - degrees).repeat(degrees), rows] = cols
     weight = np.where(nbr != np.arange(n), alpha[nbr], 0.0)
     step = max(1, _BLOCK_BYTES // (n * (len(nbr) * (dist.itemsize + 3) + 72)))
     for start in range(0, n, step):
@@ -124,8 +124,8 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
     for roots, x in _pair_counts(dist, alpha):
         here, block = dist[roots], present[roots]
         runs = sizes[roots][block]
-        starts = np.cumsum(runs) - runs
-        order = np.argsort(here, axis=1, kind="stable") + np.arange(0, x[0].size, n)[:, None]
+        starts = runs.cumsum() - runs
+        order = here.argsort(axis=1, kind="stable") + np.arange(0, x[0].size, n)[:, None]
         x_run = x.reshape(3, -1).take(order.ravel(), axis=1)  # by (root, radius, vertex)
         ext = ends[:, :, roots]
         ext[0][:, block] = np.minimum.reduceat(x_run, starts, axis=1)
@@ -134,12 +134,12 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
             np.add.reduceat(x_run, starts, axis=1) / runs)
         fails = ext[1] - ext[0] > tol * np.maximum(1.0, np.abs(ext).max(axis=0))
         fails = fails.transpose(1, 2, 0).reshape(len(here), -1)  # by (root, radius, which)
-        bad = np.flatnonzero(fails.any(axis=1))
+        bad = fails.any(axis=1).nonzero()[0]
         first[roots][bad] = fails[bad].argmax(axis=1)
         radius, which = np.divmod(first[roots][bad], 3)
         extreme = x[which, bad] == ext[:, which, bad, radius, None]
-        at[:, roots][:, bad] = np.argmax(extreme & (here[bad] == radius[:, None]), axis=-1)
-    bad = np.flatnonzero(first >= 0)
+        at[:, roots][:, bad] = (extreme & (here[bad] == radius[:, None])).argmax(axis=-1)
+    bad = (first >= 0).nonzero()[0]
     radius, which = np.divmod(first[bad], 3)
     low, high = ends[:, which, bad, radius]
     violations = {"radius": radius, "v": at[0, bad], "w": at[1, bad], "value_v": low,
@@ -176,7 +176,7 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
         coef = class_sums(diag, spec) / spec.mults
         a -= (v * coef.take(spec.class_index, axis=1)[:, None]) @ v.T  # take: C order
         residuals[start:start + len(a)] = [np.linalg.norm(diff) for diff in a]  # one per A_i
-    ok = bool(np.all(residuals <= tol * dd.n))
+    ok = bool((residuals <= tol * dd.n).all())
     return ok, _readonly(residuals)
 
 

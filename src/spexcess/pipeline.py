@@ -105,7 +105,7 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     pw = spectral.perron_weights(spec, g.adjacency.sum(axis=1))
     locals_ = spectral.local_spectra(spec, presence_tol=tols.presence)
     gseq = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n, spec.d)
-    short = np.flatnonzero(dd.ecc < locals_.du)
+    short = (dd.ecc < locals_.du).nonzero()[0]
     local_q = np.full(g.n, float(g.n))
     if short.size:
         local_q[short] = poly.top_q_lambda0(spec.lambdas, locals_.mults[short],

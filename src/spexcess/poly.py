@@ -76,7 +76,7 @@ class PolySequence:
     @functools.cached_property
     def q_lambda0(self) -> np.ndarray:
         """q_j(lambda_0) = p_0(lambda_0) + ... + p_j(lambda_0)."""
-        return _readonly(np.cumsum(self.values[:, 0]))
+        return _readonly(self.values[:, 0].cumsum())
 
     def sum_values(self, j: int) -> np.ndarray:
         """q_j = p_0 + ... + p_j on the eigenvalues."""
@@ -116,7 +116,7 @@ def top_q_lambda0(nodes, weights, degrees, scale) -> np.ndarray:
     degrees, order, _psi, phi, _beta = _stieltjes(nodes, weights, degrees, at_lambda0=True)
     at0 = phi[:, :, 0]
     q = np.cumsum(np.asarray(scale, dtype=float)[order][:, None] * at0 * at0, axis=1)
-    return q[np.argsort(order), degrees]
+    return q[order.argsort(), degrees]
 
 
 def _stieltjes(nodes, weights, degrees, at_lambda0=False):

@@ -73,7 +73,7 @@ def column_report_dict(r: ColumnReport, include_witnesses: bool = False) -> dict
     c = r.certificate
     if c is not None:
         out["certificate"] = {"name": c.name, "tolerance": c.tol,
-                              "rows": np.flatnonzero(r.state == EQUAL).tolist(),
+                              "rows": (r.state == EQUAL).nonzero()[0].tolist(),
                               "maxAbsDiff": c.max_abs_diff.tolist()}
     if include_witnesses and r.witness_fn is not None:
         out["witnesses"] = {k: _arr(v) for k, v in r.witness_fn().items()}
@@ -100,7 +100,7 @@ def classification_dict(ga: GraphAnalysis) -> dict:
         "isRegular": cls.is_regular,
         "isDistanceRegular": cls.is_distance_regular,
         "intersectionArray": cls.intersection_array,
-        "pseudoDistanceRegularVertices": np.flatnonzero(cls.is_pdr).tolist(),
+        "pseudoDistanceRegularVertices": cls.is_pdr.nonzero()[0].tolist(),
         "pseudoDistanceRegular": {
             "isPseudoDistanceRegular": cls.is_pdr.tolist(),
             "pseudoIntersectionNumbers": dict(zip("cab", numbers.tolist())),
@@ -109,7 +109,7 @@ def classification_dict(ga: GraphAnalysis) -> dict:
         "partialDistanceRegularLevel": cls.partial_dr_level,
         "isDistancePolynomial": cls.is_distance_polynomial,
         "distancePolynomialResiduals": _arr(cls.distance_poly_residuals),
-        "extremalVertices": np.flatnonzero(ga.dd.ecc == ga.local_spectra.du).tolist(),
+        "extremalVertices": (ga.dd.ecc == ga.local_spectra.du).nonzero()[0].tolist(),
     }
 
 

@@ -90,10 +90,10 @@ def eigendecompose(g: Graph,
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     gap = grouping_tol * max(1.0, abs(w[0]))
-    starts = np.flatnonzero(np.r_[True, w[:-1] - w[1:] > gap])
-    mults = np.diff(np.r_[starts, len(w)])
+    starts = np.concatenate(([0], (w[:-1] - w[1:] > gap).nonzero()[0] + 1))
+    mults = np.concatenate((starts[1:], [len(w)])) - starts
     lambdas = w[starts]  # a singleton class is its own mean
-    multi = np.flatnonzero(mults > 1)
+    multi = (mults > 1).nonzero()[0]
     for i, s, m in zip(multi.tolist(), starts[multi].tolist(), mults[multi].tolist()):
         lambdas[i] = w[s:s + m].mean()
     return Spectrum(lambdas=_readonly(lambdas), mults=_readonly(mults),
@@ -125,14 +125,13 @@ def perron_weights(spec: Spectrum, degrees: np.ndarray,
         raise NonPositiveEigenvectorError(
             f"top eigenvalue has multiplicity {spec.mults[0]}; check grouping tolerance"
         )
-    if np.all(degrees == degrees[0]):
+    if (degrees == degrees[0]).all():
         ones = _readonly(np.ones(spec.n))
         return PerronWeights(alpha=ones, nu=ones)
-    v0 = spec.vectors[:, 0].copy()
-    if v0[np.argmax(np.abs(v0))] < 0:
-        v0 = -v0
+    v0 = spec.vectors[:, 0]
+    v0 = -v0 if v0[abs(v0).argmax()] < 0 else v0  # LAPACK's sign is either
     alpha = math.sqrt(spec.n) * v0 / np.linalg.norm(v0)
-    if np.any(alpha <= pos_tol):
+    if (alpha <= pos_tol).any():
         raise NonPositiveEigenvectorError(
             f"Perron vector has entries <= {pos_tol}: min={alpha.min():.3e}"
         )
@@ -157,7 +156,7 @@ class LocalSpectra:
 
 def class_sums(x: np.ndarray, spec: Spectrum) -> np.ndarray:
     """Sum the last axis of ``x`` over each eigenvalue class (classes are contiguous)."""
-    return np.add.reduceat(x, np.cumsum(spec.mults) - spec.mults, axis=-1)
+    return np.add.reduceat(x, spec.mults.cumsum() - spec.mults, axis=-1)
 
 
 def top_p_lambda0(nodes, weights, support, scale) -> np.ndarray:

@@ -216,7 +216,7 @@ class ColumnReport(NamedTuple):
         bad = self.slack < -tol * np.maximum(1.0, np.maximum(abs(self.lhs), abs(self.rhs)))
         return [f"{self.theorem_id}: {self._format(self.label, i)}: "
                 f"lhs={float(self.lhs[i])!r} > rhs={float(self.rhs[i])!r}"
-                for i in np.flatnonzero(bad)]
+                for i in bad.nonzero()[0]]
 
     def oracle_disagreements(self) -> list[str]:
         agrees = self.details.get("oracle_agrees", True)
@@ -267,7 +267,7 @@ def q_gap_certificate(ga) -> Certificate:
     as many q_j(A) per stacked product as fit in ``_BLOCK_BYTES``."""
     top = min(ga.D, ga.d)
     step = max(1, _BLOCK_BYTES // (8 * ga.n ** 2))
-    q = np.cumsum(ga.global_seq.values, axis=0)  # row j is sum_values(j), bit for bit
+    q = ga.global_seq.values.cumsum(axis=0)  # row j is sum_values(j), bit for bit
     gaps = np.empty(top + 1)
     for start in range(0, top + 1, step):
         js = np.arange(start, min(start + step, top + 1))
@@ -343,7 +343,7 @@ def _local_bounds(ga, us, js, r_l0, norms, r_vals) -> ColumnReport:
     lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
     state, slack = _states(lhs, rhs, ga.tols.equality)
     state[saturated & (js < du)] = STRICT  # the saturation rule
-    rows = np.flatnonzero(state == EQUAL)
+    rows = (state == EQUAL).nonzero()[0]
     if r_vals is None:
         vecs = alpha[us[rows], None] * alpha
     else:

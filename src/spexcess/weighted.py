@@ -81,8 +81,9 @@ def excess_stats(dd: DistanceData, pw: PerronWeights) -> ExcessStats:
     """All excess statistics for one graph."""
     n = dd.n
     alpha2 = pw.alpha ** 2
-    sphere = np.stack([(dd.dist == i) @ alpha2 for i in range(dd.diameter + 1)], axis=1)
-    balls = np.cumsum(sphere, axis=1)
+    spheres = (dd.dist == np.arange(dd.diameter + 1)[:, None, None]) @ alpha2  # by radius
+    sphere = np.ascontiguousarray(spheres.T)  # C order, so the sums below keep their order
+    balls = sphere.cumsum(axis=1)
     harmonic = n / np.sum(alpha2[:, None] / balls, axis=0)
     delta = (alpha2[:, None] * sphere).sum(axis=0) / n
     avg_wdeg = ((dd.dist == 1) @ pw.alpha) / pw.alpha
