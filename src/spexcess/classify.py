@@ -165,7 +165,7 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
     from the eigenvectors without matrix powers.  A graph is
     distance-polynomial iff every Frobenius residual of A_i minus its
     projection is at most tol * n.  The A_i go in stacks of at most 64 kB,
-    which stay in cache (stacks of 16 MB made Q7 twice as slow).
+    which stay in cache (stacks of 16 MB made Q7 1.8x as slow).
     """
     v = spec.vectors
     residuals = np.zeros(dd.diameter + 1)
@@ -174,7 +174,7 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
         a = dd.matrix(np.arange(start, min(start + step, dd.diameter + 1))[:, None, None])
         diag = np.einsum("uk,iuk->ik", v, a @ v)  # (V^T A_i V)_kk
         coef = class_sums(diag, spec) / spec.mults
-        a -= (v * coef.take(spec.class_index, axis=1)[:, None]) @ v.T  # take: C order
+        a -= (v * coef.take(spec.class_index, axis=1)[:, None]) @ v.T  # C-ordered rows
         residuals[start:start + len(a)] = [np.linalg.norm(diff) for diff in a]  # one per A_i
     ok = bool((residuals <= tol * dd.n).all())
     return ok, _readonly(residuals)
