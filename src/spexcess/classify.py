@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import readonly as _readonly
+from ._util import CACHE_BLOCK_BYTES, readonly as _readonly
 from .graphs import DistanceData
 from .spectral import PerronWeights, Spectrum, class_sums
 
@@ -164,12 +164,12 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
     product) is sum_k (tr(A_i E_k) / m_k) E_k with E_k = V_k V_k^T, built
     from the eigenvectors without matrix powers.  A graph is
     distance-polynomial iff every Frobenius residual of A_i minus its
-    projection is at most tol * n.  The A_i go in stacks of at most 64 kB,
-    which stay in cache (stacks of 16 MB made Q7 1.8x as slow).
+    projection is at most tol * n.  The A_i go in stacks of at most
+    ``CACHE_BLOCK_BYTES``, small enough to stay in cache.
     """
     v = spec.vectors
     residuals = np.zeros(dd.diameter + 1)
-    step = max(1, (1 << 16) // (8 * dd.n ** 2))
+    step = max(1, CACHE_BLOCK_BYTES // (8 * dd.n ** 2))
     for start in range(0, dd.diameter + 1, step):
         a = dd.matrix(np.arange(start, min(start + step, dd.diameter + 1))[:, None, None])
         diag = np.einsum("uk,iuk->ik", v, a @ v)  # (V^T A_i V)_kk

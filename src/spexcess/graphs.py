@@ -23,6 +23,7 @@ with numpy, in one pass over all the edges.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -77,12 +78,37 @@ class Graph:
         a = np.zeros((n, n))
         a[lo, hi] = a[hi, lo] = 1.0
         g = cls(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), adjacency=_readonly(a))
-        distance_data(g)  # the connectivity check; g keeps the distances
+        g.distances  # the connectivity check; g keeps the distances
         return g
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def distances(self) -> DistanceData:
+        """Exact hop distances, by one BFS kept with the graph (a failed one
+        keeps nothing), level-synchronous from every root at once: row u of
+        ``frontier`` is the sphere of radius ``level`` around u, and one
+        product with A per level gives the next, so the table costs D dense
+        products.  Each product entry is a sum of nonnegative counts only
+        compared with 0, so single precision is exact and halves the cost."""
+        n = self.n
+        adjacency = self.adjacency.astype(np.float32)
+        dist = np.where(np.eye(n, dtype=bool), 0, -1)
+        frontier = np.eye(n, dtype=np.float32)
+        level = 0
+        while True:
+            reached = (frontier @ adjacency > 0) & (dist < 0)
+            if not reached.any():
+                break
+            level += 1
+            dist[reached] = level
+            frontier = reached.astype(np.float32)
+        if (dist < 0).any():
+            raise DisconnectedError("graph must be connected")
+        ecc = dist.max(axis=1)
+        return DistanceData(dist=_readonly(dist), ecc=_readonly(ecc), diameter=int(ecc.max()))
 
 
 @dataclass(frozen=True)
@@ -101,41 +127,14 @@ class DistanceData:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def matrix(self, i: int) -> np.ndarray:
-        """A_i, the 0/1 matrix of pairs at distance exactly i (A_0 = I, A_1 = A)."""
+    def matrix(self, i) -> np.ndarray:
+        """A_i, the 0/1 matrix of pairs at distance i; i of shape (k, 1, 1) stacks k."""
         return (self.dist == i).astype(float)
 
 
 def distance_data(g: Graph) -> DistanceData:
-    """Exact hop distances by a level-synchronous BFS from every root at once,
-    run once per graph: ``g`` keeps it (``Graph.from_edges`` runs it first).
-
-    Row u of ``frontier`` is the sphere of radius ``level`` around u; one
-    product with A per level gives the next sphere, so the whole table
-    costs D dense products.  A product entry is a sum of nonnegative
-    counts that is only compared with 0, so single precision is exact and
-    halves the cost.
-    """
-    if "_distances" in g.__dict__:  # g is frozen: the result sits in __dict__
-        return g.__dict__["_distances"]
-    n = g.n
-    adjacency = g.adjacency.astype(np.float32)
-    dist = np.where(np.eye(n, dtype=bool), 0, -1)
-    frontier = np.eye(n, dtype=np.float32)
-    level = 0
-    while True:
-        reached = (frontier @ adjacency > 0) & (dist < 0)
-        if not reached.any():
-            break
-        level += 1
-        dist[reached] = level
-        frontier = reached.astype(np.float32)
-    if (dist < 0).any():
-        raise DisconnectedError("graph must be connected")
-    ecc = dist.max(axis=1)
-    g.__dict__["_distances"] = dd = DistanceData(dist=_readonly(dist), ecc=_readonly(ecc),
-                                                 diameter=int(ecc.max()))
-    return dd
+    """The hop distances of ``g``: ``g.distances``, whose BFS runs once per graph."""
+    return g.distances
 
 
 # --- parsing ---------------------------------------------------------------
@@ -212,11 +211,9 @@ def parse_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
             raise ParseError(f"invalid graph6 byte {b}")
         return b - 63
 
-    pos = 0
     first = sixbits(data[0])
     if first < 63:
-        n = first
-        pos = 1
+        n, pos = first, 1
     else:
         # 126 -> 18-bit size in the next three bytes (n < 2**18)
         if len(data) < 4:
@@ -235,14 +232,8 @@ def parse_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
     bits = []
     for b in body:
         bits.extend((sixbits(b) >> k) & 1 for k in (5, 4, 3, 2, 1, 0))
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    return n, edges
+    pairs = ((u, v) for v in range(1, n) for u in range(v))  # column by column
+    return n, [pair for pair, bit in zip(pairs, bits) if bit]
 
 
 def graph6_bytes(g: Graph) -> bytes:

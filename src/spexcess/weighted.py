@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import readonly as _readonly
+from ._util import CACHE_BLOCK_BYTES, readonly as _readonly
 from .graphs import DistanceData
 from .spectral import PerronWeights
 
@@ -81,8 +81,11 @@ def excess_stats(dd: DistanceData, pw: PerronWeights) -> ExcessStats:
     """All excess statistics for one graph."""
     n = dd.n
     alpha2 = pw.alpha ** 2
-    spheres = (dd.dist == np.arange(dd.diameter + 1)[:, None, None]) @ alpha2  # by radius
-    sphere = np.ascontiguousarray(spheres.T)  # C order, so the sums below keep their order
+    sphere = np.empty((n, dd.diameter + 1))  # C order, so the sums below keep their order
+    step = max(1, CACHE_BLOCK_BYTES // (9 * n * n))  # radii per stack: masks and float copies
+    for start in range(0, dd.diameter + 1, step):
+        radii = np.arange(start, min(start + step, dd.diameter + 1))[:, None, None]
+        sphere[:, start:start + step] = ((dd.dist == radii) @ alpha2).T
     balls = sphere.cumsum(axis=1)
     harmonic = n / np.sum(alpha2[:, None] / balls, axis=0)
     delta = (alpha2[:, None] * sphere).sum(axis=0) / n

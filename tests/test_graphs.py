@@ -47,8 +47,9 @@ def test_disconnected_rejected():
 
 
 def test_one_bfs_per_graph(monkeypatch, tmp_path, capsys):
-    # from_edges decides connectivity by the BFS and keeps its result:
-    # distance_data returns that object, and analyze runs no second BFS
+    # from_edges decides connectivity by the BFS and keeps its result in
+    # the cached property g.distances: distance_data returns that object,
+    # and analyze runs no second BFS
     from spexcess import graphs
     from spexcess.cli import main
     result, calls = graphs.DistanceData, []  # built once per BFS, at its end
@@ -60,7 +61,7 @@ def test_one_bfs_per_graph(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(graphs, "DistanceData", counted)
     g = load_graph(K23_EDGELIST)
     assert calls == [5]
-    assert distance_data(g) is distance_data(g)
+    assert distance_data(g) is distance_data(g) is g.distances
     assert calls == [5]
     twin = Graph(g.n, g.edges, g.adjacency)  # built past from_edges: its own BFS
     assert distance_data(twin) is not distance_data(g)

@@ -112,3 +112,23 @@ def test_harmonic_vs_arithmetic_chain():
         ga = analyze_graph(g)
         assert ga.stats.n_minus_harmonic >= ga.stats.delta_star[-1] - 1e-10
 
+
+
+def test_memory_does_not_grow_with_diameter():
+    # the radii go in cache-sized stacks: a long path (D = n - 1) needs
+    # O(n^2) working memory, not (D + 1) n x n masks at once
+    import tracemalloc
+
+    from spexcess.classify import is_distance_polynomial
+    from spexcess.weighted import excess_stats
+
+    ga = analyze_graph(fx.path(150))
+    for work in (lambda: excess_stats(ga.dd, ga.perron),
+                 lambda: is_distance_polynomial(ga.dd, ga.spectrum)):
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * ga.n ** 2
