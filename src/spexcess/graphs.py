@@ -229,11 +229,15 @@ def parse_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
         raise ParseError(
             f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}"
         )
-    bits = []
-    for b in body:
-        bits.extend((sixbits(b) >> k) & 1 for k in (5, 4, 3, 2, 1, 0))
-    pairs = ((u, v) for v in range(1, n) for u in range(v))  # column by column
-    return n, [pair for pair, bit in zip(pairs, bits) if bit]
+    bits = [(sixbits(b) >> k) & 1 for b in body for k in (5, 4, 3, 2, 1, 0)]
+    edges = []
+    k = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[k]:
+                edges.append((u, v))
+            k += 1
+    return n, edges
 
 
 def graph6_bytes(g: Graph) -> bytes:
