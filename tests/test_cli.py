@@ -347,17 +347,14 @@ def test_check_prints_row_of_analyze(capsys, tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["k23", "petersen", "p5", "c8_12"])
-def test_converter_rebuilds_schema2_output(capsys, tmp_path, name):
+def test_converter_rebuilds_schema2_output(name):
     # tests/data holds the schema-2 program's analyze --witnesses stdout;
-    # schema2.to_v2 rebuilds it byte for byte from today's schema-4 stdout
+    # schema2.to_v2 rebuilds it byte for byte from the schema-4 golden
     from schema2 import to_v2
-    g = fx.path(5) if name == "p5" else fx.named(name)
-    path = tmp_path / f"{name}.el"
-    path.write_bytes(fx.edgelist_bytes(g))
-    code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
-    assert code == 0 and json.loads(out)["schemaVersion"] == 4
-    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.v2.json")) as fh:
-        assert to_v2(out) == fh.read()
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, f"{name}.v4.json")) as v4, \
+            open(os.path.join(data, f"{name}.v2.json")) as v2:
+        assert to_v2(v4.read()) == v2.read()
 
 
 def _golden_v4_graph(name):
@@ -366,10 +363,12 @@ def _golden_v4_graph(name):
     import corpus
     if name == "tree30":  # D = 13; P31's local pass meets weights below 1e-24
         return corpus.random_tree(random.Random(1), 30)
-    return corpus.connected_er(random.Random(2), 16, 0.2)  # er16: nonregular, D = 5
+    if name == "er16":  # nonregular, D = 5
+        return corpus.connected_er(random.Random(2), 16, 0.2)
+    return fx.path(5) if name == "p5" else fx.named(name)
 
 
-@pytest.mark.parametrize("name", ["tree30", "er16"])
+@pytest.mark.parametrize("name", ["k23", "petersen", "p5", "c8_12", "tree30", "er16"])
 def test_analyze_matches_schema4_golden(capsys, tmp_path, name):
     # tests/data/NAME.v4.json is analyze --witnesses stdout, byte for byte
     path = tmp_path / f"{name}.el"
