@@ -16,19 +16,20 @@ on 510 inputs and records each one's stdout, stderr and exit code:
 Files are written under a temporary directory and passed by relative path,
 so the records do not depend on where the run happens.  The ``spexcess``
 that runs is the first one on ``sys.path``: set PYTHONPATH to another
-checkout's ``src`` to snapshot that checkout.
+checkout's ``src`` to snapshot that checkout.  Its directory is recorded.
 
-``compare`` first rebuilds schema-2 stdout from schema-3 stdout on either
-side (``schema2.to_v2``), so a schema-3 snapshot compares with a schema-2
-one.  It then prints every input whose record differs, the non-float
-fields that differ (exit code, stderr, strings, integers, booleans, keys
-and list lengths) and the largest scaled gap |a - b| / max(1, |a|, |b|)
-between two floats a and b at the same place: relative for large values,
-absolute near 0, so rounding noise on a value near 0 reads as noise.  It
-then prints, for every field path with list indices dropped
-(``stdout.theorems.comparisons.lhs``), the largest scaled and the largest
-absolute gap between two floats there, over all inputs.  It exits 1 when
-any record differs and 0 when all are identical.
+``compare`` prints the ``spexcess`` directory of each side ("unknown" in
+older files) and warns when they are the same: two snapshots of one
+checkout always compare equal.  It compares each record as written
+(stdout, stderr and exit code) and prints every input whose record
+differs, the non-float fields that differ (exit code, stderr, strings,
+integers, booleans, keys and list lengths) and the largest scaled gap
+|a - b| / max(1, |a|, |b|) between two floats a and b at the same place:
+relative for large values, absolute near 0, so rounding noise on a value
+near 0 reads as noise.  It then prints, for every field path with list
+indices dropped (``stdout.theorems.comparisons.lhs``), the largest scaled
+and the largest absolute gap between two floats there, over all inputs.
+It exits 1 when any record differs and 0 when all are identical.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ def run(path: str) -> dict:
 
 
 def write(target: str) -> None:
+    import spexcess
+
     target = os.path.abspath(target)
     records = {}
     start = os.getcwd()
@@ -110,7 +113,8 @@ def write(target: str) -> None:
         finally:
             os.chdir(start)
     with open(target, "w") as fh:
-        json.dump({"inputs": records}, fh)
+        json.dump({"spexcess": os.path.dirname(os.path.abspath(spexcess.__file__)),
+                   "inputs": records}, fh)
     print(f"{len(records)} inputs written to {target}")
 
 
@@ -148,15 +152,18 @@ def _parsed(stdout: str):
         return stdout
 
 
-def _load_v2(path: str) -> dict:
-    from schema2 import to_v2
+def _load(path: str) -> tuple[str, dict]:
     with open(path) as fh:
-        records = json.load(fh)["inputs"]
-    return {key: dict(rec, stdout=to_v2(rec["stdout"])) for key, rec in records.items()}
+        doc = json.load(fh)
+    return doc.get("spexcess", "unknown"), doc["inputs"]
 
 
 def compare(path_a: str, path_b: str) -> int:
-    a, b = _load_v2(path_a), _load_v2(path_b)
+    (source_a, a), (source_b, b) = _load(path_a), _load(path_b)
+    print(f"{path_a}: spexcess from {source_a}")
+    print(f"{path_b}: spexcess from {source_b}")
+    if source_a == source_b != "unknown":
+        print("warning: both snapshots ran the same spexcess, so they compare equal")
     differing, largest, gaps = 0, 0.0, {}
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
