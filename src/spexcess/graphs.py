@@ -17,14 +17,16 @@ Input formats:
 
 A file holds one graph: graph6 data with more than one graph line is a
 ParseError, not a silent read of the first graph.  ``Graph.from_edges``
-range-checks, rejects loops and repeated edges and builds the adjacency
-with numpy, in one pass over all the edges.
+reads only (u, v) pairs of integer ids, range-checks, rejects loops and
+repeated edges and builds the adjacency with numpy, in one pass over all
+the edges.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,17 +52,28 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        """The graph of the (u, v) ``edges``, checked in one pass: the error is
-        the first pair with an id outside 0..n-1, a loop or a repeat, else
+        """The graph of the (u, v) ``edges``, a sequence of pairs or an (m, 2)
+        array of integer ids, checked in one pass: the error is the first
+        pair with an id outside 0..n-1, a loop or a repeat, else
         ``DisconnectedError`` if the graph is not connected."""
         if n < 1:
             raise ParseError("graph must have at least one vertex")
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
-            pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:  # an id past int64 is out of range: read it as -1
-            pairs = np.array([[x if 0 <= x < n else -1 for x in map(int, e)]
-                              for e in edges], dtype=np.int64).reshape(-1, 2)
+            ids = np.array(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
+        except ValueError:  # pairs mixed with longer tuples
+            ids = np.empty(0)
+        if ids.ndim != 2 or ids.shape[1] != 2:
+            raise ParseError("edges must be (u, v) pairs")
+        if ids.dtype.kind in "biu":  # bools read as 0 and 1, as Python reads them
+            pairs = ids.astype(np.int64, copy=False)  # a uint64 past int64 wraps below 0
+        elif all(isinstance(x, numbers.Integral) for e in edges for x in e):
+            # numpy reads an id past int64 as a float or an object: it is
+            # out of range, so read it as -1
+            pairs = np.array([[x if 0 <= x < n else -1 for x in e] for e in edges],
+                             dtype=np.int64)
+        else:
+            raise ParseError("vertex ids must be integers")
         lo, hi = np.sort(pairs, axis=1).T
         key = lo * n + hi  # exact for in-range pairs, which come first in order
         order = np.argsort(key, kind="stable")

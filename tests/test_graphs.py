@@ -85,6 +85,20 @@ def test_duplicate_edge_rejected():
         load_graph("0 1\n1 0")
 
 
+@pytest.mark.parametrize("n, edges, error", [
+    (4, [(0, 1, 2), (1, 2, 3)], "pairs"), (4, [(0, 1), (1, 2, 3)], "pairs"),
+    (4, [0, 1, 1, 2, 2, 3], "pairs"), (3, [(0, 2.9), (0, 1)], "integers"),
+    (3, np.array([[0.0, 1.0], [1.0, 2.0]]), "integers"),
+    (3, [("0", "1"), ("1", "2")], "integers"), (2, [(0, None)], "integers"),
+    (2, [(0, 1), (0, 2 ** 63)], "out of range"), (2, [(0, 1), (0, 2 ** 70)], "out of range"),
+    (2, np.array([[0, 1], [0, 2 ** 63]], dtype=np.uint64), "out of range")])
+def test_from_edges_reads_only_integer_pairs(n, edges, error):
+    # reshaping to pairs read triples as a path and casting to int64 read
+    # 2.9 as 2; an id past int64 stays out of range
+    with pytest.raises(ParseError, match=error):
+        Graph.from_edges(n, edges)
+
+
 def test_comments_and_blank_lines():
     g = load_graph("# K2 plus commentary\n\n0 1\n")
     assert g.n == 2
