@@ -21,9 +21,9 @@ such an identity (P31, T33, T34, P36) share one five-way verdict ladder,
 T37 reports each link of its chain as equal or by its comparison state.
 ``GraphAnalysis`` evaluates each matrix identity once, on first read: the
 gaps max|q_j(A) - S*_j|, j <= min(D, d), as one vector (``q_gaps``, the
-q_j(A) stacked per ``_BLOCK_BYTES`` block) whose rows T34, P35 and P36
-read, and p_{>=D}(A), A*_D and their gap (``tail_identity``), which T33 and
-T37 share.  T34's q_j(A) witnesses are built when a caller reads them.
+q_j(A) stacked in cache-sized blocks) whose rows T34, P35 and P36 read,
+and p_{>=D}(A), A*_D and their gap (``tail_identity``), which T33 and T37
+share.  T34's q_j(A) witnesses are built when a caller reads them.
 
 P31's vector certificates of the k scalar-equal rows are one (k x n)
 array.  P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
@@ -72,12 +72,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._util import CACHE_BLOCK_BYTES
 from .classify import DEFAULT_ORACLE_TOL
 from .errors import DegreeError, HypothesisError
 from .poly import apply_to_vector, evaluate_at_matrix, predistance_polynomials
-
-_BLOCK_BYTES = 1 << 24  # stacked q_j(A) products held at once
-
 
 _LADDER_AMBIGUOUS = "numerically ambiguous: slack within 100x equality tolerance"
 _LADDER_VIOLATED = "INEQUALITY VIOLATED: lhs exceeds rhs"
@@ -264,9 +262,9 @@ def _certificate(ga, name: str, diff: float) -> Certificate:
 
 def q_gap_certificate(ga) -> Certificate:
     """q_j(A) = S*_j for j = 0..min(D, d): one gap max|q_j(A) - S*_j| per j,
-    as many q_j(A) per stacked product as fit in ``_BLOCK_BYTES``."""
+    in stacks of q_j(A) that fit in ``CACHE_BLOCK_BYTES`` (O(n^2) memory)."""
     top = min(ga.D, ga.d)
-    step = max(1, _BLOCK_BYTES // (8 * ga.n ** 2))
+    step = max(1, CACHE_BLOCK_BYTES // (8 * ga.n ** 2))
     q = ga.global_seq.values.cumsum(axis=0)  # row j is sum_values(j), bit for bit
     gaps = np.empty(top + 1)
     for start in range(0, top + 1, step):

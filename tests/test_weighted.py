@@ -116,15 +116,17 @@ def test_harmonic_vs_arithmetic_chain():
 
 def test_memory_does_not_grow_with_diameter():
     # the radii go in cache-sized stacks: a long path (D = n - 1) needs
-    # O(n^2) working memory, not (D + 1) n x n masks at once
+    # O(n^2) working memory, not (D + 1) n x n masks or q_j(A) at once
     import tracemalloc
 
     from spexcess.classify import is_distance_polynomial
+    from spexcess.theorems import q_gap_certificate
     from spexcess.weighted import excess_stats
 
     ga = analyze_graph(fx.path(150))
     for work in (lambda: excess_stats(ga.dd, ga.perron),
-                 lambda: is_distance_polynomial(ga.dd, ga.spectrum)):
+                 lambda: is_distance_polynomial(ga.dd, ga.spectrum),
+                 lambda: q_gap_certificate(ga)):
         tracemalloc.start()
         try:
             work()
