@@ -299,6 +299,10 @@ def check_local_bound(ga, u: int | None = None, j: int | None = None,
     e_{N_j(u)} passes and u is extremal": at a non-extremal vertex the
     verdict can read "bound attained" with ``equality_holds`` False."""
     if u is None:
+        for name, value in (("j", j), ("r", r)):
+            if value is not None:
+                raise HypothesisError(f"{name} needs a vertex u: the all-vertex pass "
+                                      "takes the default j and r")
         js, r_l0 = np.minimum(ga.dd.ecc, ga.local_spectra.du), ga.local_q_lambda0
         return _local_bounds(ga, np.arange(ga.n), js, r_l0,
                              ga.perron.alpha * np.sqrt(r_l0), None)

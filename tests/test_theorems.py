@@ -118,6 +118,14 @@ def test_p31_saturation_not_certified(analyses):
                                    "claim (ball saturated: N_j(u) = V)")
 
 
+@pytest.mark.parametrize("argument", [{"j": 0}, {"r": [1.0]}, {"j": 1, "r": [1.0]}])
+def test_p31_all_vertex_pass_rejects_j_and_r(analyses, argument):
+    # without u the pass takes the default j and r; a j or r given with it
+    # would be dropped without a word
+    with pytest.raises(HypothesisError, match=f"^{next(iter(argument))} needs a vertex u"):
+        check_local_bound(analyses("petersen"), **argument)
+
+
 def test_p31_default_j_is_eccentricity(analyses):
     ga = analyses("c8_12")
     rep = check_local_bound(ga, 0)
