@@ -151,13 +151,12 @@ def _stieltjes(nodes, weights, degrees, at_lambda0=False):
     carry = not at_lambda0 and bool(tiny.any())
     psi = np.zeros((rows, top + 1, size))
     phi = np.zeros((rows, top + 1 if carry else 1, size))
-    # start stays -1 where no step ran, so only run steps can look singular
-    beta, start = np.zeros((rows, top + 1)), np.full((rows, top + 1), -1.0)
+    beta = np.zeros((rows, top + 1))
     norm0 = np.sqrt(ws.sum(axis=1))[:, None]
     psi[:, 0], phi[:, 0] = np.sqrt(ws) / norm0, 1.0 / norm0
     if rows == 1:  # plain vector products on the row's own views
         dots = comb = np.matmul
-        ps, ph, bt, st = psi[0], phi[0], beta[0], start[0]
+        ps, ph, bt = psi[0], phi[0], beta[0]
 
         def norm(v):
             return np.sqrt(v @ v)
@@ -175,10 +174,9 @@ def _stieltjes(nodes, weights, degrees, at_lambda0=False):
         for j in range(1, top + 1):
             if rows > 1:
                 r = live[j]
-                ps, ph, bt, st = psi[:r], phi[:r], beta[:r], start[:r]
+                ps, ph, bt = psi[:r], phi[:r], beta[:r]
             basis = ps[..., :j, :]
             v = nodes * ps[..., j - 1, :]
-            st[..., j] = norm(v)
             c = dots(basis, v)  # full orthogonalization plus one repeat pass
             v -= comb(c, basis)
             c2 = dots(basis, v)
@@ -188,10 +186,14 @@ def _stieltjes(nodes, weights, degrees, at_lambda0=False):
             if carry:
                 ph[..., j, :] = (nodes * ph[..., j - 1, :]
                                  - comb(c + c2, ph[..., :j, :])) / nrm[..., None]
-    singular = beta <= _DEGENERACY_TOL * start
+    # step j started from ||x psi_{j-1}||; -1 where a row ran no step j, so
+    # only run steps can look singular
+    start = np.sqrt(np.einsum("rjk,rjk,k->rj", psi[:, :-1], psi[:, :-1], nodes * nodes))
+    start[np.arange(1, top + 1) > degrees[order][:, None]] = -1.0
+    singular = beta[:, 1:] <= _DEGENERACY_TOL * start
     if singular.any():
         raise DegenerateMeasureError(
-            f"measure is numerically singular at degree {singular.any(axis=0).argmax()} "
+            f"measure is numerically singular at degree {singular.any(axis=0).argmax() + 1} "
             "(eigenvalues may be wrongly grouped)"
         )
     if at_lambda0:
