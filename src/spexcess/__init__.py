@@ -37,7 +37,6 @@ from .spectral import (
 )
 from .theorems import (
     ColumnReport,
-    TheoremReport,
     check_chain,
     check_distance_polynomial_sufficient,
     check_harmonic_bound,
@@ -62,7 +61,6 @@ __all__ = [
     "PerronWeights",
     "PolySequence",
     "Spectrum",
-    "TheoremReport",
     "Tolerances",
     "WeightedMatrices",
     "analyze_graph",

@@ -4,9 +4,11 @@ Commands:
 
 * ``spexcess analyze PATH``  -- full pipeline, AnalysisReport JSON on stdout
 * ``spexcess check PATH --theorem ID [--vertex U] [--j J] [--m M]``
-                             -- one TheoremReport JSON (with witnesses);
-                             for P31, T32 and T34-P36 ``theoremColumns``
-                             (schema 4) with the row of the ``analyze`` pass
+                             -- one theorem in the ``theoremColumns``
+                             layout of ``analyze`` (schema 5, with
+                             witnesses): for P31, T32 and T34-P36 the row
+                             of the ``analyze`` pass, for T33, T37 and T38
+                             all of their rows
 * ``spexcess fixtures --out DIR`` -- write the bundled fixture graphs
 
 Exit codes: 0 success, 2 input error (also any OS error reading the input
@@ -42,8 +44,7 @@ from .errors import (
 )
 from .graphs import read_graph_file
 from .pipeline import Tolerances, analyze_graph, run_all_checks
-from .report import (analysis_report, collect_violations, theorem_columns_dict,
-                     theorem_report_dict, to_json)
+from .report import analysis_report, collect_violations, theorem_columns_dict, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -162,10 +163,7 @@ def main(argv=None) -> int:
                                       include_witnesses=args.witnesses)
         else:
             reports = [_dispatch_check(ga, args)]
-            if isinstance(reports[0], theorems.ColumnReport):
-                payload = theorem_columns_dict(reports, include_witnesses=True)
-            else:
-                payload = theorem_report_dict(reports[0], include_witnesses=True)
+            payload = theorem_columns_dict(reports, include_witnesses=True)
         try:
             text = to_json(payload, pretty=args.pretty)
         except ValueError as exc:  # NaN or infinity in the payload

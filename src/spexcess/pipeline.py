@@ -4,7 +4,8 @@
 weights -> local spectra -> polynomial family -> weighted matrices ->
 excess statistics -> combinatorial classification) and
 ``run_all_checks`` evaluates every theorem at its admissible parameters,
-each family as columns over its vertices, j or m, in one array pass.
+each as columns (over its vertices, j, m, links or hypotheses) in one
+array pass.
 
 The pipeline builds one polynomial family, the global one, to degree d,
 and no local family.  The spectral excess p_{>=D}(lambda_0) comes from it
@@ -94,7 +95,8 @@ class GraphAnalysis:
 
     @functools.cached_property
     def tail_identity(self) -> tuple:
-        """(p_{>=D}(A), A*_D, their gap), shared by T33 and T37."""
+        """(p_{>=D}(A), A*_D, the certificate of their gap), shared by T33
+        and T37's link (i)."""
         return theorems.tail_identity(self)
 
 
@@ -123,8 +125,10 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
 
 def run_all_checks(ga: GraphAnalysis) -> list:
     """Every theorem at every admissible parameter, in a deterministic order:
-    P31, T32, T33, T34, P35, P36, T37, T38, each family (all its vertices,
-    j or m) as one ``theorems.ColumnReport``."""
+    P31, T32, T33, T34, P35, P36, T37, T38, each as one
+    ``theorems.ColumnReport``: P31 and T32 over all vertices, T34 over j,
+    P35 and P36 over m, T33 as one row, T37's two links and T38's two
+    hypotheses as two rows."""
     reports = [theorems.check_local_bound(ga), theorems.check_local_spet(ga),
                theorems.check_lee_weng(ga), theorems.check_harmonic_bound(ga),
                theorems.check_partial_dr_matrix(ga), theorems.check_partial_dr_inequality(ga)]

@@ -1,22 +1,26 @@
-"""JSON report assembly (schema version 4).
+"""JSON report assembly (schema version 5).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 4 while it holds.
-Version 4 prints each value once and per-vertex and per-index data as
-columns: ``localSpectra`` one list per field, and ``theoremColumns`` the
-``codes`` that state and verdict columns index, then the columns of each
-``theorems.ColumnReport`` (P31 and T32 by vertex, T34 by j, P35 and P36 by
-m).  P31's ``certificate`` has one gap per row in ``rows`` (scalar
-equality), its witnesses a vector pair each.  ``qGaps`` holds max|q_j(A) -
-S*_j| for j = 0..min(D, d): T34 reads row j below D (saturation decides
-the rest), P35 and P36 rows m - 1 and m.  T34's witnesses stack its rows
-with j < D, eta those whose state is equal or ambiguous.
+key layout of the K_{2,3} report; the version stays 5 while it holds.
+Each value is printed once and per-vertex and per-index data as columns:
+``localSpectra`` one list per field, and ``theoremColumns`` the ``codes``
+that state and verdict columns index, then the columns of each
+``theorems.ColumnReport``: P31 and T32 by vertex, T33 as one row, T34 by
+j, P35 and P36 by m, T37 by link and T38 by hypothesis (i = D, D - 1).  A
+label or detail equal on every row is one value.  A ``certificate`` has one
+gap per row in ``rows``: P31's scalar-equal rows, T37's link (ii).  Two
+shared gaps are printed once, before the first report that reads them:
+``tailGap``, max|p_{>=D}(A) - A*_D|, which T33 and T37's link (i) read, and
+``qGaps``, max|q_j(A) - S*_j| for j = 0..min(D, d): T34 reads row j below
+D (saturation decides the rest), P35 and P36 rows m - 1 and m.  Witnesses:
+P31 a vector pair per certified row; T33 p_{>=D}(A) and A*_D; T34 its
+rows with j < D stacked, eta those whose state is equal or ambiguous; T37
+its weighted excess per vertex; T38 the distance-polynomial residuals.
 ``classification.pseudoDistanceRegular`` has a flag per vertex, the
 numbers at radii 0..ecc(u) of the flagged u concatenated, and the first
-violation of each other u as columns.  T33, T37 and T38 are objects under
-``theorems``; in ``analyze`` T37 leaves T33's two matrices to T33.  P31's
-``equalityHolds`` needs u extremal, so "bound attained" can come with
-``equalityHolds`` false.  Values are JSON-ready as built.
+violation of each other u as columns.  P31's ``equalityHolds`` needs u
+extremal, so "bound attained" can come with ``equalityHolds`` false.
+Values are JSON-ready as built.
 """
 
 from __future__ import annotations
@@ -27,38 +31,21 @@ import numpy as np
 
 from .classify import DEFAULT_ORACLE_TOL
 from .pipeline import GraphAnalysis
-from .theorems import CODES, EQUAL, ColumnReport, TheoremReport
+from .theorems import CODES, ColumnReport
 
-SCHEMA_VERSION = 4
-# T37's witnesses that T33 prints in the same report
-_T33_WITNESSES = ("p_geqD_at_A", "Astar_D")
+SCHEMA_VERSION = 5
 
 
 def _arr(a):
     return np.asarray(a, dtype=float).tolist()
 
 
-def theorem_report_dict(r: TheoremReport, include_witnesses: bool = False,
-                        omit: tuple = ()) -> dict:
-    out = {
-        "theoremId": r.theorem_id,
-        "params": r.params,
-        "comparisons": [{"label": c.label, "lhs": c.lhs, "rhs": c.rhs, "slack": c.slack,
-                         "kind": c.kind, "state": c.state, "scalarEqual": c.scalar_equal}
-                        for c in r.comparisons],
-        "certificates": [{"name": c.name, "maxAbsDiff": c.max_abs_diff, "tolerance": c.tol,
-                          "passes": c.passes} for c in r.certificates],
-        "equalityHolds": r.equality_holds,
-        "verdict": r.verdict,
-        "details": r.details,
-    }
-    if include_witnesses and r.witness_fn is not None:
-        out["witnesses"] = {k: _arr(v) for k, v in r.witness_fn().items() if k not in omit}
-    return out
-
-
 def _columns(d: dict) -> dict:
     return {k: np.asarray(v).tolist() for k, v in d.items()}
+
+
+def _gaps(c) -> dict:
+    return {"name": c.name, "tolerance": c.tol, "maxAbsDiff": np.asarray(c.max_abs_diff).tolist()}
 
 
 def column_report_dict(r: ColumnReport, include_witnesses: bool = False) -> dict:
@@ -72,8 +59,7 @@ def column_report_dict(r: ColumnReport, include_witnesses: bool = False) -> dict
                details=_columns(r.details))
     c = r.certificate
     if c is not None:
-        out["certificate"] = {"name": c.name, "tolerance": c.tol,
-                              "rows": (r.state == EQUAL).nonzero()[0].tolist(),
+        out["certificate"] = {"name": c.name, "tolerance": c.tol, "rows": c.rows.tolist(),
                               "maxAbsDiff": c.max_abs_diff.tolist()}
     if include_witnesses and r.witness_fn is not None:
         out["witnesses"] = {k: _arr(v) for k, v in r.witness_fn().items()}
@@ -81,13 +67,13 @@ def column_report_dict(r: ColumnReport, include_witnesses: bool = False) -> dict
 
 
 def theorem_columns_dict(reports, include_witnesses: bool = False) -> dict:
-    """The code table, then each ``ColumnReport`` under its theorem id, the
-    q-gap vector once before the first that reads it."""
+    """The code table, then each ``ColumnReport`` under its theorem id, each
+    shared gap once before the first report that reads it."""
     out = {"codes": list(CODES)}
     for r in reports:
-        if r.q_gaps is not None and "qGaps" not in out:
-            out["qGaps"] = {"name": r.q_gaps.name, "tolerance": r.q_gaps.tol,
-                            "maxAbsDiff": r.q_gaps.max_abs_diff.tolist()}
+        for key, shared in (("tailGap", r.tail_gap), ("qGaps", r.q_gaps)):
+            if shared is not None and key not in out:
+                out[key] = _gaps(shared)
         out[r.theorem_id] = column_report_dict(r, include_witnesses)
     return out
 
@@ -147,18 +133,14 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
             "nMinusHarmonicDMinus1": float(ga.stats.n_minus_harmonic),
             "avgWeightedDegree": _arr(ga.stats.avg_weighted_degree),
         },
-        "theoremColumns": theorem_columns_dict(
-            [r for r in reports if isinstance(r, ColumnReport)], include_witnesses),
-        "theorems": [theorem_report_dict(r, include_witnesses,
-                                         _T33_WITNESSES if r.theorem_id == "T37" else ())
-                     for r in reports if isinstance(r, TheoremReport)],
+        "theoremColumns": theorem_columns_dict(reports, include_witnesses),
         "classification": classification_dict(ga),
     }
 
 
 def collect_violations(reports: list, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
-    """Inequality violations and oracle disagreements (internal errors), of
-    scalar reports and of ``ColumnReport`` columns alike."""
+    """Inequality violations and oracle disagreements (internal errors) of
+    every row of every report."""
     out = []
     for r in reports:
         out.extend(r.inequality_violations(tol))

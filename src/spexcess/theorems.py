@@ -2,14 +2,15 @@
 
 Every check produces the raw left/right values, the slack, and --
 crucially -- a certificate: scalar equality alone never yields a positive
-verdict, the associated matrix or constancy identity must also hold.  T33,
-T37 and T38 return one TheoremReport each.  P31 and T32 (over vertices),
-T34 (over j) and P35 and P36 (over m) return one ``ColumnReport`` each,
-built in one array pass, with ``_compare``'s state rule over arrays
-(``_states``) and codes into ``CODES``; called with one vertex or index,
-they run the same pass on one row.  The inequalities whose equality case is
-such an identity (P31, T33, T34, P36) share one five-way verdict ladder,
-``_ladder`` (a table over the states for the columns):
+verdict, the associated matrix or constancy identity must also hold.  Every
+check returns one ``ColumnReport``, built in one array pass: P31 and T32
+over vertices, T34 over j, P35 and P36 over m, T33 as one row, T37 as its
+two links and T38 as its two hypotheses (at D and D-1); called with one
+vertex or index, P31-P36 run the same pass on one row.  One state rule,
+``_states``, gives each row's comparison state, and states and verdicts
+are codes into ``CODES``.  The inequalities whose equality case is such an
+identity (P31, T33, T34, P36) share one five-way verdict ladder, a table
+over the states (``_unattained``):
 
 1. attained -- scalar equality and the certificate holds;
 2. numerically ambiguous -- the slack is positive but within 100x the
@@ -18,12 +19,13 @@ such an identity (P31, T33, T34, P36) share one five-way verdict ladder,
 4. violated -- lhs exceeds rhs beyond the tolerance (an internal error);
 5. strict inequality -- everything else.
 
-T37 reports each link of its chain as equal or by its comparison state.
+T37 reports each link as equal or by its comparison state.
 ``GraphAnalysis`` evaluates each matrix identity once, on first read: the
 gaps max|q_j(A) - S*_j|, j <= min(D, d), as one vector (``q_gaps``, the
 q_j(A) stacked in cache-sized blocks) whose rows T34, P35 and P36 read,
-and p_{>=D}(A), A*_D and their gap (``tail_identity``), which T33 and T37
-share.  T34's q_j(A) witnesses are built when a caller reads them.
+and p_{>=D}(A), A*_D and their gap (``tail_identity``), which T33 and
+T37's link (i) share.  T34's q_j(A) witnesses are built when a caller reads
+them.
 
 P31's vector certificates of the k scalar-equal rows are one (k x n)
 array.  P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
@@ -94,7 +96,8 @@ CODES = (
     "pseudo-distance-regular around vertex {vertex}",
     "not pseudo-distance-regular around vertex {vertex}",
     "INTERNAL INCONSISTENCY: spectral and combinatorial verdicts disagree",
-    # T34, P35 and P36, appended so that the codes above keep their indices
+    # T34, P35 and P36, then T33, T37 and T38, each group appended so that
+    # the codes above keep their indices
     "harmonic bound attained: q_{j}(A) = S*_{j}",
     "harmonic bound attained: q_{j}(A) = J* (Hoffman identity)",
     "scalar equality but matrix certificate failed",
@@ -102,92 +105,67 @@ CODES = (
     "INTERNAL INCONSISTENCY: matrix conditions and oracle level disagree",
     "regular and {m}-partially distance-regular",
     "scalar equality but structural certificate failed",
+    "spectral excess attained: A*_D = p_>=D(A)",
+    "link (i) equality: p_>=D(A) = A*_D", "link (ii) equality: constant weighted excess",
+    "link ({link}) equal", "link ({link}) ambiguous", "link ({link}) strict",
+    "link ({link}) violated",
+    "distance-polynomial (oracle-certified; regular and {m}-partially distance-regular)",
+    "INTERNAL INCONSISTENCY: hypotheses hold but oracle rejects",
+    "hypotheses not satisfied; no claim",
 )
 EQUAL, AMBIGUOUS, STRICT, VIOLATED, UNEQUAL = range(5)
 _code = CODES.index
 
 
-_BELOW_SCALAR = (_LADDER_AMBIGUOUS, _LADDER_STRICT, _LADDER_VIOLATED)  # by state code 1..3
-
-
 def _unattained(scalar_only: str) -> np.ndarray:
-    """``_ladder`` below "attained" as codes, indexed by state code."""
-    return np.array([_code(v) for v in (scalar_only,) + _BELOW_SCALAR])
+    """The ladder below "attained" as codes, indexed by state code."""
+    return np.array([_code(v) for v in (scalar_only, _LADDER_AMBIGUOUS, _LADDER_STRICT,
+                                        _LADDER_VIOLATED)])
 
 
 _P31_ATTAINED = _code("bound attained; vertex is extremal")  # + 2 * non-extremal + saturated
 _P31_UNATTAINED = _unattained("scalar equality but vector certificate failed")
 _T32_PDR = _code("pseudo-distance-regular around vertex {vertex}")
+_T33_ATTAINED = _code("spectral excess attained: A*_D = p_>=D(A)")
 _T34_ATTAINED = _code("harmonic bound attained: q_{j}(A) = S*_{j}")  # + 1 at j = d
-_T34_UNATTAINED = _unattained("scalar equality but matrix certificate failed")
+_MATRIX_UNATTAINED = _unattained("scalar equality but matrix certificate failed")  # T33, T34
 _P35_HOLDS = _code("{m}-partially distance-regular")  # + 1 not, + 2 disagreement
 _P36_ATTAINED = _code("regular and {m}-partially distance-regular")
 _P36_UNATTAINED = _unattained("scalar equality but structural certificate failed")
-
-
-class Comparison(NamedTuple):
-    """One lhs-vs-rhs comparison; for inequalities the claim is lhs <= rhs."""
-
-    label: str
-    lhs: float
-    rhs: float
-    slack: float  # rhs - lhs
-    kind: str  # "inequality" or "equality"
-    state: str  # "equal" | "ambiguous" | "strict" | "violated" | "unequal"
-
-    @property
-    def scalar_equal(self) -> bool:
-        return self.state == "equal"
+_T37_EQUAL = _code("link (i) equality: p_>=D(A) = A*_D")  # + 1 for link (ii)
+_T37_LINK = _code("link ({link}) equal")  # + state code
+_T38_CERTIFIED = _code("distance-polynomial (oracle-certified; regular and "
+                       "{m}-partially distance-regular)")  # + 1 oracle rejects, + 2 no claim
 
 
 class Certificate(NamedTuple):
-    """A matrix/constancy identity backing an equality verdict."""
+    """A matrix/constancy identity backing an equality verdict: its gaps at
+    the report rows ``rows``, or, with ``rows`` None, one vector or number
+    that several reports share (``q_gaps``, ``tail_gap``)."""
 
     name: str
-    max_abs_diff: float
+    max_abs_diff: float | np.ndarray
     tol: float
+    rows: np.ndarray | None = None
 
     @property
-    def passes(self) -> bool:
+    def passes(self):
         return self.max_abs_diff <= self.tol
-
-
-class TheoremReport(NamedTuple):
-    """One scalar check's outcome; ``witness_fn`` gives its witness arrays,
-    which the graph has built (T33, T37) or holds (T38)."""
-
-    theorem_id: str
-    comparisons: tuple[Comparison, ...]
-    certificates: tuple[Certificate, ...]
-    equality_holds: bool
-    verdict: str
-    params: dict  # JSON-ready values only, like ``details``
-    details: dict
-    witness_fn: Callable[[], dict] | None = None
-
-    def inequality_violations(self, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
-        return [f"{self.theorem_id}: {c.label}: lhs={c.lhs!r} > rhs={c.rhs!r}"
-                for c in self.comparisons if c.kind == "inequality"
-                and c.slack < -tol * max(1.0, abs(c.lhs), abs(c.rhs))]
-
-    def oracle_disagreements(self) -> list[str]:
-        if self.details.get("oracle_agrees") is False:
-            return [f"{self.theorem_id}: oracle disagreement: {self.verdict}"]
-        return []
 
 
 class ColumnReport(NamedTuple):
     """One family at the rows of ``params``, one array per field (a detail
-    equal on every row is one value).  ``state`` and ``verdict`` index
-    ``CODES``; a verdict and ``label`` format with the row's params ({m-1}
-    with m - 1).  P35 has no comparison (its fields None).  P31's
-    ``certificate`` has one gap per row whose state is equal, and
-    ``witness_fn`` their vectors; T34, P35 and P36 read rows of ``q_gaps``,
-    and T34's ``witness_fn`` stacks its rows with j < D (eta where the state
-    is equal or ambiguous)."""
+    equal on every row is one value, and so is a label).  ``state`` and
+    ``verdict`` index ``CODES``; a verdict and ``label`` format with the
+    row's params ({m-1} with m - 1).  P35 has no comparison (its fields
+    None).  P31's ``certificate`` has one gap per row whose state is equal,
+    and ``witness_fn`` their vectors; T37's has link (ii)'s.  T34, P35 and
+    P36 read rows of ``q_gaps``, T33 and T37's link (i) ``tail_gap``, and
+    T34's ``witness_fn`` stacks its rows with j < D (eta where the state is
+    equal or ambiguous)."""
 
     theorem_id: str
-    label: str | None
+    label: str | tuple | None
     kind: str | None
     lhs: np.ndarray | None
     rhs: np.ndarray | None
@@ -199,11 +177,15 @@ class ColumnReport(NamedTuple):
     details: dict
     certificate: Certificate | None = None
     q_gaps: Certificate | None = None
+    tail_gap: Certificate | None = None
     witness_fn: Callable[[], dict] | None = None
 
     def _format(self, template: str, k: int) -> str:
         row = {name: col[k] for name, col in self.params.items()}
         return template.format(**row, **({"m-1": row["m"] - 1} if "m" in row else {}))
+
+    def label_text(self, k: int) -> str:
+        return self._format(self.label if isinstance(self.label, str) else self.label[k], k)
 
     def verdict_text(self, k: int) -> str:
         return self._format(CODES[self.verdict[k]], k)
@@ -212,7 +194,7 @@ class ColumnReport(NamedTuple):
         if self.kind != "inequality":
             return []
         bad = self.slack < -tol * np.maximum(1.0, np.maximum(abs(self.lhs), abs(self.rhs)))
-        return [f"{self.theorem_id}: {self._format(self.label, i)}: "
+        return [f"{self.theorem_id}: {self.label_text(i)}: "
                 f"lhs={float(self.lhs[i])!r} > rhs={float(self.rhs[i])!r}"
                 for i in bad.nonzero()[0]]
 
@@ -223,7 +205,10 @@ class ColumnReport(NamedTuple):
 
 
 def _states(lhs, rhs, eq_tol: float, kind: str = "inequality"):
-    """``_compare``'s state rule over arrays: (state codes, slack)."""
+    """The state rule over arrays: (state codes, slack = rhs - lhs).  Equal
+    within eq_tol * max(1, |lhs|, |rhs|); ambiguous when rhs exceeds lhs by
+    less than 100 times that; else strict, or violated (an inequality) or
+    unequal (an equality)."""
     scale = np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
     diff = rhs - lhs
     state = np.where(diff > 0, STRICT, VIOLATED if kind == "inequality" else UNEQUAL)
@@ -232,32 +217,8 @@ def _states(lhs, rhs, eq_tol: float, kind: str = "inequality"):
     return state, diff
 
 
-def _compare(label: str, lhs: float, rhs: float, eq_tol: float,
-             kind: str = "inequality") -> Comparison:
-    lhs, rhs = float(lhs), float(rhs)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    diff = rhs - lhs
-    if abs(diff) <= eq_tol * scale:
-        state = "equal"
-    elif 0 < diff < 100.0 * eq_tol * scale:
-        state = "ambiguous"
-    elif diff > 0:
-        state = "strict"
-    else:
-        state = "violated" if kind == "inequality" else "unequal"
-    return Comparison(label, lhs, rhs, diff, kind, state)
-
-
-def _ladder(comp: Comparison, holds: bool, attained: str,
-            scalar_only: str = "scalar equality but matrix certificate failed") -> str:
-    """The verdict of an inequality whose equality case is certified: the
-    ``attained`` wording when ``holds``, else by the comparison's state:
-    ``scalar_only`` on scalar equality, ambiguous, strict or violated."""
-    return attained if holds else ((scalar_only,) + _BELOW_SCALAR)[CODES.index(comp.state)]
-
-
-def _certificate(ga, name: str, diff: float) -> Certificate:
-    return Certificate(name, diff, ga.tols.equality * max(1.0, ga.n))
+def _certificate(ga, name: str, diff, rows=None) -> Certificate:
+    return Certificate(name, diff, ga.tols.equality * max(1.0, ga.n), rows)
 
 
 def q_gap_certificate(ga) -> Certificate:
@@ -276,11 +237,11 @@ def q_gap_certificate(ga) -> Certificate:
 
 
 def tail_identity(ga) -> tuple:
-    """(p_{>=D}(A), A*_D, max|p_{>=D}(A) - A*_D|), p_{>=D} = p_D + ... + p_d
-    (``GraphAnalysis.tail_identity`` keeps it)."""
+    """(p_{>=D}(A), A*_D, the certificate of max|p_{>=D}(A) - A*_D|), p_{>=D}
+    = p_D + ... + p_d (``GraphAnalysis.tail_identity`` keeps it)."""
     at_a = evaluate_at_matrix(ga.global_seq.values[ga.D:].sum(axis=0), ga.spectrum)
     astar = ga.wm.astar_at(ga.D)
-    return at_a, astar, float(np.abs(at_a - astar).max())
+    return at_a, astar, _certificate(ga, "p_>=D(A) == A*_D", float(np.abs(at_a - astar).max()))
 
 
 def _require_vertex(ga, u: int):  # a negative u would index from the end
@@ -354,7 +315,7 @@ def _local_bounds(ga, us, js, r_l0, norms, r_vals) -> ColumnReport:
     targets = (np.where(ga.dd.dist[us[rows]] <= js[rows, None], alpha, 0.0)
                / np.sqrt(ball_sq[rows])[:, None])
     cert = _certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}",
-                        np.abs(vecs - targets).max(axis=1))
+                        np.abs(vecs - targets).max(axis=1), rows)
     attained = np.zeros(len(us), dtype=bool)
     attained[rows] = cert.passes
     verdict = np.where(attained, _P31_ATTAINED + 2 * ~extremal + saturated,
@@ -392,18 +353,17 @@ def check_local_spet(ga, u: int | None = None) -> ColumnReport:
         {"oracle_is_pdr": is_pdr, "oracle_agrees": agrees, "du": du, "eccentricity": ecc})
 
 
-def check_lee_weng(ga) -> TheoremReport:
-    """T33: delta*_D <= p_{>=D}(lambda_0), equality iff A*_D = p_{>=D}(A)."""
-    eq_tol = ga.tols.equality
-    comp = _compare("delta*_D <= p_>=D(lambda0)", ga.stats.delta_star[-1],
-                    ga.spectral_excess, eq_tol)
-    at_a, astar, gap = ga.tail_identity
-    cert = _certificate(ga, "A*_D == p_>=D(A)", gap)
-    equality = comp.scalar_equal and cert.passes
-    return TheoremReport(
-        "T33", (comp,), (cert,), equality,
-        _ladder(comp, equality, "spectral excess attained: A*_D = p_>=D(A)"), {}, {},
-        functools.partial(dict, Astar_D=astar, p_geqD_at_A=at_a))
+def check_lee_weng(ga) -> ColumnReport:
+    """T33: delta*_D <= p_{>=D}(lambda_0), equality iff A*_D = p_{>=D}(A);
+    one row, certified by ``tail_gap``."""
+    lhs, rhs = ga.stats.delta_star[-1:], np.array([ga.spectral_excess])
+    state, slack = _states(lhs, rhs, ga.tols.equality)
+    at_a, astar, tail = ga.tail_identity
+    holds = (state == EQUAL) & tail.passes
+    return ColumnReport(
+        "T33", "delta*_D <= p_>=D(lambda0)", "inequality", lhs, rhs, slack, state,
+        np.where(holds, _T33_ATTAINED, _MATRIX_UNATTAINED[state]), holds, {}, {},
+        tail_gap=tail, witness_fn=functools.partial(dict, Astar_D=astar, p_geqD_at_A=at_a))
 
 
 def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
@@ -430,7 +390,7 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
     slack[~below] = [p[i + 1:].sum() for i in js[~below].tolist()]
     passes = False if q_gaps is None else q_gaps.passes[np.minimum(js, ga.D)]
     holds = (state == EQUAL) & (passes | ~below)
-    verdict = np.where(holds, _T34_ATTAINED + ~below, _T34_UNATTAINED[state])
+    verdict = np.where(holds, _T34_ATTAINED + ~below, _MATRIX_UNATTAINED[state])
 
     def witnesses():
         at_a = evaluate_at_matrix(np.cumsum(seq.values, axis=0)[js[below]], ga.spectrum)
@@ -492,67 +452,58 @@ def check_partial_dr_inequality(ga, m: int | None = None) -> ColumnReport:
         q_gaps=ga.q_gaps)
 
 
-def check_chain(ga) -> TheoremReport:
-    """T37: p_{>=D}(lambda_0) >= n - H*_{<=D-1} >= delta*_D.
+def check_chain(ga) -> ColumnReport:
+    """T37: p_{>=D}(lambda_0) >= n - H*_{<=D-1} >= delta*_D, one row per link.
 
-    Equality in the first link iff p_{>=D}(A) = A*_D; equality in the second
-    iff the numbers ||rho_{Gamma_D(u)}||^2 agree across vertices.
+    Equality in link (i) iff p_{>=D}(A) = A*_D (``tail_gap``); equality in
+    link (ii) iff the numbers ||rho_{Gamma_D(u)}||^2 agree across vertices
+    (``certificate``, at row 1).
     """
     if ga.D < 1:
         raise HypothesisError("the chain needs diameter D >= 1")
-    eq_tol = ga.tols.equality
-    middle = ga.stats.n_minus_harmonic
-    comp_i = _compare("n - H*_<=D-1 <= p_>=D(lambda0)",
-                      middle, ga.spectral_excess, eq_tol)
-    comp_ii = _compare("delta*_D <= n - H*_<=D-1",
-                       ga.stats.delta_star[-1], middle, eq_tol)
-    at_a, astar, gap = ga.tail_identity
-    cert_i = _certificate(ga, "p_>=D(A) == A*_D", gap)
+    eq_tol, middle = ga.tols.equality, ga.stats.n_minus_harmonic
+    lhs = np.array([middle, ga.stats.delta_star[-1]])
+    rhs = np.array([ga.spectral_excess, middle])
+    state, slack = _states(lhs, rhs, eq_tol)
+    tail = ga.tail_identity[2]
     excess = ga.stats.sphere_norms[:, -1]
-    cert_ii = Certificate("||rho_Gamma_D(u)||^2 constant over u",
-                          float(excess.max() - excess.min()),
-                          eq_tol * max(1.0, float(np.abs(excess).max())))
-    eq_i = comp_i.scalar_equal and cert_i.passes
-    eq_ii = comp_ii.scalar_equal and cert_ii.passes
-    parts = ("link (i) equality: p_>=D(A) = A*_D" if eq_i
-             else f"link (i) {comp_i.state}",
-             "link (ii) equality: constant weighted excess" if eq_ii
-             else f"link (ii) {comp_ii.state}")
-    return TheoremReport(
-        "T37", (comp_i, comp_ii), (cert_i, cert_ii), eq_i and eq_ii, "; ".join(parts), {},
-        {"equality_i": eq_i, "equality_ii": eq_ii},
-        functools.partial(dict, p_geqD_at_A=at_a, Astar_D=astar,
-                          weighted_excess_per_vertex=excess))
+    spread = Certificate("||rho_Gamma_D(u)||^2 constant over u",
+                         np.array([excess.max() - excess.min()]),
+                         eq_tol * max(1.0, float(np.abs(excess).max())), np.array([1]))
+    holds = (state == EQUAL) & np.array([tail.passes, spread.passes[0]])
+    return ColumnReport(
+        "T37", ("n - H*_<=D-1 <= p_>=D(lambda0)", "delta*_D <= n - H*_<=D-1"), "inequality",
+        lhs, rhs, slack, state, np.where(holds, _T37_EQUAL + np.arange(2), _T37_LINK + state),
+        holds, {"link": np.array(["i", "ii"])}, {}, certificate=spread, tail_gap=tail,
+        witness_fn=functools.partial(dict, weighted_excess_per_vertex=excess))
 
 
-def check_distance_polynomial_sufficient(ga) -> TheoremReport:
+def check_distance_polynomial_sufficient(ga) -> ColumnReport:
     """T38: delta*_D = p_{>=D}(lambda_0) and delta*_{D-1} = p_{D-1}(lambda_0)
     together imply the graph is distance-polynomial (and regular and
-    (D-1)-partially distance-regular); oracle-verified when they hold."""
+    m-partially distance-regular, m = D - 1); oracle-verified when they
+    hold.  One row per hypothesis, at i = D and D - 1, both carrying the
+    theorem's verdict."""
     if ga.D < 2:
         raise HypothesisError("the sufficient condition is vacuous for D < 2")
-    eq_tol = ga.tols.equality
-    comp1 = _compare("delta*_D vs p_>=D(lambda0)", ga.stats.delta_star[-1],
-                     ga.spectral_excess, eq_tol, kind="equality")
-    comp2 = _compare("delta*_D-1 vs p_D-1(lambda0)", ga.stats.delta_star[-2],
-                     float(ga.global_seq.p_lambda0[ga.D - 1]), eq_tol, kind="equality")
-    hypotheses = comp1.scalar_equal and comp2.scalar_equal
-    cls = ga.classification
+    D, cls = ga.D, ga.classification
+    lhs = ga.stats.delta_star[[D, D - 1]]
+    rhs = np.array([ga.spectral_excess, ga.global_seq.p_lambda0[D - 1]])
+    state, slack = _states(lhs, rhs, ga.tols.equality, "equality")
+    hypotheses = bool((state == EQUAL).all())
     details = {"hypotheses_hold": hypotheses}
     if hypotheses:
         oracle_ok = (cls.is_distance_polynomial and cls.is_regular
-                     and cls.partial_dr_level >= ga.D - 1)
+                     and cls.partial_dr_level >= D - 1)
         details.update(oracle_distance_polynomial=cls.is_distance_polynomial,
                        oracle_regular=cls.is_regular,
                        oracle_partial_dr_level=cls.partial_dr_level, oracle_agrees=oracle_ok)
-        verdict = ("distance-polynomial (oracle-certified; regular and "
-                   f"{ga.D - 1}-partially distance-regular)" if oracle_ok else
-                   "INTERNAL INCONSISTENCY: hypotheses hold but oracle rejects")
-        equality = oracle_ok
+        verdict = _T38_CERTIFIED + (not oracle_ok)
     else:
-        verdict = "hypotheses not satisfied; no claim"
-        equality = False
+        oracle_ok, verdict = False, _T38_CERTIFIED + 2
         details["oracle_agrees"] = True
-    return TheoremReport(
-        "T38", (comp1, comp2), (), equality, verdict, {}, details,
-        functools.partial(dict, distance_poly_residuals=cls.distance_poly_residuals))
+    return ColumnReport(
+        "T38", ("delta*_D vs p_>=D(lambda0)", "delta*_D-1 vs p_D-1(lambda0)"), "equality",
+        lhs, rhs, slack, state, np.full(2, verdict), np.full(2, oracle_ok),
+        {"i": np.array([D, D - 1]), "m": np.full(2, D - 1)}, details,
+        witness_fn=functools.partial(dict, distance_poly_residuals=cls.distance_poly_residuals))

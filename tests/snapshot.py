@@ -27,8 +27,9 @@ integers, booleans, keys and list lengths) and the largest scaled gap
 |a - b| / max(1, |a|, |b|) between two floats a and b at the same place:
 relative for large values, absolute near 0, so rounding noise on a value
 near 0 reads as noise.  It then prints, for every field path with list
-indices dropped (``stdout.theorems.comparisons.lhs``), the largest scaled
-and the largest absolute gap between two floats there, over all inputs.
+indices dropped (``stdout.theoremColumns.T37.comparison.lhs``), the
+largest scaled and the largest absolute gap between two floats there, over
+all inputs.
 It exits 1 when any record differs and 0 when all are identical.
 """
 

@@ -32,7 +32,7 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 4
+    assert report["schemaVersion"] == 5
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
@@ -61,11 +61,11 @@ def _merge(a, b):
     return b if a is None else a
 
 
-_COMPARISON = [dict.fromkeys(("label", "lhs", "rhs", "slack", "kind", "state",
-                              "scalarEqual"))]
-_CERTIFICATE = [dict.fromkeys(("name", "maxAbsDiff", "tolerance", "passes"))]
-
-_COLUMNS = ("lhs", "rhs", "slack", "state")
+_COMPARISON = dict.fromkeys(("label", "kind", "lhs", "rhs", "slack", "state"))
+_GAPS = dict.fromkeys(("name", "tolerance", "maxAbsDiff"))
+_CERTIFICATE = dict.fromkeys(("name", "tolerance", "rows", "maxAbsDiff"))
+_WITHOUT_PARAMS = {"params": {}, "comparison": _COMPARISON, "equalityHolds": None,
+                   "verdict": None, "details": {}}
 
 K23_LAYOUT = {
     "schemaVersion": None,
@@ -84,24 +84,26 @@ K23_LAYOUT = {
         "codes": None,
         "P31": {
             "params": dict.fromkeys(("vertex", "j")),
-            "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
+            "comparison": _COMPARISON,
             "equalityHolds": None,
             "verdict": None,
             "details": dict.fromkeys(("extremal", "ball_saturated")),
-            "certificate": dict.fromkeys(("name", "tolerance", "rows", "maxAbsDiff")),
+            "certificate": _CERTIFICATE,
         },
         "T32": {
             "params": {"vertex": None},
-            "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
+            "comparison": _COMPARISON,
             "equalityHolds": None,
             "verdict": None,
             "details": dict.fromkeys(("oracle_is_pdr", "oracle_agrees", "du",
                                       "eccentricity")),
         },
-        "qGaps": dict.fromkeys(("name", "tolerance", "maxAbsDiff")),
+        "tailGap": _GAPS,
+        "T33": _WITHOUT_PARAMS,
+        "qGaps": _GAPS,
         "T34": {
             "params": {"j": None},
-            "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
+            "comparison": _COMPARISON,
             "equalityHolds": None,
             "verdict": None,
             "details": {},
@@ -114,22 +116,15 @@ K23_LAYOUT = {
         },
         "P36": {
             "params": {"m": None},
-            "comparison": dict.fromkeys(("label", "kind") + _COLUMNS),
+            "comparison": _COMPARISON,
             "equalityHolds": None,
             "verdict": None,
             "details": dict.fromkeys(("regular", "oracle_agrees")),
         },
+        "T37": {**_WITHOUT_PARAMS, "params": {"link": None}, "certificate": _CERTIFICATE},
+        "T38": {**_WITHOUT_PARAMS, "params": dict.fromkeys("im"),
+                "details": dict.fromkeys(("hypotheses_hold", "oracle_agrees"))},
     },
-    "theorems": [{
-        "theoremId": None,
-        "params": {},
-        "comparisons": _COMPARISON,
-        "certificates": _CERTIFICATE,
-        "equalityHolds": None,
-        "verdict": None,
-        "details": dict.fromkeys(("equality_i", "equality_ii", "hypotheses_hold",
-                                  "oracle_agrees")),
-    }],
     "classification": {
         "isRegular": None,
         "isDistanceRegular": None,
@@ -232,11 +227,12 @@ def test_check_t37(capsys, k23_file):
     code, out, _ = _run(capsys, ["check", k23_file, "--theorem", "T37"])
     assert code == 0
     report = json.loads(out)
-    assert report["theoremId"] == "T37"
-    links = report["comparisons"]
-    assert links[0]["slack"] == pytest.approx(1.5 - 25 / 17, rel=1e-9)
-    assert links[1]["slack"] == pytest.approx(25 / 17 - 35 / 24, rel=1e-9)
-    assert links[0]["state"] == "strict" and links[1]["state"] == "strict"
+    assert list(report) == ["codes", "tailGap", "T37"]
+    assert report["T37"]["params"] == {"link": ["i", "ii"]}
+    links = report["T37"]["comparison"]
+    assert links["slack"][0] == pytest.approx(1.5 - 25 / 17, rel=1e-9)
+    assert links["slack"][1] == pytest.approx(25 / 17 - 35 / 24, rel=1e-9)
+    assert [report["codes"][state] for state in links["state"]] == ["strict", "strict"]
 
 
 def test_check_t33_with_witnesses(capsys, tmp_path):
@@ -245,9 +241,10 @@ def test_check_t33_with_witnesses(capsys, tmp_path):
     code, out, _ = _run(capsys, ["check", str(path), "--theorem", "T33"])
     assert code == 0
     report = json.loads(out)
-    assert report["equalityHolds"] is True
-    assert "witnesses" in report
-    assert len(report["witnesses"]["Astar_D"]) == 10
+    assert list(report) == ["codes", "tailGap", "T33"]
+    assert report["T33"]["equalityHolds"] == [True]
+    assert "witnesses" in report["T33"]
+    assert len(report["T33"]["witnesses"]["Astar_D"]) == 10
 
 
 @pytest.mark.parametrize("j", [3, 4])
@@ -319,7 +316,8 @@ def test_check_prints_row_of_analyze(capsys, tmp_path, name):
     # check --theorem P31|T32 --vertex u, T34 --j j and P35|P36 --m m print
     # exactly that row of the column blocks of analyze --witnesses (check
     # always carries witnesses), T34, P35 and P36 with the q-gap vector,
-    # except T34 at j >= D, which the saturation rule decides without it
+    # except T34 at j >= D, which the saturation rule decides without it;
+    # T33, T37 and T38 print their whole block, T33 and T37 with the tail gap
     path = tmp_path / f"{name}.el"
     path.write_bytes(fx.edgelist_bytes(fx.named(name)))
     code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
@@ -344,6 +342,15 @@ def test_check_prints_row_of_analyze(capsys, tmp_path, name):
             if tid == "T34" and index >= diameter:
                 del want["qGaps"]
             assert json.loads(out) == want
+    for tid in ("T33", "T37", "T38"):  # every row, in the same layout
+        if tid not in columns:
+            continue
+        code, out, _ = _run(capsys, ["check", str(path), "--theorem", tid])
+        assert code == 0
+        want = {"codes": columns["codes"], "tailGap": columns["tailGap"], tid: columns[tid]}
+        if tid == "T38":
+            del want["tailGap"]
+        assert json.loads(out) == want
 
 
 def _golden_v4_graph(name):
@@ -537,8 +544,9 @@ def test_analyze_long_cycle_oracle_certified(capsys, tmp_path, n):
     path.write_bytes(fx.edgelist_bytes(fx.cycle(n)))
     code, out, err = _run(capsys, ["analyze", str(path)])
     assert code == 0, err
-    t38 = [t for t in json.loads(out)["theorems"] if t["theoremId"] == "T38"]
-    assert "oracle-certified" in t38[0]["verdict"]
+    columns = json.loads(out)["theoremColumns"]
+    assert columns["T38"]["params"]["i"] == [n // 2, n // 2 - 1]
+    assert all("oracle-certified" in columns["codes"][v] for v in columns["T38"]["verdict"])
 
 
 def test_parser_is_reused_across_calls(capsys, k23_file):
@@ -551,6 +559,6 @@ def test_parser_is_reused_across_calls(capsys, k23_file):
     assert info.value.code == 2
     capsys.readouterr()
     code, out, _ = _run(capsys, ["check", k23_file, "--theorem", "T37"])
-    assert code == 0 and json.loads(out)["theoremId"] == "T37"
+    assert code == 0 and list(json.loads(out)) == ["codes", "tailGap", "T37"]
     code, second, _ = _run(capsys, ["analyze", k23_file])
     assert code == 0 and second == first

@@ -16,7 +16,7 @@ from corpus import relabel
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph, run_all_checks
 from spexcess.report import collect_violations
-from spexcess.theorems import CODES, TheoremReport
+from spexcess.theorems import CODES
 
 
 def _johnson(n, k):
@@ -72,11 +72,8 @@ def _verdicts(ga, reports, original):
                                   np.flatnonzero(ga.dd.ecc == ga.local_spectra.du))),
     }
     for r in reports:
-        if isinstance(r, TheoremReport):
-            out[r.theorem_id] = (r.equality_holds, r.verdict)
-            continue
-        for k in range(len(r.verdict)):  # P31 and T32 by vertex, the rest by j or m
-            params = tuple(sorted((name, original[col[k]] if name == "vertex" else int(col[k]))
+        for k in range(len(r.verdict)):  # P31 and T32 by vertex, the rest by j, m or link
+            params = tuple(sorted((name, original[col[k]] if name == "vertex" else col[k].item())
                                   for name, col in r.params.items()))
             out[(r.theorem_id, params)] = (bool(r.equality_holds[k]), CODES[r.verdict[k]])
     return out

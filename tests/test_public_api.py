@@ -22,7 +22,6 @@ def test_public_surface_is_pinned():
         "PerronWeights",
         "PolySequence",
         "Spectrum",
-        "TheoremReport",
         "Tolerances",
         "WeightedMatrices",
         "analyze_graph",
@@ -67,6 +66,16 @@ def test_per_vertex_fields_are_pinned():
     assert fields == ["is_regular", "is_distance_regular", "intersection_array", "is_pdr",
                       "pdr_numbers", "pdr_violations", "partial_dr_level",
                       "is_distance_polynomial", "distance_poly_residuals"]
+
+
+def test_column_report_fields_are_pinned():
+    # every check returns one ColumnReport; a certificate's gaps go with its
+    # report rows, or with none when reports share them
+    assert spexcess.ColumnReport._fields == (
+        "theorem_id", "label", "kind", "lhs", "rhs", "slack", "state", "verdict",
+        "equality_holds", "params", "details", "certificate", "q_gaps", "tail_gap",
+        "witness_fn")
+    assert spexcess.theorems.Certificate._fields == ("name", "max_abs_diff", "tol", "rows")
 
 
 def test_poly_sequence_fields_are_pinned():

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import ALL_NAMES
 from spexcess import fixtures as fx
+from spexcess import theorems
 from spexcess.errors import DegreeError, HypothesisError
 from spexcess.pipeline import analyze_graph, run_all_checks
 from spexcess.poly import evaluate_at_matrix
@@ -20,10 +21,6 @@ from spexcess.theorems import (
     STRICT,
     UNEQUAL,
     VIOLATED,
-    ColumnReport,
-    Comparison,
-    _compare,
-    _ladder,
     _states,
     check_chain,
     check_distance_polynomial_sufficient,
@@ -36,6 +33,33 @@ from spexcess.theorems import (
 )
 
 DRG_NAMES = ["petersen", "c4", "c5", "c6", "c7", "c8", "k2", "k3", "k4", "k5"]
+
+
+# --- an independent scalar reference: the state rule and the verdict ladder ---------
+
+def _compare(lhs, rhs, tol: float, kind: str = "inequality") -> tuple[str, float]:
+    """(state, slack) of one comparison, branch by branch."""
+    lhs, rhs = float(lhs), float(rhs)
+    scale = max(1.0, abs(lhs), abs(rhs))
+    diff = rhs - lhs
+    if abs(diff) <= tol * scale:
+        return "equal", diff
+    if 0 < diff < 100.0 * tol * scale:
+        return "ambiguous", diff
+    if diff > 0:
+        return "strict", diff
+    return ("violated" if kind == "inequality" else "unequal"), diff
+
+
+def _ladder(state: str, holds: bool, attained: str,
+            scalar_only: str = "scalar equality but matrix certificate failed") -> str:
+    """The verdict of an inequality whose equality case is certified."""
+    if holds:
+        return attained
+    return {"equal": scalar_only,
+            "ambiguous": "numerically ambiguous: slack within 100x equality tolerance",
+            "strict": "strict inequality",
+            "violated": "INEQUALITY VIOLATED: lhs exceeds rhs"}[state]
 
 
 # --- P31 local bound ---------------------------------------------------------
@@ -173,18 +197,18 @@ def test_t32_nonextremal_vertex(analyses):
 
 def test_t33_k23_strict(analyses):
     rep = check_lee_weng(analyses("k23"))
-    assert rep.comparisons[0].lhs == pytest.approx(float(Fraction(35, 24)), rel=1e-9)
-    assert rep.comparisons[0].rhs == pytest.approx(1.5, rel=1e-9)
-    assert rep.comparisons[0].state == "strict"
-    assert not rep.equality_holds
+    assert rep.lhs[0] == pytest.approx(float(Fraction(35, 24)), rel=1e-9)
+    assert rep.rhs[0] == pytest.approx(1.5, rel=1e-9)
+    assert rep.state.tolist() == [STRICT]
+    assert rep.equality_holds.tolist() == [False]
 
 
 def test_t33_drg_equality(analyses):
     for name in DRG_NAMES:
         rep = check_lee_weng(analyses(name))
-        assert rep.equality_holds, name
-        assert rep.certificates[0].passes
-        assert rep.certificates[0].max_abs_diff <= 1e-6
+        assert rep.equality_holds.tolist() == [True], name
+        assert rep.tail_gap.passes
+        assert rep.tail_gap.max_abs_diff <= 1e-6
 
 
 def test_t33_petersen_witness_is_a2(analyses):
@@ -312,19 +336,18 @@ def test_p36_hypothesis_error(analyses):
 
 def test_t37_k23_strict_chain(analyses):
     rep = check_chain(analyses("k23"))
-    (i_link, ii_link) = rep.comparisons
-    assert i_link.rhs == pytest.approx(1.5, rel=1e-9)
-    assert i_link.lhs == pytest.approx(float(Fraction(25, 17)), rel=1e-9)
-    assert ii_link.lhs == pytest.approx(float(Fraction(35, 24)), rel=1e-9)
-    assert i_link.state == "strict" and ii_link.state == "strict"
-    assert i_link.slack == pytest.approx(1.5 - 25 / 17, rel=1e-9)
-    assert ii_link.slack == pytest.approx(25 / 17 - 35 / 24, rel=1e-9)
+    assert rep.params["link"].tolist() == ["i", "ii"]
+    assert rep.rhs[0] == pytest.approx(1.5, rel=1e-9)
+    assert rep.lhs[0] == pytest.approx(float(Fraction(25, 17)), rel=1e-9)
+    assert rep.lhs[1] == pytest.approx(float(Fraction(35, 24)), rel=1e-9)
+    assert rep.state.tolist() == [STRICT, STRICT]
+    assert rep.slack[0] == pytest.approx(1.5 - 25 / 17, rel=1e-9)
+    assert rep.slack[1] == pytest.approx(25 / 17 - 35 / 24, rel=1e-9)
 
 
 def test_t37_petersen_double_equality(analyses):
     rep = check_chain(analyses("petersen"))
-    assert rep.equality_holds
-    assert rep.details["equality_i"] and rep.details["equality_ii"]
+    assert rep.equality_holds.tolist() == [True, True]
     excess = rep.witness_fn()["weighted_excess_per_vertex"]
     assert np.abs(excess - 6.0).max() <= 1e-9
 
@@ -334,31 +357,31 @@ def test_t37_circulant_vertex_transitive(analyses):
     # graph with D = 2 the matrix identity p_>=D(A) = J - I - A = A_2 also
     # grants equality in (i)
     rep = check_chain(analyses("c8_12"))
-    assert rep.details["equality_ii"]
-    assert rep.details["equality_i"]
-    assert rep.certificates[0].passes
+    assert rep.equality_holds[1]
+    assert rep.equality_holds[0]
+    assert rep.tail_gap.passes
 
 
 def test_t37_p3(analyses):
     rep = check_chain(analyses("p3"))
-    assert not rep.equality_holds
-    for comp in rep.comparisons:
-        assert comp.slack >= -1e-7
+    assert not rep.equality_holds.all()
+    assert (rep.slack >= -1e-7).all()
 
 
 # --- T38 distance-polynomial sufficient condition --------------------------------------
 
 def test_t38_petersen(analyses):
     rep = check_distance_polynomial_sufficient(analyses("petersen"))
-    assert rep.equality_holds
+    assert rep.equality_holds.tolist() == [True, True]
     assert rep.details["oracle_agrees"]
-    assert "distance-polynomial" in rep.verdict
+    assert rep.verdict_text(0) == rep.verdict_text(1) == (
+        "distance-polynomial (oracle-certified; regular and 1-partially distance-regular)")
 
 
 def test_t38_k23_no_claim(analyses):
     rep = check_distance_polynomial_sufficient(analyses("k23"))
     assert not rep.details["hypotheses_hold"]
-    assert rep.verdict == "hypotheses not satisfied; no claim"
+    assert rep.verdict_text(0) == rep.verdict_text(1) == "hypotheses not satisfied; no claim"
 
 
 def test_t38_p3_no_claim(analyses):
@@ -372,7 +395,8 @@ def test_t38_c8_12_positive(analyses):
     # hypotheses hold: delta*_2 = 3 = p_>=2(lambda_0), delta*_1 = 4 = p_1(lambda_0)
     rep = check_distance_polynomial_sufficient(analyses("c8_12"))
     assert rep.details["hypotheses_hold"]
-    assert rep.equality_holds
+    assert rep.state.tolist() == [EQUAL, EQUAL]
+    assert rep.equality_holds.all()
     assert rep.details["oracle_partial_dr_level"] >= 1
 
 
@@ -400,14 +424,18 @@ def test_equality_verdicts_have_certificates(checks, analyses):
     # a certificate only for j < D)
     for name in ALL_FIXTURES:
         ga = analyses(name)
-        p31, _t32, t33, t34, p35, p36, *scalar = checks(name)
-        certified = np.flatnonzero(p31.state == EQUAL)[p31.certificate.passes]
+        p31, _t32, t33, t34, p35, p36, *chain = checks(name)
+        certified = p31.certificate.rows[p31.certificate.passes]
         assert set(np.flatnonzero(p31.equality_holds)) <= set(certified), name
-        for rep in [t33] + scalar:
-            if rep.equality_holds:
-                assert all(c.passes for c in rep.certificates), (name, rep.theorem_id)
-        if t33.certificates[0].passes:
-            assert t33.comparisons[0].scalar_equal, name
+        if t33.equality_holds[0]:
+            assert t33.tail_gap.passes, name
+        if chain:  # T37: link (i) reads the tail gap, link (ii) its own
+            t37 = chain[0]
+            assert t37.certificate.rows.tolist() == [1]
+            assert not t37.equality_holds[0] or t37.tail_gap.passes, name
+            assert not t37.equality_holds[1] or t37.certificate.passes[0], name
+        if t33.tail_gap.passes:
+            assert t33.state[0] == EQUAL, name
         passes = ga.q_gaps.passes
         below = t34.params["j"] < ga.D
         j = t34.params["j"][below]
@@ -451,9 +479,8 @@ VERDICT_TEMPLATES = {
 
 
 def _verdict_texts(rep):
-    if isinstance(rep, ColumnReport):
-        return [rep.verdict_text(k) for k in range(len(rep.verdict))]
-    return [rep.verdict]
+    texts = [rep.verdict_text(k) for k in range(len(rep.verdict))]
+    return ["; ".join(texts)] if rep.theorem_id == "T37" else texts  # the two links as one
 
 
 def test_verdict_templates(checks, analyzed, wide):
@@ -489,12 +516,15 @@ def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wid
     assert seen["T34"] and seen["P31"] and seen["T34 at d"], seen
 
 
-@pytest.mark.parametrize("kind", ["inequality", "equality"])
-def test_column_states_match_compare(kind):
-    # the array rule of the per-vertex checks and the scalar _compare agree
-    # on state and slack: values below and above 1, differences 0, negative,
-    # and at, just inside and just outside tol*scale and 100*tol*scale
-    tol = 1e-7
+# each family's verdict below "attained" by state code: (table, ladder wording)
+_UNATTAINED = ((theorems._P31_UNATTAINED, "scalar equality but vector certificate failed"),
+               (theorems._MATRIX_UNATTAINED, "scalar equality but matrix certificate failed"),
+               (theorems._P36_UNATTAINED, "scalar equality but structural certificate failed"))
+
+
+def _edge_table(tol: float) -> np.ndarray:
+    """(lhs, rhs) pairs: values below and above 1, differences 0, negative,
+    and at, just inside and just outside tol*scale and 100*tol*scale."""
     cases = []
     for lhs in (0.0, 1e-9, 0.3, 1.0, 2.5, 1e4, -0.7, -3.0):
         scale = max(1.0, abs(lhs))
@@ -503,11 +533,25 @@ def test_column_states_match_compare(kind):
                          edge * (1 - 1e-6), edge * (1 + 1e-6), 0.5 * edge, 2.0 * edge):
                 cases += [(lhs, lhs + diff), (lhs, lhs - diff), (lhs + diff, lhs)]
         cases += [(lhs, lhs), (lhs, -lhs), (lhs, 0.0), (0.0, lhs)]
-    lhs, rhs = np.array(cases).T
+    return np.array(cases).T
+
+
+@pytest.mark.parametrize("kind", ["inequality", "equality"])
+def test_column_states_match_compare(kind):
+    # the array rule of every check and the scalar reference agree on state
+    # and slack over the edge table, and so do the verdict tables of the
+    # families on the inequalities below "attained" and T37's link wording
+    tol = 1e-7
+    lhs, rhs = _edge_table(tol)
     codes, slack = _states(lhs, rhs, tol, kind)
     for lo, hi, code, gap in zip(lhs.tolist(), rhs.tolist(), codes.tolist(), slack.tolist()):
-        comp = _compare("x", lo, hi, tol, kind)
-        assert (CODES[code], gap) == (comp.state, comp.slack), (lo, hi)
+        state, want = _compare(lo, hi, tol, kind)
+        assert (CODES[code], gap) == (state, want), (lo, hi)
+        if kind == "equality":
+            continue
+        for table, scalar_only in _UNATTAINED:
+            assert CODES[table[code]] == _ladder(state, False, "", scalar_only), (lo, hi)
+        assert CODES[theorems._T37_LINK + code].format(link="ii") == f"link (ii) {state}"
     assert set(codes.tolist()) == {EQUAL, AMBIGUOUS, STRICT,
                                    VIOLATED if kind == "inequality" else UNEQUAL}
 
@@ -520,15 +564,17 @@ def test_column_states_match_compare(kind):
     ("violated", False, "INEQUALITY VIOLATED: lhs exceeds rhs"),
 ])
 def test_ladder_branches(state, holds, verdict):
-    comp = Comparison("x <= y", 1.0, 1.0, 0.0, "inequality", state)
-    assert _ladder(comp, holds, "attained", "scalar only") == verdict
+    # the reference ladder, and each family's table at the same state
+    assert _ladder(state, holds, "attained", "scalar only") == verdict
+    if not holds:
+        for table, scalar_only in _UNATTAINED:
+            assert CODES[table[CODES.index(state)]] == _ladder(state, holds, "", scalar_only)
 
 
 def test_p31_vector_certificate_failure(analyses, monkeypatch):
     # scalar equality at an extremal vertex with a failing r(A)e_u identity;
     # r = q_2 = x^2 + x - 2 is given explicitly, because the default
     # q^u_{d_u} takes r(A)e_u = alpha_u alpha from its closed form
-    from spexcess import theorems
     monkeypatch.setattr(theorems, "apply_to_vector", lambda p, spec, vec: 0 * vec)
     rep = check_local_bound(analyses("petersen"), 0, r=[-2.0, 1.0, 1.0])
     assert rep.state[0] == EQUAL and rep.details["extremal"][0]
@@ -539,11 +585,11 @@ def test_p31_vector_certificate_failure(analyses, monkeypatch):
 def test_t33_matrix_certificate_failure():
     # scalar equality on a DRG with a failing A*_D = p_>=D(A) identity
     ga = analyze_graph(fx.petersen())
-    at_a, astar, _gap = ga.tail_identity
-    ga.__dict__["tail_identity"] = at_a, astar, 1.0  # max|p_>=D(A) - A*_D|
+    at_a, astar, tail = ga.tail_identity
+    ga.__dict__["tail_identity"] = at_a, astar, tail._replace(max_abs_diff=1.0)
     rep = check_lee_weng(ga)
-    assert rep.comparisons[0].scalar_equal and not rep.equality_holds
-    assert rep.verdict == "scalar equality but matrix certificate failed"
+    assert rep.state[0] == EQUAL and not rep.equality_holds[0]
+    assert rep.verdict_text(0) == "scalar equality but matrix certificate failed"
 
 
 def test_chain_middle_term_ordering(checks, analyses):
@@ -578,7 +624,6 @@ def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
     # each call evaluates a block of value vectors; no vector comes twice,
     # the q_j(A) come in fewer calls than vectors, and no witness matrix
     # is built until a caller reads them
-    from spexcess import theorems
     ga = analyze_graph(graph())
     seen, calls = [], []
     evaluate = theorems.evaluate_at_matrix
@@ -600,15 +645,14 @@ def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
     gaps = np.abs(witnesses["q_j_at_A"] - witnesses["Sstar_j"]).reshape(len(js), -1).max(axis=1)
     assert np.array_equal(gaps, ga.q_gaps.max_abs_diff[js])
     by_id = {rep.theorem_id: rep for rep in reports}
-    assert by_id["T37"].certificates[0].max_abs_diff \
-        == by_id["T33"].certificates[0].max_abs_diff
+    assert by_id["T37"].tail_gap is by_id["T33"].tail_gap is ga.tail_identity[2]
 
 
 def test_report_evaluates_each_witness_once(monkeypatch):
     # analyze --witnesses on Petersen: building the report puts no value
     # vector through evaluate_at_matrix twice, and T37 builds neither of
     # the p_>=D(A) and A*_D that T33 prints
-    from spexcess import theorems, weighted
+    from spexcess import weighted
     from spexcess.report import analysis_report
     ga = analyze_graph(fx.petersen())
     reports = run_all_checks(ga)
@@ -628,8 +672,9 @@ def test_report_evaluates_each_witness_once(monkeypatch):
     payload = analysis_report(ga, reports, include_witnesses=True)
     assert seen and len(seen) == len(set(seen))
     assert not astar_calls
-    (t33,) = [t for t in payload["theorems"] if t["theoremId"] == "T33"]
-    assert set(t33["witnesses"]) == {"Astar_D", "p_geqD_at_A"}
+    columns = payload["theoremColumns"]
+    assert set(columns["T33"]["witnesses"]) == {"Astar_D", "p_geqD_at_A"}
+    assert set(columns["T37"]["witnesses"]) == {"weighted_excess_per_vertex"}
 
 
 def _assert_row(one_row, batch, k, reads_gaps=True):
@@ -649,9 +694,10 @@ def _assert_row(one_row, batch, k, reads_gaps=True):
     if batch.certificate is None:
         assert one_row.certificate is None
         return
-    i = np.flatnonzero(np.flatnonzero(batch.state == EQUAL) == k)
-    assert one_row.certificate._replace(max_abs_diff=None) == \
-        batch.certificate._replace(max_abs_diff=None)
+    i = np.flatnonzero(batch.certificate.rows == k)
+    assert one_row.certificate._replace(max_abs_diff=None, rows=None) == \
+        batch.certificate._replace(max_abs_diff=None, rows=None)
+    assert one_row.certificate.rows.tolist() == [0] * len(i)
     assert np.array_equal(one_row.certificate.max_abs_diff, batch.certificate.max_abs_diff[i])
     a, b = one_row.witness_fn(), batch.witness_fn()
     assert a.keys() == b.keys()
@@ -685,12 +731,24 @@ def _q_gap(ga, j) -> float:
     return float(np.abs(at_a - ga.wm.sstar_at(j)).max())
 
 
+def _tail_gap(ga) -> float:
+    """max|p_>=D(A) - A*_D| from p_>=D(A) evaluated alone."""
+    at_a = evaluate_at_matrix(ga.global_seq.values[ga.D:].sum(axis=0), ga.spectrum)
+    return float(np.abs(at_a - ga.wm.astar_at(ga.D)).max())
+
+
+def _rows(rep, k) -> tuple:
+    return (CODES[rep.state[k]], float(rep.lhs[k]), float(rep.rhs[k]), float(rep.slack[k]),
+            rep.label_text(k), rep.verdict_text(k), bool(rep.equality_holds[k]))
+
+
 @pytest.mark.parametrize("graphs", ["fixtures", "atlas"])
 def test_column_families_match_scalar_rule(request, graphs):
-    # every row of T34 and P36 (state, slack, label, verdict) and of P35
-    # (matrix condition, oracle agreement, verdict) against the per-index
-    # scalar rule: _compare and _ladder, the saturation rule for T34 at
-    # j >= D, and each q_j(A) evaluated alone
+    # every row of T33, T34, P36, T37 and T38 (state, sides, slack, label,
+    # verdict, equality) and of P35 (matrix condition, oracle agreement,
+    # verdict) against the per-row scalar reference: _compare and _ladder,
+    # the saturation rule for T34 at j >= D, and each q_j(A) and p_>=D(A)
+    # evaluated alone
     if graphs == "fixtures":
         analyses, checks = request.getfixturevalue("analyses"), request.getfixturevalue("checks")
         analyzed = [(name, analyses(name), checks(name)) for name in ALL_NAMES]
@@ -698,32 +756,37 @@ def test_column_families_match_scalar_rule(request, graphs):
         analyzed = [entry for entry in request.getfixturevalue("atlas") if entry[1].n <= 6]
     seen = Counter()
     for name, ga, reports in analyzed:
-        _p31, _t32, _t33, t34, p35, p36 = reports[:6]
+        _p31, _t32, t33, t34, p35, p36, *chain = reports
         q, h, cls = ga.global_seq.q_lambda0, ga.stats.harmonic_means, ga.classification
-        tol = ga.tols.equality * max(1.0, ga.n)
+        eq_tol, tol = ga.tols.equality, ga.tols.equality * max(1.0, ga.n)
         gaps = [_q_gap(ga, j) for j in range(min(ga.D, ga.d) + 1)]
         assert ga.q_gaps.max_abs_diff.tolist() == gaps, name
         seen.update(f"gap {'within' if gap <= tol else 'beyond'} tolerance" for gap in gaps)
+        tail, delta, excess = _tail_gap(ga), ga.stats.delta_star, ga.spectral_excess
+        assert t33.tail_gap.max_abs_diff == tail, name
+        state, slack = _compare(delta[-1], excess, eq_tol)
+        verdict = _ladder(state, state == "equal" and tail <= tol,
+                          "spectral excess attained: A*_D = p_>=D(A)")
+        assert _rows(t33, 0) == (state, float(delta[-1]), excess, slack,
+                                 "delta*_D <= p_>=D(lambda0)", verdict,
+                                 verdict.startswith("spectral")), name
+        seen[f"T33 {state}"] += 1
         for k, j in enumerate(t34.params["j"].tolist()):
             label = f"q_{j}(lambda0) <= H*_<={j}"
             if j >= ga.D:
                 top = j == ga.d
-                comp = Comparison(label, float(q[j]), float(ga.n),
-                                  float(ga.global_seq.p_lambda0[j + 1:].sum()),
-                                  "inequality", "equal" if top else "strict")
-                verdict = _ladder(comp, top, f"harmonic bound attained: q_{j}(A) = J* "
+                state, lhs, rhs = "equal" if top else "strict", float(q[j]), float(ga.n)
+                slack = float(ga.global_seq.p_lambda0[j + 1:].sum())
+                verdict = _ladder(state, top, f"harmonic bound attained: q_{j}(A) = J* "
                                               "(Hoffman identity)")
                 seen["j = d" if top else "D <= j < d"] += 1
             else:
-                comp = _compare(label, q[j], h[j], ga.tols.equality)
-                verdict = _ladder(comp, comp.scalar_equal and gaps[j] <= tol,
+                (state, slack), lhs, rhs = _compare(q[j], h[j], eq_tol), float(q[j]), float(h[j])
+                verdict = _ladder(state, state == "equal" and gaps[j] <= tol,
                                   f"harmonic bound attained: q_{j}(A) = S*_{j}")
                 seen["j < D"] += 1
-            got = (CODES[t34.state[k]], float(t34.lhs[k]), float(t34.rhs[k]),
-                   float(t34.slack[k]), t34._format(t34.label, k), t34.verdict_text(k))
-            assert got == (comp.state, comp.lhs, comp.rhs, comp.slack, comp.label, verdict), \
-                (name, j)
-            assert t34.equality_holds[k] == verdict.startswith("harmonic bound attained")
+            assert _rows(t34, k) == (state, lhs, rhs, slack, label, verdict,
+                                     verdict.startswith("harmonic bound attained")), (name, j)
         level = cls.partial_dr_level
         for k, m in enumerate(p35.params["m"].tolist()):
             holds = gaps[m - 1] <= tol and gaps[m] <= tol
@@ -735,21 +798,56 @@ def test_column_families_match_scalar_rule(request, graphs):
                     p35.verdict_text(k)) == (holds, agrees, verdict), (name, m)
             seen[f"P35 {holds}"] += 1
         for k, m in enumerate(p36.params["m"].tolist()):
-            comp = _compare(f"(q_{m - 1}+q_{m})(lambda0) <= H*_<={m - 1} + H*_<={m}",
-                            q[m - 1] + q[m], h[m - 1] + h[m], ga.tols.equality)
+            lhs, rhs = float(q[m - 1] + q[m]), float(h[m - 1] + h[m])
+            state, slack = _compare(lhs, rhs, eq_tol)
             structural = cls.is_regular and gaps[m - 1] <= tol and gaps[m] <= tol
             oracle_ok = cls.is_regular and level >= m
-            verdict = _ladder(comp, comp.scalar_equal and structural,
+            verdict = _ladder(state, state == "equal" and structural,
                               f"regular and {m}-partially distance-regular",
                               "scalar equality but structural certificate failed")
-            got = (CODES[p36.state[k]], float(p36.lhs[k]), float(p36.rhs[k]),
-                   float(p36.slack[k]), p36._format(p36.label, k), p36.verdict_text(k),
-                   p36.details["oracle_agrees"][k])
-            assert got == (comp.state, comp.lhs, comp.rhs, comp.slack, comp.label, verdict,
-                           structural == oracle_ok), (name, m)
-            seen[f"P36 {comp.state}"] += 1
+            assert _rows(p36, k) + (p36.details["oracle_agrees"][k],) == (
+                state, lhs, rhs, slack, f"(q_{m - 1}+q_{m})(lambda0) <= H*_<={m - 1} + H*_<={m}",
+                verdict, verdict.startswith("regular"), structural == oracle_ok), (name, m)
+            seen[f"P36 {state}"] += 1
+        if not chain:
+            continue
+        middle = ga.stats.n_minus_harmonic
+        sphere = ga.stats.sphere_norms[:, -1]
+        spread = float(sphere.max() - sphere.min())
+        assert chain[0].certificate.max_abs_diff.tolist() == [spread], name
+        links = (("i", "n - H*_<=D-1 <= p_>=D(lambda0)", middle, excess, tail <= tol,
+                  "p_>=D(A) = A*_D"),
+                 ("ii", "delta*_D <= n - H*_<=D-1", float(delta[-1]), middle,
+                  spread <= eq_tol * max(1.0, float(np.abs(sphere).max())),
+                  "constant weighted excess"))
+        for k, (link, label, lhs, rhs, certified, identity) in enumerate(links):
+            state, slack = _compare(lhs, rhs, eq_tol)
+            holds = state == "equal" and certified
+            verdict = f"link ({link}) equality: {identity}" if holds else f"link ({link}) {state}"
+            assert _rows(chain[0], k) == (state, lhs, rhs, slack, label, verdict, holds), \
+                (name, link)
+            seen[f"T37 {state}"] += 1
+        if len(chain) < 2:
+            continue
+        D = ga.D
+        hypotheses = (("delta*_D vs p_>=D(lambda0)", float(delta[D]), excess),
+                      ("delta*_D-1 vs p_D-1(lambda0)", float(delta[D - 1]),
+                       float(ga.global_seq.p_lambda0[D - 1])))
+        states = [_compare(lhs, rhs, eq_tol, "equality") for _label, lhs, rhs in hypotheses]
+        hold = all(state == "equal" for state, _slack in states)
+        oracle_ok = hold and cls.is_distance_polynomial and cls.is_regular and level >= D - 1
+        verdict = ("hypotheses not satisfied; no claim" if not hold else
+                   "distance-polynomial (oracle-certified; regular and "
+                   f"{D - 1}-partially distance-regular)" if oracle_ok else
+                   "INTERNAL INCONSISTENCY: hypotheses hold but oracle rejects")
+        for k, ((label, lhs, rhs), (state, slack)) in enumerate(zip(hypotheses, states)):
+            assert _rows(chain[1], k) == (state, lhs, rhs, slack, label, verdict,
+                                          bool(oracle_ok)), (name, k)
+        assert chain[1].details["hypotheses_hold"] == hold
+        seen[f"T38 {hold}"] += 1
     assert {"j < D", "D <= j < d", "j = d", "gap within tolerance", "gap beyond tolerance",
-            "P35 True", "P35 False", "P36 equal", "P36 strict"} <= set(seen), seen
+            "P35 True", "P35 False", "P36 equal", "P36 strict", "T33 equal", "T33 strict",
+            "T37 equal", "T37 strict", "T38 True", "T38 False"} <= set(seen), seen
 
 
 def test_column_violation_messages(analyses):
@@ -782,9 +880,9 @@ def _json_ready(x) -> bool:
 
 @pytest.mark.parametrize("graphs", ["fixtures", "analyzed", "wide"])
 def test_report_values_are_json_ready(request, graphs):
-    # the report passes params, details and the comparison and certificate
-    # numbers to the JSON encoder as built, so they must be plain Python
-    # values, also when a one-row check is called with numpy integers
+    # the report passes labels, params, details and the certificate names
+    # and tolerances to the JSON encoder as built, so they must be plain
+    # Python values, also when a one-row check is called with numpy integers
     if graphs == "fixtures":
         analyses, checks = request.getfixturevalue("analyses"), request.getfixturevalue("checks")
         analyzed = [(name, analyses(name), checks(name)) for name in ALL_NAMES]
@@ -795,11 +893,4 @@ def test_report_values_are_json_ready(request, graphs):
         extra = [check_local_bound(ga, u), check_local_bound(ga, u, j=np.int64(0)),
                  check_local_spet(ga, u), check_harmonic_bound(ga, np.int64(0))]
         for rep in reports + extra:
-            if isinstance(rep, ColumnReport):
-                assert _json_ready(theorem_columns_dict([rep], include_witnesses=True)), name
-                continue
-            assert _json_ready(rep.params) and _json_ready(rep.details), (name, rep)
-            for c in rep.comparisons:
-                assert {type(c.lhs), type(c.rhs), type(c.slack)} == {float}, (name, rep)
-            for c in rep.certificates:
-                assert {type(c.max_abs_diff), type(c.tol)} == {float}, (name, rep)
+            assert _json_ready(theorem_columns_dict([rep], include_witnesses=True)), name
