@@ -353,7 +353,7 @@ def test_check_prints_row_of_analyze(capsys, tmp_path, name):
         assert json.loads(out) == want
 
 
-def _golden_v4_graph(name):
+def _golden_graph(name):
     import random
 
     import corpus
@@ -365,13 +365,13 @@ def _golden_v4_graph(name):
 
 
 @pytest.mark.parametrize("name", ["k23", "petersen", "p5", "c8_12", "tree30", "er16"])
-def test_analyze_matches_schema4_golden(capsys, tmp_path, name):
-    # tests/data/NAME.v4.json is analyze --witnesses stdout, byte for byte
+def test_analyze_matches_schema5_golden(capsys, tmp_path, name):
+    # tests/data/NAME.v5.json is analyze --witnesses stdout, byte for byte
     path = tmp_path / f"{name}.el"
-    path.write_bytes(fx.edgelist_bytes(_golden_v4_graph(name)))
+    path.write_bytes(fx.edgelist_bytes(_golden_graph(name)))
     code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
     assert code == 0
-    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.v4.json")) as fh:
+    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.v5.json")) as fh:
         assert out == fh.read()
 
 
