@@ -11,32 +11,28 @@ Commands:
                              all of their rows
 * ``spexcess fixtures --out DIR`` -- write the bundled fixture graphs
 
-Exit codes: 0 success, 2 input error (also any OS error reading the input
-or writing fixtures), 3 numerical failure (a LAPACK eigensolver failure, a
-Perron vector entry or a vertex's lambda_0 mass at or below its threshold,
-or a singular spectral measure; the number of distinct eigenvalues is no
-limit), 4 internal invariant violated (an inequality violation, an oracle
+Exit codes: 0 success; 3 numerical failure (a LAPACK eigensolver failure,
+a Perron vector entry or a vertex's lambda_0 mass at or below its
+threshold, or a singular spectral measure; the number of distinct
+eigenvalues is no limit); 2 any other ``SpexcessError`` (among them a
+``check`` flag that the theorem requires and lacks, or does not take,
+rejected before the graph is read) and any OS error, also on writing
+stdout: ``analyze ... | head -c 300`` ends "error: [Errno 32] Broken pipe";
+4 internal invariant violated (a row in state violated, an oracle
 disagreement, or a NaN or infinity in the JSON output, which is then not
-printed).  Tolerance flags (--group-tol, --presence-tol, --eq-tol) are
-mirrored by the variables SPEXCESS_TOL_GROUP, SPEXCESS_TOL_PRESENCE and
-SPEXCESS_TOL_EQ; a flag wins over its variable.
+printed).  Flags are the only tolerance input, each in (0, 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import fixtures, theorems
 from .errors import (
     ConvergenceError,
     DegenerateMeasureError,
-    DegreeError,
-    DisconnectedError,
-    HypothesisError,
-    LoopOrMultiEdgeError,
     MissingParamError,
     NonPositiveEigenvectorError,
     ParseError,
@@ -51,18 +47,13 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
-_INPUT_ERRORS = (ParseError, DisconnectedError, LoopOrMultiEdgeError,
-                 MissingParamError, HypothesisError, DegreeError, OSError)
-_NUMERICAL_ERRORS = (ConvergenceError, NonPositiveEigenvectorError,
-                     DegenerateMeasureError)
+_NUMERICAL_ERRORS = (ConvergenceError, NonPositiveEigenvectorError, DegenerateMeasureError)
 
-ENV_PREFIX = "SPEXCESS_TOL_"
 _TOL_SPECS = (
-    # (flag, env suffix, Tolerances field, help)
-    ("--group-tol", "GROUP", "grouping", "eigenvalue grouping tolerance"),
-    ("--presence-tol", "PRESENCE", "presence",
-     "local-multiplicity presence threshold (sets d_u)"),
-    ("--eq-tol", "EQ", "equality", "relative equality tolerance"),
+    # (flag, Tolerances field, help)
+    ("--group-tol", "grouping", "eigenvalue grouping tolerance"),
+    ("--presence-tol", "presence", "local-multiplicity presence threshold (sets d_u)"),
+    ("--eq-tol", "equality", "relative equality tolerance"),
 )
 
 
@@ -70,34 +61,19 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("path", help="graph file")
     parser.add_argument("--format", choices=("auto", "edgelist", "graph6"),
                         default="auto", help="input format (default: by extension)")
-    for flag, env, _field, text in _TOL_SPECS:
-        parser.add_argument(flag, type=float, default=None,
-                            help=f"{text} (env {ENV_PREFIX}{env})")
+    for flag, field, text in _TOL_SPECS:
+        parser.add_argument(flag, dest=field, type=float, default=getattr(Tolerances, field),
+                            help=text)
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
 
 
 def _resolve_tolerances(args) -> Tolerances:
-    values = {}
-    for flag, env, field, _text in _TOL_SPECS:
-        val = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if val is None:
-            raw = os.environ.get(ENV_PREFIX + env)
-            if raw is not None:
-                try:
-                    val = float(raw)
-                except ValueError:
-                    raise ParseError(f"bad value for {ENV_PREFIX}{env}: {raw!r}") from None
-        if val is not None:
-            if not 0.0 < val < 1.0:
-                raise ParseError(f"tolerance {flag} must be in (0, 1), got {val}")
-            values[field] = val
+    values = {field: getattr(args, field) for _flag, field, _text in _TOL_SPECS}
+    for flag, field, _text in _TOL_SPECS:
+        if not 0.0 < values[field] < 1.0:
+            raise ParseError(f"tolerance {flag} must be in (0, 1), got {values[field]}")
     return Tolerances(**values)
-
-
-def _load(args):
-    fmt = None if args.format == "auto" else args.format
-    return read_graph_file(args.path, fmt=fmt)
 
 
 @functools.cache
@@ -126,24 +102,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# theorem id -> (the flag it requires, its check on (ga, args))
+# theorem id -> (the flags it requires, the flags it may take, its check on (ga, args))
 _CHECKS = {
-    "P31": ("vertex", lambda ga, a: theorems.check_local_bound(ga, a.vertex, j=a.j)),
-    "T32": ("vertex", lambda ga, a: theorems.check_local_spet(ga, a.vertex)),
-    "T33": (None, lambda ga, a: theorems.check_lee_weng(ga)),
-    "T34": ("j", lambda ga, a: theorems.check_harmonic_bound(ga, a.j)),
-    "P35": ("m", lambda ga, a: theorems.check_partial_dr_matrix(ga, a.m)),
-    "P36": ("m", lambda ga, a: theorems.check_partial_dr_inequality(ga, a.m)),
-    "T37": (None, lambda ga, a: theorems.check_chain(ga)),
-    "T38": (None, lambda ga, a: theorems.check_distance_polynomial_sufficient(ga)),
+    "P31": (("vertex",), ("j",), lambda ga, a: theorems.check_local_bound(ga, a.vertex, j=a.j)),
+    "T32": (("vertex",), (), lambda ga, a: theorems.check_local_spet(ga, a.vertex)),
+    "T33": ((), (), lambda ga, a: theorems.check_lee_weng(ga)),
+    "T34": (("j",), (), lambda ga, a: theorems.check_harmonic_bound(ga, a.j)),
+    "P35": (("m",), (), lambda ga, a: theorems.check_partial_dr_matrix(ga, a.m)),
+    "P36": (("m",), (), lambda ga, a: theorems.check_partial_dr_inequality(ga, a.m)),
+    "T37": ((), (), lambda ga, a: theorems.check_chain(ga)),
+    "T38": ((), (), lambda ga, a: theorems.check_distance_polynomial_sufficient(ga)),
 }
 
 
-def _dispatch_check(ga, args):
-    flag, check = _CHECKS[args.theorem]
-    if flag is not None and getattr(args, flag) is None:
-        raise MissingParamError(f"--theorem {args.theorem} requires --{flag}")
-    return check(ga, args)
+def _check_flags(args):
+    """Reject a flag the theorem requires and lacks, then one it does not take."""
+    required, optional, _check = _CHECKS[args.theorem]
+    for flag in required:
+        if getattr(args, flag) is None:
+            raise MissingParamError(f"--theorem {args.theorem} requires --{flag}")
+    for flag in ("vertex", "j", "m"):
+        if flag not in required + optional and getattr(args, flag) is not None:
+            raise MissingParamError(f"--theorem {args.theorem} takes no --{flag}")
 
 
 def main(argv=None) -> int:
@@ -155,14 +135,15 @@ def main(argv=None) -> int:
             print(to_json({"written": written, "directory": args.out}))
             return EXIT_OK
         tols = _resolve_tolerances(args)
-        g = _load(args)
+        if args.command == "check":
+            _check_flags(args)
+        g = read_graph_file(args.path, fmt=None if args.format == "auto" else args.format)
         ga = analyze_graph(g, tols)
         if args.command == "analyze":
             reports = run_all_checks(ga)
-            payload = analysis_report(ga, reports,
-                                      include_witnesses=args.witnesses)
+            payload = analysis_report(ga, reports, include_witnesses=args.witnesses)
         else:
-            reports = [_dispatch_check(ga, args)]
+            reports = [_CHECKS[args.theorem][2](ga, args)]
             payload = theorem_columns_dict(reports, include_witnesses=True)
         try:
             text = to_json(payload, pretty=args.pretty)
@@ -170,19 +151,14 @@ def main(argv=None) -> int:
             print(f"invariant violated: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
         print(text)
-        violations = collect_violations(reports, tols.equality)
-        if violations:
-            for v in violations:
-                print(f"invariant violated: {v}", file=sys.stderr)
-            return EXIT_INVARIANT
-        return EXIT_OK
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        violations = collect_violations(reports)
+        for v in violations:
+            print(f"invariant violated: {v}", file=sys.stderr)
+        return EXIT_INVARIANT if violations else EXIT_OK
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SpexcessError as exc:  # any stragglers count as input problems
+    except (SpexcessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

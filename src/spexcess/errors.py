@@ -40,4 +40,4 @@ class HypothesisError(SpexcessError):
 
 
 class MissingParamError(SpexcessError):
-    """A required command-line parameter for the selected check is missing."""
+    """A flag that the selected check requires is missing, or one it does not take is given."""

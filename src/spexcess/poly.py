@@ -74,13 +74,14 @@ class PolySequence:
         return self.values[:, 0]
 
     @functools.cached_property
+    def q_values(self) -> np.ndarray:
+        """Row j is q_j = p_0 + ... + p_j on the eigenvalues."""
+        return _readonly(self.values.cumsum(axis=0))
+
+    @property
     def q_lambda0(self) -> np.ndarray:
         """q_j(lambda_0) = p_0(lambda_0) + ... + p_j(lambda_0)."""
-        return _readonly(self.values[:, 0].cumsum())
-
-    def sum_values(self, j: int) -> np.ndarray:
-        """q_j = p_0 + ... + p_j on the eigenvalues."""
-        return self.values[: j + 1].sum(axis=0)
+        return self.q_values[:, 0]
 
 
 def predistance_polynomials(nodes, weights, degree, scale=1.0) -> PolySequence:

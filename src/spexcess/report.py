@@ -29,9 +29,8 @@ import json
 
 import numpy as np
 
-from .classify import DEFAULT_ORACLE_TOL
 from .pipeline import GraphAnalysis
-from .theorems import CODES, ColumnReport
+from .theorems import CODES, VIOLATED, ColumnReport
 
 SCHEMA_VERSION = 5
 
@@ -138,13 +137,17 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
     }
 
 
-def collect_violations(reports: list, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
-    """Inequality violations and oracle disagreements (internal errors) of
-    every row of every report."""
+def collect_violations(reports: list) -> list[str]:
+    """The internal errors of each report: its rows in state violated (only an
+    inequality's can be), then its rows whose ``details["oracle_agrees"]`` is false."""
     out = []
     for r in reports:
-        out.extend(r.inequality_violations(tol))
-        out.extend(r.oracle_disagreements())
+        if r.state is not None:  # P35 has no comparison
+            out += [f"{r.theorem_id}: {r.label_text(i)}: lhs={float(r.lhs[i])!r} > "
+                    f"rhs={float(r.rhs[i])!r}" for i in (r.state == VIOLATED).nonzero()[0]]
+        if "oracle_agrees" in r.details:
+            out += [f"{r.theorem_id}: oracle disagreement: {r.verdict_text(i)}"
+                    for i in np.flatnonzero(np.logical_not(r.details["oracle_agrees"]))]
     return out
 
 

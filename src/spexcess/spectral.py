@@ -40,6 +40,7 @@ from .graphs import Graph
 
 DEFAULT_GROUPING_TOL = 1e-7
 DEFAULT_PRESENCE_TOL = 1e-9
+_PERRON_POS_TOL = 1e-10  # a Perron vector entry at or below it is a numerical failure
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,7 @@ class PerronWeights:
     nu: np.ndarray
 
 
-def perron_weights(spec: Spectrum, degrees: np.ndarray,
-                   pos_tol: float = 1e-10) -> PerronWeights:
+def perron_weights(spec: Spectrum, degrees: np.ndarray) -> PerronWeights:
     """Perron vector from the top eigenclass (requires multiplicity 1).
 
     When all ``degrees`` are equal the graph is regular, its Perron vector
@@ -131,9 +131,9 @@ def perron_weights(spec: Spectrum, degrees: np.ndarray,
     v0 = spec.vectors[:, 0]
     v0 = -v0 if v0[abs(v0).argmax()] < 0 else v0  # LAPACK's sign is either
     alpha = math.sqrt(spec.n) * v0 / np.linalg.norm(v0)
-    if (alpha <= pos_tol).any():
+    if (alpha <= _PERRON_POS_TOL).any():
         raise NonPositiveEigenvectorError(
-            f"Perron vector has entries <= {pos_tol}: min={alpha.min():.3e}"
+            f"Perron vector has entries <= {_PERRON_POS_TOL}: min={alpha.min():.3e}"
         )
     nu = alpha / alpha.min()
     return PerronWeights(alpha=_readonly(alpha), nu=_readonly(nu))

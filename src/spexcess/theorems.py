@@ -19,6 +19,10 @@ over the states (``_unattained``):
 4. violated -- lhs exceeds rhs beyond the tolerance (an internal error);
 5. strict inequality -- everything else.
 
+A violation is a row in state violated and nothing else: it is what
+``report.collect_violations`` reads.  P31's saturation rule keeps a
+violated state; T34's sets state and slack from the theorem (below).
+
 T37 reports each link as equal or by its comparison state.
 ``GraphAnalysis`` evaluates each matrix identity once, on first read: the
 gaps max|q_j(A) - S*_j|, j <= min(D, d), as one vector (``q_gaps``, the
@@ -61,8 +65,9 @@ Saturation rule: once j >= ecc(u), N_j(u) = V and
 theorem then decides, with no tolerance.  T34's slack sum_{i>j}
 p_i(lambda_0) is positive below d; at j = d it is 0 and q_d(A) = J*
 (Hoffman).  P31's rhs sqrt(n)/alpha_u exceeds r(lambda_0)/||r||_u for
-every deg r <= j < d_u, as q^u_j(lambda_0) < q^u_{d_u}(lambda_0) = n; at
-j = d_u P31 keeps its closed-form path (Lee-Weng, JCTA 119, 2012;
+every deg r <= j < d_u, as q^u_j(lambda_0) < q^u_{d_u}(lambda_0) = n, so a
+saturated row reads strict unless its sides compare as violated; at j = d_u
+P31 keeps its closed-form path (Lee-Weng, JCTA 119, 2012;
 Fiol-Garriga, JCTA 71, 1997).  Extremality is only meaningful below d_u,
 which is why the pipeline runs P31 at j = ecc(u).
 """
@@ -75,7 +80,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._util import CACHE_BLOCK_BYTES
-from .classify import DEFAULT_ORACLE_TOL
 from .errors import DegreeError, HypothesisError
 from .poly import apply_to_vector, evaluate_at_matrix, predistance_polynomials
 
@@ -158,11 +162,11 @@ class ColumnReport(NamedTuple):
     equal on every row is one value, and so is a label).  ``state`` and
     ``verdict`` index ``CODES``; a verdict and ``label`` format with the
     row's params ({m-1} with m - 1).  P35 has no comparison (its fields
-    None).  P31's ``certificate`` has one gap per row whose state is equal,
-    and ``witness_fn`` their vectors; T37's has link (ii)'s.  T34, P35 and
-    P36 read rows of ``q_gaps``, T33 and T37's link (i) ``tail_gap``, and
-    T34's ``witness_fn`` stacks its rows with j < D (eta where the state is
-    equal or ambiguous)."""
+    None).  A row is a violation iff its state is violated (module note).
+    P31's ``certificate`` has one gap per row whose state is equal, and
+    ``witness_fn`` their vectors; T37's has link (ii)'s.  T34, P35 and P36
+    read rows of ``q_gaps``, T33 and T37's link (i) ``tail_gap``, and T34's
+    ``witness_fn`` stacks its rows with j < D (eta where equal or ambiguous)."""
 
     theorem_id: str
     label: str | tuple | None
@@ -190,19 +194,6 @@ class ColumnReport(NamedTuple):
     def verdict_text(self, k: int) -> str:
         return self._format(CODES[self.verdict[k]], k)
 
-    def inequality_violations(self, tol: float = DEFAULT_ORACLE_TOL) -> list[str]:
-        if self.kind != "inequality":
-            return []
-        bad = self.slack < -tol * np.maximum(1.0, np.maximum(abs(self.lhs), abs(self.rhs)))
-        return [f"{self.theorem_id}: {self.label_text(i)}: "
-                f"lhs={float(self.lhs[i])!r} > rhs={float(self.rhs[i])!r}"
-                for i in bad.nonzero()[0]]
-
-    def oracle_disagreements(self) -> list[str]:
-        agrees = self.details.get("oracle_agrees", True)
-        return [f"{self.theorem_id}: oracle disagreement: {self.verdict_text(i)}"
-                for i in np.flatnonzero(np.logical_not(agrees))]
-
 
 def _states(lhs, rhs, eq_tol: float, kind: str = "inequality"):
     """The state rule over arrays: (state codes, slack = rhs - lhs).  Equal
@@ -226,11 +217,10 @@ def q_gap_certificate(ga) -> Certificate:
     in stacks of q_j(A) that fit in ``CACHE_BLOCK_BYTES`` (O(n^2) memory)."""
     top = min(ga.D, ga.d)
     step = max(1, CACHE_BLOCK_BYTES // (8 * ga.n ** 2))
-    q = ga.global_seq.values.cumsum(axis=0)  # row j is sum_values(j), bit for bit
     gaps = np.empty(top + 1)
     for start in range(0, top + 1, step):
         js = np.arange(start, min(start + step, top + 1))
-        at_a = evaluate_at_matrix(q[js], ga.spectrum)
+        at_a = evaluate_at_matrix(ga.global_seq.q_values[js], ga.spectrum)
         at_a -= ga.wm.sstar_at(js[:, None, None])
         gaps[js] = np.abs(at_a, out=at_a).reshape(len(js), -1).max(axis=1)
     return _certificate(ga, "q_{j}(A) == S*_{j}", gaps)
@@ -280,7 +270,7 @@ def check_local_bound(ga, u: int | None = None, j: int | None = None,
         elif j < du:
             seq = predistance_polynomials(ga.spectrum.lambdas, mults, j,
                                           scale=ga.perron.alpha[u] ** 2)
-            r_vals, r_l0 = seq.sum_values(j), seq.q_lambda0[j]
+            r_vals, r_l0 = seq.q_values[j], seq.q_lambda0[j]
         norm = ga.perron.alpha[u] * np.sqrt(r_l0)
     else:
         coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
@@ -305,7 +295,7 @@ def _local_bounds(ga, us, js, r_l0, norms, r_vals) -> ColumnReport:
     ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
     lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
     state, slack = _states(lhs, rhs, ga.tols.equality)
-    state[saturated & (js < du)] = STRICT  # the saturation rule
+    state[saturated & (js < du) & (state != VIOLATED)] = STRICT  # the saturation rule
     rows = (state == EQUAL).nonzero()[0]
     if r_vals is None:
         vecs = alpha[us[rows], None] * alpha
@@ -393,7 +383,7 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
     verdict = np.where(holds, _T34_ATTAINED + ~below, _MATRIX_UNATTAINED[state])
 
     def witnesses():
-        at_a = evaluate_at_matrix(np.cumsum(seq.values, axis=0)[js[below]], ga.spectrum)
+        at_a = evaluate_at_matrix(seq.q_values[js[below]], ga.spectrum)
         near = (state[below] == EQUAL) | (state[below] == AMBIGUOUS)
         # eta: per-vertex proportionality constants from the equality analysis
         return {"q_j_at_A": at_a, "Sstar_j": ga.wm.sstar_at(js[below, None, None]),

@@ -203,12 +203,17 @@ def battery_eccentricity_bound(analyzed):
 
 
 def battery_inequality_slacks(analyzed, tol=1e-7):
-    """Every inequality comparison of every check has slack >= -tol."""
+    """Every inequality row of every check has slack >= -tol * max(1, |lhs|,
+    |rhs|), read from the slack column, not from the row state."""
     fails = []
     for name, _ga, reports in analyzed:
         for rep in reports:
-            for v in rep.inequality_violations(tol):
-                fails.append(f"{name}: {v}")
+            if rep.kind != "inequality":
+                continue
+            scale = np.maximum(1.0, np.maximum(abs(rep.lhs), abs(rep.rhs)))
+            fails.extend(f"{name}: {rep.theorem_id}: {rep.label_text(i)}: "
+                         f"lhs={float(rep.lhs[i])!r} > rhs={float(rep.rhs[i])!r}"
+                         for i in np.flatnonzero(rep.slack < -tol * scale))
     return fails
 
 
@@ -244,7 +249,9 @@ def battery_oracle_agreement(analyzed):
     fails = []
     for name, _ga, reports in analyzed:
         for rep in reports:
-            fails.extend(f"{name}: {v}" for v in rep.oracle_disagreements())
+            agrees = rep.details.get("oracle_agrees", True)
+            fails.extend(f"{name}: {rep.theorem_id}: oracle disagreement: {rep.verdict_text(i)}"
+                         for i in np.flatnonzero(np.logical_not(agrees)))
     return fails
 
 

@@ -267,7 +267,7 @@ def test_check_p31_past_eccentricity(capsys, tmp_path, j):
     assert (ga.dd.ecc[0], ga.local_spectra.du[0]) == (2, 4)
     assert ga.local_q_lambda0[0] == pytest.approx(
         full_local_families(ga)[0].q_lambda0[2], rel=1e-12)
-    r = full_local_families(ga)[0].sum_values(j)
+    r = full_local_families(ga)[0].q_values[j]
     norm = np.sqrt(ga.perron.alpha[0] ** 2 * r[0])
     p31 = report["P31"]
     assert p31["params"]["j"] == [j]
@@ -400,6 +400,30 @@ def test_check_p31_missing_vertex(capsys, k23_file):
     assert "--vertex" in err
 
 
+@pytest.mark.parametrize("theorem, flags, bad", [
+    ("T33", ["--j", "1"], "j"),
+    ("T34", ["--j", "0", "--vertex", "0"], "vertex"),
+    ("P35", ["--m", "1", "--vertex", "0"], "vertex"),
+    ("T32", ["--vertex", "0", "--m", "1"], "m"),
+    ("P31", ["--vertex", "0", "--j", "1", "--m", "1"], "m"),
+    ("T37", ["--vertex", "0"], "vertex"),
+])
+def test_check_rejects_flag_theorem_does_not_take(capsys, k23_file, theorem, flags, bad):
+    code, out, err = _run(capsys, ["check", k23_file, "--theorem", theorem, *flags])
+    assert (code, out, err) == (2, "", f"error: --theorem {theorem} takes no --{bad}\n")
+
+
+@pytest.mark.parametrize("theorem, flags, message", [
+    ("T34", [], "requires --j"),
+    ("P31", ["--j", "1"], "requires --vertex"),
+    ("T33", ["--m", "1"], "takes no --m"),
+])
+def test_check_flags_rejected_before_graph_is_read(capsys, tmp_path, theorem, flags, message):
+    missing = str(tmp_path / "no_such_file.el")
+    code, out, err = _run(capsys, ["check", missing, "--theorem", theorem, *flags])
+    assert (code, out, err) == (2, "", f"error: --theorem {theorem} {message}\n")
+
+
 @pytest.mark.parametrize("theorem", ["P31", "T32"])
 @pytest.mark.parametrize("vertex", ["-1", "5"])
 def test_check_vertex_out_of_range(capsys, k23_file, theorem, vertex):
@@ -424,15 +448,24 @@ def test_check_t32_every_vertex(capsys, k23_file):
         assert report["T32"]["details"]["oracle_agrees"] == [True]
 
 
-def test_tolerance_flags_and_env(capsys, k23_file, monkeypatch):
+def test_tolerance_flags(capsys, k23_file):
     code, out, _ = _run(capsys, ["analyze", k23_file, "--eq-tol", "1e-6"])
+    assert code == 0
     assert json.loads(out)["tolerances"]["equality"] == 1e-6
+
+
+def test_tolerance_variables_ignored(capsys, k23_file, monkeypatch):
+    from spexcess.pipeline import Tolerances
+
+    monkeypatch.setenv("SPEXCESS_TOL_GROUP", "not a number")
+    monkeypatch.setenv("SPEXCESS_TOL_PRESENCE", "0.5")
     monkeypatch.setenv("SPEXCESS_TOL_EQ", "1e-5")
     code, out, _ = _run(capsys, ["analyze", k23_file])
-    assert json.loads(out)["tolerances"]["equality"] == 1e-5
-    # flag wins over the environment
-    code, out, _ = _run(capsys, ["analyze", k23_file, "--eq-tol", "1e-6"])
-    assert json.loads(out)["tolerances"]["equality"] == 1e-6
+    assert code == 0
+    defaults = Tolerances()
+    assert json.loads(out)["tolerances"] == {
+        "grouping": defaults.grouping, "presence": defaults.presence,
+        "equality": defaults.equality}
 
 
 def test_bad_tolerance_exit2(capsys, k23_file):
@@ -524,6 +557,35 @@ def test_eigen_tolerance_knob_removed(capsys, k23_file, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main(["analyze", k23_file, "--tol", "1e-12"])
     assert info.value.code == 2
+
+
+def test_saturated_p31_violation_exit4(capsys, tmp_path, monkeypatch):
+    # every c8_12 vertex has ecc 2 < d_u 4, so the saturation rule covers
+    # every P31 row; q^u_2(lambda_0) pushed to 1.5 n puts lhs above rhs, and
+    # the row must read violated, as the exit code does, not strict
+    import dataclasses
+
+    import numpy as np
+
+    import spexcess.cli as cli
+
+    real = cli.analyze_graph
+
+    def inflated(g, tols):
+        ga = real(g, tols)
+        return dataclasses.replace(ga, local_q_lambda0=np.full(ga.n, 1.5 * ga.n))
+
+    monkeypatch.setattr(cli, "analyze_graph", inflated)
+    path = tmp_path / "c8_12.el"
+    path.write_bytes(fx.edgelist_bytes(fx.named("c8_12")))
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert code == 4
+    columns = json.loads(out)["theoremColumns"]
+    codes, p31 = columns["codes"], columns["P31"]
+    assert p31["details"]["ball_saturated"] == [True] * 8
+    assert [codes[s] for s in p31["comparison"]["state"]] == ["violated"] * 8
+    assert [codes[v] for v in p31["verdict"]] == ["INEQUALITY VIOLATED: lhs exceeds rhs"] * 8
+    assert err.count("invariant violated: P31: ") == 8 == len(err.splitlines())
 
 
 def test_to_json_rejects_non_finite():

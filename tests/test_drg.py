@@ -56,7 +56,7 @@ def test_networkx_drg(name):
     assert cls.is_distance_polynomial
     assert cls.partial_dr_level == ga.d == ga.D
     assert cls.is_pdr.all()
-    assert not collect_violations(reports, ga.tols.equality)
+    assert not collect_violations(reports)
 
 
 def _verdicts(ga, reports, original):

@@ -245,11 +245,23 @@ def test_sum_p_lambda0_is_n():
         assert ga.global_seq.q_lambda0[-1] == pytest.approx(ga.n, rel=1e-8)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_q_values_rows_are_the_partial_sums(analyses, name):
+    # one cumsum table; each row equals the slice sum it replaced, bit for bit,
+    # as a family never has more rows than columns
+    ga = analyses(name)
+    for seq in [ga.global_seq] + full_local_families(ga):
+        assert not seq.q_values.flags.writeable
+        for j in range(len(seq.values)):
+            assert seq.q_values[j].tolist() == seq.values[: j + 1].sum(axis=0).tolist()
+        assert seq.q_lambda0.tolist() == seq.q_values[:, 0].tolist()
+
+
 # --- Hoffman polynomials -------------------------------------------------------
 # H = q_d, the top sum polynomial of the global family
 
 def _hoffman(ga):
-    return ga.global_seq.sum_values(ga.d)
+    return ga.global_seq.q_values[ga.d]
 
 
 def test_hoffman_k2():
@@ -311,7 +323,7 @@ def test_local_prehoffman_p3_center():
     h = _hoffman(ga)
     seq = full_local_families(ga)[1]
     assert len(seq.values) == 2 and len(ga.global_seq.values) == 3
-    hu = seq.sum_values(1)
+    hu = seq.q_values[1]
     e1 = np.zeros(3)
     e1[1] = 1.0
     diff = apply_to_vector(hu, ga.spectrum, e1) - apply_to_vector(h, ga.spectrum, e1)
@@ -332,7 +344,7 @@ def test_local_prehoffman_vertex_transitive_equals_global():
     ga = _analysis("petersen")
     h = _hoffman(ga)
     for du, seq in zip(ga.local_spectra.du, full_local_families(ga)):
-        assert np.abs(seq.sum_values(du) - h).max() <= 1e-8
+        assert np.abs(seq.q_values[du] - h).max() <= 1e-8
 
 
 def test_local_prehoffman_column_identity():
@@ -345,7 +357,7 @@ def test_local_prehoffman_column_identity():
         for u, seq in enumerate(full_local_families(ga)):
             e = np.zeros(ga.n)
             e[u] = 1.0
-            hu_e = apply_to_vector(seq.sum_values(ga.local_spectra.du[u]), ga.spectrum, e)
+            hu_e = apply_to_vector(seq.q_values[ga.local_spectra.du[u]], ga.spectrum, e)
             assert np.abs(hu_e - apply_to_vector(h, ga.spectrum, e)).max() <= 1e-8, (name, u)
             assert np.abs(hu_e - _power_eval(h_ref, a) @ e).max() <= 1e-8, (name, u)
 
