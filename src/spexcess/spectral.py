@@ -2,10 +2,10 @@
 
 The full symmetric eigendecomposition comes from LAPACK (``np.linalg.eigh``).
 Eigenvalues are then grouped into distinct classes and the Perron vector is
-extracted in both normalizations (alpha with ||alpha||^2 = n, nu with minimum
-entry 1).  On a regular graph both are exactly all-ones, read from the
-degrees rather than from the eigensolver, so J* and the A*_i are exact 0/1
-matrices and the weighted neighbour counts exact integers.  The
+extracted in one normalization, alpha with ||alpha||^2 = n: every statistic
+and check reads that one vector.  On a regular graph it is exactly all-ones,
+read from the degrees rather than from the eigensolver, so J* and the A*_i
+are exact 0/1 matrices and the weighted neighbour counts exact integers.  The
 eigenvectors are kept in descending eigenvalue order, so each class is a
 run of contiguous columns: class i is the ``mults[i]`` columns starting at
 ``mults[0] + ... + mults[i-1]``, and the multiplicities are the only record
@@ -101,33 +101,22 @@ def eigendecompose(g: Graph,
                     vectors=_readonly(v))
 
 
-@dataclass(frozen=True)
-class PerronWeights:
-    """The positive eigenvector of lambda_0 in both normalizations.
-
-    ``alpha`` has ||alpha||^2 = n, ``nu`` has minimum component 1; the map
-    rho sends u to the weighted coordinate vector alpha_u * e_u, so the
+def perron_weights(spec: Spectrum, degrees: np.ndarray) -> np.ndarray:
+    """The read-only Perron vector alpha, the positive eigenvector of the top
+    eigenclass (which must have multiplicity 1) with ||alpha||^2 = n.  The
+    map rho sends u to the weighted coordinate vector alpha_u * e_u, so the
     squared norm of rho over a vertex subset is the sum of alpha_u^2.
-    """
-
-    alpha: np.ndarray
-    nu: np.ndarray
-
-
-def perron_weights(spec: Spectrum, degrees: np.ndarray) -> PerronWeights:
-    """Perron vector from the top eigenclass (requires multiplicity 1).
 
     When all ``degrees`` are equal the graph is regular, its Perron vector
-    is the all-ones vector, and alpha and nu are returned as exact ones
-    instead of the eigensolver's 1 +- 1e-15.
+    is the all-ones vector, and alpha is returned as exact ones instead of
+    the eigensolver's 1 +- 1e-15.
     """
     if spec.mults[0] != 1:
         raise NonPositiveEigenvectorError(
             f"top eigenvalue has multiplicity {spec.mults[0]}; check grouping tolerance"
         )
     if (degrees == degrees[0]).all():
-        ones = _readonly(np.ones(spec.n))
-        return PerronWeights(alpha=ones, nu=ones)
+        return _readonly(np.ones(spec.n))
     v0 = spec.vectors[:, 0]
     v0 = -v0 if v0[abs(v0).argmax()] < 0 else v0  # LAPACK's sign is either
     alpha = math.sqrt(spec.n) * v0 / np.linalg.norm(v0)
@@ -135,8 +124,7 @@ def perron_weights(spec: Spectrum, degrees: np.ndarray) -> PerronWeights:
         raise NonPositiveEigenvectorError(
             f"Perron vector has entries <= {_PERRON_POS_TOL}: min={alpha.min():.3e}"
         )
-    nu = alpha / alpha.min()
-    return PerronWeights(alpha=_readonly(alpha), nu=_readonly(nu))
+    return _readonly(alpha)
 
 
 @dataclass(frozen=True)

@@ -239,49 +239,36 @@ def _require_vertex(ga, u: int):  # a negative u would index from the end
         raise HypothesisError(f"vertex {u} out of range 0..{ga.n - 1}")
 
 
-def check_local_bound(ga, u: int | None = None, j: int | None = None,
-                      r=None) -> ColumnReport:
-    """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u for deg r <= j:
-    the row of ``u``, or by default every vertex at the default j and r in
-    one pass.  Defaults: j = min(ecc(u), d_u) (module note) and r = q_j^u,
-    for which equality is exactly q_j^u(lambda_0) = ||rho_{N_j(u)}||^2.  A
-    caller-chosen ``r`` is given by its monomial coefficients, ascending.
-    ``equality_holds`` means "the vector certificate r(A)e_u/||r||_u =
-    e_{N_j(u)} passes and u is extremal": at a non-extremal vertex the
-    verdict can read "bound attained" with ``equality_holds`` False."""
+def check_local_bound(ga, u: int | None = None, j: int | None = None) -> ColumnReport:
+    """P31: r(lambda_0)/||r||_u <= ||rho_{N_j(u)}||/alpha_u at r = q^u_j,
+    for which equality is exactly q^u_j(lambda_0) = ||rho_{N_j(u)}||^2: the
+    row of ``u``, or by default every vertex at the default j in one pass.
+    The default j is min(ecc(u), d_u) (module note); a given j lies in
+    0..d_u.  ``equality_holds`` means "the vector certificate
+    r(A)e_u/||r||_u = e_{N_j(u)} passes and u is extremal": at a
+    non-extremal vertex the verdict can read "bound attained" with
+    ``equality_holds`` False."""
+    alpha = ga.alpha
     if u is None:
-        for name, value in (("j", j), ("r", r)):
-            if value is not None:
-                raise HypothesisError(f"{name} needs a vertex u: the all-vertex pass "
-                                      "takes the default j and r")
+        if j is not None:
+            raise HypothesisError("j needs a vertex u: the all-vertex pass takes the default j")
         js, r_l0 = np.minimum(ga.dd.ecc, ga.local_spectra.du), ga.local_q_lambda0
-        return _local_bounds(ga, np.arange(ga.n), js, r_l0,
-                             ga.perron.alpha * np.sqrt(r_l0), None)
+        return _local_bounds(ga, np.arange(ga.n), js, r_l0, alpha * np.sqrt(r_l0), None)
     _require_vertex(ga, u)
-    du, mults = int(ga.local_spectra.du[u]), ga.local_spectra.mults[u]
+    du = int(ga.local_spectra.du[u])
     default_j = min(int(ga.dd.ecc[u]), du)
     j = default_j if j is None else int(j)
     if not 0 <= j <= du:
         raise DegreeError(f"j={j} outside 0..d_u={du} for vertex {u}")
-    if r is None:
-        r_vals, r_l0 = None, float(ga.n)
-        if j == default_j:  # the pipeline's number
-            r_l0 = ga.local_q_lambda0[u]
-        elif j < du:
-            seq = predistance_polynomials(ga.spectrum.lambdas, mults, j,
-                                          scale=ga.perron.alpha[u] ** 2)
-            r_vals, r_l0 = seq.q_values[j], seq.q_lambda0[j]
-        norm = ga.perron.alpha[u] * np.sqrt(r_l0)
-    else:
-        coeffs = np.trim_zeros(np.atleast_1d(np.asarray(r, dtype=float)), "b")
-        if len(coeffs) - 1 > j:
-            raise DegreeError(f"deg r = {len(coeffs) - 1} exceeds j = {j}")
-        r_vals = np.polyval(coeffs[::-1], ga.spectrum.lambdas)
-        r_l0, norm = r_vals[0], np.sqrt(np.sum(mults * r_vals ** 2))
-        if norm <= 0.0:
-            raise DegreeError(f"r has zero local norm at vertex {u}")
+    r_vals, r_l0 = None, float(ga.n)
+    if j == default_j:  # the pipeline's number
+        r_l0 = ga.local_q_lambda0[u]
+    elif j < du:
+        seq = predistance_polynomials(ga.spectrum.lambdas, ga.local_spectra.mults[u], j,
+                                      scale=alpha[u] ** 2)
+        r_vals, r_l0 = seq.q_values[j], seq.q_lambda0[j]
     return _local_bounds(ga, np.array([int(u)]), np.array([j]), np.array([r_l0]),
-                         np.array([norm]), r_vals)
+                         np.array([alpha[u] * np.sqrt(r_l0)]), r_vals)
 
 
 def _local_bounds(ga, us, js, r_l0, norms, r_vals) -> ColumnReport:
@@ -289,7 +276,7 @@ def _local_bounds(ga, us, js, r_l0, norms, r_vals) -> ColumnReport:
     = norms[k].  ``r_vals`` holds one row's r on the eigenvalues, or is None
     when every row that can reach scalar equality has r = q^u_{d_u}, whose
     vector r(A)e_u is alpha_u alpha."""
-    alpha = ga.perron.alpha
+    alpha = ga.alpha
     du, ecc = ga.local_spectra.du[us], ga.dd.ecc[us]
     saturated, extremal = js >= ecc, ecc == du
     ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
@@ -387,7 +374,7 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
         near = (state[below] == EQUAL) | (state[below] == AMBIGUOUS)
         # eta: per-vertex proportionality constants from the equality analysis
         return {"q_j_at_A": at_a, "Sstar_j": ga.wm.sstar_at(js[below, None, None]),
-                "eta": np.diagonal(at_a[near], axis1=1, axis2=2) / ga.perron.alpha ** 2}
+                "eta": np.diagonal(at_a[near], axis1=1, axis2=2) / ga.alpha ** 2}
 
     return ColumnReport("T34", "q_{j}(lambda0) <= H*_<={j}", "inequality", lhs, rhs, slack,
                         state, verdict, holds, {"j": js}, {}, q_gaps=q_gaps,

@@ -25,7 +25,6 @@ import numpy as np
 
 from ._util import CACHE_BLOCK_BYTES, readonly as _readonly
 from .graphs import DistanceData
-from .spectral import PerronWeights
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,8 @@ class WeightedMatrices:
         return np.where(self.dist <= j, self.jstar, 0.0)
 
 
-def weighted_matrices(dd: DistanceData, pw: PerronWeights) -> WeightedMatrices:
-    return WeightedMatrices(jstar=_readonly(np.outer(pw.alpha, pw.alpha)),
-                            dist=dd.dist)
+def weighted_matrices(dd: DistanceData, alpha: np.ndarray) -> WeightedMatrices:
+    return WeightedMatrices(jstar=_readonly(np.outer(alpha, alpha)), dist=dd.dist)
 
 
 @dataclass(frozen=True)
@@ -59,16 +57,16 @@ class ExcessStats:
 
     ``ball_norms[u, j]`` and ``sphere_norms[u, i]`` are indexed by vertex and
     radius 0..D; ``harmonic_means[j]`` is H*_{<=j}; ``delta_star[i]`` is
-    delta*_i; ``avg_weighted_degree[u]`` should equal lambda_0 everywhere.
-    Past radius ecc(u) (or D) they are not read: every ball is V there, and
-    ``theorems`` decides by its saturation rule.
+    delta*_i.  Past radius ecc(u) (or D) they are not read: every ball is V
+    there, and ``theorems`` decides by its saturation rule.  The average
+    weighted degree is not kept: it is lambda_0 at every vertex (module
+    note), a check on alpha that the tests make themselves.
     """
 
     ball_norms: np.ndarray
     sphere_norms: np.ndarray
     harmonic_means: np.ndarray
     delta_star: np.ndarray
-    avg_weighted_degree: np.ndarray
 
     @property
     def n_minus_harmonic(self) -> float:
@@ -77,10 +75,10 @@ class ExcessStats:
         return len(self.ball_norms) - float(h[-2]) if len(h) > 1 else 0.0
 
 
-def excess_stats(dd: DistanceData, pw: PerronWeights) -> ExcessStats:
-    """All excess statistics for one graph."""
+def excess_stats(dd: DistanceData, alpha: np.ndarray) -> ExcessStats:
+    """All excess statistics for one graph, weighted by the Perron vector ``alpha``."""
     n = dd.n
-    alpha2 = pw.alpha ** 2
+    alpha2 = alpha ** 2
     sphere = np.empty((n, dd.diameter + 1))  # C order, so the sums below keep their order
     step = max(1, CACHE_BLOCK_BYTES // (9 * n * n))  # radii per stack: masks and float copies
     for start in range(0, dd.diameter + 1, step):
@@ -89,11 +87,9 @@ def excess_stats(dd: DistanceData, pw: PerronWeights) -> ExcessStats:
     balls = sphere.cumsum(axis=1)
     harmonic = n / np.sum(alpha2[:, None] / balls, axis=0)
     delta = (alpha2[:, None] * sphere).sum(axis=0) / n
-    avg_wdeg = ((dd.dist == 1) @ pw.alpha) / pw.alpha
     return ExcessStats(
         ball_norms=_readonly(balls),
         sphere_norms=_readonly(sphere),
         harmonic_means=_readonly(harmonic),
         delta_star=_readonly(delta),
-        avg_weighted_degree=_readonly(avg_wdeg),
     )

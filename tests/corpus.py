@@ -131,7 +131,7 @@ def local_family(ga, u, degree=None):
     one-measure call (the pipeline builds no local family)."""
     degree = ga.local_spectra.du[u] if degree is None else degree
     return predistance_polynomials(ga.spectrum.lambdas, ga.local_spectra.mults[u],
-                                   int(degree), scale=ga.perron.alpha[u] ** 2)
+                                   int(degree), scale=ga.alpha[u] ** 2)
 
 
 def full_local_families(ga):
@@ -151,7 +151,7 @@ def all_families(ga):
     """(vertex, weights, scale s, family) for the global family (vertex
     None, s = 1), the local ones cut at ecc_u < d_u and every full local
     one (s = alpha_u^2)."""
-    mults, alpha = ga.local_spectra.mults, ga.perron.alpha
+    mults, alpha = ga.local_spectra.mults, ga.alpha
     return ([(None, ga.spectrum.mults / ga.n, 1.0, ga.global_seq)]
             + [(u, mults[u], alpha[u] ** 2, seq)
                for u, seq in [*cut_local_families(ga).items(),
@@ -238,7 +238,7 @@ def battery_weighted_degree(analyzed, tol=1e-9):
     """(1/alpha_u) sum_{v~u} alpha_v = lambda_0 at every vertex."""
     fails = []
     for name, ga, _reports in analyzed:
-        err = np.abs(ga.stats.avg_weighted_degree - ga.lambda0).max()
+        err = np.abs((ga.dd.dist == 1) @ ga.alpha / ga.alpha - ga.lambda0).max()
         if err > tol * max(1.0, ga.lambda0):
             fails.append(f"{name}: weighted degree off by {err:.2e}")
     return fails
@@ -303,7 +303,7 @@ def battery_pseudo_dr_reference(analyzed, tol=1e-12):
         violations = violations_by_vertex(cls)
         for u in range(ga.n):
             is_pdr, numbers, violation = reference_pseudo_dr(
-                u, ga.dd, ga.perron.alpha, ga.graph.adjacency, ga.tols.equality)
+                u, ga.dd, ga.alpha, ga.graph.adjacency, ga.tols.equality)
             got = violations.get(u)
             if cls.is_pdr[u] != is_pdr:
                 fails.append(f"{name}: vertex {u}: is_pdr {cls.is_pdr[u]}")

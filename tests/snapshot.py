@@ -29,12 +29,15 @@ relative for large values, absolute near 0, so rounding noise on a value
 near 0 reads as noise.  It then prints, for every field path with list
 indices dropped (``stdout.theoremColumns.T37.comparison.lhs``), the
 largest scaled and the largest absolute gap between two floats there, over
-all inputs.
+all inputs.  Last it prints each distinct non-float difference with list
+indices dropped (``stdout.perron: keys ['nu']``) and the number of inputs
+that show it, so a schema change reads as one short list.
 It exits 1 when any record differs and 0 when all are identical.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import importlib.util
 import io
@@ -120,10 +123,11 @@ def write(target: str) -> None:
 
 
 def _diff(a, b, where: str, fields: list[str], gaps: dict, path: str) -> float:
-    """Append the non-float differences to ``fields``; return the largest
-    scaled gap between floats found at the same place.  ``gaps`` maps each
-    field ``path`` (``where`` without list indices) to the largest scaled
-    and absolute float gaps seen there."""
+    """Append the non-float differences to ``fields`` as (``where``,
+    ``path``, what differs); return the largest scaled gap between floats
+    found at the same place.  ``path`` is ``where`` without list indices;
+    ``gaps`` maps each path to the largest scaled and absolute float gaps
+    seen there."""
     if isinstance(a, float) and isinstance(b, float):
         if a == b:
             return 0.0
@@ -133,16 +137,16 @@ def _diff(a, b, where: str, fields: list[str], gaps: dict, path: str) -> float:
         return rel
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
-            fields.append(f"{where}: keys {sorted(a.keys() ^ b.keys())}")
+            fields.append((where, path, f"keys {sorted(a.keys() ^ b.keys())}"))
         return max((_diff(a[k], b[k], f"{where}.{k}", fields, gaps, f"{path}.{k}")
                     for k in a.keys() & b.keys()), default=0.0)
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            fields.append(f"{where}: length {len(a)} != {len(b)}")
+            fields.append((where, path, f"length {len(a)} != {len(b)}"))
         return max((_diff(x, y, f"{where}[{i}]", fields, gaps, path)
                     for i, (x, y) in enumerate(zip(a, b))), default=0.0)
     if type(a) is not type(b) or a != b:
-        fields.append(f"{where}: {a!r} != {b!r}")
+        fields.append((where, path, f"{a!r} != {b!r}"))
     return 0.0
 
 
@@ -165,7 +169,7 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"{path_b}: spexcess from {source_b}")
     if source_a == source_b != "unknown":
         print("warning: both snapshots ran the same spexcess, so they compare equal")
-    differing, largest, gaps = 0, 0.0, {}
+    differing, largest, gaps, kinds = 0, 0.0, {}, collections.Counter()
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             differing += 1
@@ -177,23 +181,31 @@ def compare(path_a: str, path_b: str) -> int:
         differing += 1
         fields = []
         if ra["exit"] != rb["exit"]:
-            fields.append(f"exit: {ra['exit']} != {rb['exit']}")
+            fields.append(("exit", "exit", f"{ra['exit']} != {rb['exit']}"))
         if ra["stderr"] != rb["stderr"]:
-            fields.append(f"stderr: {ra['stderr']!r} != {rb['stderr']!r}")
+            fields.append(("stderr", "stderr", f"{ra['stderr']!r} != {rb['stderr']!r}"))
         gap = _diff(_parsed(ra["stdout"]), _parsed(rb["stdout"]), "stdout", fields,
                     gaps, "stdout")
         largest = max(largest, gap)
         print(f"{key}: {len(fields)} non-float fields differ, "
               f"largest scaled float gap {gap:.3e}")
-        for line in fields[:MAX_FIELDS_SHOWN]:
-            print(f"    {line}")
+        for where, _path, what in fields[:MAX_FIELDS_SHOWN]:
+            print(f"    {where}: {what}")
         if len(fields) > MAX_FIELDS_SHOWN:
             print(f"    ... {len(fields) - MAX_FIELDS_SHOWN} more")
+        kinds.update({f"{path}: {what}" for _where, path, what in fields})
     total = len(a.keys() | b.keys())
     print(f"{differing} of {total} inputs differ; "
           f"largest scaled float gap {largest:.3e}")
     for path, (rel, gap) in sorted(gaps.items()):
         print(f"  {path}: largest scaled gap {rel:.3e}, absolute {gap:.3e}")
+    if kinds:
+        print(f"{len(kinds)} distinct non-float differences, list indices dropped:")
+    ranked = sorted(kinds.items(), key=lambda item: (-item[1], item[0]))
+    for kind, count in ranked[:MAX_FIELDS_SHOWN]:
+        print(f"  {count} inputs: {kind}")
+    if len(ranked) > MAX_FIELDS_SHOWN:
+        print(f"  ... {len(ranked) - MAX_FIELDS_SHOWN} more")
     return 1 if differing else 0
 
 

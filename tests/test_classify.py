@@ -11,8 +11,7 @@ from spexcess import fixtures as fx
 from spexcess.classify import is_distance_polynomial
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph
-from spexcess.report import classification_dict
-from spexcess.theorems import check_local_spet
+from spexcess.theorems import check_local_bound, check_local_spet
 
 
 def _ga(name):
@@ -169,9 +168,25 @@ def test_classification_implications():
 
 
 def test_extremal_vertices():
-    # extremality (ecc_u = d_u) is read from the local spectra by the report
-    assert classification_dict(_ga("k23"))["extremalVertices"] == list(range(5))
-    assert classification_dict(_ga("c8_12"))["extremalVertices"] == []
+    # extremality (ecc_u = d_u) is read from the local spectra: P31's column
+    assert check_local_bound(_ga("k23")).details["extremal"].tolist() == [True] * 5
+    assert not check_local_bound(_ga("c8_12")).details["extremal"].any()
+
+
+def test_sweep_memory_stays_within_its_block_budget():
+    # the roots go in blocks of SWEEP_BLOCK_BYTES; 16 MB blocks peaked at
+    # 5.6 MB on this graph
+    import random
+    import tracemalloc
+
+    ga = analyze_graph(corpus.connected_er(random.Random(1), 200, 0.06))
+    tracemalloc.start()
+    try:
+        spexcess.classify._regularity_sweep(ga.dd, ga.alpha, ga.tols.equality)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 def _from_nx(h):
@@ -254,7 +269,7 @@ def _brute_force_sweep(ga):
     time in ascending order; returns (pseudo_dr, level, intersection_array)
     with pseudo_dr[u] = (is_pdr, numbers, violation)."""
     n, tol = ga.n, ga.tols.equality
-    alpha, dist = ga.perron.alpha.tolist(), ga.dd.dist.tolist()
+    alpha, dist = ga.alpha.tolist(), ga.dd.dist.tolist()
     nbrs = [np.flatnonzero(row).tolist() for row in ga.graph.adjacency]
     pseudo_dr, by_radius = [], {}
     for u in range(n):

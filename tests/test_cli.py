@@ -6,6 +6,7 @@ import pytest
 from spexcess import fixtures as fx
 from spexcess.cli import main
 from spexcess.graphs import graph6_bytes
+from spexcess.report import SCHEMA_VERSION
 
 
 @pytest.fixture()
@@ -32,7 +33,7 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 5
+    assert report["schemaVersion"] == 6
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
@@ -73,13 +74,12 @@ K23_LAYOUT = {
                             "isRegular", "degrees")),
     "tolerances": dict.fromkeys(("grouping", "presence", "equality")),
     "spectrum": dict.fromkeys(("lambdas", "multiplicities")),
-    "perron": dict.fromkeys(("lambda0", "alpha", "nu")),
-    "localSpectra": dict.fromkeys(("eccentricity", "du", "isExtremal",
-                                   "localMultiplicities")),
+    "perron": dict.fromkeys(("lambda0", "alpha")),
+    "localSpectra": dict.fromkeys(("eccentricity", "du", "localMultiplicities")),
     "polynomials": {"pAtLambda0": None, "qAtLambda0": None,
                     "recurrence": dict.fromkeys("abc")},
     "excess": dict.fromkeys(("deltaStar", "harmonicMeans", "spectralExcess",
-                             "nMinusHarmonicDMinus1", "avgWeightedDegree")),
+                             "nMinusHarmonicDMinus1")),
     "theoremColumns": {
         "codes": None,
         "P31": {
@@ -129,7 +129,6 @@ K23_LAYOUT = {
         "isRegular": None,
         "isDistanceRegular": None,
         "intersectionArray": None,
-        "pseudoDistanceRegularVertices": None,
         "pseudoDistanceRegular": {"isPseudoDistanceRegular": None,
                                   "pseudoIntersectionNumbers": dict.fromkeys("cab"),
                                   "violation": dict.fromkeys(("radius", "v", "w", "value_v",
@@ -137,7 +136,6 @@ K23_LAYOUT = {
         "partialDistanceRegularLevel": None,
         "isDistancePolynomial": None,
         "distancePolynomialResiduals": None,
-        "extremalVertices": None,
     },
 }
 
@@ -268,7 +266,7 @@ def test_check_p31_past_eccentricity(capsys, tmp_path, j):
     assert ga.local_q_lambda0[0] == pytest.approx(
         full_local_families(ga)[0].q_lambda0[2], rel=1e-12)
     r = full_local_families(ga)[0].q_values[j]
-    norm = np.sqrt(ga.perron.alpha[0] ** 2 * r[0])
+    norm = np.sqrt(ga.alpha[0] ** 2 * r[0])
     p31 = report["P31"]
     assert p31["params"]["j"] == [j]
     assert p31["comparison"]["lhs"][0] == pytest.approx(r[0] / norm, rel=1e-12)
@@ -365,27 +363,38 @@ def _golden_graph(name):
 
 
 @pytest.mark.parametrize("name", ["k23", "petersen", "p5", "c8_12", "tree30", "er16"])
-def test_analyze_matches_schema5_golden(capsys, tmp_path, name):
-    # tests/data/NAME.v5.json is analyze --witnesses stdout, byte for byte
+def test_analyze_matches_golden(capsys, tmp_path, name):
+    # tests/data/NAME.vN.json, N the schema version, is analyze --witnesses
+    # stdout, byte for byte
     path = tmp_path / f"{name}.el"
     path.write_bytes(fx.edgelist_bytes(_golden_graph(name)))
     code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
     assert code == 0
-    with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.v5.json")) as fh:
+    golden = os.path.join(os.path.dirname(__file__), "data", f"{name}.v{SCHEMA_VERSION}.json")
+    with open(golden) as fh:
         assert out == fh.read()
 
 
-def test_snapshot_compare_reads_raw_records(tmp_path, k23_file):
+def test_snapshot_compare_reads_raw_records(capsys, tmp_path, k23_file):
     # compare sees every byte of a record, here one codes entry that no
-    # column of K2,3 points at
+    # column of K2,3 points at, and lists each kind of difference once,
+    # with the inputs that show it
     import snapshot
     record = snapshot.run(k23_file)
     edited = dict(record, stdout=record["stdout"].replace('"violated"', '"edited"'))
+    report = json.loads(record["stdout"])
+    del report["perron"]["alpha"]
+    dropped = dict(record, stdout=json.dumps(report))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path, rec in ((a, record), (b, edited)):
-        path.write_text(json.dumps({"inputs": {"k23.el": rec}}))
+    a.write_text(json.dumps({"inputs": {"k23.el": record, "k23.g6": record}}))
+    b.write_text(json.dumps({"inputs": {"k23.el": edited, "k23.g6": dropped}}))
     assert snapshot.compare(str(a), str(a)) == 0
+    capsys.readouterr()
     assert snapshot.compare(str(a), str(b)) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("2 distinct non-float differences, list indices dropped:\n"
+                        "  1 inputs: stdout.perron: keys ['alpha']\n"
+                        "  1 inputs: stdout.theoremColumns.codes: 'violated' != 'edited'\n")
 
 
 def test_check_t34_missing_j(capsys, k23_file):

@@ -46,9 +46,9 @@ def _pieces(g):
     from spexcess.spectral import eigendecompose, local_spectra, perron_weights
     dd = distance_data(g)
     spec = eigendecompose(g)
-    pw = perron_weights(spec, g.adjacency.sum(axis=1))
+    alpha = perron_weights(spec, g.adjacency.sum(axis=1))
     locs = local_spectra(spec)
-    return g, dd, spec, pw, locs
+    return g, dd, spec, alpha, locs
 
 
 def _k23_pieces():
@@ -90,13 +90,13 @@ def test_degree_error():
     # d + 1 = 3 nodes admit degrees 0..2 only
     with pytest.raises(DegreeError):
         predistance_polynomials(spec.lambdas, spec.mults / spec.n, 3)
-    # P_3 center has d_u = 1: quadratics are out of range locally
+    # P_3 center has d_u = 1: degree 2 is out of range locally
     from spexcess.pipeline import analyze_graph
     from spexcess.theorems import check_local_bound
     ga = analyze_graph(fx.path(3))
     assert ga.local_spectra.du[1] == 1
     with pytest.raises(DegreeError):
-        check_local_bound(ga, 1, j=1, r=[0.0, 0.0, 1.0])
+        check_local_bound(ga, 1, j=2)
 
 
 def test_degenerate_measure_raises():
@@ -124,11 +124,11 @@ def test_batched_rows_match_single_calls(family):
     graphs = [g for _, g in build_wide_corpus()] if family == "wide" else \
         [fx.BUNDLED[name]() for name in sorted(fx.BUNDLED)] + [fx.path(5)]
     for g in graphs:
-        _, _, spec, pw, locs = _pieces(g)
+        _, _, spec, alpha, locs = _pieces(g)
         order = np.argsort(locs.du, kind="stable").tolist()  # ascending
         rows = list(locs.mults[order])
         degrees = locs.du[order].tolist()
-        scales = (pw.alpha[order] ** 2).tolist()
+        scales = (alpha[order] ** 2).tolist()
         degrees[len(rows) // 2] = 0
         for seq, first in ((rows, spec.mults / spec.n), (degrees, spec.d), (scales, 1.0)):
             seq.insert(len(seq) // 2, first)
@@ -284,8 +284,9 @@ def test_hoffman_k23_gives_jstar():
     h = _hoffman(ga)
     ha = evaluate_at_matrix(h, ga.spectrum)
     assert np.abs(ha - ga.wm.jstar).max() <= 1e-9
-    # and in nu-normalization: (||nu||^2 / n) H(A) has entries nu_u nu_v
-    nu = ga.perron.nu
+    # and in nu-normalization (nu = alpha / min alpha): (||nu||^2 / n) H(A)
+    # has entries nu_u nu_v
+    nu = ga.alpha / ga.alpha.min()
     scaled = float(nu @ nu) / ga.n * ha
     assert np.abs(scaled - np.outer(nu, nu)).max() <= 1e-9
 
@@ -413,7 +414,7 @@ def test_local_q_lambda0_matches_families(request, graphs):
         gas = [ga for _name, ga, _reports in request.getfixturevalue("atlas")]
     short = 0
     for ga in gas:
-        lambdas, mults, alpha = ga.spectrum.lambdas, ga.local_spectra.mults, ga.perron.alpha
+        lambdas, mults, alpha = ga.spectrum.lambdas, ga.local_spectra.mults, ga.alpha
         rows = np.flatnonzero(ga.dd.ecc < ga.local_spectra.du)
         if rows.size:
             batch = top_q_lambda0(lambdas, mults[rows], ga.dd.ecc[rows], alpha[rows] ** 2)

@@ -82,10 +82,9 @@ def test_excess_closed_forms_on_corpus(analyzed):
 
 def test_perron_positivity_and_normalizations(analyzed):
     for name, ga, _reps in analyzed:
-        alpha, nu = ga.perron.alpha, ga.perron.nu
+        alpha = ga.alpha
         assert np.all(alpha > 0), name
         assert abs(float(alpha @ alpha) - ga.n) <= 1e-9 * ga.n, name
-        assert abs(nu.min() - 1.0) <= 1e-12, name
 
 
 def test_ball_norm_saturation(analyzed):

@@ -1,6 +1,9 @@
 import dataclasses
 
+import numpy as np
+
 import spexcess
+from spexcess import fixtures as fx
 
 
 def test_every_exported_name_resolves():
@@ -19,7 +22,6 @@ def test_public_surface_is_pinned():
         "Graph",
         "GraphAnalysis",
         "LocalSpectra",
-        "PerronWeights",
         "PolySequence",
         "Spectrum",
         "Tolerances",
@@ -66,6 +68,16 @@ def test_per_vertex_fields_are_pinned():
     assert fields == ["is_regular", "is_distance_regular", "intersection_array", "is_pdr",
                       "pdr_numbers", "pdr_violations", "partial_dr_level",
                       "is_distance_polynomial", "distance_poly_residuals"]
+    fields = [f.name for f in dataclasses.fields(spexcess.ExcessStats)]
+    assert fields == ["ball_norms", "sphere_norms", "harmonic_means", "delta_star"]
+
+
+def test_perron_weights_is_one_read_only_array():
+    # one normalization, ||alpha||^2 = n, and no wrapper around it
+    for g in (fx.k23(), fx.petersen()):
+        alpha = spexcess.perron_weights(spexcess.eigendecompose(g), g.adjacency.sum(axis=1))
+        assert type(alpha) is np.ndarray and alpha.shape == (g.n,)
+        assert not alpha.flags.writeable
 
 
 def test_column_report_fields_are_pinned():

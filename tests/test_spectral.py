@@ -95,7 +95,7 @@ def test_results_do_not_depend_on_eigenvector_signs(monkeypatch, signs):
         base, other = analyses
         for a, b in ((base.local_spectra.mults, other.local_spectra.mults),
                      (base.local_spectra.excess, other.local_spectra.excess),
-                     (base.perron.alpha, other.perron.alpha), (base.perron.nu, other.perron.nu),
+                     (base.alpha, other.alpha),
                      (base.local_q_lambda0, other.local_q_lambda0),
                      (base.q_gaps.max_abs_diff, other.q_gaps.max_abs_diff),
                      (base.classification.distance_poly_residuals,
@@ -160,26 +160,24 @@ def test_multiplicities_sum_and_simple_top():
 
 def test_perron_k23():
     g = fx.k23()
-    pw = perron_weights(eigendecompose(g), _degrees(g))
+    alpha = perron_weights(eigendecompose(g), _degrees(g))
     expected = np.array([math.sqrt(5) / 2] * 2 + [math.sqrt(5) / math.sqrt(6)] * 3)
-    assert np.abs(pw.alpha - expected).max() <= 1e-9
-    assert abs(np.sum(pw.alpha ** 2) - 5) <= 1e-12
-    assert abs(pw.nu.min() - 1.0) <= 1e-12
+    assert np.abs(alpha - expected).max() <= 1e-9
+    assert abs(np.sum(alpha ** 2) - 5) <= 1e-12
 
 
 def test_perron_regular_is_ones():
     # exact ones on a regular graph, not the eigensolver's 1 +- 1e-15
     for name in ("petersen", "c6", "k4", "c8_12"):
         g = fx.named(name)
-        pw = perron_weights(eigendecompose(g), _degrees(g))
-        assert np.array_equal(pw.alpha, np.ones(g.n))
-        assert np.array_equal(pw.nu, np.ones(g.n))
+        alpha = perron_weights(eigendecompose(g), _degrees(g))
+        assert np.array_equal(alpha, np.ones(g.n))
 
 
 def test_perron_p3():
-    pw = perron_weights(eigendecompose(fx.path(3)), np.array([1, 2, 1]))
+    alpha = perron_weights(eigendecompose(fx.path(3)), np.array([1, 2, 1]))
     expected = np.array([math.sqrt(3) / 2, math.sqrt(6) / 2, math.sqrt(3) / 2])
-    assert np.abs(pw.alpha - expected).max() <= 1e-10
+    assert np.abs(alpha - expected).max() <= 1e-10
 
 
 def test_perron_rejects_grouped_top():
@@ -230,9 +228,9 @@ def test_local_mults_match_lagrange_diagonal():
 def test_e0_is_perron_projector():
     g = fx.k23()
     spec = eigendecompose(g)
-    pw = perron_weights(spec, _degrees(g))
+    alpha = perron_weights(spec, _degrees(g))
     e0 = _projectors(spec)[0]
-    assert np.abs(e0 - np.outer(pw.alpha, pw.alpha) / 5).max() <= 1e-10
+    assert np.abs(e0 - np.outer(alpha, alpha) / 5).max() <= 1e-10
 
 
 def test_k2_idempotents():
@@ -258,13 +256,13 @@ def test_local_mults_sum_to_one_and_aggregate():
         g = fx.named(name)
         dd = distance_data(g)
         spec = eigendecompose(g)
-        pw = perron_weights(spec, _degrees(g))
+        alpha = perron_weights(spec, _degrees(g))
         locs = local_spectra(spec)
         mat = locs.mults
         assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(mat.sum(axis=0) - spec.mults).max() <= 1e-9
         # m_u(lambda_0) = alpha_u^2 / n
-        assert np.abs(mat[:, 0] - pw.alpha ** 2 / g.n).max() <= 1e-9
+        assert np.abs(mat[:, 0] - alpha ** 2 / g.n).max() <= 1e-9
         assert np.all(dd.ecc <= locs.du)
 
 

@@ -65,9 +65,10 @@ def _ladder(state: str, holds: bool, attained: str,
 # --- P31 local bound ---------------------------------------------------------
 
 def test_p31_trivial_r_one(analyses):
+    # j = 0 reads q^u_0 = 1
     ga = analyses("k23")
     for u in range(ga.n):
-        rep = check_local_bound(ga, u, j=0, r=[1.0])
+        rep = check_local_bound(ga, u, j=0)
         assert rep.lhs[0] == pytest.approx(1.0, abs=1e-10)
         assert rep.rhs[0] == pytest.approx(1.0, abs=1e-10)
         assert rep.equality_holds[0]  # Eq (4) reads e_u = e_{N_0(u)}
@@ -111,21 +112,9 @@ def test_vertex_out_of_range(analyses, check, u):
         check(analyses("p5"), u)
 
 
-def test_p31_k23_degree2_vertex_strict(analyses):
-    ga = analyses("k23")
-    rep = check_local_bound(ga, 2, j=1, r=[0.0, 1.0])
-    assert rep.lhs[0] == pytest.approx(math.sqrt(3), rel=1e-9)
-    assert rep.rhs[0] == pytest.approx(2.0, rel=1e-9)
-    assert rep.state[0] == STRICT
-    assert not rep.equality_holds[0]
-
-
 def test_p31_degree_error(analyses):
-    ga = analyses("k23")
     with pytest.raises(DegreeError):
-        check_local_bound(ga, 0, j=1, r=[0.0, 0.0, 1.0])
-    with pytest.raises(DegreeError):
-        check_local_bound(ga, 0, j=99)
+        check_local_bound(analyses("k23"), 0, j=99)
 
 
 def test_p31_saturation_not_certified(analyses):
@@ -142,10 +131,10 @@ def test_p31_saturation_not_certified(analyses):
                                    "claim (ball saturated: N_j(u) = V)")
 
 
-@pytest.mark.parametrize("argument", [{"j": 0}, {"r": [1.0]}, {"j": 1, "r": [1.0]}])
+@pytest.mark.parametrize("argument", [{"j": 0}])
 def test_p31_all_vertex_pass_rejects_j_and_r(analyses, argument):
-    # without u the pass takes the default j and r; a j or r given with it
-    # would be dropped without a word
+    # without u the pass takes the default j; a j given with it would be
+    # dropped without a word
     with pytest.raises(HypothesisError, match=f"^{next(iter(argument))} needs a vertex u"):
         check_local_bound(analyses("petersen"), **argument)
 
@@ -571,10 +560,10 @@ def test_ladder_branches(state, holds, verdict):
 
 def test_p31_vector_certificate_failure(analyses, monkeypatch):
     # scalar equality at an extremal vertex with a failing r(A)e_u identity;
-    # r = q_2 = x^2 + x - 2 is given explicitly, because the default
+    # j = 1 < d_u builds q^u_1 and applies it to e_u, because the default
     # q^u_{d_u} takes r(A)e_u = alpha_u alpha from its closed form
     monkeypatch.setattr(theorems, "apply_to_vector", lambda p, spec, vec: 0 * vec)
-    rep = check_local_bound(analyses("petersen"), 0, r=[-2.0, 1.0, 1.0])
+    rep = check_local_bound(analyses("petersen"), 0, j=1)
     assert rep.state[0] == EQUAL and rep.details["extremal"][0]
     assert not rep.equality_holds[0]
     assert rep.verdict_text(0) == "scalar equality but vector certificate failed"

@@ -25,7 +25,7 @@ def test_weighted_matrices_k23_entries():
     assert ga.wm.astar_at(2)[0, 1] == pytest.approx(5 / 4, rel=1e-10)
     assert ga.wm.astar_at(2)[0, 0] == 0.0
     # A*_0 = diag(alpha_u^2), the weighted identity
-    assert np.abs(ga.wm.astar_at(0) - np.diag(ga.perron.alpha ** 2)).max() <= 1e-12
+    assert np.abs(ga.wm.astar_at(0) - np.diag(ga.alpha ** 2)).max() <= 1e-12
 
 
 def test_weighted_partition_identity():
@@ -75,10 +75,12 @@ def test_petersen_excess_equality():
 
 
 def test_avg_weighted_degree_is_lambda0():
+    # (1/alpha_u) sum_{v ~ u} alpha_v = lambda_0: alpha checked apart from src/
     for name in ("k23", "p3", "petersen", "c8_12", "k13"):
         g = fx.named(name) if name != "k13" else fx.star(3)
         ga = analyze_graph(g)
-        assert np.abs(ga.stats.avg_weighted_degree - ga.lambda0).max() <= 1e-9
+        avg = ((ga.dd.dist == 1) @ ga.alpha) / ga.alpha
+        assert np.abs(avg - ga.lambda0).max() <= 1e-9
 
 
 def test_delta_star_equals_matrix_norm():
@@ -124,7 +126,7 @@ def test_memory_does_not_grow_with_diameter():
     from spexcess.weighted import excess_stats
 
     ga = analyze_graph(fx.path(150))
-    for work in (lambda: excess_stats(ga.dd, ga.perron),
+    for work in (lambda: excess_stats(ga.dd, ga.alpha),
                  lambda: is_distance_polynomial(ga.dd, ga.spectrum),
                  lambda: q_gap_certificate(ga)):
         tracemalloc.start()
