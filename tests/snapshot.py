@@ -122,7 +122,7 @@ def write(target: str) -> None:
     print(f"{len(records)} inputs written to {target}")
 
 
-def _diff(a, b, where: str, fields: list[str], gaps: dict, path: str) -> float:
+def _diff(a, b, where: str, fields: list[tuple], gaps: dict, path: str) -> float:
     """Append the non-float differences to ``fields`` as (``where``,
     ``path``, what differs); return the largest scaled gap between floats
     found at the same place.  ``path`` is ``where`` without list indices;

@@ -386,14 +386,15 @@ def test_snapshot_compare_reads_raw_records(capsys, tmp_path, k23_file):
     del report["perron"]["alpha"]
     dropped = dict(record, stdout=json.dumps(report))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps({"inputs": {"k23.el": record, "k23.g6": record}}))
-    b.write_text(json.dumps({"inputs": {"k23.el": edited, "k23.g6": dropped}}))
+    a.write_text(json.dumps({"inputs": dict.fromkeys(("k23.el", "k23.g6", "k32.el"), record)}))
+    b.write_text(json.dumps({"inputs": {"k23.el": edited, "k23.g6": dropped,
+                                        "k32.el": dropped}}))
     assert snapshot.compare(str(a), str(a)) == 0
     capsys.readouterr()
     assert snapshot.compare(str(a), str(b)) == 1
     out = capsys.readouterr().out
     assert out.endswith("2 distinct non-float differences, list indices dropped:\n"
-                        "  1 inputs: stdout.perron: keys ['alpha']\n"
+                        "  2 inputs: stdout.perron: keys ['alpha']\n"
                         "  1 inputs: stdout.theoremColumns.codes: 'violated' != 'edited'\n")
 
 
