@@ -3,8 +3,8 @@
 The checks in ``theorems`` read the predistance polynomials; these oracles
 never do (this module imports nothing from ``poly``).  Pseudo-distance-
 and distance-regularity and the partial distance-regularity level count
-neighbours directly; the distance-polynomial oracle projects each A_i onto
-the eigenvector classes.
+neighbours directly; the distance-polynomial oracle, its own pipeline
+stage, projects each A_i onto the eigenvector classes.
 
 Pseudo-distance-regularity around u (weighted): for v in Gamma_i(u),
 
@@ -196,23 +196,12 @@ class Classification:
     pdr_numbers: np.ndarray
     pdr_violations: dict
     partial_dr_level: int
-    is_distance_polynomial: bool
-    distance_poly_residuals: np.ndarray
 
 
-def classify_graph(dd: DistanceData, alpha: np.ndarray, spec: Spectrum,
+def classify_graph(dd: DistanceData, alpha: np.ndarray,
                    tol: float = DEFAULT_ORACLE_TOL) -> Classification:
-    is_regular, array, level, is_pdr, numbers, violations = _regularity_sweep(
-        dd, alpha, tol)
-    is_dp, residuals = is_distance_polynomial(dd, spec, tol)
+    is_regular, array, level, is_pdr, numbers, violations = _regularity_sweep(dd, alpha, tol)
     return Classification(
-        is_regular=is_regular,
-        is_distance_regular=array is not None,
-        intersection_array=array,
-        is_pdr=is_pdr,
-        pdr_numbers=numbers,
-        pdr_violations=violations,
-        partial_dr_level=level,
-        is_distance_polynomial=is_dp,
-        distance_poly_residuals=residuals,
-    )
+        is_regular=is_regular, is_distance_regular=array is not None,
+        intersection_array=array, is_pdr=is_pdr, pdr_numbers=numbers,
+        pdr_violations=violations, partial_dr_level=level)

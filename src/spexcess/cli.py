@@ -5,22 +5,25 @@ Commands:
 * ``spexcess analyze PATH``  -- full pipeline, AnalysisReport JSON on stdout
 * ``spexcess check PATH --theorem ID [--vertex U] [--j J] [--m M]``
                              -- one theorem in the ``theoremColumns``
-                             layout of ``analyze`` (schema 5, with
-                             witnesses): for P31, T32 and T34-P36 the row
-                             of the ``analyze`` pass, for T33, T37 and T38
-                             all of their rows
+                             layout of ``analyze``, with witnesses: for
+                             P31, T32 and T34-P36 the row of the
+                             ``analyze`` pass, for T33, T37 and T38 all of
+                             their rows
 * ``spexcess fixtures --out DIR`` -- write the bundled fixture graphs
 
-Exit codes: 0 success; 3 numerical failure (a LAPACK eigensolver failure,
-a Perron vector entry or a vertex's lambda_0 mass at or below its
+Exit codes: 0 success; 3 numerical failure in a stage that the command
+reads, and ``check`` reads only its theorem's (a LAPACK eigensolver
+failure, a Perron vector entry or a vertex's lambda_0 mass at or below its
 threshold, or a singular spectral measure; the number of distinct
 eigenvalues is no limit); 2 any other ``SpexcessError`` (among them a
 ``check`` flag that the theorem requires and lacks, or does not take,
-rejected before the graph is read) and any OS error, also on writing
-stdout: ``analyze ... | head -c 300`` ends "error: [Errno 32] Broken pipe";
-4 internal invariant violated (a row in state violated, an oracle
-disagreement, or a NaN or infinity in the JSON output, which is then not
-printed).  Flags are the only tolerance input, each in (0, 1).
+rejected before the graph is read, and one out of range: ``--vertex``
+before any stage, ``--j`` and ``--m`` once d_u, D or d are known) and any
+OS error, also on writing stdout: ``analyze ... | head -c 300`` ends
+"error: [Errno 32] Broken pipe"; 4 internal invariant violated (a row in
+state violated, an oracle disagreement, or a NaN or infinity in the JSON
+output, which is then not printed).  Flags are the only tolerance input,
+each in (0, 1).
 """
 
 from __future__ import annotations

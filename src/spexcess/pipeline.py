@@ -1,20 +1,14 @@
-"""End-to-end analysis pipeline: one bundle holding every derived object.
+"""End-to-end analysis pipeline: one record whose stages are built on
+first read.
 
-``analyze_graph`` runs the whole chain (distances -> spectrum -> Perron
-weights -> local spectra -> polynomial family -> weighted matrices ->
-excess statistics -> combinatorial classification) and
-``run_all_checks`` evaluates every theorem at its admissible parameters,
-each as columns (over its vertices, j, m, links or hypotheses) in one
-array pass.
-
-The pipeline builds one polynomial family, the global one, to degree d,
-and no local family.  The spectral excess p_{>=D}(lambda_0) comes from it
-(``GraphAnalysis.spectral_excess``), since the weighted statistics read no
-polynomial.  Of vertex u, P31 reads one number, q^u_j(lambda_0)
-at j = min(ecc_u, d_u): n at j = d_u (see ``poly``), and at j = ecc_u <
-d_u the value from one batched Stieltjes pass over all such vertices
-(``poly.top_q_lambda0``).  ``GraphAnalysis.local_q_lambda0`` keeps them.
-T32's p^u_{d_u}(lambda_0) is ``LocalSpectra.excess``, in closed form.
+``analyze_graph`` pairs a graph with its tolerances and computes nothing.
+Each stage of ``GraphAnalysis`` is a cached property whose body names the
+stages it reads, so a check pays only for what its theorem reads, and a
+stage that raises does so at that read, sparing the checks that never read
+it.  ``run_all_checks`` runs every theorem at its admissible parameters,
+each as columns (over its vertices, j, m, links or hypotheses) in one array
+pass; with ``report.analysis_report`` it reads every stage.  The one
+polynomial family built is the global one (local values: see ``poly``).
 """
 
 from __future__ import annotations
@@ -44,24 +38,13 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """Everything derived from one graph, shareable and frozen.  The matrix
-    identities that checks share are built on first read and kept.
-
+    """Everything derived from one graph, frozen: each stage and each matrix
+    identity that checks share is built on first read and kept.
     ``local_q_lambda0[u]`` is q^u_j(lambda_0) at j = min(ecc_u, d_u): n
-    where ecc_u >= d_u.
-    """
+    where ecc_u >= d_u."""
 
     graph: Graph
     tols: Tolerances
-    dd: DistanceData
-    spectrum: spectral.Spectrum
-    alpha: np.ndarray
-    local_spectra: spectral.LocalSpectra
-    global_seq: poly.PolySequence
-    local_q_lambda0: np.ndarray
-    wm: weighted.WeightedMatrices
-    stats: weighted.ExcessStats
-    classification: classify.Classification
 
     @property
     def n(self) -> int:
@@ -85,6 +68,54 @@ class GraphAnalysis:
         return float(self.n - (self.global_seq.q_lambda0[self.D - 1] if self.D else 0.0))
 
     @functools.cached_property
+    def dd(self) -> DistanceData:
+        return distance_data(self.graph)
+
+    @functools.cached_property
+    def spectrum(self) -> spectral.Spectrum:
+        return spectral.eigendecompose(self.graph, grouping_tol=self.tols.grouping)
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        return spectral.perron_weights(self.spectrum, self.graph.adjacency.sum(axis=1))
+
+    @functools.cached_property
+    def local_spectra(self) -> spectral.LocalSpectra:
+        return spectral.local_spectra(self.spectrum, presence_tol=self.tols.presence)
+
+    @functools.cached_property
+    def global_seq(self) -> poly.PolySequence:
+        spec = self.spectrum
+        return poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n, spec.d)
+
+    @functools.cached_property
+    def local_q_lambda0(self) -> np.ndarray:
+        short = (self.dd.ecc < self.local_spectra.du).nonzero()[0]
+        local_q = np.full(self.n, float(self.n))
+        if short.size:
+            local_q[short] = poly.top_q_lambda0(self.spectrum.lambdas,
+                                                self.local_spectra.mults[short],
+                                                self.dd.ecc[short], self.alpha[short] ** 2)
+        return _readonly(local_q)
+
+    @functools.cached_property
+    def wm(self) -> weighted.WeightedMatrices:
+        return weighted.weighted_matrices(self.dd, self.alpha)
+
+    @functools.cached_property
+    def stats(self) -> weighted.ExcessStats:
+        return weighted.excess_stats(self.dd, self.alpha)
+
+    @functools.cached_property
+    def classification(self) -> classify.Classification:
+        return classify.classify_graph(self.dd, self.alpha, tol=self.tols.equality)
+
+    @functools.cached_property
+    def distance_polynomial(self) -> tuple[bool, np.ndarray]:
+        """(whether each A_i is a polynomial in A, their residuals): T38's oracle."""
+        return classify.is_distance_polynomial(self.dd, self.spectrum, self.tols.equality)
+
+    @functools.cached_property
     def min_du(self) -> int:
         return int(self.local_spectra.du.min())
 
@@ -101,26 +132,8 @@ class GraphAnalysis:
 
 
 def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
-    tols = tols or Tolerances()
-    dd = distance_data(g)
-    spec = spectral.eigendecompose(g, grouping_tol=tols.grouping)
-    alpha = spectral.perron_weights(spec, g.adjacency.sum(axis=1))
-    locals_ = spectral.local_spectra(spec, presence_tol=tols.presence)
-    gseq = poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n, spec.d)
-    short = (dd.ecc < locals_.du).nonzero()[0]
-    local_q = np.full(g.n, float(g.n))
-    if short.size:
-        local_q[short] = poly.top_q_lambda0(spec.lambdas, locals_.mults[short],
-                                            dd.ecc[short], alpha[short] ** 2)
-    wm = weighted.weighted_matrices(dd, alpha)
-    stats = weighted.excess_stats(dd, alpha)
-    cls = classify.classify_graph(dd, alpha, spec, tol=tols.equality)
-    return GraphAnalysis(
-        graph=g, tols=tols, dd=dd, spectrum=spec, alpha=alpha,
-        local_spectra=locals_, global_seq=gseq,
-        local_q_lambda0=_readonly(local_q),
-        wm=wm, stats=stats, classification=cls,
-    )
+    """The analysis of ``g``, each stage built when it is first read."""
+    return GraphAnalysis(g, tols or Tolerances())
 
 
 def run_all_checks(ga: GraphAnalysis) -> list:

@@ -83,7 +83,7 @@ def theorem_columns_dict(reports, include_witnesses: bool = False) -> dict:
 
 
 def classification_dict(ga: GraphAnalysis) -> dict:
-    cls = ga.classification
+    cls, (is_dp, residuals) = ga.classification, ga.distance_polynomial
     radii = np.arange(ga.D + 1) <= ga.dd.ecc[:, None]
     numbers = cls.pdr_numbers.transpose(1, 0, 2)[:, radii & cls.is_pdr[:, None]]
     return {
@@ -96,8 +96,8 @@ def classification_dict(ga: GraphAnalysis) -> dict:
             "violation": _columns(cls.pdr_violations),
         },
         "partialDistanceRegularLevel": cls.partial_dr_level,
-        "isDistancePolynomial": cls.is_distance_polynomial,
-        "distancePolynomialResiduals": _arr(cls.distance_poly_residuals),
+        "isDistancePolynomial": is_dp,
+        "distancePolynomialResiduals": _arr(residuals),
     }
 
 

@@ -248,13 +248,14 @@ def check_local_bound(ga, u: int | None = None, j: int | None = None) -> ColumnR
     r(A)e_u/||r||_u = e_{N_j(u)} passes and u is extremal": at a
     non-extremal vertex the verdict can read "bound attained" with
     ``equality_holds`` False."""
+    if u is not None:
+        _require_vertex(ga, u)
     alpha = ga.alpha
     if u is None:
         if j is not None:
             raise HypothesisError("j needs a vertex u: the all-vertex pass takes the default j")
         js, r_l0 = np.minimum(ga.dd.ecc, ga.local_spectra.du), ga.local_q_lambda0
         return _local_bounds(ga, np.arange(ga.n), js, r_l0, alpha * np.sqrt(r_l0), None)
-    _require_vertex(ga, u)
     du = int(ga.local_spectra.du[u])
     default_j = min(int(ga.dd.ecc[u]), du)
     j = default_j if j is None else int(j)
@@ -469,10 +470,10 @@ def check_distance_polynomial_sufficient(ga) -> ColumnReport:
     state, slack = _states(lhs, rhs, ga.tols.equality, "equality")
     hypotheses = bool((state == EQUAL).all())
     details = {"hypotheses_hold": hypotheses}
+    is_dp, residuals = ga.distance_polynomial
     if hypotheses:
-        oracle_ok = (cls.is_distance_polynomial and cls.is_regular
-                     and cls.partial_dr_level >= D - 1)
-        details.update(oracle_distance_polynomial=cls.is_distance_polynomial,
+        oracle_ok = is_dp and cls.is_regular and cls.partial_dr_level >= D - 1
+        details.update(oracle_distance_polynomial=is_dp,
                        oracle_regular=cls.is_regular,
                        oracle_partial_dr_level=cls.partial_dr_level, oracle_agrees=oracle_ok)
         verdict = _T38_CERTIFIED + (not oracle_ok)
@@ -483,4 +484,4 @@ def check_distance_polynomial_sufficient(ga) -> ColumnReport:
         "T38", ("delta*_D vs p_>=D(lambda0)", "delta*_D-1 vs p_D-1(lambda0)"), "equality",
         lhs, rhs, slack, state, np.full(2, verdict), np.full(2, oracle_ok),
         {"i": np.array([D, D - 1]), "m": np.full(2, D - 1)}, details,
-        witness_fn=functools.partial(dict, distance_poly_residuals=cls.distance_poly_residuals))
+        witness_fn=functools.partial(dict, distance_poly_residuals=residuals))

@@ -34,6 +34,13 @@ def connected_er(rng, n, p):
             continue
 
 
+def lollipop(m, L):
+    """K_m with a path of L more vertices hung on clique vertex m - 1: its
+    Perron entries fall geometrically along the path."""
+    clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return Graph.from_edges(m + L, clique + [(v, v + 1) for v in range(m - 1, m + L - 1)])
+
+
 def relabel(g, perm):
     """The graph with vertex u renamed perm[u]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])

@@ -1,17 +1,23 @@
-"""Snapshots of ``spexcess analyze --witnesses`` over a fixed set of inputs.
+"""Snapshots of ``spexcess analyze --witnesses`` and ``spexcess check`` over
+a fixed set of inputs.
 
     python tests/snapshot.py write OUT.json
     python tests/snapshot.py compare A.json B.json
 
-``write`` runs ``cli.main(["analyze", PATH, "--witnesses"])`` in-process
-on 510 inputs and records each one's stdout, stderr and exit code:
+``write`` runs ``cli.main`` in-process and records each call's stdout,
+stderr and exit code under its argv, joined by spaces.  It runs
+``analyze PATH --witnesses`` on 511 inputs:
 
 * the 13 bundled fixtures, each as ``.el`` and as ``.g6``;
-* K1,3, P4, P5, C30, C32, C40 and Q6 as edge lists;
+* K1,3, P4, P5, C30, C32, C40, Q6 and lollipop(6, 6) as edge lists;
 * the 108-graph property corpus and the 51-graph wide corpus
   (``tests/corpus.py``) as edge lists;
 * seeds 1 and 2 of the three benchmark workloads, written by
   ``bench/workloads.build`` (imported, not modified).
+
+It then runs ``check`` for every theorem on the 13 fixtures' edge lists, P5
+and lollipop(6, 6), 1649 calls: each flag a theorem requires at every value
+from -1 to n, and each flag it may take also absent.
 
 Files are written under a temporary directory and passed by relative path,
 so the records do not depend on where the run happens.  The ``spexcess``
@@ -21,7 +27,7 @@ checkout's ``src`` to snapshot that checkout.  Its directory is recorded.
 ``compare`` prints the ``spexcess`` directory of each side ("unknown" in
 older files) and warns when they are the same: two snapshots of one
 checkout always compare equal.  It compares each record as written
-(stdout, stderr and exit code) and prints every input whose record
+(stdout, stderr and exit code) and prints every call whose record
 differs, the non-float fields that differ (exit code, stderr, strings,
 integers, booleans, keys and list lengths) and the largest scaled gap
 |a - b| / max(1, |a|, |b|) between two floats a and b at the same place:
@@ -29,10 +35,11 @@ relative for large values, absolute near 0, so rounding noise on a value
 near 0 reads as noise.  It then prints, for every field path with list
 indices dropped (``stdout.theoremColumns.T37.comparison.lhs``), the
 largest scaled and the largest absolute gap between two floats there, over
-all inputs.  Last it prints each distinct non-float difference with list
-indices dropped (``stdout.perron: keys ['nu']``) and the number of inputs
-that show it, so a schema change reads as one short list.
-It exits 1 when any record differs and 0 when all are identical.
+all calls.  Last it prints each distinct non-float difference with list
+indices dropped (``stdout.perron: keys ['nu']``) and the number of calls
+that show it, so a schema change reads as one short list.  The counts of
+differing records are given per command.  It exits 1 when any record
+differs and 0 when all are identical.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import collections
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import sys
@@ -50,6 +58,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 WORKLOAD_SEEDS = (1, 2)
 MAX_FIELDS_SHOWN = 20
+MAX_REPR = 160
+# theorem id -> (the flags it requires, the flags it may take), as ``check`` has them
+CHECK_FLAGS = {"P31": (("vertex",), ("j",)), "T32": (("vertex",), ()), "T33": ((), ()),
+               "T34": (("j",), ()), "P35": (("m",), ()), "P36": (("m",), ()),
+               "T37": ((), ()), "T38": ((), ())}
 
 
 def _workloads():
@@ -63,19 +76,35 @@ def _workloads():
 def _extras():
     import networkx as nx
 
+    import corpus
     from spexcess import fixtures as fx
     from spexcess.graphs import Graph
 
     q6 = nx.convert_node_labels_to_integers(nx.hypercube_graph(6), ordering="sorted")
     return [("k13", fx.star(3)), ("p4", fx.path(4)), ("p5", fx.path(5)),
             ("c30", fx.cycle(30)), ("c32", fx.cycle(32)), ("c40", fx.cycle(40)),
-            ("q6", Graph.from_edges(q6.number_of_nodes(), q6.edges()))]
+            ("q6", Graph.from_edges(q6.number_of_nodes(), q6.edges())),
+            ("lollipop6_6", corpus.lollipop(6, 6))]
 
 
-def write_inputs() -> list[str]:
-    """Write every input below the current directory; return their paths."""
+def check_calls(path: str, n: int) -> list[list[str]]:
+    """The argv of every ``check`` call on the graph at ``path`` with n vertices."""
+    calls = []
+    for theorem, (required, optional) in CHECK_FLAGS.items():
+        choices = [[[f"--{flag}", str(x)] for x in range(-1, n + 1)] for flag in required]
+        choices += [[[]] + [[f"--{flag}", str(x)] for x in range(-1, n + 1)]
+                    for flag in optional]
+        for flags in itertools.product(*choices):
+            calls.append(["check", path, "--theorem", theorem] + sum(flags, []))
+    return calls
+
+
+def write_inputs() -> list[list[str]]:
+    """Write every input below the current directory; return the argv of
+    every call (module note)."""
     import corpus
     from spexcess import fixtures as fx
+    from spexcess.graphs import read_graph_file
 
     paths = [os.path.join("fixtures", name) for name in fx.write_fixtures("fixtures")]
     for group, graphs in (("extra", _extras()), ("corpus", corpus.build_corpus()),
@@ -91,15 +120,19 @@ def write_inputs() -> list[str]:
         for seed in WORKLOAD_SEEDS:
             entries = workloads.build(workload, seed, f"{workload}-{seed}")
             paths.extend(e["path"] for e in entries)
-    return paths
+    calls = [["analyze", path, "--witnesses"] for path in paths]
+    swept = [os.path.join("fixtures", name + ".el") for name in sorted(fx.BUNDLED)]
+    for path in swept + [os.path.join("extra", "p5.el"), os.path.join("extra", "lollipop6_6.el")]:
+        calls += check_calls(path, read_graph_file(path).n)
+    return calls
 
 
-def run(path: str) -> dict:
+def run(argv: list[str]) -> dict:
     from spexcess import cli
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["analyze", path, "--witnesses"])
+        code = cli.main(argv)
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
@@ -112,14 +145,14 @@ def write(target: str) -> None:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for path in write_inputs():
-                records[path] = run(path)
+            for argv in write_inputs():
+                records[" ".join(argv)] = run(argv)
         finally:
             os.chdir(start)
     with open(target, "w") as fh:
         json.dump({"spexcess": os.path.dirname(os.path.abspath(spexcess.__file__)),
                    "inputs": records}, fh)
-    print(f"{len(records)} inputs written to {target}")
+    print(f"{len(records)} calls written to {target}")
 
 
 def _diff(a, b, where: str, fields: list[tuple], gaps: dict, path: str) -> float:
@@ -146,8 +179,15 @@ def _diff(a, b, where: str, fields: list[tuple], gaps: dict, path: str) -> float
         return max((_diff(x, y, f"{where}[{i}]", fields, gaps, path)
                     for i, (x, y) in enumerate(zip(a, b))), default=0.0)
     if type(a) is not type(b) or a != b:
-        fields.append((where, path, f"{a!r} != {b!r}"))
+        fields.append((where, path, f"{_short(a)} != {_short(b)}"))
     return 0.0
+
+
+def _short(value) -> str:
+    """``repr(value)``, cut to ``MAX_REPR`` characters: a whole report on one
+    side of a difference would hide the rest of the listing."""
+    text = repr(value)
+    return text if len(text) <= MAX_REPR else text[:MAX_REPR - 3] + "..."
 
 
 def _parsed(stdout: str):
@@ -169,16 +209,19 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"{path_b}: spexcess from {source_b}")
     if source_a == source_b != "unknown":
         print("warning: both snapshots ran the same spexcess, so they compare equal")
-    differing, largest, gaps, kinds = 0, 0.0, {}, collections.Counter()
+    differing, total = collections.Counter(), collections.Counter()
+    largest, gaps, kinds = 0.0, {}, collections.Counter()
     for key in sorted(a.keys() | b.keys()):
+        command = key.split(" ", 1)[0]
+        total[command] += 1
         if key not in a or key not in b:
-            differing += 1
+            differing[command] += 1
             print(f"{key}: only in {path_a if key in a else path_b}")
             continue
         ra, rb = a[key], b[key]
         if ra == rb:
             continue
-        differing += 1
+        differing[command] += 1
         fields = []
         if ra["exit"] != rb["exit"]:
             fields.append(("exit", "exit", f"{ra['exit']} != {rb['exit']}"))
@@ -194,19 +237,19 @@ def compare(path_a: str, path_b: str) -> int:
         if len(fields) > MAX_FIELDS_SHOWN:
             print(f"    ... {len(fields) - MAX_FIELDS_SHOWN} more")
         kinds.update({f"{path}: {what}" for _where, path, what in fields})
-    total = len(a.keys() | b.keys())
-    print(f"{differing} of {total} inputs differ; "
-          f"largest scaled float gap {largest:.3e}")
+    print("; ".join(f"{command}: {differing[command]} of {count} calls differ"
+                    for command, count in sorted(total.items()))
+          + f"; largest scaled float gap {largest:.3e}")
     for path, (rel, gap) in sorted(gaps.items()):
         print(f"  {path}: largest scaled gap {rel:.3e}, absolute {gap:.3e}")
     if kinds:
         print(f"{len(kinds)} distinct non-float differences, list indices dropped:")
     ranked = sorted(kinds.items(), key=lambda item: (-item[1], item[0]))
     for kind, count in ranked[:MAX_FIELDS_SHOWN]:
-        print(f"  {count} inputs: {kind}")
+        print(f"  {count} calls: {kind}")
     if len(ranked) > MAX_FIELDS_SHOWN:
         print(f"  ... {len(ranked) - MAX_FIELDS_SHOWN} more")
-    return 1 if differing else 0
+    return 1 if sum(differing.values()) else 0
 
 
 def main(argv=None) -> int:

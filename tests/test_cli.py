@@ -378,24 +378,26 @@ def test_analyze_matches_golden(capsys, tmp_path, name):
 def test_snapshot_compare_reads_raw_records(capsys, tmp_path, k23_file):
     # compare sees every byte of a record, here one codes entry that no
     # column of K2,3 points at, and lists each kind of difference once,
-    # with the inputs that show it
+    # with the calls that show it, and counts the calls per command
     import snapshot
-    record = snapshot.run(k23_file)
+    record = snapshot.run(["analyze", k23_file, "--witnesses"])
     edited = dict(record, stdout=record["stdout"].replace('"violated"', '"edited"'))
     report = json.loads(record["stdout"])
     del report["perron"]["alpha"]
     dropped = dict(record, stdout=json.dumps(report))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps({"inputs": dict.fromkeys(("k23.el", "k23.g6", "k32.el"), record)}))
-    b.write_text(json.dumps({"inputs": {"k23.el": edited, "k23.g6": dropped,
-                                        "k32.el": dropped}}))
+    keys = [f"analyze {name} --witnesses" for name in ("k23.el", "k23.g6", "k32.el")]
+    a.write_text(json.dumps({"inputs": dict.fromkeys(keys + ["check k23.el"], record)}))
+    b.write_text(json.dumps({"inputs": dict(zip(keys + ["check k23.el"],
+                                                (edited, dropped, dropped, record)))}))
     assert snapshot.compare(str(a), str(a)) == 0
     capsys.readouterr()
     assert snapshot.compare(str(a), str(b)) == 1
     out = capsys.readouterr().out
+    assert "analyze: 3 of 3 calls differ; check: 0 of 1 calls differ;" in out
     assert out.endswith("2 distinct non-float differences, list indices dropped:\n"
-                        "  2 inputs: stdout.perron: keys ['alpha']\n"
-                        "  1 inputs: stdout.theoremColumns.codes: 'violated' != 'edited'\n")
+                        "  2 calls: stdout.perron: keys ['alpha']\n"
+                        "  1 calls: stdout.theoremColumns.codes: 'violated' != 'edited'\n")
 
 
 def test_check_t34_missing_j(capsys, k23_file):
@@ -542,6 +544,29 @@ def test_eigensolver_failure_exit3(capsys, k23_file, monkeypatch):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("flags, code", [
+    ("T33", 0), ("T37", 0), ("T38", 0), ("P35 --m 1", 0),
+    ("P31 --vertex 0", 3), ("T32 --vertex 0", 3),
+    # T34 and P36 test their hypothesis against min_u d_u, a local stage
+    ("T34 --j 1", 3), ("P36 --m 1", 3),
+    ("P31 --vertex 12", 2),
+])
+def test_check_exits_at_the_stages_its_theorem_reads(capsys, tmp_path, flags, code):
+    # lollipop(6, 6): vertex 11, at the end of the path, has lambda_0 mass
+    # 1e-9, so the local spectra fail; the global checks never read them,
+    # and an out-of-range vertex is an input error before any stage
+    import corpus
+
+    path = tmp_path / "lollipop.el"
+    path.write_bytes(fx.edgelist_bytes(corpus.lollipop(6, 6)))
+    got, out, err = _run(capsys, ["check", str(path), "--theorem", *flags.split()])
+    assert got == code, err
+    if code == 3:
+        assert out == "" and "vertex 11 has no lambda_0 mass" in err
+    if code == 0:
+        assert err == "" and flags.split()[0] in json.loads(out)
+
+
 def test_nan_in_payload_exit4(capsys, k23_file, monkeypatch):
     import spexcess.cli as cli
 
@@ -573,8 +598,6 @@ def test_saturated_p31_violation_exit4(capsys, tmp_path, monkeypatch):
     # every c8_12 vertex has ecc 2 < d_u 4, so the saturation rule covers
     # every P31 row; q^u_2(lambda_0) pushed to 1.5 n puts lhs above rhs, and
     # the row must read violated, as the exit code does, not strict
-    import dataclasses
-
     import numpy as np
 
     import spexcess.cli as cli
@@ -583,7 +606,8 @@ def test_saturated_p31_violation_exit4(capsys, tmp_path, monkeypatch):
 
     def inflated(g, tols):
         ga = real(g, tols)
-        return dataclasses.replace(ga, local_q_lambda0=np.full(ga.n, 1.5 * ga.n))
+        ga.__dict__["local_q_lambda0"] = np.full(ga.n, 1.5 * ga.n)
+        return ga
 
     monkeypatch.setattr(cli, "analyze_graph", inflated)
     path = tmp_path / "c8_12.el"

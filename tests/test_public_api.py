@@ -66,8 +66,7 @@ def test_per_vertex_fields_are_pinned():
     assert fields == ["mults", "du", "excess"]
     fields = [f.name for f in dataclasses.fields(spexcess.Classification)]
     assert fields == ["is_regular", "is_distance_regular", "intersection_array", "is_pdr",
-                      "pdr_numbers", "pdr_violations", "partial_dr_level",
-                      "is_distance_polynomial", "distance_poly_residuals"]
+                      "pdr_numbers", "pdr_violations", "partial_dr_level"]
     fields = [f.name for f in dataclasses.fields(spexcess.ExcessStats)]
     assert fields == ["ball_norms", "sphere_norms", "harmonic_means", "delta_star"]
 

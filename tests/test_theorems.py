@@ -252,6 +252,15 @@ def test_t34_saturated_row_builds_no_q_gaps(capsys, tmp_path):
     assert list(out) == ["codes", "T34"] and out["T34"]["params"] == {"j": [2]}
 
 
+def test_chain_builds_only_the_stages_it_reads():
+    # T37 reads the global side: no local spectra, no combinatorial
+    # classification and no distance-polynomial oracle
+    ga = analyze_graph(fx.petersen())
+    check_chain(ga)
+    assert {"stats", "tail_identity"} <= ga.__dict__.keys()
+    assert not {"local_spectra", "classification", "distance_polynomial"} & ga.__dict__.keys()
+
+
 def test_t34_eta_witness_on_equality(analyses):
     rep = check_harmonic_bound(analyses("c6"), 1)
     assert rep.equality_holds[0]
@@ -377,7 +386,7 @@ def test_t38_p3_no_claim(analyses):
     ga = analyses("p3")
     rep = check_distance_polynomial_sufficient(ga)
     assert not rep.details["hypotheses_hold"]
-    assert not ga.classification.is_distance_polynomial
+    assert not ga.distance_polynomial[0]
 
 
 def test_t38_c8_12_positive(analyses):
@@ -822,7 +831,7 @@ def test_column_families_match_scalar_rule(request, graphs):
                        float(ga.global_seq.p_lambda0[D - 1])))
         states = [_compare(lhs, rhs, eq_tol, "equality") for _label, lhs, rhs in hypotheses]
         hold = all(state == "equal" for state, _slack in states)
-        oracle_ok = hold and cls.is_distance_polynomial and cls.is_regular and level >= D - 1
+        oracle_ok = hold and ga.distance_polynomial[0] and cls.is_regular and level >= D - 1
         verdict = ("hypotheses not satisfied; no claim" if not hold else
                    "distance-polynomial (oracle-certified; regular and "
                    f"{D - 1}-partially distance-regular)" if oracle_ok else
