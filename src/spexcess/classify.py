@@ -30,6 +30,8 @@ all pairs for distance-regularity and the partial distance-regularity
 level, are exact comparisons.  A nonregular graph is not distance-regular
 and has level 0, so only the per-root question is asked of it.  The
 per-root answers stay arrays over the roots (``Classification.is_pdr``).
+``classify_graph`` is that sweep; ``Classification.is_distance_regular``
+is read from the intersection array, not stored.
 """
 
 from __future__ import annotations
@@ -72,11 +74,33 @@ def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
         yield roots, x / alpha
 
 
-def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
+@dataclass(frozen=True)
+class Classification:
+    """Bundle of every combinatorial verdict for one graph.
+
+    Around a root u with ``is_pdr[u]``, ``pdr_numbers[u, :, :ecc(u) + 1]``
+    are c*, a*, b* (c*_0 = b*_ecc = 0); ``pdr_violations`` holds, as columns
+    over the other roots in order, their first offending (radius, v, w,
+    value_v, value_w, which).
+    """
+
+    is_regular: bool
+    intersection_array: dict | None
+    is_pdr: np.ndarray
+    pdr_numbers: np.ndarray
+    pdr_violations: dict
+    partial_dr_level: int
+
+    @property
+    def is_distance_regular(self) -> bool:
+        return self.intersection_array is not None
+
+
+def classify_graph(dd: DistanceData, alpha: np.ndarray,
+                   tol: float = DEFAULT_ORACLE_TOL) -> Classification:
     """Pseudo-distance-regularity around every root and, on a regular graph,
     distance-regularity and the partial distance-regularity level, from one
-    pass of ``_pair_counts``.  Returns (is_regular, intersection_array,
-    level, is_pdr, numbers, violations) as ``Classification`` names them.
+    pass of ``_pair_counts``.
 
     Ordered by (root, radius, vertex), each sphere Gamma_i(u) is a run of
     pairs with one minimum, maximum and sum.  Per root u, a triple is
@@ -92,10 +116,10 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
     ecc(u) >= i equals its maximum.  (A root that failed at an earlier
     radius varied there, so the level is fixed by then.)
 
-    ``level`` is the largest m <= D with p_i(A) = A_i for all i <= m.  A
-    nonregular graph, told by its degrees, has p_1(A) = (lambda_0 / mean
-    degree) A != A and gets level 0.  For a regular graph, p_i(A) = A_i for
-    all i <= m iff c_1..c_m and a_1..a_{m-1} are constant:
+    ``partial_dr_level`` is the largest m <= D with p_i(A) = A_i for all
+    i <= m.  A nonregular graph, told by its degrees, has p_1(A) = (lambda_0
+    / mean degree) A != A and gets level 0.  For a regular graph, p_i(A) =
+    A_i for all i <= m iff c_1..c_m and a_1..a_{m-1} are constant:
 
     * if they are, so are b_i = k - a_i - c_i, and the entries of A A_i give
       A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1} for i < m, so
@@ -143,16 +167,16 @@ def _regularity_sweep(dd: DistanceData, alpha: np.ndarray, tol: float):
     low, high = ends[:, which, bad, radius]
     violations = {"radius": radius, "v": at[0, bad], "w": at[1, bad], "value_v": low,
                   "value_w": high, "which": np.array(list("cab"))[which]}
-    pseudo_dr = _readonly(first < 0), _readonly(numbers), violations
+    pdr = _readonly(first < 0), _readonly(numbers), violations
     if not is_regular:
-        return (False, None, 0) + pseudo_dr
+        return Classification(False, None, *pdr, 0)
     varies = (np.where(present, ends[0], np.inf).min(axis=1)
               != np.where(present, ends[1], -np.inf).max(axis=1)).T.ravel()
     if varies.any():
         radius, which = divmod(int(varies.argmax()), 3)
-        return (True, None, radius - (which == 0)) + pseudo_dr
+        return Classification(True, None, *pdr, radius - (which == 0))
     c, a, b = numbers[0].astype(int).tolist()
-    return (True, {"b": b[:-1], "c": c[1:], "a": a}, dd.diameter) + pseudo_dr
+    return Classification(True, {"b": b[:-1], "c": c[1:], "a": a}, *pdr, dd.diameter)
 
 
 def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
@@ -177,31 +201,3 @@ def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
         residuals[start:start + len(a)] = [np.linalg.norm(diff) for diff in a]  # one per A_i
     ok = bool((residuals <= tol * dd.n).all())
     return ok, _readonly(residuals)
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Bundle of every combinatorial verdict for one graph.
-
-    Around a root u with ``is_pdr[u]``, ``pdr_numbers[u, :, :ecc(u) + 1]``
-    are c*, a*, b* (c*_0 = b*_ecc = 0); ``pdr_violations`` holds, as columns
-    over the other roots in order, their first offending (radius, v, w,
-    value_v, value_w, which).
-    """
-
-    is_regular: bool
-    is_distance_regular: bool
-    intersection_array: dict | None
-    is_pdr: np.ndarray
-    pdr_numbers: np.ndarray
-    pdr_violations: dict
-    partial_dr_level: int
-
-
-def classify_graph(dd: DistanceData, alpha: np.ndarray,
-                   tol: float = DEFAULT_ORACLE_TOL) -> Classification:
-    is_regular, array, level, is_pdr, numbers, violations = _regularity_sweep(dd, alpha, tol)
-    return Classification(
-        is_regular=is_regular, is_distance_regular=array is not None,
-        intersection_array=array, is_pdr=is_pdr, pdr_numbers=numbers,
-        pdr_violations=violations, partial_dr_level=level)

@@ -18,12 +18,12 @@ threshold, or a singular spectral measure; the number of distinct
 eigenvalues is no limit); 2 any other ``SpexcessError`` (among them a
 ``check`` flag that the theorem requires and lacks, or does not take,
 rejected before the graph is read, and one out of range: ``--vertex``
-before any stage, ``--j`` and ``--m`` once d_u, D or d are known) and any
-OS error, also on writing stdout: ``analyze ... | head -c 300`` ends
-"error: [Errno 32] Broken pipe"; 4 internal invariant violated (a row in
-state violated, an oracle disagreement, or a NaN or infinity in the JSON
-output, which is then not printed).  Flags are the only tolerance input,
-each in (0, 1).
+before any stage, ``--j`` once d_u is known, and P35's and P36's ``--m``
+against min(D, d) before P36 reads d_u) and any OS error, also on writing
+stdout: ``analyze ... | head -c 300`` ends "error: [Errno 32] Broken pipe";
+4 internal invariant violated (a row in state violated, an oracle
+disagreement, or a NaN or infinity in the JSON output, which is then not
+printed).  Flags are the only tolerance input, each in (0, 1).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ it.  ``run_all_checks`` runs every theorem at its admissible parameters,
 each as columns (over its vertices, j, m, links or hypotheses) in one array
 pass; with ``report.analysis_report`` it reads every stage.  The one
 polynomial family built is the global one (local values: see ``poly``).
+J* is one array (``jstar``); a check takes A*_i and S*_j as its masks.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class GraphAnalysis:
         return _readonly(local_q)
 
     @functools.cached_property
-    def wm(self) -> weighted.WeightedMatrices:
-        return weighted.weighted_matrices(self.dd, self.alpha)
+    def jstar(self) -> np.ndarray:
+        return weighted.weighted_matrices(self.alpha)
 
     @functools.cached_property
     def stats(self) -> weighted.ExcessStats:

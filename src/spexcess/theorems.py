@@ -221,7 +221,7 @@ def q_gap_certificate(ga) -> Certificate:
     for start in range(0, top + 1, step):
         js = np.arange(start, min(start + step, top + 1))
         at_a = evaluate_at_matrix(ga.global_seq.q_values[js], ga.spectrum)
-        at_a -= ga.wm.sstar_at(js[:, None, None])
+        at_a -= np.where(ga.dd.dist <= js[:, None, None], ga.jstar, 0.0)
         gaps[js] = np.abs(at_a, out=at_a).reshape(len(js), -1).max(axis=1)
     return _certificate(ga, "q_{j}(A) == S*_{j}", gaps)
 
@@ -230,7 +230,7 @@ def tail_identity(ga) -> tuple:
     """(p_{>=D}(A), A*_D, the certificate of max|p_{>=D}(A) - A*_D|), p_{>=D}
     = p_D + ... + p_d (``GraphAnalysis.tail_identity`` keeps it)."""
     at_a = evaluate_at_matrix(ga.global_seq.values[ga.D:].sum(axis=0), ga.spectrum)
-    astar = ga.wm.astar_at(ga.D)
+    astar = np.where(ga.dd.dist == ga.D, ga.jstar, 0.0)
     return at_a, astar, _certificate(ga, "p_>=D(A) == A*_D", float(np.abs(at_a - astar).max()))
 
 
@@ -374,7 +374,8 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
         at_a = evaluate_at_matrix(seq.q_values[js[below]], ga.spectrum)
         near = (state[below] == EQUAL) | (state[below] == AMBIGUOUS)
         # eta: per-vertex proportionality constants from the equality analysis
-        return {"q_j_at_A": at_a, "Sstar_j": ga.wm.sstar_at(js[below, None, None]),
+        return {"q_j_at_A": at_a,
+                "Sstar_j": np.where(ga.dd.dist <= js[below, None, None], ga.jstar, 0.0),
                 "eta": np.diagonal(at_a[near], axis1=1, axis2=2) / ga.alpha ** 2}
 
     return ColumnReport("T34", "q_{j}(lambda0) <= H*_<={j}", "inequality", lhs, rhs, slack,
@@ -382,13 +383,13 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
                         witness_fn=witnesses)
 
 
-def _levels(ga, m: int | None, top: int):
-    """[m] after checking 1 <= m <= min(D, d), or 1..``top`` for None."""
+def _levels(ga, m: int | None):
+    """[m] after checking 1 <= m <= min(D, d), or 1..min(D, d) for None."""
+    top = min(ga.D, ga.d)
     if m is None:
         return np.arange(1, top + 1)
-    if not 1 <= m <= min(ga.D, ga.d):
-        raise HypothesisError(
-            f"m={m} violates the hypothesis 1 <= m <= min(D, d) = {min(ga.D, ga.d)}")
+    if not 1 <= m <= top:
+        raise HypothesisError(f"m={m} violates the hypothesis 1 <= m <= min(D, d) = {top}")
     return np.array([int(m)])
 
 
@@ -396,7 +397,7 @@ def check_partial_dr_matrix(ga, m: int | None = None) -> ColumnReport:
     """P35: q_j(A) = S*_j for j = m-1, m iff m-partially distance-regular,
     cross-checked against the intersection-number level of ``classify``;
     the row of ``m``, or by default every m <= min(D, d)."""
-    ms = _levels(ga, m, min(ga.D, ga.d))
+    ms = _levels(ga, m)
     passes, level = ga.q_gaps.passes, ga.classification.partial_dr_level
     holds = passes[ms - 1] & passes[ms]
     agrees = holds == (level >= ms)
@@ -409,14 +410,15 @@ def check_partial_dr_matrix(ga, m: int | None = None) -> ColumnReport:
 def check_partial_dr_inequality(ga, m: int | None = None) -> ColumnReport:
     """P36: (q_{m-1} + q_m)(lambda_0) <= H*_{<=m-1} + H*_{<=m}, equality iff
     the graph is regular and m-partially distance-regular; the row of ``m``,
-    or by default every m <= min(D, d).
+    or by default every m <= min(D, d, min_u d_u).
 
-    Inherits the T34 hypothesis, so it also requires m <= min_u d_u.
+    Inherits T34's hypothesis m <= min_u d_u, tested after 1 <= m <= min(D, d).
     """
-    ms = _levels(ga, m, min(ga.D, ga.d, ga.min_du))
+    ms = _levels(ga, m)  # before min_u d_u, a local stage, is read
     if m is not None and m > ga.min_du:
         raise HypothesisError(
             f"m={m} violates the inherited hypothesis m <= min_u d_u = {ga.min_du}")
+    ms = ms[ms <= ga.min_du]
     q, h, cls = ga.global_seq.q_lambda0, ga.stats.harmonic_means, ga.classification
     lhs, rhs = q[ms - 1] + q[ms], h[ms - 1] + h[ms]
     state, slack = _states(lhs, rhs, ga.tols.equality)

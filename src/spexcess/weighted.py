@@ -4,6 +4,7 @@ Weighting the distance partition by the Perron vector "regularizes" a
 nonregular graph: J* = alpha alpha^T replaces the all-ones matrix, A*_i =
 A_i o J* replaces the distance matrices, and the average weighted degree
 (1/alpha_u) sum_{v ~ u} alpha_v is the constant lambda_0 at every vertex.
+Only J* is built (``weighted_matrices``); A*_i and S*_j are its masks.
 
 The statistics gathered here feed every inequality check:
 
@@ -27,28 +28,12 @@ from ._util import CACHE_BLOCK_BYTES, readonly as _readonly
 from .graphs import DistanceData
 
 
-@dataclass(frozen=True)
-class WeightedMatrices:
-    """J* and, built on demand from the distances, A*_i and S*_j.
-
-    Each entry of S*_j = A*_0 + ... + A*_j has one nonzero term, so masking
-    J* with dist <= j gives the partial sum bit for bit.
-    """
-
-    jstar: np.ndarray
-    dist: np.ndarray
-
-    def astar_at(self, i: int) -> np.ndarray:
-        """A*_i = A_i o J*."""
-        return np.where(self.dist == i, self.jstar, 0.0)
-
-    def sstar_at(self, j) -> np.ndarray:
-        """S*_j, saturating at J* for j >= D; j of shape (k, 1, 1) stacks k."""
-        return np.where(self.dist <= j, self.jstar, 0.0)
-
-
-def weighted_matrices(dd: DistanceData, alpha: np.ndarray) -> WeightedMatrices:
-    return WeightedMatrices(jstar=_readonly(np.outer(alpha, alpha)), dist=dd.dist)
+def weighted_matrices(alpha: np.ndarray) -> np.ndarray:
+    """J* = alpha alpha^T, read-only.  Callers mask it with the distances:
+    A*_i is ``np.where(dist == i, J*, 0)`` and S*_j = A*_0 + ... + A*_j is
+    ``np.where(dist <= j, J*, 0)``, bit for bit, as each entry of that sum
+    has one nonzero term."""
+    return _readonly(np.outer(alpha, alpha))
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def test_sweep_memory_stays_within_its_block_budget():
     ga = analyze_graph(corpus.connected_er(random.Random(1), 200, 0.06))
     tracemalloc.start()
     try:
-        spexcess.classify._regularity_sweep(ga.dd, ga.alpha, ga.tols.equality)
+        spexcess.classify.classify_graph(ga.dd, ga.alpha, ga.tols.equality)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

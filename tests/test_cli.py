@@ -6,6 +6,7 @@ import pytest
 from spexcess import fixtures as fx
 from spexcess.cli import main
 from spexcess.graphs import graph6_bytes
+from spexcess.pipeline import analyze_graph
 from spexcess.report import SCHEMA_VERSION
 
 
@@ -252,7 +253,6 @@ def test_check_p31_past_eccentricity(capsys, tmp_path, j):
     # closed form
     import numpy as np
     from corpus import full_local_families
-    from spexcess.pipeline import analyze_graph
     from spexcess.poly import apply_to_vector
     g = fx.named("c8_12")
     path = tmp_path / "c8_12.el"
@@ -565,6 +565,24 @@ def test_check_exits_at_the_stages_its_theorem_reads(capsys, tmp_path, flags, co
         assert out == "" and "vertex 11 has no lambda_0 mass" in err
     if code == 0:
         assert err == "" and flags.split()[0] in json.loads(out)
+
+
+def test_p35_and_p36_refuse_an_m_out_of_range_alike(capsys, tmp_path):
+    # both test 1 <= m <= min(D, d) before P36 reads min_u d_u, a local
+    # stage that fails on lollipop(6, 6)
+    import corpus
+
+    graphs = {name: make() for name, make in fx.BUNDLED.items()}
+    graphs["lollipop6_6"] = corpus.lollipop(6, 6)
+    for name, g in graphs.items():
+        path = tmp_path / f"{name}.el"
+        path.write_bytes(fx.edgelist_bytes(g))
+        ga = analyze_graph(g)
+        for m in (-1, 0, min(ga.D, ga.d) + 1):
+            p35, p36 = (_run(capsys, ["check", str(path), "--theorem", theorem, "--m", str(m)])
+                        for theorem in ("P35", "P36"))
+            assert p35[0] == 2 and "violates the hypothesis 1 <= m" in p35[2], (name, m)
+            assert p36 == p35, (name, m)
 
 
 def test_nan_in_payload_exit4(capsys, k23_file, monkeypatch):

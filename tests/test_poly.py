@@ -283,7 +283,7 @@ def test_hoffman_k23_gives_jstar():
     ga = _analysis("k23")
     h = _hoffman(ga)
     ha = evaluate_at_matrix(h, ga.spectrum)
-    assert np.abs(ha - ga.wm.jstar).max() <= 1e-9
+    assert np.abs(ha - ga.jstar).max() <= 1e-9
     # and in nu-normalization (nu = alpha / min alpha): (||nu||^2 / n) H(A)
     # has entries nu_u nu_v
     nu = ga.alpha / ga.alpha.min()

@@ -647,30 +647,31 @@ def test_one_evaluation_per_certificate_polynomial(graph, monkeypatch):
 def test_report_evaluates_each_witness_once(monkeypatch):
     # analyze --witnesses on Petersen: building the report puts no value
     # vector through evaluate_at_matrix twice, and T37 builds neither of
-    # the p_>=D(A) and A*_D that T33 prints
-    from spexcess import weighted
+    # the p_>=D(A) and A*_D that T33 prints: one tail identity serves both
     from spexcess.report import analysis_report
     ga = analyze_graph(fx.petersen())
-    reports = run_all_checks(ga)
-    seen, astar_calls = [], []
-    evaluate, astar_at = theorems.evaluate_at_matrix, weighted.WeightedMatrices.astar_at
+    evaluate, tail_identity = theorems.evaluate_at_matrix, theorems.tail_identity
+    seen, tail_calls = [], []
 
     def counting(p, spec):
         seen.extend(row.tobytes() for row in np.atleast_2d(p))
         return evaluate(p, spec)
 
-    def counting_astar(self, i):
-        astar_calls.append(i)
-        return astar_at(self, i)
+    def counting_tail(g):
+        tail_calls.append(g)
+        return tail_identity(g)
 
+    monkeypatch.setattr(theorems, "tail_identity", counting_tail)
+    reports = run_all_checks(ga)
     monkeypatch.setattr(theorems, "evaluate_at_matrix", counting)
-    monkeypatch.setattr(weighted.WeightedMatrices, "astar_at", counting_astar)
     payload = analysis_report(ga, reports, include_witnesses=True)
     assert seen and len(seen) == len(set(seen))
-    assert not astar_calls
+    assert tail_calls == [ga]
     columns = payload["theoremColumns"]
     assert set(columns["T33"]["witnesses"]) == {"Astar_D", "p_geqD_at_A"}
     assert set(columns["T37"]["witnesses"]) == {"weighted_excess_per_vertex"}
+    astar = np.where(ga.dd.dist == ga.D, ga.jstar, 0.0)
+    assert np.array_equal(columns["T33"]["witnesses"]["Astar_D"], astar)
 
 
 def _assert_row(one_row, batch, k, reads_gaps=True):
@@ -724,13 +725,13 @@ def test_local_checks_match_run_all_checks(request, graphs):
 def _q_gap(ga, j) -> float:
     """max|q_j(A) - S*_j| from q_j(A) evaluated alone."""
     at_a = evaluate_at_matrix(ga.global_seq.q_values[j], ga.spectrum)
-    return float(np.abs(at_a - ga.wm.sstar_at(j)).max())
+    return float(np.abs(at_a - np.where(ga.dd.dist <= j, ga.jstar, 0.0)).max())
 
 
 def _tail_gap(ga) -> float:
     """max|p_>=D(A) - A*_D| from p_>=D(A) evaluated alone."""
     at_a = evaluate_at_matrix(ga.global_seq.values[ga.D:].sum(axis=0), ga.spectrum)
-    return float(np.abs(at_a - ga.wm.astar_at(ga.D)).max())
+    return float(np.abs(at_a - np.where(ga.dd.dist == ga.D, ga.jstar, 0.0)).max())
 
 
 def _rows(rep, k) -> tuple:

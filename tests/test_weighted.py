@@ -12,20 +12,25 @@ def _ga(name):
     return analyze_graph(fx.named(name))
 
 
+def _astar(ga, i):
+    """A*_i = A_i o J*, the mask of J* that the checks take."""
+    return np.where(ga.dd.dist == i, ga.jstar, 0.0)
+
+
 def test_weighted_matrices_regular_equal_unweighted():
     ga = _ga("petersen")
     for i in range(ga.D + 1):
-        assert np.abs(ga.wm.astar_at(i) - ga.dd.matrix(i)).max() <= 1e-10
-    assert np.abs(ga.wm.jstar - 1.0).max() <= 1e-10
+        assert np.abs(_astar(ga, i) - ga.dd.matrix(i)).max() <= 1e-10
+    assert np.abs(ga.jstar - 1.0).max() <= 1e-10
 
 
 def test_weighted_matrices_k23_entries():
     ga = _ga("k23")
     # degree-3 vertices are 0 and 1, at distance 2 from each other
-    assert ga.wm.astar_at(2)[0, 1] == pytest.approx(5 / 4, rel=1e-10)
-    assert ga.wm.astar_at(2)[0, 0] == 0.0
+    assert _astar(ga, 2)[0, 1] == pytest.approx(5 / 4, rel=1e-10)
+    assert _astar(ga, 2)[0, 0] == 0.0
     # A*_0 = diag(alpha_u^2), the weighted identity
-    assert np.abs(ga.wm.astar_at(0) - np.diag(ga.alpha ** 2)).max() <= 1e-12
+    assert np.abs(_astar(ga, 0) - np.diag(ga.alpha ** 2)).max() <= 1e-12
 
 
 def test_weighted_partition_identity():
@@ -33,12 +38,12 @@ def test_weighted_partition_identity():
         ga = _ga(name)
         total = np.zeros((ga.n, ga.n))
         for j in range(ga.D + 1):
-            total = total + ga.wm.astar_at(j)
+            total = total + _astar(ga, j)
             # each entry of the partial sum has one nonzero term
-            assert np.array_equal(ga.wm.sstar_at(j), total)
-        assert np.abs(total - ga.wm.jstar).max() <= 1e-12
-        assert np.array_equal(ga.wm.sstar_at(ga.D), ga.wm.jstar)
-        assert np.array_equal(ga.wm.sstar_at(ga.D + 3), ga.wm.jstar)
+            assert np.array_equal(np.where(ga.dd.dist <= j, ga.jstar, 0.0), total)
+        assert np.abs(total - ga.jstar).max() <= 1e-12
+        for j in (ga.D, ga.D + 3):  # S*_j saturates at J*
+            assert np.array_equal(np.where(ga.dd.dist <= j, ga.jstar, 0.0), ga.jstar)
 
 
 def test_ball_norms_saturate_at_n():
@@ -87,7 +92,7 @@ def test_delta_star_equals_matrix_norm():
     # two computation paths: statistics vs (1/n) tr((A*_D)^2)
     for name in ("k23", "p3", "petersen", "c8_12"):
         ga = _ga(name)
-        a_star_d = ga.wm.astar_at(ga.D)
+        a_star_d = _astar(ga, ga.D)
         via_trace = float(np.sum(a_star_d * a_star_d)) / ga.n
         assert ga.stats.delta_star[-1] == pytest.approx(via_trace, rel=1e-9)
 
@@ -126,7 +131,7 @@ def test_memory_does_not_grow_with_diameter():
     from spexcess.weighted import excess_stats
 
     ga = analyze_graph(fx.path(150))
-    ga.global_seq, ga.wm  # the stages the measured calls read, built beforehand
+    ga.global_seq, ga.jstar  # the stages the measured calls read, built beforehand
     for work in (lambda: excess_stats(ga.dd, ga.alpha),
                  lambda: is_distance_polynomial(ga.dd, ga.spectrum),
                  lambda: q_gap_certificate(ga)):
