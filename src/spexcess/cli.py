@@ -19,8 +19,11 @@ eigenvalues is no limit); 2 any other ``SpexcessError`` (among them a
 ``check`` flag that the theorem requires and lacks, or does not take,
 rejected before the graph is read, and one out of range: ``--vertex``
 before any stage, ``--j`` once d_u is known, and P35's and P36's ``--m``
-against min(D, d) before P36 reads d_u) and any OS error, also on writing
-stdout: ``analyze ... | head -c 300`` ends "error: [Errno 32] Broken pipe";
+against min(D, d) before P36 reads d_u), any OS error, also on writing
+stdout: ``analyze ... | head -c 300`` ends "error: [Errno 32] Broken pipe",
+and a ``MemoryError``, such as the n x n adjacency of a path too long for
+the memory at hand (an allocation that succeeds lazily and is killed later
+never reaches ``main``);
 4 internal invariant violated (a row in state violated, an oracle
 disagreement, or a NaN or infinity in the JSON output, which is then not
 printed).  Flags are the only tolerance input, each in (0, 1).
@@ -161,7 +164,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SpexcessError, OSError) as exc:
+    except (SpexcessError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -25,10 +25,6 @@ class NonPositiveEigenvectorError(SpexcessError):
     """The computed Perron vector has a non-positive entry (numerical failure)."""
 
 
-class DegreeError(SpexcessError):
-    """Polynomial degree exceeds what its measure admits (d globally, d_u at u)."""
-
-
 class DegenerateMeasureError(SpexcessError):
     """A spectral measure is numerically singular: the Lanczos recurrence
     broke down before the requested degree (two eigenvalue classes too close

@@ -21,14 +21,18 @@ form kept: no monomial coefficients, which lose all accuracy at high
 degree.  The families come from the discretized Stieltjes (Lanczos)
 procedure with full reorthogonalization (Gautschi, *Orthogonal Polynomials:
 Computation and Approximation*, 2004, section 2.2), one measure per
-``predistance_polynomials`` call.  The pipeline builds one family, the
-global one to degree d.  Of the local families the checks read only
-numbers at lambda_0, so it builds none: ``top_q_lambda0`` runs one batched
-pass (``_stieltjes``) over every vertex with ecc_u < d_u, reads it at
-lambda_0 only and keeps q^u_{ecc_u}(lambda_0), which P31 reads.  The top
-local values come in closed form: p^u_{d_u}(lambda_0) from the nodal
-polynomial of the local support (``spectral.top_p_lambda0``) and q^u_{d_u}
-from the preHoffman identities above.  The three-term recurrence
+``predistance_polynomials`` call.  It keeps one form: the orthonormal
+vectors psi_j = sqrt(w) * phi_j and their norms beta_j; phi_j = psi_j /
+sqrt(w) is read from them, as 0 where w = 0.  One measure runs as plain
+vector products and a batch as stacked ones (``_stieltjes`` says why).
+The pipeline builds one family, the global one to degree d.  Of the local
+families the checks read only numbers at lambda_0, so it builds none:
+``top_q_lambda0`` runs one batched pass over every vertex with ecc_u <
+d_u, reads it at lambda_0 only and keeps q^u_{ecc_u}(lambda_0), which P31
+reads.  The top local values come in closed form: p^u_{d_u}(lambda_0)
+from the nodal polynomial of the local support
+(``spectral.top_p_lambda0``) and q^u_{d_u} from the preHoffman identities
+above.  The three-term recurrence
 
     x * p_i = b_{i-1} p_{i-1} + a_i p_i + c_{i+1} p_{i+1}
 
@@ -46,12 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import readonly as _readonly
-from .errors import DegenerateMeasureError, DegreeError
+from .errors import DegenerateMeasureError
 from .spectral import Spectrum
 
 _DEGENERACY_TOL = 1e-12
-# below this weight psi / sqrt(w) would magnify psi's rounding past 1e-4
-_TINY_WEIGHT = 1e-24
 
 
 @dataclass(frozen=True)
@@ -90,16 +92,21 @@ def predistance_polynomials(nodes, weights, degree, scale=1.0) -> PolySequence:
     ``nodes`` are the distinct eigenvalues (descending, lambda_0 first) and
     ``weights`` the measure on them; ``scale`` s is 1 for the global measure
     and alpha_u^2 for vertex u's local one.  The orthonormal family
-    phi_0..phi_m comes from ``_stieltjes``; p_j = s * phi_j(lambda_0) *
-    phi_j satisfies ||p_j||^2 = s * p_j(lambda_0) and p_j(lambda_0) > 0.
+    phi_j = psi_j / sqrt(w) comes from ``_stieltjes``; p_j = s *
+    phi_j(lambda_0) * phi_j satisfies ||p_j||^2 = s * p_j(lambda_0) and
+    p_j(lambda_0) > 0.  Where w = 0 phi reads 0: that class holds no mass,
+    so p(A) e_u does not change.  Where w is tiny, 1/sqrt(w) magnifies psi's
+    rounding, but phi there meets only entries of V^T e_u of norm sqrt(w).
     """
-    _degrees, _order, psi, phi, beta = _stieltjes(nodes, weights, [degree])
+    w = np.asarray(weights, dtype=float)
+    _order, psi, beta = _stieltjes(nodes, w, [degree])
+    phi = psi[0] * np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > 0)
     # p_j = k_j phi_j; the Lanczos relation x phi_j = beta_j phi_{j-1} +
     # a_j phi_j + beta_{j+1} phi_{j+1} turns into the p-recurrence.  k_j is
     # nonzero, as lambda_0 lies above every zero of phi_j.
-    k = scale * phi[0, :, 0]
+    k = scale * phi[:, 0]
     return PolySequence(
-        values=_readonly(k[:, None] * phi[0]),
+        values=_readonly(k[:, None] * phi),
         rec_a=_readonly((psi[0] * psi[0]) @ np.asarray(nodes, dtype=float)),
         rec_b=_readonly(beta[0, 1:] * k[1:] / k[:-1]),
         rec_c=_readonly(beta[0, 1:] * k[:-1] / k[1:]),
@@ -109,31 +116,35 @@ def predistance_polynomials(nodes, weights, degree, scale=1.0) -> PolySequence:
 def top_q_lambda0(nodes, weights, degrees, scale) -> np.ndarray:
     """q_m(lambda_0) = p_0(lambda_0) + ... + p_m(lambda_0) for the measure
     in each row of ``weights``, m = ``degrees[r]`` and s = ``scale[r]``,
-    from one batched pass that reads only phi_j(lambda_0), p_j(lambda_0) =
-    s * phi_j(lambda_0)^2, where the weight alpha_u^2/n is never tiny.  A
-    batch of rows agrees with ``predistance_polynomials`` on each row within
-    rounding (the batched products sum in another order); a single row takes
-    the same one-row pass and matches it bit for bit."""
-    degrees, order, _psi, phi, _beta = _stieltjes(nodes, weights, degrees, at_lambda0=True)
-    at0 = phi[:, :, 0]
+    from one batched pass that reads only phi_j(lambda_0) = psi_j(lambda_0)
+    / sqrt(w_0), p_j(lambda_0) = s * phi_j(lambda_0)^2.  A batch of rows
+    agrees with ``predistance_polynomials`` on each row within rounding (the
+    batched products sum in another order); a single row takes the same
+    one-row pass and matches it bit for bit."""
+    w = np.array(weights, dtype=float, ndmin=2)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    order, psi, _beta = _stieltjes(nodes, w, degrees)
+    at0 = psi[:, :, 0] * (1.0 / np.sqrt(w[order, :1]))
     q = np.cumsum(np.asarray(scale, dtype=float)[order][:, None] * at0 * at0, axis=1)
     return q[order.argsort(), degrees]
 
 
-def _stieltjes(nodes, weights, degrees, at_lambda0=False):
+def _stieltjes(nodes, weights, degrees):
     """The orthonormal families of the measures in the rows of ``weights``
-    up to ``degrees``, rows sorted by descending degree.  Returns (degrees,
-    order, psi, phi, beta): sorted row i is caller row ``order[i]``, and
-    ``phi[i, j]`` is phi_j on the nodes, ``psi[i, j]`` = sqrt(w) * phi_j and
-    ``beta[i, j]`` the norm that normalized phi_j.
+    up to ``degrees``, rows sorted by descending degree.  Returns (order,
+    psi, beta): sorted row i is caller row ``order[i]``, ``psi[i, j]`` is
+    sqrt(w) * phi_j on the nodes, with phi_j the orthonormal polynomial of
+    degree j, and ``beta[i, j]`` the norm that normalized it.
 
-    Builds phi_0..phi_m by the Stieltjes procedure (phi_j from x *
-    phi_{j-1}, orthogonalized twice against every earlier phi).  The steps
-    run on psi, so every inner product is a plain dot product, and phi =
-    psi / sqrt(w) except where w <= ``_TINY_WEIGHT``: there phi takes the
-    same linear steps as psi, unless ``at_lambda0`` asks for phi at the first
-    node only (never tiny there).  The rows still running at step j are a
-    leading block (a single row runs unsorted, as plain vector products).
+    Builds psi_0..psi_m by the Stieltjes procedure (psi_j from x *
+    psi_{j-1}, orthogonalized twice against every earlier psi), so every
+    inner product is a plain dot product.  psi is the one form kept:
+    callers read phi = psi / sqrt(w).  The rows still running at step j are
+    a leading block.  A single row runs unsorted, as plain vector products,
+    for two reasons: BLAS's dot keeps the global family's bits, where the
+    batched einsum norm rounds differently on over a third of random
+    vectors; and a dot/combine/norm triple costs about 0.6 of the batched
+    one (one thread).
     """
     nodes = np.asarray(nodes, dtype=float)
     w = np.array(weights, dtype=float, ndmin=2)
@@ -143,21 +154,17 @@ def _stieltjes(nodes, weights, degrees, at_lambda0=False):
         raise ValueError("weights must be (rows, nodes), with one degree per row")
     top = int(degrees.max(initial=0))
     if top >= size:
-        raise DegreeError(f"degrees must lie in 0..{size - 1}")
+        raise ValueError(f"degrees must lie in 0..{size - 1}")
     order = np.zeros(1, dtype=np.intp) if rows == 1 else np.argsort(-degrees, kind="stable")
     ws = w[order]
     # live[j]: how many sorted rows have degree >= j
     live = np.searchsorted(-degrees[order], -np.arange(top + 1), "right") if rows > 1 else None
-    tiny = ws <= _TINY_WEIGHT
-    carry = not at_lambda0 and bool(tiny.any())
     psi = np.zeros((rows, top + 1, size))
-    phi = np.zeros((rows, top + 1 if carry else 1, size))
     beta = np.zeros((rows, top + 1))
-    norm0 = np.sqrt(ws.sum(axis=1))[:, None]
-    psi[:, 0], phi[:, 0] = np.sqrt(ws) / norm0, 1.0 / norm0
+    psi[:, 0] = np.sqrt(ws) / np.sqrt(ws.sum(axis=1))[:, None]
     if rows == 1:  # plain vector products on the row's own views
         dots = comb = np.matmul
-        ps, ph, bt = psi[0], phi[0], beta[0]
+        ps, bt = psi[0], beta[0]
 
         def norm(v):
             return np.sqrt(v @ v)
@@ -175,18 +182,13 @@ def _stieltjes(nodes, weights, degrees, at_lambda0=False):
         for j in range(1, top + 1):
             if rows > 1:
                 r = live[j]
-                ps, ph, bt = psi[:r], phi[:r], beta[:r]
+                ps, bt = psi[:r], beta[:r]
             basis = ps[..., :j, :]
             v = nodes * ps[..., j - 1, :]
-            c = dots(basis, v)  # full orthogonalization plus one repeat pass
-            v -= comb(c, basis)
-            c2 = dots(basis, v)
-            v -= comb(c2, basis)
+            v -= comb(dots(basis, v), basis)  # full orthogonalization
+            v -= comb(dots(basis, v), basis)  # and one repeat pass
             bt[..., j] = nrm = norm(v)
             ps[..., j, :] = v / nrm[..., None]
-            if carry:
-                ph[..., j, :] = (nodes * ph[..., j - 1, :]
-                                 - comb(c + c2, ph[..., :j, :])) / nrm[..., None]
     # step j started from ||x psi_{j-1}||; -1 where a row ran no step j, so
     # only run steps can look singular
     start = np.sqrt(np.einsum("rjk,rjk,k->rj", psi[:, :-1], psi[:, :-1], nodes * nodes))
@@ -197,11 +199,7 @@ def _stieltjes(nodes, weights, degrees, at_lambda0=False):
             f"measure is numerically singular at degree {singular.any(axis=0).argmax() + 1} "
             "(eigenvalues may be wrongly grouped)"
         )
-    if at_lambda0:
-        return degrees, order, psi, psi[..., :1] * (1.0 / np.sqrt(ws[:, :1]))[:, None], beta
-    scaled = psi * (1.0 / np.sqrt(np.where(tiny, 1.0, ws) if carry else ws))[:, None]
-    phi = np.where(tiny[:, None], phi, scaled) if carry else scaled
-    return degrees, order, psi, phi, beta
+    return order, psi, beta
 
 
 def evaluate_at_matrix(p, spec: Spectrum) -> np.ndarray:

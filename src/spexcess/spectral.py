@@ -179,8 +179,6 @@ def local_spectra(spec: Spectrum, presence_tol: float = DEFAULT_PRESENCE_TOL) ->
     present = m > presence_tol
     if not present[:, 0].all():
         u = int(np.argmin(present[:, 0]))
-        raise NonPositiveEigenvectorError(
-            f"vertex {u} has no lambda_0 mass ({m[u, 0]:.3e}); numerical failure"
-        )
+        raise NonPositiveEigenvectorError(f"vertex {u} has no lambda_0 mass ({m[u, 0]:.3e})")
     excess = _readonly(top_p_lambda0(spec.lambdas, m, present, spec.n * m[:, 0]))
     return LocalSpectra(mults=m, du=_readonly(present.sum(axis=1) - 1), excess=excess)

@@ -28,8 +28,10 @@ T37 reports each link as equal or by its comparison state.
 gaps max|q_j(A) - S*_j|, j <= min(D, d), as one vector (``q_gaps``, the
 q_j(A) stacked in cache-sized blocks) whose rows T34, P35 and P36 read,
 and p_{>=D}(A), A*_D and their gap (``tail_identity``), which T33 and
-T37's link (i) share.  T34's q_j(A) witnesses are built when a caller reads
-them.
+T37's link (i) share.  The two are one identity at j = D - 1: q_d(A) = J*
+(Hoffman) and J* - A*_D = S*_{D-1}, so p_{>=D}(A) - A*_D = S*_{D-1} -
+q_{D-1}(A); T33 and T37 keep their own product so as not to build every
+q_j(A).  T34's q_j(A) witnesses are built when a caller reads them.
 
 P31's vector certificates of the k scalar-equal rows are one (k x n)
 array.  P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
@@ -80,7 +82,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._util import CACHE_BLOCK_BYTES
-from .errors import DegreeError, HypothesisError
+from .errors import HypothesisError
 from .poly import apply_to_vector, evaluate_at_matrix, predistance_polynomials
 
 _LADDER_AMBIGUOUS = "numerically ambiguous: slack within 100x equality tolerance"
@@ -260,7 +262,7 @@ def check_local_bound(ga, u: int | None = None, j: int | None = None) -> ColumnR
     default_j = min(int(ga.dd.ecc[u]), du)
     j = default_j if j is None else int(j)
     if not 0 <= j <= du:
-        raise DegreeError(f"j={j} outside 0..d_u={du} for vertex {u}")
+        raise HypothesisError(f"j={j} outside 0..d_u={du} for vertex {u}")
     r_vals, r_l0 = None, float(ga.n)
     if j == default_j:  # the pipeline's number
         r_l0 = ga.local_q_lambda0[u]

@@ -17,7 +17,8 @@ stderr and exit code under its argv, joined by spaces.  It runs
 
 It then runs ``check`` for every theorem on the 13 fixtures' edge lists, P5
 and lollipop(6, 6), 1649 calls: each flag a theorem requires at every value
-from -1 to n, and each flag it may take also absent.
+from -1 to n, and each flag it may take also absent, as ``cli._CHECKS`` of
+the snapshotted checkout lists them.
 
 Files are written under a temporary directory and passed by relative path,
 so the records do not depend on where the run happens.  The ``spexcess``
@@ -59,10 +60,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOAD_SEEDS = (1, 2)
 MAX_FIELDS_SHOWN = 20
 MAX_REPR = 160
-# theorem id -> (the flags it requires, the flags it may take), as ``check`` has them
-CHECK_FLAGS = {"P31": (("vertex",), ("j",)), "T32": (("vertex",), ()), "T33": ((), ()),
-               "T34": (("j",), ()), "P35": (("m",), ()), "P36": (("m",), ()),
-               "T37": ((), ()), "T38": ((), ())}
 
 
 def _workloads():
@@ -88,9 +85,13 @@ def _extras():
 
 
 def check_calls(path: str, n: int) -> list[list[str]]:
-    """The argv of every ``check`` call on the graph at ``path`` with n vertices."""
+    """The argv of every ``check`` call on the graph at ``path`` with n
+    vertices, from the flags that ``check`` of the snapshotted checkout
+    requires and takes."""
+    from spexcess.cli import _CHECKS
+
     calls = []
-    for theorem, (required, optional) in CHECK_FLAGS.items():
+    for theorem, (required, optional, _check) in _CHECKS.items():
         choices = [[[f"--{flag}", str(x)] for x in range(-1, n + 1)] for flag in required]
         choices += [[[]] + [[f"--{flag}", str(x)] for x in range(-1, n + 1)]
                     for flag in optional]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spexcess import fixtures as fx
-from spexcess.errors import DegenerateMeasureError, DegreeError
+from spexcess.errors import DegenerateMeasureError, HypothesisError
 from spexcess.graphs import distance_data
 from spexcess.poly import (
     apply_to_vector,
@@ -88,14 +88,14 @@ def test_inner_product_matches_trace_definition():
 def test_degree_error():
     _, _, spec, pw, locs = _k23_pieces()
     # d + 1 = 3 nodes admit degrees 0..2 only
-    with pytest.raises(DegreeError):
+    with pytest.raises(ValueError, match=r"^degrees must lie in 0\.\.2$"):
         predistance_polynomials(spec.lambdas, spec.mults / spec.n, 3)
     # P_3 center has d_u = 1: degree 2 is out of range locally
     from spexcess.pipeline import analyze_graph
     from spexcess.theorems import check_local_bound
     ga = analyze_graph(fx.path(3))
     assert ga.local_spectra.du[1] == 1
-    with pytest.raises(DegreeError):
+    with pytest.raises(HypothesisError, match=r"^j=2 outside 0\.\.d_u=1 for vertex 1$"):
         check_local_bound(ga, 1, j=2)
 
 

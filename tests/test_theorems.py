@@ -10,7 +10,7 @@ import pytest
 from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess import theorems
-from spexcess.errors import DegreeError, HypothesisError
+from spexcess.errors import HypothesisError
 from spexcess.pipeline import analyze_graph, run_all_checks
 from spexcess.poly import evaluate_at_matrix
 from spexcess.report import collect_violations, theorem_columns_dict
@@ -113,7 +113,7 @@ def test_vertex_out_of_range(analyses, check, u):
 
 
 def test_p31_degree_error(analyses):
-    with pytest.raises(DegreeError):
+    with pytest.raises(HypothesisError, match=r"^j=99 outside 0\.\.d_u="):
         check_local_bound(analyses("k23"), 0, j=99)
 
 
@@ -845,6 +845,22 @@ def test_column_families_match_scalar_rule(request, graphs):
     assert {"j < D", "D <= j < d", "j = d", "gap within tolerance", "gap beyond tolerance",
             "P35 True", "P35 False", "P36 equal", "P36 strict", "T33 equal", "T33 strict",
             "T37 equal", "T37 strict", "T38 True", "T38 False"} <= set(seen), seen
+
+
+def test_tail_identity_is_the_q_gap_at_d_minus_1(analyses, atlas, analyzed, wide):
+    # q_d(A) = J* (Hoffman) and J* - A*_D = S*_{D-1}, so p_>=D(A) - A*_D =
+    # S*_{D-1} - q_{D-1}(A): T33's tail gap and the q-gap at D - 1 certify
+    # one identity, computed two ways
+    graphs = [(name, analyses(name)) for name in ALL_NAMES]
+    graphs += [(name, ga) for name, ga, _reports in atlas + analyzed + wide]
+    passes = Counter()
+    for name, ga in graphs:
+        tail, q = ga.tail_identity[2], ga.q_gaps
+        a, b = tail.max_abs_diff, q.max_abs_diff[ga.D - 1]
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)), name
+        assert tail.passes == q.passes[ga.D - 1], name
+        passes[bool(tail.passes)] += 1
+    assert len(graphs) == 1170 and set(passes) == {True, False}, passes
 
 
 def _with_row(rep, k, lhs_k, rhs_k, tol):
