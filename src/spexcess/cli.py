@@ -14,16 +14,16 @@ Commands:
 Exit codes: 0 success; 3 numerical failure in a stage that the command
 reads, and ``check`` reads only its theorem's (a LAPACK eigensolver
 failure, a Perron vector entry or a vertex's lambda_0 mass at or below its
-threshold, or a singular spectral measure; the number of distinct
-eigenvalues is no limit); 2 any other ``SpexcessError`` (among them a
-``check`` flag that the theorem requires and lacks, or does not take,
-rejected before the graph is read, and one out of range: ``--vertex``
-before any stage, ``--j`` once d_u is known, and P35's and P36's ``--m``
-against min(D, d) before P36 reads d_u), any OS error, also on writing
-stdout: ``analyze ... | head -c 300`` ends "error: [Errno 32] Broken pipe",
-and a ``MemoryError``, such as the n x n adjacency of a path too long for
-the memory at hand (an allocation that succeeds lazily and is killed later
-never reaches ``main``);
+floor, or a singular spectral measure: classes closer than their residuals
+or a broken-down recurrence; the number of distinct eigenvalues is no
+limit); 2 any other ``SpexcessError`` (among them a ``check`` flag that the
+theorem requires and lacks, or does not take, rejected before the graph is
+read, and one out of range: ``--vertex`` before any stage, ``--j`` once d_u
+is known, and P35's and P36's ``--m`` against min(D, d) before P36 reads
+d_u), any OS error, also on writing stdout: ``analyze ... | head -c 300``
+ends "error: [Errno 32] Broken pipe", and a ``MemoryError``, such as the
+n x n adjacency of a path too long for the memory at hand (an allocation
+that succeeds lazily and is killed later never reaches ``main``);
 4 internal invariant violated (a row in state violated, an oracle
 disagreement, or a NaN or infinity in the JSON output, which is then not
 printed).  Flags are the only tolerance input, each in (0, 1).
@@ -58,7 +58,6 @@ _NUMERICAL_ERRORS = (ConvergenceError, NonPositiveEigenvectorError, DegenerateMe
 _TOL_SPECS = (
     # (flag, Tolerances field, help)
     ("--group-tol", "grouping", "eigenvalue grouping tolerance"),
-    ("--presence-tol", "presence", "local-multiplicity presence threshold (sets d_u)"),
     ("--eq-tol", "equality", "relative equality tolerance"),
 )
 

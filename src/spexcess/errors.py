@@ -26,9 +26,9 @@ class NonPositiveEigenvectorError(SpexcessError):
 
 
 class DegenerateMeasureError(SpexcessError):
-    """A spectral measure is numerically singular: the Lanczos recurrence
-    broke down before the requested degree (two eigenvalue classes too close
-    for their weights, as when eigenvalues are wrongly grouped)."""
+    """A spectral measure is numerically singular: two eigenvalue classes lie
+    closer than their eigenvector residuals, or too close for their weights
+    for the Lanczos recurrence to reach its degree (wrongly grouped classes)."""
 
 
 class HypothesisError(SpexcessError):

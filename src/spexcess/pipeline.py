@@ -26,14 +26,11 @@ from .graphs import DistanceData, Graph, distance_data
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical knobs, defaults as documented per module.
-
-    ``presence`` is the most consequential: it decides membership of an
-    eigenvalue in a local spectrum and therefore d_u and extremality.
-    """
+    """Numerical knobs, defaults as documented per module.  Local supports,
+    and so d_u and extremality, take none: ``spectral`` decides them by a
+    residual bound (its module note)."""
 
     grouping: float = spectral.DEFAULT_GROUPING_TOL
-    presence: float = spectral.DEFAULT_PRESENCE_TOL
     equality: float = classify.DEFAULT_ORACLE_TOL
 
 
@@ -82,7 +79,7 @@ class GraphAnalysis:
 
     @functools.cached_property
     def local_spectra(self) -> spectral.LocalSpectra:
-        return spectral.local_spectra(self.spectrum, presence_tol=self.tols.presence)
+        return spectral.local_spectra(self.spectrum, self.graph.adjacency)
 
     @functools.cached_property
     def global_seq(self) -> poly.PolySequence:

@@ -1,7 +1,8 @@
-"""JSON report assembly (schema version 6).
+"""JSON report assembly (schema version 7).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 6 while it holds.
+key layout of the K_{2,3} report; the version stays 7 (no ``tolerances.presence``
+since local supports take no tolerance) while it holds.
 Each value is printed once, and none that other keys give: the Perron
 vector in one normalization (``perron.alpha``, ||alpha||^2 = n), u
 extremal where ``localSpectra.eccentricity`` equals ``du``, the pseudo-
@@ -37,7 +38,7 @@ import numpy as np
 from .pipeline import GraphAnalysis
 from .theorems import CODES, VIOLATED, ColumnReport
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _arr(a):
@@ -114,8 +115,7 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
             "isRegular": ga.classification.is_regular,
             "degrees": ga.graph.adjacency.sum(axis=1).astype(int).tolist(),
         },
-        "tolerances": {"grouping": float(tols.grouping), "presence": float(tols.presence),
-                       "equality": float(tols.equality)},
+        "tolerances": {"grouping": float(tols.grouping), "equality": float(tols.equality)},
         "spectrum": {"lambdas": _arr(ga.spectrum.lambdas),
                      "multiplicities": ga.spectrum.mults.tolist()},
         "perron": {"lambda0": float(ga.lambda0), "alpha": _arr(ga.alpha)},

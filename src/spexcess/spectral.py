@@ -19,11 +19,16 @@ of class i, the spectral projector is E_i = V_i V_i^T, so m_u(lambda_i) =
 local excess p^u_{d_u}(lambda_0) in closed form (``top_p_lambda0``), so no
 predistance family is built.
 
-The one genuinely delicate tolerance is ``presence_tol``: local multiplicities
-below it are treated as exact zeros, which determines d_u (the number of
-nonzero local eigenvalues besides lambda_0) and hence which vertices count as
-extremal (ecc_u = d_u).  Raw m_u values are always kept alongside the derived
-verdicts so they can be audited.
+Local supports take no tolerance.  R = AV - V diag(lambda of each column's
+class) has column norms r_k, floored at n eps max(1, lambda_0) (rounding),
+and gap_i is lambda_i's distance to its nearest class less both classes'
+largest r_k (Weyl).  By the Davis-Kahan sin-theta bound sqrt(m_u(lambda_i))
+is within s_i = ||R_i||_F / gap_i of the computed one, so lambda_i (i >= 1)
+is in u's support when it exceeds (1 + sqrt 2) s_i; a gap <= 0 raises.
+lambda_0, present by Perron-Frobenius, is still tested against the floor
+``_LAMBDA0_FLOOR`` first: proved present, the trees and lollipops that fail
+there would reach equality tests not yet scaled to alpha_u (ROADMAP items 4
+and 18).  Raw m_u values are kept beside d_u so they can be audited.
 """
 
 from __future__ import annotations
@@ -34,13 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NonPositiveEigenvectorError
+from .errors import ConvergenceError, DegenerateMeasureError, NonPositiveEigenvectorError
 from ._util import readonly as _readonly
 from .graphs import Graph
 
 DEFAULT_GROUPING_TOL = 1e-7
-DEFAULT_PRESENCE_TOL = 1e-9
 _PERRON_POS_TOL = 1e-10  # a Perron vector entry at or below it is a numerical failure
+_LAMBDA0_FLOOR = 1e-9  # a lambda_0 mass at or below it is a numerical failure
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,8 @@ class LocalSpectra:
     """Local spectra of all vertices, row u for vertex u, all read-only.
 
     ``mults[u, i] = (E_i)_{uu}``, nonnegative and summing to 1 over i;
-    ``du[u]`` counts the lambda_i other than lambda_0 whose mass is above
-    the presence threshold (the local support); ``excess[u]`` is
+    ``du[u]`` counts the lambda_i other than lambda_0 whose mass the
+    residual bound proves present (module note); ``excess[u]`` is
     p^u_{d_u}(lambda_0), the top local predistance polynomial at lambda_0.
     """
 
@@ -170,15 +175,24 @@ def top_p_lambda0(nodes, weights, support, scale) -> np.ndarray:
     return scale * np.exp(-2.0 * (log_w[..., 0] + log_pi[..., 0]) - log_sum)
 
 
-def local_spectra(spec: Spectrum, presence_tol: float = DEFAULT_PRESENCE_TOL) -> LocalSpectra:
-    """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i);
-    lambda_i belongs to the local spectrum of u when m_u(lambda_i) exceeds
-    ``presence_tol``.  The local excess uses the local normalization
-    s = alpha_u^2 = n * m_u(lambda_0)."""
+def local_spectra(spec: Spectrum, adjacency: np.ndarray) -> LocalSpectra:
+    """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i), each
+    support by the module note's bound, each excess at s = alpha_u^2 = n m_u(lambda_0)."""
     m = _readonly(class_sums(spec.vectors ** 2, spec))
-    present = m > presence_tol
-    if not present[:, 0].all():
-        u = int(np.argmin(present[:, 0]))
-        raise NonPositiveEigenvectorError(f"vertex {u} has no lambda_0 mass ({m[u, 0]:.3e})")
+    u = int(np.argmax(m[:, 0] <= _LAMBDA0_FLOOR))
+    if m[u, 0] <= _LAMBDA0_FLOOR:
+        raise NonPositiveEigenvectorError(
+            f"vertex {u}: lambda_0 mass {m[u, 0]:.3e} is at or below the {_LAMBDA0_FLOOR:g} floor")
+    res = adjacency @ spec.vectors - spec.vectors * spec.lambdas[spec.class_index]
+    r = np.linalg.norm(res, axis=0).clip(spec.n * np.finfo(float).eps * max(1.0, spec.lambda0))
+    r_max = np.maximum.reduceat(r, spec.mults.cumsum() - spec.mults)
+    shrunk = spec.lambdas[:-1] - spec.lambdas[1:] - r_max[:-1] - r_max[1:]
+    if (shrunk <= 0).any():
+        i = int(shrunk.argmin())
+        raise DegenerateMeasureError(f"classes {i} and {i + 1} lie within their residuals "
+                                     f"(gap {shrunk[i]:.1e}): eigenvalues may be wrongly grouped")
+    gap = np.minimum(np.append(np.inf, shrunk), np.append(shrunk, np.inf))
+    present = np.sqrt(m) * gap > (1.0 + math.sqrt(2.0)) * np.sqrt(class_sums(r ** 2, spec))
+    present[:, 0] = True
     excess = _readonly(top_p_lambda0(spec.lambdas, m, present, spec.n * m[:, 0]))
     return LocalSpectra(mults=m, du=_readonly(present.sum(axis=1) - 1), excess=excess)

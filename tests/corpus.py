@@ -110,6 +110,53 @@ def analyze_corpus(graphs):
     return out
 
 
+# two primes below 2^20, so a product of residues stays below 2^40 in int64
+KRYLOV_PRIMES = (1048573, 1048571)
+
+
+def _inverse_mod(x, p):
+    """x^(p - 2) mod p elementwise: the inverse of each nonzero residue."""
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x, e = x * x % p, e >> 1
+    return out
+
+
+def krylov_dims(adjacency, p):
+    """dim span{A^k e_u : k >= 0} modulo the prime p for every vertex u of
+    every graph in the stack ``adjacency`` (graphs, n, n), as an int array
+    (graphs, n): the rank of the Krylov matrix [e_u, Ae_u, ..., A^(n-1) e_u]
+    by Gaussian elimination in int64, all vertices of all graphs at once.
+    Over the rationals it is d_u + 1, the size of u's local support; modulo
+    p it can only be lower, so two primes that agree confirm it."""
+    a = np.asarray(adjacency, dtype=np.int64)
+    g, n, _ = a.shape
+    powers = [np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)]
+    for _ in range(n - 1):
+        powers.append(a @ powers[-1] % p)
+    # batch (graph, u): rows are coordinates, column k is A^k e_u
+    m = np.stack(powers, axis=-1).transpose(0, 2, 1, 3).reshape(g * n, n, n)
+    batch, rows = np.arange(g * n), np.arange(n)
+    rank = np.zeros(g * n, dtype=np.int64)
+    for c in range(n):
+        cand = (m[:, :, c] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        if not has.any():  # every sequence has closed: A^c e_u lies in the span
+            break
+        top = np.minimum(rank, n - 1)
+        piv = np.where(has, cand.argmax(axis=1), top)
+        pivot_row = m[batch, piv]
+        pivot_row = pivot_row * np.where(has, _inverse_mod(pivot_row[:, c], p), 1)[:, None] % p
+        m[batch, piv] = m[batch, top]
+        m[batch, top] = pivot_row
+        factor = m[:, :, c] * ((rows > top[:, None]) & has[:, None])
+        m[:, :, c:] = (m[:, :, c:] - factor[:, :, None] * pivot_row[:, None, c:]) % p
+        rank += has
+    return rank.reshape(g, n)
+
+
 # --- property batteries ------------------------------------------------------
 
 

@@ -37,7 +37,7 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 6
+    assert report["schemaVersion"] == 7
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
@@ -76,7 +76,7 @@ K23_LAYOUT = {
     "schemaVersion": None,
     "graph": dict.fromkeys(("n", "edgeCount", "diameter", "distinctEigenvalues",
                             "isRegular", "degrees")),
-    "tolerances": dict.fromkeys(("grouping", "presence", "equality")),
+    "tolerances": dict.fromkeys(("grouping", "equality")),
     "spectrum": dict.fromkeys(("lambdas", "multiplicities")),
     "perron": dict.fromkeys(("lambda0", "alpha")),
     "localSpectra": dict.fromkeys(("eccentricity", "du", "localMultiplicities")),
@@ -479,8 +479,7 @@ def test_tolerance_variables_ignored(capsys, k23_file, monkeypatch):
     assert code == 0
     defaults = Tolerances()
     assert json.loads(out)["tolerances"] == {
-        "grouping": defaults.grouping, "presence": defaults.presence,
-        "equality": defaults.equality}
+        "grouping": defaults.grouping, "equality": defaults.equality}
 
 
 def test_bad_tolerance_exit2(capsys, k23_file):
@@ -578,8 +577,9 @@ def test_eigensolver_failure_exit3(capsys, k23_file, monkeypatch):
 ])
 def test_check_exits_at_the_stages_its_theorem_reads(capsys, tmp_path, flags, code):
     # lollipop(6, 6): vertex 11, at the end of the path, has lambda_0 mass
-    # 1e-9, so the local spectra fail; the global checks never read them,
-    # and an out-of-range vertex is an input error before any stage
+    # 1e-9, at the fixed floor, so the local spectra fail; the global checks
+    # never read them, and an out-of-range vertex is an input error before
+    # any stage
     import corpus
 
     path = tmp_path / "lollipop.el"
@@ -587,10 +587,25 @@ def test_check_exits_at_the_stages_its_theorem_reads(capsys, tmp_path, flags, co
     got, out, err = _run(capsys, ["check", str(path), "--theorem", *flags.split()])
     assert got == code, err
     if code == 3:  # "numerical failure" said once, by the CLI
-        assert out == "" and re.fullmatch(
-            r"numerical failure: vertex 11 has no lambda_0 mass \([-+.e0-9]+\)\n", err)
+        assert out == "" and re.fullmatch(r"numerical failure: vertex 11: lambda_0 mass "
+                                          r"9\.995e-10 is at or below the 1e-09 floor\n", err)
     if code == 0:
         assert err == "" and flags.split()[0] in json.loads(out)
+
+
+@pytest.mark.parametrize("theorem", ["T32", "P31"])
+@pytest.mark.parametrize("name", ["petersen", "c8_12", "k5"])
+def test_wrong_grouping_exits_3(capsys, tmp_path, name, theorem):
+    # at --group-tol 1e-16 rounding splits a multiple eigenvalue into classes
+    # closer than their residuals (shrunk gaps -1.3e-14, -1.3e-14, -8.0e-15):
+    # a numerical failure, not T32's oracle disagreement (exit 4) or P31 on
+    # a false d_u (exit 0)
+    path = tmp_path / f"{name}.el"
+    path.write_bytes(fx.edgelist_bytes(fx.named(name)))
+    code, out, err = _run(capsys, ["check", str(path), "--theorem", theorem, "--vertex", "0",
+                                   "--group-tol", "1e-16"])
+    assert code == 3 and out == "", err
+    assert err.startswith("numerical failure: ") and err.endswith("wrongly grouped\n"), err
 
 
 def test_p35_and_p36_refuse_an_m_out_of_range_alike(capsys, tmp_path):
@@ -629,13 +644,16 @@ def test_nan_in_payload_exit4(capsys, k23_file, monkeypatch):
 
 
 def test_eigen_tolerance_knob_removed(capsys, k23_file, monkeypatch):
+    # neither the eigen tolerance nor the presence threshold is an input:
+    # local supports come from the residual bound
     monkeypatch.setenv("SPEXCESS_TOL_EIGEN", "not a number")  # ignored
     code, out, _ = _run(capsys, ["analyze", k23_file])
     assert code == 0
-    assert set(json.loads(out)["tolerances"]) == {"grouping", "presence", "equality"}
-    with pytest.raises(SystemExit) as info:
-        main(["analyze", k23_file, "--tol", "1e-12"])
-    assert info.value.code == 2
+    assert set(json.loads(out)["tolerances"]) == {"grouping", "equality"}
+    for knob in (["--tol", "1e-12"], ["--presence-tol", "1e-9"]):
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", k23_file, *knob])
+        assert info.value.code == 2, knob
 
 
 def test_saturated_p31_violation_exit4(capsys, tmp_path, monkeypatch):

@@ -2,7 +2,7 @@
 wide corpus of graphs with up to 60 distinct eigenvalues."""
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -118,6 +118,33 @@ def test_wide_corpus_batteries(wide, battery):
     assert not fails, fails[:5]
 
 
+# the wide graphs where a mass below 1e-9 is present (er30x0's vertex 7 has
+# 2.91e-10 at lambda_23), so an absolute threshold undercounts d_u
+UNDERCOUNTED = ("er30x0", "er60x1", "er60x2", "er60x3", "er60x5")
+
+
+def test_local_supports_match_exact_krylov_counts(atlas, wide):
+    # d_u + 1 = dim span{A^k e_u}, counted exactly modulo two primes that
+    # must agree, at every vertex of the atlas and of the undercounted graphs
+    by_n = defaultdict(list)
+    for name, ga, _reps in atlas + [entry for entry in wide if entry[0] in UNDERCOUNTED]:
+        by_n[ga.n].append((name, ga))
+    for n, named in by_n.items():
+        adjacency = np.stack([ga.graph.adjacency for _name, ga in named])
+        first, second = (corpus.krylov_dims(adjacency, p) for p in corpus.KRYLOV_PRIMES)
+        assert np.array_equal(first, second), n
+        for (name, ga), dims in zip(named, first):
+            assert np.array_equal(ga.local_spectra.du + 1, dims), (name, ga.local_spectra.du, dims)
+
+
+def test_er30x0_reaches_its_hoffman_row(wide):
+    name, ga, reports = next(entry for entry in wide if entry[0] == "er30x0")
+    assert ga.local_spectra.du[7] == 29 and ga.min_du == 29 == ga.d
+    t34 = next(rep for rep in reports if rep.theorem_id == "T34")
+    assert t34.params["j"][-1] == 29
+    assert t34.verdict_text(-1) == "harmonic bound attained: q_29(A) = J* (Hoffman identity)"
+
+
 # --- exhaustive census, n <= 7 ----------------------------------------------------
 
 
@@ -157,3 +184,10 @@ def test_atlas_census(atlas):
             t34[band, _template(rows.verdict_text(k))] += 1
     assert t34 == T34_CENSUS
     assert p31 == P31_CENSUS
+
+
+@pytest.mark.parametrize("battery", corpus.ALL_BATTERIES,
+                         ids=lambda b: b.__name__.removeprefix("battery_"))
+def test_atlas_batteries(atlas, battery):
+    fails = battery(atlas)
+    assert not fails, fails[:5]

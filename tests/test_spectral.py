@@ -217,7 +217,7 @@ def test_local_mults_match_lagrange_diagonal():
     for name in ("k23", "petersen", "p3", "c5", "k4", "c8_12", "k13"):
         g = fx.star(3) if name == "k13" else fx.named(name)
         spec = eigendecompose(g)
-        mat = local_spectra(spec).mults
+        mat = local_spectra(spec, g.adjacency).mults
         a = np.asarray(g.adjacency)
         for i in range(spec.d + 1):
             diag = np.diag(_lagrange_projector(a, spec, i))
@@ -242,7 +242,7 @@ def test_local_spectrum_p3():
     g = fx.path(3)
     dd = distance_data(g)
     spec = eigendecompose(g)
-    locs = local_spectra(spec)
+    locs = local_spectra(spec, g.adjacency)
     end, center = locs.mults[0], locs.mults[1]
     assert center[1] <= 1e-12  # no mass at eigenvalue 0
     assert locs.du[1] == 1 and dd.ecc[1] == 1  # the center is extremal
@@ -256,7 +256,7 @@ def test_local_mults_sum_to_one_and_aggregate():
         dd = distance_data(g)
         spec = eigendecompose(g)
         alpha = perron_weights(spec, _degrees(g))
-        locs = local_spectra(spec)
+        locs = local_spectra(spec, g.adjacency)
         mat = locs.mults
         assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(mat.sum(axis=0) - spec.mults).max() <= 1e-9
