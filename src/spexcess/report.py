@@ -1,8 +1,8 @@
 """JSON report assembly (schema version 7).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 7 (no ``tolerances.presence``
-since local supports take no tolerance) while it holds.
+key layout of the K_{2,3} report; the version stays 7 while it holds (7
+dropped ``tolerances.presence``: local supports take no tolerance).
 Each value is printed once, and none that other keys give: the Perron
 vector in one normalization (``perron.alpha``, ||alpha||^2 = n), u
 extremal where ``localSpectra.eccentricity`` equals ``du``, the pseudo-

@@ -27,8 +27,8 @@ is within s_i = ||R_i||_F / gap_i of the computed one, so lambda_i (i >= 1)
 is in u's support when it exceeds (1 + sqrt 2) s_i; a gap <= 0 raises.
 lambda_0, present by Perron-Frobenius, is still tested against the floor
 ``_LAMBDA0_FLOOR`` first: proved present, the trees and lollipops that fail
-there would reach equality tests not yet scaled to alpha_u (ROADMAP items 4
-and 18).  Raw m_u values are kept beside d_u so they can be audited.
+there would reach equality tests that do not compare at alpha_u's scale and
+call some strict rows equal.  Raw m_u values are kept beside d_u for audit.
 """
 
 from __future__ import annotations

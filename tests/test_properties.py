@@ -138,7 +138,7 @@ def test_local_supports_match_exact_krylov_counts(atlas, wide):
 
 
 def test_er30x0_reaches_its_hoffman_row(wide):
-    name, ga, reports = next(entry for entry in wide if entry[0] == "er30x0")
+    _name, ga, reports = next(entry for entry in wide if entry[0] == "er30x0")
     assert ga.local_spectra.du[7] == 29 and ga.min_du == 29 == ga.d
     t34 = next(rep for rep in reports if rep.theorem_id == "T34")
     assert t34.params["j"][-1] == 29
