@@ -13,20 +13,20 @@ Commands:
 
 Exit codes: 0 success; 3 numerical failure in a stage that the command
 reads, and ``check`` reads only its theorem's (a LAPACK eigensolver
-failure, a Perron vector entry or a vertex's lambda_0 mass at or below its
-floor, or a singular spectral measure: classes closer than their residuals
-or a broken-down recurrence; the number of distinct eigenvalues is no
-limit); 2 any other ``SpexcessError`` (among them a ``check`` flag that the
-theorem requires and lacks, or does not take, rejected before the graph is
-read, and one out of range: ``--vertex`` before any stage, ``--j`` once d_u
-is known, and P35's and P36's ``--m`` against min(D, d) before P36 reads
-d_u), any OS error, also on writing stdout: ``analyze ... | head -c 300``
-ends "error: [Errno 32] Broken pipe", and a ``MemoryError``, such as the
-n x n adjacency of a path too long for the memory at hand (an allocation
-that succeeds lazily and is killed later never reaches ``main``);
-4 internal invariant violated (a row in state violated, an oracle
-disagreement, or a NaN or infinity in the JSON output, which is then not
-printed).  Flags are the only tolerance input, each in (0, 1).
+failure, a gap lambda_0 - lambda_1, a Perron vector entry or a vertex's
+lambda_0 mass at or below its floor, or a singular spectral measure:
+classes closer than their residuals or a broken-down recurrence; the number
+of distinct eigenvalues is no limit); 2 any other ``SpexcessError`` (among
+them a ``check`` flag that the theorem requires and lacks, or does not
+take, rejected before the graph is read, and one out of range: ``--vertex``
+before any stage, ``--j`` once d_u is known, and P35's and P36's ``--m``
+against min(D, d) before P36 reads d_u), any OS error, also on writing
+stdout: ``analyze ... | head -c 300`` ends "error: [Errno 32] Broken pipe",
+and a ``MemoryError``, such as the n x n adjacency of a path too long for
+the memory at hand (an allocation that succeeds lazily and is killed later
+never reaches ``main``); 4 internal invariant violated (a row in state
+violated, an oracle disagreement, or a NaN or infinity in the JSON output,
+which is then not printed).  ``--eq-tol`` is the one tolerance, in (0, 1).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import argparse
 import functools
 import sys
 
-from . import fixtures, theorems
+from . import classify, fixtures, theorems
 from .errors import (
     ConvergenceError,
     DegenerateMeasureError,
@@ -45,7 +45,7 @@ from .errors import (
     SpexcessError,
 )
 from .graphs import read_graph_file
-from .pipeline import Tolerances, analyze_graph, run_all_checks
+from .pipeline import analyze_graph, run_all_checks
 from .report import analysis_report, collect_violations, theorem_columns_dict, to_json
 
 EXIT_OK = 0
@@ -55,30 +55,15 @@ EXIT_INVARIANT = 4
 
 _NUMERICAL_ERRORS = (ConvergenceError, NonPositiveEigenvectorError, DegenerateMeasureError)
 
-_TOL_SPECS = (
-    # (flag, Tolerances field, help)
-    ("--group-tol", "grouping", "eigenvalue grouping tolerance"),
-    ("--eq-tol", "equality", "relative equality tolerance"),
-)
-
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("path", help="graph file")
     parser.add_argument("--format", choices=("auto", "edgelist", "graph6"),
                         default="auto", help="input format (default: by extension)")
-    for flag, field, text in _TOL_SPECS:
-        parser.add_argument(flag, dest=field, type=float, default=getattr(Tolerances, field),
-                            help=text)
+    parser.add_argument("--eq-tol", type=float, default=classify.DEFAULT_ORACLE_TOL,
+                        help="relative equality tolerance")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
-
-
-def _resolve_tolerances(args) -> Tolerances:
-    values = {field: getattr(args, field) for _flag, field, _text in _TOL_SPECS}
-    for flag, field, _text in _TOL_SPECS:
-        if not 0.0 < values[field] < 1.0:
-            raise ParseError(f"tolerance {flag} must be in (0, 1), got {values[field]}")
-    return Tolerances(**values)
 
 
 @functools.cache
@@ -139,11 +124,12 @@ def main(argv=None) -> int:
             written = fixtures.write_fixtures(args.out)
             print(to_json({"written": written, "directory": args.out}))
             return EXIT_OK
-        tols = _resolve_tolerances(args)
+        if not 0.0 < args.eq_tol < 1.0:
+            raise ParseError(f"tolerance --eq-tol must be in (0, 1), got {args.eq_tol}")
         if args.command == "check":
             _check_flags(args)
         g = read_graph_file(args.path, fmt=None if args.format == "auto" else args.format)
-        ga = analyze_graph(g, tols)
+        ga = analyze_graph(g, eq_tol=args.eq_tol)
         if args.command == "analyze":
             reports = run_all_checks(ga)
             payload = analysis_report(ga, reports, include_witnesses=args.witnesses)

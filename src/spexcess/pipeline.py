@@ -1,14 +1,16 @@
 """End-to-end analysis pipeline: one record whose stages are built on
 first read.
 
-``analyze_graph`` pairs a graph with its tolerances and computes nothing.
-Each stage of ``GraphAnalysis`` is a cached property whose body names the
-stages it reads, so a check pays only for what its theorem reads, and a
-stage that raises does so at that read, sparing the checks that never read
-it.  ``run_all_checks`` runs every theorem at its admissible parameters,
-each as columns (over its vertices, j, m, links or hypotheses) in one array
-pass; with ``report.analysis_report`` it reads every stage.  The one
-polynomial family built is the global one (local values: see ``poly``).
+``analyze_graph`` pairs a graph with its equality tolerance and computes
+nothing (eigenvalue classes and local supports take no tolerance:
+``spectral``'s module note).  Each stage of ``GraphAnalysis`` is a cached
+property whose body names the stages it reads, so a check pays only for
+what its theorem reads, and a stage that raises does so at that read,
+sparing the checks that never read it.  ``run_all_checks`` runs every
+theorem at its admissible parameters, each as columns (over its vertices,
+j, m, links or hypotheses) in one array pass; with
+``report.analysis_report`` it reads every stage.  The one polynomial
+family built is the global one (local values: see ``poly``).
 J* is one array (``jstar``); a check takes A*_i and S*_j as its masks.
 """
 
@@ -25,24 +27,14 @@ from .graphs import DistanceData, Graph, distance_data
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Numerical knobs, defaults as documented per module.  Local supports,
-    and so d_u and extremality, take none: ``spectral`` decides them by a
-    residual bound (its module note)."""
-
-    grouping: float = spectral.DEFAULT_GROUPING_TOL
-    equality: float = classify.DEFAULT_ORACLE_TOL
-
-
-@dataclass(frozen=True)
 class GraphAnalysis:
     """Everything derived from one graph, frozen: each stage and each matrix
-    identity that checks share is built on first read and kept.
-    ``local_q_lambda0[u]`` is q^u_j(lambda_0) at j = min(ecc_u, d_u): n
-    where ecc_u >= d_u."""
+    identity that checks share is built on first read and kept.  ``eq_tol``
+    is the relative tolerance of every equality.  ``local_q_lambda0[u]`` is
+    q^u_j(lambda_0) at j = min(ecc_u, d_u): n where ecc_u >= d_u."""
 
     graph: Graph
-    tols: Tolerances
+    eq_tol: float
 
     @property
     def n(self) -> int:
@@ -71,7 +63,7 @@ class GraphAnalysis:
 
     @functools.cached_property
     def spectrum(self) -> spectral.Spectrum:
-        return spectral.eigendecompose(self.graph, grouping_tol=self.tols.grouping)
+        return spectral.eigendecompose(self.graph)
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:
@@ -79,7 +71,7 @@ class GraphAnalysis:
 
     @functools.cached_property
     def local_spectra(self) -> spectral.LocalSpectra:
-        return spectral.local_spectra(self.spectrum, self.graph.adjacency)
+        return spectral.local_spectra(self.spectrum)
 
     @functools.cached_property
     def global_seq(self) -> poly.PolySequence:
@@ -106,12 +98,12 @@ class GraphAnalysis:
 
     @functools.cached_property
     def classification(self) -> classify.Classification:
-        return classify.classify_graph(self.dd, self.alpha, tol=self.tols.equality)
+        return classify.classify_graph(self.dd, self.alpha, tol=self.eq_tol)
 
     @functools.cached_property
     def distance_polynomial(self) -> tuple[bool, np.ndarray]:
         """(whether each A_i is a polynomial in A, their residuals): T38's oracle."""
-        return classify.is_distance_polynomial(self.dd, self.spectrum, self.tols.equality)
+        return classify.is_distance_polynomial(self.dd, self.spectrum, self.eq_tol)
 
     @functools.cached_property
     def min_du(self) -> int:
@@ -129,9 +121,9 @@ class GraphAnalysis:
         return theorems.tail_identity(self)
 
 
-def analyze_graph(g: Graph, tols: Tolerances | None = None) -> GraphAnalysis:
+def analyze_graph(g: Graph, eq_tol: float = classify.DEFAULT_ORACLE_TOL) -> GraphAnalysis:
     """The analysis of ``g``, each stage built when it is first read."""
-    return GraphAnalysis(g, tols or Tolerances())
+    return GraphAnalysis(g, eq_tol)
 
 
 def run_all_checks(ga: GraphAnalysis) -> list:

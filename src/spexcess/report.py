@@ -1,8 +1,9 @@
-"""JSON report assembly (schema version 7).
+"""JSON report assembly (schema version 8).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 7 while it holds (7
-dropped ``tolerances.presence``: local supports take no tolerance).
+key layout of the K_{2,3} report; the version stays 8 while it holds (7
+dropped ``tolerances.presence`` and 8 ``tolerances.grouping``: local
+supports and eigenvalue classes take no tolerance).
 Each value is printed once, and none that other keys give: the Perron
 vector in one normalization (``perron.alpha``, ||alpha||^2 = n), u
 extremal where ``localSpectra.eccentricity`` equals ``du``, the pseudo-
@@ -38,7 +39,7 @@ import numpy as np
 from .pipeline import GraphAnalysis
 from .theorems import CODES, VIOLATED, ColumnReport
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def _arr(a):
@@ -104,7 +105,7 @@ def classification_dict(ga: GraphAnalysis) -> dict:
 
 def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = False) -> dict:
     """The analyze report of ``ga`` and its checks (``run_all_checks``)."""
-    seq, ls, tols = ga.global_seq, ga.local_spectra, ga.tols
+    seq, ls = ga.global_seq, ga.local_spectra
     return {
         "schemaVersion": SCHEMA_VERSION,
         "graph": {
@@ -115,7 +116,7 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
             "isRegular": ga.classification.is_regular,
             "degrees": ga.graph.adjacency.sum(axis=1).astype(int).tolist(),
         },
-        "tolerances": {"grouping": float(tols.grouping), "equality": float(tols.equality)},
+        "tolerances": {"equality": float(ga.eq_tol)},
         "spectrum": {"lambdas": _arr(ga.spectrum.lambdas),
                      "multiplicities": ga.spectrum.mults.tolist()},
         "perron": {"lambda0": float(ga.lambda0), "alpha": _arr(ga.alpha)},

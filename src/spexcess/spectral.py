@@ -19,16 +19,21 @@ of class i, the spectral projector is E_i = V_i V_i^T, so m_u(lambda_i) =
 local excess p^u_{d_u}(lambda_0) in closed form (``top_p_lambda0``), so no
 predistance family is built.
 
-Local supports take no tolerance.  R = AV - V diag(lambda of each column's
-class) has column norms r_k, floored at n eps max(1, lambda_0) (rounding),
-and gap_i is lambda_i's distance to its nearest class less both classes'
-largest r_k (Weyl).  By the Davis-Kahan sin-theta bound sqrt(m_u(lambda_i))
-is within s_i = ||R_i||_F / gap_i of the computed one, so lambda_i (i >= 1)
-is in u's support when it exceeds (1 + sqrt 2) s_i; a gap <= 0 raises.
-lambda_0, present by Perron-Frobenius, is still tested against the floor
-``_LAMBDA0_FLOOR`` first: proved present, the trees and lollipops that fail
-there would reach equality tests that do not compare at alpha_u's scale and
-call some strict rows equal.  Raw m_u values are kept beside d_u for audit.
+Eigenvalue classes and local supports take no tolerance: one residual pass
+decides both.  R = AV - V diag(theta), theta_k column k's own eigenvalue,
+has column norms r_k, floored at n eps max(1, lambda_0) (rounding).  A true
+eigenvalue lies within r_k of theta_k (Weyl), so theta_k and theta_{k+1}
+share a class iff theta_k - theta_{k+1} <= r_k + r_{k+1}.  ``residuals``
+adds |theta_k - lambda of k's class| to r_k.  With gap_i lambda_i's distance
+to its nearest class less both classes' largest residual, the Davis-Kahan
+sin-theta bound puts sqrt(m_u(lambda_i)) within s_i = ||residuals of class
+i|| / gap_i of the computed one, so lambda_i (i >= 1) is in u's support
+when it exceeds (1 + sqrt 2) s_i; a gap <= 0 raises.  lambda_0, present by
+Perron-Frobenius, meets floors instead: its mass ``_LAMBDA0_FLOOR`` and its
+gap to lambda_1 ``_LAMBDA0_GAP`` max(1, lambda_0).  Past them, trees and
+lollipops would reach equality tests that do not compare at alpha_u's
+scale, and barbells a Perron vector whose mirror halves differ at the scale
+of the equality tolerance.  Raw m_u values are kept beside d_u for audit.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ from .errors import ConvergenceError, DegenerateMeasureError, NonPositiveEigenve
 from ._util import readonly as _readonly
 from .graphs import Graph
 
-DEFAULT_GROUPING_TOL = 1e-7
 _PERRON_POS_TOL = 1e-10  # a Perron vector entry at or below it is a numerical failure
 _LAMBDA0_FLOOR = 1e-9  # a lambda_0 mass at or below it is a numerical failure
+_LAMBDA0_GAP = 1e-7  # lambda_0 - lambda_1 at or below it, times max(1, lambda_0), is one too
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,13 @@ class Spectrum:
     The columns of ``vectors`` are grouped by class in the order of
     ``lambdas``: lambda_i owns the next ``mults[i]`` columns, and column 0
     is the Perron vector.  The layout is promised, not the signs.
+    ``residuals[k]`` bounds ||A v_k - lambda v_k|| for k's class lambda.
     """
 
     lambdas: np.ndarray
     mults: np.ndarray
     vectors: np.ndarray
+    residuals: np.ndarray
 
     @property
     def n(self) -> int:
@@ -79,47 +86,49 @@ class Spectrum:
         return _readonly(np.repeat(np.arange(len(self.mults)), self.mults))
 
 
-def eigendecompose(g: Graph,
-                   grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
+def eigendecompose(g: Graph) -> Spectrum:
     """Spectrum of a connected graph, with eigenvalues grouped into classes.
 
     Eigenvalues come out descending and the eigenvectors as one contiguous
     array with LAPACK's signs (no consumer reads a sign: module note).  Two
-    consecutive eigenvalues land in the same class when they differ by at
-    most ``grouping_tol * max(1, lambda_0)``; adjacency spectra of small
-    graphs have gaps far above LAPACK error, so the default is safe.  A
-    LAPACK failure is raised as ConvergenceError.
+    consecutive eigenvalues land in the same class when their residual
+    intervals overlap, and each class takes its members' mean (module
+    note).  A LAPACK failure is raised as ConvergenceError.
     """
+    a = np.asarray(g.adjacency, dtype=float)
     try:
-        w, v = np.linalg.eigh(np.asarray(g.adjacency, dtype=float))
+        w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
     w, v = w[::-1].copy(), v[:, ::-1].copy()
-    gap = grouping_tol * max(1.0, abs(w[0]))
-    starts = np.concatenate(([0], (w[:-1] - w[1:] > gap).nonzero()[0] + 1))
+    r = np.linalg.norm(a @ v - v * w, axis=0).clip(len(w) * np.finfo(float).eps * max(1.0, w[0]))
+    starts = np.concatenate(([0], (w[:-1] - w[1:] > r[:-1] + r[1:]).nonzero()[0] + 1))
     mults = np.concatenate((starts[1:], [len(w)])) - starts
     lambdas = w[starts]  # a singleton class is its own mean
     multi = (mults > 1).nonzero()[0]
     for i, s, m in zip(multi.tolist(), starts[multi].tolist(), mults[multi].tolist()):
         lambdas[i] = w[s:s + m].mean()
+    r += np.abs(w - np.repeat(lambdas, mults))
     return Spectrum(lambdas=_readonly(lambdas), mults=_readonly(mults),
-                    vectors=_readonly(v))
+                    vectors=_readonly(v), residuals=_readonly(r))
 
 
 def perron_weights(spec: Spectrum, degrees: np.ndarray) -> np.ndarray:
     """The read-only Perron vector alpha, the positive eigenvector of the top
-    eigenclass (which must have multiplicity 1) with ||alpha||^2 = n.  The
-    map rho sends u to the weighted coordinate vector alpha_u * e_u, so the
-    squared norm of rho over a vertex subset is the sum of alpha_u^2.
+    eigenclass with ||alpha||^2 = n.  The map rho sends u to the weighted
+    coordinate vector alpha_u * e_u, so the squared norm of rho over a
+    vertex subset is the sum of alpha_u^2.  A gap lambda_0 - lambda_1 at or
+    below its floor, or a top class of multiplicity above 1, raises.
 
     When all ``degrees`` are equal the graph is regular, its Perron vector
     is the all-ones vector, and alpha is returned as exact ones instead of
     the eigensolver's 1 +- 1e-15.
     """
-    if spec.mults[0] != 1:
-        raise NonPositiveEigenvectorError(
-            f"top eigenvalue has multiplicity {spec.mults[0]}; check grouping tolerance"
-        )
+    if spec.n > 1:  # K1 has no lambda_1
+        gap = float(spec.lambdas[0] - spec.lambdas[1]) if spec.mults[0] == 1 else 0.0
+        if gap <= _LAMBDA0_GAP * max(1.0, spec.lambda0):
+            raise NonPositiveEigenvectorError(f"lambda_0 - lambda_1 = {gap:.3e} is at or below "
+                                              f"the {_LAMBDA0_GAP:g} max(1, lambda_0) floor")
     if (degrees == degrees[0]).all():
         return _readonly(np.ones(spec.n))
     v0 = spec.vectors[:, 0]
@@ -175,7 +184,7 @@ def top_p_lambda0(nodes, weights, support, scale) -> np.ndarray:
     return scale * np.exp(-2.0 * (log_w[..., 0] + log_pi[..., 0]) - log_sum)
 
 
-def local_spectra(spec: Spectrum, adjacency: np.ndarray) -> LocalSpectra:
+def local_spectra(spec: Spectrum) -> LocalSpectra:
     """Local spectra of every vertex from one (n, d+1) array of m_u(lambda_i), each
     support by the module note's bound, each excess at s = alpha_u^2 = n m_u(lambda_0)."""
     m = _readonly(class_sums(spec.vectors ** 2, spec))
@@ -183,16 +192,15 @@ def local_spectra(spec: Spectrum, adjacency: np.ndarray) -> LocalSpectra:
     if m[u, 0] <= _LAMBDA0_FLOOR:
         raise NonPositiveEigenvectorError(
             f"vertex {u}: lambda_0 mass {m[u, 0]:.3e} is at or below the {_LAMBDA0_FLOOR:g} floor")
-    res = adjacency @ spec.vectors - spec.vectors * spec.lambdas[spec.class_index]
-    r = np.linalg.norm(res, axis=0).clip(spec.n * np.finfo(float).eps * max(1.0, spec.lambda0))
-    r_max = np.maximum.reduceat(r, spec.mults.cumsum() - spec.mults)
+    r_max = np.maximum.reduceat(spec.residuals, spec.mults.cumsum() - spec.mults)
     shrunk = spec.lambdas[:-1] - spec.lambdas[1:] - r_max[:-1] - r_max[1:]
     if (shrunk <= 0).any():
         i = int(shrunk.argmin())
         raise DegenerateMeasureError(f"classes {i} and {i + 1} lie within their residuals "
                                      f"(gap {shrunk[i]:.1e}): eigenvalues may be wrongly grouped")
     gap = np.minimum(np.append(np.inf, shrunk), np.append(shrunk, np.inf))
-    present = np.sqrt(m) * gap > (1.0 + math.sqrt(2.0)) * np.sqrt(class_sums(r ** 2, spec))
+    bound = (1.0 + math.sqrt(2.0)) * np.sqrt(class_sums(spec.residuals ** 2, spec))
+    present = np.sqrt(m) * gap > bound
     present[:, 0] = True
     excess = _readonly(top_p_lambda0(spec.lambdas, m, present, spec.n * m[:, 0]))
     return LocalSpectra(mults=m, du=_readonly(present.sum(axis=1) - 1), excess=excess)

@@ -211,7 +211,7 @@ def _states(lhs, rhs, eq_tol: float, kind: str = "inequality"):
 
 
 def _certificate(ga, name: str, diff, rows=None) -> Certificate:
-    return Certificate(name, diff, ga.tols.equality * max(1.0, ga.n), rows)
+    return Certificate(name, diff, ga.eq_tol * max(1.0, ga.n), rows)
 
 
 def q_gap_certificate(ga) -> Certificate:
@@ -284,7 +284,7 @@ def _local_bounds(ga, us, js, r_l0, norms, r_vals) -> ColumnReport:
     saturated, extremal = js >= ecc, ecc == du
     ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
     lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
-    state, slack = _states(lhs, rhs, ga.tols.equality)
+    state, slack = _states(lhs, rhs, ga.eq_tol)
     state[saturated & (js < du) & (state != VIOLATED)] = STRICT  # the saturation rule
     rows = (state == EQUAL).nonzero()[0]
     if r_vals is None:
@@ -321,7 +321,7 @@ def check_local_spet(ga, u: int | None = None) -> ColumnReport:
     reached = du <= ecc
     lhs = ga.local_spectra.excess[us]
     rhs = np.where(reached, ga.stats.sphere_norms[us, np.minimum(du, ecc)], 0.0)
-    state, slack = _states(lhs, rhs, ga.tols.equality, "equality")
+    state, slack = _states(lhs, rhs, ga.eq_tol, "equality")
     state, slack = np.where(reached, state, UNEQUAL), np.where(reached, slack, -lhs)
     is_pdr = ga.classification.is_pdr[us]
     agrees = (state == EQUAL) == is_pdr
@@ -337,7 +337,7 @@ def check_lee_weng(ga) -> ColumnReport:
     """T33: delta*_D <= p_{>=D}(lambda_0), equality iff A*_D = p_{>=D}(A);
     one row, certified by ``tail_gap``."""
     lhs, rhs = ga.stats.delta_star[-1:], np.array([ga.spectral_excess])
-    state, slack = _states(lhs, rhs, ga.tols.equality)
+    state, slack = _states(lhs, rhs, ga.eq_tol)
     at_a, astar, tail = ga.tail_identity
     holds = (state == EQUAL) & tail.passes
     return ColumnReport(
@@ -363,7 +363,7 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
     q_gaps = ga.q_gaps if j is None or j < ga.D else None
     lhs = seq.q_lambda0[js]
     rhs = np.where(below, ga.stats.harmonic_means[np.minimum(js, ga.D)], float(ga.n))
-    state, slack = _states(lhs, rhs, ga.tols.equality)
+    state, slack = _states(lhs, rhs, ga.eq_tol)
     # the saturation rule: equal at d, else strict; each slack is summed
     # as its own slice, so it keeps the order of numpy's pairwise sum
     state[~below] = np.where(js[~below] == ga.d, EQUAL, STRICT)
@@ -423,7 +423,7 @@ def check_partial_dr_inequality(ga, m: int | None = None) -> ColumnReport:
     ms = ms[ms <= ga.min_du]
     q, h, cls = ga.global_seq.q_lambda0, ga.stats.harmonic_means, ga.classification
     lhs, rhs = q[ms - 1] + q[ms], h[ms - 1] + h[ms]
-    state, slack = _states(lhs, rhs, ga.tols.equality)
+    state, slack = _states(lhs, rhs, ga.eq_tol)
     structural = cls.is_regular & ga.q_gaps.passes[ms - 1] & ga.q_gaps.passes[ms]
     holds = (state == EQUAL) & structural
     oracle_ok = cls.is_regular & (cls.partial_dr_level >= ms)
@@ -443,7 +443,7 @@ def check_chain(ga) -> ColumnReport:
     """
     if ga.D < 1:
         raise HypothesisError("the chain needs diameter D >= 1")
-    eq_tol, middle = ga.tols.equality, ga.stats.n_minus_harmonic
+    eq_tol, middle = ga.eq_tol, ga.stats.n_minus_harmonic
     lhs = np.array([middle, ga.stats.delta_star[-1]])
     rhs = np.array([ga.spectral_excess, middle])
     state, slack = _states(lhs, rhs, eq_tol)
@@ -471,7 +471,7 @@ def check_distance_polynomial_sufficient(ga) -> ColumnReport:
     D, cls = ga.D, ga.classification
     lhs = ga.stats.delta_star[[D, D - 1]]
     rhs = np.array([ga.spectral_excess, ga.global_seq.p_lambda0[D - 1]])
-    state, slack = _states(lhs, rhs, ga.tols.equality, "equality")
+    state, slack = _states(lhs, rhs, ga.eq_tol, "equality")
     hypotheses = bool((state == EQUAL).all())
     details = {"hypotheses_hold": hypotheses}
     is_dp, residuals = ga.distance_polynomial

@@ -41,6 +41,14 @@ def lollipop(m, L):
     return Graph.from_edges(m + L, clique + [(v, v + 1) for v in range(m - 1, m + L - 1)])
 
 
+def barbell(m, L):
+    """Two copies of K_m joined by a path of L more vertices: lambda_0 -
+    lambda_1 shrinks fast as m and L grow (5.1e-08 at m = L = 8)."""
+    clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    mirror = [(i + m + L, j + m + L) for i, j in clique]
+    return Graph.from_edges(2 * m + L, clique + mirror + [(v, v + 1) for v in range(m - 1, m + L)])
+
+
 def relabel(g, perm):
     """The graph with vertex u renamed perm[u]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
@@ -124,26 +132,30 @@ def _inverse_mod(x, p):
     return out
 
 
-def krylov_dims(adjacency, p):
-    """dim span{A^k e_u : k >= 0} modulo the prime p for every vertex u of
-    every graph in the stack ``adjacency`` (graphs, n, n), as an int array
-    (graphs, n): the rank of the Krylov matrix [e_u, Ae_u, ..., A^(n-1) e_u]
-    by Gaussian elimination in int64, all vertices of all graphs at once.
-    Over the rationals it is d_u + 1, the size of u's local support; modulo
-    p it can only be lower, so two primes that agree confirm it."""
+def _powers_mod(adjacency, p, count):
+    """A^0, ..., A^(count - 1) modulo p for each graph in the stack
+    ``adjacency`` (graphs, n, n), as a list of int64 stacks."""
     a = np.asarray(adjacency, dtype=np.int64)
-    g, n, _ = a.shape
-    powers = [np.broadcast_to(np.eye(n, dtype=np.int64), a.shape)]
-    for _ in range(n - 1):
+    powers = [np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape)]
+    for _ in range(count - 1):
         powers.append(a @ powers[-1] % p)
-    # batch (graph, u): rows are coordinates, column k is A^k e_u
-    m = np.stack(powers, axis=-1).transpose(0, 2, 1, 3).reshape(g * n, n, n)
-    batch, rows = np.arange(g * n), np.arange(n)
-    rank = np.zeros(g * n, dtype=np.int64)
-    for c in range(n):
+    return powers
+
+
+def _ranks_mod(m, p):
+    """The rank modulo p of each matrix in the int64 stack ``m`` (batch,
+    rows, cols), by Gaussian elimination on all of them at once; ``m`` is
+    overwritten.  The columns of each matrix must be an injective image of
+    a Krylov sequence x, Bx, B^2 x, ..., so that once a column lies in the
+    span of those before it every later one does too: the first column that
+    adds nothing to any matrix ends the elimination."""
+    b, n, cols = m.shape
+    batch, rows = np.arange(b), np.arange(n)
+    rank = np.zeros(b, dtype=np.int64)
+    for c in range(cols):
         cand = (m[:, :, c] != 0) & (rows >= rank[:, None])
         has = cand.any(axis=1)
-        if not has.any():  # every sequence has closed: A^c e_u lies in the span
+        if not has.any():
             break
         top = np.minimum(rank, n - 1)
         piv = np.where(has, cand.argmax(axis=1), top)
@@ -154,7 +166,35 @@ def krylov_dims(adjacency, p):
         factor = m[:, :, c] * ((rows > top[:, None]) & has[:, None])
         m[:, :, c:] = (m[:, :, c:] - factor[:, :, None] * pivot_row[:, None, c:]) % p
         rank += has
-    return rank.reshape(g, n)
+    return rank
+
+
+def krylov_dims(adjacency, p):
+    """dim span{A^k e_u : k >= 0} modulo the prime p for every vertex u of
+    every graph in the stack ``adjacency`` (graphs, n, n), as an int array
+    (graphs, n): the rank of the Krylov matrix [e_u, Ae_u, ..., A^(n-1) e_u],
+    all vertices of all graphs at once.  Over the rationals it is d_u + 1,
+    the size of u's local support; modulo p it can only be lower, so two
+    primes that agree confirm it."""
+    g, n, _ = np.shape(adjacency)
+    # batch (graph, u): rows are coordinates, column k is A^k e_u
+    powers = np.stack(_powers_mod(adjacency, p, n), axis=-1)
+    return _ranks_mod(powers.transpose(0, 2, 1, 3).reshape(g * n, n, n), p).reshape(g, n)
+
+
+def distinct_eigenvalue_counts(adjacency, p):
+    """The rank modulo the prime p of the moment Hankel matrix (tr A^(i+j)),
+    0 <= i, j <= n, for each graph in the stack ``adjacency`` (graphs, n, n).
+    Over the rationals H = sum_k m_k v_k v_k^T, v_k = (lambda_k^i)_i a
+    Vandermonde column, so its rank is d + 1, the number of distinct
+    eigenvalues; column j is the image of diag(lambda)^j 1 under the
+    injective map x -> V diag(m) x.  Modulo p it can only be lower, so two
+    primes that agree confirm it.  No eigenvector is read."""
+    n = np.shape(adjacency)[-1]
+    moments = np.stack([np.trace(a, axis1=1, axis2=2) % p
+                        for a in _powers_mod(adjacency, p, 2 * n + 1)], axis=-1)
+    hankel = np.stack([moments[:, i:i + n + 1] for i in range(n + 1)], axis=1)
+    return _ranks_mod(hankel, p)
 
 
 # --- property batteries ------------------------------------------------------
@@ -357,7 +397,7 @@ def battery_pseudo_dr_reference(analyzed, tol=1e-12):
         violations = violations_by_vertex(cls)
         for u in range(ga.n):
             is_pdr, numbers, violation = reference_pseudo_dr(
-                u, ga.dd, ga.alpha, ga.graph.adjacency, ga.tols.equality)
+                u, ga.dd, ga.alpha, ga.graph.adjacency, ga.eq_tol)
             got = violations.get(u)
             if cls.is_pdr[u] != is_pdr:
                 fails.append(f"{name}: vertex {u}: is_pdr {cls.is_pdr[u]}")

@@ -183,7 +183,7 @@ def test_sweep_memory_stays_within_its_block_budget():
     ga = analyze_graph(corpus.connected_er(random.Random(1), 200, 0.06))
     tracemalloc.start()
     try:
-        spexcess.classify.classify_graph(ga.dd, ga.alpha, ga.tols.equality)
+        spexcess.classify.classify_graph(ga.dd, ga.alpha, ga.eq_tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,7 +269,7 @@ def _brute_force_sweep(ga):
     Gamma_{i-1}(u), Gamma_i(u) and Gamma_{i+1}(u), summed one neighbour at a
     time in ascending order; returns (pseudo_dr, level, intersection_array)
     with pseudo_dr[u] = (is_pdr, numbers, violation)."""
-    n, tol = ga.n, ga.tols.equality
+    n, tol = ga.n, ga.eq_tol
     alpha, dist = ga.alpha.tolist(), ga.dd.dist.tolist()
     nbrs = [np.flatnonzero(row).tolist() for row in ga.graph.adjacency]
     pseudo_dr, by_radius = [], {}

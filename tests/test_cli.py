@@ -37,7 +37,7 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 7
+    assert report["schemaVersion"] == 8
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
@@ -76,7 +76,7 @@ K23_LAYOUT = {
     "schemaVersion": None,
     "graph": dict.fromkeys(("n", "edgeCount", "diameter", "distinctEigenvalues",
                             "isRegular", "degrees")),
-    "tolerances": dict.fromkeys(("grouping", "equality")),
+    "tolerances": {"equality": None},
     "spectrum": dict.fromkeys(("lambdas", "multiplicities")),
     "perron": dict.fromkeys(("lambda0", "alpha")),
     "localSpectra": dict.fromkeys(("eccentricity", "du", "localMultiplicities")),
@@ -470,16 +470,14 @@ def test_tolerance_flags(capsys, k23_file):
 
 
 def test_tolerance_variables_ignored(capsys, k23_file, monkeypatch):
-    from spexcess.pipeline import Tolerances
+    from spexcess.classify import DEFAULT_ORACLE_TOL
 
     monkeypatch.setenv("SPEXCESS_TOL_GROUP", "not a number")
     monkeypatch.setenv("SPEXCESS_TOL_PRESENCE", "0.5")
     monkeypatch.setenv("SPEXCESS_TOL_EQ", "1e-5")
     code, out, _ = _run(capsys, ["analyze", k23_file])
     assert code == 0
-    defaults = Tolerances()
-    assert json.loads(out)["tolerances"] == {
-        "grouping": defaults.grouping, "equality": defaults.equality}
+    assert json.loads(out)["tolerances"] == {"equality": DEFAULT_ORACLE_TOL}
 
 
 def test_bad_tolerance_exit2(capsys, k23_file):
@@ -593,17 +591,52 @@ def test_check_exits_at_the_stages_its_theorem_reads(capsys, tmp_path, flags, co
         assert err == "" and flags.split()[0] in json.loads(out)
 
 
+@pytest.mark.parametrize("m, L, code", [
+    (5, 2, 0), (5, 6, 0), (6, 6, 0), (8, 4, 0), (10, 4, 0),
+    (8, 8, 3), (10, 6, 3), (10, 10, 3), (12, 8, 3), (20, 4, 3), (20, 8, 3),
+])
+def test_barbell_lambda0_gap_floor(capsys, tmp_path, m, L, code):
+    # lambda_0 - lambda_1 runs from 2.8e-2 at barbell(5, 2) to 6.0e-12 at
+    # barbell(20, 8); the residual grouping keeps the two apart, and the gap
+    # floor still refuses those at or below 1e-7 max(1, lambda_0), whose
+    # alpha would come out mirror-asymmetric at the equality tolerance
+    import corpus
+
+    path = tmp_path / "barbell.el"
+    path.write_bytes(fx.edgelist_bytes(corpus.barbell(m, L)))
+    got, out, err = _run(capsys, ["analyze", str(path)])
+    assert got == code, err
+    if code == 3:
+        assert out == "" and re.fullmatch(r"numerical failure: lambda_0 - lambda_1 = \S+ is at "
+                                          r"or below the 1e-07 max\(1, lambda_0\) floor\n", err)
+    else:
+        assert err == "" and json.loads(out)["spectrum"]["multiplicities"][0] == 1
+
+
 @pytest.mark.parametrize("theorem", ["T32", "P31"])
 @pytest.mark.parametrize("name", ["petersen", "c8_12", "k5"])
-def test_wrong_grouping_exits_3(capsys, tmp_path, name, theorem):
-    # at --group-tol 1e-16 rounding splits a multiple eigenvalue into classes
-    # closer than their residuals (shrunk gaps -1.3e-14, -1.3e-14, -8.0e-15):
-    # a numerical failure, not T32's oracle disagreement (exit 4) or P31 on
-    # a false d_u (exit 0)
+def test_wrong_grouping_exits_3(capsys, tmp_path, monkeypatch, name, theorem):
+    # an eigensolver that splits the last multiple eigenvalue into two
+    # classes puts them within their residuals: a numerical failure, not
+    # T32's oracle disagreement (exit 4) or P31 on a false d_u (exit 0)
+    import numpy as np
+
+    from spexcess import spectral
+
+    real = spectral.eigendecompose
+
+    def split(g):
+        spec = real(g)
+        i = int(np.flatnonzero(spec.mults > 1)[-1])
+        mults = np.insert(spec.mults, i + 1, 1)
+        mults[i] -= 1
+        return spectral.Spectrum(np.insert(spec.lambdas, i + 1, spec.lambdas[i]), mults,
+                                 spec.vectors, spec.residuals)
+
+    monkeypatch.setattr(spectral, "eigendecompose", split)
     path = tmp_path / f"{name}.el"
     path.write_bytes(fx.edgelist_bytes(fx.named(name)))
-    code, out, err = _run(capsys, ["check", str(path), "--theorem", theorem, "--vertex", "0",
-                                   "--group-tol", "1e-16"])
+    code, out, err = _run(capsys, ["check", str(path), "--theorem", theorem, "--vertex", "0"])
     assert code == 3 and out == "", err
     assert err.startswith("numerical failure: ") and err.endswith("wrongly grouped\n"), err
 
@@ -644,13 +677,13 @@ def test_nan_in_payload_exit4(capsys, k23_file, monkeypatch):
 
 
 def test_eigen_tolerance_knob_removed(capsys, k23_file, monkeypatch):
-    # neither the eigen tolerance nor the presence threshold is an input:
-    # local supports come from the residual bound
+    # neither the eigen tolerance, the presence threshold nor the grouping
+    # tolerance is an input: classes and local supports come from residuals
     monkeypatch.setenv("SPEXCESS_TOL_EIGEN", "not a number")  # ignored
     code, out, _ = _run(capsys, ["analyze", k23_file])
     assert code == 0
-    assert set(json.loads(out)["tolerances"]) == {"grouping", "equality"}
-    for knob in (["--tol", "1e-12"], ["--presence-tol", "1e-9"]):
+    assert set(json.loads(out)["tolerances"]) == {"equality"}
+    for knob in (["--tol", "1e-12"], ["--presence-tol", "1e-9"], ["--group-tol", "1e-7"]):
         with pytest.raises(SystemExit) as info:
             main(["analyze", k23_file, *knob])
         assert info.value.code == 2, knob
@@ -666,8 +699,8 @@ def test_saturated_p31_violation_exit4(capsys, tmp_path, monkeypatch):
 
     real = cli.analyze_graph
 
-    def inflated(g, tols):
-        ga = real(g, tols)
+    def inflated(g, eq_tol):
+        ga = real(g, eq_tol=eq_tol)
         ga.__dict__["local_q_lambda0"] = np.full(ga.n, 1.5 * ga.n)
         return ga
 

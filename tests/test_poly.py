@@ -47,7 +47,7 @@ def _pieces(g):
     dd = distance_data(g)
     spec = eigendecompose(g)
     alpha = perron_weights(spec, g.adjacency.sum(axis=1))
-    locs = local_spectra(spec, g.adjacency)
+    locs = local_spectra(spec)
     return g, dd, spec, alpha, locs
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import corpus
+from conftest import ALL_NAMES
 from spexcess.report import collect_violations
 from spexcess.theorems import CODES
 
@@ -118,23 +119,36 @@ def test_wide_corpus_batteries(wide, battery):
     assert not fails, fails[:5]
 
 
-# the wide graphs where a mass below 1e-9 is present (er30x0's vertex 7 has
-# 2.91e-10 at lambda_23), so an absolute threshold undercounts d_u
-UNDERCOUNTED = ("er30x0", "er60x1", "er60x2", "er60x3", "er60x5")
-
-
-def test_local_supports_match_exact_krylov_counts(atlas, wide):
-    # d_u + 1 = dim span{A^k e_u}, counted exactly modulo two primes that
-    # must agree, at every vertex of the atlas and of the undercounted graphs
+def _exact_counts(named, count):
+    """``count`` of each graph modulo both Krylov primes, batched by n; the
+    two primes must agree.  Yields (name, ga, counts)."""
     by_n = defaultdict(list)
-    for name, ga, _reps in atlas + [entry for entry in wide if entry[0] in UNDERCOUNTED]:
+    for name, ga in named:
         by_n[ga.n].append((name, ga))
-    for n, named in by_n.items():
-        adjacency = np.stack([ga.graph.adjacency for _name, ga in named])
-        first, second = (corpus.krylov_dims(adjacency, p) for p in corpus.KRYLOV_PRIMES)
+    for n, group in by_n.items():
+        adjacency = np.stack([ga.graph.adjacency for _name, ga in group])
+        first, second = (count(adjacency, p) for p in corpus.KRYLOV_PRIMES)
         assert np.array_equal(first, second), n
-        for (name, ga), dims in zip(named, first):
-            assert np.array_equal(ga.local_spectra.du + 1, dims), (name, ga.local_spectra.du, dims)
+        for (name, ga), counts in zip(group, first):
+            yield name, ga, counts
+
+
+def test_local_supports_match_exact_krylov_counts(atlas, analyzed, wide):
+    # d_u + 1 = dim span{A^k e_u}, counted exactly at every vertex of the
+    # atlas and both corpora: among them the wide graphs where a present
+    # mass lies below 1e-9 (er30x0's vertex 7 has 2.91e-10 at lambda_23)
+    named = [(name, ga) for name, ga, _reps in atlas + analyzed + wide]
+    for name, ga, dims in _exact_counts(named, corpus.krylov_dims):
+        assert np.array_equal(ga.local_spectra.du + 1, dims), (name, ga.local_spectra.du, dims)
+
+
+def test_eigenvalue_classes_match_exact_hankel_ranks(analyses, atlas, analyzed, wide):
+    # d + 1 = rank (tr A^(i+j)), counted exactly from the walk counts alone,
+    # so the residual grouping merges no two eigenvalues and splits no one
+    named = [(name, analyses(name)) for name in ALL_NAMES]
+    named += [(name, ga) for name, ga, _reps in atlas + analyzed + wide]
+    for name, ga, rank in _exact_counts(named, corpus.distinct_eigenvalue_counts):
+        assert ga.d + 1 == rank, (name, ga.d, rank)
 
 
 def test_er30x0_reaches_its_hoffman_row(wide):

@@ -47,7 +47,7 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
 def test_spectrum_and_graph_fields_are_pinned():
     # one class layout: class i is the next mults[i] columns of vectors
     fields = [f.name for f in dataclasses.fields(spectral.Spectrum)]
-    assert fields == ["lambdas", "mults", "vectors"]
+    assert fields == ["lambdas", "mults", "vectors", "residuals"]
     assert [f.name for f in dataclasses.fields(graphs.Graph)] == ["n", "edges", "adjacency"]
 
 

@@ -86,7 +86,7 @@ def test_results_do_not_depend_on_eigenvector_signs(monkeypatch, signs):
         flip = {"all": np.full(g.n, True), "perron": np.arange(g.n) == 0,
                 "random": rng.random(g.n) < 0.5}[signs]
         flipped = spectral.Spectrum(spec.lambdas, spec.mults,
-                                    np.where(flip, -spec.vectors, spec.vectors))
+                                    np.where(flip, -spec.vectors, spec.vectors), spec.residuals)
         analyses = [analyze_graph(g)]
         with monkeypatch.context() as m:
             m.setattr(spectral, "eigendecompose", lambda *_a, **_k: flipped)
@@ -180,12 +180,15 @@ def test_perron_p3():
 
 
 def test_perron_rejects_grouped_top():
-    # C_6 has lambda_0 - lambda_1 = 1, below 0.99 * max(1, lambda_0) = 1.98,
-    # so a huge grouping tolerance merges the top class and m_0 > 1
-    spec = eigendecompose(fx.cycle(6), grouping_tol=0.99)
-    assert spec.mults[0] > 1
-    with pytest.raises(NonPositiveEigenvectorError):
-        perron_weights(spec, _degrees(fx.cycle(6)))
+    # a hand-built spectrum whose top class holds two columns (C_6's 2 and
+    # one copy of 1): lambda_0 is not separated from lambda_1, a gap of 0
+    from spexcess.spectral import Spectrum
+    spec = eigendecompose(fx.cycle(6))
+    merged = Spectrum(np.array([1.5, 1.0, -1.0, -2.0]), np.array([2, 1, 2, 1]),
+                      spec.vectors, spec.residuals)
+    with pytest.raises(NonPositiveEigenvectorError, match=r"^lambda_0 - lambda_1 = 0\.000e\+00 "
+                       r"is at or below the 1e-07 max\(1, lambda_0\) floor$"):
+        perron_weights(merged, _degrees(fx.cycle(6)))
 
 
 def test_idempotent_algebra():
@@ -217,7 +220,7 @@ def test_local_mults_match_lagrange_diagonal():
     for name in ("k23", "petersen", "p3", "c5", "k4", "c8_12", "k13"):
         g = fx.star(3) if name == "k13" else fx.named(name)
         spec = eigendecompose(g)
-        mat = local_spectra(spec, g.adjacency).mults
+        mat = local_spectra(spec).mults
         a = np.asarray(g.adjacency)
         for i in range(spec.d + 1):
             diag = np.diag(_lagrange_projector(a, spec, i))
@@ -242,7 +245,7 @@ def test_local_spectrum_p3():
     g = fx.path(3)
     dd = distance_data(g)
     spec = eigendecompose(g)
-    locs = local_spectra(spec, g.adjacency)
+    locs = local_spectra(spec)
     end, center = locs.mults[0], locs.mults[1]
     assert center[1] <= 1e-12  # no mass at eigenvalue 0
     assert locs.du[1] == 1 and dd.ecc[1] == 1  # the center is extremal
@@ -256,7 +259,7 @@ def test_local_mults_sum_to_one_and_aggregate():
         dd = distance_data(g)
         spec = eigendecompose(g)
         alpha = perron_weights(spec, _degrees(g))
-        locs = local_spectra(spec, g.adjacency)
+        locs = local_spectra(spec)
         mat = locs.mults
         assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(mat.sum(axis=0) - spec.mults).max() <= 1e-9

@@ -755,7 +755,7 @@ def test_column_families_match_scalar_rule(request, graphs):
     for name, ga, reports in analyzed:
         _p31, _t32, t33, t34, p35, p36, *chain = reports
         q, h, cls = ga.global_seq.q_lambda0, ga.stats.harmonic_means, ga.classification
-        eq_tol, tol = ga.tols.equality, ga.tols.equality * max(1.0, ga.n)
+        eq_tol, tol = ga.eq_tol, ga.eq_tol * max(1.0, ga.n)
         gaps = [_q_gap(ga, j) for j in range(min(ga.D, ga.d) + 1)]
         assert ga.q_gaps.max_abs_diff.tolist() == gaps, name
         seen.update(f"gap {'within' if gap <= tol else 'beyond'} tolerance" for gap in gaps)
@@ -877,7 +877,7 @@ def test_column_violation_messages(analyses):
     ga = analyses("k23")
     t34, p35, p36 = (check(ga) for check in (check_harmonic_bound, check_partial_dr_matrix,
                                              check_partial_dr_inequality))
-    eq_tol = ga.tols.equality
+    eq_tol = ga.eq_tol
     t34, p36 = _with_row(t34, 1, 3.75, 3.5, eq_tol), _with_row(p36, 1, 9.5, 8.25, eq_tol)
     p35 = p35._replace(details={**p35.details, "oracle_agrees": np.array([False, True])})
     assert collect_violations([t34, p35, p36]) == [
