@@ -141,13 +141,18 @@ def test_petersen_spectrum_trace_identities():
 
 
 def test_eigendecompose_residuals():
-    for name in ("k23", "petersen", "c8_12", "p3"):
+    for name in ("k23", "petersen", "c8_12", "p3", "k5", "c6"):
         g = fx.named(name)
         spec = eigendecompose(g)
         a = np.asarray(g.adjacency)
         norm = np.linalg.norm(a)
         for i, v in enumerate(_class_vectors(spec)):
             assert np.linalg.norm(a @ v - spec.lambdas[i] * v, axis=0).max() <= 1e-8 * norm
+        # Spectrum.residuals bounds each column's residual against its class,
+        # up to the rounding of forming it
+        res = np.linalg.norm(a @ spec.vectors - spec.vectors * spec.lambdas[spec.class_index],
+                             axis=0)
+        assert np.all(res <= spec.residuals + 4 * np.finfo(float).eps * spec.lambda0)
 
 
 def test_multiplicities_sum_and_simple_top():
