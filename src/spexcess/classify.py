@@ -1,10 +1,8 @@
 """Combinatorial oracles for every regularity notion checked spectrally.
 
-The checks in ``theorems`` read the predistance polynomials; these oracles
-never do (this module imports nothing from ``poly``).  Pseudo-distance-
-and distance-regularity and the partial distance-regularity level count
-neighbours directly; the distance-polynomial oracle, its own pipeline
-stage, projects each A_i onto the eigenvector classes.
+The checks in ``theorems`` read the predistance polynomials and the
+eigenvectors; these oracles read neither (this module imports nothing from
+``poly`` or ``spectral``).
 
 Pseudo-distance-regularity around u (weighted): for v in Gamma_i(u),
 
@@ -32,6 +30,11 @@ and has level 0, so only the per-root question is asked of it.  The
 per-root answers stay arrays over the roots (``Classification.is_pdr``).
 ``classify_graph`` is that sweep; ``Classification.is_distance_regular``
 is read from the intersection array, not stored.
+
+A distance-polynomial graph (each A_i a polynomial in A) is regular, as
+J = sum A_i commutes with A; a regular graph at level >= D - 1 is one, as
+A_D = J - sum_{i<D} p_i(A) and J is Hoffman's polynomial in A.  Only the
+other regular graphs reach ``is_distance_polynomial``.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import CACHE_BLOCK_BYTES, SWEEP_BLOCK_BYTES, readonly as _readonly
+from .errors import ConvergenceError
 from .graphs import DistanceData
-from .spectral import Spectrum, class_sums
 
 DEFAULT_ORACLE_TOL = 1e-7
+_PRIMES = (1048573, 1048571)  # below 2^20: products of residues stay below 2^40
 
 
 def _pair_counts(dist: np.ndarray, alpha: np.ndarray):
@@ -81,7 +85,7 @@ class Classification:
     Around a root u with ``is_pdr[u]``, ``pdr_numbers[u, :, :ecc(u) + 1]``
     are c*, a*, b* (c*_0 = b*_ecc = 0); ``pdr_violations`` holds, as columns
     over the other roots in order, their first offending (radius, v, w,
-    value_v, value_w, which).
+    value_v, value_w, which).  ``is_distance_polynomial`` is T38's oracle.
     """
 
     is_regular: bool
@@ -90,6 +94,7 @@ class Classification:
     pdr_numbers: np.ndarray
     pdr_violations: dict
     partial_dr_level: int
+    is_distance_polynomial: bool
 
     @property
     def is_distance_regular(self) -> bool:
@@ -169,35 +174,41 @@ def classify_graph(dd: DistanceData, alpha: np.ndarray,
                   "value_w": high, "which": np.array(list("cab"))[which]}
     pdr = _readonly(first < 0), _readonly(numbers), violations
     if not is_regular:
-        return Classification(False, None, *pdr, 0)
+        return Classification(False, None, *pdr, 0, False)
     varies = (np.where(present, ends[0], np.inf).min(axis=1)
               != np.where(present, ends[1], -np.inf).max(axis=1)).T.ravel()
     if varies.any():
         radius, which = divmod(int(varies.argmax()), 3)
-        return Classification(True, None, *pdr, radius - (which == 0))
+        level = radius - (which == 0)
+        return Classification(True, None, *pdr, level,
+                              level >= dd.diameter - 1 or is_distance_polynomial(dd))
     c, a, b = numbers[0].astype(int).tolist()
-    return Classification(True, {"b": b[:-1], "c": c[1:], "a": a}, *pdr, dd.diameter)
+    return Classification(True, {"b": b[:-1], "c": c[1:], "a": a}, *pdr, dd.diameter, True)
 
 
-def is_distance_polynomial(dd: DistanceData, spec: Spectrum,
-                           tol: float = DEFAULT_ORACLE_TOL) -> tuple[bool, np.ndarray]:
-    """Membership of each A_i in the adjacency algebra span{E_0, ..., E_d}.
+def is_distance_polynomial(dd: DistanceData) -> bool:
+    """Whether every A_i is a polynomial in A: for x and y drawn mod each prime
+    p of ``_PRIMES`` (which must agree), whether every [A_i x; A_i y] lies in
+    the span of the [A^k x; A^k y], kept in reduced row echelon form: x fixes
+    the one r with r(A) x = A_i x, and a random y shows A_i = r(A).  The A_i
+    go in stacks of at most ``CACHE_BLOCK_BYTES``; every sum stays exact."""
+    n, top, step = dd.n, dd.diameter + 1, max(1, CACHE_BLOCK_BYTES // (8 * dd.n ** 2))
+    rows, cols = (dd.dist == 1).nonzero()
+    verdicts = []
+    for p in _PRIMES:
+        w = start = np.random.default_rng(p).integers(0, p, (n, 2)).astype(float)  # [x y]
+        basis, pivots = np.zeros((0, 2 * n), dtype=np.int64), []
 
-    The orthogonal projection of A_i onto that span (Frobenius inner
-    product) is sum_k (tr(A_i E_k) / m_k) E_k with E_k = V_k V_k^T, built
-    from the eigenvectors without matrix powers.  A graph is
-    distance-polynomial iff every Frobenius residual of A_i minus its
-    projection is at most tol * n.  The A_i go in stacks of at most
-    ``CACHE_BLOCK_BYTES``, small enough to stay in cache.
-    """
-    v = spec.vectors
-    residuals = np.zeros(dd.diameter + 1)
-    step = max(1, CACHE_BLOCK_BYTES // (8 * dd.n ** 2))
-    for start in range(0, dd.diameter + 1, step):
-        a = dd.matrix(np.arange(start, min(start + step, dd.diameter + 1))[:, None, None])
-        diag = np.einsum("uk,iuk->ik", v, a @ v)  # (V^T A_i V)_kk
-        coef = class_sums(diag, spec) / spec.mults
-        a -= (v * coef.take(spec.class_index, axis=1)[:, None]) @ v.T  # C-ordered rows
-        residuals[start:start + len(a)] = [np.linalg.norm(diff) for diff in a]  # one per A_i
-    ok = bool((residuals <= tol * dd.n).all())
-    return ok, _readonly(residuals)
+        def residue(v):  # each [v_x; v_y] of the stack v less its part in the span
+            v = v.astype(np.int64).reshape(len(v), -1)
+            return (v - v[:, pivots] @ basis) % p
+        while (r := residue(w[None])[0]).any():
+            pivots.append(c := int(np.flatnonzero(r)[0]))  # the new pivot
+            r = r * pow(int(r[c]), p - 2, p) % p
+            basis = np.vstack([(basis - np.outer(basis[:, c], r)) % p, r])
+            w = np.stack([np.bincount(rows, w[cols, k], n) for k in (0, 1)], axis=1) % p  # A w
+        spheres = (dd.dist == np.arange(i, i + step)[:, None, None] for i in range(0, top, step))
+        verdicts.append(not any(residue(s.astype(float) @ start % p).any() for s in spheres))
+    if verdicts[0] != verdicts[1]:
+        raise ConvergenceError(f"the distance-polynomial test reads {verdicts} mod {_PRIMES}")
+    return verdicts[0]

@@ -14,9 +14,9 @@ Commands:
 Exit codes: 0 success; 3 numerical failure in a stage that the command
 reads, and ``check`` reads only its theorem's (a LAPACK eigensolver
 failure, a gap lambda_0 - lambda_1, a Perron vector entry or a vertex's
-lambda_0 mass at or below its floor, or a singular spectral measure:
-classes closer than their residuals or a broken-down recurrence; the number
-of distinct eigenvalues is no limit); 2 any other ``SpexcessError`` (among
+lambda_0 mass at or below its floor, a singular spectral measure (classes
+within their residuals or a broken-down recurrence) or primes at odds on
+distance-polynomiality; d is unbounded); 2 any other ``SpexcessError`` (among
 them a ``check`` flag that the theorem requires and lacks, or does not
 take, rejected before the graph is read, and one out of range: ``--vertex``
 before any stage, ``--j`` once d_u is known, and P35's and P36's ``--m``

@@ -18,7 +18,7 @@ class LoopOrMultiEdgeError(SpexcessError):
 
 
 class ConvergenceError(SpexcessError):
-    """The LAPACK symmetric eigensolver failed to converge."""
+    """The LAPACK eigensolver failed, or the primes disagree on distance-polynomiality."""
 
 
 class NonPositiveEigenvectorError(SpexcessError):

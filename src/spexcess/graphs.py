@@ -140,10 +140,6 @@ class DistanceData:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def matrix(self, i) -> np.ndarray:
-        """A_i, the 0/1 matrix of pairs at distance i; i of shape (k, 1, 1) stacks k."""
-        return (self.dist == i).astype(float)
-
 
 def distance_data(g: Graph) -> DistanceData:
     """The hop distances of ``g``: ``g.distances``, whose BFS runs once per graph."""

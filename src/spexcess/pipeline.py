@@ -1,5 +1,5 @@
 """End-to-end analysis pipeline: one record whose stages are built on
-first read.
+first read, ``classification`` holding every oracle verdict.
 
 ``analyze_graph`` pairs a graph with its equality tolerance and computes
 nothing (eigenvalue classes and local supports take no tolerance:
@@ -99,11 +99,6 @@ class GraphAnalysis:
     @functools.cached_property
     def classification(self) -> classify.Classification:
         return classify.classify_graph(self.dd, self.alpha, tol=self.eq_tol)
-
-    @functools.cached_property
-    def distance_polynomial(self) -> tuple[bool, np.ndarray]:
-        """(whether each A_i is a polynomial in A, their residuals): T38's oracle."""
-        return classify.is_distance_polynomial(self.dd, self.spectrum, self.eq_tol)
 
     @functools.cached_property
     def min_du(self) -> int:

@@ -1,9 +1,10 @@
-"""JSON report assembly (schema version 8).
+"""JSON report assembly (schema version 9).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 8 while it holds (7
+key layout of the K_{2,3} report; the version stays 9 while it holds (7
 dropped ``tolerances.presence`` and 8 ``tolerances.grouping``: local
-supports and eigenvalue classes take no tolerance).
+supports and eigenvalue classes take no tolerance; 9
+``classification.distancePolynomialResiduals``: the verdict is exact).
 Each value is printed once, and none that other keys give: the Perron
 vector in one normalization (``perron.alpha``, ||alpha||^2 = n), u
 extremal where ``localSpectra.eccentricity`` equals ``du``, the pseudo-
@@ -22,7 +23,7 @@ shared gaps are printed once, before the first report that reads them:
 D (saturation decides the rest), P35 and P36 rows m - 1 and m.  Witnesses:
 P31 a vector pair per certified row; T33 p_{>=D}(A) and A*_D; T34 its
 rows with j < D stacked, eta those whose state is equal or ambiguous; T37
-its weighted excess per vertex; T38 the distance-polynomial residuals.
+its weighted excess per vertex; T38 none.
 ``classification.pseudoDistanceRegular`` has a flag per vertex, the
 numbers at radii 0..ecc(u) of the flagged u concatenated, and the first
 violation of each other u as columns.  P31's ``equalityHolds`` needs u
@@ -39,7 +40,7 @@ import numpy as np
 from .pipeline import GraphAnalysis
 from .theorems import CODES, VIOLATED, ColumnReport
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 def _arr(a):
@@ -85,7 +86,7 @@ def theorem_columns_dict(reports, include_witnesses: bool = False) -> dict:
 
 
 def classification_dict(ga: GraphAnalysis) -> dict:
-    cls, (is_dp, residuals) = ga.classification, ga.distance_polynomial
+    cls = ga.classification
     radii = np.arange(ga.D + 1) <= ga.dd.ecc[:, None]
     numbers = cls.pdr_numbers.transpose(1, 0, 2)[:, radii & cls.is_pdr[:, None]]
     return {
@@ -98,8 +99,7 @@ def classification_dict(ga: GraphAnalysis) -> dict:
             "violation": _columns(cls.pdr_violations),
         },
         "partialDistanceRegularLevel": cls.partial_dr_level,
-        "isDistancePolynomial": is_dp,
-        "distancePolynomialResiduals": _arr(residuals),
+        "isDistancePolynomial": cls.is_distance_polynomial,
     }
 
 

@@ -474,10 +474,9 @@ def check_distance_polynomial_sufficient(ga) -> ColumnReport:
     state, slack = _states(lhs, rhs, ga.eq_tol, "equality")
     hypotheses = bool((state == EQUAL).all())
     details = {"hypotheses_hold": hypotheses}
-    is_dp, residuals = ga.distance_polynomial
     if hypotheses:
-        oracle_ok = is_dp and cls.is_regular and cls.partial_dr_level >= D - 1
-        details.update(oracle_distance_polynomial=is_dp,
+        oracle_ok = cls.is_distance_polynomial and cls.is_regular and cls.partial_dr_level >= D - 1
+        details.update(oracle_distance_polynomial=cls.is_distance_polynomial,
                        oracle_regular=cls.is_regular,
                        oracle_partial_dr_level=cls.partial_dr_level, oracle_agrees=oracle_ok)
         verdict = _T38_CERTIFIED + (not oracle_ok)
@@ -487,5 +486,4 @@ def check_distance_polynomial_sufficient(ga) -> ColumnReport:
     return ColumnReport(
         "T38", ("delta*_D vs p_>=D(lambda0)", "delta*_D-1 vs p_D-1(lambda0)"), "equality",
         lhs, rhs, slack, state, np.full(2, verdict), np.full(2, oracle_ok),
-        {"i": np.array([D, D - 1]), "m": np.full(2, D - 1)}, details,
-        witness_fn=functools.partial(dict, distance_poly_residuals=residuals))
+        {"i": np.array([D, D - 1]), "m": np.full(2, D - 1)}, details)

@@ -7,6 +7,7 @@ lists so both the property tests and the timed acceptance criterion can
 share them.
 """
 
+import functools
 import heapq
 import random
 
@@ -17,7 +18,7 @@ from spexcess.classify import DEFAULT_ORACLE_TOL
 from spexcess.graphs import Graph
 from spexcess.pipeline import analyze_graph, run_all_checks
 from spexcess.poly import evaluate_at_matrix, predistance_polynomials
-from spexcess.spectral import top_p_lambda0
+from spexcess.spectral import class_sums, top_p_lambda0
 
 SEED = 20250809
 # the benchmark's wide-spectrum draw: the first 41 wide graphs are its shapes
@@ -96,8 +97,7 @@ def build_wide_corpus(seed=WIDE_SEED):
         graphs.extend((f"er{n}x{k}", connected_er(rng, n, 0.3)) for k in range(10))
     graphs.extend((f"tree30x{k}", random_tree(rng, 30)) for k in range(10))
     graphs.extend((f"er60x{k}", connected_er(rng, 60, 0.3)) for k in range(10))
-    tutte = nx.convert_node_labels_to_integers(nx.tutte_graph(), ordering="sorted")
-    graphs.append(("tutte", Graph.from_edges(tutte.number_of_nodes(), tutte.edges())))
+    graphs.append(("tutte", from_networkx(nx.tutte_graph())))
     return graphs
 
 
@@ -107,6 +107,40 @@ def build_atlas():
     return [(f"atlas{i}", Graph.from_edges(h.number_of_nodes(), h.edges()))
             for i, h in enumerate(nx.graph_atlas_g())
             if h.number_of_nodes() >= 2 and nx.is_connected(h)]
+
+
+def from_networkx(h):
+    """The ``Graph`` of the networkx graph ``h``, its nodes numbered in sorted order."""
+    h = nx.convert_node_labels_to_integers(h, ordering="sorted")
+    return Graph.from_edges(h.number_of_nodes(), h.edges())
+
+
+def build_modular_cases():
+    """Regular graphs below partial distance-regularity level D - 1, where
+    only the modular test decides whether the graph is distance-polynomial:
+    name -> (graph, the verdict of the eigenvector projection it replaced).
+    C4 x C6, C6 x C6 and circulant(20, {1, 4}) commute with every A_i and
+    are not distance-polynomial; of the prisms C_n x K2, n = 6..12, those
+    with n = 8 and 12 are not."""
+    K, C = nx.complete_graph, nx.cycle_graph
+
+    def box(*factors):
+        return functools.reduce(nx.cartesian_product, factors)
+
+    cases = {
+        "k3xc7": (box(K(3), C(7)), True), "c5xc5": (box(C(5), C(5)), True),
+        "moebius-kantor": (nx.moebius_kantor_graph(), True),
+        "circulant16-1-3": (nx.circulant_graph(16, [1, 3]), True),
+        "circulant24-1-5-7": (nx.circulant_graph(24, [1, 5, 7]), True),
+        "k2xk3xk4": (box(K(2), K(3), K(4)), True),
+        "c4xc6": (box(C(4), C(6)), False), "c6xc6": (box(C(6), C(6)), False),
+        "circulant20-1-4": (nx.circulant_graph(20, [1, 4]), False),
+        "truncated-tetrahedron": (nx.truncated_tetrahedron_graph(), False),
+        "frucht": (nx.frucht_graph(), False), "tutte": (nx.tutte_graph(), False),
+    }
+    cases.update((f"prism{n}", (nx.circular_ladder_graph(n), n not in (8, 12)))
+                 for n in range(6, 13))
+    return {name: (from_networkx(h), dp) for name, (h, dp) in cases.items()}
 
 
 def analyze_corpus(graphs):
@@ -470,11 +504,25 @@ def reference_partial_dr_level(ga, tol=DEFAULT_ORACLE_TOL):
     family and the eigenvectors (the spectral route the sweep replaced)."""
     level = 0
     for i in range(1, min(ga.D, ga.d) + 1):
-        diff = evaluate_at_matrix(ga.global_seq.values[i], ga.spectrum) - ga.dd.matrix(i)
+        diff = evaluate_at_matrix(ga.global_seq.values[i], ga.spectrum) - (ga.dd.dist == i)
         if np.abs(diff).max() > tol * max(1.0, ga.n):
             break
         level = i
     return level
+
+
+def reference_distance_polynomial(ga, tol=DEFAULT_ORACLE_TOL):
+    """Whether each A_i lies within tol * n, in Frobenius norm, of its
+    orthogonal projection sum_k (tr(A_i E_k) / m_k) E_k onto the span of the
+    E_k = V_k V_k^T, built from the eigenvectors (the spectral route that
+    the modular test replaced)."""
+    spec, v = ga.spectrum, ga.spectrum.vectors
+    for i in range(ga.D + 1):
+        a = (ga.dd.dist == i).astype(float)
+        coef = class_sums(np.einsum("uk,uk->k", v, a @ v), spec) / spec.mults
+        if np.linalg.norm(a - (v * coef.take(spec.class_index)) @ v.T) > tol * ga.n:
+            return False
+    return True
 
 
 def battery_partial_dr_level_reference(analyzed):

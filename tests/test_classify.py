@@ -5,6 +5,7 @@ import pytest
 import corpus
 import spexcess.classify
 import spexcess.poly
+import spexcess.spectral
 import spexcess.weighted
 from conftest import ALL_NAMES
 from spexcess import fixtures as fx
@@ -105,28 +106,51 @@ def test_not_distance_regular():
 
 
 def test_distance_polynomial_drg_fixtures():
+    # the classification stops at the level rule; the modular test agrees
     for name in ("petersen", "c6", "k4", "c5"):
         ga = _ga(name)
-        ok, residuals = is_distance_polynomial(ga.dd, ga.spectrum)
-        assert ok
-        assert residuals.max() <= 1e-9
+        assert ga.classification.is_distance_polynomial
+        assert is_distance_polynomial(ga.dd)
 
 
 def test_distance_polynomial_p3_negative():
+    # nonregular, so J = A_0 + A_1 + A_2 is no polynomial in A: the modular
+    # test finds A_2 = J - I - A outside the algebra too
     ga = _ga("p3")
-    ok, residuals = is_distance_polynomial(ga.dd, ga.spectrum)
-    assert not ok
-    # A_2 minus its projection onto span{E_0, E_1, E_2} = span{I, A, A^2}
-    # has Frobenius norm sqrt(1/2)
-    assert residuals[2] > 0.1
-    assert residuals[2] == pytest.approx(np.sqrt(0.5), rel=1e-6)
+    assert not ga.classification.is_distance_polynomial
+    assert not is_distance_polynomial(ga.dd)
 
 
 def test_distance_polynomial_c8_12():
     # regular with D = 2: A_2 = J - I - A lies in the algebra
     ga = _ga("c8_12")
-    ok, residuals = is_distance_polynomial(ga.dd, ga.spectrum)
-    assert ok and residuals.max() <= 1e-8
+    assert ga.classification.is_distance_polynomial
+    assert is_distance_polynomial(ga.dd)
+
+
+MODULAR_CASES = corpus.build_modular_cases()
+
+
+@pytest.mark.parametrize("name", sorted(MODULAR_CASES))
+def test_distance_polynomial_modular_cases(name):
+    # regular graphs below level D - 1, which only the modular test
+    # decides, pinned at the verdicts of the eigenvector projection
+    g, expected = MODULAR_CASES[name]
+    ga = analyze_graph(g)
+    cls = ga.classification
+    assert cls.is_regular and cls.partial_dr_level < ga.D - 1
+    assert cls.is_distance_polynomial == expected == is_distance_polynomial(ga.dd)
+    assert corpus.reference_distance_polynomial(ga) == expected
+
+
+@pytest.mark.parametrize("graphs", ["atlas", "analyzed", "wide"])
+def test_distance_polynomial_matches_projection(request, graphs):
+    # the verdict, and the modular test called on every graph, agree with
+    # the eigenvector projection on the atlas and both corpora
+    for name, ga, _reports in request.getfixturevalue(graphs):
+        expected = corpus.reference_distance_polynomial(ga)
+        assert ga.classification.is_distance_polynomial == expected, name
+        assert is_distance_polynomial(ga.dd) == expected, name
 
 
 def _level(name):
@@ -164,7 +188,7 @@ def test_classification_implications():
         ga = _ga(name)
         cls = ga.classification
         assert cls.is_distance_regular
-        assert cls.is_regular and ga.distance_polynomial[0]
+        assert cls.is_regular and cls.is_distance_polynomial
         assert cls.is_pdr.all()
 
 
@@ -190,19 +214,14 @@ def test_sweep_memory_stays_within_its_block_budget():
     assert peak < 3 * 2 ** 20
 
 
-def _from_nx(h):
-    h = nx.convert_node_labels_to_integers(h, ordering="sorted")
-    return Graph.from_edges(h.number_of_nodes(), h.edges())
-
-
 def test_level_matches_polynomial_reference(analyses):
     analyzed = [(name, analyses(name), None) for name in ALL_NAMES]
     extra = [("k1", Graph.from_edges(1, [])),
-             ("mcgee", _from_nx(nx.LCF_graph(24, [12, 7, -7], 8)))]
+             ("mcgee", corpus.from_networkx(nx.LCF_graph(24, [12, 7, -7], 8)))]
     for seed in range(6):
         h = nx.random_regular_graph(3 + seed % 2, 14 + 2 * seed, seed=seed)
         if nx.is_connected(h):
-            extra.append((f"regular{seed}", _from_nx(h)))
+            extra.append((f"regular{seed}", corpus.from_networkx(h)))
     extra = [(name, analyze_graph(g), None) for name, g in extra]
     analyzed += extra
     assert len(analyzed) >= len(ALL_NAMES) + 5
@@ -231,6 +250,14 @@ def test_metric_side_holds_nothing_from_poly(module):
     assert not leaked
 
 
+def test_classify_holds_nothing_from_spectral():
+    # the distance-polynomial verdict reads no eigenvector and no tolerance
+    leaked = [name for name, obj in vars(spexcess.classify).items()
+              if obj is spexcess.spectral
+              or getattr(obj, "__module__", None) == spexcess.spectral.__name__]
+    assert not leaked
+
+
 @pytest.mark.parametrize("name", ["petersen", "c8_12", "c6", "k23", "p3", "k13"])
 def test_one_sweep_per_classification(monkeypatch, name):
     calls = []
@@ -245,7 +272,7 @@ def test_one_sweep_per_classification(monkeypatch, name):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("g", [fx.named("c8_12"), _from_nx(nx.tutte_graph())],
+@pytest.mark.parametrize("g", [fx.named("c8_12"), corpus.from_networkx(nx.tutte_graph())],
                          ids=["c8_12", "tutte"])
 def test_violation_names_lowest_vertices_and_integer_counts(g):
     # on a regular graph the counts are integers: v and w are the lowest-id

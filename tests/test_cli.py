@@ -37,7 +37,7 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 8
+    assert report["schemaVersion"] == 9
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
@@ -139,7 +139,6 @@ K23_LAYOUT = {
                                                               "value_w", "which"))},
         "partialDistanceRegularLevel": None,
         "isDistancePolynomial": None,
-        "distancePolynomialResiduals": None,
     },
 }
 
@@ -639,6 +638,25 @@ def test_wrong_grouping_exits_3(capsys, tmp_path, monkeypatch, name, theorem):
     code, out, err = _run(capsys, ["check", str(path), "--theorem", theorem, "--vertex", "0"])
     assert code == 3 and out == "", err
     assert err.startswith("numerical failure: ") and err.endswith("wrongly grouped\n"), err
+
+
+def test_disagreeing_primes_exit_3(capsys, tmp_path, monkeypatch):
+    # C5 x C5 is regular at level 1 of D = 4, so the modular test decides
+    # it: distance-polynomial modulo 1048573, but one A_i needs a
+    # denominator 2, so modulo 2 it reads not, for every random draw
+    import networkx as nx
+
+    import corpus
+    from spexcess import classify
+
+    monkeypatch.setattr(classify, "_PRIMES", (1048573, 2))
+    g = corpus.from_networkx(nx.cartesian_product(nx.cycle_graph(5), nx.cycle_graph(5)))
+    path = tmp_path / "c5xc5.el"
+    path.write_bytes(fx.edgelist_bytes(g))
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure: the distance-polynomial test reads [True, False] "
+                   "mod (1048573, 2)\n")
 
 
 def test_p35_and_p36_refuse_an_m_out_of_range_alike(capsys, tmp_path):

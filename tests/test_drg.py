@@ -53,7 +53,7 @@ def test_networkx_drg(name):
     assert cls.is_distance_regular
     assert cls.intersection_array["b"] == list(b)
     assert cls.intersection_array["c"] == list(c)
-    assert ga.distance_polynomial[0]
+    assert cls.is_distance_polynomial
     assert cls.partial_dr_level == ga.d == ga.D
     assert cls.is_pdr.all()
     assert not collect_violations(reports)
@@ -66,7 +66,7 @@ def _verdicts(ga, reports, original):
         "spectrum": (ga.spectrum.mults.tolist(), ga.spectrum.lambdas.round(8).tolist()),
         "classification": (cls.is_regular, cls.is_distance_regular,
                            cls.intersection_array, cls.partial_dr_level,
-                           ga.distance_polynomial[0],
+                           cls.is_distance_polynomial,
                            sorted(original[u] for u in np.flatnonzero(cls.is_pdr)),
                            sorted(original[u] for u in
                                   np.flatnonzero(ga.dd.ecc == ga.local_spectra.du))),

@@ -199,10 +199,10 @@ def test_distance_partition_invariants():
     for name in ("k23", "petersen", "p3", "c6", "c8_12"):
         g = fx.named(name)
         dd = distance_data(g)
-        stack = sum(dd.matrix(i) for i in range(dd.diameter + 1))
+        stack = sum(dd.dist == i for i in range(dd.diameter + 1))
         assert np.array_equal(stack, np.ones((g.n, g.n)))
-        assert np.array_equal(dd.matrix(0), np.eye(g.n))
-        assert np.array_equal(dd.matrix(1), g.adjacency)
+        assert np.array_equal(dd.dist == 0, np.eye(g.n))
+        assert np.array_equal(dd.dist == 1, g.adjacency)
         assert dd.diameter == dd.ecc.max()
         assert dd.diameter <= g.n - 1
         for u in range(g.n):

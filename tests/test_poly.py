@@ -174,7 +174,7 @@ def test_petersen_p2_matches_sphere():
     ga = _analysis("petersen")
     assert ga.global_seq.p_lambda0[2] == pytest.approx(6.0, rel=1e-9)
     a2 = evaluate_at_matrix(ga.global_seq.values[2], ga.spectrum)
-    assert np.abs(a2 - ga.dd.matrix(2)).max() <= 1e-7
+    assert np.abs(a2 - (ga.dd.dist == 2)).max() <= 1e-7
 
 
 def test_drg_fixtures_p_i_equals_a_i():
@@ -182,7 +182,7 @@ def test_drg_fixtures_p_i_equals_a_i():
         ga = _analysis(name)
         for i in range(ga.D + 1):
             diff = evaluate_at_matrix(ga.global_seq.values[i], ga.spectrum) \
-                - ga.dd.matrix(i)
+                - (ga.dd.dist == i)
             assert np.abs(diff).max() <= 1e-7, (name, i)
 
 

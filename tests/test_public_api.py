@@ -58,7 +58,7 @@ def test_per_vertex_fields_are_pinned():
     assert fields == ["mults", "du", "excess"]
     fields = [f.name for f in dataclasses.fields(classify.Classification)]
     assert fields == ["is_regular", "intersection_array", "is_pdr", "pdr_numbers",
-                      "pdr_violations", "partial_dr_level"]
+                      "pdr_violations", "partial_dr_level", "is_distance_polynomial"]
     fields = [f.name for f in dataclasses.fields(weighted.ExcessStats)]
     assert fields == ["ball_norms", "sphere_norms", "harmonic_means", "delta_star"]
 

@@ -97,8 +97,7 @@ def test_results_do_not_depend_on_eigenvector_signs(monkeypatch, signs):
                      (base.local_spectra.excess, other.local_spectra.excess),
                      (base.alpha, other.alpha),
                      (base.local_q_lambda0, other.local_q_lambda0),
-                     (base.q_gaps.max_abs_diff, other.q_gaps.max_abs_diff),
-                     (base.distance_polynomial[1], other.distance_polynomial[1])):
+                     (base.q_gaps.max_abs_diff, other.q_gaps.max_abs_diff)):
             assert np.array_equal(a, b)
         base_json, other_json = (to_json(analysis_report(ga, run_all_checks(ga), True))
                                  for ga in analyses)

@@ -203,7 +203,7 @@ def test_t33_drg_equality(analyses):
 def test_t33_petersen_witness_is_a2(analyses):
     ga = analyses("petersen")
     rep = check_lee_weng(ga)
-    assert np.abs(rep.witness_fn()["p_geqD_at_A"] - ga.dd.matrix(2)).max() <= 1e-7
+    assert np.abs(rep.witness_fn()["p_geqD_at_A"] - (ga.dd.dist == 2)).max() <= 1e-7
 
 
 # --- T34 harmonic bound -----------------------------------------------------------
@@ -253,12 +253,12 @@ def test_t34_saturated_row_builds_no_q_gaps(capsys, tmp_path):
 
 
 def test_chain_builds_only_the_stages_it_reads():
-    # T37 reads the global side: no local spectra, no combinatorial
-    # classification and no distance-polynomial oracle
+    # T37 reads the global side: no local spectra and no combinatorial
+    # classification, the distance-polynomial oracle included
     ga = analyze_graph(fx.petersen())
     check_chain(ga)
     assert {"stats", "tail_identity"} <= ga.__dict__.keys()
-    assert not {"local_spectra", "classification", "distance_polynomial"} & ga.__dict__.keys()
+    assert not {"local_spectra", "classification"} & ga.__dict__.keys()
 
 
 def test_t34_eta_witness_on_equality(analyses):
@@ -386,7 +386,7 @@ def test_t38_p3_no_claim(analyses):
     ga = analyses("p3")
     rep = check_distance_polynomial_sufficient(ga)
     assert not rep.details["hypotheses_hold"]
-    assert not ga.distance_polynomial[0]
+    assert not ga.classification.is_distance_polynomial
 
 
 def test_t38_c8_12_positive(analyses):
@@ -832,7 +832,7 @@ def test_column_families_match_scalar_rule(request, graphs):
                        float(ga.global_seq.p_lambda0[D - 1])))
         states = [_compare(lhs, rhs, eq_tol, "equality") for _label, lhs, rhs in hypotheses]
         hold = all(state == "equal" for state, _slack in states)
-        oracle_ok = hold and ga.distance_polynomial[0] and cls.is_regular and level >= D - 1
+        oracle_ok = hold and cls.is_distance_polynomial and cls.is_regular and level >= D - 1
         verdict = ("hypotheses not satisfied; no claim" if not hold else
                    "distance-polynomial (oracle-certified; regular and "
                    f"{D - 1}-partially distance-regular)" if oracle_ok else
