@@ -186,12 +186,25 @@ def classify_graph(dd: DistanceData, alpha: np.ndarray,
     return Classification(True, {"b": b[:-1], "c": c[1:], "a": a}, *pdr, dd.diameter, True)
 
 
+def _commutes(dd: DistanceData) -> bool:
+    """Whether A (A_i z) = A_i (A z) at every i <= D, as for any A_i in R[A] (Freivalds), for
+    z a fixed hash below 2^10; each [A_0 v ... A_D v] is one bincount of exact sums below 2^53."""
+    n, top, adjacency = dd.n, dd.diameter + 1, (dd.dist == 1).astype(float)
+    index = (np.arange(n)[:, None] * top + dd.dist).ravel()
+    z = np.arange(n) * 2654435761 % 2 ** 32 >> 22
+    a_z, a_az = (np.bincount(index, np.tile(v, n), n * top).reshape(n, top)
+                 for v in (z, adjacency @ z))
+    return np.array_equal(adjacency @ a_z, a_az)
+
+
 def is_distance_polynomial(dd: DistanceData) -> bool:
-    """Whether every A_i is a polynomial in A: for x and y drawn mod each prime
-    p of ``_PRIMES`` (which must agree), whether every [A_i x; A_i y] lies in
-    the span of the [A^k x; A^k y], kept in reduced row echelon form: x fixes
-    the one r with r(A) x = A_i x, and a random y shows A_i = r(A).  The A_i
-    go in stacks of at most ``CACHE_BLOCK_BYTES``; every sum stays exact."""
+    """Whether every A_i is a polynomial in A: not if ``_commutes`` fails, else
+    for x and y drawn mod each prime p of ``_PRIMES`` (which must agree), if
+    every [A_i x; A_i y] lies in the span of the [A^k x; A^k y], in reduced row
+    echelon form: x fixes the one r with r(A) x = A_i x, and a random y shows
+    A_i = r(A).  The A_i go in stacks of ``CACHE_BLOCK_BYTES``; sums stay exact."""
+    if not _commutes(dd):
+        return False
     n, top, step = dd.n, dd.diameter + 1, max(1, CACHE_BLOCK_BYTES // (8 * dd.n ** 2))
     rows, cols = (dd.dist == 1).nonzero()
     verdicts = []

@@ -143,6 +143,23 @@ def test_distance_polynomial_modular_cases(name):
     assert corpus.reference_distance_polynomial(ga) == expected
 
 
+def test_commutation_check_skips_only_graphs_it_rejects(monkeypatch):
+    # a graph whose A fails to commute with some A_i is no distance-
+    # polynomial one and never reaches the modular test, which draws its
+    # start vectors from default_rng; those that commute with every A_i
+    # (the distance-polynomial cases, C4 x C6, C6 x C6, circulant(20,
+    # {1, 4}) and the prisms of order 16 and 24) still do
+    draws, rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or rng(seed))
+    cases = dict(MODULAR_CASES)
+    cases["rr300"] = corpus.from_networkx(nx.random_regular_graph(3, 300, seed=1)), False
+    rejected = {"tutte", "frucht", "truncated-tetrahedron", "rr300"}
+    for name, (g, expected) in cases.items():
+        draws.clear()
+        assert is_distance_polynomial(g.distances) == expected, name
+        assert bool(draws) == (name not in rejected), name
+
+
 @pytest.mark.parametrize("graphs", ["atlas", "analyzed", "wide"])
 def test_distance_polynomial_matches_projection(request, graphs):
     # the verdict, and the modular test called on every graph, agree with
