@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="run the full pipeline on one graph")
     _add_common(p_an)
     p_an.add_argument("--witnesses", action="store_true",
-                      help="include witness matrices in theorem reports")
+                      help="also print the raw arrays behind the verdicts")
 
     p_ck = sub.add_parser("check", help="evaluate a single theorem")
     _add_common(p_ck)

@@ -1,18 +1,20 @@
-"""JSON report assembly (schema version 9).
+"""JSON report assembly (schema version 10).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 9 while it holds (7
+key layout of the K_{2,3} report; the version stays 10 while it holds (7
 dropped ``tolerances.presence`` and 8 ``tolerances.grouping``: local
 supports and eigenvalue classes take no tolerance; 9
-``classification.distancePolynomialResiduals``: the verdict is exact).
+``classification.distancePolynomialResiduals``: the verdict is exact; 10
+the margins, and two raw arrays only as witnesses).
 Each value is printed once, and none that other keys give: the Perron
 vector in one normalization (``perron.alpha``, ||alpha||^2 = n), u
 extremal where ``localSpectra.eccentricity`` equals ``du``, the pseudo-
 distance-regular vertices as flags.  ``graph.isRegular`` repeats
 ``classification.isRegular`` on purpose: the benchmark's verifier reads
-both.  Per-vertex and per-index data are columns:
-``localSpectra`` one list per field, and ``theoremColumns`` the ``codes``
-that state and verdict columns index, then the columns of each
+both.  Per-vertex and per-index data are columns: ``localSpectra`` one list
+per field (``presenceMargin`` the ``LocalSpectra.margins``, null for none),
+and ``theoremColumns`` the ``codes`` that state and verdict columns index,
+then the columns of each
 ``theorems.ColumnReport``: P31 and T32 by vertex, T33 as one row, T34 by
 j, P35 and P36 by m, T37 by link and T38 by hypothesis (i = D, D - 1).  A
 label or detail equal on every row is one value.  A ``certificate`` has one
@@ -20,15 +22,16 @@ gap per row in ``rows``: P31's scalar-equal rows, T37's link (ii).  Two
 shared gaps are printed once, before the first report that reads them:
 ``tailGap``, max|p_{>=D}(A) - A*_D|, which T33 and T37's link (i) read, and
 ``qGaps``, max|q_j(A) - S*_j| for j = 0..min(D, d): T34 reads row j below
-D (saturation decides the rest), P35 and P36 rows m - 1 and m.  Witnesses:
-P31 a vector pair per certified row; T33 p_{>=D}(A) and A*_D; T34 its
-rows with j < D stacked, eta those whose state is equal or ambiguous; T37
-its weighted excess per vertex; T38 none.
-``classification.pseudoDistanceRegular`` has a flag per vertex, the
-numbers at radii 0..ecc(u) of the flagged u concatenated, and the first
-violation of each other u as columns.  P31's ``equalityHolds`` needs u
-extremal, so "bound attained" can come with ``equalityHolds`` false.
-Values are JSON-ready as built.
+D (saturation decides the rest), P35 and P36 rows m - 1 and m.  Witnesses,
+printed only with ``--witnesses``: P31 a vector pair per certified row;
+T33 p_{>=D}(A) and A*_D; T34 its rows with j < D stacked, eta those whose
+state is equal or ambiguous; T37 its weighted excess per vertex; T38 none;
+``localSpectra.localMultiplicities``, every m_u(lambda_i); and the first
+violation of each u not pseudo-distance-regular, as the columns of
+``classification.pseudoDistanceRegular.violation``, which also has a flag
+per vertex and the numbers at radii 0..ecc(u) of the flagged u concatenated.
+P31's ``equalityHolds`` needs u extremal, so "bound attained" can come with
+``equalityHolds`` false.  Values are JSON-ready as built.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from .pipeline import GraphAnalysis
 from .theorems import CODES, VIOLATED, ColumnReport
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 def _arr(a):
@@ -85,7 +88,7 @@ def theorem_columns_dict(reports, include_witnesses: bool = False) -> dict:
     return out
 
 
-def classification_dict(ga: GraphAnalysis) -> dict:
+def classification_dict(ga: GraphAnalysis, include_witnesses: bool = False) -> dict:
     cls = ga.classification
     radii = np.arange(ga.D + 1) <= ga.dd.ecc[:, None]
     numbers = cls.pdr_numbers.transpose(1, 0, 2)[:, radii & cls.is_pdr[:, None]]
@@ -96,7 +99,7 @@ def classification_dict(ga: GraphAnalysis) -> dict:
         "pseudoDistanceRegular": {
             "isPseudoDistanceRegular": cls.is_pdr.tolist(),
             "pseudoIntersectionNumbers": dict(zip("cab", numbers.tolist())),
-            "violation": _columns(cls.pdr_violations),
+            **({"violation": _columns(cls.pdr_violations)} if include_witnesses else {}),
         },
         "partialDistanceRegularLevel": cls.partial_dr_level,
         "isDistancePolynomial": cls.is_distance_polynomial,
@@ -120,8 +123,12 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
         "spectrum": {"lambdas": _arr(ga.spectrum.lambdas),
                      "multiplicities": ga.spectrum.mults.tolist()},
         "perron": {"lambda0": float(ga.lambda0), "alpha": _arr(ga.alpha)},
-        "localSpectra": {"eccentricity": ga.dd.ecc.tolist(), "du": ls.du.tolist(),
-                         "localMultiplicities": ls.mults.tolist()},
+        "localSpectra": {
+            "eccentricity": ga.dd.ecc.tolist(), "du": ls.du.tolist(),
+            "presenceMargin": dict(zip(("smallestKept", "largestDropped"), np.where(
+                np.isfinite(ls.margins), ls.margins, None).tolist())),
+            **({"localMultiplicities": ls.mults.tolist()} if include_witnesses else {}),
+        },
         "polynomials": {
             "pAtLambda0": _arr(seq.p_lambda0),
             "qAtLambda0": _arr(seq.q_lambda0),
@@ -134,7 +141,7 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
             "nMinusHarmonicDMinus1": float(ga.stats.n_minus_harmonic),
         },
         "theoremColumns": theorem_columns_dict(reports, include_witnesses),
-        "classification": classification_dict(ga),
+        "classification": classification_dict(ga, include_witnesses),
     }
 
 

@@ -33,7 +33,8 @@ Perron-Frobenius, meets floors instead: its mass ``_LAMBDA0_FLOOR`` and its
 gap to lambda_1 ``_LAMBDA0_GAP`` max(1, lambda_0).  Past them, trees and
 lollipops would reach equality tests that do not compare at alpha_u's
 scale, and barbells a Perron vector whose mirror halves differ at the scale
-of the equality tolerance.  Raw m_u values are kept beside d_u for audit.
+of the equality tolerance.  Raw m_u values and the margins, per vertex the
+kept and dropped sqrt(m_u(lambda_i)) / s_i nearest the rule, are kept for audit.
 """
 
 from __future__ import annotations
@@ -148,12 +149,14 @@ class LocalSpectra:
     ``mults[u, i] = (E_i)_{uu}``, nonnegative and summing to 1 over i;
     ``du[u]`` counts the lambda_i other than lambda_0 whose mass the
     residual bound proves present (module note); ``excess[u]`` is
-    p^u_{d_u}(lambda_0), the top local predistance polynomial at lambda_0.
+    p^u_{d_u}(lambda_0), the top local predistance polynomial at lambda_0;
+    ``margins[:, u]`` u's smallest kept and largest dropped margin, inf and -inf for none.
     """
 
     mults: np.ndarray
     du: np.ndarray
     excess: np.ndarray
+    margins: np.ndarray
 
 
 def class_sums(x: np.ndarray, spec: Spectrum) -> np.ndarray:
@@ -199,8 +202,10 @@ def local_spectra(spec: Spectrum) -> LocalSpectra:
         raise DegenerateMeasureError(f"classes {i} and {i + 1} lie within their residuals "
                                      f"(gap {shrunk[i]:.1e}): eigenvalues may be wrongly grouped")
     gap = np.minimum(np.append(np.inf, shrunk), np.append(shrunk, np.inf))
-    bound = (1.0 + math.sqrt(2.0)) * np.sqrt(class_sums(spec.residuals ** 2, spec))
-    present = np.sqrt(m) * gap > bound
+    ratio = np.sqrt(m) * gap / np.sqrt(class_sums(spec.residuals ** 2, spec))
+    present = ratio > 1.0 + math.sqrt(2.0)
     present[:, 0] = True
+    margins = np.array([np.where(present, ratio, np.inf)[:, 1:].min(axis=1, initial=np.inf),
+                        np.where(present, -np.inf, ratio).max(axis=1)])  # lambda_0 in neither
     excess = _readonly(top_p_lambda0(spec.lambdas, m, present, spec.n * m[:, 0]))
-    return LocalSpectra(mults=m, du=_readonly(present.sum(axis=1) - 1), excess=excess)
+    return LocalSpectra(m, _readonly(present.sum(axis=1) - 1), excess, _readonly(margins))

@@ -1,5 +1,5 @@
-"""Snapshots of ``spexcess analyze --witnesses`` and ``spexcess check`` over
-a fixed set of inputs.
+"""Snapshots of ``spexcess analyze``, with and without ``--witnesses``, and
+``spexcess check`` over a fixed set of inputs.
 
     python tests/snapshot.py write OUT.json
     python tests/snapshot.py compare A.json B.json
@@ -15,10 +15,11 @@ stderr and exit code under its argv, joined by spaces.  It runs
 * seeds 1 and 2 of the three benchmark workloads, written by
   ``bench/workloads.build`` (imported, not modified).
 
-It then runs ``check`` for every theorem on the 13 fixtures' edge lists, P5
-and lollipop(6, 6), 1649 calls: each flag a theorem requires at every value
-from -1 to n, and each flag it may take also absent, as ``cli._CHECKS`` of
-the snapshotted checkout lists them.
+It also runs plain ``analyze PATH`` on the 318 workload inputs, the call
+that the benchmark times.  It then runs ``check`` for every theorem on the
+13 fixtures' edge lists, P5 and lollipop(6, 6), 1649 calls: each flag a
+theorem requires at every value from -1 to n, and each flag it may take
+also absent, as ``cli._CHECKS`` of the snapshotted checkout lists them.
 
 Files are written under a temporary directory and passed by relative path,
 so the records do not depend on where the run happens.  The ``spexcess``
@@ -116,12 +117,13 @@ def write_inputs() -> list[list[str]]:
             with open(path, "wb") as fh:
                 fh.write(fx.edgelist_bytes(g))
             paths.append(path)
-    workloads = _workloads()
+    workloads, timed = _workloads(), []
     for workload in workloads.WORKLOADS:
         for seed in WORKLOAD_SEEDS:
             entries = workloads.build(workload, seed, f"{workload}-{seed}")
-            paths.extend(e["path"] for e in entries)
-    calls = [["analyze", path, "--witnesses"] for path in paths]
+            timed.extend(e["path"] for e in entries)
+    calls = [["analyze", path, "--witnesses"] for path in paths + timed]
+    calls += [["analyze", path] for path in timed]
     swept = [os.path.join("fixtures", name + ".el") for name in sorted(fx.BUNDLED)]
     for path in swept + [os.path.join("extra", "p5.el"), os.path.join("extra", "lollipop6_6.el")]:
         calls += check_calls(path, read_graph_file(path).n)

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -37,7 +38,7 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 9
+    assert report["schemaVersion"] == 10
     assert report["graph"]["n"] == 5
     assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
     assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
@@ -79,7 +80,8 @@ K23_LAYOUT = {
     "tolerances": {"equality": None},
     "spectrum": dict.fromkeys(("lambdas", "multiplicities")),
     "perron": dict.fromkeys(("lambda0", "alpha")),
-    "localSpectra": dict.fromkeys(("eccentricity", "du", "localMultiplicities")),
+    "localSpectra": {"eccentricity": None, "du": None,
+                     "presenceMargin": dict.fromkeys(("smallestKept", "largestDropped"))},
     "polynomials": {"pAtLambda0": None, "qAtLambda0": None,
                     "recurrence": dict.fromkeys("abc")},
     "excess": dict.fromkeys(("deltaStar", "harmonicMeans", "spectralExcess",
@@ -134,19 +136,70 @@ K23_LAYOUT = {
         "isDistanceRegular": None,
         "intersectionArray": None,
         "pseudoDistanceRegular": {"isPseudoDistanceRegular": None,
-                                  "pseudoIntersectionNumbers": dict.fromkeys("cab"),
-                                  "violation": dict.fromkeys(("radius", "v", "w", "value_v",
-                                                              "value_w", "which"))},
+                                  "pseudoIntersectionNumbers": dict.fromkeys("cab")},
         "partialDistanceRegularLevel": None,
         "isDistancePolynomial": None,
     },
 }
 
 
+def _with_witnesses(layout):
+    """``layout`` with the keys that ``--witnesses`` adds to a K_{2,3} report."""
+    out = copy.deepcopy(layout)
+    out["localSpectra"]["localMultiplicities"] = None
+    out["classification"]["pseudoDistanceRegular"]["violation"] = dict.fromkeys(
+        ("radius", "v", "w", "value_v", "value_w", "which"))
+    columns = out["theoremColumns"]
+    for tid, names in (("P31", ("normalized_vector", "weighted_ball_unit")),
+                       ("T33", ("Astar_D", "p_geqD_at_A")),
+                       ("T34", ("q_j_at_A", "Sstar_j", "eta")),
+                       ("T37", ("weighted_excess_per_vertex",))):
+        columns[tid]["witnesses"] = dict.fromkeys(names)
+    return out
+
+
 def test_report_layout_k23(capsys, k23_file):
     code, out, _ = _run(capsys, ["analyze", k23_file])
     assert code == 0
     assert _key_tree(json.loads(out)) == K23_LAYOUT
+
+
+def test_report_layout_k23_witnesses(capsys, k23_file):
+    code, out, _ = _run(capsys, ["analyze", k23_file, "--witnesses"])
+    assert code == 0
+    assert _key_tree(json.loads(out)) == _with_witnesses(K23_LAYOUT)
+
+
+def _without_witnesses(report):
+    """``report`` less every key that ``--witnesses`` adds."""
+    del report["localSpectra"]["localMultiplicities"]
+    del report["classification"]["pseudoDistanceRegular"]["violation"]
+    for block in report["theoremColumns"].values():
+        if isinstance(block, dict):
+            block.pop("witnesses", None)
+    return report
+
+
+def test_witnesses_flag_only_adds_keys(capsys, tmp_path):
+    # the raw arrays are the only difference.  A margin is null exactly
+    # where a vertex keeps (d_u = 0) or drops (d_u = d) no lambda_i past
+    # lambda_0: K1 (graph6 "@") does neither
+    (tmp_path / "k1.g6").write_bytes(b"@\n")
+    paths = [tmp_path / "k1.g6"]
+    for name, make in sorted(fx.BUNDLED.items()):
+        paths.append(tmp_path / f"{name}.el")
+        paths[-1].write_bytes(fx.edgelist_bytes(make()))
+    for path in paths:
+        code, out, _ = _run(capsys, ["analyze", str(path)])
+        assert code == 0
+        plain = json.loads(out)
+        code, out, _ = _run(capsys, ["analyze", str(path), "--witnesses"])
+        assert code == 0
+        assert plain == _without_witnesses(json.loads(out)), path.name
+        du, margin = plain["localSpectra"]["du"], plain["localSpectra"]["presenceMargin"]
+        d = plain["graph"]["distinctEigenvalues"] - 1
+        assert [x is None for x in margin["smallestKept"]] == [k == 0 for k in du], path.name
+        assert [x is None for x in margin["largestDropped"]] == [k == d for k in du], path.name
 
 
 def test_analyze_petersen_graph6(capsys, petersen_g6):

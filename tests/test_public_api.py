@@ -55,7 +55,7 @@ def test_per_vertex_fields_are_pinned():
     # per-vertex data is one array over the vertices, stored once; no
     # field repeats another (distance-regular iff an intersection array)
     fields = [f.name for f in dataclasses.fields(spectral.LocalSpectra)]
-    assert fields == ["mults", "du", "excess"]
+    assert fields == ["mults", "du", "excess", "margins"]
     fields = [f.name for f in dataclasses.fields(classify.Classification)]
     assert fields == ["is_regular", "intersection_array", "is_pdr", "pdr_numbers",
                       "pdr_violations", "partial_dr_level", "is_distance_polynomial"]
