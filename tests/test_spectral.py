@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import corpus
+from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess.errors import ConvergenceError, NonPositiveEigenvectorError
 from spexcess.graphs import distance_data
@@ -314,7 +315,6 @@ def test_presence_margins(request, graphs):
     # ones far below (at least 2.8e6 and at most 0.25 over 1,491 graphs),
     # so a support decided near the rule fails here
     if graphs == "fixtures":
-        from conftest import ALL_NAMES
         entries = [(name, request.getfixturevalue("analyses")(name)) for name in ALL_NAMES]
     else:
         entries = [(name, ga) for name, ga, _reports in request.getfixturevalue(graphs)]
