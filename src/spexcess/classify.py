@@ -186,15 +186,20 @@ def classify_graph(dd: DistanceData, alpha: np.ndarray,
     return Classification(True, {"b": b[:-1], "c": c[1:], "a": a}, *pdr, dd.diameter, True)
 
 
-def _commutes(dd: DistanceData) -> bool:
+def _times_a(rows, cols, v: np.ndarray) -> np.ndarray:
+    """A v for the (n, k) v, A as its nonzeros: a bincount per column, exact below 2^53."""
+    return np.stack([np.bincount(rows, column[cols], len(v)) for column in v.T], axis=1)
+
+
+def _commutes(dd: DistanceData, rows, cols) -> bool:
     """Whether A (A_i z) = A_i (A z) at every i <= D, as for any A_i in R[A] (Freivalds), for
     z a fixed hash below 2^10; each [A_0 v ... A_D v] is one bincount of exact sums below 2^53."""
-    n, top, adjacency = dd.n, dd.diameter + 1, (dd.dist == 1).astype(float)
+    n, top = dd.n, dd.diameter + 1
     index = (np.arange(n)[:, None] * top + dd.dist).ravel()
-    z = np.arange(n) * 2654435761 % 2 ** 32 >> 22
+    z = (np.arange(n) * 2654435761 % 2 ** 32 >> 22).astype(float)  # bincount's own type
     a_z, a_az = (np.bincount(index, np.tile(v, n), n * top).reshape(n, top)
-                 for v in (z, adjacency @ z))
-    return np.array_equal(adjacency @ a_z, a_az)
+                 for v in (z, _times_a(rows, cols, z[:, None])[:, 0]))
+    return np.array_equal(_times_a(rows, cols, a_z), a_az)
 
 
 def is_distance_polynomial(dd: DistanceData) -> bool:
@@ -203,10 +208,10 @@ def is_distance_polynomial(dd: DistanceData) -> bool:
     every [A_i x; A_i y] lies in the span of the [A^k x; A^k y], in reduced row
     echelon form: x fixes the one r with r(A) x = A_i x, and a random y shows
     A_i = r(A).  The A_i go in stacks of ``CACHE_BLOCK_BYTES``; sums stay exact."""
-    if not _commutes(dd):
+    rows, cols = (dd.dist == 1).nonzero()  # A, as its nonzeros
+    if not _commutes(dd, rows, cols):
         return False
     n, top, step = dd.n, dd.diameter + 1, max(1, CACHE_BLOCK_BYTES // (8 * dd.n ** 2))
-    rows, cols = (dd.dist == 1).nonzero()
     verdicts = []
     for p in _PRIMES:
         w = start = np.random.default_rng(p).integers(0, p, (n, 2)).astype(float)  # [x y]
@@ -219,7 +224,7 @@ def is_distance_polynomial(dd: DistanceData) -> bool:
             pivots.append(c := int(np.flatnonzero(r)[0]))  # the new pivot
             r = r * pow(int(r[c]), p - 2, p) % p
             basis = np.vstack([(basis - np.outer(basis[:, c], r)) % p, r])
-            w = np.stack([np.bincount(rows, w[cols, k], n) for k in (0, 1)], axis=1) % p  # A w
+            w = _times_a(rows, cols, w) % p
         spheres = (dd.dist == np.arange(i, i + step)[:, None, None] for i in range(0, top, step))
         verdicts.append(not any(residue(s.astype(float) @ start % p).any() for s in spheres))
     if verdicts[0] != verdicts[1]:

@@ -15,7 +15,8 @@ Exit codes: 0 success; 3 numerical failure in a stage that the command
 reads, and ``check`` reads only its theorem's (a LAPACK eigensolver
 failure, a gap lambda_0 - lambda_1, a Perron vector entry or a vertex's
 lambda_0 mass at or below its floor, a singular spectral measure (classes
-within their residuals or a broken-down recurrence) or primes at odds on
+within their residuals or a broken-down recurrence, which a one-vertex
+P31 check runs on that vertex's measure only) or primes at odds on
 distance-polynomiality; d is unbounded); 2 any other ``SpexcessError`` (among
 them a ``check`` flag that the theorem requires and lacks, or does not
 take, rejected before the graph is read, and one out of range: ``--vertex``

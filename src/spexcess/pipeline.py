@@ -10,7 +10,8 @@ sparing the checks that never read it.  ``run_all_checks`` runs every
 theorem at its admissible parameters, each as columns (over its vertices,
 j, m, links or hypotheses) in one array pass; with
 ``report.analysis_report`` it reads every stage.  The one polynomial
-family built is the global one (local values: see ``poly``).
+family built is the global one; P31's local numbers are no stage, as its
+check computes them at the rows it reports (``theorems``).
 J* is one array (``jstar``); a check takes A*_i and S*_j as its masks.
 """
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, poly, spectral, theorems, weighted
-from ._util import readonly as _readonly
 from .graphs import DistanceData, Graph, distance_data
 
 
@@ -30,8 +30,7 @@ from .graphs import DistanceData, Graph, distance_data
 class GraphAnalysis:
     """Everything derived from one graph, frozen: each stage and each matrix
     identity that checks share is built on first read and kept.  ``eq_tol``
-    is the relative tolerance of every equality.  ``local_q_lambda0[u]`` is
-    q^u_j(lambda_0) at j = min(ecc_u, d_u): n where ecc_u >= d_u."""
+    is the relative tolerance of every equality."""
 
     graph: Graph
     eq_tol: float
@@ -77,16 +76,6 @@ class GraphAnalysis:
     def global_seq(self) -> poly.PolySequence:
         spec = self.spectrum
         return poly.predistance_polynomials(spec.lambdas, spec.mults / spec.n, spec.d)
-
-    @functools.cached_property
-    def local_q_lambda0(self) -> np.ndarray:
-        short = (self.dd.ecc < self.local_spectra.du).nonzero()[0]
-        local_q = np.full(self.n, float(self.n))
-        if short.size:
-            local_q[short] = poly.top_q_lambda0(self.spectrum.lambdas,
-                                                self.local_spectra.mults[short],
-                                                self.dd.ecc[short], self.alpha[short] ** 2)
-        return _readonly(local_q)
 
     @functools.cached_property
     def jstar(self) -> np.ndarray:

@@ -23,16 +23,15 @@ procedure with full reorthogonalization (Gautschi, *Orthogonal Polynomials:
 Computation and Approximation*, 2004, section 2.2), one measure per
 ``predistance_polynomials`` call.  It keeps one form: the orthonormal
 vectors psi_j = sqrt(w) * phi_j and their norms beta_j; phi_j = psi_j /
-sqrt(w) is read from them, as 0 where w = 0.  One measure runs as plain
-vector products and a batch as stacked ones (``_stieltjes`` says why).
-The pipeline builds one family, the global one to degree d.  Of the local
-families the checks read only numbers at lambda_0, so it builds none:
-``top_q_lambda0`` runs one batched pass over every vertex with ecc_u <
-d_u, reads it at lambda_0 only and keeps q^u_{ecc_u}(lambda_0), which P31
-reads.  The top local values come in closed form: p^u_{d_u}(lambda_0)
-from the nodal polynomial of the local support
-(``spectral.top_p_lambda0``) and q^u_{d_u} from the preHoffman identities
-above.  The three-term recurrence
+sqrt(w) is read from them, as 0 where w = 0.  A 1-D measure runs as plain
+vector products, any stack as stacked ones (``_stieltjes`` says why).  The
+pipeline builds one family, the global one to degree d.  Of the local
+families the checks read only numbers at lambda_0, so none is built:
+``top_q_lambda0`` runs one stacked pass over the rows P31 reports below
+d_u, reads it at lambda_0 only and keeps each row's q^u_j(lambda_0).  The
+top local values come in closed form: p^u_{d_u}(lambda_0) from the nodal
+polynomial of the local support (``spectral.top_p_lambda0``) and q^u_{d_u}
+from the preHoffman identities above.  The three-term recurrence
 
     x * p_i = b_{i-1} p_{i-1} + a_i p_i + c_{i+1} p_{i+1}
 
@@ -116,14 +115,14 @@ def predistance_polynomials(nodes, weights, degree, scale=1.0) -> PolySequence:
 def top_q_lambda0(nodes, weights, degrees, scale) -> np.ndarray:
     """q_m(lambda_0) = p_0(lambda_0) + ... + p_m(lambda_0) for the measure
     in each row of ``weights``, m = ``degrees[r]`` and s = ``scale[r]``,
-    from one batched pass that reads only phi_j(lambda_0) = psi_j(lambda_0)
-    / sqrt(w_0), p_j(lambda_0) = s * phi_j(lambda_0)^2.  A batch of rows
-    agrees with ``predistance_polynomials`` on each row within rounding (the
-    batched products sum in another order); a single row takes the same
-    one-row pass and matches it bit for bit."""
+    from one pass that reads only phi_j(lambda_0) = psi_j(lambda_0) /
+    sqrt(w_0), p_j(lambda_0) = s * phi_j(lambda_0)^2.  A stack agrees with
+    ``predistance_polynomials`` on each row within rounding (stacked
+    products sum in another order); a 1-D ``weights`` matches it bit for
+    bit (``_stieltjes``)."""
     w = np.array(weights, dtype=float, ndmin=2)
     degrees = np.asarray(degrees, dtype=np.int64)
-    order, psi, _beta = _stieltjes(nodes, w, degrees)
+    order, psi, _beta = _stieltjes(nodes, weights, degrees)
     at0 = psi[:, :, 0] * (1.0 / np.sqrt(w[order, :1]))
     q = np.cumsum(np.asarray(scale, dtype=float)[order][:, None] * at0 * at0, axis=1)
     return q[order.argsort(), degrees]
@@ -140,11 +139,12 @@ def _stieltjes(nodes, weights, degrees):
     psi_{j-1}, orthogonalized twice against every earlier psi), so every
     inner product is a plain dot product.  psi is the one form kept:
     callers read phi = psi / sqrt(w).  The rows still running at step j are
-    a leading block.  A single row runs unsorted, as plain vector products,
-    for two reasons: BLAS's dot keeps the global family's bits, where the
-    batched einsum norm rounds differently on over a third of random
-    vectors; and a dot/combine/norm triple costs about 0.6 of the batched
-    one (one thread).
+    a leading block.  The shape of ``weights`` picks the products: a 1-D
+    vector, one measure, runs as plain vector products, as BLAS's dot keeps
+    the global family's bits (the stacked einsum norm rounds differently on
+    over a third of random vectors) and a dot/combine/norm triple costs
+    about 0.6 of the stacked one (one thread); any 2-D stack, one row
+    included, runs stacked, so that no row depends on the rows beside it.
     """
     nodes = np.asarray(nodes, dtype=float)
     w = np.array(weights, dtype=float, ndmin=2)
@@ -155,14 +155,15 @@ def _stieltjes(nodes, weights, degrees):
     top = int(degrees.max(initial=0))
     if top >= size:
         raise ValueError(f"degrees must lie in 0..{size - 1}")
-    order = np.zeros(1, dtype=np.intp) if rows == 1 else np.argsort(-degrees, kind="stable")
+    plain = np.ndim(weights) == 1
+    order = np.zeros(1, dtype=np.intp) if plain else np.argsort(-degrees, kind="stable")
     ws = w[order]
     # live[j]: how many sorted rows have degree >= j
-    live = np.searchsorted(-degrees[order], -np.arange(top + 1), "right") if rows > 1 else None
+    live = None if plain else np.searchsorted(-degrees[order], -np.arange(top + 1), "right")
     psi = np.zeros((rows, top + 1, size))
     beta = np.zeros((rows, top + 1))
     psi[:, 0] = np.sqrt(ws) / np.sqrt(ws.sum(axis=1))[:, None]
-    if rows == 1:  # plain vector products on the row's own views
+    if plain:  # plain vector products on the row's own views
         dots = comb = np.matmul
         ps, bt = psi[0], beta[0]
 
@@ -180,7 +181,7 @@ def _stieltjes(nodes, weights, degrees):
     # a singular measure divides by ~0 here; it is caught after the loop
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(1, top + 1):
-            if rows > 1:
+            if not plain:
                 r = live[j]
                 ps, bt = psi[:r], beta[:r]
             basis = ps[..., :j, :]

@@ -36,11 +36,13 @@ q_j(A).  T34's q_j(A) witnesses are built when a caller reads them.
 P31's vector certificates of the k scalar-equal rows are one (k x n)
 array.  P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``).
-At the default j = min(ecc(u), d_u) it reads q^u_j(lambda_0) from the
-pipeline's ``local_q_lambda0`` and builds no polynomial: only j = d_u can
-reach scalar equality there, as j < d_u means j = ecc(u), decided by the
-saturation rule.  Any other j < d_u builds q^u_j as one row.  T32 reads
-p^u_{d_u}(lambda_0) in closed form (``spectral.top_p_lambda0``).
+Below d_u it reads q^u_j(lambda_0) at the rows it reports, and only there,
+from one stacked ``poly.top_q_lambda0`` pass in which no row depends on
+another, so a one-vertex check prints its row of the all-vertex pass.  At
+the default j = min(ecc(u), d_u) only j = d_u can reach scalar equality,
+as j < d_u means j = ecc(u), decided by the saturation rule; a given
+j < d_u that does builds q^u_j as one family for its certificate vector.
+T32 reads p^u_{d_u}(lambda_0) in closed form (``spectral.top_p_lambda0``).
 
 Checks (ids follow the report schema):
 
@@ -83,7 +85,7 @@ import numpy as np
 
 from ._util import CACHE_BLOCK_BYTES
 from .errors import HypothesisError
-from .poly import apply_to_vector, evaluate_at_matrix, predistance_polynomials
+from .poly import apply_to_vector, evaluate_at_matrix, predistance_polynomials, top_q_lambda0
 
 _LADDER_AMBIGUOUS = "numerically ambiguous: slack within 100x equality tolerance"
 _LADDER_VIOLATED = "INEQUALITY VIOLATED: lhs exceeds rhs"
@@ -253,44 +255,30 @@ def check_local_bound(ga, u: int | None = None, j: int | None = None) -> ColumnR
     if u is not None:
         _require_vertex(ga, u)
     alpha = ga.alpha
-    if u is None:
-        if j is not None:
-            raise HypothesisError("j needs a vertex u: the all-vertex pass takes the default j")
-        js, r_l0 = np.minimum(ga.dd.ecc, ga.local_spectra.du), ga.local_q_lambda0
-        return _local_bounds(ga, np.arange(ga.n), js, r_l0, alpha * np.sqrt(r_l0), None)
-    du = int(ga.local_spectra.du[u])
-    default_j = min(int(ga.dd.ecc[u]), du)
-    j = default_j if j is None else int(j)
-    if not 0 <= j <= du:
-        raise HypothesisError(f"j={j} outside 0..d_u={du} for vertex {u}")
-    r_vals, r_l0 = None, float(ga.n)
-    if j == default_j:  # the pipeline's number
-        r_l0 = ga.local_q_lambda0[u]
-    elif j < du:
-        seq = predistance_polynomials(ga.spectrum.lambdas, ga.local_spectra.mults[u], j,
-                                      scale=alpha[u] ** 2)
-        r_vals, r_l0 = seq.q_values[j], seq.q_lambda0[j]
-    return _local_bounds(ga, np.array([int(u)]), np.array([j]), np.array([r_l0]),
-                         np.array([alpha[u] * np.sqrt(r_l0)]), r_vals)
-
-
-def _local_bounds(ga, us, js, r_l0, norms, r_vals) -> ColumnReport:
-    """P31 at the rows (us[k], js[k]) with r(lambda_0) = r_l0[k] and ||r||_u
-    = norms[k].  ``r_vals`` holds one row's r on the eigenvalues, or is None
-    when every row that can reach scalar equality has r = q^u_{d_u}, whose
-    vector r(A)e_u is alpha_u alpha."""
-    alpha = ga.alpha
+    if u is None and j is not None:
+        raise HypothesisError("j needs a vertex u: the all-vertex pass takes the default j")
+    us = np.arange(ga.n) if u is None else np.array([int(u)])
     du, ecc = ga.local_spectra.du[us], ga.dd.ecc[us]
-    saturated, extremal = js >= ecc, ecc == du
+    if j is not None and not 0 <= j <= du[0]:
+        raise HypothesisError(f"j={j} outside 0..d_u={du[0]} for vertex {u}")
+    js = np.minimum(ecc, du) if j is None else np.array([int(j)])
+    short, saturated, extremal = js < du, js >= ecc, ecc == du
+    r_l0 = np.full(len(us), float(ga.n))  # q^u_{d_u}(lambda_0) = n
+    if short.any():
+        r_l0[short] = top_q_lambda0(ga.spectrum.lambdas, ga.local_spectra.mults[us[short]],
+                                    js[short], alpha[us[short]] ** 2)
+    norms = alpha[us] * np.sqrt(r_l0)
     ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
     lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
     state, slack = _states(lhs, rhs, ga.eq_tol)
-    state[saturated & (js < du) & (state != VIOLATED)] = STRICT  # the saturation rule
+    state[saturated & short & (state != VIOLATED)] = STRICT  # the saturation rule
     rows = (state == EQUAL).nonzero()[0]
-    if r_vals is None:
-        vecs = alpha[us[rows], None] * alpha
-    else:
-        vecs = apply_to_vector(r_vals, ga.spectrum, np.eye(ga.n)[us[rows]])
+    vecs = alpha[us[rows], None] * alpha  # q^u_{d_u}(A) e_u = alpha_u alpha
+    for k in np.flatnonzero(short[rows]):  # a given j only: default rows below d_u saturate
+        u_k, j_k = us[rows[k]], js[rows[k]]
+        seq = predistance_polynomials(ga.spectrum.lambdas, ga.local_spectra.mults[u_k], j_k,
+                                      scale=alpha[u_k] ** 2)
+        vecs[k] = apply_to_vector(seq.q_values[j_k], ga.spectrum, np.eye(ga.n)[u_k])
     vecs = vecs / norms[rows, None]
     targets = (np.where(ga.dd.dist[us[rows]] <= js[rows, None], alpha, 0.0)
                / np.sqrt(ball_sq[rows])[:, None])

@@ -67,3 +67,18 @@ def wide():
 def atlas():
     """The 995 connected graphs with 2 <= n <= 7, analysed and checked once."""
     return corpus.analyze_corpus(corpus.build_atlas())
+
+
+@pytest.fixture
+def p31_passes(monkeypatch):
+    """Every call of P31's stacked pass while the test runs, as ((nodes,
+    weights, degrees, scale), result): a spy on ``theorems.top_q_lambda0``."""
+    from spexcess import theorems
+    calls, real = [], theorems.top_q_lambda0
+
+    def spy(*args):
+        calls.append((args, out := real(*args)))
+        return out
+
+    monkeypatch.setattr(theorems, "top_q_lambda0", spy)
+    return calls

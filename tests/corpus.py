@@ -50,6 +50,31 @@ def barbell(m, L):
     return Graph.from_edges(2 * m + L, clique + mirror + [(v, v + 1) for v in range(m - 1, m + L)])
 
 
+def spider(k, L):
+    """k paths of L vertices joined at the centre 0, n = kL + 1: leg a holds
+    1 + aL .. (a + 1)L, outwards."""
+    legs = [(0 if i == 0 else 1 + a * L + i - 1, 1 + a * L + i)
+            for a in range(k) for i in range(L)]
+    return Graph.from_edges(k * L + 1, legs)
+
+
+def bethe_tree(children):
+    """The generalized Bethe tree rooted at 0 in which every vertex at depth
+    i has ``children[i]`` children, numbered level by level."""
+    edges, level, n = [], [0], 1
+    for c in children:
+        below = list(range(n, n + c * len(level)))
+        edges += [(level[k // c], v) for k, v in enumerate(below)]
+        level, n = below, n + len(below)
+    return Graph.from_edges(n, edges)
+
+
+def cone(g):
+    """The apex 0 joined to every vertex of ``g``, whose vertex v becomes v + 1."""
+    return Graph.from_edges(g.n + 1, [(0, v + 1) for v in range(g.n)]
+                            + [(u + 1, v + 1) for u, v in g.edges])
+
+
 def relabel(g, perm):
     """The graph with vertex u renamed perm[u]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
@@ -269,8 +294,8 @@ def full_local_families(ga):
 
 def cut_local_families(ga):
     """{u: local family cut at degree ecc_u} for every vertex with ecc_u <
-    d_u: the rows whose q^u_{ecc_u}(lambda_0) the pipeline keeps
-    (``GraphAnalysis.local_q_lambda0``)."""
+    d_u: the rows of P31's all-vertex pass (``theorems.check_local_bound``
+    runs them as one stack), each from its own one-measure call."""
     short = np.flatnonzero(ga.dd.ecc < ga.local_spectra.du).tolist()
     return {u: local_family(ga, u, ga.dd.ecc[u]) for u in short}
 

@@ -6,10 +6,12 @@
 
 ``write`` runs ``cli.main`` in-process and records each call's stdout,
 stderr and exit code under its argv, joined by spaces.  It runs
-``analyze PATH --witnesses`` on 511 inputs:
+``analyze PATH --witnesses`` on 512 inputs:
 
 * the 13 bundled fixtures, each as ``.el`` and as ``.g6``;
-* K1,3, P4, P5, C30, C32, C40, Q6 and lollipop(6, 6) as edge lists;
+* K1,3, P4, P5, C30, C32, C40, Q6, lollipop(6, 6) and er16 (the golden
+  ``corpus.connected_er(random.Random(2), 16, 0.2)``, whose 16 vertices
+  all have ecc(u) < d_u) as edge lists;
 * the 108-graph property corpus and the 51-graph wide corpus
   (``tests/corpus.py``) as edge lists;
 * seeds 1 and 2 of the three benchmark workloads, written by
@@ -17,7 +19,7 @@ stderr and exit code under its argv, joined by spaces.  It runs
 
 It also runs plain ``analyze PATH`` on the 318 workload inputs, the call
 that the benchmark times.  It then runs ``check`` for every theorem on the
-13 fixtures' edge lists, P5 and lollipop(6, 6), 1649 calls: each flag a
+13 fixtures' edge lists, P5, lollipop(6, 6) and er16, 2066 calls: each flag a
 theorem requires at every value from -1 to n, and each flag it may take
 also absent, as ``cli._CHECKS`` of the snapshotted checkout lists them.
 
@@ -72,6 +74,8 @@ def _workloads():
 
 
 def _extras():
+    import random
+
     import networkx as nx
 
     import corpus
@@ -82,7 +86,8 @@ def _extras():
     return [("k13", fx.star(3)), ("p4", fx.path(4)), ("p5", fx.path(5)),
             ("c30", fx.cycle(30)), ("c32", fx.cycle(32)), ("c40", fx.cycle(40)),
             ("q6", Graph.from_edges(q6.number_of_nodes(), q6.edges())),
-            ("lollipop6_6", corpus.lollipop(6, 6))]
+            ("lollipop6_6", corpus.lollipop(6, 6)),
+            ("er16", corpus.connected_er(random.Random(2), 16, 0.2))]
 
 
 def check_calls(path: str, n: int) -> list[list[str]]:
@@ -124,8 +129,9 @@ def write_inputs() -> list[list[str]]:
             timed.extend(e["path"] for e in entries)
     calls = [["analyze", path, "--witnesses"] for path in paths + timed]
     calls += [["analyze", path] for path in timed]
-    swept = [os.path.join("fixtures", name + ".el") for name in sorted(fx.BUNDLED)]
-    for path in swept + [os.path.join("extra", "p5.el"), os.path.join("extra", "lollipop6_6.el")]:
+    swept = ([os.path.join("fixtures", name + ".el") for name in sorted(fx.BUNDLED)]
+             + [os.path.join("extra", name + ".el") for name in ("p5", "lollipop6_6", "er16")])
+    for path in swept:
         calls += check_calls(path, read_graph_file(path).n)
     return calls
 

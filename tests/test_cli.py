@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import corpus
 from spexcess import fixtures as fx
 from spexcess.cli import main
 from spexcess.graphs import graph6_bytes
@@ -302,10 +303,9 @@ def test_check_t33_with_witnesses(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("j", [3, 4])
-def test_check_p31_past_eccentricity(capsys, tmp_path, j):
-    # C8(1,2) has ecc_u = 2 < d_u = 4, so the pipeline keeps only
-    # q^u_2(lambda_0): --j 3 builds the one row, --j 4 = d_u takes the
-    # closed form
+def test_check_p31_past_eccentricity(capsys, tmp_path, p31_passes, j):
+    # C8(1,2) has ecc_u = 2 < d_u = 4: --j 3 hands P31's pass the one row
+    # (vertex 0 at degree 3), --j 4 = d_u takes the closed form and no pass
     import numpy as np
     from corpus import full_local_families
     from spexcess.poly import apply_to_vector
@@ -318,9 +318,14 @@ def test_check_p31_past_eccentricity(capsys, tmp_path, j):
     report = json.loads(out)
     ga = analyze_graph(g)
     assert (ga.dd.ecc[0], ga.local_spectra.du[0]) == (2, 4)
-    assert ga.local_q_lambda0[0] == pytest.approx(
-        full_local_families(ga)[0].q_lambda0[2], rel=1e-12)
     r = full_local_families(ga)[0].q_values[j]
+    if j == 4:
+        assert p31_passes == []
+    else:
+        (((_nodes, weights, degrees, _scale), got),) = p31_passes
+        assert np.array_equal(weights, ga.local_spectra.mults[[0]])
+        assert degrees.tolist() == [3]
+        assert got[0] == pytest.approx(r[0], rel=1e-12)
     norm = np.sqrt(ga.alpha[0] ** 2 * r[0])
     p31 = report["P31"]
     assert p31["params"]["j"] == [j]
@@ -408,8 +413,6 @@ def test_check_prints_row_of_analyze(capsys, tmp_path, name):
 
 def _golden_graph(name):
     import random
-
-    import corpus
     if name == "tree30":  # D = 13; P31's local pass meets weights below 1e-24
         return corpus.random_tree(random.Random(1), 30)
     if name == "er16":  # nonregular, D = 5
@@ -630,8 +633,6 @@ def test_check_exits_at_the_stages_its_theorem_reads(capsys, tmp_path, flags, co
     # 1e-9, at the fixed floor, so the local spectra fail; the global checks
     # never read them, and an out-of-range vertex is an input error before
     # any stage
-    import corpus
-
     path = tmp_path / "lollipop.el"
     path.write_bytes(fx.edgelist_bytes(corpus.lollipop(6, 6)))
     got, out, err = _run(capsys, ["check", str(path), "--theorem", *flags.split()])
@@ -652,8 +653,6 @@ def test_barbell_lambda0_gap_floor(capsys, tmp_path, m, L, code):
     # barbell(20, 8); the residual grouping keeps the two apart, and the gap
     # floor still refuses those at or below 1e-7 max(1, lambda_0), whose
     # alpha would come out mirror-asymmetric at the equality tolerance
-    import corpus
-
     path = tmp_path / "barbell.el"
     path.write_bytes(fx.edgelist_bytes(corpus.barbell(m, L)))
     got, out, err = _run(capsys, ["analyze", str(path)])
@@ -699,7 +698,6 @@ def test_disagreeing_primes_exit_3(capsys, tmp_path, monkeypatch):
     # denominator 2, so modulo 2 it reads not, for every random draw
     import networkx as nx
 
-    import corpus
     from spexcess import classify
 
     monkeypatch.setattr(classify, "_PRIMES", (1048573, 2))
@@ -715,8 +713,6 @@ def test_disagreeing_primes_exit_3(capsys, tmp_path, monkeypatch):
 def test_p35_and_p36_refuse_an_m_out_of_range_alike(capsys, tmp_path):
     # both test 1 <= m <= min(D, d) before P36 reads min_u d_u, a local
     # stage that fails on lollipop(6, 6)
-    import corpus
-
     graphs = {name: make() for name, make in fx.BUNDLED.items()}
     graphs["lollipop6_6"] = corpus.lollipop(6, 6)
     for name, g in graphs.items():
@@ -760,24 +756,79 @@ def test_eigen_tolerance_knob_removed(capsys, k23_file, monkeypatch):
         assert info.value.code == 2, knob
 
 
-def test_saturated_p31_violation_exit4(capsys, tmp_path, monkeypatch):
-    # every c8_12 vertex has ecc 2 < d_u 4, so the saturation rule covers
-    # every P31 row; q^u_2(lambda_0) pushed to 1.5 n puts lhs above rhs, and
-    # the row must read violated, as the exit code does, not strict
+@pytest.mark.parametrize("name, passes", [("c8_12", [[2]]), ("p5", [])])
+def test_check_p31_reads_only_its_vertex(capsys, tmp_path, p31_passes, name, passes):
+    # a one-vertex P31 check runs the pass on its own row only: c8_12's
+    # vertex 0 (ecc 2 < d_u 4) hands it one row at j = ecc, P5's end vertex
+    # (extremal: ecc = d_u = 4) takes the closed form and no pass
     import numpy as np
 
-    import spexcess.cli as cli
+    from conftest import make_graph
+    g = make_graph(name)
+    path = tmp_path / f"{name}.el"
+    path.write_bytes(fx.edgelist_bytes(g))
+    code, _, _ = _run(capsys, ["check", str(path), "--theorem", "P31", "--vertex", "0"])
+    assert code == 0
+    assert [degrees.tolist() for (_nodes, _w, degrees, _scale), _got in p31_passes] == passes
+    for (_nodes, weights, _degrees, _scale), _got in p31_passes:
+        assert np.array_equal(weights, analyze_graph(g).local_spectra.mults[[0]])
 
-    real = cli.analyze_graph
 
-    def inflated(g, eq_tol):
-        ga = real(g, eq_tol=eq_tol)
-        ga.__dict__["local_q_lambda0"] = np.full(ga.n, 1.5 * ga.n)
-        return ga
+_ROOTED = {
+    **{f"spider{k}x{L}": corpus.spider(k, L)
+       for k, L in ((3, 3), (3, 6), (4, 4), (5, 3), (7, 2), (4, 11), (7, 7))},
+    **{"bethe" + "-".join(map(str, c)): corpus.bethe_tree(c)
+       for c in ((3, 2), (2, 2, 2), (3, 3, 1), (4, 2, 2), (2, 2, 2, 2, 2))},
+    "cone-c7": corpus.cone(fx.cycle(7)), "cone-petersen": corpus.cone(fx.petersen()),
+    "cone-k33": corpus.cone(fx.complete_bipartite(3, 3)),
+}
 
-    monkeypatch.setattr(cli, "analyze_graph", inflated)
+
+@pytest.mark.parametrize("name", _ROOTED)
+def test_rooted_families_attain_at_the_root(capsys, tmp_path, name):
+    # the automorphisms fixing the root 0 act transitively on each sphere
+    # around it, so the graph is pseudo-distance-regular around 0: T32 is
+    # equal there with the oracle agreeing, and P31's default row (j = ecc =
+    # d_u) is attained at an extremal vertex
+    path = tmp_path / f"{name}.el"
+    path.write_bytes(fx.edgelist_bytes(_ROOTED[name]))
+    code, out, _ = _run(capsys, ["check", str(path), "--theorem", "T32", "--vertex", "0"])
+    assert code == 0
+    doc = json.loads(out)
+    codes, t32 = doc["codes"], doc["T32"]
+    assert codes[t32["comparison"]["state"][0]] == "equal"
+    assert codes[t32["verdict"][0]] == "pseudo-distance-regular around vertex {vertex}"
+    assert t32["equalityHolds"] == [True] == t32["details"]["oracle_agrees"]
+    code, out, _ = _run(capsys, ["check", str(path), "--theorem", "P31", "--vertex", "0"])
+    assert code == 0
+    doc = json.loads(out)
+    p31 = doc["P31"]
+    assert doc["codes"][p31["verdict"][0]] == (
+        "bound attained; vertex is extremal (ball saturated: N_j(u) = V)")
+    assert p31["equalityHolds"] == [True]
+    if name in ("spider4x11", "spider7x7"):
+        # T38's hypotheses read "equal" by the scale rule while the oracle
+        # rejects: a known false equality, pinned so that its fix shows here
+        code, _, err = _run(capsys, ["analyze", str(path)])
+        assert code == 4
+        assert err == ("invariant violated: T38: oracle disagreement: "
+                       "INTERNAL INCONSISTENCY: hypotheses hold but oracle rejects\n")
+
+
+def test_saturated_p31_violation_exit4(capsys, tmp_path, monkeypatch):
+    # every c8_12 vertex has ecc 2 < d_u 4, so the saturation rule covers
+    # every P31 row; q^u_2(lambda_0) pushed to 1.5 n by P31's pass puts lhs
+    # above rhs, and the row must read violated, as the exit code does, not
+    # strict
+    import numpy as np
+
+    from spexcess import theorems
+
+    g = fx.named("c8_12")
+    monkeypatch.setattr(theorems, "top_q_lambda0",
+                        lambda _nodes, _weights, degrees, _scale: np.full(len(degrees), 1.5 * g.n))
     path = tmp_path / "c8_12.el"
-    path.write_bytes(fx.edgelist_bytes(fx.named("c8_12")))
+    path.write_bytes(fx.edgelist_bytes(g))
     code, out, err = _run(capsys, ["analyze", str(path)])
     assert code == 4
     columns = json.loads(out)["theoremColumns"]

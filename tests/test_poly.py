@@ -19,6 +19,7 @@ from corpus import (
     battery_local_excess_closed_form,
     cut_local_families,
     full_local_families,
+    local_family,
 )
 from conftest import ALL_NAMES
 
@@ -400,35 +401,40 @@ def test_evaluate_matches_power():
     assert np.abs(apply_to_vector(p, spec, vec) - ref @ vec).max() <= 1e-9
 
 
-@pytest.mark.parametrize("graphs", ["fixtures", "atlas"])
-def test_local_q_lambda0_matches_families(request, graphs):
-    # the pipeline's q^u_j(lambda_0) at j = min(ecc_u, d_u): bit for bit one
-    # batched top_q_lambda0 pass over the same rows, within 1e-12 the full
-    # family's q^u_{ecc_u}(lambda_0), and exactly n where ecc_u >= d_u; a
-    # one-row pass is bit for bit the family cut at ecc_u (both take the
-    # one-row path)
+@pytest.mark.parametrize("graphs", ["fixtures", "atlas", "analyzed", "wide"])
+def test_p31_pass_matches_rows_and_families(request, p31_passes, graphs):
+    # P31's all-vertex pass takes exactly the rows with ecc_u < d_u at degree
+    # ecc_u.  Each row is bit for bit the same row passed alone as a stack
+    # (a row never depends on the rows beside it), within 1e-12 the full
+    # family's q^u_{ecc_u}(lambda_0) and below n; a 1-D row runs plain and
+    # is bit for bit the family cut at ecc_u
+    from spexcess.theorems import check_local_bound
     if graphs == "fixtures":
         analyses = request.getfixturevalue("analyses")
         gas = [analyses(name) for name in ALL_NAMES]
     else:
-        gas = [ga for _name, ga, _reports in request.getfixturevalue("atlas")]
-    short = 0
+        gas = [ga for _name, ga, _reports in request.getfixturevalue(graphs)]
+    short_rows = 0
     for ga in gas:
         lambdas, mults, alpha = ga.spectrum.lambdas, ga.local_spectra.mults, ga.alpha
-        rows = np.flatnonzero(ga.dd.ecc < ga.local_spectra.du)
-        if rows.size:
-            batch = top_q_lambda0(lambdas, mults[rows], ga.dd.ecc[rows], alpha[rows] ** 2)
-            assert np.array_equal(ga.local_q_lambda0[rows], batch)
+        short = np.flatnonzero(ga.dd.ecc < ga.local_spectra.du)
+        p31_passes.clear()
+        check_local_bound(ga)
+        if not short.size:
+            assert p31_passes == []
+            continue
+        (((_nodes, weights, degrees, scale), got),) = p31_passes
+        assert np.array_equal(weights, mults[short])
+        assert np.array_equal(degrees, ga.dd.ecc[short])
+        assert np.array_equal(scale, alpha[short] ** 2)
         cut = cut_local_families(ga)
-        for u, (ecc, du, seq) in enumerate(zip(ga.dd.ecc, ga.local_spectra.du,
-                                               full_local_families(ga))):
-            got = ga.local_q_lambda0[u]
-            if ecc >= du:
-                assert got == ga.n
-                continue
-            short += 1
-            (one,) = top_q_lambda0(lambdas, mults[u], [ecc], [alpha[u] ** 2])
-            assert one == cut[u].q_lambda0[ecc]
-            assert got == pytest.approx(seq.q_lambda0[ecc], rel=1e-12)
-            assert got < ga.n
-    assert short
+        for k, u in enumerate(short.tolist()):
+            ecc = int(ga.dd.ecc[u])
+            (one,) = top_q_lambda0(lambdas, mults[[u]], [ecc], alpha[[u]] ** 2)
+            assert one == got[k]
+            (plain,) = top_q_lambda0(lambdas, mults[u], [ecc], [alpha[u] ** 2])
+            assert plain == cut[u].q_lambda0[ecc]
+            assert got[k] == pytest.approx(local_family(ga, u).q_lambda0[ecc], rel=1e-12)
+            assert got[k] < ga.n
+        short_rows += short.size
+    assert short_rows

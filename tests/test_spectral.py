@@ -97,7 +97,6 @@ def test_results_do_not_depend_on_eigenvector_signs(monkeypatch, signs):
         for a, b in ((base.local_spectra.mults, other.local_spectra.mults),
                      (base.local_spectra.excess, other.local_spectra.excess),
                      (base.alpha, other.alpha),
-                     (base.local_q_lambda0, other.local_q_lambda0),
                      (base.q_gaps.max_abs_diff, other.q_gaps.max_abs_diff)):
             assert np.array_equal(a, b)
         base_json, other_json = (to_json(analysis_report(ga, run_all_checks(ga), True))
