@@ -48,10 +48,6 @@ class GraphAnalysis:
         return self.spectrum.d
 
     @property
-    def lambda0(self) -> float:
-        return self.spectrum.lambda0
-
-    @property
     def spectral_excess(self) -> float:
         """p_{>=D}(lambda_0) = n - q_{D-1}(lambda_0), n when D = 0."""
         return float(self.n - (self.global_seq.q_lambda0[self.D - 1] if self.D else 0.0))

@@ -1,17 +1,25 @@
-"""JSON report assembly (schema version 10).
+"""JSON report assembly (schema version 11).
 
 Floats are printed in Python's shortest round-trip form.  A test pins the
-key layout of the K_{2,3} report; the version stays 10 while it holds (7
+key layout of the K_{2,3} report; the version stays 11 while it holds (7
 dropped ``tolerances.presence`` and 8 ``tolerances.grouping``: local
 supports and eigenvalue classes take no tolerance; 9
 ``classification.distancePolynomialResiduals``: the verdict is exact; 10
-the margins, and two raw arrays only as witnesses).
-Each value is printed once, and none that other keys give: the Perron
-vector in one normalization (``perron.alpha``, ||alpha||^2 = n), u
+the margins, and two raw arrays only as witnesses; 11 five keys that
+others give, bit for bit).
+Each value is printed once, and none that other keys give: d + 1 is the
+length of ``spectrum.lambdas`` and lambda_0 its first entry; q_j(lambda_0)
+is the running sum of ``polynomials.pAtLambda0``, left to right; the
+spectral excess p_{>=D}(lambda_0) is T33's ``rhs``, and n - H*_{<=D-1} is
+T37's link (i) ``lhs`` (0.0 at D = 0, where T37 does not run).  The Perron
+vector comes in one normalization (``perron.alpha``, ||alpha||^2 = n), u
 extremal where ``localSpectra.eccentricity`` equals ``du``, the pseudo-
-distance-regular vertices as flags.  ``graph.isRegular`` repeats
-``classification.isRegular`` on purpose: the benchmark's verifier reads
-both.  Per-vertex and per-index data are columns: ``localSpectra`` one list
+distance-regular vertices as flags.  Five keys stay although others give
+them, as the benchmark's verifier reads them: ``graph.n``,
+``graph.edgeCount``, ``graph.diameter``, ``graph.isRegular`` (which
+repeats ``classification.isRegular``) and
+``classification.isDistanceRegular`` (an ``intersectionArray`` not null).
+Per-vertex and per-index data are columns: ``localSpectra`` one list
 per field (``presenceMargin`` the ``LocalSpectra.margins``, null for none),
 and ``theoremColumns`` the ``codes`` that state and verdict columns index,
 then the columns of each
@@ -43,7 +51,7 @@ import numpy as np
 from .pipeline import GraphAnalysis
 from .theorems import CODES, VIOLATED, ColumnReport
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 def _arr(a):
@@ -115,14 +123,13 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
             "n": ga.n,
             "edgeCount": ga.graph.edge_count,
             "diameter": ga.D,
-            "distinctEigenvalues": ga.d + 1,
             "isRegular": ga.classification.is_regular,
             "degrees": ga.graph.adjacency.sum(axis=1).astype(int).tolist(),
         },
         "tolerances": {"equality": float(ga.eq_tol)},
         "spectrum": {"lambdas": _arr(ga.spectrum.lambdas),
                      "multiplicities": ga.spectrum.mults.tolist()},
-        "perron": {"lambda0": float(ga.lambda0), "alpha": _arr(ga.alpha)},
+        "perron": {"alpha": _arr(ga.alpha)},
         "localSpectra": {
             "eccentricity": ga.dd.ecc.tolist(), "du": ls.du.tolist(),
             "presenceMargin": dict(zip(("smallestKept", "largestDropped"), np.where(
@@ -131,14 +138,11 @@ def analysis_report(ga: GraphAnalysis, reports: list, include_witnesses: bool = 
         },
         "polynomials": {
             "pAtLambda0": _arr(seq.p_lambda0),
-            "qAtLambda0": _arr(seq.q_lambda0),
             "recurrence": {"a": _arr(seq.rec_a), "b": _arr(seq.rec_b), "c": _arr(seq.rec_c)},
         },
         "excess": {
             "deltaStar": _arr(ga.stats.delta_star),
             "harmonicMeans": _arr(ga.stats.harmonic_means),
-            "spectralExcess": ga.spectral_excess,
-            "nMinusHarmonicDMinus1": float(ga.stats.n_minus_harmonic),
         },
         "theoremColumns": theorem_columns_dict(reports, include_witnesses),
         "classification": classification_dict(ga, include_witnesses),

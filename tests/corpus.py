@@ -391,8 +391,9 @@ def battery_weighted_degree(analyzed, tol=1e-9):
     """(1/alpha_u) sum_{v~u} alpha_v = lambda_0 at every vertex."""
     fails = []
     for name, ga, _reports in analyzed:
-        err = np.abs((ga.dd.dist == 1) @ ga.alpha / ga.alpha - ga.lambda0).max()
-        if err > tol * max(1.0, ga.lambda0):
+        lambda0 = ga.spectrum.lambda0
+        err = np.abs((ga.dd.dist == 1) @ ga.alpha / ga.alpha - lambda0).max()
+        if err > tol * max(1.0, lambda0):
             fails.append(f"{name}: weighted degree off by {err:.2e}")
     return fails
 

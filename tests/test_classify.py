@@ -36,7 +36,7 @@ def test_pseudo_intersection_row_sums():
         cls = ga.classification
         for u in np.flatnonzero(cls.is_pdr):
             sums = cls.pdr_numbers[u, :, :ga.dd.ecc[u] + 1].sum(axis=0)
-            assert np.abs(sums - ga.lambda0).max() <= 1e-9
+            assert np.abs(sums - ga.spectrum.lambda0).max() <= 1e-9
 
 
 def test_p3_center_pseudo_dr():

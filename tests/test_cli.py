@@ -39,11 +39,11 @@ def test_analyze_k23(capsys, k23_file):
     code, out, err = _run(capsys, ["analyze", k23_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schemaVersion"] == 10
+    assert report["schemaVersion"] == 11
     assert report["graph"]["n"] == 5
-    assert report["excess"]["spectralExcess"] == pytest.approx(1.5, rel=1e-9)
-    assert report["excess"]["nMinusHarmonicDMinus1"] == pytest.approx(
-        25 / 17, rel=1e-9)
+    columns = report["theoremColumns"]
+    assert columns["T33"]["comparison"]["rhs"][0] == pytest.approx(1.5, rel=1e-9)
+    assert columns["T37"]["comparison"]["lhs"][0] == pytest.approx(25 / 17, rel=1e-9)
     assert report["excess"]["deltaStar"][-1] == pytest.approx(35 / 24, rel=1e-9)
     assert report["classification"]["isDistanceRegular"] is False
 
@@ -76,17 +76,14 @@ _WITHOUT_PARAMS = {"params": {}, "comparison": _COMPARISON, "equalityHolds": Non
 
 K23_LAYOUT = {
     "schemaVersion": None,
-    "graph": dict.fromkeys(("n", "edgeCount", "diameter", "distinctEigenvalues",
-                            "isRegular", "degrees")),
+    "graph": dict.fromkeys(("n", "edgeCount", "diameter", "isRegular", "degrees")),
     "tolerances": {"equality": None},
     "spectrum": dict.fromkeys(("lambdas", "multiplicities")),
-    "perron": dict.fromkeys(("lambda0", "alpha")),
+    "perron": {"alpha": None},
     "localSpectra": {"eccentricity": None, "du": None,
                      "presenceMargin": dict.fromkeys(("smallestKept", "largestDropped"))},
-    "polynomials": {"pAtLambda0": None, "qAtLambda0": None,
-                    "recurrence": dict.fromkeys("abc")},
-    "excess": dict.fromkeys(("deltaStar", "harmonicMeans", "spectralExcess",
-                             "nMinusHarmonicDMinus1")),
+    "polynomials": {"pAtLambda0": None, "recurrence": dict.fromkeys("abc")},
+    "excess": dict.fromkeys(("deltaStar", "harmonicMeans")),
     "theoremColumns": {
         "codes": None,
         "P31": {
@@ -198,7 +195,7 @@ def test_witnesses_flag_only_adds_keys(capsys, tmp_path):
         assert code == 0
         assert plain == _without_witnesses(json.loads(out)), path.name
         du, margin = plain["localSpectra"]["du"], plain["localSpectra"]["presenceMargin"]
-        d = plain["graph"]["distinctEigenvalues"] - 1
+        d = len(plain["spectrum"]["lambdas"]) - 1
         assert [x is None for x in margin["smallestKept"]] == [k == 0 for k in du], path.name
         assert [x is None for x in margin["largestDropped"]] == [k == d for k in du], path.name
 
@@ -733,7 +730,7 @@ def test_nan_in_payload_exit4(capsys, k23_file, monkeypatch):
 
     def with_nan(*args, **kwargs):
         payload = real(*args, **kwargs)
-        payload["excess"]["spectralExcess"] = float("nan")
+        payload["excess"]["deltaStar"][0] = float("nan")
         return payload
 
     monkeypatch.setattr(cli, "analysis_report", with_nan)

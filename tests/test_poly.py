@@ -308,7 +308,7 @@ def test_hoffman_values_and_product_form():
         target = np.zeros(ga.d + 1)
         target[0] = ga.n
         assert np.abs(h - target).max() <= 1e-8 * ga.n
-        pi0 = float(np.prod(ga.lambda0 - lambdas[1:]))
+        pi0 = float(np.prod(ga.spectrum.lambda0 - lambdas[1:]))
         product = ga.n / pi0 * np.prod(lambdas[:, None] - lambdas[None, 1:], axis=1)
         assert np.abs(h - product).max() <= 1e-8 * ga.n
         # the same H(A) as the power-basis evaluation of the product form
@@ -354,7 +354,7 @@ def test_local_prehoffman_column_identity():
         ga = _analysis(name)
         h = _hoffman(ga)
         a = np.asarray(ga.graph.adjacency)
-        h_ref = ga.n / np.prod(ga.lambda0 - ga.spectrum.lambdas[1:]) \
+        h_ref = ga.n / np.prod(ga.spectrum.lambda0 - ga.spectrum.lambdas[1:]) \
             * np.polynomial.polynomial.polyfromroots(ga.spectrum.lambdas[1:])
         for u, seq in enumerate(full_local_families(ga)):
             e = np.zeros(ga.n)

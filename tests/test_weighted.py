@@ -85,7 +85,7 @@ def test_avg_weighted_degree_is_lambda0():
         g = fx.named(name) if name != "k13" else fx.star(3)
         ga = analyze_graph(g)
         avg = ((ga.dd.dist == 1) @ ga.alpha) / ga.alpha
-        assert np.abs(avg - ga.lambda0).max() <= 1e-9
+        assert np.abs(avg - ga.spectrum.lambda0).max() <= 1e-9
 
 
 def test_delta_star_equals_matrix_norm():
