@@ -524,6 +524,44 @@ def battery_global_excess_closed_form(analyzed, tol=1e-13):
     return fails
 
 
+def battery_pdr_quotient(analyzed, tol=1e-12):
+    """At every u the oracle calls pseudo-distance-regular, the quotient of
+    its distance partition: T_u, tridiagonal with diagonal a*_i and
+    off-diagonal sqrt(b*_i c*_{i+1}) for i <= ecc(u), from the oracle's
+    numbers alone.  Its eigenvalues are u's local support, so d_u = ecc(u),
+    each within tol * max(1, lambda_0) of its lambda_i; the squared first
+    components of its eigenvectors are m_u(lambda_i) on that support, and
+    m_u is 0 off it, within tol; T32's lhs is p_{d_u}(lambda_0) of T_u's
+    measure at scale alpha_u^2 (``top_p_lambda0``) within tol relative.  A
+    fixed 1e-12, not the residual bound: the deviations stay near 1e-15."""
+    fails = []
+    for name, ga, reports in analyzed:
+        cls, ls, lambdas = ga.classification, ga.local_spectra, ga.spectrum.lambdas
+        t32 = next(r for r in reports if r.theorem_id == "T32")
+        scale = max(1.0, float(lambdas[0]))
+        for u in np.flatnonzero(cls.is_pdr):
+            ecc = int(ga.dd.ecc[u])
+            c, a, b = cls.pdr_numbers[u, :, :ecc + 1]
+            off = np.sqrt(b[:-1] * c[1:])
+            theta, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+            theta, mass = theta[::-1], vecs[0, ::-1] ** 2
+            where = np.abs(theta[:, None] - lambdas).argmin(axis=1)
+            if ls.du[u] != ecc:
+                fails.append(f"{name}: vertex {u}: d_u = {ls.du[u]} != ecc {ecc}")
+            elif (np.abs(theta - lambdas[where]).max() > tol * scale
+                  or np.unique(where).size < where.size):
+                fails.append(f"{name}: vertex {u}: T_u spectrum {theta} vs {lambdas}")
+            elif np.abs(np.delete(ls.mults[u], where)).max(initial=0.0) > tol \
+                    or np.abs(ls.mults[u, where] - mass).max() > tol:
+                fails.append(f"{name}: vertex {u}: T_u masses {mass} vs {ls.mults[u]}")
+            else:
+                p = float(top_p_lambda0(theta, mass, np.ones(ecc + 1, dtype=bool),
+                                        ga.alpha[u] ** 2))
+                if abs(t32.lhs[u] - p) > tol * p:
+                    fails.append(f"{name}: vertex {u}: T32 lhs {t32.lhs[u]!r} vs T_u {p!r}")
+    return fails
+
+
 def reference_partial_dr_level(ga, tol=DEFAULT_ORACLE_TOL):
     """The largest m <= min(D, d) with p_i(A) = A_i entrywise, within
     tol * max(1, n), for all i <= m, with p_i(A) built from the global
@@ -580,6 +618,7 @@ ALL_BATTERIES = (
     battery_partial_dr_level_reference,
     battery_local_excess_closed_form,
     battery_global_excess_closed_form,
+    battery_pdr_quotient,
 )
 
 

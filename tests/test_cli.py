@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import os
 import re
@@ -8,11 +9,12 @@ import sys
 import pytest
 
 import corpus
+from conftest import ALL_NAMES
 from spexcess import fixtures as fx
 from spexcess.cli import main
-from spexcess.graphs import graph6_bytes
+from spexcess.graphs import Graph, graph6_bytes
 from spexcess.pipeline import analyze_graph
-from spexcess.report import SCHEMA_VERSION
+from spexcess.report import SCHEMA_VERSION, analysis_report
 
 
 @pytest.fixture()
@@ -198,6 +200,35 @@ def test_witnesses_flag_only_adds_keys(capsys, tmp_path):
         d = len(plain["spectrum"]["lambdas"]) - 1
         assert [x is None for x in margin["smallestKept"]] == [k == 0 for k in du], path.name
         assert [x is None for x in margin["largestDropped"]] == [k == d for k in du], path.name
+
+
+@pytest.mark.parametrize("graphs", ["fixtures", "atlas", "analyzed", "wide"])
+def test_values_not_printed_twice_are_given_by_others(request, graphs):
+    # schema 11 prints none of five values that other keys give, and each
+    # comes back bit for bit: d + 1 and lambda_0 from spectrum.lambdas,
+    # q_j(lambda_0) as the running sum of pAtLambda0, the spectral excess
+    # n - q_{D-1}(lambda_0) as T33's rhs and n - H*_{<=D-1} as T37's link
+    # (i) lhs; K1 (D = 0) has excess n, middle term 0.0 and no T37
+    if graphs == "fixtures":
+        analyses, checks = request.getfixturevalue("analyses"), request.getfixturevalue("checks")
+        entries = [(name, analyses(name), checks(name)) for name in ALL_NAMES]
+        entries += corpus.analyze_corpus([("k1", Graph.from_edges(1, []))])
+    else:
+        entries = request.getfixturevalue(graphs)
+    for name, ga, reports in entries:
+        report = analysis_report(ga, reports)
+        lambdas, columns = report["spectrum"]["lambdas"], report["theoremColumns"]
+        assert len(lambdas) == ga.d + 1 and lambdas[0] == ga.spectrum.lambda0, name
+        q = list(itertools.accumulate(report["polynomials"]["pAtLambda0"]))
+        assert q == ga.global_seq.q_lambda0.tolist(), name
+        n, D = ga.n, ga.D
+        excess = n - q[D - 1] if D else n
+        assert excess == ga.spectral_excess == columns["T33"]["comparison"]["rhs"][0], name
+        middle = n - report["excess"]["harmonicMeans"][D - 1] if D else 0.0
+        assert middle == ga.stats.n_minus_harmonic, name
+        assert ("T37" in columns) == (D >= 1), name
+        if D:
+            assert columns["T37"]["comparison"]["lhs"][0] == middle, name
 
 
 def test_analyze_petersen_graph6(capsys, petersen_g6):
@@ -785,10 +816,22 @@ _ROOTED = {
 def test_rooted_families_attain_at_the_root(capsys, tmp_path, name):
     # the automorphisms fixing the root 0 act transitively on each sphere
     # around it, so the graph is pseudo-distance-regular around 0: T32 is
-    # equal there with the oracle agreeing, and P31's default row (j = ecc =
-    # d_u) is attained at an extremal vertex
+    # equal there with the oracle agreeing, every such vertex passes the
+    # quotient battery, and P31 is attained at the extremal root at every
+    # radius: the spheres' partition is equitable, so span{A^i e_0 : i <= j}
+    # = span{rho_Gamma_i(0) : i <= j}, which holds rho_N_j(0)
     path = tmp_path / f"{name}.el"
     path.write_bytes(fx.edgelist_bytes(_ROOTED[name]))
+    analyzed = corpus.analyze_corpus([(name, _ROOTED[name])])
+    assert not corpus.battery_pdr_quotient(analyzed)
+    for j in range(1, int(analyzed[0][1].dd.ecc[0])):
+        code, out, _ = _run(capsys, ["check", str(path), "--theorem", "P31", "--vertex", "0",
+                                     "--j", str(j)])
+        assert code == 0, j
+        doc = json.loads(out)
+        p31 = doc["P31"]
+        assert doc["codes"][p31["verdict"][0]] == "bound attained; vertex is extremal", j
+        assert p31["equalityHolds"] == [True], j
     code, out, _ = _run(capsys, ["check", str(path), "--theorem", "T32", "--vertex", "0"])
     assert code == 0
     doc = json.loads(out)
