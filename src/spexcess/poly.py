@@ -25,12 +25,11 @@ Computation and Approximation*, 2004, section 2.2), one measure per
 vectors psi_j = sqrt(w) * phi_j and their norms beta_j; phi_j = psi_j /
 sqrt(w) is read from them, as 0 where w = 0.  A 1-D measure runs as plain
 vector products, any stack as stacked ones (``_stieltjes`` says why).  The
-pipeline builds one family, the global one to degree d.  P31 reads its
-local families at lambda_0 only: ``top_q_lambda0`` runs one stacked pass
-over the rows it reports below d_u and keeps each row's q^u_j(lambda_0).
-One local family is built only at a given ``--j`` below d_u whose row is
-scalar-equal: its certificate vector q^u_j(A) e_u comes from
-``predistance_polynomials(..., scale=alpha_u^2)``.  The
+pipeline builds one family, the global one to degree d.  P31 reads local
+families at lambda_0 only, in one stacked ``top_q_lambda0`` pass over the
+rows it reports below d_u; only a given ``--j`` below d_u builds one, for
+the certificate vector q^u_j(A) e_u of a scalar-equal row
+(``predistance_polynomials(..., scale=alpha_u^2)``).  The
 top local values come in closed form: p^u_{d_u}(lambda_0) from the nodal
 polynomial of the local support (``spectral.top_p_lambda0``) and q^u_{d_u}
 from the preHoffman identities above.  The three-term recurrence
