@@ -12,30 +12,30 @@ the running sum of ``polynomials.pAtLambda0``, p_{>=D}(lambda_0) T33's
 ``rhs`` and n - H*_{<=D-1} T37's link (i) ``lhs``; the Perron vector is in
 one normalization (``perron.alpha``, ||alpha||^2 = n), u extremal where
 ``localSpectra.eccentricity`` equals ``du``, the pseudo-distance-regular
-vertices flags.  The benchmark's verifier reads ``graph.n``, ``edgeCount``,
+vertices as flags.  The benchmark's verifier reads ``graph.n``, ``edgeCount``,
 ``diameter``, ``isRegular`` (``classification.isRegular`` again) and
-``classification.isDistanceRegular``, so they stay.  Per-vertex and
-per-index data are columns: ``localSpectra`` one list per field
-(``presenceMargin`` the ``LocalSpectra.margins``, null for none), and
-``theoremColumns`` the ``codes`` that state and verdict columns index, then
-the columns of each ``theorems.ColumnReport``: P31 and T32 by vertex, T33
-as one row, T34 by j, P35 and P36 by m, T37 by link and T38 by hypothesis
-(i = D, D - 1).  A label or detail equal on every row is one value.  A
-``certificate`` has one gap per row in ``rows``: P31's scalar-equal rows,
-T37's link (ii).  Two shared gaps are printed once, before the first report
-that reads them: ``tailGap``, max|p_{>=D}(A) - A*_D|, which T33 and T37's
-link (i) read, and ``qGaps``, max|q_j(A) - S*_j| for j = 0..min(D, d): T34
-reads row j below D (saturation decides the rest), P35 and P36 rows m - 1
-and m.  Witnesses, printed only with ``--witnesses``: P31 a vector pair per
-certified row; T33 p_{>=D}(A) and A*_D; T34 its rows with j < D stacked,
-eta those whose state is equal or ambiguous; T37 its weighted excess per
-vertex; T38 none; ``localSpectra.localMultiplicities``, every
-m_u(lambda_i); and the first violation of each u not pseudo-distance-regular,
-as the columns of ``classification.pseudoDistanceRegular.violation``, which
-also has a flag per vertex and the numbers at radii 0..ecc(u) of the flagged
-u concatenated.  P31's ``equalityHolds`` needs u extremal, so "bound
-attained" can come with ``equalityHolds`` false.  Values are JSON-ready as
-built.
+``classification.isDistanceRegular``, so they stay although others give them.
+Per-vertex and per-index data are columns: ``localSpectra`` one list
+per field (``presenceMargin`` the ``LocalSpectra.margins``, null for none),
+and ``theoremColumns`` the ``codes`` that state and verdict columns index,
+then the columns of each
+``theorems.ColumnReport``: P31 and T32 by vertex, T33 as one row, T34 by
+j, P35 and P36 by m, T37 by link and T38 by hypothesis (i = D, D - 1).  A
+label or detail equal on every row is one value.  A ``certificate`` has one
+gap per row in ``rows``: P31's scalar-equal rows, T37's link (ii).  Two
+shared gaps are printed once, before the first report that reads them:
+``tailGap``, max|p_{>=D}(A) - A*_D|, which T33 and T37's link (i) read, and
+``qGaps``, max|q_j(A) - S*_j| for j = 0..min(D, d): T34 reads row j below
+D (saturation decides the rest), P35 and P36 rows m - 1 and m.  Witnesses,
+printed only with ``--witnesses``: P31 a vector pair per certified row;
+T33 p_{>=D}(A) and A*_D; T34 its rows with j < D stacked, eta those whose
+state is equal or ambiguous; T37 its weighted excess per vertex; T38 none;
+``localSpectra.localMultiplicities``, every m_u(lambda_i); and the first
+violation of each u not pseudo-distance-regular, as the columns of
+``classification.pseudoDistanceRegular.violation``, which also has a flag
+per vertex and the numbers at radii 0..ecc(u) of the flagged u concatenated.
+P31's ``equalityHolds`` needs u extremal, so "bound attained" can come with
+``equalityHolds`` false.  Values are JSON-ready as built.
 """
 
 from __future__ import annotations

@@ -551,7 +551,7 @@ def battery_pdr_quotient(analyzed, tol=1e-12):
             elif (np.abs(theta - lambdas[where]).max() > tol * scale
                   or np.unique(where).size < where.size):
                 fails.append(f"{name}: vertex {u}: T_u spectrum {theta} vs {lambdas}")
-            elif np.abs(np.delete(ls.mults[u], where)).max(initial=0.0) > tol \
+            elif np.delete(ls.mults[u], where).max(initial=0.0) > tol \
                     or np.abs(ls.mults[u, where] - mass).max() > tol:
                 fails.append(f"{name}: vertex {u}: T_u masses {mass} vs {ls.mults[u]}")
             else:

@@ -81,6 +81,11 @@ def test_excess_closed_forms_on_corpus(analyzed):
     assert not fails, fails[:5]
 
 
+def test_pdr_quotient_on_corpus(analyzed):
+    fails = corpus.battery_pdr_quotient(analyzed)
+    assert not fails, fails[:5]
+
+
 def test_perron_positivity_and_normalizations(analyzed):
     for name, ga, _reps in analyzed:
         alpha = ga.alpha
