@@ -26,8 +26,9 @@ stdout: ``analyze ... | head -c 300`` ends "error: [Errno 32] Broken pipe",
 and a ``MemoryError``, such as the n x n adjacency of a path too long for
 the memory at hand (an allocation that succeeds lazily and is killed later
 never reaches ``main``); 4 internal invariant violated (a row in state
-violated, an oracle disagreement, or a NaN or infinity in the JSON output,
-which is then not printed).  ``--eq-tol`` is the one tolerance, in (0, 1).
+violated, never P31's at d_u or T34's at j >= D, whatever ``--eq-tol``; an
+oracle disagreement; or a NaN or infinity in the JSON output, which is
+then not printed).  ``--eq-tol`` is the one tolerance, in (0, 1).
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """Inequality and equality checks relating spectral and metric structure.
 
-Every check produces the raw left/right values, the slack, and --
-crucially -- a certificate: scalar equality alone never yields a positive
-verdict, the associated matrix or constancy identity must also hold.  Every
-check returns one ``ColumnReport``, built in one array pass: P31 and T32
-over vertices, T34 over j, P35 and P36 over m, T33 as one row, T37 as its
-two links and T38 as its two hypotheses (at D and D-1); called with one
-vertex or index, P31-P36 run the same pass on one row.  One state rule,
-``_states``, gives each row's comparison state, and states and verdicts
-are codes into ``CODES``.  The inequalities whose equality case is such an
-identity (P31, T33, T34, P36) share one five-way verdict ladder, a table
+Every check produces the raw left/right values, the slack, and -- where
+the data decides -- a certificate: there scalar equality alone never
+yields a positive verdict, the associated matrix or constancy identity
+must also hold (P31 at j >= ecc(u) and T34 at j >= D are decided by the
+theorem: saturation rule, below).  Every check returns one
+``ColumnReport``, built in one array pass: P31 and T32 over vertices, T34
+over j, P35 and P36 over m, T33 as one row, T37 as its two links and T38
+as its two hypotheses (at D and D-1); called with one vertex or index,
+P31-P36 run the same pass on one row.  One state rule, ``_states``, gives
+each row's comparison state, and states and verdicts are codes into
+``CODES``.  The inequalities whose equality case is such an identity
+(P31, T33, T34, P36) share one five-way verdict ladder, a table
 over the states (``_unattained``):
 
 1. attained -- scalar equality and the certificate holds;
@@ -21,7 +23,7 @@ over the states (``_unattained``):
 
 A violation is a row in state violated and nothing else: it is what
 ``report.collect_violations`` reads.  P31's saturation rule keeps a
-violated state; T34's sets state and slack from the theorem (below).
+violated state below d_u; at d_u, and for T34, it sets state and slack.
 
 T37 reports each link as equal or by its comparison state.
 ``GraphAnalysis`` evaluates each matrix identity once, on first read: the
@@ -33,15 +35,14 @@ T37's link (i) share.  The two are one identity at j = D - 1: q_d(A) = J*
 q_{D-1}(A); T33 and T37 keep their own product so as not to build every
 q_j(A).  T34's q_j(A) witnesses are built when a caller reads them.
 
-P31's vector certificates of the k scalar-equal rows are one (k x n)
-array.  P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
-q^u_{d_u}(lambda_0) = n and q^u_{d_u}(A) e_u = alpha_u alpha (see ``poly``).
-Below d_u it reads q^u_j(lambda_0) at the rows it reports, and only there,
-from one stacked ``poly.top_q_lambda0`` pass in which no row depends on
-another, so a one-vertex check prints its row of the all-vertex pass.  At
-the default j = min(ecc(u), d_u) only j = d_u can reach scalar equality,
-as j < d_u means j = ecc(u), decided by the saturation rule; a given
-j < d_u that does builds q^u_j as one family for its certificate vector.
+P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
+q^u_{d_u}(lambda_0) = n (see ``poly``).  Below d_u it reads
+q^u_j(lambda_0) at the rows it reports, and only there, from one stacked
+``poly.top_q_lambda0`` pass in which no row depends on another, so a
+one-vertex check prints its row of the all-vertex pass.  The default
+j = min(ecc(u), d_u) is at least ecc(u), so the saturation rule decides
+its rows; only a given j < ecc(u) whose sides compare equal builds q^u_j as
+one family, at the pass's alpha_u^2, for its certificate vector.
 T32 reads p^u_{d_u}(lambda_0) in closed form (``spectral.top_p_lambda0``).
 
 Checks (ids follow the report schema):
@@ -66,14 +67,16 @@ Checks (ids follow the report schema):
 
 Saturation rule: once j >= ecc(u), N_j(u) = V and
 ||rho_{N_j(u)}||^2 = n; once j >= D, also H*_{<=j} = n and S*_j = J*.  The
-theorem then decides, with no tolerance.  T34's slack sum_{i>j}
-p_i(lambda_0) is positive below d; at j = d it is 0 and q_d(A) = J*
-(Hoffman).  P31's rhs sqrt(n)/alpha_u exceeds r(lambda_0)/||r||_u for
+theorem then decides, with no tolerance and no certificate.  T34's slack
+sum_{i>j} p_i(lambda_0) is positive below d; at j = d it is 0 and q_d(A) =
+J* (Hoffman).  P31's rhs sqrt(n)/alpha_u exceeds r(lambda_0)/||r||_u for
 every deg r <= j < d_u, as q^u_j(lambda_0) < q^u_{d_u}(lambda_0) = n, so a
-saturated row reads strict unless its sides compare as violated; at j = d_u
-P31 keeps its closed-form path (Lee-Weng, JCTA 119, 2012;
-Fiol-Garriga, JCTA 71, 1997).  Extremality is only meaningful below d_u,
-which is why the pipeline runs P31 at j = ecc(u).
+saturated row reads strict unless its sides compare as violated (the pass's
+self-check); at j = d_u, where q^u_{d_u}(A) e_u = alpha_u alpha makes the
+vector certificate a tautology, it is equal with slack 0 and "bound
+attained" (Lee-Weng, JCTA 119, 2012; Fiol-Garriga, JCTA 71, 1997).
+Extremality is only meaningful below d_u, which is why the pipeline runs
+P31 at j = ecc(u).
 """
 
 from __future__ import annotations
@@ -167,8 +170,8 @@ class ColumnReport(NamedTuple):
     ``verdict`` index ``CODES``; a verdict and ``label`` format with the
     row's params ({m-1} with m - 1).  P35 has no comparison (its fields
     None).  A row is a violation iff its state is violated (module note).
-    P31's ``certificate`` has one gap per row whose state is equal, and
-    ``witness_fn`` their vectors; T37's has link (ii)'s.  T34, P35 and P36
+    P31's ``certificate`` has the gap of a given j < ecc(u) whose state is
+    equal (else None), and ``witness_fn`` its vectors; T37's has link (ii)'s.  T34, P35 and P36
     read rows of ``q_gaps``, T33 and T37's link (i) ``tail_gap``, and T34's
     ``witness_fn`` stacks its rows with j < D (eta where equal or ambiguous)."""
 
@@ -248,10 +251,9 @@ def check_local_bound(ga, u: int | None = None, j: int | None = None) -> ColumnR
     for which equality is exactly q^u_j(lambda_0) = ||rho_{N_j(u)}||^2: the
     row of ``u``, or by default every vertex at the default j in one pass.
     The default j is min(ecc(u), d_u) (module note); a given j lies in
-    0..d_u.  ``equality_holds`` means "the vector certificate
-    r(A)e_u/||r||_u = e_{N_j(u)} passes and u is extremal": at a
-    non-extremal vertex the verdict can read "bound attained" with
-    ``equality_holds`` False."""
+    0..d_u.  ``equality_holds`` means "attained (below ecc(u) by the vector
+    certificate r(A)e_u/||r||_u = e_{N_j(u)}) and u is extremal", so "bound
+    attained" can come with ``equality_holds`` False."""
     if u is not None:
         _require_vertex(ga, u)
     alpha = ga.alpha
@@ -263,36 +265,34 @@ def check_local_bound(ga, u: int | None = None, j: int | None = None) -> ColumnR
         raise HypothesisError(f"j={j} outside 0..d_u={du[0]} for vertex {u}")
     js = np.minimum(ecc, du) if j is None else np.array([int(j)])
     short, saturated, extremal = js < du, js >= ecc, ecc == du
+    scale = alpha[us] ** 2
     r_l0 = np.full(len(us), float(ga.n))  # q^u_{d_u}(lambda_0) = n
     if short.any():
         r_l0[short] = top_q_lambda0(ga.spectrum.lambdas, ga.local_spectra.mults[us[short]],
-                                    js[short], alpha[us[short]] ** 2)
+                                    js[short], scale[short])
     norms = alpha[us] * np.sqrt(r_l0)
     ball_sq = np.where(saturated, float(ga.n), ga.stats.ball_norms[us, np.minimum(js, ecc)])
     lhs, rhs = r_l0 / norms, np.sqrt(ball_sq) / alpha[us]
     state, slack = _states(lhs, rhs, ga.eq_tol)
     state[saturated & short & (state != VIOLATED)] = STRICT  # the saturation rule
-    rows = (state == EQUAL).nonzero()[0]
-    vecs = alpha[us[rows], None] * alpha  # q^u_{d_u}(A) e_u = alpha_u alpha
-    for k in np.flatnonzero(short[rows]):  # a given j only: default rows below d_u saturate
-        u_k, j_k = us[rows[k]], js[rows[k]]
-        seq = predistance_polynomials(ga.spectrum.lambdas, ga.local_spectra.mults[u_k], j_k,
-                                      scale=alpha[u_k] ** 2)
-        vecs[k] = apply_to_vector(seq.q_values[j_k], ga.spectrum, np.eye(ga.n)[u_k])
-    vecs = vecs / norms[rows, None]
-    targets = (np.where(ga.dd.dist[us[rows]] <= js[rows, None], alpha, 0.0)
-               / np.sqrt(ball_sq[rows])[:, None])
-    cert = _certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}",
-                        np.abs(vecs - targets).max(axis=1), rows)
-    attained = np.zeros(len(us), dtype=bool)
-    attained[rows] = cert.passes
+    state[~short], slack[~short] = EQUAL, 0.0
+    attained, cert, witness_fn = ~short, None, None
+    if j is not None and j < ecc[0] and state[0] == EQUAL:  # the one row, by its vector
+        seq = predistance_polynomials(ga.spectrum.lambdas, ga.local_spectra.mults[u], j,
+                                      scale=scale[0])
+        vec = apply_to_vector(seq.q_values[j], ga.spectrum, np.eye(ga.n)[u])[None] / norms[0]
+        target = np.where(ga.dd.dist[us] <= j, alpha, 0.0) / np.sqrt(ball_sq[0])
+        cert = _certificate(ga, "r(A)e_u/||r||_u == e_{N_j(u)}",
+                            np.abs(vec - target).max(axis=1), np.array([0]))
+        attained[0] = cert.passes[0]
+        witness_fn = functools.partial(dict, normalized_vector=vec, weighted_ball_unit=target)
     verdict = np.where(attained, _P31_ATTAINED + 2 * ~extremal + saturated,
                        _P31_UNATTAINED[state])
     return ColumnReport(
         "P31", "r(lambda0)/||r||_u <= ||rho_N{j}(u)||/alpha_u", "inequality",
         lhs, rhs, slack, state, verdict, attained & extremal, {"vertex": us, "j": js},
         {"extremal": extremal, "ball_saturated": saturated}, certificate=cert,
-        witness_fn=functools.partial(dict, normalized_vector=vecs, weighted_ball_unit=targets))
+        witness_fn=witness_fn)
 
 
 def check_local_spet(ga, u: int | None = None) -> ColumnReport:
@@ -309,8 +309,8 @@ def check_local_spet(ga, u: int | None = None) -> ColumnReport:
     reached = du <= ecc
     lhs = ga.local_spectra.excess[us]
     rhs = np.where(reached, ga.stats.sphere_norms[us, np.minimum(du, ecc)], 0.0)
-    state, slack = _states(lhs, rhs, ga.eq_tol, "equality")
-    state, slack = np.where(reached, state, UNEQUAL), np.where(reached, slack, -lhs)
+    state, slack = _states(lhs, rhs, ga.eq_tol, "equality")  # slack -lhs where not reached
+    state = np.where(reached, state, UNEQUAL)
     is_pdr = ga.classification.is_pdr[us]
     agrees = (state == EQUAL) == is_pdr
     equality = (state == EQUAL) & is_pdr
@@ -352,10 +352,9 @@ def check_harmonic_bound(ga, j: int | None = None) -> ColumnReport:
     lhs = seq.q_lambda0[js]
     rhs = np.where(below, ga.stats.harmonic_means[np.minimum(js, ga.D)], float(ga.n))
     state, slack = _states(lhs, rhs, ga.eq_tol)
-    # the saturation rule: equal at d, else strict; each slack is summed
-    # as its own slice, so it keeps the order of numpy's pairwise sum
+    # the saturation rule; each slack sum_{i>j} p_i(lambda_0) is summed from p_d up
     state[~below] = np.where(js[~below] == ga.d, EQUAL, STRICT)
-    slack[~below] = [p[i + 1:].sum() for i in js[~below].tolist()]
+    slack[~below] = np.cumsum(np.r_[0.0, p[:0:-1]])[::-1][js[~below]]
     passes = False if q_gaps is None else q_gaps.passes[np.minimum(js, ga.D)]
     holds = (state == EQUAL) & (passes | ~below)
     verdict = np.where(holds, _T34_ATTAINED + ~below, _MATRIX_UNATTAINED[state])

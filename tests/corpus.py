@@ -3,8 +3,8 @@
 The main corpus mixes connected Erdos-Renyi graphs and uniform random trees
 (Pruefer decode) with n <= 12.  The wide corpus holds graphs with many
 distinct eigenvalues (d up to about 60).  Batteries return failure-message
-lists so both the property tests and the timed acceptance criterion can
-share them.
+lists; the property tests run every battery of ``ALL_BATTERIES`` over the
+atlas and both corpora.
 """
 
 import functools
@@ -621,11 +621,3 @@ ALL_BATTERIES = (
     battery_pdr_quotient,
 )
 
-
-def run_full_suite(seed=SEED):
-    """Fresh corpus build plus every battery; returns (n_graphs, failures)."""
-    analyzed = analyze_corpus(build_corpus(seed))
-    failures = []
-    for battery in ALL_BATTERIES:
-        failures.extend(battery(analyzed))
-    return len(analyzed), failures

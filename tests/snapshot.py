@@ -18,10 +18,12 @@ stderr and exit code under its argv, joined by spaces.  It runs
   ``bench/workloads.build`` (imported, not modified).
 
 It also runs plain ``analyze PATH`` on the 318 workload inputs, the call
-that the benchmark times.  It then runs ``check`` for every theorem on the
-13 fixtures' edge lists, P5, lollipop(6, 6) and er16, 2066 calls: each flag a
-theorem requires at every value from -1 to n, and each flag it may take
-also absent, as ``cli._CHECKS`` of the snapshotted checkout lists them.
+that the benchmark times, and ``analyze PATH --eq-tol 1e-300`` on the 13
+fixtures' edge lists, where rounding meets a tolerance it cannot pass.  It
+then runs ``check`` for every theorem on the 13 fixtures' edge lists, P5,
+lollipop(6, 6) and er16, 2066 calls: each flag a theorem requires at every
+value from -1 to n, and each flag it may take also absent, as
+``cli._CHECKS`` of the snapshotted checkout lists them.
 
 Files are written under a temporary directory and passed by relative path,
 so the records do not depend on where the run happens.  The ``spexcess``
@@ -129,8 +131,10 @@ def write_inputs() -> list[list[str]]:
             timed.extend(e["path"] for e in entries)
     calls = [["analyze", path, "--witnesses"] for path in paths + timed]
     calls += [["analyze", path] for path in timed]
-    swept = ([os.path.join("fixtures", name + ".el") for name in sorted(fx.BUNDLED)]
-             + [os.path.join("extra", name + ".el") for name in ("p5", "lollipop6_6", "er16")])
+    bundled = [os.path.join("fixtures", name + ".el") for name in sorted(fx.BUNDLED)]
+    calls += [["analyze", path, "--eq-tol", "1e-300"] for path in bundled]
+    swept = bundled + [os.path.join("extra", name + ".el")
+                        for name in ("p5", "lollipop6_6", "er16")]
     for path in swept:
         calls += check_calls(path, read_graph_file(path).n)
     return calls

@@ -20,69 +20,10 @@ def test_corpus_composition(analyzed):
     assert any(name.startswith("tree") for name, *_ in analyzed)
 
 
-def test_mean_of_local_products(analyzed):
-    fails = corpus.battery_mean_of_local_products(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_local_multiplicity_sums(analyzed):
-    fails = corpus.battery_local_multiplicities(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_eccentricity_bound(analyzed):
-    fails = corpus.battery_eccentricity_bound(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_inequality_slacks(analyzed):
-    fails = corpus.battery_inequality_slacks(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_hoffman_characterization(analyzed):
-    fails = corpus.battery_hoffman(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_weighted_degree_constancy(analyzed):
-    fails = corpus.battery_weighted_degree(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_oracle_agreement(analyzed):
-    fails = corpus.battery_oracle_agreement(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_pseudo_dr_oracle_matches_reference(analyzed):
-    fails = corpus.battery_pseudo_dr_reference(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_distance_regular_oracle_matches_networkx(analyzed):
-    fails = corpus.battery_distance_regular_networkx(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_partial_dr_level_matches_reference(analyzed):
-    fails = corpus.battery_partial_dr_level_reference(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_orthogonality_and_normalization_on_corpus(analyzed):
-    fails = corpus.battery_orthogonality(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_excess_closed_forms_on_corpus(analyzed):
-    fails = corpus.battery_local_excess_closed_form(analyzed)
-    fails += corpus.battery_global_excess_closed_form(analyzed)
-    assert not fails, fails[:5]
-
-
-def test_pdr_quotient_on_corpus(analyzed):
-    fails = corpus.battery_pdr_quotient(analyzed)
+@pytest.mark.parametrize("battery", corpus.ALL_BATTERIES,
+                         ids=lambda b: b.__name__.removeprefix("battery_"))
+def test_corpus_batteries(analyzed, battery):
+    fails = battery(analyzed)
     assert not fails, fails[:5]
 
 

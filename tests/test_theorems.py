@@ -86,9 +86,11 @@ def test_p31_petersen_q1(analyses):
 
 @pytest.mark.parametrize("name", ["k23", "c8_12", "p5", "k13", "petersen"])
 def test_p31_every_j_matches_dense_reference(analyses, name):
-    # for every u and j <= d_u, the certificate vector is q^u_j(A) e_u over
-    # ||q^u_j||_u, with q^u_j(A) formed densely from the eigenvectors and
-    # the norm from the local multiplicities
+    # for every u and j <= d_u, lhs is q^u_j(lambda_0) over ||q^u_j||_u, and
+    # below ecc(u) the certificate vector of an equal row is q^u_j(A) e_u
+    # over it, with q^u_j(A) formed densely from the eigenvectors and the
+    # norm from the local multiplicities; the saturation rule decides the
+    # rows from ecc(u) on, with no certificate
     from corpus import full_local_families
     ga = analyses(name)
     v = ga.spectrum.vectors
@@ -99,9 +101,11 @@ def test_p31_every_j_matches_dense_reference(analyses, name):
             q = seq.q_values[j]
             norm = math.sqrt(np.sum(mults * q ** 2))
             assert rep.lhs[0] == pytest.approx(q[0] / norm, rel=1e-9), (u, j)
-            if rep.state[0] == EQUAL:
+            if rep.state[0] == EQUAL and j < ga.dd.ecc[u]:
                 vec = (v * q[ga.spectrum.class_index]) @ v[u] / norm
                 assert np.abs(rep.witness_fn()["normalized_vector"][0] - vec).max() <= 1e-9
+            else:
+                assert rep.certificate is None and rep.witness_fn is None, (u, j)
 
 
 @pytest.mark.parametrize("check", [check_local_bound, check_local_spet])
@@ -122,11 +126,12 @@ def test_p31_saturation_not_certified(analyses):
     # scalar bound is attained, but the equality verdict must stay negative
     ga = analyses("c8_12")
     rep = check_local_bound(ga, 0, j=ga.local_spectra.du[0])
-    assert rep.state[0] == EQUAL
+    assert rep.state[0] == EQUAL and rep.slack[0] == 0.0
     assert not rep.equality_holds[0]
     assert rep.details["ball_saturated"][0]
-    # q^u_du(A) e_u = alpha_u alpha: the vector certificate holds too
-    assert rep.certificate.passes.tolist() == [True]
+    # q^u_du(A) e_u = alpha_u alpha makes the vector certificate a
+    # tautology: the theorem decides, and none is built
+    assert rep.certificate is None and rep.witness_fn is None
     assert rep.verdict_text(0) == ("bound attained; vertex is not extremal, no structural "
                                    "claim (ball saturated: N_j(u) = V)")
 
@@ -417,12 +422,14 @@ def test_equality_verdicts_have_certificates(checks, analyses):
     # certified equality implies every certificate passed, and certified
     # matrix identities imply the scalar sides agree (T34 j=0 on nonregular
     # graphs is the known one-sided case, exercised separately; T34 carries
-    # a certificate only for j < D)
+    # a certificate only for j < D, and P31 none at its default radius,
+    # where the theorem decides: its equality rows are the rows at d_u)
     for name in ALL_FIXTURES:
         ga = analyses(name)
         p31, _t32, t33, t34, p35, p36, *chain = checks(name)
-        certified = p31.certificate.rows[p31.certificate.passes]
-        assert set(np.flatnonzero(p31.equality_holds)) <= set(certified), name
+        assert p31.certificate is None, name
+        holds = p31.equality_holds
+        assert (p31.params["j"][holds] == ga.local_spectra.du[holds]).all(), name
         if t33.equality_holds[0]:
             assert t33.tail_gap.passes, name
         if chain:  # T37: link (i) reads the tail gap, link (ii) its own
@@ -490,7 +497,8 @@ def test_verdict_templates(checks, analyzed, wide):
 def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wide):
     # past the radius that covers the graph every ball is V: T34 with
     # D <= j < d and P31 with ecc(u) <= j < d_u are strict with a positive
-    # slack and no certificate, and T34 at j = d is Hoffman's identity
+    # slack and no certificate, T34 at j = d is Hoffman's identity, and P31
+    # at j = d_u is equal with slack 0, attained, holding where u is extremal
     runs = [(analyses(name), checks(name)) for name in ALL_FIXTURES]
     runs += [(ga, reps) for _name, ga, reps in analyzed + wide]
     seen = Counter()
@@ -501,6 +509,12 @@ def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wid
         seen["P31"] += rows.sum()
         assert (p31.verdict[rows] == strict).all()
         assert (p31.state[rows] == STRICT).all() and (p31.slack[rows] > 0).all()
+        top = j == ga.local_spectra.du
+        seen["P31 at d_u"] += top.sum()
+        assert (p31.state[top] == EQUAL).all() and (p31.slack[top] == 0.0).all()
+        assert all(p31.verdict_text(k).startswith("bound attained") for k in np.flatnonzero(top))
+        assert np.array_equal(p31.equality_holds[top], p31.details["extremal"][top])
+        assert p31.certificate is None and p31.witness_fn is None
         j = t34.params["j"]
         rows = (ga.D <= j) & (j < ga.d)
         seen["T34"] += rows.sum()
@@ -509,7 +523,7 @@ def test_saturated_checks_decided_by_the_theorem(checks, analyses, analyzed, wid
         for k in np.flatnonzero(j == ga.d):
             seen["T34 at d"] += 1
             assert t34.equality_holds[k] and "Hoffman" in t34.verdict_text(k)
-    assert seen["T34"] and seen["P31"] and seen["T34 at d"], seen
+    assert seen["T34"] and seen["P31"] and seen["T34 at d"] and seen["P31 at d_u"], seen
 
 
 # each family's verdict below "attained" by state code: (table, ladder wording)
@@ -569,8 +583,8 @@ def test_ladder_branches(state, holds, verdict):
 
 def test_p31_vector_certificate_failure(analyses, monkeypatch):
     # scalar equality at an extremal vertex with a failing r(A)e_u identity;
-    # j = 1 < d_u builds q^u_1 and applies it to e_u, because the default
-    # q^u_{d_u} takes r(A)e_u = alpha_u alpha from its closed form
+    # j = 1 < ecc(u) builds q^u_1 and applies it to e_u, because the
+    # saturation rule decides every row from ecc(u) on without a vector
     monkeypatch.setattr(theorems, "apply_to_vector", lambda p, spec, vec: 0 * vec)
     rep = check_local_bound(analyses("petersen"), 0, j=1)
     assert rep.state[0] == EQUAL and rep.details["extremal"][0]
@@ -773,7 +787,7 @@ def test_column_families_match_scalar_rule(request, graphs):
             if j >= ga.D:
                 top = j == ga.d
                 state, lhs, rhs = "equal" if top else "strict", float(q[j]), float(ga.n)
-                slack = float(ga.global_seq.p_lambda0[j + 1:].sum())
+                slack = math.fsum(ga.global_seq.p_lambda0[j + 1:])
                 verdict = _ladder(state, top, f"harmonic bound attained: q_{j}(A) = J* "
                                               "(Hoffman identity)")
                 seen["j = d" if top else "D <= j < d"] += 1
@@ -782,8 +796,12 @@ def test_column_families_match_scalar_rule(request, graphs):
                 verdict = _ladder(state, state == "equal" and gaps[j] <= tol,
                                   f"harmonic bound attained: q_{j}(A) = S*_{j}")
                 seen["j < D"] += 1
-            assert _rows(t34, k) == (state, lhs, rhs, slack, label, verdict,
-                                     verdict.startswith("harmonic bound attained")), (name, j)
+            got = _rows(t34, k)
+            if j >= ga.D:  # one suffix sum from p_d: within d - j roundings of the tail
+                assert abs(got[3] - slack) <= (ga.d - j) * 2.0 ** -52 * slack, (name, j)
+                got = got[:3] + (slack,) + got[4:]
+            assert got == (state, lhs, rhs, slack, label, verdict,
+                           verdict.startswith("harmonic bound attained")), (name, j)
         level = cls.partial_dr_level
         for k, m in enumerate(p35.params["m"].tolist()):
             holds = gaps[m - 1] <= tol and gaps[m] <= tol
