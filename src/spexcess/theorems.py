@@ -170,10 +170,10 @@ class ColumnReport(NamedTuple):
     ``verdict`` index ``CODES``; a verdict and ``label`` format with the
     row's params ({m-1} with m - 1).  P35 has no comparison (its fields
     None).  A row is a violation iff its state is violated (module note).
-    P31's ``certificate`` has the gap of a given j < ecc(u) whose state is
-    equal (else None), and ``witness_fn`` its vectors; T37's has link (ii)'s.  T34, P35 and P36
-    read rows of ``q_gaps``, T33 and T37's link (i) ``tail_gap``, and T34's
-    ``witness_fn`` stacks its rows with j < D (eta where equal or ambiguous)."""
+    P31's ``certificate`` and ``witness_fn`` cover a given j < ecc(u) that
+    compares equal (else None); T37's certificate has link (ii)'s.  T34,
+    P35 and P36 read rows of ``q_gaps``, T33 and T37's link (i) ``tail_gap``;
+    T34's ``witness_fn`` stacks its rows j < D, eta where equal or ambiguous."""
 
     theorem_id: str
     label: str | tuple | None
