@@ -23,8 +23,9 @@ procedure with full reorthogonalization (Gautschi, *Orthogonal Polynomials:
 Computation and Approximation*, 2004, section 2.2), one measure per
 ``predistance_polynomials`` call.  It keeps one form: the orthonormal
 vectors psi_j = sqrt(w) * phi_j and their norms beta_j; phi_j = psi_j /
-sqrt(w) is read from them, as 0 where w = 0.  A 1-D measure runs as plain
-vector products, any stack as stacked ones (``_stieltjes`` says why).  The
+sqrt(w) is read from them, as 0 where w = 0.  Every measure runs as a
+stack, a lone one as a one-row stack, through one set of products, so a
+row of any stack is its own family bit for bit (``_stieltjes``).  The
 pipeline builds one family, the global one to degree d.  P31 reads local
 families at lambda_0 only, in one stacked ``top_q_lambda0`` pass over the
 rows it reports below d_u; only a given ``--j`` below ecc(u) builds one,
@@ -99,7 +100,7 @@ def predistance_polynomials(nodes, weights, degree, scale=1.0) -> PolySequence:
     rounding, but phi there meets only entries of V^T e_u of norm sqrt(w).
     """
     w = np.asarray(weights, dtype=float)
-    _order, psi, beta = _stieltjes(nodes, w, [degree])
+    _order, psi, beta = _stieltjes(nodes, w[None], [degree])
     phi = psi[0] * np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > 0)
     # p_j = k_j phi_j; the Lanczos relation x phi_j = beta_j phi_{j-1} +
     # a_j phi_j + beta_{j+1} phi_{j+1} turns into the p-recurrence.  k_j is
@@ -117,13 +118,12 @@ def top_q_lambda0(nodes, weights, degrees, scale) -> np.ndarray:
     """q_m(lambda_0) = p_0(lambda_0) + ... + p_m(lambda_0) for the measure
     in each row of ``weights``, m = ``degrees[r]`` and s = ``scale[r]``,
     from one pass that reads only phi_j(lambda_0) = psi_j(lambda_0) /
-    sqrt(w_0), p_j(lambda_0) = s * phi_j(lambda_0)^2.  A stack agrees with
-    ``predistance_polynomials`` on each row within rounding (stacked
-    products sum in another order); a 1-D ``weights`` matches it bit for
-    bit (``_stieltjes``)."""
-    w = np.array(weights, dtype=float, ndmin=2)
+    sqrt(w_0), p_j(lambda_0) = s * phi_j(lambda_0)^2.  Each row equals
+    ``predistance_polynomials`` of its measure bit for bit, as both run the
+    same products (``_stieltjes``)."""
+    w = np.asarray(weights, dtype=float)
     degrees = np.asarray(degrees, dtype=np.int64)
-    order, psi, _beta = _stieltjes(nodes, weights, degrees)
+    order, psi, _beta = _stieltjes(nodes, w, degrees)
     at0 = psi[:, :, 0] * (1.0 / np.sqrt(w[order, :1]))
     q = np.cumsum(np.asarray(scale, dtype=float)[order][:, None] * at0 * at0, axis=1)
     return q[order.argsort(), degrees]
@@ -140,57 +140,40 @@ def _stieltjes(nodes, weights, degrees):
     psi_{j-1}, orthogonalized twice against every earlier psi), so every
     inner product is a plain dot product.  psi is the one form kept:
     callers read phi = psi / sqrt(w).  The rows still running at step j are
-    a leading block.  The shape of ``weights`` picks the products: a 1-D
-    vector, one measure, runs as plain vector products, as BLAS's dot keeps
-    the global family's bits (the stacked einsum norm rounds differently on
-    over a third of random vectors) and a dot/combine/norm triple costs
-    about 0.6 of the stacked one (one thread); any 2-D stack, one row
-    included, runs stacked, so that no row depends on the rows beside it.
+    a leading block.  Every measure runs as a stack, a single one as a
+    one-row stack, through one set of products: each is a batched
+    ``matmul``, one BLAS call per row, so a row's bits do not depend on the
+    rows beside it.  The norm is the batched product v^T v, BLAS's dot on
+    each row, as a lone vector's ``v @ v`` rounds; an einsum sums in its
+    own order.
     """
     nodes = np.asarray(nodes, dtype=float)
-    w = np.array(weights, dtype=float, ndmin=2)
+    w = np.asarray(weights, dtype=float)
     degrees = np.asarray(degrees, dtype=np.int64)
-    rows, size = w.shape
-    if degrees.shape != (rows,) or size != len(nodes):
+    if w.ndim != 2 or degrees.shape != (len(w),) or w.shape[1] != len(nodes):
         raise ValueError("weights must be (rows, nodes), with one degree per row")
+    rows, size = w.shape
     top = int(degrees.max(initial=0))
     if top >= size:
         raise ValueError(f"degrees must lie in 0..{size - 1}")
-    plain = np.ndim(weights) == 1
-    order = np.zeros(1, dtype=np.intp) if plain else np.argsort(-degrees, kind="stable")
+    order = np.argsort(-degrees, kind="stable")
     ws = w[order]
     # live[j]: how many sorted rows have degree >= j
-    live = None if plain else np.searchsorted(-degrees[order], -np.arange(top + 1), "right")
+    live = np.searchsorted(-degrees[order], -np.arange(top + 1), "right")
     psi = np.zeros((rows, top + 1, size))
     beta = np.zeros((rows, top + 1))
     psi[:, 0] = np.sqrt(ws) / np.sqrt(ws.sum(axis=1))[:, None]
-    if plain:  # plain vector products on the row's own views
-        dots = comb = np.matmul
-        ps, bt = psi[0], beta[0]
-
-        def norm(v):
-            return np.sqrt(v @ v)
-    else:
-        def dots(b, v):
-            return np.matmul(b, v[..., None])[..., 0]
-
-        def comb(c, b):
-            return np.matmul(c[..., None, :], b)[..., 0, :]
-
-        def norm(v):
-            return np.sqrt(np.einsum("rk,rk->r", v, v))
     # a singular measure divides by ~0 here; it is caught after the loop
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(1, top + 1):
-            if not plain:
-                r = live[j]
-                ps, bt = psi[:r], beta[:r]
-            basis = ps[..., :j, :]
-            v = nodes * ps[..., j - 1, :]
-            v -= comb(dots(basis, v), basis)  # full orthogonalization
-            v -= comb(dots(basis, v), basis)  # and one repeat pass
-            bt[..., j] = nrm = norm(v)
-            ps[..., j, :] = v / nrm[..., None]
+            ps = psi[:live[j]]
+            basis = ps[:, :j]
+            v = nodes * ps[:, j - 1, None]  # one row vector per measure
+            v -= v @ basis.mT @ basis  # full orthogonalization
+            v -= v @ basis.mT @ basis  # and one repeat pass
+            nrm = np.sqrt(v @ v.mT)
+            beta[:live[j], j] = nrm[:, 0, 0]
+            ps[:, j] = (v / nrm)[:, 0]
     # step j started from ||x psi_{j-1}||; -1 where a row ran no step j, so
     # only run steps can look singular
     start = np.sqrt(np.einsum("rjk,rjk,k->rj", psi[:, :-1], psi[:, :-1], nodes * nodes))

@@ -38,11 +38,12 @@ q_j(A).  T34's q_j(A) witnesses are built when a caller reads them.
 P31 reads q^u_j.  At j = d_u it is the local preHoffman polynomial, with
 q^u_{d_u}(lambda_0) = n (see ``poly``).  Below d_u it reads
 q^u_j(lambda_0) at the rows it reports, and only there, from one stacked
-``poly.top_q_lambda0`` pass in which no row depends on another, so a
-one-vertex check prints its row of the all-vertex pass.  The default
-j = min(ecc(u), d_u) is at least ecc(u), so the saturation rule decides
-its rows; only a given j < ecc(u) whose sides compare equal builds q^u_j as
-one family, at the pass's alpha_u^2, for its certificate vector.
+``poly.top_q_lambda0`` pass in which each row is bit for bit its vertex's
+own family, so a one-vertex check prints its row of the all-vertex pass.
+The default j = min(ecc(u), d_u) is at least ecc(u), so the saturation
+rule decides its rows; only a given j < ecc(u) whose sides compare equal
+builds q^u_j as one family, at the pass's alpha_u^2, for its certificate
+vector.
 T32 reads p^u_{d_u}(lambda_0) in closed form (``spectral.top_p_lambda0``).
 
 Checks (ids follow the report schema):

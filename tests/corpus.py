@@ -281,10 +281,12 @@ def battery_mean_of_local_products(analyzed, rng=None, tol=1e-8):
 
 def local_family(ga, u, degree=None):
     """Vertex u's local family to ``degree`` (default d_u), from its own
-    one-measure call (the pipeline builds no local family)."""
+    one-measure call (the pipeline builds no local family), at alpha_u^2
+    squared in the array, as P31's pass squares it: a NumPy scalar squared
+    can differ in the last bit."""
     degree = ga.local_spectra.du[u] if degree is None else degree
     return predistance_polynomials(ga.spectrum.lambdas, ga.local_spectra.mults[u],
-                                   int(degree), scale=ga.alpha[u] ** 2)
+                                   int(degree), scale=(ga.alpha ** 2)[u])
 
 
 def full_local_families(ga):

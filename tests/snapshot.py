@@ -6,12 +6,15 @@
 
 ``write`` runs ``cli.main`` in-process and records each call's stdout,
 stderr and exit code under its argv, joined by spaces.  It runs
-``analyze PATH --witnesses`` on 512 inputs:
+``analyze PATH --witnesses`` on 515 inputs:
 
 * the 13 bundled fixtures, each as ``.el`` and as ``.g6``;
-* K1,3, P4, P5, C30, C32, C40, Q6, lollipop(6, 6) and er16 (the golden
+* K1,3, P4, P5, C30, C32, C40, Q6, lollipop(6, 6), er16 (the golden
   ``corpus.connected_er(random.Random(2), 16, 0.2)``, whose 16 vertices
-  all have ecc(u) < d_u) as edge lists;
+  all have ecc(u) < d_u), spider(4, 11), spider(7, 7) and the sixth
+  n = 60 tree from ``random.Random(2)`` as edge lists.  The last three
+  each exit 4 on one T38 oracle disagreement (ROADMAP item 4), and their
+  many short P31 rows have alpha_u spread over several decades;
 * the 108-graph property corpus and the 51-graph wide corpus
   (``tests/corpus.py``) as edge lists;
 * seeds 1 and 2 of the three benchmark workloads, written by
@@ -85,11 +88,15 @@ def _extras():
     from spexcess.graphs import Graph
 
     q6 = nx.convert_node_labels_to_integers(nx.hypercube_graph(6), ordering="sorted")
+    rng = random.Random(2)
+    trees = [corpus.random_tree(rng, 60) for _ in range(6)]
     return [("k13", fx.star(3)), ("p4", fx.path(4)), ("p5", fx.path(5)),
             ("c30", fx.cycle(30)), ("c32", fx.cycle(32)), ("c40", fx.cycle(40)),
             ("q6", Graph.from_edges(q6.number_of_nodes(), q6.edges())),
             ("lollipop6_6", corpus.lollipop(6, 6)),
-            ("er16", corpus.connected_er(random.Random(2), 16, 0.2))]
+            ("er16", corpus.connected_er(random.Random(2), 16, 0.2)),
+            ("spider4_11", corpus.spider(4, 11)), ("spider7_7", corpus.spider(7, 7)),
+            ("tree60x5", trees[5])]
 
 
 def check_calls(path: str, n: int) -> list[list[str]]:

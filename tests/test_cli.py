@@ -823,15 +823,20 @@ def test_rooted_families_attain_at_the_root(capsys, tmp_path, monkeypatch, p31_p
     # radius: the spheres' partition is equitable, so span{A^i e_0 : i <= j}
     # = span{rho_Gamma_i(0) : i <= j}, which holds rho_N_j(0).  Below
     # ecc(0) the row's certificate family takes alpha_0^2 bit for bit as
-    # P31's pass took it, so the vector is normalised by its own scale
+    # P31's pass took it, so the vector is normalised by its own scale, and
+    # its q^u_j(lambda_0) is the pass's row bit for bit
     from spexcess import theorems
     path = tmp_path / f"{name}.el"
     path.write_bytes(fx.edgelist_bytes(_ROOTED[name]))
     analyzed = corpus.analyze_corpus([(name, _ROOTED[name])])
     assert not corpus.battery_pdr_quotient(analyzed)
     families, family = [], theorems.predistance_polynomials
-    monkeypatch.setattr(theorems, "predistance_polynomials",
-                        lambda *args, scale: families.append(scale) or family(*args, scale=scale))
+
+    def spy(*args, scale):
+        families.append((scale, seq := family(*args, scale=scale)))
+        return seq
+
+    monkeypatch.setattr(theorems, "predistance_polynomials", spy)
     for j in range(1, int(analyzed[0][1].dd.ecc[0])):
         del families[:], p31_passes[:]
         code, out, _ = _run(capsys, ["check", str(path), "--theorem", "P31", "--vertex", "0",
@@ -841,8 +846,10 @@ def test_rooted_families_attain_at_the_root(capsys, tmp_path, monkeypatch, p31_p
         p31 = doc["P31"]
         assert doc["codes"][p31["verdict"][0]] == "bound attained; vertex is extremal", j
         assert p31["equalityHolds"] == [True], j
-        (((*_pass, scale), _got),) = p31_passes
-        assert [x.tobytes() for x in families] == [scale[0].tobytes()], j
+        (((*_pass, scale), got),) = p31_passes
+        ((given, seq),) = families
+        assert given.tobytes() == scale[0].tobytes(), j
+        assert seq.q_lambda0[j] == got[0], j
     code, out, _ = _run(capsys, ["check", str(path), "--theorem", "T32", "--vertex", "0"])
     assert code == 0
     doc = json.loads(out)

@@ -43,17 +43,14 @@ def _power_eval(coeffs, a):
 
 # --- inner products ----------------------------------------------------------
 
-def _pieces(g):
+def _k23_pieces():
     from spexcess.spectral import eigendecompose, local_spectra, perron_weights
+    g = fx.k23()
     dd = distance_data(g)
     spec = eigendecompose(g)
     alpha = perron_weights(spec, g.adjacency.sum(axis=1))
     locs = local_spectra(spec)
     return g, dd, spec, alpha, locs
-
-
-def _k23_pieces():
-    return _pieces(fx.k23())
 
 
 def test_inner_product_constants():
@@ -116,16 +113,23 @@ def test_degenerate_measure_raises():
     top_q_lambda0(nodes, rows[:2], [1, 3], [1.0, 1.0])  # the others alone pass
 
 
-@pytest.mark.parametrize("family", ["fixtures", "wide"])
-def test_batched_rows_match_single_calls(family):
+def _analyses(request, graphs):
+    """The GraphAnalysis of each graph of the named set: the fixtures, or a
+    session-cached corpus."""
+    if graphs == "fixtures":
+        analyses = request.getfixturevalue("analyses")
+        return [analyses(name) for name in ALL_NAMES]
+    return [ga for _name, ga, _reports in request.getfixturevalue(graphs)]
+
+
+@pytest.mark.parametrize("graphs", ["fixtures", "atlas", "analyzed", "wide"])
+def test_batched_rows_match_single_calls(request, graphs):
     # local rows in an order whose degrees are not sorted, one of them cut
     # to degree 0 and the global row in the middle, in one batched
-    # top_q_lambda0 pass against one predistance_polynomials call per row
-    from corpus import build_wide_corpus
-    graphs = [g for _, g in build_wide_corpus()] if family == "wide" else \
-        [fx.BUNDLED[name]() for name in sorted(fx.BUNDLED)] + [fx.path(5)]
-    for g in graphs:
-        _, _, spec, alpha, locs = _pieces(g)
+    # top_q_lambda0 pass against one predistance_polynomials call per row:
+    # bit for bit, as every measure runs the same stacked products
+    for ga in _analyses(request, graphs):
+        spec, alpha, locs = ga.spectrum, ga.alpha, ga.local_spectra
         order = np.argsort(locs.du, kind="stable").tolist()  # ascending
         rows = list(locs.mults[order])
         degrees = locs.du[order].tolist()
@@ -136,7 +140,7 @@ def test_batched_rows_match_single_calls(family):
         got = top_q_lambda0(spec.lambdas, rows, degrees, scales)
         for r, (w, m, s) in enumerate(zip(rows, degrees, scales)):
             ref = predistance_polynomials(spec.lambdas, w, m, scale=s).q_lambda0[m]
-            assert abs(got[r] - ref) <= 1e-12 * ref, r
+            assert got[r] == ref, r
 
 
 def test_excess_closed_forms_on_fixtures(analyses):
@@ -405,15 +409,10 @@ def test_evaluate_matches_power():
 def test_p31_pass_matches_rows_and_families(request, p31_passes, graphs):
     # P31's all-vertex pass takes exactly the rows with ecc_u < d_u at degree
     # ecc_u.  Each row is bit for bit the same row passed alone as a stack
-    # (a row never depends on the rows beside it), within 1e-12 the full
-    # family's q^u_{ecc_u}(lambda_0) and below n; a 1-D row runs plain and
-    # is bit for bit the family cut at ecc_u
+    # (a row never depends on the rows beside it), the family cut at ecc_u
+    # and the full family's q^u_{ecc_u}(lambda_0), and below n
     from spexcess.theorems import check_local_bound
-    if graphs == "fixtures":
-        analyses = request.getfixturevalue("analyses")
-        gas = [analyses(name) for name in ALL_NAMES]
-    else:
-        gas = [ga for _name, ga, _reports in request.getfixturevalue(graphs)]
+    gas = _analyses(request, graphs)
     short_rows = 0
     for ga in gas:
         lambdas, mults, alpha = ga.spectrum.lambdas, ga.local_spectra.mults, ga.alpha
@@ -431,10 +430,7 @@ def test_p31_pass_matches_rows_and_families(request, p31_passes, graphs):
         for k, u in enumerate(short.tolist()):
             ecc = int(ga.dd.ecc[u])
             (one,) = top_q_lambda0(lambdas, mults[[u]], [ecc], alpha[[u]] ** 2)
-            assert one == got[k]
-            (plain,) = top_q_lambda0(lambdas, mults[u], [ecc], [alpha[u] ** 2])
-            assert plain == cut[u].q_lambda0[ecc]
-            assert got[k] == pytest.approx(local_family(ga, u).q_lambda0[ecc], rel=1e-12)
+            assert one == got[k] == cut[u].q_lambda0[ecc] == local_family(ga, u).q_lambda0[ecc]
             assert got[k] < ga.n
         short_rows += short.size
     assert short_rows
