@@ -169,9 +169,9 @@ def _stieltjes(nodes, weights, degrees):
             ps = psi[:live[j]]
             basis = ps[:, :j]
             v = nodes * ps[:, j - 1, None]  # one row vector per measure
-            v -= v @ basis.mT @ basis  # full orthogonalization
-            v -= v @ basis.mT @ basis  # and one repeat pass
-            nrm = np.sqrt(v @ v.mT)
+            v -= v @ basis.swapaxes(-1, -2) @ basis  # full orthogonalization
+            v -= v @ basis.swapaxes(-1, -2) @ basis  # and one repeat pass
+            nrm = np.sqrt(v @ v.swapaxes(-1, -2))
             beta[:live[j], j] = nrm[:, 0, 0]
             ps[:, j] = (v / nrm)[:, 0]
     # step j started from ||x psi_{j-1}||; -1 where a row ran no step j, so
